@@ -69,7 +69,7 @@ fn bench_serving(c: &mut Criterion) {
     for &workers in &[1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("batch_256", workers), &workers, |b, &w| {
             b.iter(|| {
-                let svc = QueryService::with_capacity(snap.clone(), 32);
+                let svc = QueryService::with_instrumentation(snap.clone(), 32, kb_obs::global());
                 black_box(svc.serve_batch(&refs, w).len())
             })
         });

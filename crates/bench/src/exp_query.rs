@@ -167,7 +167,7 @@ pub fn t13() -> String {
     let mut tput = Table::new(&["workers", "batch ms", "queries/s"]);
     let mut baseline = 0.0f64;
     for &workers in &[1usize, 2, 4, 8] {
-        let svc = QueryService::with_capacity(snap.clone(), 32);
+        let svc = QueryService::with_instrumentation(snap.clone(), 32, kb_obs::global());
         let t0 = Instant::now();
         let out = svc.serve_batch(&refs, workers);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -198,10 +198,8 @@ fn cold_burst(
     snap: &std::sync::Arc<kb_store::KbSnapshot>,
     text: &str,
     threads: usize,
-    single_flight: bool,
 ) -> (kb_query::CacheStats, f64) {
     let svc = QueryService::with_instrumentation(snap.clone(), 32, &kb_obs::Registry::new());
-    svc.set_single_flight(single_flight);
     let barrier = Barrier::new(threads);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
@@ -215,11 +213,11 @@ fn cold_burst(
     (svc.cache_stats(), t0.elapsed().as_secs_f64() * 1e3)
 }
 
-/// T14: the thundering-herd fix. A burst of workers all miss on the
-/// same cold query; without single-flight each racer may execute the
-/// full plan redundantly, with it exactly one leader executes while
-/// the rest wait and are counted as `result_dedup`. Averaged over
-/// several bursts because the unprotected race is nondeterministic.
+/// T14: the thundering-herd fix, as an absolute bar. A burst of
+/// workers all miss on the same cold query; exactly one leader
+/// compiles and exactly one executes while the rest either wait on its
+/// flight (`result_dedup`) or arrive after it and hit — never a second
+/// execution, at any thread count.
 pub fn t14() -> String {
     const BURSTS: usize = 16;
     // The merge-range join over the two mid-sized relations is the
@@ -231,37 +229,38 @@ pub fn t14() -> String {
     let text = "?a rel_mid ?c . ?b rel_mid2 ?c";
     let mut t = Table::new(&[
         "threads",
-        "single-flight",
         "cold executions/burst",
+        "compilations/burst",
         "deduped/burst",
+        "hits/burst",
         "burst ms",
     ]);
     for &threads in &[2usize, 4, 8] {
-        for single_flight in [false, true] {
-            let (mut misses, mut dedup, mut ms) = (0u64, 0u64, 0.0f64);
-            for _ in 0..BURSTS {
-                let (stats, burst_ms) = cold_burst(&snap, text, threads, single_flight);
-                assert_eq!(
-                    stats.result_hits + stats.result_misses + stats.result_dedup,
-                    threads as u64,
-                    "counter conservation"
-                );
-                if single_flight {
-                    assert_eq!(stats.result_misses, 1, "single-flight must execute exactly once");
-                }
-                misses += stats.result_misses;
-                dedup += stats.result_dedup;
-                ms += burst_ms;
-            }
-            let per = |v: u64| format!("{:.2}", v as f64 / BURSTS as f64);
-            t.row(vec![
-                threads.to_string(),
-                if single_flight { "on" } else { "off" }.to_string(),
-                per(misses),
-                per(dedup),
-                format!("{:.2}", ms / BURSTS as f64),
-            ]);
+        let (mut misses, mut compiles, mut dedup, mut hits, mut ms) = (0u64, 0u64, 0u64, 0u64, 0.0);
+        for _ in 0..BURSTS {
+            let (stats, burst_ms) = cold_burst(&snap, text, threads);
+            assert_eq!(stats.result_misses, 1, "exactly one execution per burst: {stats:?}");
+            assert_eq!(stats.plan_misses, 1, "exactly one compilation per burst: {stats:?}");
+            assert_eq!(
+                stats.result_hits + stats.result_dedup,
+                threads as u64 - 1,
+                "everyone else reuses the leader's work: {stats:?}"
+            );
+            misses += stats.result_misses;
+            compiles += stats.plan_misses;
+            dedup += stats.result_dedup;
+            hits += stats.result_hits;
+            ms += burst_ms;
         }
+        let per = |v: u64| format!("{:.2}", v as f64 / BURSTS as f64);
+        t.row(vec![
+            threads.to_string(),
+            per(misses),
+            per(compiles),
+            per(dedup),
+            per(hits),
+            format!("{:.2}", ms / BURSTS as f64),
+        ]);
     }
     format!(
         "T14 — single-flight dedup of cold-query bursts ({BURSTS} bursts/row, fresh cache per burst)\n{}",
@@ -297,16 +296,13 @@ mod tests {
 
     #[test]
     fn t14_single_flight_burst_is_deduped() {
-        // Smoke-scale: one 4-thread burst per mode on a small KB.
+        // Smoke-scale: one 4-thread burst on a small KB.
         let kb = synthetic_kb_skewed(2_000, 3);
         let snap = kb.into_snapshot().into_shared();
         let text = "?a rel_mid ?c . ?b rel_mid2 ?c";
-        let (off, _) = cold_burst(&snap, text, 4, false);
-        assert_eq!(off.result_hits + off.result_misses + off.result_dedup, 4);
-        assert_eq!(off.result_dedup, 0, "dedup counter must stay 0 with single-flight off");
-        let (on, _) = cold_burst(&snap, text, 4, true);
-        assert_eq!(on.result_misses, 1);
-        assert_eq!(on.result_hits + on.result_dedup, 3);
+        let (stats, _) = cold_burst(&snap, text, 4);
+        assert_eq!((stats.result_misses, stats.plan_misses), (1, 1));
+        assert_eq!(stats.result_hits + stats.result_dedup, 3);
     }
 
     #[test]

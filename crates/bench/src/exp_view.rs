@@ -108,7 +108,7 @@ pub fn t20_measure(
             }
         }
         let delta = Arc::new(b.freeze_delta(&view));
-        let updates = service.apply_delta_publishing(delta);
+        let updates = service.apply_delta(delta);
         let patch_us: u64 = updates.iter().map(|u| u.patch_us).sum();
 
         // Baseline: execute each view query from scratch over the new

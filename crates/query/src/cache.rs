@@ -1,0 +1,809 @@
+//! The caching *policy* behind [`QueryService`](crate::QueryService):
+//! one stamped, bounded, single-flight cache type, used for the raw-text
+//! aliases, the plans and the results alike.
+//!
+//! ## Caching discipline
+//!
+//! Two cache levels sit in front of the parse → plan → execute
+//! pipeline:
+//!
+//! 1. **Raw-text probe** — an exact match on the query string skips
+//!    parsing entirely (the hot path for repeated identical queries).
+//! 2. **Normalized probe** — on a raw miss the text is parsed and its
+//!    canonical [`Display`](std::fmt::Display) form becomes the cache
+//!    key, so formatting variants (case of keywords, whitespace,
+//!    redundant dots) share one plan and one result entry. The raw
+//!    text is then recorded as an alias for future level-1 hits.
+//!
+//! **Full-install invalidation:** every cached plan and result is
+//! stamped with the snapshot *generation* it was computed against.
+//! Installing a new base snapshot bumps the generation and raises each
+//! cache's *generation floor*: stale entries are cleared eagerly,
+//! entries probed with a mismatched stamp die lazily, and — crucially —
+//! an in-flight query that captured the old generation can no longer
+//! re-insert a dead generation's plan or result after the clear (the
+//! floor rejects the `put`), so a dead snapshot's plans cannot be
+//! pinned until LRU eviction. Plans are generation-scoped because
+//! resolved [`TermId`]s are dictionary-specific, not just because facts
+//! changed.
+//!
+//! **Partial (delta) invalidation:** [`apply_delta`] stacks a
+//! [`DeltaSegment`] onto the current view *without* bumping the
+//! generation. Instead it bumps an *epoch* counter and records, per
+//! predicate the delta touches, the epoch at which that predicate last
+//! changed. Every cached entry carries its plan's [`Footprint`] — the
+//! set of predicate ids its answer can depend on — and is served only
+//! while no footprint predicate has changed since the entry's epoch.
+//! Entries whose predicates are untouched by a delta *survive the
+//! install*; this is the cache-retention win the segmented store
+//! exists for. Footprints that cannot be predicate-scoped (variable
+//! predicates, or constants the view had never interned — a delta
+//! could make them real) are *wildcard* and die on every delta.
+//! The same epoch rule guards `put`: an execution that raced a delta
+//! install is rejected exactly like a stale-generation put, so the
+//! single-flight/floor machinery needs no special cases. Plans survive
+//! deltas unless wildcard (TermIds are append-only across deltas; a
+//! stale join order is a performance, not correctness, issue);
+//! results are additionally swept by touched predicate.
+//!
+//! ## Single flight
+//!
+//! Concurrent identical lookups that miss a cache do the work once.
+//! [`StampedCache::get_or_compute`] keeps an in-flight table keyed by
+//! `(generation, epoch, key)` under the same lock as the entries: the
+//! first thread to miss becomes the *leader* and computes; later
+//! arrivals block until it has an answer and are reported as
+//! [`Outcome::Joined`] (the service's `*_dedup` counters), not as
+//! misses. Keying on the epoch too means a flight can never dedup
+//! across a delta install. Missing and choosing to lead or follow
+//! happen under one lock, and the leader stores its value before it
+//! retires its flight, so a thread arriving after the retirement hits:
+//! no second probe is needed. An error reaches every follower of its
+//! flight but is never stored. A leader that unwinds without an answer
+//! wakes its followers, one of which takes over.
+//!
+//! [`apply_delta`]: crate::QueryService::apply_delta
+//! [`DeltaSegment`]: kb_store::DeltaSegment
+//! [`TermId`]: kb_store::TermId
+
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+
+use kb_store::TermId;
+
+use crate::error::QueryError;
+use crate::plan::Footprint;
+
+/// What [`LruCache::put`] did with the offered entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PutOutcome {
+    /// Entry stored, nothing displaced.
+    Inserted,
+    /// Entry stored after evicting the least-recently-used one.
+    Evicted,
+    /// Entry rejected: its generation stamp predates the cache floor,
+    /// or a delta touching its footprint landed after its epoch stamp.
+    StaleRejected,
+}
+
+/// How [`StampedCache::get_or_compute`] came by its value; exactly one
+/// per call, which is what keeps the service's one-counter-per-query
+/// conservation law exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// Served from a fresh cached entry.
+    Hit,
+    /// This thread led the flight and ran `compute`: what the cache did
+    /// with the value, or `None` if `compute` failed and offered none.
+    Computed(Option<PutOutcome>),
+    /// Another thread's in-flight computation supplied the value.
+    Joined,
+}
+
+/// One cached value with its validity stamps.
+struct Entry<V> {
+    /// Base-snapshot generation the value was computed against.
+    generation: u64,
+    /// Delta epoch (within the generation) the value was computed
+    /// against.
+    epoch: u64,
+    /// LRU recency tick of the latest hit or store.
+    used: u64,
+    /// The tick this entry is filed under in `LruCache::recency`: its
+    /// `used` as of the last time the index looked, so never above it.
+    filed: u64,
+    /// Predicates the value can depend on; the unit of partial
+    /// invalidation.
+    footprint: Footprint,
+    value: V,
+}
+
+/// When predicates last changed: the per-predicate half of the
+/// freshness rule, apart from the entries so that an entry can be
+/// checked against it while borrowed.
+#[derive(Default)]
+struct DeltaEpochs {
+    /// Epoch at which each predicate last changed (missing = never,
+    /// i.e. epoch 0 — the base snapshot).
+    pred_epoch: HashMap<TermId, u64>,
+    /// Epoch of the most recent delta install; the freshness bar for
+    /// wildcard footprints.
+    last_delta_epoch: u64,
+}
+
+impl DeltaEpochs {
+    /// Whether a value stamped `epoch` with this `footprint` is still
+    /// current: no footprint predicate changed after the stamp, and a
+    /// wildcard footprint has seen every delta.
+    fn fresh(&self, footprint: &Footprint, epoch: u64) -> bool {
+        if footprint.is_wildcard() {
+            return self.last_delta_epoch <= epoch;
+        }
+        footprint.preds.iter().all(|p| self.pred_epoch.get(p).copied().unwrap_or(0) <= epoch)
+    }
+}
+
+/// A bounded exact LRU keyed by string, stamped with `(generation,
+/// epoch, footprint)`. Recency is a monotone counter, so ticks are
+/// unique and the least-recently-used entry comes first in a
+/// tick-ordered index: eviction takes it from there instead of scanning
+/// every entry for the minimum, which was most of a cache miss's cost.
+/// A hit only stamps its entry; the index catches up at eviction: an
+/// entry filed under an older tick than its stamp is re-filed, and the
+/// first one filed under its own stamp is the victim — nothing can be
+/// older, since no entry is filed above its stamp.
+///
+/// Invalidation has two teeth:
+///
+/// * The *generation floor* — [`set_floor`](LruCache::set_floor)
+///   (called by `install`) clears the map and rejects any later `put`
+///   stamped below the floor, closing the race where an in-flight
+///   computation against a dead snapshot re-inserts after the clear.
+/// * The *predicate epoch map* — [`apply_delta`](LruCache::apply_delta)
+///   records the epoch at which each touched predicate last changed
+///   and sweeps affected entries; `get` and `put` both re-check an
+///   entry's footprint against the map, so a computation that raced a
+///   delta install can neither be served nor re-inserted. This is the
+///   same floor discipline, scoped per predicate.
+struct LruCache<V> {
+    capacity: usize,
+    tick: u64,
+    /// Minimum generation stamp accepted by `put`.
+    floor: u64,
+    /// The delta installs seen since the floor was last raised.
+    deltas: DeltaEpochs,
+    map: HashMap<Arc<str>, Entry<V>>,
+    /// `filed` tick → key, one per entry of `map`.
+    recency: BTreeMap<u64, Arc<str>>,
+    /// The in-flight table of [`StampedCache::get_or_compute`], under
+    /// the entries' lock so that "miss" and "lead or follow" are one
+    /// decision. At most one slot per thread currently computing, so
+    /// lookups scan it: that needs no owned three-part key per probe,
+    /// and the table is a handful of rows.
+    inflight: Vec<Slot<V>>,
+}
+
+impl<V: Clone> LruCache<V> {
+    fn new(capacity: usize) -> Self {
+        LruCache {
+            capacity: capacity.max(1),
+            tick: 0,
+            floor: 0,
+            deltas: DeltaEpochs::default(),
+            map: HashMap::new(),
+            recency: BTreeMap::new(),
+            inflight: Vec::new(),
+        }
+    }
+
+    fn get(&mut self, key: &str, generation: u64, epoch: u64) -> Option<V> {
+        let e = self.map.get_mut(key)?;
+        let fresh = e.generation == generation
+            && e.epoch <= epoch
+            && self.deltas.fresh(&e.footprint, e.epoch);
+        if !fresh {
+            // Stale generation or delta-outdated: drop eagerly.
+            self.recency.remove(&e.filed);
+            self.map.remove(key);
+            return None;
+        }
+        self.tick += 1;
+        e.used = self.tick;
+        Some(e.value.clone())
+    }
+
+    /// Removes the least-recently-used entry, bringing the index up to
+    /// date with the hits since it last looked on the way.
+    fn evict(&mut self) {
+        while let Some((filed, key)) = self.recency.pop_first() {
+            let e = self.map.get_mut(&key).expect("every indexed key has an entry");
+            if e.used == filed {
+                self.map.remove(&key);
+                return;
+            }
+            e.filed = e.used;
+            self.recency.insert(e.used, key);
+        }
+    }
+
+    fn put(
+        &mut self,
+        key: &str,
+        generation: u64,
+        epoch: u64,
+        footprint: Footprint,
+        value: V,
+    ) -> PutOutcome {
+        if generation < self.floor || !self.deltas.fresh(&footprint, epoch) {
+            return PutOutcome::StaleRejected;
+        }
+        self.tick += 1;
+        let mut outcome = PutOutcome::Inserted;
+        let shared_key = match self.map.get(key) {
+            Some(replaced) => {
+                self.recency.remove(&replaced.filed).expect("every entry is in the recency index")
+            }
+            None => {
+                if self.map.len() >= self.capacity {
+                    self.evict();
+                    outcome = PutOutcome::Evicted;
+                }
+                Arc::from(key)
+            }
+        };
+        let (used, filed) = (self.tick, self.tick);
+        self.recency.insert(filed, Arc::clone(&shared_key));
+        self.map.insert(shared_key, Entry { generation, epoch, used, filed, footprint, value });
+        outcome
+    }
+
+    /// Raises the floor to `generation` and drops everything cached:
+    /// entries below the floor can neither be read (stamp mismatch) nor
+    /// re-inserted (floor check) afterwards. A full install starts a
+    /// fresh epoch timeline, so the predicate epochs reset too.
+    fn set_floor(&mut self, generation: u64) {
+        debug_assert!(generation >= self.floor, "generation floor must be monotone");
+        self.floor = generation;
+        self.deltas = DeltaEpochs::default();
+        self.map.clear();
+        self.recency.clear();
+    }
+
+    /// Records a delta install at `epoch` touching `touched` and sweeps
+    /// the entries it outdates: wildcard footprints always die; with
+    /// `wildcard_only = false`, entries whose footprint intersects
+    /// `touched` die too. Returns `(retained, invalidated)` counts.
+    fn apply_delta(&mut self, epoch: u64, touched: &[TermId], wildcard_only: bool) -> (u64, u64) {
+        for p in touched {
+            self.deltas.pred_epoch.insert(*p, epoch);
+        }
+        self.deltas.last_delta_epoch = epoch;
+        let before = self.map.len();
+        let recency = &mut self.recency;
+        self.map.retain(|_, e| {
+            let keep = !e.footprint.is_wildcard()
+                && (wildcard_only || !e.footprint.is_touched_by(touched));
+            if !keep {
+                recency.remove(&e.filed);
+            }
+            keep
+        });
+        let after = self.map.len();
+        (after as u64, (before - after) as u64)
+    }
+
+    /// Entries stamped with a generation older than `current`.
+    fn stale_count(&self, current: u64) -> usize {
+        self.map.values().filter(|e| e.generation < current).count()
+    }
+
+    fn len(&self) -> usize {
+        debug_assert_eq!(self.map.len(), self.recency.len());
+        self.map.len()
+    }
+}
+
+/// One in-flight computation, used as a latch: its leader holds the
+/// write lock from before the flight is visible until the answer is in,
+/// so a follower's `read` blocks exactly that long. `None` after the
+/// wait means the leader unwound without an answer.
+type Flight<V> = RwLock<Option<Result<V, QueryError>>>;
+
+/// A row of the in-flight table: the `(generation, epoch)` stamp and
+/// the key, so a flight can never dedup across an `install` *or* an
+/// `apply_delta`.
+struct Slot<V> {
+    stamp: (u64, u64),
+    key: Box<str>,
+    flight: Arc<Flight<V>>,
+}
+
+/// Takes a leader's slot out of the in-flight table when dropped — at
+/// the end of its flight, or while its `compute` unwinds.
+struct Retire<'a, V> {
+    cache: &'a StampedCache<V>,
+    flight: &'a Arc<Flight<V>>,
+}
+
+impl<V> Drop for Retire<'_, V> {
+    fn drop(&mut self) {
+        // This may run in an unwind, where a second panic would abort:
+        // take the lock even if poisoned. No update of the cache panics
+        // half-way, so its data is valid either way.
+        let mut shared = self.cache.shared.lock().unwrap_or_else(|p| p.into_inner());
+        shared.inflight.retain(|slot| !Arc::ptr_eq(&slot.flight, self.flight));
+    }
+}
+
+/// A bounded exact-LRU cache whose entries are stamped with
+/// `(generation, epoch, footprint)` and whose misses are deduplicated
+/// across threads. See the module docs for the freshness rule and the
+/// leader/follower protocol.
+pub(crate) struct StampedCache<V> {
+    shared: Mutex<LruCache<V>>,
+}
+
+impl<V: Clone> StampedCache<V> {
+    pub(crate) fn new(capacity: usize) -> Self {
+        StampedCache { shared: Mutex::new(LruCache::new(capacity)) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LruCache<V>> {
+        self.shared.lock().expect("cache poisoned")
+    }
+
+    /// The fresh entry under `key`, if any; refreshes its recency. An
+    /// entry that has gone stale is dropped.
+    pub(crate) fn probe(&self, key: &str, generation: u64, epoch: u64) -> Option<V> {
+        self.lock().get(key, generation, epoch)
+    }
+
+    /// The value for `key` at `(generation, epoch)`: a fresh cached
+    /// entry, else the answer of a flight already computing it, else
+    /// `compute`'s — run on this thread, outside the lock, and offered
+    /// to the cache with the footprint it returns (subject to the floor
+    /// and epoch rules). `compute` runs at most once per flight; its
+    /// error reaches every follower and is not stored.
+    pub(crate) fn get_or_compute(
+        &self,
+        key: &str,
+        generation: u64,
+        epoch: u64,
+        compute: impl FnOnce() -> Result<(V, Footprint), QueryError>,
+    ) -> (Result<V, QueryError>, Outcome) {
+        let mut shared = loop {
+            let mut shared = self.lock();
+            if let Some(value) = shared.get(key, generation, epoch) {
+                return (Ok(value), Outcome::Hit);
+            }
+            let stamp = (generation, epoch);
+            let running = shared.inflight.iter().find(|s| s.stamp == stamp && &*s.key == key);
+            let Some(slot) = running else { break shared };
+            let flight = Arc::clone(&slot.flight);
+            drop(shared);
+            // Blocks until the leader lets go. If it panicked the lock
+            // is poisoned and the answer missing: probe again, maybe
+            // lead.
+            let answer = flight.read().unwrap_or_else(|p| p.into_inner()).clone();
+            if let Some(result) = answer {
+                return (result, Outcome::Joined);
+            }
+        };
+        // Nobody is computing this: lead, with the table lock still
+        // held from the miss.
+        let flight: Arc<Flight<V>> = Arc::new(RwLock::new(None));
+        let mut answer = flight.write().expect("nobody else has seen this lock yet");
+        let slot = Slot { stamp: (generation, epoch), key: key.into(), flight: flight.clone() };
+        shared.inflight.push(slot);
+        drop(shared);
+        // Declared after `answer`, so dropped before it: if `compute`
+        // unwinds, the slot is gone by the time the followers wake to
+        // an empty answer and look for a flight to join.
+        let retire = Retire { cache: self, flight: &flight };
+        let (result, put) = match compute() {
+            Ok((value, footprint)) => {
+                let put = self.lock().put(key, generation, epoch, footprint, value.clone());
+                (Ok(value), Some(put))
+            }
+            Err(e) => (Err(e), None),
+        };
+        // The value is stored before the flight retires, so whoever
+        // arrives after the retirement hits.
+        drop(retire);
+        *answer = Some(result.clone());
+        (result, Outcome::Computed(put))
+    }
+
+    /// Raises the generation floor and drops every entry; see
+    /// [`LruCache::set_floor`].
+    pub(crate) fn set_floor(&self, generation: u64) {
+        self.lock().set_floor(generation);
+    }
+
+    /// Records a delta install and sweeps what it outdates; see
+    /// [`LruCache::apply_delta`]. Returns `(retained, invalidated)`.
+    pub(crate) fn apply_delta(
+        &self,
+        epoch: u64,
+        touched: &[TermId],
+        wildcard_only: bool,
+    ) -> (u64, u64) {
+        self.lock().apply_delta(epoch, touched, wildcard_only)
+    }
+
+    /// Number of live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// Entries stamped with a generation older than `current`.
+    pub(crate) fn stale_count(&self, current: u64) -> usize {
+        self.lock().stale_count(current)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread;
+
+    /// Epoch scoping at the cache level: entries probed or re-inserted
+    /// after a delta touching their footprint bounce exactly like
+    /// stale-generation entries.
+    #[test]
+    fn delta_epoch_rejects_raced_puts_and_probes() {
+        let mut lru: LruCache<u32> = LruCache::new(8);
+        let p = TermId(7);
+        let fp = Footprint { preds: vec![p], wildcard: false };
+        assert_eq!(lru.put("q", 0, 0, fp.clone(), 1), PutOutcome::Inserted);
+
+        // A delta touching p at epoch 1 sweeps and raises the bar.
+        let (retained, invalidated) = lru.apply_delta(1, &[p], false);
+        assert_eq!((retained, invalidated), (0, 1));
+
+        // A straggler stamped with the pre-delta epoch bounces.
+        assert_eq!(lru.put("q", 0, 0, fp.clone(), 1), PutOutcome::StaleRejected);
+        // Stamped at the new epoch it lands and serves.
+        assert_eq!(lru.put("q", 0, 1, fp.clone(), 2), PutOutcome::Inserted);
+        assert_eq!(lru.get("q", 0, 1), Some(2));
+
+        // An untouched-predicate entry sails through regardless.
+        let other = Footprint { preds: vec![TermId(9)], wildcard: false };
+        assert_eq!(lru.put("r", 0, 0, other, 3), PutOutcome::Inserted);
+        let (retained, invalidated) = lru.apply_delta(2, &[p], false);
+        assert_eq!((retained, invalidated), (1, 1), "only the p-footprint entry dies");
+        assert_eq!(lru.get("r", 0, 0), Some(3));
+
+        // Wildcard footprints die on every delta, even a disjoint one.
+        let wild = Footprint { preds: vec![], wildcard: true };
+        assert_eq!(lru.put("w", 0, 2, wild.clone(), 4), PutOutcome::Inserted);
+        lru.apply_delta(3, &[TermId(1000)], false);
+        assert_eq!(lru.get("w", 0, 3), None);
+        assert_eq!(lru.put("w", 0, 2, wild, 4), PutOutcome::StaleRejected);
+    }
+
+    /// Regression for the dead-snapshot pinning bug, at the cache
+    /// level: the deterministic interleave is `put(gen 0)` →
+    /// `install` (floor raised to 1, map cleared) → a straggler
+    /// re-inserting its generation-0 entry. The straggler must bounce.
+    #[test]
+    fn stale_put_after_install_is_rejected() {
+        let mut lru: LruCache<u32> = LruCache::new(8);
+        let fp = Footprint::default;
+        assert_eq!(lru.put("q", 0, 0, fp(), 1), PutOutcome::Inserted);
+        // install(): bump generation, raise the floor, clear.
+        lru.set_floor(1);
+        assert_eq!(lru.len(), 0);
+        // The in-flight straggler stamped with the dead generation.
+        assert_eq!(lru.put("q", 0, 0, fp(), 1), PutOutcome::StaleRejected);
+        assert_eq!(lru.len(), 0, "dead-generation entry must not be pinned");
+        assert_eq!(lru.stale_count(1), 0);
+        // Current-generation inserts still land.
+        assert_eq!(lru.put("q", 1, 0, fp(), 2), PutOutcome::Inserted);
+        assert_eq!(lru.get("q", 1, 0), Some(2));
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_used() {
+        let mut lru: LruCache<u32> = LruCache::new(2);
+        let fp = Footprint::default;
+        lru.put("a", 0, 0, fp(), 1);
+        lru.put("b", 0, 0, fp(), 2);
+        assert_eq!(lru.get("a", 0, 0), Some(1));
+        assert_eq!(lru.put("c", 0, 0, fp(), 3), PutOutcome::Evicted); // evicts "b"
+        assert_eq!(lru.get("b", 0, 0), None);
+        assert_eq!(lru.get("a", 0, 0), Some(1));
+        assert_eq!(lru.get("c", 0, 0), Some(3));
+        // Generation mismatch is a miss and drops the entry.
+        assert_eq!(lru.get("a", 1, 0), None);
+        assert_eq!(lru.len(), 1);
+    }
+
+    /// The min-scan LRU the cache replaced, kept as the reference the
+    /// tick-ordered index is checked against: same freshness rule, and
+    /// eviction by a scan of every entry for the smallest `used`.
+    #[derive(Default)]
+    struct Model {
+        capacity: usize,
+        tick: u64,
+        floor: u64,
+        pred_epoch: HashMap<TermId, u64>,
+        last_delta_epoch: u64,
+        map: HashMap<String, Entry<u32>>,
+    }
+
+    impl Model {
+        fn delta_fresh(&self, footprint: &Footprint, epoch: u64) -> bool {
+            if footprint.is_wildcard() {
+                return self.last_delta_epoch <= epoch;
+            }
+            footprint.preds.iter().all(|p| self.pred_epoch.get(p).copied().unwrap_or(0) <= epoch)
+        }
+
+        fn get(&mut self, key: &str, generation: u64, epoch: u64) -> Option<u32> {
+            let e = self.map.get(key)?;
+            if e.generation != generation
+                || e.epoch > epoch
+                || !self.delta_fresh(&e.footprint, e.epoch)
+            {
+                self.map.remove(key);
+                return None;
+            }
+            self.tick += 1;
+            let e = self.map.get_mut(key).unwrap();
+            e.used = self.tick;
+            Some(e.value)
+        }
+
+        fn put(
+            &mut self,
+            key: &str,
+            generation: u64,
+            epoch: u64,
+            fp: Footprint,
+            value: u32,
+        ) -> PutOutcome {
+            if generation < self.floor || !self.delta_fresh(&fp, epoch) {
+                return PutOutcome::StaleRejected;
+            }
+            self.tick += 1;
+            let mut outcome = PutOutcome::Inserted;
+            if self.map.len() >= self.capacity && !self.map.contains_key(key) {
+                let victim =
+                    self.map.iter().min_by_key(|(_, e)| e.used).map(|(k, _)| k.clone()).unwrap();
+                self.map.remove(&victim);
+                outcome = PutOutcome::Evicted;
+            }
+            let (used, filed) = (self.tick, 0);
+            let entry = Entry { generation, epoch, used, filed, footprint: fp, value };
+            self.map.insert(key.to_string(), entry);
+            outcome
+        }
+
+        fn get_or_compute(
+            &mut self,
+            key: &str,
+            generation: u64,
+            epoch: u64,
+            fp: Footprint,
+            value: u32,
+        ) -> (u32, Outcome) {
+            match self.get(key, generation, epoch) {
+                Some(v) => (v, Outcome::Hit),
+                None => {
+                    (value, Outcome::Computed(Some(self.put(key, generation, epoch, fp, value))))
+                }
+            }
+        }
+
+        fn set_floor(&mut self, generation: u64) {
+            self.floor = generation;
+            self.pred_epoch.clear();
+            self.last_delta_epoch = 0;
+            self.map.clear();
+        }
+
+        fn apply_delta(
+            &mut self,
+            epoch: u64,
+            touched: &[TermId],
+            wildcard_only: bool,
+        ) -> (u64, u64) {
+            for p in touched {
+                self.pred_epoch.insert(*p, epoch);
+            }
+            self.last_delta_epoch = epoch;
+            let before = self.map.len();
+            self.map.retain(|_, e| {
+                !e.footprint.is_wildcard() && (wildcard_only || !e.footprint.is_touched_by(touched))
+            });
+            (self.map.len() as u64, (before - self.map.len()) as u64)
+        }
+    }
+
+    /// `(key, generation, epoch, value)` of every entry, sorted, plus
+    /// the keys from least to most recently used.
+    type Contents = (Vec<(String, u64, u64, u32)>, Vec<String>);
+
+    fn contents<'a>(entries: impl Iterator<Item = (&'a str, &'a Entry<u32>)>) -> Contents {
+        let mut all: Vec<_> = entries.collect();
+        all.sort_by_key(|(_, e)| e.used);
+        let by_recency = all.iter().map(|(k, _)| k.to_string()).collect();
+        let mut rows: Vec<_> =
+            all.iter().map(|(k, e)| (k.to_string(), e.generation, e.epoch, e.value)).collect();
+        rows.sort();
+        (rows, by_recency)
+    }
+
+    /// The proof behind "same victim": random `probe` / `get_or_compute`
+    /// / `apply_delta` / `set_floor` sequences leave the cache and the
+    /// min-scan model with the same entries in the same recency order
+    /// after every step — so the same key was evicted — and report the
+    /// same outcome at every step.
+    #[test]
+    fn ordered_index_evicts_what_the_min_scan_model_evicts() {
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capacity = rng.gen_range(1..=6usize);
+            let cache: StampedCache<u32> = StampedCache::new(capacity);
+            let mut model = Model { capacity, ..Model::default() };
+            let (mut generation, mut epoch) = (0u64, 0u64);
+            for step in 0..600u32 {
+                let key = format!("k{}", rng.gen_range(0..10u32));
+                // Mostly the current stamps, sometimes a straggler's.
+                let g = if rng.gen_bool(0.1) { generation.saturating_sub(1) } else { generation };
+                let e = if rng.gen_bool(0.2) { rng.gen_range(0..=epoch) } else { epoch };
+                let at = format!("seed {seed} step {step}");
+                match rng.gen_range(0..20u32) {
+                    0 => {
+                        generation += 1;
+                        epoch = 0;
+                        cache.set_floor(generation);
+                        model.set_floor(generation);
+                    }
+                    1 | 2 => {
+                        epoch += 1;
+                        let touched: Vec<TermId> =
+                            (0..4).filter(|_| rng.gen_bool(0.3)).map(TermId).collect();
+                        let wildcard_only = rng.gen_bool(0.5);
+                        assert_eq!(
+                            cache.apply_delta(epoch, &touched, wildcard_only),
+                            model.apply_delta(epoch, &touched, wildcard_only),
+                            "{at}"
+                        );
+                    }
+                    3..=8 => assert_eq!(cache.probe(&key, g, e), model.get(&key, g, e), "{at}"),
+                    _ => {
+                        let fp = Footprint {
+                            preds: (0..4).filter(|_| rng.gen_bool(0.4)).map(TermId).collect(),
+                            wildcard: rng.gen_bool(0.15),
+                        };
+                        let (got, outcome) =
+                            cache.get_or_compute(&key, g, e, || Ok((step, fp.clone())));
+                        assert_eq!(
+                            (got.unwrap(), outcome),
+                            model.get_or_compute(&key, g, e, fp, step),
+                            "{at}"
+                        );
+                    }
+                }
+                let shared = cache.lock();
+                assert_eq!(
+                    contents(shared.map.iter().map(|(k, e)| (&**k, e))),
+                    contents(model.map.iter().map(|(k, e)| (k.as_str(), e))),
+                    "{at}"
+                );
+                assert_eq!(shared.len(), model.map.len(), "{at}");
+                assert!(shared.inflight.is_empty(), "{at}");
+                drop(shared);
+                assert_eq!(
+                    cache.stale_count(generation),
+                    model.map.values().filter(|e| e.generation < generation).count(),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    /// Spins until `followers` threads have joined the only flight in
+    /// `cache`'s table: the slot, the leader and each follower hold one
+    /// reference to it. Called from a leader's `compute`, this forces
+    /// the interleaving "everyone joined before the leader finished".
+    fn wait_for_followers<V>(cache: &StampedCache<V>, followers: usize) {
+        loop {
+            let joined = {
+                let shared = cache.shared.lock().unwrap();
+                Arc::strong_count(&shared.inflight[0].flight) - 2
+            };
+            if joined == followers {
+                return;
+            }
+            thread::yield_now();
+        }
+    }
+
+    type Lookup = (Result<u32, QueryError>, Outcome);
+    const FOLLOWERS: usize = 3;
+
+    /// Runs one leader whose `compute` is `leader_compute` (entered
+    /// only once `FOLLOWERS` threads wait on its flight) against
+    /// followers whose `compute` counts its runs and yields 7. Returns
+    /// the leader's result (`Err` = it unwound), each follower's, and
+    /// the number of follower computes.
+    fn race(
+        cache: &StampedCache<u32>,
+        leader_compute: impl FnOnce() -> Result<(u32, Footprint), QueryError> + Send,
+    ) -> (thread::Result<Lookup>, Vec<Lookup>, usize) {
+        let recomputes = AtomicUsize::new(0);
+        let (leader, followers) = thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                catch_unwind(AssertUnwindSafe(|| {
+                    cache.get_or_compute("q", 0, 0, || {
+                        wait_for_followers(cache, FOLLOWERS);
+                        leader_compute()
+                    })
+                }))
+            });
+            // Followers start only once the leader's slot exists, so
+            // none of them can lead the first flight.
+            while cache.shared.lock().unwrap().inflight.is_empty() {
+                thread::yield_now();
+            }
+            let followers: Vec<_> = (0..FOLLOWERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        cache.get_or_compute("q", 0, 0, || {
+                            recomputes.fetch_add(1, Ordering::SeqCst);
+                            Ok((7, Footprint::default()))
+                        })
+                    })
+                })
+                .collect();
+            (leader.join().unwrap(), followers.into_iter().map(|h| h.join().unwrap()).collect())
+        });
+        (leader, followers, recomputes.load(Ordering::SeqCst))
+    }
+
+    /// Leader abandonment: a `compute` that unwinds wakes its
+    /// followers, exactly one of them recomputes, the rest share that
+    /// answer, and nothing is left in flight.
+    #[test]
+    fn abandoned_flight_is_taken_over_by_exactly_one_follower() {
+        let cache: StampedCache<u32> = StampedCache::new(4);
+        // `resume_unwind` unwinds like a panic without printing one.
+        let (leader, followers, recomputes) =
+            race(&cache, || resume_unwind(Box::new("leader dies")));
+        assert!(leader.is_err(), "the leader's unwind propagates to its caller");
+        assert_eq!(recomputes, 1, "exactly one follower takes over");
+        let took_over = Outcome::Computed(Some(PutOutcome::Inserted));
+        assert_eq!(followers.iter().filter(|(_, o)| *o == took_over).count(), 1);
+        for (value, outcome) in &followers {
+            assert_eq!(value, &Ok(7));
+            assert!(matches!(outcome, Outcome::Computed(_) | Outcome::Joined | Outcome::Hit));
+        }
+        assert!(cache.lock().inflight.is_empty(), "no flight may outlive its leader");
+        assert_eq!(cache.probe("q", 0, 0), Some(7));
+    }
+
+    /// An `Err` from `compute` reaches every joined follower, is not
+    /// cached, and the next lookup computes afresh.
+    #[test]
+    fn compute_error_is_shared_with_followers_but_never_cached() {
+        let cache: StampedCache<u32> = StampedCache::new(4);
+        let boom = QueryError::Plan("boom".to_string());
+        let (leader, followers, recomputes) = race(&cache, || Err(boom.clone()));
+        assert_eq!(leader.unwrap(), (Err(boom.clone()), Outcome::Computed(None)));
+        assert_eq!(recomputes, 0, "a published error is an answer: nobody recomputes");
+        for lookup in &followers {
+            assert_eq!(lookup, &(Err(boom.clone()), Outcome::Joined));
+        }
+        assert_eq!(cache.len(), 0, "errors leave no entry behind");
+        assert!(cache.lock().inflight.is_empty());
+        let (again, outcome) = cache.get_or_compute("q", 0, 0, || Ok((9, Footprint::default())));
+        assert_eq!((again, outcome), (Ok(9), Outcome::Computed(Some(PutOutcome::Inserted))));
+    }
+}

@@ -25,6 +25,9 @@
 //!    [`QueryService`] with a bounded LRU plan cache keyed on
 //!    normalized query text, a result cache invalidated by snapshot
 //!    generation, and a crossbeam worker pool for concurrent batches.
+//!    The caching policy itself — LRU order, the generation/epoch
+//!    freshness rule, single-flight dedup of concurrent misses — is one
+//!    private type in `cache.rs`, shared by every cache of the service.
 //! 4. **Standing views** ([`view`]) — a [`ViewRegistry`] of
 //!    materialized continuous queries patched incrementally from each
 //!    delta install via signed delta joins, falling back to
@@ -48,6 +51,7 @@
 //! ```
 
 pub mod ast;
+mod cache;
 pub mod error;
 pub mod exec;
 pub mod parse;

@@ -1,57 +1,16 @@
 //! Concurrent serving layer: a segmented-snapshot-backed service with a
 //! bounded plan cache and a generation/epoch-invalidated result cache.
 //!
-//! ## Caching discipline
+//! ## Caching
 //!
-//! Two cache levels sit in front of the parse → plan → execute
-//! pipeline:
-//!
-//! 1. **Raw-text probe** — an exact match on the query string skips
-//!    parsing entirely (the hot path for repeated identical queries).
-//! 2. **Normalized probe** — on a raw miss the text is parsed and its
-//!    canonical [`Display`](std::fmt::Display) form becomes the cache
-//!    key, so formatting variants (case of keywords, whitespace,
-//!    redundant dots) share one plan and one result entry. The raw
-//!    text is then recorded as an alias for future level-1 hits.
-//!
-//! **Full-install invalidation:** every cached plan and result is
-//! stamped with the snapshot *generation* it was computed against.
-//! Installing a new base snapshot bumps the generation and raises each
-//! cache's *generation floor*: stale entries are cleared eagerly,
-//! entries probed with a mismatched stamp die lazily, and — crucially —
-//! an in-flight query that captured the old generation can no longer
-//! re-insert a dead generation's plan or result after the clear (the
-//! floor rejects the `put`), so a dead snapshot's plans cannot be
-//! pinned until LRU eviction. Plans are generation-scoped because
-//! resolved [`TermId`]s are dictionary-specific, not just because facts
-//! changed.
-//!
-//! **Partial (delta) invalidation:** [`apply_delta`] stacks a
-//! [`DeltaSegment`] onto the current view *without* bumping the
-//! generation. Instead it bumps an *epoch* counter and records, per
-//! predicate the delta touches, the epoch at which that predicate last
-//! changed. Every cached entry carries its plan's [`Footprint`] — the
-//! set of predicate ids its answer can depend on — and is served only
-//! while no footprint predicate has changed since the entry's epoch.
-//! Entries whose predicates are untouched by a delta *survive the
-//! install*; this is the cache-retention win the segmented store
-//! exists for. Footprints that cannot be predicate-scoped (variable
-//! predicates, or constants the view had never interned — a delta
-//! could make them real) are *wildcard* and die on every delta.
-//! The same epoch rule guards `put`: an execution that raced a delta
-//! install is rejected exactly like a stale-generation put, so the
-//! single-flight/floor machinery needs no special cases. Plans survive
-//! deltas unless wildcard (TermIds are append-only across deltas; a
-//! stale join order is a performance, not correctness, issue);
-//! results are additionally swept by touched predicate.
-//!
-//! **Single flight:** concurrent identical queries that miss a cache do
-//! the work once. Both plan compilation and execution are deduplicated
-//! through an in-flight table keyed by `(generation, epoch, normalized
-//! key)`: the first thread becomes the *leader* and computes; later
-//! arrivals block until the leader publishes, and are counted in the
-//! `*_dedup` counters instead of the miss counters. Keying on the epoch
-//! too means a flight can never dedup across a delta install.
+//! Three caches of one type front the parse → plan → execute pipeline:
+//! raw text → normalized key, key → plan, key → result. What keeps an
+//! entry fresh across [`install`] and [`apply_delta`], which entry a
+//! full cache evicts and how concurrent identical misses share one
+//! computation are the policy of the private `cache` module (`cache.rs`
+//! beside this file), explained there; this module decides what is
+//! cached under which key and maps each lookup's outcome onto the
+//! `query.cache.*` counters.
 //!
 //! ## Observability
 //!
@@ -63,25 +22,23 @@
 //! clock. By default metrics land in [`kb_obs::global()`]; tests pass a
 //! private registry via [`QueryService::with_instrumentation`].
 //!
+//! [`install`]: QueryService::install
 //! [`apply_delta`]: QueryService::apply_delta
 //! [`cache_stats`]: QueryService::cache_stats
-//! [`DeltaSegment`]: kb_store::DeltaSegment
-//! [`Footprint`]: crate::plan::Footprint
 //! [`Registry`]: kb_obs::Registry
-//! [`TermId`]: kb_store::TermId
 //!
 //! Batches run on a crossbeam scoped worker pool (the same shape as
 //! `kb-analytics`' `aggregate_parallel`): workers share the service and
 //! the immutable view, so no locking happens on the read path beyond
 //! brief cache probes.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use kb_obs::{Clock, Counter, Histogram, Registry, SpanTimer};
-use kb_store::{DeltaSegment, KbSnapshot, SegmentedSnapshot, TermId};
+use kb_store::{DeltaSegment, KbSnapshot, SegmentedSnapshot};
 
+use crate::ast::SelectQuery;
+use crate::cache::{Outcome, PutOutcome, StampedCache};
 use crate::error::QueryError;
 use crate::exec::{execute, QueryOutput};
 use crate::parse::parse;
@@ -131,285 +88,6 @@ pub struct CacheStats {
     /// Result-cache entries swept by a delta install (wildcard
     /// footprint or touched predicate).
     pub result_invalidated: u64,
-}
-
-/// What [`LruCache::put`] did with the offered entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PutOutcome {
-    /// Entry stored, nothing displaced.
-    Inserted,
-    /// Entry stored after evicting the least-recently-used one.
-    Evicted,
-    /// Entry rejected: its generation stamp predates the cache floor,
-    /// or a delta touching its footprint landed after its epoch stamp.
-    StaleRejected,
-}
-
-/// One cached value with its validity stamps.
-struct Entry<V> {
-    /// Base-snapshot generation the value was computed against.
-    generation: u64,
-    /// Delta epoch (within the generation) the value was computed
-    /// against.
-    epoch: u64,
-    /// LRU recency tick.
-    used: u64,
-    /// Predicates the value can depend on; the unit of partial
-    /// invalidation.
-    footprint: Footprint,
-    value: V,
-}
-
-/// A bounded LRU keyed by `String`, stamped with `(generation, epoch,
-/// footprint)`. Recency is a monotone counter; eviction scans for the
-/// minimum — `O(capacity)`, fine for the few hundred entries a plan
-/// cache holds.
-///
-/// Invalidation has two teeth:
-///
-/// * The *generation floor* — [`set_floor`](LruCache::set_floor)
-///   (called by `install`) clears the map and rejects any later `put`
-///   stamped below the floor, closing the race where an in-flight
-///   computation against a dead snapshot re-inserts after the clear.
-/// * The *predicate epoch map* — [`apply_delta`](LruCache::apply_delta)
-///   records the epoch at which each touched predicate last changed
-///   and sweeps affected entries; `get` and `put` both re-check an
-///   entry's footprint against the map, so a computation that raced a
-///   delta install can neither be served nor re-inserted. This is the
-///   same floor discipline, scoped per predicate.
-struct LruCache<V> {
-    capacity: usize,
-    tick: u64,
-    /// Minimum generation stamp accepted by `put`.
-    floor: u64,
-    /// Epoch at which each predicate last changed (missing = never,
-    /// i.e. epoch 0 — the base snapshot).
-    pred_epoch: HashMap<TermId, u64>,
-    /// Epoch of the most recent delta install; the freshness bar for
-    /// wildcard footprints.
-    last_delta_epoch: u64,
-    map: HashMap<String, Entry<V>>,
-}
-
-impl<V: Clone> LruCache<V> {
-    fn new(capacity: usize) -> Self {
-        LruCache {
-            capacity: capacity.max(1),
-            tick: 0,
-            floor: 0,
-            pred_epoch: HashMap::new(),
-            last_delta_epoch: 0,
-            map: HashMap::new(),
-        }
-    }
-
-    /// Whether a value stamped `epoch` with this `footprint` is still
-    /// current: no footprint predicate changed after the stamp, and a
-    /// wildcard footprint has seen every delta.
-    fn delta_fresh(&self, footprint: &Footprint, epoch: u64) -> bool {
-        if footprint.is_wildcard() {
-            return self.last_delta_epoch <= epoch;
-        }
-        footprint.preds.iter().all(|p| self.pred_epoch.get(p).copied().unwrap_or(0) <= epoch)
-    }
-
-    fn get(&mut self, key: &str, generation: u64, epoch: u64) -> Option<V> {
-        let fresh = match self.map.get(key) {
-            None => return None,
-            Some(e) => {
-                e.generation == generation
-                    && e.epoch <= epoch
-                    && self.delta_fresh(&e.footprint, e.epoch)
-            }
-        };
-        if !fresh {
-            // Stale generation or delta-outdated: drop eagerly.
-            self.map.remove(key);
-            return None;
-        }
-        self.tick += 1;
-        let e = self.map.get_mut(key).expect("probed above");
-        e.used = self.tick;
-        Some(e.value.clone())
-    }
-
-    fn put(
-        &mut self,
-        key: String,
-        generation: u64,
-        epoch: u64,
-        footprint: Footprint,
-        value: V,
-    ) -> PutOutcome {
-        if generation < self.floor || !self.delta_fresh(&footprint, epoch) {
-            return PutOutcome::StaleRejected;
-        }
-        self.tick += 1;
-        let mut outcome = PutOutcome::Inserted;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            if let Some(evict) = self.map.iter().min_by_key(|(_, e)| e.used).map(|(k, _)| k.clone())
-            {
-                self.map.remove(&evict);
-                outcome = PutOutcome::Evicted;
-            }
-        }
-        self.map.insert(key, Entry { generation, epoch, used: self.tick, footprint, value });
-        outcome
-    }
-
-    /// Raises the floor to `generation` and drops everything cached:
-    /// entries below the floor can neither be read (stamp mismatch) nor
-    /// re-inserted (floor check) afterwards. A full install starts a
-    /// fresh epoch timeline, so the predicate epochs reset too.
-    fn set_floor(&mut self, generation: u64) {
-        debug_assert!(generation >= self.floor, "generation floor must be monotone");
-        self.floor = generation;
-        self.pred_epoch.clear();
-        self.last_delta_epoch = 0;
-        self.map.clear();
-    }
-
-    /// Records a delta install at `epoch` touching `touched` and sweeps
-    /// the entries it outdates: wildcard footprints always die; with
-    /// `wildcard_only = false`, entries whose footprint intersects
-    /// `touched` die too. Returns `(retained, invalidated)` counts.
-    fn apply_delta(&mut self, epoch: u64, touched: &[TermId], wildcard_only: bool) -> (u64, u64) {
-        for p in touched {
-            self.pred_epoch.insert(*p, epoch);
-        }
-        self.last_delta_epoch = epoch;
-        let before = self.map.len();
-        self.map.retain(|_, e| {
-            if e.footprint.is_wildcard() {
-                return false;
-            }
-            wildcard_only || !e.footprint.is_touched_by(touched)
-        });
-        let after = self.map.len();
-        (after as u64, (before - after) as u64)
-    }
-
-    /// Entries stamped with a generation older than `current`.
-    fn stale_count(&self, current: u64) -> usize {
-        self.map.values().filter(|e| e.generation < current).count()
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-/// State of one in-flight computation.
-enum FlightState<V> {
-    /// The leader is still computing.
-    Pending,
-    /// The leader published a value; followers clone it.
-    Done(V),
-    /// The leader died (panicked) without publishing; followers retry.
-    Abandoned,
-}
-
-/// One in-flight computation slot: a state cell plus the condvar the
-/// followers sleep on.
-struct Flight<V> {
-    state: Mutex<FlightState<V>>,
-    cv: Condvar,
-}
-
-/// Flight-table key: the snapshot generation, the delta epoch and the
-/// normalized query key, so a flight can never dedup across an
-/// `install` *or* an `apply_delta`.
-type FlightKey = (u64, u64, String);
-
-/// A single-flight table: at most one thread computes the value for a
-/// given `(generation, epoch, key)` at a time; the rest wait for its
-/// answer.
-struct SingleFlight<V> {
-    inflight: Mutex<HashMap<FlightKey, Arc<Flight<V>>>>,
-}
-
-/// The outcome of [`SingleFlight::enter`].
-enum FlightEntry<'a, V> {
-    /// This thread owns the computation; it must call
-    /// [`FlightGuard::publish`] (dropping the guard un-published wakes
-    /// the followers to retry).
-    Leader(FlightGuard<'a, V>),
-    /// Another thread computed the value; here is its clone.
-    Joined(V),
-}
-
-/// Leadership token for one in-flight key. Publishing (or dropping)
-/// wakes every follower and retires the flight.
-struct FlightGuard<'a, V> {
-    table: &'a SingleFlight<V>,
-    key: FlightKey,
-    flight: Arc<Flight<V>>,
-    published: bool,
-}
-
-impl<V: Clone> SingleFlight<V> {
-    fn new() -> Self {
-        SingleFlight { inflight: Mutex::new(HashMap::new()) }
-    }
-
-    /// Joins (blocking) or leads the computation for `(generation,
-    /// epoch, key)`.
-    fn enter(&self, generation: u64, epoch: u64, key: &str) -> FlightEntry<'_, V> {
-        loop {
-            let flight = {
-                let mut map = self.inflight.lock().expect("single-flight table poisoned");
-                match map.get(&(generation, epoch, key.to_string())) {
-                    Some(f) => Arc::clone(f),
-                    None => {
-                        let flight = Arc::new(Flight {
-                            state: Mutex::new(FlightState::Pending),
-                            cv: Condvar::new(),
-                        });
-                        map.insert((generation, epoch, key.to_string()), Arc::clone(&flight));
-                        return FlightEntry::Leader(FlightGuard {
-                            table: self,
-                            key: (generation, epoch, key.to_string()),
-                            flight,
-                            published: false,
-                        });
-                    }
-                }
-            };
-            let mut state = flight.state.lock().expect("flight poisoned");
-            while matches!(*state, FlightState::Pending) {
-                state = flight.cv.wait(state).expect("flight poisoned");
-            }
-            match &*state {
-                FlightState::Done(v) => return FlightEntry::Joined(v.clone()),
-                // Leader abandoned (panicked): take over on a fresh slot.
-                FlightState::Abandoned => continue,
-                FlightState::Pending => unreachable!("left the wait loop while pending"),
-            }
-        }
-    }
-}
-
-impl<V> FlightGuard<'_, V> {
-    /// Publishes `value` to every follower and retires the flight. The
-    /// caller must make the value visible in the cache *before* this,
-    /// so a thread arriving after retirement finds the cached entry.
-    fn publish(mut self, value: V) {
-        *self.flight.state.lock().expect("flight poisoned") = FlightState::Done(value);
-        self.flight.cv.notify_all();
-        self.published = true;
-        self.table.inflight.lock().expect("single-flight table poisoned").remove(&self.key);
-    }
-}
-
-impl<V> Drop for FlightGuard<'_, V> {
-    fn drop(&mut self) {
-        if !self.published {
-            // Leader died without an answer: wake followers to retry.
-            *self.flight.state.lock().expect("flight poisoned") = FlightState::Abandoned;
-            self.flight.cv.notify_all();
-            self.table.inflight.lock().expect("single-flight table poisoned").remove(&self.key);
-        }
-    }
 }
 
 /// The service's owned metric instances, published by name in a
@@ -475,11 +153,29 @@ impl ServiceMetrics {
         SpanTimer::start(Arc::clone(&self.clock), Arc::clone(hist))
     }
 
-    fn count_put(&self, which: &Arc<Counter>, outcome: PutOutcome) {
+    /// Parses `text`, timed as `query.parse_us`.
+    fn timed_parse(&self, text: &str) -> Result<SelectQuery, QueryError> {
+        let parse_span = self.span(&self.parse_us);
+        let parsed = parse(text);
+        parse_span.stop();
+        parsed
+    }
+
+    /// Maps one lookup's outcome onto its cache's counters: exactly one
+    /// of `hits` / `misses` / `dedup` moves, and a miss whose value
+    /// displaced an entry or bounced off the floor counts as that too.
+    fn count(&self, outcome: Outcome, [hits, misses, dedup, evictions]: [&Counter; 4]) {
         match outcome {
-            PutOutcome::Inserted => {}
-            PutOutcome::Evicted => which.inc(),
-            PutOutcome::StaleRejected => self.stale_put_rejects.inc(),
+            Outcome::Hit => hits.inc(),
+            Outcome::Joined => dedup.inc(),
+            Outcome::Computed(put) => {
+                misses.inc();
+                match put {
+                    Some(PutOutcome::Evicted) => evictions.inc(),
+                    Some(PutOutcome::StaleRejected) => self.stale_put_rejects.inc(),
+                    Some(PutOutcome::Inserted) | None => {}
+                }
+            }
         }
     }
 }
@@ -488,7 +184,8 @@ impl ServiceMetrics {
 /// statistics, swapped atomically under one lock. `number` bumps on
 /// full installs and scopes plan validity; `epoch` bumps on delta
 /// installs (resetting on full installs) and scopes result freshness
-/// per predicate.
+/// per predicate. A query clones it once and runs against that copy.
+#[derive(Clone)]
 struct Generation {
     view: Arc<SegmentedSnapshot>,
     stats: Arc<StatsCatalog>,
@@ -499,17 +196,17 @@ struct Generation {
 /// A concurrent query service over an immutable, segmentable KB view.
 ///
 /// Shared by reference (or `Arc`) across client threads; all methods
-/// take `&self`. See the module docs for the caching discipline, the
-/// single-flight dedup and the metrics it publishes.
+/// take `&self`. See the module docs for what is cached and the metrics
+/// published, `cache.rs` for caching discipline and single-flight dedup.
 pub struct QueryService {
     current: Mutex<Generation>,
-    plans: Mutex<LruCache<Arc<Plan>>>,
-    results: Mutex<LruCache<Arc<QueryOutput>>>,
-    /// raw query text → normalized cache key.
-    aliases: Mutex<LruCache<String>>,
-    plan_flight: SingleFlight<Result<Arc<Plan>, QueryError>>,
-    result_flight: SingleFlight<Arc<QueryOutput>>,
-    single_flight: AtomicBool,
+    plans: StampedCache<Arc<Plan>>,
+    results: StampedCache<Arc<QueryOutput>>,
+    /// raw query text → normalized cache key. Text to text, so
+    /// generation- and delta-independent: entries are stamped `(0, 0)`
+    /// with the empty footprint and never go stale. Only the key: the
+    /// parse itself would cost more memory than a re-parse is worth.
+    aliases: StampedCache<Arc<str>>,
     /// Standing views maintained across delta installs. Lock order is
     /// always `current` → `views`, never the reverse.
     views: Mutex<ViewRegistry>,
@@ -522,17 +219,12 @@ impl QueryService {
     /// statistics catalog once, up front. Metrics are published in the
     /// process-global [`kb_obs::global()`] registry.
     pub fn new(snapshot: Arc<KbSnapshot>) -> Self {
-        Self::with_capacity(snapshot, DEFAULT_CACHE_CAPACITY)
+        Self::with_instrumentation(snapshot, DEFAULT_CACHE_CAPACITY, kb_obs::global())
     }
 
-    /// Like [`new`](Self::new) with an explicit per-cache bound.
-    pub fn with_capacity(snapshot: Arc<KbSnapshot>, capacity: usize) -> Self {
-        Self::with_instrumentation(snapshot, capacity, kb_obs::global())
-    }
-
-    /// Like [`with_capacity`](Self::with_capacity), publishing metrics
-    /// in `registry` and timing spans with its clock. Tests pass a
-    /// private registry (usually on a
+    /// Like [`new`](Self::new) with an explicit per-cache bound,
+    /// publishing metrics in `registry` and timing spans with its
+    /// clock. Tests pass a private registry (usually on a
     /// [`ManualClock`](kb_obs::ManualClock)) for exact, isolated
     /// readouts.
     pub fn with_instrumentation(
@@ -544,12 +236,9 @@ impl QueryService {
         let stats = Arc::new(StatsCatalog::build(view.as_ref()));
         QueryService {
             current: Mutex::new(Generation { view, stats, number: 0, epoch: 0 }),
-            plans: Mutex::new(LruCache::new(capacity)),
-            results: Mutex::new(LruCache::new(capacity)),
-            aliases: Mutex::new(LruCache::new(capacity * 4)),
-            plan_flight: SingleFlight::new(),
-            result_flight: SingleFlight::new(),
-            single_flight: AtomicBool::new(true),
+            plans: StampedCache::new(capacity),
+            results: StampedCache::new(capacity),
+            aliases: StampedCache::new(capacity * 4),
             views: Mutex::new(ViewRegistry::new(registry)),
             metrics: ServiceMetrics::publish(registry),
         }
@@ -600,22 +289,11 @@ impl QueryService {
         Ok(Self::from_view(view))
     }
 
-    /// Enables or disables single-flight dedup (on by default). Only
-    /// meant for benchmarking the thundering-herd effect the dedup
-    /// exists to prevent — see EXPERIMENTS.md T14.
-    pub fn set_single_flight(&self, enabled: bool) {
-        self.single_flight.store(enabled, Ordering::Relaxed);
-    }
-
-    fn single_flight_enabled(&self) -> bool {
-        self.single_flight.load(Ordering::Relaxed)
-    }
-
     /// Installs a new base snapshot, bumping the generation and
     /// starting a fresh (empty) delta stack. The caches are cleared and
     /// their generation floor raised, so entries computed against older
     /// generations can neither be probed nor re-inserted afterwards
-    /// (see the module docs); the alias map is generation-independent
+    /// (see `cache.rs`); the alias map is generation-independent
     /// and survives.
     ///
     /// The cache sweeps happen while the generation lock is held, so an
@@ -631,8 +309,8 @@ impl QueryService {
         let generation = cur.number;
         cur.view = view;
         cur.stats = stats;
-        self.plans.lock().expect("plan cache poisoned").set_floor(generation);
-        self.results.lock().expect("result cache poisoned").set_floor(generation);
+        self.plans.set_floor(generation);
+        self.results.set_floor(generation);
         drop(cur);
         self.metrics.installs.inc();
     }
@@ -653,33 +331,26 @@ impl QueryService {
     /// contract; a mismatch panics. The sweep runs while the generation
     /// lock is held so no query can observe the new view with the old
     /// cache epoch.
-    pub fn apply_delta(&self, delta: Arc<DeltaSegment>) {
-        self.apply_delta_inner(delta, None);
-    }
-
-    /// Like [`apply_delta`](Self::apply_delta), additionally returning
-    /// one consistent [`ViewUpdate`] per registered standing view the
-    /// delta touches — the subscription feed. Views are maintained
-    /// under the same generation lock as the install itself, so every
-    /// update batch corresponds to exactly one epoch.
-    pub fn apply_delta_publishing(&self, delta: Arc<DeltaSegment>) -> Vec<ViewUpdate> {
-        self.apply_delta_inner(delta, None)
-    }
-
-    /// Like [`apply_delta`](Self::apply_delta), but installing a
-    /// caller-provided statistics catalog instead of folding the
-    /// delta's statistics into the current one.
     ///
-    /// Partitioned deployments use this: the router merges the *full*
+    /// Returns one consistent [`ViewUpdate`] per registered standing
+    /// view the delta touches — the subscription feed; callers without
+    /// views ignore it. Views are maintained under the same generation
+    /// lock as the install itself, so every update batch corresponds to
+    /// exactly one epoch.
+    pub fn apply_delta(&self, delta: Arc<DeltaSegment>) -> Vec<ViewUpdate> {
+        self.apply_delta_with_stats(delta, None)
+    }
+
+    /// [`apply_delta`](Self::apply_delta), optionally installing a
+    /// caller-provided statistics catalog (`Some`) instead of folding
+    /// the delta's statistics into the current one (`None`).
+    ///
+    /// Partitioned deployments pass one: the router merges the *full*
     /// delta into the global catalog once and hands the result to every
     /// partition replica, so all replicas keep planning against
     /// identical whole-KB statistics no matter which slice of the delta
     /// they received.
-    pub fn apply_delta_with_stats(&self, delta: Arc<DeltaSegment>, stats: Arc<StatsCatalog>) {
-        self.apply_delta_inner(delta, Some(stats));
-    }
-
-    fn apply_delta_inner(
+    pub fn apply_delta_with_stats(
         &self,
         delta: Arc<DeltaSegment>,
         shared: Option<Arc<StatsCatalog>>,
@@ -693,9 +364,8 @@ impl QueryService {
         cur.view = view;
         cur.stats = stats;
         let touched = delta.touched_predicates();
-        self.plans.lock().expect("plan cache poisoned").apply_delta(epoch, touched, true);
-        let (retained, invalidated) =
-            self.results.lock().expect("result cache poisoned").apply_delta(epoch, touched, false);
+        self.plans.apply_delta(epoch, touched, true);
+        let (retained, invalidated) = self.results.apply_delta(epoch, touched, false);
         let updates = self.views.lock().expect("view registry poisoned").apply_delta(
             delta.as_ref(),
             old_view.as_ref(),
@@ -778,10 +448,7 @@ impl QueryService {
 
     /// Number of live entries in (plan cache, result cache).
     pub fn cache_sizes(&self) -> (usize, usize) {
-        (
-            self.plans.lock().expect("plan cache poisoned").len(),
-            self.results.lock().expect("result cache poisoned").len(),
-        )
+        (self.plans.len(), self.results.len())
     }
 
     /// Diagnostic: cached plan/result entries stamped with a generation
@@ -791,158 +458,57 @@ impl QueryService {
     /// for the dead-snapshot pinning bug).
     pub fn stale_entries(&self) -> usize {
         let current = self.generation();
-        self.plans.lock().expect("plan cache poisoned").stale_count(current)
-            + self.results.lock().expect("result cache poisoned").stale_count(current)
-    }
-
-    fn generation_handles(&self) -> (Arc<SegmentedSnapshot>, Arc<StatsCatalog>, u64, u64) {
-        let cur = self.current.lock().expect("service lock poisoned");
-        (cur.view.clone(), cur.stats.clone(), cur.number, cur.epoch)
+        self.plans.stale_count(current) + self.results.stale_count(current)
     }
 
     /// Looks up or compiles the plan for `text`. Public so callers can
     /// inspect [`Plan::explain`] (the CLI's `--explain` does).
     pub fn plan_for(&self, text: &str) -> Result<Arc<Plan>, QueryError> {
-        let (view, stats, generation, epoch) = self.generation_handles();
-        self.plan_for_generation(text, &view, &stats, generation, epoch).map(|(p, _)| p)
+        let at = self.current.lock().expect("service lock poisoned").clone();
+        let (key, parsed) = self.normalized_key(text)?;
+        self.plan_of(text, &key, parsed, &at)
     }
 
-    /// Returns the plan plus the normalized cache key.
-    fn plan_for_generation(
+    /// Level 1, the raw-text alias: the normalized cache key remembered
+    /// for `text`, which skips parsing. On a miss the text is parsed,
+    /// its canonical form becomes the key, and the parse is handed back
+    /// for the planning that follows; `None` there: alias remembered.
+    fn normalized_key(&self, text: &str) -> Result<(Arc<str>, Option<SelectQuery>), QueryError> {
+        let mut parsed = None;
+        let (key, _) = self.aliases.get_or_compute(text, 0, 0, || {
+            let query = self.metrics.timed_parse(text)?;
+            let key = Arc::from(query.to_string());
+            parsed = Some(query);
+            Ok((key, Footprint::default()))
+        });
+        Ok((key?, parsed))
+    }
+
+    /// Level 2: the plan cached under the normalized `key` for the
+    /// generation `at`, compiled (timed) on a miss — from `parsed`, or
+    /// from `text` again if a remembered alias had skipped the parse.
+    fn plan_of(
         &self,
         text: &str,
-        view: &SegmentedSnapshot,
-        stats: &StatsCatalog,
-        generation: u64,
-        epoch: u64,
-    ) -> Result<(Arc<Plan>, String), QueryError> {
-        // Level 1: exact raw text (skips parsing).
-        let alias = self.aliases.lock().expect("alias cache poisoned").get(text, 0, 0);
-        if let Some(key) = &alias {
-            if let Some(p) =
-                self.plans.lock().expect("plan cache poisoned").get(key, generation, epoch)
-            {
-                self.metrics.plan_hits.inc();
-                return Ok((p, key.clone()));
-            }
-        }
-        // Level 2: parse, normalize, probe under the canonical key.
-        let parse_span = self.metrics.span(&self.metrics.parse_us);
-        let parsed = parse(text);
-        parse_span.stop();
-        let parsed = parsed?;
-        let key = parsed.to_string();
-        if let Some(p) =
-            self.plans.lock().expect("plan cache poisoned").get(&key, generation, epoch)
-        {
-            self.metrics.plan_hits.inc();
-            self.remember_alias(text, &key);
-            return Ok((p, key));
-        }
-        if !self.single_flight_enabled() {
-            let compiled = self.compile_and_cache(&parsed, &key, view, stats, generation, epoch)?;
-            self.remember_alias(text, &key);
-            return Ok((compiled, key));
-        }
-        match self.plan_flight.enter(generation, epoch, &key) {
-            FlightEntry::Joined(result) => {
-                self.metrics.plan_dedup.inc();
-                self.remember_alias(text, &key);
-                result.map(|p| (p, key))
-            }
-            FlightEntry::Leader(guard) => {
-                // Double check: the previous leader may have cached the
-                // plan after our probe but before our leadership.
-                if let Some(p) =
-                    self.plans.lock().expect("plan cache poisoned").get(&key, generation, epoch)
-                {
-                    self.metrics.plan_hits.inc();
-                    guard.publish(Ok(Arc::clone(&p)));
-                    self.remember_alias(text, &key);
-                    return Ok((p, key));
-                }
-                let compiled =
-                    self.compile_and_cache(&parsed, &key, view, stats, generation, epoch);
-                guard.publish(compiled.clone());
-                self.remember_alias(text, &key);
-                compiled.map(|p| (p, key))
-            }
-        }
-    }
-
-    /// The plan-miss path: compiles `parsed` (timed) and stores the
-    /// plan under `key`, subject to the generation floor and the delta
-    /// epoch freshness rule.
-    fn compile_and_cache(
-        &self,
-        parsed: &crate::ast::SelectQuery,
         key: &str,
-        view: &SegmentedSnapshot,
-        stats: &StatsCatalog,
-        generation: u64,
-        epoch: u64,
+        parsed: Option<SelectQuery>,
+        at: &Generation,
     ) -> Result<Arc<Plan>, QueryError> {
-        self.metrics.plan_misses.inc();
-        let plan_span = self.metrics.span(&self.metrics.plan_us);
-        let compiled = plan(parsed, view, stats);
-        plan_span.stop();
-        let compiled = Arc::new(compiled?);
-        let outcome = self.plans.lock().expect("plan cache poisoned").put(
-            key.to_string(),
-            generation,
-            epoch,
-            compiled.footprint().clone(),
-            Arc::clone(&compiled),
-        );
-        self.metrics.count_put(&self.metrics.plan_evictions, outcome);
-        Ok(compiled)
-    }
-
-    fn remember_alias(&self, raw: &str, key: &str) {
-        // Aliases map text to text — generation- and delta-independent,
-        // so they carry the empty footprint and never go stale.
-        self.aliases.lock().expect("alias cache poisoned").put(
-            raw.to_string(),
-            0,
-            0,
-            Footprint::default(),
-            key.to_string(),
-        );
-    }
-
-    /// Probes the result cache; on a hit, counts it and returns it.
-    fn result_probe(&self, key: &str, generation: u64, epoch: u64) -> Option<Arc<QueryOutput>> {
-        let hit = self.results.lock().expect("result cache poisoned").get(key, generation, epoch);
-        if hit.is_some() {
-            self.metrics.result_hits.inc();
-        }
-        hit
-    }
-
-    /// The result-miss path: executes (timed) and stores the output
-    /// under `key`, subject to the generation floor and the delta epoch
-    /// freshness rule.
-    fn execute_and_cache(
-        &self,
-        compiled: &Plan,
-        key: &str,
-        view: &SegmentedSnapshot,
-        generation: u64,
-        epoch: u64,
-    ) -> Arc<QueryOutput> {
-        self.metrics.result_misses.inc();
-        let exec_span = self.metrics.span(&self.metrics.exec_us);
-        let out = Arc::new(execute(compiled, view));
-        exec_span.stop();
-        let outcome = self.results.lock().expect("result cache poisoned").put(
-            key.to_string(),
-            generation,
-            epoch,
-            compiled.footprint().clone(),
-            Arc::clone(&out),
-        );
-        self.metrics.count_put(&self.metrics.result_evictions, outcome);
-        out
+        let (compiled, outcome) = self.plans.get_or_compute(key, at.number, at.epoch, || {
+            let parsed = match parsed {
+                Some(query) => query,
+                None => self.metrics.timed_parse(text)?,
+            };
+            let plan_span = self.metrics.span(&self.metrics.plan_us);
+            let compiled = plan(&parsed, at.view.as_ref(), &at.stats);
+            plan_span.stop();
+            let compiled = Arc::new(compiled?);
+            let footprint = compiled.footprint().clone();
+            Ok((compiled, footprint))
+        });
+        let m = &self.metrics;
+        m.count(outcome, [&m.plan_hits, &m.plan_misses, &m.plan_dedup, &m.plan_evictions]);
+        compiled
     }
 
     /// Parses (or reuses), plans (or reuses) and executes `text`
@@ -950,38 +516,27 @@ impl QueryService {
     /// and deduplicating concurrent identical executions (single
     /// flight).
     pub fn query(&self, text: &str) -> Result<Arc<QueryOutput>, QueryError> {
-        let (view, stats, generation, epoch) = self.generation_handles();
-        // Result probe under the raw text first, then normalized.
-        if let Some(key) = self.aliases.lock().expect("alias cache poisoned").get(text, 0, 0) {
-            if let Some(r) = self.result_probe(&key, generation, epoch) {
-                return Ok(r);
+        let at = self.current.lock().expect("service lock poisoned").clone();
+        let (key, parsed) = self.normalized_key(text)?;
+        // A remembered raw text probes the result cache before it
+        // touches the plan cache: the hot path for repeated identical
+        // queries moves one counter and never parses or plans.
+        if parsed.is_none() {
+            if let Some(hit) = self.results.probe(&key, at.number, at.epoch) {
+                self.metrics.result_hits.inc();
+                return Ok(hit);
             }
         }
-        let (compiled, key) = self.plan_for_generation(text, &view, &stats, generation, epoch)?;
-        if let Some(r) = self.result_probe(&key, generation, epoch) {
-            return Ok(r);
-        }
-        if !self.single_flight_enabled() {
-            return Ok(self.execute_and_cache(compiled.as_ref(), &key, &view, generation, epoch));
-        }
-        match self.result_flight.enter(generation, epoch, &key) {
-            FlightEntry::Joined(out) => {
-                self.metrics.result_dedup.inc();
-                Ok(out)
-            }
-            FlightEntry::Leader(guard) => {
-                // Double check: the previous leader may have cached the
-                // result between our probe and our leadership; without
-                // this, a second burst thread could re-execute.
-                if let Some(r) = self.result_probe(&key, generation, epoch) {
-                    guard.publish(Arc::clone(&r));
-                    return Ok(r);
-                }
-                let out = self.execute_and_cache(compiled.as_ref(), &key, &view, generation, epoch);
-                guard.publish(Arc::clone(&out));
-                Ok(out)
-            }
-        }
+        let compiled = self.plan_of(text, &key, parsed, &at)?;
+        let (out, outcome) = self.results.get_or_compute(&key, at.number, at.epoch, || {
+            let exec_span = self.metrics.span(&self.metrics.exec_us);
+            let out = Arc::new(execute(compiled.as_ref(), at.view.as_ref()));
+            exec_span.stop();
+            Ok((out, compiled.footprint().clone()))
+        });
+        let m = &self.metrics;
+        m.count(outcome, [&m.result_hits, &m.result_misses, &m.result_dedup, &m.result_evictions]);
+        out
     }
 
     /// Serves a batch of queries on `workers` threads, returning results
@@ -1195,7 +750,7 @@ mod tests {
     }
 
     /// Standing views ride the install path: a registered view is
-    /// patched by `apply_delta_publishing` and the update batch carries
+    /// patched by `apply_delta` and the update batch it returns carries
     /// exactly the changed rows.
     #[test]
     fn standing_view_patches_through_the_install_path() {
@@ -1210,7 +765,7 @@ mod tests {
         let mut b = KbBuilder::new();
         b.assert_str("Jerry_Brown", "bornIn", "San_Francisco");
         b.retract_str("Steve_Wozniak", "bornIn", "San_Jose");
-        let updates = svc.apply_delta_publishing(Arc::new(b.freeze_delta(&view)));
+        let updates = svc.apply_delta(Arc::new(b.freeze_delta(&view)));
         assert_eq!(updates.len(), 1);
         assert!(updates[0].patched, "conjunctive SELECT must be delta-patched");
         assert_eq!(updates[0].added.len(), 1);
@@ -1225,7 +780,8 @@ mod tests {
     }
 
     /// A delta disjoint from every view footprint produces no updates,
-    /// and plain `apply_delta` (no publishing) still maintains state.
+    /// and an `apply_delta` whose updates are ignored still maintains
+    /// state.
     #[test]
     fn standing_view_survives_silent_installs() {
         let svc = service();
@@ -1234,7 +790,7 @@ mod tests {
         let view = svc.snapshot();
         let mut b = KbBuilder::new();
         b.assert_str("Steve_Jobs", "worksAt", "Apple_Inc");
-        let updates = svc.apply_delta_publishing(Arc::new(b.freeze_delta(&view)));
+        let updates = svc.apply_delta(Arc::new(b.freeze_delta(&view)));
         assert!(updates.is_empty(), "disjoint delta must not touch the view");
 
         let view = svc.snapshot();
@@ -1244,43 +800,8 @@ mod tests {
         assert_eq!(
             svc.view_result(id).unwrap().rows.len(),
             2,
-            "non-publishing installs still patch the materialized answer"
+            "installs whose updates are dropped still patch the materialized answer"
         );
-    }
-
-    /// Epoch scoping at the cache level: entries probed or re-inserted
-    /// after a delta touching their footprint bounce exactly like
-    /// stale-generation entries.
-    #[test]
-    fn delta_epoch_rejects_raced_puts_and_probes() {
-        let mut lru: LruCache<u32> = LruCache::new(8);
-        let p = TermId(7);
-        let fp = Footprint { preds: vec![p], wildcard: false };
-        assert_eq!(lru.put("q".into(), 0, 0, fp.clone(), 1), PutOutcome::Inserted);
-
-        // A delta touching p at epoch 1 sweeps and raises the bar.
-        let (retained, invalidated) = lru.apply_delta(1, &[p], false);
-        assert_eq!((retained, invalidated), (0, 1));
-
-        // A straggler stamped with the pre-delta epoch bounces.
-        assert_eq!(lru.put("q".into(), 0, 0, fp.clone(), 1), PutOutcome::StaleRejected);
-        // Stamped at the new epoch it lands and serves.
-        assert_eq!(lru.put("q".into(), 0, 1, fp.clone(), 2), PutOutcome::Inserted);
-        assert_eq!(lru.get("q", 0, 1), Some(2));
-
-        // An untouched-predicate entry sails through regardless.
-        let other = Footprint { preds: vec![TermId(9)], wildcard: false };
-        assert_eq!(lru.put("r".into(), 0, 0, other, 3), PutOutcome::Inserted);
-        let (retained, invalidated) = lru.apply_delta(2, &[p], false);
-        assert_eq!((retained, invalidated), (1, 1), "only the p-footprint entry dies");
-        assert_eq!(lru.get("r", 0, 0), Some(3));
-
-        // Wildcard footprints die on every delta, even a disjoint one.
-        let wild = Footprint { preds: vec![], wildcard: true };
-        assert_eq!(lru.put("w".into(), 0, 2, wild.clone(), 4), PutOutcome::Inserted);
-        lru.apply_delta(3, &[TermId(1000)], false);
-        assert_eq!(lru.get("w", 0, 3), None);
-        assert_eq!(lru.put("w".into(), 0, 2, wild, 4), PutOutcome::StaleRejected);
     }
 
     /// The thundering-herd fix: N threads issuing the same cold query
@@ -1318,27 +839,6 @@ mod tests {
             (THREADS - 1) as u64,
             "everyone else reused the leader's work: {stats:?}"
         );
-    }
-
-    /// Regression for the dead-snapshot pinning bug, at the cache
-    /// level: the deterministic interleave is `put(gen 0)` →
-    /// `install` (floor raised to 1, map cleared) → a straggler
-    /// re-inserting its generation-0 entry. The straggler must bounce.
-    #[test]
-    fn stale_put_after_install_is_rejected() {
-        let mut lru: LruCache<u32> = LruCache::new(8);
-        let fp = Footprint::default;
-        assert_eq!(lru.put("q".into(), 0, 0, fp(), 1), PutOutcome::Inserted);
-        // install(): bump generation, raise the floor, clear.
-        lru.set_floor(1);
-        assert_eq!(lru.len(), 0);
-        // The in-flight straggler stamped with the dead generation.
-        assert_eq!(lru.put("q".into(), 0, 0, fp(), 1), PutOutcome::StaleRejected);
-        assert_eq!(lru.len(), 0, "dead-generation entry must not be pinned");
-        assert_eq!(lru.stale_count(1), 0);
-        // Current-generation inserts still land.
-        assert_eq!(lru.put("q".into(), 1, 0, fp(), 2), PutOutcome::Inserted);
-        assert_eq!(lru.get("q", 1, 0), Some(2));
     }
 
     /// Service-level version of the same regression: queries racing
@@ -1401,22 +901,6 @@ mod tests {
                 assert_eq!(s.as_ref().unwrap(), p.as_ref().unwrap(), "workers = {w}");
             }
         }
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut lru: LruCache<u32> = LruCache::new(2);
-        let fp = Footprint::default;
-        lru.put("a".into(), 0, 0, fp(), 1);
-        lru.put("b".into(), 0, 0, fp(), 2);
-        assert_eq!(lru.get("a", 0, 0), Some(1));
-        assert_eq!(lru.put("c".into(), 0, 0, fp(), 3), PutOutcome::Evicted); // evicts "b"
-        assert_eq!(lru.get("b", 0, 0), None);
-        assert_eq!(lru.get("a", 0, 0), Some(1));
-        assert_eq!(lru.get("c", 0, 0), Some(3));
-        // Generation mismatch is a miss and drops the entry.
-        assert_eq!(lru.get("a", 1, 0), None);
-        assert_eq!(lru.len(), 1);
     }
 
     #[test]

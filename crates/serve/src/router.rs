@@ -200,7 +200,7 @@ impl KbRouter {
         let split = partition_delta(delta.as_ref(), st.view.as_ref(), self.services.len());
         let stats = Arc::new(st.stats.merged_with_delta(&delta));
         for (service, slice) in self.services.iter().zip(split) {
-            service.apply_delta_with_stats(Arc::new(slice), Arc::clone(&stats));
+            service.apply_delta_with_stats(Arc::new(slice), Some(Arc::clone(&stats)));
         }
         st.view =
             Arc::new(PartitionedView::new(self.services.iter().map(|s| s.snapshot()).collect()));

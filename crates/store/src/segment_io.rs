@@ -1358,7 +1358,7 @@ pub(crate) fn write_file_atomic(path: &Path, bytes: &[u8], fsync: bool) -> Resul
         f.write_all(bytes)?;
         f.flush()?;
         if fsync {
-            f.sync_all()?;
+            sync_file(&f)?;
         }
     }
     std::fs::rename(&tmp, path)?;
@@ -1368,13 +1368,21 @@ pub(crate) fn write_file_atomic(path: &Path, bytes: &[u8], fsync: bool) -> Resul
     Ok(())
 }
 
+/// `sync_all` on a file or directory handle, counted in `store.fsyncs`.
+/// Every sync the store issues goes through here, so the counter is the
+/// evidence that `StoreOptions { fsync: false }` really issues none.
+pub(crate) fn sync_file(file: &std::fs::File) -> std::io::Result<()> {
+    kb_obs::global().counter("store.fsyncs").inc();
+    file.sync_all()
+}
+
 /// Fsyncs a directory so a just-completed rename/create within it
 /// survives power loss. Best-effort on platforms that refuse to open
 /// directories for sync.
 pub(crate) fn fsync_dir(dir: &Path) -> Result<(), StoreError> {
     match std::fs::File::open(dir) {
         Ok(f) => {
-            f.sync_all().ok();
+            sync_file(&f).ok();
             Ok(())
         }
         Err(_) => Ok(()),
@@ -1385,10 +1393,17 @@ impl KbSnapshot {
     /// Writes this snapshot as a checksummed base segment file
     /// (atomically; fsynced). Returns the number of bytes written.
     pub fn write_segment(&self, path: impl AsRef<Path>) -> Result<u64, StoreError> {
+        self.write_segment_with(path.as_ref(), true)
+    }
+
+    /// [`write_segment`](Self::write_segment) with the fsync under the
+    /// caller's control: the segment store passes its
+    /// [`StoreOptions::fsync`](crate::StoreOptions::fsync).
+    pub(crate) fn write_segment_with(&self, path: &Path, fsync: bool) -> Result<u64, StoreError> {
         let obs = kb_obs::global();
         let span = obs.span("store.segment.write_us");
         let bytes = snapshot_to_bytes(self)?;
-        write_file_atomic(path.as_ref(), &bytes, true)?;
+        write_file_atomic(path, &bytes, fsync)?;
         span.stop();
         obs.counter("store.segment.writes").inc();
         Ok(bytes.len() as u64)
@@ -1421,8 +1436,15 @@ impl DeltaSegment {
     /// Writes this delta as a checksummed delta segment file
     /// (atomically; fsynced). Returns the number of bytes written.
     pub fn write_segment(&self, path: impl AsRef<Path>) -> Result<u64, StoreError> {
+        self.write_segment_with(path.as_ref(), true)
+    }
+
+    /// [`write_segment`](Self::write_segment) with the fsync under the
+    /// caller's control: the segment store passes its
+    /// [`StoreOptions::fsync`](crate::StoreOptions::fsync).
+    pub(crate) fn write_segment_with(&self, path: &Path, fsync: bool) -> Result<u64, StoreError> {
         let bytes = delta_to_bytes(self)?;
-        write_file_atomic(path.as_ref(), &bytes, true)?;
+        write_file_atomic(path, &bytes, fsync)?;
         Ok(bytes.len() as u64)
     }
 

@@ -180,7 +180,7 @@ impl SegmentStore {
             wal: wal_name(0),
             compacted_from: None,
         };
-        base.write_segment(dir.join(&manifest.base))?;
+        base.write_segment_with(&dir.join(&manifest.base), options.fsync)?;
         let wal = Wal::create(dir.join(&manifest.wal), 0, options.fsync)?;
         manifest.store(&dir, options.fsync)?;
         let view = SegmentedSnapshot::from_base(base);
@@ -416,7 +416,7 @@ impl SegmentStore {
         let mut new_manifest = self.manifest.clone();
         for (seq, delta) in &self.unsealed {
             let name = delta_name(self.manifest.generation, *seq);
-            bytes += delta.write_segment(self.dir.join(&name))?;
+            bytes += delta.write_segment_with(&self.dir.join(&name), self.options.fsync)?;
             new_manifest.deltas.push(name);
             new_manifest.applied_seq = *seq;
         }
@@ -463,7 +463,7 @@ impl SegmentStore {
             wal: wal_name(generation),
             compacted_from: Some(self.manifest.generation),
         };
-        base.write_segment(self.dir.join(&new_manifest.base))?;
+        base.write_segment_with(&self.dir.join(&new_manifest.base), self.options.fsync)?;
         let wal = Wal::create(self.dir.join(&new_manifest.wal), generation, self.options.fsync)?;
         // Commit point: the manifest rename switches generations.
         new_manifest.store(&self.dir, self.options.fsync)?;

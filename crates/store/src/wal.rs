@@ -27,7 +27,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::error::SegmentRegion;
-use crate::segment_io::crc32;
+use crate::segment_io::{crc32, sync_file};
 use crate::StoreError;
 
 /// Magic for a WAL file.
@@ -116,7 +116,7 @@ impl Wal {
         file.write_all(&header)?;
         file.flush()?;
         if fsync {
-            file.sync_all()?;
+            sync_file(&file)?;
             crate::segment_io::fsync_dir(path.parent().unwrap_or_else(|| Path::new(".")))?;
         }
         Ok(Self { file, path, generation, last_seq: 0, fsync })
@@ -134,7 +134,7 @@ impl Wal {
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
         file.set_len(replay.valid_len)?;
         if fsync {
-            file.sync_all()?;
+            sync_file(&file)?;
         }
         let mut file = file;
         use std::io::Seek as _;
@@ -177,7 +177,7 @@ impl Wal {
 
         let fsync_micros = if self.fsync {
             let fsync_start = Instant::now();
-            self.file.sync_all()?;
+            sync_file(&self.file)?;
             fsync_start.elapsed().as_micros() as u64
         } else {
             0

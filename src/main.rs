@@ -705,7 +705,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
             .harvest_batch(&corpus.world, &refs, &view)
             .map_err(|e| format!("batch {i} failed: {e}"))?;
         let accepted = outcome.accepted;
-        let updates = service.apply_delta_publishing(Arc::new(outcome.delta));
+        let updates = service.apply_delta(Arc::new(outcome.delta));
         let latest = service.snapshot();
         match updates.iter().find(|u| u.id == id) {
             Some(u) => {

@@ -49,7 +49,7 @@ fn harvest_stream_keeps_standing_views_identical_to_reexecution() {
         let refs: Vec<_> = chunk.iter().collect();
         let view = service.snapshot();
         let outcome = inc.harvest_batch(&corpus.world, &refs, &view).expect("batch harvests");
-        let updates = service.apply_delta_publishing(Arc::new(outcome.delta));
+        let updates = service.apply_delta(Arc::new(outcome.delta));
         installs += 1;
         patched_updates += updates.iter().filter(|u| u.patched).count() as u32;
 
