@@ -1,7 +1,7 @@
 //! Criterion benches for the `kb-query` engine (experiment F8/T13's
-//! precise timing counterpart): cost-based planned execution vs the
-//! legacy greedy engine on skewed multi-joins, plan-cache hit vs cold
-//! parse+plan, and batch serving throughput vs worker count.
+//! precise timing counterpart): cost-based planned execution on skewed
+//! multi-joins, plan-cache hit vs cold parse+plan, and batch serving
+//! throughput vs worker count.
 
 use std::sync::Arc;
 
@@ -9,9 +9,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use kb_bench::exp_query::{f8_queries, serving_workload, synthetic_kb_skewed};
 use kb_query::{execute, parse, plan, QueryService, StatsCatalog};
 
-/// Planned vs legacy join order at two sizes. Parsing and planning
-/// happen outside the timed loop for both engines, so the comparison
-/// is pure execution (join order + operator choice).
+/// Planned execution at two sizes. Parsing and planning happen outside
+/// the timed loop, so the time is pure execution (join order +
+/// operator choice).
 fn bench_join_order(c: &mut Criterion) {
     let mut group = c.benchmark_group("query");
     for &n in &[10_000usize, 100_000] {
@@ -19,14 +19,8 @@ fn bench_join_order(c: &mut Criterion) {
         let snap = kb.snapshot();
         let stats = StatsCatalog::build(&snap);
         for (label, text) in f8_queries() {
-            let legacy_q = kb_store::query::Query::parse(&snap, text).expect("legacy parse");
             let compiled = plan(&parse(text).expect("parse"), &snap, &stats).expect("plan");
             let id = label.replace(' ', "_");
-            group.bench_with_input(
-                BenchmarkId::new(format!("{id}/legacy").as_str(), n),
-                &n,
-                |b, _| b.iter(|| black_box(kb_store::query::execute(&snap, &legacy_q).len())),
-            );
             group.bench_with_input(
                 BenchmarkId::new(format!("{id}/planned").as_str(), n),
                 &n,

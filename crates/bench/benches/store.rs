@@ -1,28 +1,14 @@
 //! Criterion benches for the triple store (experiment F4's precise
 //! timing counterpart): insertion, point lookup, pattern scan, path
-//! join, and serialization at two KB sizes — plus head-to-head
-//! comparisons of the frozen snapshot engine against the legacy
-//! BTreeSet engine, and of sharded-builder ingest against the
+//! join, and serialization at two KB sizes — plus the frozen snapshot
+//! engine's read primitives, and sharded-builder ingest against the
 //! mutable façade.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kb_bench::exp_kb::synthetic_kb;
-use kb_store::{KbBuilder, KbRead, KbShard, KnowledgeBase, LegacyKb, TriplePattern};
+use kb_store::{KbBuilder, KbRead, KbShard, KnowledgeBase, TriplePattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Rebuilds a synthetic KB inside the legacy BTreeSet engine (same
-/// triples, same insertion order).
-fn legacy_of(kb: &KnowledgeBase) -> LegacyKb {
-    let mut legacy = LegacyKb::new();
-    for fact in kb.facts() {
-        let s = legacy.intern(kb.resolve(fact.triple.s).unwrap());
-        let p = legacy.intern(kb.resolve(fact.triple.p).unwrap());
-        let o = legacy.intern(kb.resolve(fact.triple.o).unwrap());
-        legacy.add_triple(s, p, o);
-    }
-    legacy
-}
 
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
@@ -56,13 +42,12 @@ fn bench_store(c: &mut Criterion) {
     group.finish();
 }
 
-/// Snapshot engine vs the legacy BTreeSet engine, same data, same
-/// queries: range scans, counts, degree, neighbors, path joins.
+/// The snapshot engine's read primitives: range scans, counts, degree,
+/// neighbors, path joins.
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     for &n in &[10_000usize, 100_000] {
         let kb = synthetic_kb(n, 7);
-        let legacy = legacy_of(&kb);
         let snapshot = kb.snapshot();
         let triples = kb.matching_triples(&TriplePattern::any());
         let subjects: Vec<_> = {
@@ -71,13 +56,6 @@ fn bench_engines(c: &mut Criterion) {
         };
 
         // Range scan: all facts of one subject (s??).
-        group.bench_with_input(BenchmarkId::new("range_scan/legacy", n), &n, |b, _| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % subjects.len();
-                black_box(legacy.matching(&TriplePattern::with_s(subjects[i])).len())
-            })
-        });
         group.bench_with_input(BenchmarkId::new("range_scan/snapshot", n), &n, |b, _| {
             let mut i = 0usize;
             b.iter(|| {
@@ -87,13 +65,6 @@ fn bench_engines(c: &mut Criterion) {
         });
 
         // Count: exact cardinality of a range (O(1) on the snapshot).
-        group.bench_with_input(BenchmarkId::new("count/legacy", n), &n, |b, _| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % subjects.len();
-                black_box(legacy.count_matching(&TriplePattern::with_s(subjects[i])))
-            })
-        });
         group.bench_with_input(BenchmarkId::new("count/snapshot", n), &n, |b, _| {
             let mut i = 0usize;
             b.iter(|| {
@@ -103,25 +74,11 @@ fn bench_engines(c: &mut Criterion) {
         });
 
         // Degree and neighborhood of a node.
-        group.bench_with_input(BenchmarkId::new("degree/legacy", n), &n, |b, _| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % subjects.len();
-                black_box(legacy.degree(subjects[i]))
-            })
-        });
         group.bench_with_input(BenchmarkId::new("degree/snapshot", n), &n, |b, _| {
             let mut i = 0usize;
             b.iter(|| {
                 i = (i + 1) % subjects.len();
                 black_box(snapshot.degree(subjects[i]))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("neighbors/legacy", n), &n, |b, _| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % subjects.len();
-                black_box(legacy.neighbors(subjects[i]).len())
             })
         });
         group.bench_with_input(BenchmarkId::new("neighbors/snapshot", n), &n, |b, _| {
@@ -135,11 +92,6 @@ fn bench_engines(c: &mut Criterion) {
         // Two-hop path join.
         let r0 = kb.term("rel_0").unwrap();
         let r1 = kb.term("rel_1").unwrap();
-        let lr0 = legacy.term("rel_0").unwrap();
-        let lr1 = legacy.term("rel_1").unwrap();
-        group.bench_with_input(BenchmarkId::new("path_join/legacy", n), &n, |b, _| {
-            b.iter(|| black_box(legacy.path_join(lr0, lr1).len()))
-        });
         group.bench_with_input(BenchmarkId::new("path_join/snapshot", n), &n, |b, _| {
             b.iter(|| black_box(snapshot.path_join_iter(r0, r1).count()))
         });

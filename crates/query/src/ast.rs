@@ -267,7 +267,7 @@ pub struct SelectQuery {
 }
 
 impl SelectQuery {
-    /// A bare `SELECT *` over a group, no modifiers — what the legacy
+    /// A bare `SELECT *` over a group, no modifiers — what the bare
     /// compact form (`?p bornIn ?c . ?c locatedIn ?n`) desugars to.
     pub fn star(group: Group) -> Self {
         SelectQuery {

@@ -296,11 +296,6 @@ impl<V: Clone> LruCache<V> {
     fn stale_count(&self, current: u64) -> usize {
         self.map.values().filter(|e| e.generation < current).count()
     }
-
-    fn len(&self) -> usize {
-        debug_assert_eq!(self.map.len(), self.recency.len());
-        self.map.len()
-    }
 }
 
 /// One in-flight computation, used as a latch: its leader holds the
@@ -431,11 +426,6 @@ impl<V: Clone> StampedCache<V> {
         self.lock().apply_delta(epoch, touched, wildcard_only)
     }
 
-    /// Number of live entries.
-    pub(crate) fn len(&self) -> usize {
-        self.lock().len()
-    }
-
     /// Entries stamped with a generation older than `current`.
     pub(crate) fn stale_count(&self, current: u64) -> usize {
         self.lock().stale_count(current)
@@ -450,6 +440,20 @@ mod tests {
     use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
+
+    impl<V: Clone> LruCache<V> {
+        /// Number of live entries.
+        fn len(&self) -> usize {
+            debug_assert_eq!(self.map.len(), self.recency.len());
+            self.map.len()
+        }
+    }
+
+    impl<V: Clone> StampedCache<V> {
+        fn len(&self) -> usize {
+            self.lock().len()
+        }
+    }
 
     /// Epoch scoping at the cache level: entries probed or re-inserted
     /// after a delta touching their footprint bounce exactly like

@@ -34,10 +34,6 @@
 //!    re-execution only for plan shapes outside the maintainable
 //!    fragment.
 //!
-//! The legacy engine in `kb_store::query` is kept as a differential
-//! oracle — `crates/query/tests/differential.rs` checks both engines
-//! produce identical binding sets on random KBs and queries.
-//!
 //! ```
 //! use kb_store::KbBuilder;
 //!
@@ -62,7 +58,7 @@ pub mod view;
 
 pub use ast::SelectQuery;
 pub use error::QueryError;
-pub use exec::{cell_str, execute, execute_traced, execute_tuple, Cell, ExecTrace, QueryOutput};
+pub use exec::{cell_str, execute, execute_traced, Cell, ExecTrace, QueryOutput};
 pub use parse::{normalize, parse};
 pub use plan::{plan, routing_decision, Footprint, OpInfo, Plan, RoutingDecision};
 pub use service::{CacheStats, QueryService, DEFAULT_CACHE_CAPACITY};

@@ -24,8 +24,10 @@
 //! ```
 //!
 //! Keywords are case-insensitive and reserved (a constant cannot be
-//! named `filter`). The bare form subsumes the legacy
-//! `kb_store::query` compact syntax (`?p bornIn ?c . ?c locatedIn ?n`).
+//! named `filter`). The bare form is the compact conjunctive syntax
+//! (`?p bornIn ?c . ?c locatedIn ?n`). Groups nest at most
+//! [`MAX_GROUP_DEPTH`] deep; deeper text is a parse error, not a stack
+//! overflow.
 
 use kb_store::TimePoint;
 
@@ -115,10 +117,20 @@ fn tokenize(text: &str) -> Result<Vec<Tok>, QueryError> {
     Ok(toks)
 }
 
+/// How deep `{ … }` groups may nest. The parser recurses once per
+/// level and query text comes from outside the program (the CLI, the
+/// service, router tenants on small worker stacks), so the depth is
+/// bounded: an unoptimized build spends about 5 KB of stack a level,
+/// and this many fit a 256 KB stack with room to spare. No
+/// hand-written query comes near it.
+pub const MAX_GROUP_DEPTH: usize = 32;
+
 /// Recursive-descent parser over the token stream.
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Groups currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -213,7 +225,27 @@ impl Parser {
         }
     }
 
-    /// Group elements until `}` (when `braced`) or end of input.
+    /// `{ elements }`: one nesting level down, refused beyond
+    /// [`MAX_GROUP_DEPTH`].
+    fn braced_group(&mut self) -> Result<Group, QueryError> {
+        self.expect_punct('{')?;
+        if self.depth >= MAX_GROUP_DEPTH {
+            return Err(QueryError::parse(
+                self.pos - 1,
+                format!("'{{' nests groups deeper than {MAX_GROUP_DEPTH}"),
+            ));
+        }
+        self.depth += 1;
+        let group = self.group(true);
+        self.depth -= 1;
+        let group = group?;
+        self.expect_punct('}')?;
+        Ok(group)
+    }
+
+    /// Group elements until `}` (when `braced`) or end of input. The
+    /// leaf elements parse in functions of their own so that this
+    /// frame, the one nesting recurses through, stays small.
     fn group(&mut self, braced: bool) -> Result<Group, QueryError> {
         let mut group = Group::default();
         loop {
@@ -225,70 +257,70 @@ impl Parser {
                 None => break,
                 Some(Tok::Punct('}')) if braced => break,
                 Some(Tok::Punct('{')) => {
-                    self.pos += 1;
-                    let a = self.group(true)?;
-                    self.expect_punct('}')?;
+                    let a = self.braced_group()?;
                     self.expect_keyword("UNION")?;
-                    self.expect_punct('{')?;
-                    let b = self.group(true)?;
-                    self.expect_punct('}')?;
-                    group.unions.push((a, b));
+                    group.unions.push((a, self.braced_group()?));
                 }
                 Some(Tok::Word(w)) if w.eq_ignore_ascii_case("FILTER") => {
                     self.pos += 1;
-                    self.expect_punct('(')?;
-                    let lhs = self.term()?;
-                    let op = match self.next() {
-                        Some(Tok::Op(op)) => op,
-                        other => {
-                            return Err(QueryError::parse(
-                                self.pos.saturating_sub(1),
-                                format!(
-                                    "expected a comparison operator, got {}",
-                                    other.map_or_else(|| "end of query".into(), |t| t.describe())
-                                ),
-                            ))
-                        }
-                    };
-                    let rhs = self.term()?;
-                    self.expect_punct(')')?;
-                    group.filters.push(Condition { lhs, op, rhs });
+                    group.filters.push(self.filter()?);
                 }
                 Some(Tok::Word(w)) if w.eq_ignore_ascii_case("OPTIONAL") => {
                     self.pos += 1;
-                    self.expect_punct('{')?;
-                    let opt = self.group(true)?;
-                    self.expect_punct('}')?;
-                    group.optionals.push(opt);
+                    group.optionals.push(self.braced_group()?);
                 }
-                _ => {
-                    let s = self.term()?;
-                    let p = self.term()?;
-                    let o = self.term()?;
-                    let at = if matches!(self.peek(), Some(Tok::Punct('@'))) {
-                        self.pos += 1;
-                        match self.next() {
-                            Some(Tok::Word(w)) => Some(TimePoint::parse(&w).ok_or_else(|| {
-                                QueryError::parse(
-                                    self.pos - 1,
-                                    format!("bad time point {w:?} (want YYYY[-MM[-DD]])"),
-                                )
-                            })?),
-                            _ => {
-                                return Err(self.err("expected a time point after '@'"));
-                            }
-                        }
-                    } else {
-                        None
-                    };
-                    group.patterns.push(Pattern { s, p, o, at });
-                }
+                _ => group.patterns.push(self.pattern()?),
             }
         }
         if group.is_empty() {
             return Err(self.err("empty group pattern"));
         }
         Ok(group)
+    }
+
+    /// `( operand cmp operand )`, after the `FILTER` keyword.
+    fn filter(&mut self) -> Result<Condition, QueryError> {
+        self.expect_punct('(')?;
+        let lhs = self.term()?;
+        let op = match self.next() {
+            Some(Tok::Op(op)) => op,
+            other => {
+                return Err(QueryError::parse(
+                    self.pos.saturating_sub(1),
+                    format!(
+                        "expected a comparison operator, got {}",
+                        other.map_or_else(|| "end of query".into(), |t| t.describe())
+                    ),
+                ))
+            }
+        };
+        let rhs = self.term()?;
+        self.expect_punct(')')?;
+        Ok(Condition { lhs, op, rhs })
+    }
+
+    /// `term term term [@timepoint]`.
+    fn pattern(&mut self) -> Result<Pattern, QueryError> {
+        let s = self.term()?;
+        let p = self.term()?;
+        let o = self.term()?;
+        let at = if matches!(self.peek(), Some(Tok::Punct('@'))) {
+            self.pos += 1;
+            match self.next() {
+                Some(Tok::Word(w)) => Some(TimePoint::parse(&w).ok_or_else(|| {
+                    QueryError::parse(
+                        self.pos - 1,
+                        format!("bad time point {w:?} (want YYYY[-MM[-DD]])"),
+                    )
+                })?),
+                _ => {
+                    return Err(self.err("expected a time point after '@'"));
+                }
+            }
+        } else {
+            None
+        };
+        Ok(Pattern { s, p, o, at })
     }
 
     fn projection(&mut self) -> Result<Option<Vec<ProjItem>>, QueryError> {
@@ -413,20 +445,21 @@ pub fn parse(text: &str) -> Result<SelectQuery, QueryError> {
     if toks.is_empty() {
         return Err(QueryError::parse(0, "empty query"));
     }
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     let query = if p.at_keyword("SELECT") {
         p.pos += 1;
         let distinct = p.eat_keyword("DISTINCT");
         let projection = p.projection()?;
         p.expect_keyword("WHERE")?;
-        p.expect_punct('{')?;
-        let group = p.group(true)?;
-        p.expect_punct('}')?;
+        let group = p.braced_group()?;
         let mut q = SelectQuery { distinct, projection, ..SelectQuery::star(Group::default()) };
         q.group = group;
         p.modifiers(&mut q)?;
         q
     } else {
+        // The body of `SELECT * WHERE { … }`, and as deep as one: its
+        // canonical text must parse again.
+        p.depth = 1;
         SelectQuery::star(p.group(false)?)
     };
     if p.pos < p.toks.len() {
@@ -446,7 +479,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bare_form_parses_like_legacy() {
+    fn bare_form_is_select_star() {
         let q = parse("?p bornIn ?c . ?c locatedIn Norland").unwrap();
         assert!(q.projection.is_none());
         assert_eq!(q.group.patterns.len(), 2);
@@ -494,6 +527,34 @@ mod tests {
         assert!(parse("?a r ?b @notadate").is_err());
         let err = parse("?p bornIn ?").unwrap_err();
         assert!(matches!(err, QueryError::Parse { .. }));
+    }
+
+    /// Runs on a 256 KB stack: unbounded recursion dies there long
+    /// before 100 000 levels, whatever the main thread would survive.
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let worker = std::thread::Builder::new().stack_size(256 * 1024).spawn(|| {
+            let nested =
+                |n: usize| format!("SELECT * WHERE {{ {}?a r ?b{}", "{ ".repeat(n), " }".repeat(n));
+            let hostile = format!("SELECT * WHERE {{ {}", "{ ".repeat(100_000));
+            let err = parse(&hostile).unwrap_err();
+            let QueryError::Parse { token, message } = &err else { panic!("{err:?}") };
+            // `SELECT * WHERE` then the allowed braces are fine; the next is not.
+            assert_eq!(*token, 3 + MAX_GROUP_DEPTH, "{message}");
+            assert!(message.contains("'{'") && message.contains("deeper"), "{message}");
+            assert_eq!(parse(&nested(MAX_GROUP_DEPTH)).unwrap_err(), err);
+            // One level less gets as far as missing its UNION.
+            let err = parse(&nested(MAX_GROUP_DEPTH - 1)).unwrap_err();
+            assert!(err.to_string().contains("expected UNION"), "{err}");
+            // The bare form counts as the braces its canonical text has.
+            let optionals =
+                |n: usize| format!("?a r ?b {}?a r ?b{}", "OPTIONAL { ".repeat(n), " }".repeat(n));
+            assert!(parse(&optionals(MAX_GROUP_DEPTH)).is_err());
+            let deep_optional = optionals(MAX_GROUP_DEPTH - 1);
+            let q = parse(&deep_optional).expect("the deepest legal nesting parses");
+            assert_eq!(parse(&q.to_string()).unwrap(), q);
+        });
+        worker.expect("spawns").join().expect("the parser neither overflowed nor panicked");
     }
 
     #[test]

@@ -294,12 +294,15 @@ impl QueryService {
     /// their generation floor raised, so entries computed against older
     /// generations can neither be probed nor re-inserted afterwards
     /// (see `cache.rs`); the alias map is generation-independent
-    /// and survives.
+    /// and survives. Every standing view keeps its [`ViewId`] and is
+    /// materialized afresh against the new snapshot.
     ///
-    /// The cache sweeps happen while the generation lock is held, so an
-    /// `apply_delta` racing this install cannot interleave between the
-    /// swap and the floor raise. (Lock order is always `current` →
-    /// cache, never the reverse, so this cannot deadlock.)
+    /// The cache sweeps and the view rebuild happen while the
+    /// generation lock is held, so an `apply_delta` racing this install
+    /// cannot interleave between the swap and the floor raise, and no
+    /// view is ever patched from a delta of the other generation.
+    /// (Lock order is always `current` → cache / `views`, never the
+    /// reverse, so this cannot deadlock.)
     pub fn install(&self, snapshot: Arc<KbSnapshot>) {
         let view = Arc::new(SegmentedSnapshot::from_base(snapshot));
         let stats = Arc::new(StatsCatalog::build(view.as_ref()));
@@ -311,6 +314,10 @@ impl QueryService {
         cur.stats = stats;
         self.plans.set_floor(generation);
         self.results.set_floor(generation);
+        self.views
+            .lock()
+            .expect("view registry poisoned")
+            .rematerialize(cur.view.as_ref(), &cur.stats);
         drop(cur);
         self.metrics.installs.inc();
     }
@@ -444,11 +451,6 @@ impl QueryService {
             result_retained: self.metrics.result_retained.get(),
             result_invalidated: self.metrics.result_invalidated.get(),
         }
-    }
-
-    /// Number of live entries in (plan cache, result cache).
-    pub fn cache_sizes(&self) -> (usize, usize) {
-        (self.plans.len(), self.results.len())
     }
 
     /// Diagnostic: cached plan/result entries stamped with a generation

@@ -44,6 +44,7 @@ use std::sync::Arc;
 use kb_obs::{Clock, Counter, Gauge, Histogram, Registry, SpanTimer};
 use kb_store::{DeltaSegment, Fact, FactKind, KbRead, TermId, Triple, TriplePattern};
 
+use crate::ast::SelectQuery;
 use crate::error::QueryError;
 use crate::exec::{cmp_cells, eval_cond_with, execute, Cell, QueryOutput};
 use crate::parse::parse;
@@ -773,6 +774,35 @@ struct StandingView {
     output: Arc<QueryOutput>,
 }
 
+impl StandingView {
+    /// Plans `parsed` against `kb` and materializes its answer from
+    /// scratch.
+    fn build<K: KbRead + ?Sized>(
+        id: ViewId,
+        parsed: &SelectQuery,
+        kb: &K,
+        stats: &StatsCatalog,
+    ) -> Result<Self, QueryError> {
+        let plan = Arc::new(compile(parsed, kb, stats)?);
+        let maint = maintainability(&plan);
+        let (spec, state) = match maint {
+            Maintainability::Incremental => (IncSpec::from_plan(&plan), initial_state(&plan, kb)),
+            Maintainability::Fallback(_) => (None, ViewState::Reexec),
+        };
+        let output = match &state {
+            ViewState::Reexec => Arc::new(canonical_output(&plan, &execute(&plan, kb), kb)),
+            state => {
+                let rows = materialize(&plan, state, kb);
+                Arc::new(QueryOutput {
+                    cols: plan.columns().iter().map(|c| c.to_string()).collect(),
+                    rows,
+                })
+            }
+        };
+        Ok(StandingView { id, text: parsed.to_string(), plan, maint, spec, state, output })
+    }
+}
+
 /// One consistent post-install update for one standing view.
 #[derive(Debug, Clone)]
 pub struct ViewUpdate {
@@ -862,29 +892,23 @@ impl ViewRegistry {
         kb: &K,
         stats: &StatsCatalog,
     ) -> Result<ViewId, QueryError> {
-        let parsed = parse(text)?;
-        let normalized = parsed.to_string();
-        let plan = Arc::new(compile(&parsed, kb, stats)?);
-        let maint = maintainability(&plan);
-        let (spec, state) = match maint {
-            Maintainability::Incremental => (IncSpec::from_plan(&plan), initial_state(&plan, kb)),
-            Maintainability::Fallback(_) => (None, ViewState::Reexec),
-        };
-        let output = match &state {
-            ViewState::Reexec => Arc::new(canonical_output(&plan, &execute(&plan, kb), kb)),
-            state => {
-                let rows = materialize(&plan, state, kb);
-                Arc::new(QueryOutput {
-                    cols: plan.columns().iter().map(|c| c.to_string()).collect(),
-                    rows,
-                })
-            }
-        };
         let id = ViewId(self.next_id);
+        self.views.push(StandingView::build(id, &parse(text)?, kb, stats)?);
         self.next_id += 1;
-        self.views.push(StandingView { id, text: normalized, plan, maint, spec, state, output });
         self.metrics.registered.set(self.views.len() as i64);
         Ok(id)
+    }
+
+    /// Rebuilds every view from scratch over `kb`, keeping ids and
+    /// registration order. A full install replaces the snapshot the
+    /// materialized states were computed from, so nothing of them
+    /// carries over — there is no delta to patch from.
+    pub fn rematerialize<K: KbRead + ?Sized>(&mut self, kb: &K, stats: &StatsCatalog) {
+        for view in &mut self.views {
+            let parsed = parse(&view.text).expect("normalized text always re-parses");
+            *view = StandingView::build(view.id, &parsed, kb, stats)
+                .expect("planning fails on the query alone, and this one planned when registered");
+        }
     }
 
     /// Removes a view; returns whether it existed.

@@ -1,0 +1,225 @@
+//! What the differential suites share: one generator of KBs (an op list
+//! built monolithically, as a segment chain, and into the reference
+//! model) and one generator of query texts. Used by
+//! `crates/query/tests/differential.rs` (as `mod common`) and, by
+//! `#[path]`, the root package's `tests/reference_conformance.rs` and
+//! `tests/serve_differential.rs`; each uses a part of it.
+#![allow(dead_code)]
+
+use std::sync::Arc;
+
+use kb_store::{
+    DeltaSegment, Fact, KbBuilder, KbSnapshot, SegmentedSnapshot, TimePoint, TimeSpan, Triple,
+};
+use kb_testkit::RefKb;
+use proptest::prelude::*;
+
+/// One mutation of `e{s} r{p} e{o}`: kind 0 retracts (a tombstone when
+/// it crosses a segment boundary), anything else asserts.
+pub type Op = (u8, u32, u32, u32);
+
+/// The time span every assertion of one triple carries: a third of the
+/// triples have none, a third a single year, a third an interval. Fixed
+/// per triple because the span of a triple retracted in an older
+/// segment and asserted again depends on the write path today (one
+/// builder remembers the old span, a delta takes the new one), and
+/// `set_span` in a delta cannot reach a triple of an older segment.
+pub fn span_of(s: u32, p: u32, o: u32) -> Option<TimeSpan> {
+    let year = |y: u32| TimePoint::year(1985 + y as i32);
+    match (s + 2 * p + o) % 3 {
+        0 => None,
+        1 => Some(TimeSpan::at(year(s * 3 + o))),
+        _ => Some(TimeSpan { begin: Some(year(s)), end: Some(year(10 + 2 * o)) }),
+    }
+}
+
+pub fn apply(b: &mut KbBuilder, (kind, s, p, o): Op) {
+    let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
+    if kind == 0 {
+        b.retract_str(&es, &rp, &eo);
+    } else {
+        let triple = Triple::new(b.intern(&es), b.intern(&rp), b.intern(&eo));
+        b.add_fact(Fact { span: span_of(s, p, o), ..Fact::asserted(triple) });
+    }
+}
+
+pub fn builder_of(ops: &[Op]) -> KbBuilder {
+    let mut b = KbBuilder::new();
+    for &op in ops {
+        apply(&mut b, op);
+    }
+    b
+}
+
+/// `ops` replayed into the reference model.
+pub fn reference_of(ops: &[Op]) -> RefKb {
+    let mut reference = RefKb::default();
+    for &(kind, s, p, o) in ops {
+        let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
+        if kind == 0 {
+            reference.retract(&es, &rp, &eo);
+        } else {
+            reference.assert(&es, &rp, &eo, span_of(s, p, o));
+        }
+    }
+    reference
+}
+
+/// `ops` as a segment chain cut at the positions `cuts`: the ops before
+/// the first cut frozen as the base, each later stretch frozen as a
+/// delta against the growing view. Returns the base, the deltas and
+/// the view over all of them.
+pub fn segment_chain(
+    ops: &[Op],
+    cuts: &[usize],
+) -> (Arc<KbSnapshot>, Vec<Arc<DeltaSegment>>, SegmentedSnapshot) {
+    let mut bounds = [cuts, &[0, ops.len()]].concat();
+    bounds.sort_unstable();
+    bounds.dedup();
+    let mut chunks = bounds.windows(2).map(|w| &ops[w[0]..w[1]]);
+    let base = builder_of(chunks.next().unwrap_or(&[])).freeze().into_shared();
+    let mut view = SegmentedSnapshot::from_base(Arc::clone(&base));
+    let mut deltas = Vec::new();
+    for chunk in chunks {
+        let delta = Arc::new(builder_of(chunk).freeze_delta(&view));
+        view = view.with_delta(Arc::clone(&delta));
+        deltas.push(delta);
+    }
+    (base, deltas, view)
+}
+
+/// Random cut positions for [`segment_chain`] over `ops`.
+pub fn cut_positions(ops: &[Op], cuts: &[prop::sample::Index]) -> Vec<usize> {
+    cuts.iter().map(|c| c.index(ops.len() + 1)).collect()
+}
+
+pub const VARS: [&str; 4] = ["x", "y", "z", "w"];
+
+/// One pattern text. A subject or object is a variable four times in
+/// five, else an entity of `e0..e3`; one entity in ten and one relation
+/// in twenty is outside the dictionary (`e6`, `e7`, `r3`); one relation
+/// in three is `?r`; a pattern in four carries `@year`.
+pub fn pattern() -> impl Strategy<Value = String> {
+    let entity = |(kind, idx): (u8, u32)| match (kind, idx) {
+        (0..=7, _) => format!("?{}", VARS[kind as usize % 4]),
+        (_, 18..) => format!("e{}", idx - 12),
+        _ => format!("e{}", idx % 4),
+    };
+    ((0u8..10, 0u32..20), (0u8..3, 0u32..20), (0u8..10, 0u32..20), 0i32..100).prop_map(
+        move |(s, (relation_kind, relation), mut o, at)| {
+            // `?x r ?x` seldom matches anything: make the object the
+            // next variable instead.
+            if s.0 < 8 && o.0 < 8 && s.0 % 4 == o.0 % 4 {
+                o.0 = (o.0 + 1) % 4;
+            }
+            let relation = match (relation_kind, relation) {
+                (0, _) => "?r".to_string(),
+                (_, 19) => "r3".to_string(),
+                _ => format!("r{}", relation % 3),
+            };
+            let at = if at < 25 { format!(" @{}", 1985 + at) } else { String::new() };
+            format!("{} {relation} {}{at}", entity(s), entity(o))
+        },
+    )
+}
+
+/// A `FILTER` operand: one of the `bound` variables mostly (a filter
+/// over an unbound one drops every row) else any variable, an entity
+/// inside or outside the dictionary, a number no fact mentions, or a
+/// word none does.
+pub fn operand_text((kind, idx): (u8, u32), bound: &[&str]) -> String {
+    match kind {
+        0..=2 if !bound.is_empty() => bound[idx as usize % bound.len()].to_string(),
+        0..=3 => format!("?{}", VARS[kind as usize]),
+        4 | 5 => format!("e{idx}"),
+        6 => (idx * 5).to_string(),
+        _ => "zzz".to_string(),
+    }
+}
+
+/// Valid query texts over every construct of the language: 1–3
+/// patterns (some `@year`, some naming terms outside the dictionary),
+/// UNION, OPTIONAL, a FILTER between any two operands (constant against
+/// constant included); the bare form, `SELECT *`, named columns, or
+/// COUNT with and without GROUP BY; DISTINCT, ORDER BY over a column,
+/// LIMIT and OFFSET.
+pub fn query_texts() -> impl Strategy<Value = String> {
+    (
+        prop::collection::vec(pattern(), 1..4),
+        any::<bool>(),
+        prop::option::of(pattern()),
+        prop::option::of((0u8..3, (0u8..8, 0u32..8), 0usize..6, (0u8..8, 0u32..8))),
+        0u8..6,
+        any::<bool>(),
+        prop::option::of((any::<prop::sample::Index>(), any::<bool>())),
+        prop::option::of(0usize..20),
+        prop::option::of(1usize..6),
+    )
+        .prop_map(
+            |(patterns, union, optional, filter, select, distinct, order, limit, offset)| {
+                let mut body = patterns;
+                if union {
+                    body.push("{ ?x r0 ?y } UNION { ?x r1 ?y }".to_string());
+                }
+                if let Some(optional) = optional {
+                    body.push(format!("OPTIONAL {{ {optional} }}"));
+                }
+                // Only what a pattern binds is a column `SELECT *` projects
+                // and ORDER BY may name; a filter binds nothing. Named
+                // back to front, so that the column order asked for is
+                // not the sorted one `*` gives.
+                let bound = body.join(" ");
+                let used: Vec<&str> = ["?w", "?z", "?y", "?x", "?r"]
+                    .into_iter()
+                    .filter(|v| bound.contains(v))
+                    .collect();
+                if let Some((kind, lhs, op, rhs)) = filter {
+                    // A third between any two operands, a third between
+                    // two constants, a third a constant against itself.
+                    let constant = |(kind, idx): (u8, u32)| (4 + kind % 4, idx);
+                    let (lhs, rhs) = match kind {
+                        0 => (lhs, rhs),
+                        1 => (constant(lhs), constant(rhs)),
+                        _ => (constant(lhs), constant(lhs)),
+                    };
+                    let sym = ["=", "!=", "<", "<=", ">", ">="][op];
+                    let (lhs, rhs) = (operand_text(lhs, &used), operand_text(rhs, &used));
+                    body.push(format!("FILTER({lhs} {sym} {rhs})"));
+                }
+                let body = body.join(" . ");
+                let distinct = if distinct { "DISTINCT " } else { "" };
+                let mut text = match select {
+                    0 => format!(
+                        "SELECT {distinct}?x COUNT(?y) AS ?n WHERE {{ {body} }} \
+                         GROUP BY ?x ORDER BY DESC(?n) ?x"
+                    ),
+                    1 => format!("SELECT {distinct}COUNT(*) AS ?n WHERE {{ {body} }}"),
+                    2 => return body,
+                    _ => {
+                        let cols = if select == 3 && !used.is_empty() {
+                            used.join(" ")
+                        } else {
+                            "*".into()
+                        };
+                        let mut text = format!("SELECT {distinct}{cols} WHERE {{ {body} }}");
+                        if let (Some((pick, desc)), false) = (order, used.is_empty()) {
+                            let var = used[pick.index(used.len())];
+                            text.push_str(&if desc {
+                                format!(" ORDER BY DESC({var})")
+                            } else {
+                                format!(" ORDER BY {var}")
+                            });
+                        }
+                        text
+                    }
+                };
+                if let Some(n) = limit {
+                    text.push_str(&format!(" LIMIT {n}"));
+                }
+                if let Some(n) = offset {
+                    text.push_str(&format!(" OFFSET {n}"));
+                }
+                text
+            },
+        )
+}

@@ -1,37 +1,22 @@
-//! Differential tests: the new engine against the legacy
-//! `kb_store::query` oracle, plus parser round-trip properties.
+//! Differential tests: the engine against the naive reference model of
+//! the dev-only `kb-testkit` crate, plus parser round-trip and totality
+//! properties.
 //!
-//! The legacy engine stays in-tree precisely so these tests can compare
-//! binding sets on random KBs and random conjunctive queries — any
-//! divergence is a bug in exactly one of the two engines.
+//! The reference evaluates a query straight from its syntax tree over
+//! one ordered set of string triples — no plan, no statistics, no term
+//! ids — so a divergence is a bug in the parser's reading, the planner,
+//! the executor or the storage view, never one the two sides share.
 
 use proptest::prelude::*;
 
 use kb_query::exec::{cell_str, QueryOutput};
-use kb_store::{KbRead, KnowledgeBase};
+use kb_store::{Fact, KbBuilder, KbRead, KnowledgeBase, TimeSpan, Triple};
+use kb_testkit::{assert_conforms, RefKb};
 
-const VARS: [&str; 4] = ["x", "y", "z", "w"];
+mod common;
+use common::{builder_of, cut_positions, pattern, query_texts, reference_of, segment_chain};
 
-/// Decodes one pattern component: kinds 0..4 pick a shared variable,
-/// anything else a constant entity.
-fn entity_term(kind: u8, idx: u32) -> String {
-    if kind < 4 {
-        format!("?{}", VARS[kind as usize])
-    } else {
-        format!("e{}", idx % 6)
-    }
-}
-
-/// Predicate position: kind 0 is a variable, else a constant relation.
-fn pred_term(kind: u8, idx: u32) -> String {
-    if kind == 0 {
-        "?r".to_string()
-    } else {
-        format!("r{}", idx % 3)
-    }
-}
-
-/// Resolves the new engine's rows to sorted, deduplicated string rows.
+/// Resolves the engine's rows to sorted, deduplicated string rows.
 fn new_rows<K: KbRead + ?Sized>(out: &QueryOutput, kb: &K) -> Vec<Vec<String>> {
     let mut rows: Vec<Vec<String>> =
         out.rows.iter().map(|r| r.iter().map(|c| cell_str(c, kb).into_owned()).collect()).collect();
@@ -43,74 +28,27 @@ fn new_rows<K: KbRead + ?Sized>(out: &QueryOutput, kb: &K) -> Vec<Vec<String>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random conjunctive queries over random small KBs: the new engine
-    /// and the legacy oracle produce identical binding sets.
+    /// Random conjunctive queries over random small KBs, through the
+    /// one-shot `kb_query::query` over the mutable façade: the answer
+    /// conforms to the reference's — same columns, same bag of rows —
+    /// also where a pattern names a term the dictionary never saw.
     #[test]
-    fn new_engine_matches_legacy_oracle(
+    fn conjunctive_queries_conform_to_reference(
         triples in prop::collection::vec((0u32..6, 0u32..3, 0u32..6), 1..30),
-        patterns in prop::collection::vec(
-            ((0u8..6, 0u32..6), (0u8..3, 0u32..3), (0u8..6, 0u32..6)),
-            1..4
-        ),
+        patterns in prop::collection::vec(pattern(), 1..4),
     ) {
         let mut kb = KnowledgeBase::new();
+        let mut reference = RefKb::default();
         for &(s, p, o) in &triples {
             kb.assert_str(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"));
+            reference.assert(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"), None);
         }
-        let text = patterns
-            .iter()
-            .map(|((sk, si), (pk, pi), (ok, oi))| {
-                format!(
-                    "{} {} {}",
-                    entity_term(*sk, *si),
-                    pred_term(*pk, *pi),
-                    entity_term(*ok, *oi)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" . ");
-
-        // The legacy parser rejects constants absent from the
-        // dictionary; the new planner answers them with an empty result.
-        let legacy = match kb_store::query::query(&kb, &text) {
-            Ok(solutions) => solutions,
-            Err(_) => {
-                let out = kb_query::query(&kb, &text).unwrap();
-                prop_assert_eq!(
-                    out.rows.len(), 0,
-                    "constants unknown to the dictionary can match nothing: {}", text
-                );
-                return Ok(());
-            }
-        };
-
+        let text = patterns.join(" . ");
         let out = kb_query::query(&kb, &text).unwrap();
-
-        // Column names agree (both engines project all variables,
-        // sorted by name).
-        let legacy_q = kb_store::query::Query::parse(&kb, &text).unwrap();
-        prop_assert_eq!(
-            out.cols.iter().map(String::as_str).collect::<Vec<_>>(),
-            legacy_q.variables()
-        );
-
-        // Binding sets agree.
-        let got = new_rows(&out, &kb);
-        let mut expect: Vec<Vec<String>> = legacy
-            .iter()
-            .map(|b| {
-                b.iter_sorted()
-                    .into_iter()
-                    .map(|(_, t)| kb.resolve(t).unwrap().to_string())
-                    .collect()
-            })
-            .collect();
-        expect.sort();
-        expect.dedup();
-        prop_assert_eq!(got, expect, "query: {}", text);
+        assert_conforms(&kb_query::parse(&text).unwrap(), &out, &kb, &reference);
     }
 
-    /// Both engines agree when run over a frozen snapshot as well as the
+    /// The engine answers alike over a frozen snapshot and over the
     /// live façade (same query, same KB content, different view).
     #[test]
     fn snapshot_and_facade_agree(
@@ -139,59 +77,12 @@ proptest! {
     fn select_results_identical_across_segment_splits(
         ops in prop::collection::vec((0u8..5, 0u32..6, 0u32..3, 0u32..6), 1..40),
         cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
-        patterns in prop::collection::vec(
-            ((0u8..6, 0u32..6), (0u8..3, 0u32..3), (0u8..6, 0u32..6)),
-            1..4
-        ),
+        patterns in prop::collection::vec(pattern(), 1..4),
     ) {
-        use std::sync::Arc;
-        // kind 0 retracts (a tombstone when it crosses a segment
-        // boundary), anything else asserts.
-        let apply = |b: &mut kb_store::KbBuilder, (kind, s, p, o): (u8, u32, u32, u32)| {
-            let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
-            if kind == 0 {
-                b.retract_str(&es, &rp, &eo);
-            } else {
-                b.assert_str(&es, &rp, &eo);
-            }
-        };
-        let mut mono_b = kb_store::KbBuilder::new();
-        for &op in &ops {
-            apply(&mut mono_b, op);
-        }
-        let mono = mono_b.freeze();
+        let mono = builder_of(&ops).freeze();
+        let (_, _, view) = segment_chain(&ops, &cut_positions(&ops, &cuts));
 
-        let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(ops.len() + 1)).collect();
-        bounds.push(0);
-        bounds.push(ops.len());
-        bounds.sort_unstable();
-        bounds.dedup();
-        let mut chunks = bounds.windows(2).map(|w| &ops[w[0]..w[1]]);
-        let mut base = kb_store::KbBuilder::new();
-        for &op in chunks.next().unwrap_or(&[]) {
-            apply(&mut base, op);
-        }
-        let mut view = kb_store::SegmentedSnapshot::from_base(base.freeze().into_shared());
-        for chunk in chunks {
-            let mut b = kb_store::KbBuilder::new();
-            for &op in chunk {
-                apply(&mut b, op);
-            }
-            view = view.with_delta(Arc::new(b.freeze_delta(&view)));
-        }
-
-        let text = patterns
-            .iter()
-            .map(|((sk, si), (pk, pi), (ok, oi))| {
-                format!(
-                    "{} {} {}",
-                    entity_term(*sk, *si),
-                    pred_term(*pk, *pi),
-                    entity_term(*ok, *oi)
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" . ");
+        let text = patterns.join(" . ");
         let a = kb_query::query(&mono, &text).unwrap();
         let b = kb_query::query(&view, &text).unwrap();
         prop_assert_eq!(
@@ -200,197 +91,43 @@ proptest! {
         );
     }
 
-    /// The batch executor is the tuple executor, vectorized: on random
-    /// KBs and random query shapes (conjunctions, OPTIONAL, UNION,
-    /// FILTER, aggregates, modifiers) the default [`kb_query::execute`]
-    /// path must return output *byte-identical* to
-    /// [`kb_query::execute_tuple`] — same rows, same order — over both
-    /// the monolithic snapshot and a segmented delta stack.
+    /// The parser is total: any printable text is a query or a typed
+    /// error, never a panic.
     #[test]
-    fn batch_executor_matches_tuple_oracle(
-        ops in prop::collection::vec((0u8..5, 0u32..6, 0u32..3, 0u32..6), 1..40),
-        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
-        patterns in prop::collection::vec(
-            ((0u8..6, 0u32..6), (0u8..3, 0u32..3), (0u8..6, 0u32..6)),
-            1..4
-        ),
-        optional in prop::option::of(((0u8..6, 0u32..6), (1u8..3, 0u32..3), (0u8..6, 0u32..6))),
-        union in any::<bool>(),
-        filter in prop::option::of((0u8..4, 0u8..6, 0u32..6)),
-        aggregate in any::<bool>(),
-        limit in prop::option::of(0usize..20),
+    fn parse_is_total_on_arbitrary_text(text in "\\PC{0,300}") {
+        let _ = kb_query::parse(&text);
+    }
+
+    /// Nor does a valid query one character away from itself — one
+    /// deleted, one doubled, one inserted — panic the parser; and
+    /// whatever still parses has a canonical text that parses back to
+    /// it (standing views re-plan from that text).
+    #[test]
+    fn parse_is_total_one_edit_away_from_a_valid_query(
+        text in query_texts(),
+        at in any::<prop::sample::Index>(),
+        edit in 0u8..3,
+        inserted in "[{}().@?<>=!* a-zA-Z0-9\\-]",
     ) {
-        use std::sync::Arc;
-        let apply = |b: &mut kb_store::KbBuilder, (kind, s, p, o): (u8, u32, u32, u32)| {
-            let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
-            if kind == 0 {
-                b.retract_str(&es, &rp, &eo);
-            } else {
-                b.assert_str(&es, &rp, &eo);
-            }
-        };
-        let mut mono_b = kb_store::KbBuilder::new();
-        for &op in &ops {
-            apply(&mut mono_b, op);
+        let mut chars: Vec<char> = text.chars().collect();
+        let i = at.index(chars.len());
+        match edit {
+            0 => drop(chars.remove(i)),
+            1 => chars.insert(i, chars[i]),
+            _ => chars.insert(i, inserted.chars().next().unwrap()),
         }
-        let mono = mono_b.freeze();
-
-        let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(ops.len() + 1)).collect();
-        bounds.push(0);
-        bounds.push(ops.len());
-        bounds.sort_unstable();
-        bounds.dedup();
-        let mut chunks = bounds.windows(2).map(|w| &ops[w[0]..w[1]]);
-        let mut base = kb_store::KbBuilder::new();
-        for &op in chunks.next().unwrap_or(&[]) {
-            apply(&mut base, op);
-        }
-        let mut seg = kb_store::SegmentedSnapshot::from_base(base.freeze().into_shared());
-        for chunk in chunks {
-            let mut b = kb_store::KbBuilder::new();
-            for &op in chunk {
-                apply(&mut b, op);
-            }
-            seg = seg.with_delta(Arc::new(b.freeze_delta(&seg)));
-        }
-
-        let mut body: Vec<String> = patterns
-            .iter()
-            .map(|((sk, si), (pk, pi), (ok, oi))| {
-                format!(
-                    "{} {} {}",
-                    entity_term(*sk, *si),
-                    pred_term(*pk, *pi),
-                    entity_term(*ok, *oi)
-                )
-            })
-            .collect();
-        if union {
-            body.push("{ ?x r0 ?y } UNION { ?x r1 ?y }".to_string());
-        }
-        if let Some(((sk, si), (pk, pi), (ok, oi))) = optional {
-            body.push(format!(
-                "OPTIONAL {{ {} {} {} }}",
-                entity_term(sk, si),
-                pred_term(pk, pi),
-                entity_term(ok, oi)
-            ));
-        }
-        if let Some((v, op, e)) = filter {
-            let sym = ["=", "!=", "<", "<=", ">", ">="][op as usize % 6];
-            body.push(format!("FILTER(?{} {} e{})", VARS[v as usize % 4], sym, e));
-        }
-        let mut text = if aggregate {
-            format!(
-                "SELECT ?x COUNT(?y) AS ?n WHERE {{ {} }} GROUP BY ?x ORDER BY DESC(?n) ?x",
-                body.join(" . ")
-            )
-        } else {
-            format!("SELECT * WHERE {{ {} }}", body.join(" . "))
-        };
-        if let Some(n) = limit {
-            text.push_str(&format!(" LIMIT {n}"));
-        }
-
-        let parsed = match kb_query::parse(&text) {
-            Ok(q) => q,
-            // Aggregate shape may project a variable the body never
-            // binds; planning rejects it identically on both paths.
-            Err(_) => return Ok(()),
-        };
-        for view in [&mono as &dyn KbRead, &seg as &dyn KbRead] {
-            let stats = kb_query::StatsCatalog::build(view);
-            let plan = match kb_query::plan(&parsed, view, &stats) {
-                Ok(p) => p,
-                Err(_) => continue,
-            };
-            let (batch, trace) = kb_query::execute_traced(&plan, view);
-            let tuple = kb_query::execute_tuple(&plan, view);
-            prop_assert_eq!(
-                &batch, &tuple,
-                "batch/tuple divergence on {:?} (segmented: {})",
-                &text, !std::ptr::addr_eq(view, &mono)
-            );
-            prop_assert_eq!(plan.ops().len(), trace.op_rows.len());
+        let edited: String = chars.into_iter().collect();
+        if let Ok(query) = kb_query::parse(&edited) {
+            prop_assert_eq!(kb_query::parse(&query.to_string()), Ok(query), "{}", edited);
         }
     }
 
     /// Parser round-trip: `parse ∘ display` is the identity on the
     /// algebra, and the canonical display form is a fixpoint.
     #[test]
-    fn display_then_parse_is_identity(
-        patterns in prop::collection::vec(
-            ((0u8..6, 0u32..6), (1u8..3, 0u32..3), (0u8..6, 0u32..6), prop::option::of(1900i32..2030)),
-            1..4
-        ),
-        distinct in any::<bool>(),
-        project in prop::option::of(prop::collection::vec(0usize..4, 1..3)),
-        filter in prop::option::of((0u8..4, 0u8..6, 1900i32..2030)),
-        optional in prop::option::of(((0u8..6, 0u32..6), (1u8..3, 0u32..3), (0u8..6, 0u32..6))),
-        union in any::<bool>(),
-        limit in prop::option::of(0usize..50),
-        offset in prop::option::of(1usize..10),
-        order in prop::option::of((0usize..4, any::<bool>())),
-    ) {
-        let fmt_pattern = |(sk, si): (u8, u32), (pk, pi): (u8, u32), (ok, oi): (u8, u32), at: Option<i32>| {
-            let mut s = format!(
-                "{} {} {}",
-                entity_term(sk, si),
-                pred_term(pk, pi),
-                entity_term(ok, oi)
-            );
-            if let Some(year) = at {
-                s.push_str(&format!(" @{year}"));
-            }
-            s
-        };
-        let mut body: Vec<String> = patterns
-            .iter()
-            .map(|&(s, p, o, at)| fmt_pattern(s, p, o, at))
-            .collect();
-        if union {
-            body.push("{ ?x r0 ?y } UNION { ?x r1 ?y }".to_string());
-        }
-        if let Some((s, p, o)) = optional {
-            body.push(format!("OPTIONAL {{ {} }}", fmt_pattern(s, p, o, None)));
-        }
-        if let Some((v, op, year)) = filter {
-            let sym = ["<", "<=", ">", ">="][op as usize % 4];
-            body.push(format!("FILTER(?{} {} {})", VARS[v as usize % 4], sym, year));
-        }
-        let mut text = String::new();
-        if project.is_some() || distinct || limit.is_some() || offset.is_some() || order.is_some() {
-            text.push_str("SELECT ");
-            if distinct {
-                text.push_str("DISTINCT ");
-            }
-            match &project {
-                None => text.push('*'),
-                Some(vars) => {
-                    let items: Vec<String> =
-                        vars.iter().map(|&v| format!("?{}", VARS[v])).collect();
-                    text.push_str(&items.join(" "));
-                }
-            }
-            text.push_str(&format!(" WHERE {{ {} }}", body.join(" . ")));
-            if let Some((v, desc)) = order {
-                if desc {
-                    text.push_str(&format!(" ORDER BY DESC(?{})", VARS[v]));
-                } else {
-                    text.push_str(&format!(" ORDER BY ?{}", VARS[v]));
-                }
-            }
-            if let Some(n) = limit {
-                text.push_str(&format!(" LIMIT {n}"));
-            }
-            if let Some(n) = offset {
-                text.push_str(&format!(" OFFSET {n}"));
-            }
-        } else {
-            text.push_str(&body.join(" . "));
-        }
-
-        let q1 = kb_query::parse(&text).unwrap_or_else(|e| panic!("generated query failed to parse: {text:?}: {e}"));
+    fn display_then_parse_is_identity(text in query_texts()) {
+        let q1 = kb_query::parse(&text)
+            .unwrap_or_else(|e| panic!("generated query failed to parse: {text:?}: {e}"));
         let canonical = q1.to_string();
         let q2 = kb_query::parse(&canonical)
             .unwrap_or_else(|e| panic!("canonical form failed to re-parse: {canonical:?}: {e}"));
@@ -414,6 +151,40 @@ proptest! {
             kb_query::normalize(&variant).unwrap(),
             kb_query::normalize(&reference).unwrap()
         );
+    }
+}
+
+proptest! {
+    // The one suite that meets every construct; cases are cheap.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every construct of the language, over both storage shapes: on
+    /// random KBs (asserts and retractions, spanned and unspanned
+    /// facts) and random queries from [`query_texts`], the planned,
+    /// batch-executed answer over the monolithic snapshot and over a
+    /// segmented delta stack conforms to the reference evaluation —
+    /// the rule, windows and ORDER BY included, is
+    /// `kb_testkit::assert_conforms`. The trace stays aligned with the
+    /// plan's operator list.
+    #[test]
+    fn planned_execution_conforms_to_reference_on_both_storage_shapes(
+        // Four entities, so that most patterns match something.
+        ops in prop::collection::vec((0u8..5, 0u32..4, 0u32..3, 0u32..4), 4..40),
+        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
+        text in query_texts(),
+    ) {
+        let (mono, reference) = (builder_of(&ops).freeze(), reference_of(&ops));
+        let (_, _, seg) = segment_chain(&ops, &cut_positions(&ops, &cuts));
+        let parsed = kb_query::parse(&text)
+            .unwrap_or_else(|e| panic!("generated query failed to parse: {text:?}: {e}"));
+        for view in [&mono as &dyn KbRead, &seg as &dyn KbRead] {
+            let stats = kb_query::StatsCatalog::build(view);
+            let plan = kb_query::plan(&parsed, view, &stats)
+                .unwrap_or_else(|e| panic!("generated query failed to plan: {text:?}: {e}"));
+            let (out, trace) = kb_query::execute_traced(&plan, view);
+            assert_conforms(&parsed, &out, view, &reference);
+            prop_assert_eq!(plan.ops().len(), trace.op_rows.len());
+        }
     }
 }
 
@@ -457,5 +228,70 @@ fn optional_after_union_keeps_merge_range_correlated() {
         ],
         "rows: {:?}",
         out.rows
+    );
+}
+
+/// The queries `exec.rs`'s unit tests answer with hand-counted rows,
+/// each also checked in full against the reference (a lib's own unit
+/// tests cannot link a dev-dependency that depends on the lib).
+#[test]
+fn executor_unit_test_shapes_conform_to_reference() {
+    type Facts<'a> = &'a [(&'a str, &'a str, &'a str, Option<&'a str>)];
+    fn check(facts: Facts, queries: &[&str]) {
+        let mut b = KbBuilder::new();
+        let mut reference = RefKb::default();
+        for &(s, p, o, span) in facts {
+            let span = span.map(|text| TimeSpan::parse(text).unwrap());
+            let triple = Triple::new(b.intern(s), b.intern(p), b.intern(o));
+            b.add_fact(Fact { span, ..Fact::asserted(triple) });
+            reference.assert(s, p, o, span);
+        }
+        let snap = b.freeze();
+        for text in queries {
+            let out = kb_query::query(&snap, text).unwrap();
+            assert_conforms(&kb_query::parse(text).unwrap(), &out, &snap, &reference);
+        }
+    }
+    check(
+        &[
+            ("Steve_Jobs", "bornIn", "San_Francisco", None),
+            ("Steve_Wozniak", "bornIn", "San_Jose", None),
+            ("San_Francisco", "locatedIn", "California", None),
+            ("San_Jose", "locatedIn", "California", None),
+            ("Steve_Jobs", "founded", "Apple_Inc", None),
+            ("Steve_Jobs", "worksAt", "Apple_Inc", Some("[1976,1985]")),
+        ],
+        &[
+            "?p bornIn ?c . ?c locatedIn California",
+            "SELECT ?p ?co WHERE { ?p bornIn ?c OPTIONAL { ?p founded ?co } }",
+            "SELECT ?x WHERE { { ?x bornIn San_Francisco } UNION { ?x bornIn San_Jose } }",
+            "?a bornIn ?c . ?b bornIn ?c . FILTER(?a != ?b)",
+            "?p worksAt ?e @1980",
+            "?p worksAt ?e @1999",
+            "SELECT ?c COUNT(?p) AS ?n WHERE { ?p bornIn ?c } GROUP BY ?c ORDER BY DESC(?n) ?c",
+            "SELECT DISTINCT ?c WHERE { ?p bornIn ?c . ?c locatedIn ?st }",
+            "SELECT DISTINCT ?c WHERE { ?p bornIn ?c . ?c locatedIn ?st } \
+             ORDER BY ?c LIMIT 1 OFFSET 1",
+            "?p bornIn ?c . ?c locatedIn ?st . FILTER(?st = California)",
+            // Constant against constant: the same term, whether or not
+            // the dictionary has it (PR 13: `zzz = zzz` used to fail).
+            "?p bornIn ?c . FILTER(zzz = zzz)",
+            "?p bornIn ?c . FILTER(zzz != zzz)",
+            "?p bornIn ?c . FILTER(zzz != California)",
+            "?p bornIn ?c . FILTER(California = California)",
+            "?p bornIn ?c . FILTER(10 <= 10)",
+        ],
+    );
+    check(
+        &[
+            ("e1", "happenedIn", "1969", None),
+            ("e2", "happenedIn", "1991", None),
+            ("e3", "happenedIn", "2004", None),
+        ],
+        &["SELECT ?e WHERE { ?e happenedIn ?y . FILTER(?y < 2000) } ORDER BY ?e"],
+    );
+    check(
+        &[("a", "knows", "a", None), ("a", "knows", "b", None), ("b", "knows", "b", None)],
+        &["SELECT ?x WHERE { ?x knows ?x } ORDER BY ?x"],
     );
 }

@@ -67,12 +67,10 @@ pub mod fuse;
 pub mod fx;
 pub mod ids;
 pub mod labels;
-pub mod legacy;
 pub mod manifest;
 pub mod ntriples;
 pub mod partition;
 pub mod pattern;
-pub mod query;
 pub mod read;
 pub mod sameas;
 pub mod segmap;
@@ -94,12 +92,10 @@ pub use frames::{ColFrames, FrameCursor, FrameMeta, FRAME_ROWS};
 pub use fx::{FxHashMap, FxHashSet};
 pub use ids::{FactId, TermId};
 pub use labels::LabelStore;
-pub use legacy::LegacyKb;
 pub use manifest::Manifest;
 pub use ntriples::LoadReport;
 pub use partition::{partition_delta, partition_snapshot, subject_partition, PartitionedView};
 pub use pattern::TriplePattern;
-pub use query::{Bindings, Query};
 pub use read::{KbRead, KbReadBatch, PairBatch, PathJoinBatches, PathJoinIter};
 pub use sameas::SameAsStore;
 pub use segmap::MemoryBudget;

@@ -2,11 +2,15 @@
 
 use proptest::prelude::*;
 
+use std::collections::{BTreeSet, HashMap};
+
+use kb_store::pattern::IndexChoice;
 use kb_store::store::SourceId;
 use kb_store::{
-    Fact, KbBuilder, KbRead, KbShard, KnowledgeBase, LegacyKb, SameAsStore, TermId, TimePoint,
-    TimeSpan, Triple, TriplePattern,
+    Fact, KbBuilder, KbRead, KbShard, KnowledgeBase, SameAsStore, TermId, TimePoint, TimeSpan,
+    Triple, TriplePattern,
 };
+use kb_testkit::{RefKb, StrTriple};
 
 fn term_strategy() -> impl Strategy<Value = String> {
     // Mix of plain identifiers and nasty strings with escapes/unicode.
@@ -234,58 +238,20 @@ proptest! {
         let _ = kb_store::ntriples::from_str(&line);
     }
 
-    /// The conjunctive-query engine agrees with a brute-force join on
-    /// random small KBs and random two-pattern queries.
+    /// Differential test against the reference model
+    /// (`kb_testkit::RefKb`, which filters one ordered set of string
+    /// triples): after an arbitrary interleaving of adds (with
+    /// confidence/span), retracts and span updates, the snapshot engine
+    /// — both the lazily-frozen `KnowledgeBase` façade and an
+    /// explicitly `KbBuilder`-built `KbSnapshot` — holds the facts the
+    /// reference holds and answers every pattern shape, count,
+    /// time-travel query, path join, degree and neighborhood as it
+    /// does. What the reference cannot say, the test states directly:
+    /// results come in the order of the permutation index the pattern
+    /// chooses, and merged confidences are the noisy-or fold of the
+    /// adds, bit for bit.
     #[test]
-    fn query_engine_matches_brute_force(
-        triples in prop::collection::vec((0u32..6, 0u32..3, 0u32..6), 1..30),
-        p1 in 0u32..3, p2 in 0u32..3,
-    ) {
-        let mut kb = KnowledgeBase::new();
-        for &(s, p, o) in &triples {
-            kb.assert_str(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"));
-        }
-        let q = format!("?x r{p1} ?y . ?y r{p2} ?z");
-        let Ok(solutions) = kb_store::query::query(&kb, &q) else {
-            // r{p} may be absent from the dictionary: fine.
-            return Ok(());
-        };
-        // Brute force over the raw triple list.
-        let mut expected: Vec<(String, String, String)> = Vec::new();
-        for &(s1, r1, o1) in &triples {
-            if r1 != p1 { continue; }
-            for &(s2, r2, o2) in &triples {
-                if r2 != p2 || o1 != s2 { continue; }
-                let row = (format!("e{s1}"), format!("e{o1}"), format!("e{o2}"));
-                if !expected.contains(&row) {
-                    expected.push(row);
-                }
-            }
-        }
-        let mut got: Vec<(String, String, String)> = solutions
-            .iter()
-            .map(|b| {
-                (
-                    kb.resolve(b.get("x").unwrap()).unwrap().to_string(),
-                    kb.resolve(b.get("y").unwrap()).unwrap().to_string(),
-                    kb.resolve(b.get("z").unwrap()).unwrap().to_string(),
-                )
-            })
-            .collect();
-        got.sort();
-        expected.sort();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// Differential test against the legacy BTreeSet engine: after an
-    /// arbitrary interleaving of adds (with confidence/span), retracts
-    /// and span updates, the snapshot engine — both the lazily-frozen
-    /// `KnowledgeBase` façade and an explicitly `KbBuilder`-built
-    /// `KbSnapshot` — answers every pattern shape, count and
-    /// time-travel query identically to `LegacyKb`, *including result
-    /// order and bit-identical merged confidences*.
-    #[test]
-    fn snapshot_engine_matches_legacy_store(
+    fn snapshot_engine_matches_reference_model(
         ops in prop::collection::vec(
             (0u32..10, 0u32..4, 0u32..10, 0.05f64..=1.0, prop::option::of(1950i32..2030), 0u8..8),
             1..60
@@ -293,80 +259,148 @@ proptest! {
         qs in 0u32..10, qp in 0u32..4, qo in 0u32..10,
         probe_year in 1950i32..2030,
     ) {
-        let mut legacy = LegacyKb::new();
+        let mut reference = RefKb::default();
+        // Merged confidence of every triple ever added, folded in op
+        // order; zero while retracted.
+        let mut confidence: HashMap<Triple, f64> = HashMap::new();
         let mut facade = KnowledgeBase::new();
         let mut builder = KbBuilder::new();
         for &(s, p, o, conf, year, kind) in &ops {
             let (ss, ps, os) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
-            let tl = Triple::new(legacy.intern(&ss), legacy.intern(&ps), legacy.intern(&os));
             let tf = Triple::new(facade.intern(&ss), facade.intern(&ps), facade.intern(&os));
             let tb = Triple::new(builder.intern(&ss), builder.intern(&ps), builder.intern(&os));
-            prop_assert_eq!(tl, tf);
-            prop_assert_eq!(tl, tb);
+            prop_assert_eq!(tf, tb);
             match kind {
                 6 => {
-                    prop_assert_eq!(legacy.retract(tl), facade.retract(tf));
-                    builder.retract(tb);
+                    let was_live = reference.retract(&ss, &ps, &os);
+                    prop_assert_eq!(was_live, facade.retract(tf));
+                    prop_assert_eq!(was_live, builder.retract(tb));
+                    if was_live {
+                        confidence.insert(tf, 0.0);
+                    }
                 }
                 7 => {
                     let span = TimeSpan::at(TimePoint::year(year.unwrap_or(2000)));
-                    prop_assert_eq!(legacy.set_span(tl, span), facade.set_span(tf, span));
-                    builder.set_span(tb, span);
+                    let known = reference.set_span(&ss, &ps, &os, span);
+                    prop_assert_eq!(known, facade.set_span(tf, span));
+                    prop_assert_eq!(known, builder.set_span(tb, span));
                 }
                 _ => {
                     let span = year.map(|y| TimeSpan::at(TimePoint::year(y)));
                     let f = |t| Fact { triple: t, confidence: conf, source: SourceId::DEFAULT, span };
-                    legacy.add_fact(f(tl));
+                    reference.assert(&ss, &ps, &os, span);
+                    confidence
+                        .entry(tf)
+                        .and_modify(|c| *c = 1.0 - (1.0 - *c) * (1.0 - conf))
+                        .or_insert(conf);
                     facade.add_fact(f(tf));
                     builder.add_fact(f(tb));
                     // Interleave reads so the façade's cached indexes
                     // get exercised across invalidations.
-                    prop_assert_eq!(legacy.len(), facade.len());
+                    prop_assert_eq!(reference.facts().count(), facade.len());
                 }
             }
         }
+        // The probe terms, by name; interned so a pattern can name a
+        // term no fact uses.
+        let names = [format!("e{qs}"), format!("r{qp}"), format!("e{qo}"), "r0".into(), "r1".into()];
+        let ids: Vec<TermId> = names.iter().map(|n| builder.intern(n)).collect();
+        prop_assert_eq!(&ids, &names.iter().map(|n| facade.intern(n)).collect::<Vec<_>>());
         let snapshot = builder.freeze();
-        prop_assert_eq!(legacy.len(), facade.len());
-        prop_assert_eq!(legacy.len(), snapshot.len());
-        // Full scans agree in SPO order with bit-identical confidence.
+        let name = |id: TermId| snapshot.resolve(id).unwrap().to_string();
+        let named = |t: &Triple| (name(t.s), name(t.p), name(t.o));
+        prop_assert_eq!(reference.facts().count(), facade.len());
+        prop_assert_eq!(reference.facts().count(), snapshot.len());
+
+        // Full scans: façade and snapshot agree fact for fact, in SPO
+        // order; the facts are the reference's, spans included; the
+        // confidences are the fold above.
         let dump = |facts: Vec<&Fact>| -> Vec<(Triple, u64, Option<TimeSpan>)> {
             facts.into_iter().map(|f| (f.triple, f.confidence.to_bits(), f.span)).collect()
         };
-        let legacy_all = dump(legacy.iter().collect());
-        prop_assert_eq!(&legacy_all, &dump(facade.iter().collect()));
-        prop_assert_eq!(&legacy_all, &dump(snapshot.iter().collect()));
-        // Every binding shape agrees, including result order.
-        let (s, p, o) = (TermId(qs), TermId(qp + 16), TermId(qo));
-        let shapes = [
-            TriplePattern::any(),
-            TriplePattern::with_s(s),
-            TriplePattern::with_p(p),
-            TriplePattern::with_o(o),
-            TriplePattern::with_sp(s, p),
-            TriplePattern::with_po(p, o),
-            TriplePattern::with_so(s, o),
-            TriplePattern::exact(Triple::new(s, p, o)),
-        ];
+        let all = dump(snapshot.iter().collect());
+        prop_assert_eq!(&all, &dump(facade.iter().collect()));
+        prop_assert!(all.windows(2).all(|w| w[0].0.spo_key() < w[1].0.spo_key()));
+        let mut got: Vec<(StrTriple, Option<TimeSpan>)> =
+            all.iter().map(|(t, _, span)| (named(t), *span)).collect();
+        got.sort_by(|a, b| a.0.cmp(&b.0));
+        let want: Vec<(StrTriple, Option<TimeSpan>)> =
+            reference.facts().map(|(t, span)| (t.clone(), span)).collect();
+        prop_assert_eq!(got, want);
+        for (t, bits, _) in &all {
+            prop_assert_eq!(*bits, confidence[t].to_bits(), "confidence of {:?}", named(t));
+        }
+
+        // Every binding shape: the reference's triples, in the order of
+        // the permutation index the pattern chooses.
+        let (s, p, o) = (ids[0], ids[1], ids[2]);
+        let index_key = |pat: &TriplePattern, t: &Triple| match pat.choose_index() {
+            IndexChoice::Spo => t.spo_key(),
+            IndexChoice::Pos => t.pos_key(),
+            IndexChoice::Osp => t.osp_key(),
+        };
+        let in_index_order = |pat: &TriplePattern, triples: &[Triple]| {
+            triples.windows(2).all(|w| index_key(pat, &w[0]) < index_key(pat, &w[1]))
+        };
+        let sorted_names = |triples: &[Triple]| {
+            let mut rows: Vec<StrTriple> = triples.iter().map(named).collect();
+            rows.sort();
+            rows
+        };
         let point = TimePoint::year(probe_year);
-        for pat in &shapes {
-            let expect = legacy.matching_triples(pat);
-            prop_assert_eq!(&expect, &facade.matching_triples(pat));
-            prop_assert_eq!(&expect, &snapshot.matching_triples(pat));
-            prop_assert_eq!(legacy.count_matching(pat), facade.count_matching(pat));
-            prop_assert_eq!(legacy.count_matching(pat), snapshot.count_matching(pat));
-            let at = dump(legacy.matching_at(pat, &point));
-            prop_assert_eq!(&at, &dump(facade.matching_at(pat, &point)));
-            prop_assert_eq!(&at, &dump(snapshot.matching_at(pat, &point)));
+        for mask in 0u8..8 {
+            let pick = |bit: u8, id: TermId| (mask & bit != 0).then_some(id);
+            let pat = TriplePattern { s: pick(1, s), p: pick(2, p), o: pick(4, o) };
+            let rpat =
+                [pat.s.map(|_| &*names[0]), pat.p.map(|_| &*names[1]), pat.o.map(|_| &*names[2])];
+
+            let triples = snapshot.matching_triples(&pat);
+            prop_assert_eq!(&triples, &facade.matching_triples(&pat));
+            prop_assert!(in_index_order(&pat, &triples), "order under {:?}", pat);
+            let want: Vec<StrTriple> = reference.matching(rpat).into_iter().cloned().collect();
+            prop_assert_eq!(sorted_names(&triples), want.clone(), "pattern {:?}", pat);
+            prop_assert_eq!(want.len(), facade.count_matching(&pat));
+            prop_assert_eq!(want.len(), snapshot.count_matching(&pat));
+
+            // Time travel returns facts of the full scan (so their
+            // spans and confidences are checked above), the ones the
+            // reference admits, in the same index order.
+            let at = dump(snapshot.matching_at(&pat, &point));
+            prop_assert_eq!(&at, &dump(facade.matching_at(&pat, &point)));
+            prop_assert!(at.iter().all(|fact| all.contains(fact)));
+            let at: Vec<Triple> = at.into_iter().map(|(t, _, _)| t).collect();
+            prop_assert!(in_index_order(&pat, &at), "time-travel order under {:?}", pat);
+            let want: Vec<StrTriple> =
+                reference.matching_at(rpat, &point).into_iter().cloned().collect();
+            prop_assert_eq!(sorted_names(&at), want, "pattern {:?} at {}", pat, probe_year);
         }
-        // Streaming joins and scans preserve the legacy output order.
-        for (p1, p2) in [(TermId(16), TermId(17)), (p, TermId(16))] {
-            let expect = legacy.path_join(p1, p2);
-            prop_assert_eq!(&expect, &facade.path_join(p1, p2));
-            prop_assert_eq!(&expect, &snapshot.path_join_iter(p1, p2).collect::<Vec<_>>());
+
+        // Path joins stream the outer POS scan, and per outer fact the
+        // inner SPO scan, in the order those scans have; the pairs are
+        // the reference's.
+        for (i1, i2) in [(3, 4), (1, 3)] {
+            let (p1, p2) = (ids[i1], ids[i2]);
+            let mut in_scan_order = Vec::new();
+            for t1 in snapshot.matching_triples(&TriplePattern::with_p(p1)) {
+                for t2 in snapshot.matching_triples(&TriplePattern::with_sp(t1.o, p2)) {
+                    in_scan_order.push((t1.s, t2.o));
+                }
+            }
+            prop_assert_eq!(&in_scan_order, &facade.path_join(p1, p2));
+            prop_assert_eq!(&in_scan_order, &snapshot.path_join_iter(p1, p2).collect::<Vec<_>>());
+            let mut got: Vec<(String, String)> =
+                in_scan_order.iter().map(|&(x, y)| (name(x), name(y))).collect();
+            got.sort();
+            let mut want = reference.path_join(&names[i1], &names[i2]);
+            want.sort();
+            prop_assert_eq!(got, want);
         }
-        for t in [s, o] {
-            prop_assert_eq!(legacy.degree(t), snapshot.degree(t));
-            prop_assert_eq!(legacy.neighbors(t), snapshot.neighbors(t));
+        for (t, text) in [(s, &names[0]), (o, &names[2])] {
+            prop_assert_eq!(reference.degree(text), snapshot.degree(t));
+            let neighbors = snapshot.neighbors(t);
+            prop_assert!(neighbors.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
+            let got: BTreeSet<String> = neighbors.into_iter().map(name).collect();
+            prop_assert_eq!(got, reference.neighbors(text));
         }
     }
 

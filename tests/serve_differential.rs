@@ -13,80 +13,17 @@ use proptest::prelude::*;
 use kbkit::kb_obs::Registry;
 use kbkit::kb_query::QueryService;
 use kbkit::kb_serve::{AdmissionConfig, KbRouter};
-use kbkit::kb_store::{KbBuilder, SegmentedSnapshot};
 
-const VARS: [&str; 4] = ["x", "y", "z", "w"];
-
-/// Decodes one pattern component: kinds 0..4 pick a shared variable,
-/// anything else a constant entity.
-fn entity_term(kind: u8, idx: u32) -> String {
-    if kind < 4 {
-        format!("?{}", VARS[kind as usize])
-    } else {
-        format!("e{}", idx % 6)
-    }
-}
-
-/// Predicate position: kind 0 is a variable, else a constant relation.
-fn pred_term(kind: u8, idx: u32) -> String {
-    if kind == 0 {
-        "?r".to_string()
-    } else {
-        format!("r{}", idx % 3)
-    }
-}
-
-/// kind 0 retracts (a tombstone when it crosses a segment boundary),
-/// anything else asserts.
-fn apply(b: &mut KbBuilder, (kind, s, p, o): (u8, u32, u32, u32)) {
-    let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
-    if kind == 0 {
-        b.retract_str(&es, &rp, &eo);
-    } else {
-        b.assert_str(&es, &rp, &eo);
-    }
-}
-
-/// Builds the monolithic segment chain: chunk 0 as the base, each later
-/// chunk frozen as a delta against the growing view. Returns the final
-/// view plus the pieces the router needs to replay the same history.
-fn build_chain(
-    ops: &[(u8, u32, u32, u32)],
-    cuts: &[prop::sample::Index],
-) -> (SegmentedSnapshot, Arc<kbkit::kb_store::KbSnapshot>, Vec<Arc<kbkit::kb_store::DeltaSegment>>)
-{
-    let mut bounds: Vec<usize> = cuts.iter().map(|c| c.index(ops.len() + 1)).collect();
-    bounds.push(0);
-    bounds.push(ops.len());
-    bounds.sort_unstable();
-    bounds.dedup();
-    let mut chunks = bounds.windows(2).map(|w| &ops[w[0]..w[1]]);
-
-    let mut base_b = KbBuilder::new();
-    for &op in chunks.next().unwrap_or(&[]) {
-        apply(&mut base_b, op);
-    }
-    let base = base_b.freeze().into_shared();
-    let mut view = SegmentedSnapshot::from_base(Arc::clone(&base));
-    let mut deltas = Vec::new();
-    for chunk in chunks {
-        let mut b = KbBuilder::new();
-        for &op in chunk {
-            apply(&mut b, op);
-        }
-        let delta = Arc::new(b.freeze_delta(&view));
-        view = view.with_delta(Arc::clone(&delta));
-        deltas.push(delta);
-    }
-    (view, base, deltas)
-}
+// The KB and query generators `kb-query`'s differential suite uses.
+#[path = "../crates/query/tests/common/mod.rs"]
+mod common;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Partitioned ≡ monolithic: for every partition count 1–4, the
-    /// router's answer to a random SELECT (conjunctions, OPTIONAL,
-    /// UNION, FILTER, aggregates, modifiers) over a randomly
+    /// router's answer to a random query (every construct of the
+    /// language, see `common::query_texts`) over a randomly
     /// delta-segmented KB renders byte-identically to a single
     /// `QueryService` over the same chain — including a guaranteed
     /// subject-bound probe so both routing paths are always exercised.
@@ -94,59 +31,12 @@ proptest! {
     fn partitioned_router_matches_monolithic_service(
         ops in prop::collection::vec((0u8..5, 0u32..6, 0u32..3, 0u32..6), 1..40),
         cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
-        patterns in prop::collection::vec(
-            ((0u8..6, 0u32..6), (0u8..3, 0u32..3), (0u8..6, 0u32..6)),
-            1..4
-        ),
-        optional in prop::option::of(((0u8..6, 0u32..6), (1u8..3, 0u32..3), (0u8..6, 0u32..6))),
-        union in any::<bool>(),
-        filter in prop::option::of((0u8..4, 0u8..6, 0u32..6)),
-        aggregate in any::<bool>(),
-        distinct in any::<bool>(),
-        limit in prop::option::of(0usize..20),
+        text in common::query_texts(),
         probe in (0u32..6, 0u32..3),
     ) {
-        let (view, base, deltas) = build_chain(&ops, &cuts);
+        let (base, deltas, view) =
+            common::segment_chain(&ops, &common::cut_positions(&ops, &cuts));
 
-        let mut body: Vec<String> = patterns
-            .iter()
-            .map(|((sk, si), (pk, pi), (ok, oi))| {
-                format!(
-                    "{} {} {}",
-                    entity_term(*sk, *si),
-                    pred_term(*pk, *pi),
-                    entity_term(*ok, *oi)
-                )
-            })
-            .collect();
-        if union {
-            body.push("{ ?x r0 ?y } UNION { ?x r1 ?y }".to_string());
-        }
-        if let Some(((sk, si), (pk, pi), (ok, oi))) = optional {
-            body.push(format!(
-                "OPTIONAL {{ {} {} {} }}",
-                entity_term(sk, si),
-                pred_term(pk, pi),
-                entity_term(ok, oi)
-            ));
-        }
-        if let Some((v, op, e)) = filter {
-            let sym = ["=", "!=", "<", "<=", ">", ">="][op as usize % 6];
-            body.push(format!("FILTER(?{} {} e{})", VARS[v as usize % 4], sym, e));
-        }
-        let mut text = if aggregate {
-            format!(
-                "SELECT ?x COUNT(?y) AS ?n WHERE {{ {} }} GROUP BY ?x ORDER BY DESC(?n) ?x",
-                body.join(" . ")
-            )
-        } else if distinct {
-            format!("SELECT DISTINCT * WHERE {{ {} }}", body.join(" . "))
-        } else {
-            format!("SELECT * WHERE {{ {} }}", body.join(" . "))
-        };
-        if let Some(n) = limit {
-            text.push_str(&format!(" LIMIT {n}"));
-        }
         // Always-subject-bound probe: single constant-subject pattern.
         let (ps, pp) = probe;
         let probe_text = format!("e{ps} r{pp} ?x . e{ps} ?r ?y");
