@@ -84,11 +84,11 @@ pub fn tracked_by_query<'a, 'kb, K: KbRead + ?Sized>(
 mod tests {
     use super::*;
     use kb_ned::Ned;
-    use kb_store::KnowledgeBase;
+    use kb_store::KbBuilder;
 
     #[test]
     fn parallel_equals_serial() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let strato = kb.intern("Strato_3");
         let en = kb.labels.lang("en");
         kb.labels.add(strato, en, "Strato 3");
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn tracked_by_query_selects_entities() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         kb.assert_str("Alan", "worksAt", "Acme");
         kb.assert_str("Bea", "worksAt", "Acme");
         kb.assert_str("Cyr", "worksAt", "Globex");
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn single_worker_short_circuits() {
-        let kb = KnowledgeBase::new();
+        let kb = KbBuilder::new();
         let mut ned = Ned::new(&kb);
         ned.finalize();
         let tracker = Tracker::new(&ned, vec![]);

@@ -102,7 +102,7 @@ mod tests {
     use super::*;
     use crate::stream::sliding_windows;
     use kb_ned::Ned;
-    use kb_store::KnowledgeBase;
+    use kb_store::KbBuilder;
     use std::sync::Arc;
 
     #[test]
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn window_counts_follow_the_half_open_convention() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let strato = kb.intern("Strato_3");
         let en = kb.labels.lang("en");
         kb.labels.add(strato, en, "Strato 3");

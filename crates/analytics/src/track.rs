@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use kb_ned::{detect_mentions, Ned, Strategy};
-use kb_store::{KbRead, KnowledgeBase, TermId};
+use kb_store::{KbRead, TermId};
 
 use crate::aggregate::TimeSeries;
 use crate::sentiment::polarity;
@@ -12,9 +12,9 @@ use crate::stream::StreamPost;
 
 /// Tracks a fixed set of entities through a stream.
 ///
-/// Generic over the KB view (`K`): the live [`KnowledgeBase`] façade or
-/// an immutable snapshot — anything implementing [`KbRead`].
-pub struct Tracker<'a, 'kb, K: ?Sized = KnowledgeBase> {
+/// Generic over the KB view (`K`): the live [`KbBuilder`](kb_store::KbBuilder)
+/// or an immutable snapshot — anything implementing [`KbRead`].
+pub struct Tracker<'a, 'kb, K: ?Sized> {
     /// The NED engine used for mention resolution.
     pub ned: &'a Ned<'kb, K>,
     /// The entities being tracked.
@@ -100,9 +100,10 @@ impl<'a, 'kb, K: KbRead + ?Sized> Tracker<'a, 'kb, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kb_store::KbBuilder;
 
-    fn setup() -> (KnowledgeBase, TermId, TermId) {
-        let mut kb = KnowledgeBase::new();
+    fn setup() -> (KbBuilder, TermId, TermId) {
+        let mut kb = KbBuilder::new();
         let strato = kb.intern("Strato_3");
         let nova = kb.intern("Nova_2");
         let acme = kb.intern("AcmeCo");

@@ -35,7 +35,7 @@ fn bench_join_order(c: &mut Criterion) {
 fn bench_plan_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_cache");
     let kb = synthetic_kb_skewed(40_000, 7);
-    let snap = kb.into_snapshot().into_shared();
+    let snap = kb.freeze().into_shared();
     let stats = Arc::new(StatsCatalog::build(snap.as_ref()));
     let text = "SELECT ?x ?y WHERE { ?y rel_rare ?z . ?x rel_big ?y } LIMIT 10";
     group.bench_function("cold_parse_plan", |b| {
@@ -57,7 +57,7 @@ fn bench_plan_cache(c: &mut Criterion) {
 fn bench_serving(c: &mut Criterion) {
     let mut group = c.benchmark_group("serving");
     let kb = synthetic_kb_skewed(40_000, 7);
-    let snap = kb.into_snapshot().into_shared();
+    let snap = kb.freeze().into_shared();
     let queries = serving_workload(256);
     let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
     for &workers in &[1usize, 2, 4, 8] {

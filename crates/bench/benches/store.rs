@@ -1,12 +1,12 @@
 //! Criterion benches for the triple store (experiment F4's precise
 //! timing counterpart): insertion, point lookup, pattern scan, path
 //! join, and serialization at two KB sizes — plus the frozen snapshot
-//! engine's read primitives, and sharded-builder ingest against the
-//! mutable façade.
+//! engine's read primitives, and sharded-builder ingest against a
+//! single builder.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kb_bench::exp_kb::synthetic_kb;
-use kb_store::{KbBuilder, KbRead, KbShard, KnowledgeBase, TriplePattern};
+use kb_store::{KbBuilder, KbRead, KbShard, TriplePattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -99,7 +99,7 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ingest cost: mutable façade vs builder-freeze vs sharded builders
+/// Ingest cost: builder alone vs builder-freeze vs sharded builders
 /// merged at a barrier.
 fn bench_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("ingest");
@@ -117,9 +117,9 @@ fn bench_ingest(c: &mut Criterion) {
             })
             .collect()
     };
-    group.bench_function("facade_10k", |b| {
+    group.bench_function("builder_10k", |b| {
         b.iter(|| {
-            let mut kb = KnowledgeBase::new();
+            let mut kb = KbBuilder::new();
             for (s, p, o) in &rows {
                 kb.assert_str(s, p, o);
             }

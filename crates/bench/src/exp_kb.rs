@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use kb_corpus::Corpus;
 use kb_harvest::pipeline::Method;
-use kb_store::{KbRead, KnowledgeBase, TriplePattern};
+use kb_store::{KbBuilder, KbRead, TriplePattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,8 +46,8 @@ pub fn t1(corpus: &Corpus) -> String {
 }
 
 /// Builds a synthetic KB with `n` random triples for scaling runs.
-pub fn synthetic_kb(n: usize, seed: u64) -> KnowledgeBase {
-    let mut kb = KnowledgeBase::new();
+pub fn synthetic_kb(n: usize, seed: u64) -> KbBuilder {
+    let mut kb = KbBuilder::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let n_entities = (n / 4).max(16);
     let n_rels = 32.min(n_entities);

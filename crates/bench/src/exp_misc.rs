@@ -4,7 +4,7 @@ use kb_corpus::lexicon::CONCEPTS;
 use kb_corpus::{Corpus, Doc};
 use kb_harvest::commonsense::{mine_commonsense, property_precision_at_k, CommonsenseConfig};
 use kb_harvest::multilingual::{harvest_labels, links_from_world, MultilingualConfig};
-use kb_store::{KbRead, KnowledgeBase};
+use kb_store::{KbBuilder, KbRead};
 
 use crate::table::{f3, Table};
 
@@ -63,7 +63,7 @@ pub fn run_t9(corpus: &Corpus) -> Vec<MultilingualRow> {
     [false, true]
         .into_iter()
         .map(|filtered| {
-            let mut kb = KnowledgeBase::new();
+            let mut kb = KbBuilder::new();
             let stats = harvest_labels(&mut kb, &noisy, &MultilingualConfig::default(), filtered);
             let mut correct = 0usize;
             for (term, lang, label) in kb.labels.iter() {

@@ -6,7 +6,7 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use kb_query::{execute, parse, plan, QueryService, StatsCatalog};
-use kb_store::KnowledgeBase;
+use kb_store::KbBuilder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -16,8 +16,8 @@ use crate::table::Table;
 /// regime where join order matters. Roughly 80% of facts use
 /// `rel_big`, ~12% `rel_mid`, ~8% `rel_mid2`, plus a tiny `rel_rare`
 /// (about `n / 2000` facts, at least 8).
-pub fn synthetic_kb_skewed(n: usize, seed: u64) -> KnowledgeBase {
-    let mut kb = KnowledgeBase::new();
+pub fn synthetic_kb_skewed(n: usize, seed: u64) -> KbBuilder {
+    let mut kb = KbBuilder::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let n_entities = (n / 4).max(32);
     let entities: Vec<_> = (0..n_entities).map(|i| kb.intern(&format!("entity_{i}"))).collect();
@@ -131,7 +131,7 @@ pub fn f8() -> String {
 /// so workers keep doing real execution work.
 pub fn t13() -> String {
     let kb = synthetic_kb_skewed(40_000, 7);
-    let snap = kb.into_snapshot().into_shared();
+    let snap = kb.freeze().into_shared();
 
     // (a) cache-path latencies for one multi-join query.
     let text = "?y rel_rare ?z . ?x rel_big ?y";
@@ -218,7 +218,7 @@ pub fn t14() -> String {
     // scale) — long enough for every burst thread to probe-miss before
     // the first finisher populates the cache.
     let kb = synthetic_kb_skewed(150_000, 7);
-    let snap = kb.into_snapshot().into_shared();
+    let snap = kb.freeze().into_shared();
     let text = "?a rel_mid ?c . ?b rel_mid2 ?c";
     let mut t = Table::new(&[
         "threads",
@@ -295,7 +295,7 @@ mod tests {
     fn t14_single_flight_burst_is_deduped() {
         // Smoke-scale: one 4-thread burst on a small KB.
         let kb = synthetic_kb_skewed(2_000, 3);
-        let snap = kb.into_snapshot().into_shared();
+        let snap = kb.freeze().into_shared();
         let text = "?a rel_mid ?c . ?b rel_mid2 ?c";
         let (stats, _) = cold_burst(&snap, text, 4);
         assert_eq!((stats.result_misses, stats.plan_misses), (1, 1));
@@ -306,7 +306,7 @@ mod tests {
     fn t13_renders() {
         // Smoke-scale version of the serving table.
         let kb = synthetic_kb_skewed(2_000, 3);
-        let snap = kb.into_snapshot().into_shared();
+        let snap = kb.freeze().into_shared();
         let svc = QueryService::new(snap);
         let queries: Vec<String> = (0..8).map(|i| format!("?x rel_big entity_{i}")).collect();
         let refs: Vec<&str> = queries.iter().map(String::as_str).collect();

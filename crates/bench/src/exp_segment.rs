@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use kb_obs::Registry;
 use kb_query::{QueryService, StatsCatalog};
-use kb_store::{KbBuilder, KnowledgeBase};
+use kb_store::KbBuilder;
 
 use crate::exp_query::synthetic_kb_skewed;
 use crate::table::Table;
@@ -29,7 +29,7 @@ fn mean_ms(iters: usize, mut f: impl FnMut()) -> f64 {
 /// permutation, rebuild the stats catalog, install the new generation.
 /// Fact re-accumulation into a builder is *excluded*, which favors the
 /// rebuild side — the reported speedup is a lower bound.
-fn full_rebuild_ms(kb_full: &KnowledgeBase, iters: usize) -> f64 {
+fn full_rebuild_ms(kb_full: &KbBuilder, iters: usize) -> f64 {
     let svc = QueryService::with_instrumentation(
         kb_full.snapshot().into_shared(),
         kb_query::DEFAULT_CACHE_CAPACITY,

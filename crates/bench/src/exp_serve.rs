@@ -25,7 +25,7 @@ const BURST: f64 = 32.0;
 const SIM_SECS: u64 = 5;
 
 pub fn t18() -> String {
-    let snap = synthetic_kb_skewed(100_000, 7).into_snapshot().into_shared();
+    let snap = synthetic_kb_skewed(100_000, 7).freeze().into_shared();
     let mut t = Table::new(&[
         "partitions",
         "offered rps",

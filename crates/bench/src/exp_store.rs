@@ -157,7 +157,7 @@ pub fn t16(corpus: &Corpus) -> String {
     // only exists when a dump was written, and is still slower.
     let t0 = Instant::now();
     let reloaded = ntriples::from_str(&dump100).expect("parse dump");
-    let resnap = reloaded.into_snapshot();
+    let resnap = reloaded.freeze();
     let tsv_ms = t0.elapsed().as_secs_f64() * 1e3;
     assert_eq!(resnap.len(), facts100);
     t.row(vec![

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use kb_query::{canonical_output, execute, QueryService};
-use kb_store::{KbBuilder, KnowledgeBase};
+use kb_store::KbBuilder;
 
 use crate::table::Table;
 
@@ -35,8 +35,8 @@ pub type PlantedPost = [(String, String, String); 2];
 /// day in a 90-day horizon — two facts per post, so `2 * posts + 10`
 /// facts total. Returns the KB alongside the per-post triples so the
 /// streaming phase can retract old posts.
-pub fn rival_kb(posts: usize) -> (KnowledgeBase, Vec<PlantedPost>) {
-    let mut kb = KnowledgeBase::new();
+pub fn rival_kb(posts: usize) -> (KbBuilder, Vec<PlantedPost>) {
+    let mut kb = KbBuilder::new();
     let products: Vec<String> = (0..5)
         .map(|k| format!("Strato_{k}"))
         .chain((0..5).map(|k| format!("Nimbus_{k}")))

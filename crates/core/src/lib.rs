@@ -30,7 +30,7 @@
 //!   PCA confidence, plus rule-based KB completion.
 //! * **The pipeline** ([`pipeline`]): a multi-threaded end-to-end run
 //!   over a document collection producing a populated
-//!   [`kb_store::KnowledgeBase`].
+//!   [`kb_store::KbBuilder`].
 //! * **Resilience** ([`resilience`]): poison-document quarantine with a
 //!   dead-letter queue, deterministic retry/backoff, stage budgets and
 //!   the refinement degradation ladder — web-scale noise must not kill

@@ -9,7 +9,7 @@
 //! name-consistency checks used when fusing multilingual sources.
 
 use kb_nlp::similarity::jaro_winkler;
-use kb_store::KnowledgeBase;
+use kb_store::KbBuilder;
 
 /// One interlanguage link: an entity's purported label in a language.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +70,7 @@ pub struct MultilingualStats {
 /// `filter` is false every link is accepted (the unfiltered baseline of
 /// experiment T9).
 pub fn harvest_labels(
-    kb: &mut KnowledgeBase,
+    kb: &mut KbBuilder,
     links: &[LangLink],
     cfg: &MultilingualConfig,
     filter: bool,
@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn harvest_with_filter_rejects_noise() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let links = vec![
             link("Lundholm", "de", "Lundholmhaus", "Lundholm"),
             link("Lundholm", "de", "Wrongville", "Lundholm"),
@@ -168,7 +168,7 @@ mod tests {
 
     #[test]
     fn harvest_without_filter_accepts_everything() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let links = vec![
             link("Lundholm", "de", "Lundholmhaus", "Lundholm"),
             link("Lundholm", "de", "Wrongville", "Lundholm"),
@@ -208,7 +208,7 @@ mod tests {
         let gold: std::collections::HashSet<(String, String, String)> =
             links_from_world(&world, 0).into_iter().map(|l| (l.entity, l.lang, l.label)).collect();
         let accuracy = |filtered: bool| {
-            let mut kb = KnowledgeBase::new();
+            let mut kb = KbBuilder::new();
             harvest_labels(&mut kb, &noisy, &MultilingualConfig::default(), filtered);
             let mut correct = 0usize;
             let mut total = 0usize;

@@ -22,7 +22,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use kb_corpus::{gold, Corpus, Doc};
-use kb_store::{Fact, KbShard, KnowledgeBase, SourceId, TimeSpan, Triple};
+use kb_store::{Fact, KbBuilder, KbShard, SourceId, TimeSpan, Triple};
 
 use crate::factorgraph::{self, GibbsConfig};
 use crate::facts::distant::{self, FactKey, TrainConfig};
@@ -137,7 +137,7 @@ impl PipelineStats {
 #[derive(Debug)]
 pub struct HarvestOutput {
     /// The populated knowledge base.
-    pub kb: KnowledgeBase,
+    pub kb: KbBuilder,
     /// All scored candidates after the configured refinement.
     pub candidates: Vec<CandidateFact>,
     /// The accepted subset (confidence ≥ threshold, reasoner-approved).
@@ -448,9 +448,9 @@ const MIN_FACTS_PER_SHARD: usize = 64;
 /// at a barrier in chunk order. The merge is bit-identical to a serial
 /// ingest — same dictionary ids, same noisy-or confidence combination —
 /// because each shard interns subject, relation, object in candidate
-/// order and [`KnowledgeBase::merge_shards`] replays shards in order.
+/// order and [`KbBuilder::merge_shards`] replays shards in order.
 fn ingest_accepted(
-    kb: &mut KnowledgeBase,
+    kb: &mut KbBuilder,
     accepted: &[CandidateFact],
     src: SourceId,
     workers: usize,
@@ -598,7 +598,7 @@ pub fn harvest(corpus: &Corpus, cfg: &HarvestConfig) -> Result<HarvestOutput, Pi
 
         // ---- Phase 5: load KB (sharded ingest + merge barrier) ------
         let load_span = obs.span("harvest.phase.load_us");
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let src = kb.register_source("harvest");
         induce::load_into_kb(&mut kb, &instances, &subclass_edges, "taxonomy")?;
         ingest_accepted(&mut kb, &accepted, src, cfg.workers)?;
@@ -678,7 +678,7 @@ pub struct BatchOutcome {
 /// KB. [`harvest_batch`](Self::harvest_batch) then processes a batch
 /// with the frozen models: resilient collection → extraction →
 /// statistical type scoring → threshold, loading the survivors into a
-/// throwaway [`KbBuilder`](kb_store::KbBuilder) that freezes as a
+/// throwaway [`KbBuilder`] that freezes as a
 /// delta against the currently-served view. Batches use the
 /// statistical refinement rung (not the global reasoner, whose
 /// consistency constraints need the whole fact set) so per-batch
@@ -875,7 +875,7 @@ mod tests {
             })
             .collect();
         let build = |workers: usize| {
-            let mut kb = KnowledgeBase::new();
+            let mut kb = KbBuilder::new();
             let src = kb.register_source("harvest");
             ingest_accepted(&mut kb, &candidates, src, workers).expect("ingest");
             kb

@@ -17,10 +17,10 @@
 //! makes mining on incomplete KBs meaningful).
 //!
 //! ```
-//! use kb_store::KnowledgeBase;
+//! use kb_store::KbBuilder;
 //! use kb_harvest::rules::{mine_rules, RuleConfig, RuleShape};
 //!
-//! let mut kb = KnowledgeBase::new();
+//! let mut kb = KbBuilder::new();
 //! for i in 0..6 {
 //!     let (a, b) = (format!("P{i}"), format!("Q{i}"));
 //!     kb.assert_str(&a, "marriedTo", &b);
@@ -317,12 +317,12 @@ pub fn apply_rules<K: KbRead + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kb_store::KnowledgeBase;
+    use kb_store::KbBuilder;
 
     /// A KB where capitalOf ⊑ locatedIn, marriedTo is symmetric, and
     /// bornIn ∘ locatedIn = citizenOf.
-    fn sample() -> KnowledgeBase {
-        let mut kb = KnowledgeBase::new();
+    fn sample() -> KbBuilder {
+        let mut kb = KbBuilder::new();
         let cities = ["C1", "C2", "C3", "C4", "C5", "C6"];
         let countries = ["N1", "N2", "N3"];
         for (i, city) in cities.iter().enumerate() {
@@ -416,7 +416,7 @@ mod tests {
     fn pca_confidence_ignores_unknown_subjects() {
         // Half the capital facts' locatedIn counterpart is "missing":
         // PCA confidence should stay high while std confidence drops.
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         for i in 0..10 {
             let city = format!("C{i}");
             kb.assert_str(&city, "capitalOf", "N");
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn empty_kb_mines_nothing() {
-        let kb = KnowledgeBase::new();
+        let kb = KbBuilder::new();
         assert!(mine_rules(&kb, &RuleConfig::default()).is_empty());
     }
 }

@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use kb_store::{KnowledgeBase, StoreError};
+use kb_store::{KbBuilder, StoreError};
 
 use super::InstanceAssertion;
 
@@ -98,7 +98,7 @@ pub fn induce_subclasses(
 /// Cycle-rejected edges are skipped (returned count reflects applied
 /// edges).
 pub fn load_into_kb(
-    kb: &mut KnowledgeBase,
+    kb: &mut KbBuilder,
     instances: &[MergedInstance],
     subclass_edges: &[(String, String)],
     source: &str,
@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn load_into_kb_populates_taxonomy_and_facts() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let inst = vec![
             MergedInstance { entity: "E".into(), class: "entrepreneur".into(), confidence: 0.9 },
             MergedInstance { entity: "E".into(), class: "person".into(), confidence: 0.8 },
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn load_skips_cycle_inducing_edges() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let edges = vec![("a".to_string(), "b".to_string()), ("b".to_string(), "a".to_string())];
         let applied = load_into_kb(&mut kb, &[], &edges, "t").unwrap();
         assert_eq!(applied, 1, "second edge closes a cycle and is skipped");

@@ -123,7 +123,7 @@ proptest! {
     fn rule_stats_are_consistent(
         facts in prop::collection::vec((0u8..8, 0u8..3, 0u8..8), 1..60)
     ) {
-        let mut kb = kb_store::KnowledgeBase::new();
+        let mut kb = kb_store::KbBuilder::new();
         for (s, r, o) in &facts {
             kb.assert_str(&format!("e{s}"), &format!("r{r}"), &format!("e{o}"));
         }
@@ -149,7 +149,7 @@ proptest! {
     fn rule_application_predicts_only_novel_facts(
         facts in prop::collection::vec((0u8..6, 0u8..3, 0u8..6), 1..40)
     ) {
-        let mut kb = kb_store::KnowledgeBase::new();
+        let mut kb = kb_store::KbBuilder::new();
         let mut present: HashSet<(String, String, String)> = HashSet::new();
         for (s, r, o) in &facts {
             let (s, r, o) = (format!("e{s}"), format!("r{r}"), format!("e{o}"));

@@ -75,11 +75,11 @@ impl CoherenceIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kb_store::KnowledgeBase;
+    use kb_store::KbBuilder;
 
     /// Builds a KB where e1 and e2 share two neighbors, e3 is isolated.
-    fn setup() -> (KnowledgeBase, TermId, TermId, TermId) {
-        let mut kb = KnowledgeBase::new();
+    fn setup() -> (KbBuilder, TermId, TermId, TermId) {
+        let mut kb = KbBuilder::new();
         let e1 = kb.intern("E1");
         let e2 = kb.intern("E2");
         let e3 = kb.intern("E3");

@@ -104,12 +104,12 @@ impl ContextIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kb_store::KnowledgeBase;
+    use kb_store::KbBuilder;
 
     /// Two "Jobs" candidates: the founder (linked to Apple/Cupertino)
     /// and a musician (linked to guitars).
-    fn setup() -> (KnowledgeBase, TermId, TermId) {
-        let mut kb = KnowledgeBase::new();
+    fn setup() -> (KbBuilder, TermId, TermId) {
+        let mut kb = KbBuilder::new();
         let founder = kb.intern("Steve_Jobs");
         let musician = kb.intern("Jobs_Miller");
         let apple = kb.intern("Apple_Inc");

@@ -93,10 +93,10 @@ pub fn evaluate<K: KbRead + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kb_store::KnowledgeBase;
+    use kb_store::KbBuilder;
 
-    fn setup() -> (KnowledgeBase, TermId, TermId) {
-        let mut kb = KnowledgeBase::new();
+    fn setup() -> (KbBuilder, TermId, TermId) {
+        let mut kb = KbBuilder::new();
         let alan = kb.intern("Alan_Varen");
         let bea = kb.intern("Bea_Varen");
         let acme = kb.intern("AcmeCo");

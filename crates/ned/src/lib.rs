@@ -15,10 +15,10 @@
 //! prior-only, +context, +coherence — which experiment T5 compares.
 //!
 //! ```
-//! use kb_store::KnowledgeBase;
+//! use kb_store::KbBuilder;
 //! use kb_ned::{Ned, Strategy};
 //!
-//! let mut kb = KnowledgeBase::new();
+//! let mut kb = KbBuilder::new();
 //! let jobs = kb.intern("Steve_Jobs");
 //! let apple = kb.intern("Apple_Inc");
 //! let founded = kb.intern("founded");

@@ -63,10 +63,10 @@ pub fn detect_mentions<K: KbRead + ?Sized>(kb: &K, text: &str) -> Vec<DetectedMe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kb_store::KnowledgeBase;
+    use kb_store::KbBuilder;
 
-    fn kb_with_labels(labels: &[(&str, &str)]) -> KnowledgeBase {
-        let mut kb = KnowledgeBase::new();
+    fn kb_with_labels(labels: &[(&str, &str)]) -> KbBuilder {
+        let mut kb = KbBuilder::new();
         let en = kb.labels.lang("en");
         for (entity, label) in labels {
             let t = kb.intern(entity);

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use kb_store::{KbRead, KnowledgeBase, TermId};
+use kb_store::{KbRead, TermId};
 
 use crate::coherence::CoherenceIndex;
 use crate::context::ContextIndex;
@@ -58,9 +58,10 @@ impl Default for NedWeights {
 /// The NED engine. Build with [`Ned::new`], feed anchor statistics with
 /// [`Ned::add_anchor`], then [`Ned::finalize`] before disambiguating.
 ///
-/// Generic over the KB view: works against the live [`KnowledgeBase`]
-/// façade or a frozen snapshot — anything implementing [`KbRead`].
-pub struct Ned<'kb, K: ?Sized = KnowledgeBase> {
+/// Generic over the KB view: works against the live
+/// [`KbBuilder`](kb_store::KbBuilder) or a frozen snapshot — anything
+/// implementing [`KbRead`].
+pub struct Ned<'kb, K: ?Sized> {
     kb: &'kb K,
     /// (lowercased surface, entity) → anchor count.
     anchor_counts: HashMap<(String, TermId), usize>,
@@ -242,11 +243,12 @@ fn best_of(cands: &[(TermId, f64)]) -> Option<(TermId, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kb_store::KbBuilder;
 
     /// KB with two people named "Varen": Alan (tied to AcmeCo, Lundholm)
     /// and Bea (tied to ZetaCo, Torberg).
-    fn setup() -> (KnowledgeBase, TermId, TermId) {
-        let mut kb = KnowledgeBase::new();
+    fn setup() -> (KbBuilder, TermId, TermId) {
+        let mut kb = KbBuilder::new();
         let alan = kb.intern("Alan_Varen");
         let bea = kb.intern("Bea_Varen");
         let acme = kb.intern("AcmeCo");
@@ -378,7 +380,7 @@ mod tests {
 
     #[test]
     fn max_candidates_truncates() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let en = kb.labels.lang("en");
         for i in 0..30 {
             let t = kb.intern(&format!("Smith_{i}"));

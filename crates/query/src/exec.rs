@@ -15,7 +15,7 @@
 //! of the dev-only `kb-testkit` crate (`tests/differential.rs`).
 //!
 //! The executor is generic over any [`KbRead`] view, so the same
-//! compiled plan runs against the builder-backed façade, an immutable
+//! compiled plan runs against the mutable builder, an immutable
 //! snapshot, or a segmented stack; only the monolithic unfiltered scan
 //! path is specially vectorized by the store, the rest degrade to a
 //! tuple merge inside [`kb_store::MatchBatches`] without changing
@@ -264,28 +264,34 @@ fn agg_update(
     }
 }
 
-fn groups_to_rows(plan: &Plan, groups: Groups) -> Vec<Vec<Cell>> {
-    let mut rows = Vec::with_capacity(groups.len());
-    for (_, (rep, counts)) in groups {
-        let mut row = Vec::with_capacity(plan.cols.len());
-        let mut ci = 0;
-        for (c, repv) in plan.cols.iter().zip(&rep) {
-            match c {
-                Col::Var { .. } => {
-                    row.push(repv.map(Cell::Term).unwrap_or(Cell::Unbound));
-                }
-                Col::Count { .. } => {
-                    row.push(Cell::Count(counts[ci]));
-                    ci += 1;
-                }
+/// One aggregate output row: the group's representative values in the
+/// `Var` columns, `count(i)` in the `i`-th COUNT column.
+pub(crate) fn group_row(
+    plan: &Plan,
+    rep: &[Option<TermId>],
+    count: impl Fn(usize) -> u64,
+) -> Vec<Cell> {
+    let mut ci = 0;
+    plan.cols
+        .iter()
+        .zip(rep)
+        .map(|(c, repv)| match c {
+            Col::Var { .. } => repv.map(Cell::Term).unwrap_or(Cell::Unbound),
+            Col::Count { .. } => {
+                ci += 1;
+                Cell::Count(count(ci - 1))
             }
-        }
-        rows.push(row);
-    }
-    rows
+        })
+        .collect()
 }
 
-fn project_row(plan: &Plan, get: &dyn Fn(usize) -> Option<TermId>) -> Vec<Cell> {
+fn groups_to_rows(plan: &Plan, groups: Groups) -> Vec<Vec<Cell>> {
+    groups.into_values().map(|(rep, counts)| group_row(plan, &rep, |i| counts[i])).collect()
+}
+
+/// One non-aggregate output row: each `Var` column read from the
+/// solution through `get`.
+pub(crate) fn project_row(plan: &Plan, get: &dyn Fn(usize) -> Option<TermId>) -> Vec<Cell> {
     plan.cols
         .iter()
         .map(|c| match c {

@@ -232,10 +232,21 @@ impl QueryService {
         capacity: usize,
         registry: &Registry,
     ) -> Self {
-        let view = Arc::new(SegmentedSnapshot::from_base(snapshot));
-        let stats = Arc::new(StatsCatalog::build(view.as_ref()));
+        let view = SegmentedSnapshot::from_base(snapshot);
+        let stats = Arc::new(StatsCatalog::build(&view));
+        Self::over(view, stats, capacity, registry)
+    }
+
+    /// The one place a service is assembled; the public constructors
+    /// differ only in where the catalog comes from.
+    fn over(
+        view: SegmentedSnapshot,
+        stats: Arc<StatsCatalog>,
+        capacity: usize,
+        registry: &Registry,
+    ) -> Self {
         QueryService {
-            current: Mutex::new(Generation { view, stats, number: 0, epoch: 0 }),
+            current: Mutex::new(Generation { view: Arc::new(view), stats, number: 0, epoch: 0 }),
             plans: StampedCache::new(capacity),
             results: StampedCache::new(capacity),
             aliases: StampedCache::new(capacity * 4),
@@ -259,9 +270,7 @@ impl QueryService {
         capacity: usize,
         registry: &Registry,
     ) -> Self {
-        let service = Self::with_instrumentation(snapshot, capacity, registry);
-        service.current.lock().expect("service lock poisoned").stats = stats;
-        service
+        Self::over(SegmentedSnapshot::from_base(snapshot), stats, capacity, registry)
     }
 
     /// Builds a service that serves an already-layered view — the

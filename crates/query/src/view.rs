@@ -46,7 +46,7 @@ use kb_store::{DeltaSegment, Fact, FactKind, KbRead, TermId, Triple, TriplePatte
 
 use crate::ast::SelectQuery;
 use crate::error::QueryError;
-use crate::exec::{cmp_cells, eval_cond_with, execute, Cell, QueryOutput};
+use crate::exec::{cmp_cells, eval_cond_with, execute, project_row, Cell, QueryOutput};
 use crate::parse::parse;
 use crate::plan::{plan as compile, Col, CondC, CondOperand, PhysOp, Plan, Slot, Step};
 use crate::stats::StatsCatalog;
@@ -522,16 +522,6 @@ enum DirtyLog {
     Groups(HashMap<Vec<Option<TermId>>, Option<GroupAcc>>),
 }
 
-fn project_cells(plan: &Plan, get: &dyn Fn(usize) -> Option<TermId>) -> Vec<Cell> {
-    plan.cols
-        .iter()
-        .map(|c| match c {
-            Col::Var { slot, .. } => get(*slot).map(Cell::Term).unwrap_or(Cell::Unbound),
-            Col::Count { .. } => Cell::Unbound,
-        })
-        .collect()
-}
-
 /// Folds one signed solution row into the view state, logging the
 /// pre-patch value of every entry it touches.
 fn fold_row(
@@ -543,7 +533,7 @@ fn fold_row(
 ) {
     match (state, dirty) {
         (ViewState::Rows(counts), DirtyLog::Rows(log)) => {
-            let row = project_cells(plan, get);
+            let row = project_row(plan, get);
             if !log.contains_key(&row) {
                 log.insert(row.clone(), counts.get(&row).copied().unwrap_or(0));
             }
@@ -588,19 +578,10 @@ fn fold_row(
 }
 
 fn group_row(plan: &Plan, acc: &GroupAcc) -> Vec<Cell> {
-    let mut row = Vec::with_capacity(plan.cols.len());
-    let mut ci = 0;
-    for (c, rep) in plan.cols.iter().zip(&acc.rep) {
-        match c {
-            Col::Var { .. } => row.push(rep.map(Cell::Term).unwrap_or(Cell::Unbound)),
-            Col::Count { .. } => {
-                debug_assert!(acc.counts[ci] >= 0, "negative group count after patch");
-                row.push(Cell::Count(acc.counts[ci].max(0) as u64));
-                ci += 1;
-            }
-        }
-    }
-    row
+    crate::exec::group_row(plan, &acc.rep, |i| {
+        debug_assert!(acc.counts[i] >= 0, "negative group count after patch");
+        acc.counts[i].max(0) as u64
+    })
 }
 
 /// Rebuilds the canonical materialized rows from the view state.

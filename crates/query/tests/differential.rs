@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use kb_query::exec::{cell_str, QueryOutput};
-use kb_store::{Fact, KbBuilder, KbRead, KnowledgeBase, TimeSpan, Triple};
+use kb_store::{Fact, KbBuilder, KbRead, TimeSpan, Triple};
 use kb_testkit::{assert_conforms, RefKb};
 
 mod common;
@@ -29,7 +29,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random conjunctive queries over random small KBs, through the
-    /// one-shot `kb_query::query` over the mutable façade: the answer
+    /// one-shot `kb_query::query` over the mutable builder: the answer
     /// conforms to the reference's — same columns, same bag of rows —
     /// also where a pattern names a term the dictionary never saw.
     #[test]
@@ -37,7 +37,7 @@ proptest! {
         triples in prop::collection::vec((0u32..6, 0u32..3, 0u32..6), 1..30),
         patterns in prop::collection::vec(pattern(), 1..4),
     ) {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let mut reference = RefKb::default();
         for &(s, p, o) in &triples {
             kb.assert_str(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"));
@@ -49,19 +49,17 @@ proptest! {
     }
 
     /// The engine answers alike over a frozen snapshot and over the
-    /// live façade (same query, same KB content, different view).
+    /// live builder (same query, same KB content, different view).
     #[test]
-    fn snapshot_and_facade_agree(
+    fn snapshot_and_live_builder_agree(
         triples in prop::collection::vec((0u32..5, 0u32..2, 0u32..5), 1..20),
         p1 in 0u32..2, p2 in 0u32..2,
     ) {
-        let mut kb = KnowledgeBase::new();
-        let mut builder = kb_store::KbBuilder::new();
+        let mut kb = KbBuilder::new();
         for &(s, p, o) in &triples {
             kb.assert_str(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"));
-            builder.assert_str(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"));
         }
-        let snap = builder.freeze();
+        let snap = kb.snapshot();
         let text = format!("?x r{p1} ?y . ?y r{p2} ?z");
         let a = kb_query::query(&kb, &text).unwrap();
         let b = kb_query::query(&snap, &text).unwrap();

@@ -1,22 +1,28 @@
 //! The write side of the storage engine: `KbCore` (the shared
-//! dictionary + fact-table state), the batched [`KbBuilder`], and
+//! dictionary + fact-table state), the mutable [`KbBuilder`], and
 //! per-worker [`KbShard`]s with local interning that merge
 //! deterministically at a barrier.
 //!
 //! The construction/serving split mirrors the batch-curation vs
 //! read-serving architecture of the industrial KBs the tutorial surveys
 //! (YAGO-style batch builds): writers funnel into a builder, readers
-//! get an immutable [`KbSnapshot`].
+//! get an immutable [`KbSnapshot`]. Code that interleaves reads with
+//! writes queries the builder itself through [`KbRead`]: its
+//! permutation indexes are frozen on the first scan after a structural
+//! write and cached until the next one.
 //!
 //! Determinism contract: merging shards in shard order reproduces the
 //! exact dictionary ids, fact ids and merge semantics of a serial
 //! ingest that processed the same facts in the same order. This is what
 //! keeps parallel harvest output bit-identical to the serial path.
 
+use std::sync::OnceLock;
+
 use crate::fact::{Fact, Triple};
 use crate::fx::FxHashMap;
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
+use crate::read::{Groups, KbRead};
 use crate::sameas::SameAsStore;
 use crate::snapshot::{FrozenIndexes, KbSnapshot};
 use crate::store::SourceId;
@@ -24,12 +30,13 @@ use crate::taxonomy::Taxonomy;
 use crate::time::TimeSpan;
 use crate::Dictionary;
 
-/// What [`KbCore::add_fact`] did with the incoming fact — the write
-/// façade uses this to decide whether cached read indexes must be
-/// invalidated (only structural changes touch the index key set).
+/// What [`KbCore::add_fact`] did with the incoming fact — the builder
+/// uses this to decide whether its cached read indexes must be
+/// dropped (only structural changes touch the index key set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AddOutcome {
-    /// A brand-new triple was appended.
+    /// A brand-new triple was appended (as a tombstone when its
+    /// confidence is zero).
     New,
     /// The triple already existed live; evidence was merged in place.
     Merged,
@@ -76,11 +83,11 @@ impl KbCore {
         self.sources.get(id.0 as usize).map(|s| s.as_str())
     }
 
-    /// Adds or merges a fact; see [`KnowledgeBase::add_fact`] for the
-    /// merge semantics (noisy-or confidence, first-known span, earliest
-    /// source).
-    ///
-    /// [`KnowledgeBase::add_fact`]: crate::KnowledgeBase::add_fact
+    /// Adds or merges a fact; see [`KbBuilder::add_fact`] for the merge
+    /// semantics (noisy-or confidence, first-known span, earliest
+    /// source). A brand-new fact of confidence zero is a tombstone, as
+    /// in [`retract_or_tombstone`](Self::retract_or_tombstone): stored
+    /// and addressable, never counted live.
     pub(crate) fn add_fact(&mut self, fact: Fact) -> (FactId, AddOutcome) {
         debug_assert!((0.0..=1.0).contains(&fact.confidence));
         if let Some(&id) = self.by_triple.get(&fact.triple) {
@@ -99,10 +106,9 @@ impl KbCore {
             return (id, outcome);
         }
         let id = FactId(self.facts.len() as u32);
-        let t = fact.triple;
+        self.by_triple.insert(fact.triple, id);
+        self.live += usize::from(!fact.is_retracted());
         self.facts.push(fact);
-        self.by_triple.insert(t, id);
-        self.live += 1;
         (id, AddOutcome::New)
     }
 
@@ -147,9 +153,10 @@ impl KbCore {
         }
     }
 
-    /// Looks up a live fact by triple.
-    pub(crate) fn fact_for(&self, t: &Triple) -> Option<&Fact> {
-        self.by_triple.get(t).map(|id| &self.facts[id.index()]).filter(|f| !f.is_retracted())
+    /// This run's entry for a triple, retracted or not.
+    #[inline]
+    pub(crate) fn entry(&self, t: &Triple) -> Option<&Fact> {
+        self.by_triple.get(t).map(|id| &self.facts[id.index()])
     }
 
     /// Replays one shard into this core. Local term ids are remapped by
@@ -174,16 +181,12 @@ impl KbCore {
 
 /// A per-worker ingest shard: facts over a *local* dictionary, built
 /// without any shared lock. Workers fill shards independently; the
-/// merge barrier ([`KbBuilder::merge_shards`] /
-/// [`KnowledgeBase::merge_shards`]) replays them in shard order, so the
-/// result is bit-identical to a serial ingest of the concatenated
-/// shards.
+/// merge barrier ([`KbBuilder::merge_shards`]) replays them in shard
+/// order, so the result is bit-identical to a serial ingest of the
+/// concatenated shards.
 ///
 /// Provenance [`SourceId`]s are *global*: register sources on the
-/// target builder/store before forking shards and pass the returned
-/// ids in.
-///
-/// [`KnowledgeBase::merge_shards`]: crate::KnowledgeBase::merge_shards
+/// target builder before forking shards and pass the returned ids in.
 #[derive(Debug, Default, Clone)]
 pub struct KbShard {
     dict: Dictionary,
@@ -243,15 +246,23 @@ impl KbShard {
     }
 }
 
-/// The batched write-side builder: accepts ingest (directly or via
-/// [`KbShard`]s), then freezes into an immutable, `Arc`-shareable
-/// [`KbSnapshot`] whose queries run on sorted-array indexes.
+/// The mutable knowledge base: accepts ingest (directly or via
+/// [`KbShard`]s), answers [`KbRead`] queries on permutation indexes
+/// frozen lazily and cached between structural writes, and freezes
+/// into an immutable, `Arc`-shareable [`KbSnapshot`].
+///
+/// Confidence merges and span updates do not change the index key set,
+/// so they keep the cache; new facts, retractions, resurrections and
+/// shard merges drop it. Queries take `&self` and the cache is a
+/// `OnceLock`, so the builder stays `Sync`; for long-lived read sharing
+/// detach a snapshot.
 ///
 /// ```
 /// use kb_store::{KbBuilder, KbRead, TriplePattern};
 ///
 /// let mut b = KbBuilder::new();
 /// b.assert_str("Steve_Jobs", "founded", "Apple_Inc");
+/// assert_eq!(b.count_matching(&TriplePattern::any()), 1);
 /// let snap = b.freeze();
 /// assert_eq!(snap.count_matching(&TriplePattern::any()), 1);
 /// ```
@@ -264,6 +275,9 @@ pub struct KbBuilder {
     pub sameas: SameAsStore,
     /// Multilingual labels and the reverse surface-form index.
     pub labels: LabelStore,
+    /// Read indexes over `core.facts`, built by the first scan after a
+    /// structural write.
+    frozen: OnceLock<FrozenIndexes>,
 }
 
 impl Default for KbBuilder {
@@ -280,6 +294,7 @@ impl KbBuilder {
             taxonomy: Taxonomy::default(),
             sameas: SameAsStore::default(),
             labels: LabelStore::default(),
+            frozen: OnceLock::new(),
         }
     }
 
@@ -288,19 +303,19 @@ impl KbBuilder {
         self.core.dict.intern(term)
     }
 
-    /// Looks up an already-interned term.
-    pub fn term(&self, term: &str) -> Option<TermId> {
-        self.core.dict.get(term)
-    }
-
-    /// Resolves a term id back to its string.
-    pub fn resolve(&self, id: TermId) -> Option<&str> {
-        self.core.dict.resolve(id)
+    /// The term dictionary (a builder holds exactly one).
+    pub fn dictionary(&self) -> &Dictionary {
+        &self.core.dict
     }
 
     /// Registers (or retrieves) a provenance source by name.
     pub fn register_source(&mut self, name: &str) -> SourceId {
         self.core.register_source(name)
+    }
+
+    /// All registered sources in id order.
+    pub fn sources(&self) -> impl Iterator<Item = (SourceId, &str)> {
+        self.core.sources.iter().enumerate().map(|(i, s)| (SourceId(i as u32), s.as_str()))
     }
 
     /// Adds a fully-confident fact with default provenance.
@@ -314,23 +329,36 @@ impl KbBuilder {
         self.add_fact(Fact::asserted(t))
     }
 
-    /// Adds a fact with the same merge semantics as
-    /// [`KnowledgeBase::add_fact`](crate::KnowledgeBase::add_fact).
+    /// Adds a fact. If the same triple already exists the stored fact is
+    /// *merged*: confidence combines by noisy-or
+    /// (`1 - (1-a)(1-b)`, the standard evidence combination for
+    /// independent extractors), the temporal span is kept if previously
+    /// unknown, and provenance keeps the earlier source. Returns the id
+    /// of the (new or merged) fact.
     pub fn add_fact(&mut self, fact: Fact) -> FactId {
-        self.core.add_fact(fact).0
+        let (id, outcome) = self.core.add_fact(fact);
+        if outcome != AddOutcome::Merged {
+            self.frozen.take();
+        }
+        id
     }
 
     /// Bulk ingest in iteration order.
     pub fn add_facts(&mut self, facts: impl IntoIterator<Item = Fact>) {
         for f in facts {
-            self.core.add_fact(f);
+            self.add_fact(f);
         }
     }
 
-    /// Retracts a triple. See
-    /// [`KnowledgeBase::retract`](crate::KnowledgeBase::retract).
+    /// Retracts a triple: its confidence is set to zero and it stops
+    /// matching queries. The fact id remains valid. Returns whether the
+    /// triple was present and live.
     pub fn retract(&mut self, t: Triple) -> bool {
-        self.core.retract(t)
+        let changed = self.core.retract(t);
+        if changed {
+            self.frozen.take();
+        }
+        changed
     }
 
     /// Retracts by strings, recording a tombstone even when the triple
@@ -340,27 +368,21 @@ impl KbBuilder {
     /// tombstone for an absent triple is inert.
     pub fn retract_str(&mut self, s: &str, p: &str, o: &str) -> bool {
         let t = Triple::new(self.intern(s), self.intern(p), self.intern(o));
+        self.frozen.take();
         self.core.retract_or_tombstone(t)
     }
 
-    /// Sets the temporal scope of an existing triple.
+    /// Sets the temporal scope of an existing triple. Returns `false` if
+    /// the triple is absent. Spans are read from the fact table, never
+    /// from the index keys, so the cached indexes stay.
     pub fn set_span(&mut self, t: Triple, span: TimeSpan) -> bool {
         self.core.set_span(t, span)
-    }
-
-    /// Number of live facts accumulated so far.
-    pub fn len(&self) -> usize {
-        self.core.live
-    }
-
-    /// Whether no live facts have been added.
-    pub fn is_empty(&self) -> bool {
-        self.core.live == 0
     }
 
     /// Merges one shard (replay in order; see [`KbShard`]). Returns the
     /// number of new facts.
     pub fn merge_shard(&mut self, shard: &KbShard) -> usize {
+        self.frozen.take();
         self.core.merge_shard(shard)
     }
 
@@ -378,7 +400,7 @@ impl KbBuilder {
             .into_iter()
             .map(|s| {
                 merges += 1;
-                self.core.merge_shard(&s)
+                self.merge_shard(&s)
             })
             .sum();
         span.stop();
@@ -387,11 +409,26 @@ impl KbBuilder {
         added
     }
 
-    /// Freezes the builder into an immutable snapshot: sorts the three
-    /// permutation indexes once (`O(n log n)`) and hands everything
-    /// over without copying the fact table.
+    /// The read indexes, frozen now if a structural write dropped them.
+    pub(crate) fn indexes(&self) -> &FrozenIndexes {
+        self.frozen.get_or_init(|| FrozenIndexes::build(&self.core.facts))
+    }
+
+    /// Detaches an immutable, `Arc`-shareable [`KbSnapshot`] of the
+    /// current contents: clones the data and the cached indexes, which
+    /// are frozen here first if cold, so a second snapshot of the same
+    /// contents does not sort again.
+    pub fn snapshot(&self) -> KbSnapshot {
+        self.indexes();
+        self.clone().freeze()
+    }
+
+    /// Freezes the builder into an immutable snapshot without copying
+    /// the fact table: reuses the cached permutation indexes when warm,
+    /// else sorts them once (`O(n log n)`).
     pub fn freeze(self) -> KbSnapshot {
-        let indexes = FrozenIndexes::build(&self.core.facts);
+        let indexes =
+            self.frozen.into_inner().unwrap_or_else(|| FrozenIndexes::build(&self.core.facts));
         KbSnapshot::from_parts(self.core, self.taxonomy, self.sameas, self.labels, indexes)
     }
 
@@ -412,11 +449,53 @@ impl KbBuilder {
     }
 }
 
+/// One run, no deltas; the indexes are built by the first scan.
+impl KbRead for KbBuilder {
+    #[inline]
+    fn groups(&self) -> Groups<'_> {
+        Groups::unfrozen(self)
+    }
+
+    fn term_count(&self) -> usize {
+        self.core.dict.len()
+    }
+
+    fn taxonomy(&self) -> &Taxonomy {
+        &self.taxonomy
+    }
+
+    fn sameas(&self) -> &SameAsStore {
+        &self.sameas
+    }
+
+    fn labels(&self) -> &LabelStore {
+        &self.labels
+    }
+
+    fn len(&self) -> usize {
+        self.core.live
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::read::KbRead;
+    use crate::time::TimePoint;
     use crate::TriplePattern;
+
+    fn sample_kb() -> KbBuilder {
+        let mut kb = KbBuilder::new();
+        kb.assert_str("Steve_Jobs", "founded", "Apple_Inc");
+        kb.assert_str("Steve_Wozniak", "founded", "Apple_Inc");
+        kb.assert_str("Steve_Jobs", "bornIn", "San_Francisco");
+        kb.assert_str("San_Francisco", "locatedIn", "United_States");
+        kb.assert_str("Apple_Inc", "headquarteredIn", "Cupertino");
+        kb
+    }
+
+    fn fact(triple: Triple, confidence: f64) -> Fact {
+        Fact { triple, confidence, source: SourceId::DEFAULT, span: None }
+    }
 
     #[test]
     fn builder_freeze_answers_queries() {
@@ -433,6 +512,213 @@ mod tests {
     }
 
     #[test]
+    fn add_and_query_by_every_shape() {
+        let kb = sample_kb();
+        let jobs = kb.term("Steve_Jobs").unwrap();
+        let founded = kb.term("founded").unwrap();
+        let apple = kb.term("Apple_Inc").unwrap();
+
+        assert_eq!(kb.matching(&TriplePattern::with_s(jobs)).len(), 2);
+        assert_eq!(kb.matching(&TriplePattern::with_p(founded)).len(), 2);
+        assert_eq!(kb.matching(&TriplePattern::with_o(apple)).len(), 2);
+        assert_eq!(kb.matching(&TriplePattern::with_sp(jobs, founded)).len(), 1);
+        assert_eq!(kb.matching(&TriplePattern::with_po(founded, apple)).len(), 2);
+        assert_eq!(kb.matching(&TriplePattern::with_so(jobs, apple)).len(), 1);
+        assert_eq!(kb.matching(&TriplePattern::any()).len(), 5);
+        let t = Triple::new(jobs, founded, apple);
+        assert_eq!(kb.matching(&TriplePattern::exact(t)).len(), 1);
+    }
+
+    #[test]
+    fn duplicate_adds_merge_by_noisy_or() {
+        let mut kb = KbBuilder::new();
+        let t = Triple::new(kb.intern("s"), kb.intern("p"), kb.intern("o"));
+        kb.add_fact(fact(t, 0.5));
+        kb.add_fact(fact(t, 0.5));
+        assert_eq!(kb.len(), 1);
+        let f = kb.fact_for(&t).unwrap();
+        assert!((f.confidence - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn merge_keeps_first_known_span() {
+        let mut kb = KbBuilder::new();
+        let t = Triple::new(kb.intern("a"), kb.intern("r"), kb.intern("b"));
+        let span = TimeSpan::at(TimePoint::year(1976));
+        kb.add_fact(fact(t, 0.4));
+        kb.add_fact(Fact { span: Some(span), ..fact(t, 0.4) });
+        assert_eq!(kb.fact_for(&t).unwrap().span, Some(span));
+    }
+
+    #[test]
+    fn retract_hides_from_queries_and_resurrection_works() {
+        let mut kb = sample_kb();
+        let jobs = kb.term("Steve_Jobs").unwrap();
+        let founded = kb.term("founded").unwrap();
+        let apple = kb.term("Apple_Inc").unwrap();
+        let t = Triple::new(jobs, founded, apple);
+
+        assert!(kb.retract(t));
+        assert!(!kb.contains(&t));
+        assert_eq!(kb.len(), 4);
+        assert_eq!(kb.matching(&TriplePattern::with_p(founded)).len(), 1);
+        assert!(!kb.retract(t), "double retract is a no-op");
+
+        // Re-adding resurrects the fact.
+        kb.add_fact(fact(t, 0.9));
+        assert!(kb.contains(&t));
+        assert_eq!(kb.len(), 5);
+        assert_eq!(kb.matching(&TriplePattern::with_p(founded)).len(), 2);
+    }
+
+    #[test]
+    fn merge_after_read_keeps_cached_indexes_correct() {
+        let mut kb = sample_kb();
+        let jobs = kb.term("Steve_Jobs").unwrap();
+        let founded = kb.term("founded").unwrap();
+        let apple = kb.term("Apple_Inc").unwrap();
+        let t = Triple::new(jobs, founded, apple);
+        // Warm the cache, then merge evidence into an existing fact:
+        // the cache survives, and queries see the merged confidence.
+        assert_eq!(kb.matching(&TriplePattern::any()).len(), 5);
+        kb.add_fact(fact(t, 0.5));
+        assert!(kb.frozen.get().is_some(), "an evidence merge keeps the indexes");
+        assert_eq!(kb.matching(&TriplePattern::any()).len(), 5);
+        assert!(kb.fact_for(&t).unwrap().confidence > 0.999);
+        // A structural add after a warm read shows up too.
+        kb.assert_str("Tim_Cook", "worksAt", "Apple_Inc");
+        assert!(kb.frozen.get().is_none(), "a new triple drops them");
+        assert_eq!(kb.matching(&TriplePattern::any()).len(), 6);
+    }
+
+    #[test]
+    fn zero_confidence_new_fact_is_a_tombstone_not_a_live_fact() {
+        let mut kb = KbBuilder::new();
+        let t = Triple::new(kb.intern("a"), kb.intern("b"), kb.intern("c"));
+        let id = kb.add_fact(fact(t, 0.0));
+        assert_eq!(kb.len(), 0);
+        assert_eq!(kb.iter().count(), 0);
+        assert_eq!(kb.facts().count(), 0);
+        assert_eq!(kb.stats().facts, 0);
+        assert!(!kb.contains(&t));
+        assert!(kb.fact(id).unwrap().is_retracted(), "still addressable by id");
+        let snap = kb.clone().freeze();
+        assert_eq!((snap.len(), snap.iter().count(), snap.stats().facts), (0, 0, 0));
+        // Later evidence revives it under the same id.
+        assert_eq!(kb.add_fact(fact(t, 0.6)), id);
+        assert_eq!((kb.len(), kb.iter().count()), (1, 1));
+    }
+
+    #[test]
+    fn degree_and_neighbors() {
+        let kb = sample_kb();
+        let apple = kb.term("Apple_Inc").unwrap();
+        assert_eq!(kb.degree(apple), 3);
+        let names: Vec<_> =
+            kb.neighbors(apple).into_iter().map(|t| kb.resolve(t).unwrap().to_string()).collect();
+        assert_eq!(names.len(), 3);
+        assert!(names.contains(&"Steve_Jobs".to_string()));
+        assert!(names.contains(&"Cupertino".to_string()));
+    }
+
+    #[test]
+    fn sources_register_and_resolve() {
+        let mut kb = KbBuilder::new();
+        assert_eq!(kb.source_name(SourceId::DEFAULT), Some("asserted"));
+        let a = kb.register_source("wiki");
+        let b = kb.register_source("wiki");
+        assert_eq!(a, b);
+        assert_eq!(kb.source_name(a), Some("wiki"));
+        assert_eq!(kb.sources().count(), 2);
+    }
+
+    #[test]
+    fn count_matching_agrees_with_matching() {
+        let kb = sample_kb();
+        let jobs = kb.term("Steve_Jobs").unwrap();
+        let apple = kb.term("Apple_Inc").unwrap();
+        for pat in [
+            TriplePattern::any(),
+            TriplePattern::with_s(jobs),
+            TriplePattern::with_o(apple),
+            TriplePattern::with_so(jobs, apple),
+        ] {
+            assert_eq!(kb.count_matching(&pat), kb.matching(&pat).len());
+        }
+    }
+
+    #[test]
+    fn stats_reflect_contents() {
+        let mut kb = sample_kb();
+        let t = kb.matching_triples(&TriplePattern::any())[0];
+        kb.set_span(t, TimeSpan::since(TimePoint::year(1976)));
+        let st = kb.stats();
+        assert_eq!(st.facts, 5);
+        assert_eq!(st.predicates, 4);
+        assert_eq!(st.temporal_facts, 1);
+        assert!(st.mean_confidence > 0.99);
+    }
+
+    #[test]
+    fn matching_at_filters_by_validity() {
+        let mut kb = KbBuilder::new();
+        let p = kb.intern("worksAt");
+        let (a, b, acme) = (kb.intern("A"), kb.intern("B"), kb.intern("Acme"));
+        kb.add_triple(a, p, acme);
+        kb.set_span(
+            Triple::new(a, p, acme),
+            TimeSpan::between(TimePoint::year(1990), TimePoint::year(1995)).unwrap(),
+        );
+        kb.add_triple(b, p, acme); // timeless
+        let pat = TriplePattern::with_p(p);
+        assert_eq!(kb.matching_at(&pat, &TimePoint::year(1992)).len(), 2);
+        assert_eq!(kb.matching_at(&pat, &TimePoint::year(2000)).len(), 1);
+        let only = kb.matching_at(&pat, &TimePoint::year(2000));
+        assert_eq!(only[0].triple.s, b);
+    }
+
+    #[test]
+    fn predicate_histogram_counts_live_facts() {
+        let mut kb = sample_kb();
+        let hist = kb.predicate_histogram();
+        assert_eq!(hist[0], ("founded".to_string(), 2));
+        assert_eq!(hist.len(), 4);
+        let t = kb.matching_triples(&TriplePattern::with_p(kb.term("founded").unwrap()))[0];
+        kb.retract(t);
+        let hist = kb.predicate_histogram();
+        assert_eq!(hist.iter().find(|(p, _)| p == "founded").unwrap().1, 1);
+    }
+
+    #[test]
+    fn iter_returns_all_live_facts_in_spo_order() {
+        let mut kb = sample_kb();
+        let all: Vec<Triple> = kb.iter().map(|f| f.triple).collect();
+        assert_eq!(all.len(), 5);
+        let mut sorted = all.clone();
+        sorted.sort();
+        assert_eq!(all, sorted);
+        kb.retract(all[0]);
+        assert_eq!(kb.iter().count(), 4);
+    }
+
+    #[test]
+    fn snapshot_answers_like_the_live_builder() {
+        let kb = sample_kb();
+        let snap = kb.snapshot();
+        assert!(kb.frozen.get().is_some(), "a snapshot leaves the builder's indexes warm");
+        let jobs = kb.term("Steve_Jobs").unwrap();
+        assert_eq!(snap.len(), kb.len());
+        assert_eq!(
+            snap.matching_triples(&TriplePattern::with_s(jobs)),
+            kb.matching_triples(&TriplePattern::with_s(jobs)),
+        );
+        // freeze gives the same view without cloning, on those indexes.
+        let frozen = kb.freeze();
+        assert_eq!(frozen.len(), snap.len());
+        assert_eq!(frozen.stats(), snap.stats());
+    }
+
+    #[test]
     fn shard_merge_matches_serial_ingest_exactly() {
         // Serial reference.
         let mut serial = KbBuilder::new();
@@ -444,12 +730,7 @@ mod tests {
         ];
         for &(s, p, o, c) in &facts {
             let t = Triple::new(serial.intern(s), serial.intern(p), serial.intern(o));
-            serial.add_fact(Fact {
-                triple: t,
-                confidence: c,
-                source: SourceId::DEFAULT,
-                span: None,
-            });
+            serial.add_fact(fact(t, c));
         }
         // Sharded: same facts split 2/2, merged in order.
         let mut sharded = KbBuilder::new();
@@ -461,8 +742,8 @@ mod tests {
         assert_eq!(added, 3);
         // Identical dictionaries (same ids in same order) and fact tables.
         assert_eq!(serial.core.dict.len(), sharded.core.dict.len());
-        for (id, term) in serial.core.dict.iter() {
-            assert_eq!(sharded.core.dict.resolve(id), Some(term));
+        for (id, term) in serial.dictionary().iter() {
+            assert_eq!(sharded.resolve(id), Some(term));
         }
         assert_eq!(serial.core.facts, sharded.core.facts);
     }
@@ -471,15 +752,12 @@ mod tests {
     fn retract_then_resurrect_keeps_live_count_right() {
         let mut b = KbBuilder::new();
         let id = b.assert_str("a", "r", "b");
-        let t =
-            crate::Triple::new(b.term("a").unwrap(), b.term("r").unwrap(), b.term("b").unwrap());
+        let t = Triple::new(b.term("a").unwrap(), b.term("r").unwrap(), b.term("b").unwrap());
         assert_eq!(b.len(), 1);
         assert!(b.retract(t));
         assert_eq!(b.len(), 0);
         assert!(!b.retract(t));
-        let id2 =
-            b.add_fact(Fact { triple: t, confidence: 0.8, source: SourceId::DEFAULT, span: None });
-        assert_eq!(id, id2);
+        assert_eq!(id, b.add_fact(fact(t, 0.8)));
         assert_eq!(b.len(), 1);
     }
 

@@ -68,7 +68,7 @@ impl fmt::Display for SegmentRegion {
     }
 }
 
-/// Errors raised by [`KnowledgeBase`](crate::KnowledgeBase) and its
+/// Errors raised by [`KbBuilder`](crate::KbBuilder) and its
 /// sub-stores.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {

@@ -2,11 +2,11 @@
 //! `owl:sameAs` — the Web-of-Linked-Data operation (tutorial §1/§4)
 //! that turns entity-linkage output into one coherent KB.
 
+use crate::builder::KbBuilder;
 use crate::fact::{Fact, Triple};
 use crate::read::KbRead;
-use crate::store::KnowledgeBase;
 
-impl KnowledgeBase {
+impl KbBuilder {
     /// Merges everything from `other` (any [`KbRead`] view — a live
     /// store or a frozen snapshot) into `self`: facts (re-interned,
     /// evidence-combined on duplicates), provenance sources, taxonomy
@@ -125,8 +125,8 @@ mod tests {
     use super::*;
     use crate::pattern::TriplePattern;
 
-    fn kb_a() -> KnowledgeBase {
-        let mut kb = KnowledgeBase::new();
+    fn kb_a() -> KbBuilder {
+        let mut kb = KbBuilder::new();
         kb.assert_str("Alan_Varen", "bornIn", "Lundholm");
         let person = kb.intern("person");
         let entity = kb.intern("entity");
@@ -137,8 +137,8 @@ mod tests {
         kb
     }
 
-    fn kb_b() -> KnowledgeBase {
-        let mut kb = KnowledgeBase::new();
+    fn kb_b() -> KbBuilder {
+        let mut kb = KbBuilder::new();
         let src = kb.register_source("dump-b");
         let a = kb.intern("A._Varen");
         let works = kb.intern("worksAt");
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn merge_combines_duplicate_evidence() {
         let mut kb = kb_a();
-        let mut dup = KnowledgeBase::new();
+        let mut dup = KbBuilder::new();
         dup.assert_str("Alan_Varen", "bornIn", "Lundholm");
         let added = kb.merge_from(&dup);
         assert_eq!(added, 0, "no new facts — only evidence merged");
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn canonicalize_merges_colliding_facts() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         let a = kb.intern("A");
         let b = kb.intern("B");
         let r = kb.intern("r");
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn merge_skips_cycle_inducing_taxonomy_edges() {
         let mut kb = kb_a(); // person ⊂ entity
-        let mut other = KnowledgeBase::new();
+        let mut other = KbBuilder::new();
         let entity = other.intern("entity");
         let person = other.intern("person");
         other.taxonomy.add_subclass(entity, person).unwrap(); // reversed!

@@ -27,7 +27,7 @@ impl fmt::Display for TermId {
     }
 }
 
-/// Identifier of a fact stored in a [`KnowledgeBase`](crate::KnowledgeBase).
+/// Identifier of a fact stored in a [`KbBuilder`](crate::KbBuilder).
 ///
 /// Fact ids are assigned densely in insertion order and are stable for the
 /// lifetime of the store (facts are never physically removed; retraction is

@@ -9,9 +9,12 @@
 //! mirroring the batch-curation vs read-serving architecture of the
 //! industrial KBs the paper surveys:
 //!
-//! * **Write side** — [`KbBuilder`] accepts batched ingest; parallel
-//!   producers fill per-worker [`KbShard`]s (local interning, no shared
-//!   lock) that merge deterministically at a barrier.
+//! * **Write side** — [`KbBuilder`], the one mutable KB, accepts
+//!   batched ingest; parallel producers fill per-worker [`KbShard`]s
+//!   (local interning, no shared lock) that merge deterministically at
+//!   a barrier. Code that interleaves reads and writes queries the
+//!   builder itself: its indexes are frozen lazily and cached between
+//!   structural writes.
 //! * **Read side** — [`KbBuilder::freeze`] produces an immutable,
 //!   `Arc`-shareable [`KbSnapshot`] whose SPO/POS/OSP permutation
 //!   indexes are frozen sorted arrays answered by binary-search range
@@ -19,10 +22,9 @@
 //! * **Read trait** — every consumer queries through [`KbRead`]
 //!   (streaming [`matching_iter`](KbRead::matching_iter),
 //!   [`triples_iter`](KbRead::triples_iter), time-travel and path-join
-//!   iterators), never against a concrete index layout.
-//! * **Façade** — [`KnowledgeBase`] keeps the classic mutable API
-//!   (builder + lazily cached frozen indexes) for code that interleaves
-//!   reads and writes.
+//!   iterators), never against a concrete index layout. A view only
+//!   names the sorted runs it is made of ([`Groups`]); the trait owns
+//!   how they merge.
 //!
 //! The store provides:
 //!
@@ -41,9 +43,9 @@
 //!   persistence.
 //!
 //! ```
-//! use kb_store::{KbRead, KnowledgeBase, TriplePattern};
+//! use kb_store::{KbBuilder, KbRead, TriplePattern};
 //!
-//! let mut kb = KnowledgeBase::new();
+//! let mut kb = KbBuilder::new();
 //! let jobs = kb.intern("Steve_Jobs");
 //! let apple = kb.intern("Apple_Inc");
 //! let founded = kb.intern("founded");
@@ -54,7 +56,7 @@
 //! assert_eq!(kb.resolve(hits[0].triple.o), Some("Apple_Inc"));
 //!
 //! // Freeze an immutable snapshot for read-heavy sharing.
-//! let snap = kb.snapshot().into_shared();
+//! let snap = kb.freeze().into_shared();
 //! assert_eq!(snap.count_matching(&TriplePattern::any()), 1);
 //! ```
 
@@ -96,7 +98,7 @@ pub use manifest::Manifest;
 pub use ntriples::LoadReport;
 pub use partition::{partition_delta, partition_snapshot, subject_partition, PartitionedView};
 pub use pattern::TriplePattern;
-pub use read::{KbRead, KbReadBatch, PairBatch, PathJoinBatches, PathJoinIter};
+pub use read::{Groups, KbRead, KbReadBatch, PairBatch, PathJoinBatches, PathJoinIter};
 pub use sameas::SameAsStore;
 pub use segmap::MemoryBudget;
 pub use segment::{Compactor, DeltaSegment, FactKind, SegmentStats, SegmentedSnapshot};
@@ -106,7 +108,7 @@ pub use snapshot::{
     TriplesIter, BATCH_ROWS,
 };
 pub use stats::KbStats;
-pub use store::{KnowledgeBase, SourceId};
+pub use store::SourceId;
 pub use taxonomy::Taxonomy;
 pub use time::{TimePoint, TimeSpan};
 pub use wal::{DurabilityCost, Wal, WalReplay};

@@ -1,4 +1,4 @@
-//! Line-oriented text serialization of a [`KnowledgeBase`].
+//! Line-oriented text serialization of a [`KbBuilder`].
 //!
 //! The format is an N-Triples-flavoured TSV designed to be human-diffable
 //! and trivially streamable. One record per line, fields tab-separated,
@@ -18,9 +18,9 @@
 
 use std::io::{BufRead, Write};
 
+use crate::builder::KbBuilder;
 use crate::fact::{Fact, Triple};
 use crate::read::KbRead;
-use crate::store::KnowledgeBase;
 use crate::time::TimeSpan;
 use crate::StoreError;
 
@@ -129,7 +129,7 @@ pub fn write_kb<K: KbRead + ?Sized, W: Write>(kb: &K, w: &mut W) -> Result<(), S
 /// Parses one non-comment, non-blank line into `kb`. Shared by the
 /// strict and lossy readers; a failed line leaves `kb` with at most
 /// interned terms (no partial facts, edges or labels are added).
-fn apply_line(kb: &mut KnowledgeBase, line: &str, lineno: usize) -> Result<(), StoreError> {
+fn apply_line(kb: &mut KbBuilder, line: &str, lineno: usize) -> Result<(), StoreError> {
     let fields: Vec<&str> = line.split('\t').collect();
     match fields[0] {
         "T" => {
@@ -211,8 +211,8 @@ fn apply_line(kb: &mut KnowledgeBase, line: &str, lineno: usize) -> Result<(), S
 
 /// Reads a KB previously written by [`write_kb`]. Unknown record kinds
 /// and malformed lines produce a [`StoreError::Parse`] naming the line.
-pub fn read_kb<R: BufRead>(r: R) -> Result<KnowledgeBase, StoreError> {
-    let mut kb = KnowledgeBase::new();
+pub fn read_kb<R: BufRead>(r: R) -> Result<KbBuilder, StoreError> {
+    let mut kb = KbBuilder::new();
     for (i, line) in r.lines().enumerate() {
         let line = line?;
         if line.is_empty() || line.starts_with('#') {
@@ -225,10 +225,9 @@ pub fn read_kb<R: BufRead>(r: R) -> Result<KnowledgeBase, StoreError> {
 
 /// What a lossy load recovered and what it dropped.
 ///
-/// Produced by [`read_kb_lossy`] / [`from_str_lossy`] /
-/// [`KnowledgeBase::load_ntriples_lossy`]: the kind of accounting a
-/// fault-tolerant ingest needs when dumps arrive truncated or corrupted
-/// from a crawl or an interrupted writer.
+/// Produced by [`read_kb_lossy`] / [`from_str_lossy`]: the kind of
+/// accounting a fault-tolerant ingest needs when dumps arrive truncated
+/// or corrupted from a crawl or an interrupted writer.
 #[derive(Debug, Default)]
 pub struct LoadReport {
     /// Records successfully applied to the KB.
@@ -247,8 +246,8 @@ impl LoadReport {
 /// Reads a KB like [`read_kb`], but skips malformed lines instead of
 /// aborting, reporting each skip with its line number. I/O errors are
 /// still fatal — a broken reader is not a recoverable record.
-pub fn read_kb_lossy<R: BufRead>(r: R) -> Result<(KnowledgeBase, LoadReport), StoreError> {
-    let mut kb = KnowledgeBase::new();
+pub fn read_kb_lossy<R: BufRead>(r: R) -> Result<(KbBuilder, LoadReport), StoreError> {
+    let mut kb = KbBuilder::new();
     let mut report = LoadReport::default();
     for (i, line) in r.lines().enumerate() {
         let line = line?;
@@ -272,23 +271,14 @@ pub fn to_string<K: KbRead + ?Sized>(kb: &K) -> Result<String, StoreError> {
 }
 
 /// Parses a KB from a string.
-pub fn from_str(s: &str) -> Result<KnowledgeBase, StoreError> {
+pub fn from_str(s: &str) -> Result<KbBuilder, StoreError> {
     read_kb(s.as_bytes())
 }
 
 /// Parses a KB from a string, skipping malformed lines. See
 /// [`read_kb_lossy`].
-pub fn from_str_lossy(s: &str) -> Result<(KnowledgeBase, LoadReport), StoreError> {
+pub fn from_str_lossy(s: &str) -> Result<(KbBuilder, LoadReport), StoreError> {
     read_kb_lossy(s.as_bytes())
-}
-
-impl KnowledgeBase {
-    /// Loads an N-Triples-style dump, recovering everything that parses
-    /// and reporting what didn't. The strict counterpart is
-    /// [`from_str`] / [`read_kb`].
-    pub fn load_ntriples_lossy(s: &str) -> Result<(Self, LoadReport), StoreError> {
-        from_str_lossy(s)
-    }
 }
 
 #[cfg(test)]
@@ -298,8 +288,8 @@ mod tests {
     use crate::store::SourceId;
     use crate::time::TimePoint;
 
-    fn populated() -> KnowledgeBase {
-        let mut kb = KnowledgeBase::new();
+    fn populated() -> KbBuilder {
+        let mut kb = KbBuilder::new();
         let src = kb.register_source("wiki");
         let jobs = kb.intern("Steve_Jobs");
         let apple = kb.intern("Apple_Inc");
@@ -355,7 +345,7 @@ mod tests {
 
     #[test]
     fn terms_with_tabs_and_newlines_survive() {
-        let mut kb = KnowledgeBase::new();
+        let mut kb = KbBuilder::new();
         kb.assert_str("weird\tterm", "has\nnewline", "back\\slash");
         let kb2 = from_str(&to_string(&kb).unwrap()).unwrap();
         assert!(kb2.term("weird\tterm").is_some());
@@ -367,6 +357,15 @@ mod tests {
     fn comments_and_blank_lines_are_skipped() {
         let kb = from_str("# hello\n\nT\ta\tb\tc\t1\t-\tasserted\n").unwrap();
         assert_eq!(kb.len(), 1);
+    }
+
+    #[test]
+    fn zero_confidence_line_loads_as_a_tombstone() {
+        let kb = from_str("T\ta\tb\tc\t0\t-\tasserted\n").unwrap();
+        assert_eq!((kb.len(), kb.iter().count(), kb.stats().facts), (0, 0, 0));
+        assert!(kb.term("a").is_some(), "the line was applied, not skipped");
+        // A dump never contains such a line, so the round trip is empty.
+        assert_eq!(from_str(&to_string(&kb).unwrap()).unwrap().len(), 0);
     }
 
     #[test]
@@ -432,7 +431,7 @@ mod tests {
     fn lossy_load_of_clean_dump_matches_strict() {
         let kb = populated();
         let text = to_string(&kb).unwrap();
-        let (lossy, report) = KnowledgeBase::load_ntriples_lossy(&text).unwrap();
+        let (lossy, report) = from_str_lossy(&text).unwrap();
         assert!(report.is_clean());
         let strict = from_str(&text).unwrap();
         assert_eq!(lossy.len(), strict.len());

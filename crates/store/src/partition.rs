@@ -6,7 +6,7 @@
 //! in partition `subject_partition(subject, n)` and nowhere else, so a
 //! subject-bound pattern is answerable by exactly one partition while
 //! triple keys never collide across partitions. The split is by the
-//! subject *string* (not its [`TermId`]), so the assignment is stable
+//! subject *string* (not its `TermId`), so the assignment is stable
 //! across rebuilds, delta installs and dictionary growth.
 //!
 //! Three pieces:
@@ -14,7 +14,7 @@
 //! * [`partition_snapshot`] slices a base [`KbSnapshot`] into N
 //!   snapshots. The term dictionary, source table, taxonomy, sameAs
 //!   store and labels are replicated wholesale into every partition, so
-//!   all partitions speak the same [`TermId`]/[`SourceId`] language as
+//!   all partitions speak the same `TermId`/`SourceId` language as
 //!   the original — a query plan built against one view is valid
 //!   against any of them.
 //! * [`partition_delta`] splits an already-frozen [`DeltaSegment`] the
@@ -36,22 +36,20 @@
 use std::sync::Arc;
 
 use crate::builder::KbCore;
-use crate::fact::{Fact, Triple};
+use crate::fact::Fact;
 use crate::fx::FxHashMap;
-use crate::ids::{FactId, TermId};
+use crate::ids::FactId;
 use crate::labels::LabelStore;
-use crate::pattern::TriplePattern;
-use crate::read::KbRead;
+use crate::read::{Groups, KbRead};
 use crate::sameas::SameAsStore;
 use crate::segment::{DeltaSegment, SegmentedSnapshot};
-use crate::snapshot::{FrozenIndexes, KbSnapshot, LiveFactsIter, MatchIter};
-use crate::store::SourceId;
+use crate::snapshot::{FrozenIndexes, KbSnapshot};
 use crate::taxonomy::Taxonomy;
 
 /// Which of `partitions` slices owns `subject`.
 ///
 /// FNV-1a over the subject string, reduced mod `partitions`. Hashing
-/// the *string* rather than a [`TermId`] makes the assignment a pure
+/// the *string* rather than a `TermId` makes the assignment a pure
 /// function of the subject name: the router and the partitioner agree
 /// without sharing a dictionary, and the mapping survives re-interning.
 pub fn subject_partition(subject: &str, partitions: usize) -> usize {
@@ -206,18 +204,15 @@ impl PartitionedView {
     }
 }
 
+/// One group per partition, partition 0 first.
 impl KbRead for PartitionedView {
-    // Dictionary, ontology and source lookups delegate to partition 0:
-    // every partition replicates the full term/source space and the
-    // base-level taxonomy/sameAs/label stores.
-    fn term(&self, term: &str) -> Option<TermId> {
-        self.parts[0].term(term)
+    #[inline]
+    fn groups(&self) -> Groups<'_> {
+        Groups::partitions(&self.parts)
     }
 
-    fn resolve(&self, id: TermId) -> Option<&str> {
-        self.parts[0].resolve(id)
-    }
-
+    // Every partition replicates the full term space and the
+    // base-level taxonomy/sameAs/label stores; partition 0 answers.
     fn term_count(&self) -> usize {
         self.parts[0].term_count()
     }
@@ -234,70 +229,15 @@ impl KbRead for PartitionedView {
         self.parts[0].labels()
     }
 
-    fn source_name(&self, id: SourceId) -> Option<&str> {
-        self.parts[0].source_name(id)
-    }
-
-    /// Fact ids address the concatenated partition tables: partition 0
-    /// (base, then its deltas), then partition 1, and so on.
-    fn fact(&self, id: FactId) -> Option<&Fact> {
-        let mut idx = id.index();
-        for p in &self.parts {
-            let base = &p.base().core().facts;
-            if idx < base.len() {
-                return base.get(idx);
-            }
-            idx -= base.len();
-            for d in p.deltas() {
-                let table = d.fact_table();
-                if idx < table.len() {
-                    return table.get(idx);
-                }
-                idx -= table.len();
-            }
-        }
-        None
-    }
-
-    fn fact_for(&self, t: &Triple) -> Option<&Fact> {
-        // Exactly one partition can hold the triple (subject
-        // colocation), so the first hit is authoritative.
-        self.parts.iter().find_map(|p| p.fact_for(t))
-    }
-
     fn len(&self) -> usize {
         self.live
-    }
-
-    fn facts(&self) -> LiveFactsIter<'_> {
-        LiveFactsIter::grouped(
-            self.parts.iter().map(|p| (&p.base().core().facts[..], p.deltas())).collect(),
-        )
-    }
-
-    fn matching_iter(&self, pattern: &TriplePattern) -> MatchIter<'_> {
-        let p0 = self.parts[0].base();
-        let (head, filter) = p0.indexes.cursor(pattern, &p0.core().facts);
-        let mut rest = Vec::new();
-        for (i, p) in self.parts.iter().enumerate() {
-            if i > 0 {
-                let base = p.base();
-                let (cur, _) = base.indexes.cursor(pattern, &base.core().facts);
-                rest.push(cur);
-            }
-            for d in p.deltas() {
-                let (cur, _) = d.indexes.cursor(pattern, &d.facts);
-                rest.push(cur);
-            }
-        }
-        MatchIter::with_deltas(head, rest, filter)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KbBuilder;
+    use crate::{KbBuilder, Triple, TriplePattern};
 
     fn sample() -> KbSnapshot {
         let mut b = KbBuilder::new();
@@ -404,8 +344,8 @@ mod tests {
             let before = merged_view(&base, n);
             let split = partition_delta(delta.as_ref(), &before, n);
             assert_eq!(split.len(), n);
-            let total: usize = split.iter().map(|d| d.fact_table().len()).sum();
-            assert_eq!(total, delta.fact_table().len());
+            let total: usize = split.iter().map(|d| d.facts.len()).sum();
+            assert_eq!(total, delta.facts.len());
             let parts: Vec<Arc<SegmentedSnapshot>> = split
                 .into_iter()
                 .enumerate()

@@ -1,33 +1,153 @@
 //! [`KbRead`]: the read surface shared by every view of a knowledge
-//! base — the mutable [`KnowledgeBase`](crate::KnowledgeBase) façade
-//! and the immutable [`KbSnapshot`](crate::KbSnapshot).
+//! base — the mutable [`KbBuilder`], the immutable
+//! [`KbSnapshot`](crate::KbSnapshot), a layered
+//! [`SegmentedSnapshot`] and a
+//! [`PartitionedView`](crate::PartitionedView).
 //!
 //! Consumers (NED, analytics, query execution, serialization, the CLI)
 //! are written against this trait, never against a concrete index
 //! layout, so the storage engine can evolve — and callers can switch
-//! between the builder-backed façade and frozen snapshots — without
-//! touching them.
+//! between the builder and frozen snapshots — without touching them.
+//!
+//! A view says only which sorted runs it is made of
+//! ([`groups`](KbRead::groups)); this module owns how runs combine.
+//! A *group* is one base run under a stack of delta runs, oldest →
+//! newest, all over one term/source id space; a view is an ordered
+//! list of groups holding disjoint triple sets over a replicated id
+//! space. The whole merge rule follows: within a group the **newest run
+//! holding a triple wins** and a retracted winner (tombstone)
+//! **suppresses** it; across groups triples **never collide**, so
+//! groups simply concatenate (fact tables, fact ids) or interleave by
+//! key (index scans), and the first group answers for the id space.
 //!
 //! The primitive is [`matching_iter`](KbRead::matching_iter): one
-//! contiguous index range scan streamed as `&Fact`s. Everything else
-//! (`matching`, counts, `objects`/`subjects`, `degree`, `neighbors`,
-//! time-travel, path joins, statistics) is a provided method built on
-//! it, so an implementor supplies only storage accessors.
+//! contiguous index range scan per run, merged and streamed as
+//! `&Fact`s. Everything else (`matching`, counts, `objects`/`subjects`,
+//! `degree`, `neighbors`, time-travel, path joins, statistics) is a
+//! provided method built on it.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
+use crate::builder::{KbBuilder, KbCore};
 use crate::fact::{Fact, Triple};
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::pattern::TriplePattern;
 use crate::sameas::SameAsStore;
+use crate::segment::{DeltaSegment, SegmentedSnapshot};
 use crate::snapshot::{
-    LiveFactsIter, MatchBatches, MatchIter, MatchingAtIter, TriplesIter, BATCH_ROWS,
+    FrozenIndexes, LiveFactsIter, MatchBatches, MatchIter, MatchingAtIter, SegCursor, TriplesIter,
+    BATCH_ROWS,
 };
 use crate::stats::KbStats;
 use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 use crate::time::TimePoint;
+
+/// The permutation indexes of a group's base run: already frozen, or
+/// a builder's cache that the first scan fills.
+#[derive(Debug, Clone, Copy)]
+enum BaseIndexes<'a> {
+    Frozen(&'a FrozenIndexes),
+    OnFirstScan(&'a KbBuilder),
+}
+
+/// One base run under its delta stack (oldest → newest). Opaque, like
+/// [`Groups`], whose items these are.
+#[derive(Debug, Clone, Copy)]
+pub struct Group<'a> {
+    pub(crate) core: &'a KbCore,
+    indexes: BaseIndexes<'a>,
+    pub(crate) deltas: &'a [Arc<DeltaSegment>],
+}
+
+impl<'a> Group<'a> {
+    pub(crate) fn new(
+        core: &'a KbCore,
+        indexes: &'a FrozenIndexes,
+        deltas: &'a [Arc<DeltaSegment>],
+    ) -> Self {
+        Self { core, indexes: BaseIndexes::Frozen(indexes), deltas }
+    }
+
+    /// The group's fact tables in fact-id order: base, then each delta.
+    pub(crate) fn tables(self) -> impl Iterator<Item = &'a [Fact]> {
+        std::iter::once(&self.core.facts[..]).chain(self.deltas.iter().map(|d| &d.facts[..]))
+    }
+
+    /// The newest run's entry for `t`, retracted or not.
+    #[inline]
+    fn entry(self, t: &Triple) -> Option<&'a Fact> {
+        self.deltas.iter().rev().find_map(|d| d.fact_local(t)).or_else(|| self.core.entry(t))
+    }
+
+    /// A cursor over the base run's range for `pattern`, plus the
+    /// scan's post-filter.
+    #[inline]
+    fn base_cursor(self, pattern: &TriplePattern) -> (SegCursor<'a>, Option<TriplePattern>) {
+        let indexes = match self.indexes {
+            BaseIndexes::Frozen(ix) => ix,
+            BaseIndexes::OnFirstScan(builder) => builder.indexes(),
+        };
+        indexes.cursor(pattern, &self.core.facts)
+    }
+
+    /// One cursor per delta run, oldest → newest.
+    #[inline]
+    fn delta_cursors(self, pattern: &TriplePattern) -> impl Iterator<Item = SegCursor<'a>> {
+        let pattern = *pattern;
+        self.deltas.iter().map(move |d| d.indexes.cursor(&pattern, &d.facts).0)
+    }
+}
+
+/// The sorted runs a view is made of: its groups, in order. Opaque —
+/// views build it, [`KbRead`]'s provided methods consume it; iterating
+/// allocates nothing.
+#[derive(Debug, Clone)]
+pub struct Groups<'a> {
+    first: Option<Group<'a>>,
+    rest: &'a [Arc<SegmentedSnapshot>],
+}
+
+impl<'a> Groups<'a> {
+    /// A single group.
+    pub(crate) fn one(group: Group<'a>) -> Self {
+        Self { first: Some(group), rest: &[] }
+    }
+
+    /// A builder's single run, whose indexes the first scan freezes.
+    pub(crate) fn unfrozen(builder: &'a KbBuilder) -> Self {
+        let indexes = BaseIndexes::OnFirstScan(builder);
+        Self::one(Group { core: &builder.core, indexes, deltas: &[] })
+    }
+
+    /// One group per partition (at least one).
+    pub(crate) fn partitions(parts: &'a [Arc<SegmentedSnapshot>]) -> Self {
+        Self { first: None, rest: parts }
+    }
+
+    /// Takes the first group, which answers for the shared term/source
+    /// id space and leads every merged scan.
+    #[inline]
+    fn first(&mut self) -> Group<'a> {
+        self.next().expect("a view has at least one group")
+    }
+}
+
+impl<'a> Iterator for Groups<'a> {
+    type Item = Group<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Group<'a>> {
+        if let Some(g) = self.first.take() {
+            return Some(g);
+        }
+        let (part, rest) = self.rest.split_first()?;
+        self.rest = rest;
+        Some(part.group())
+    }
+}
 
 /// Read-only access to a knowledge base: terms, facts, pattern
 /// queries, taxonomy, sameAs, labels and statistics.
@@ -35,24 +155,24 @@ use crate::time::TimePoint;
 /// Term access is exposed as [`term`](Self::term) /
 /// [`resolve`](Self::resolve) / [`term_count`](Self::term_count) rather
 /// than a concrete dictionary handle, so layered views (a
-/// [`SegmentedSnapshot`](crate::SegmentedSnapshot) whose terms span a
-/// base dictionary plus per-delta extensions) can implement the trait
-/// without materializing one merged dictionary.
+/// [`SegmentedSnapshot`] whose terms span a
+/// base dictionary plus per-delta extensions) answer without
+/// materializing one merged dictionary.
 ///
 /// Object-safe except for [`path_join_iter`](Self::path_join_iter)
 /// (which must name `Self` in its return type and is therefore gated
 /// on `Self: Sized`); `&dyn KbRead` supports the full pattern-query
 /// surface.
 pub trait KbRead {
-    // -- required storage accessors -------------------------------------
+    // -- required: what the view is made of -----------------------------
 
-    /// Looks up an already-interned term.
-    fn term(&self, term: &str) -> Option<TermId>;
+    /// The sorted runs this view is made of (see the
+    /// [module docs](crate::read)).
+    fn groups(&self) -> Groups<'_>;
 
-    /// Resolves a term id back to its string.
-    fn resolve(&self, id: TermId) -> Option<&str>;
-
-    /// Number of distinct terms interned in this view.
+    /// Number of distinct terms interned in this view. Its own method
+    /// (not derived from [`groups`](Self::groups)) so a lazily opened
+    /// base answers from a count prefix without faulting.
     fn term_count(&self) -> usize;
 
     /// Subclass-of DAG over class terms.
@@ -64,36 +184,83 @@ pub trait KbRead {
     /// Multilingual labels and the reverse surface-form index.
     fn labels(&self) -> &LabelStore;
 
-    /// Resolves a provenance source id back to its name.
-    fn source_name(&self, id: SourceId) -> Option<&str>;
-
-    /// Looks up a fact by id (retracted facts remain addressable).
-    fn fact(&self, id: FactId) -> Option<&Fact>;
-
-    /// Looks up a live fact by triple — `O(1)` via the dedup map, so
-    /// bulk existence checks (e.g. KB fusion) never touch the indexes.
-    fn fact_for(&self, t: &Triple) -> Option<&Fact>;
-
     /// Number of live (non-retracted) facts.
     fn len(&self) -> usize;
-
-    /// Iterates over all live facts in fact-table (insertion) order —
-    /// the cheapest full scan, used by whole-KB aggregation that needs
-    /// no particular order. On a segmented view the base facts stream
-    /// first, then each delta's, with shadowed and retracted entries
-    /// skipped.
-    fn facts(&self) -> LiveFactsIter<'_>;
-
-    /// Streams the live facts matching `pattern` in permutation-index
-    /// order — one binary-searched contiguous range scan, no
-    /// allocation.
-    fn matching_iter(&self, pattern: &TriplePattern) -> MatchIter<'_>;
 
     /// Faults in and verifies any lazily loaded regions backing this
     /// view, surfacing cold corruption as a typed error instead of a
     /// mid-query panic. A no-op (always `Ok`) for fully resident views.
     fn prefault(&self) -> Result<(), crate::StoreError> {
         Ok(())
+    }
+
+    // -- provided: the merge over groups and runs -----------------------
+
+    /// Looks up an already-interned term: the base dictionary, then
+    /// each delta's extension table.
+    fn term(&self, term: &str) -> Option<TermId> {
+        let g = self.groups().first();
+        g.core.dict.get(term).or_else(|| g.deltas.iter().find_map(|d| d.term_local(term)))
+    }
+
+    /// Resolves a term id back to its string.
+    fn resolve(&self, id: TermId) -> Option<&str> {
+        let g = self.groups().first();
+        g.core.dict.resolve(id).or_else(|| g.deltas.iter().find_map(|d| d.resolve_local(id)))
+    }
+
+    /// Resolves a provenance source id back to its name.
+    fn source_name(&self, id: SourceId) -> Option<&str> {
+        let g = self.groups().first();
+        g.core.source_name(id).or_else(|| g.deltas.iter().find_map(|d| d.source_name_local(id)))
+    }
+
+    /// Looks up a fact by id (retracted facts remain addressable). Ids
+    /// address the concatenated fact tables: the first group's base,
+    /// then its deltas in stack order, then the next group's.
+    fn fact(&self, id: FactId) -> Option<&Fact> {
+        let mut idx = id.index();
+        for table in self.groups().flat_map(Group::tables) {
+            if let Some(f) = table.get(idx) {
+                return Some(f);
+            }
+            idx -= table.len();
+        }
+        None
+    }
+
+    /// Looks up a live fact by triple — `O(1)` hash probes, so bulk
+    /// existence checks (e.g. KB fusion) never touch the indexes.
+    fn fact_for(&self, t: &Triple) -> Option<&Fact> {
+        self.groups().find_map(|g| g.entry(t)).filter(|f| !f.is_retracted())
+    }
+
+    /// Iterates over all live facts in fact-table (insertion) order —
+    /// the cheapest full scan, used by whole-KB aggregation that needs
+    /// no particular order. Each group's base facts stream first, then
+    /// each of its deltas', with shadowed and retracted entries
+    /// skipped.
+    fn facts(&self) -> LiveFactsIter<'_> {
+        LiveFactsIter::new(self.groups())
+    }
+
+    /// Streams the live facts matching `pattern` in permutation-index
+    /// order: one binary-searched contiguous range per run, k-way
+    /// merged (see [`MatchIter`]). A single run with no deltas is one
+    /// cursor and no allocation.
+    fn matching_iter(&self, pattern: &TriplePattern) -> MatchIter<'_> {
+        // Cursor order is run age within a group (base, then deltas
+        // oldest → newest — the last holder of a key wins), groups
+        // back to back.
+        let mut groups = self.groups();
+        let first = groups.first();
+        let (head, filter) = first.base_cursor(pattern);
+        let mut rest: Vec<SegCursor<'_>> = first.delta_cursors(pattern).collect();
+        for g in groups {
+            rest.push(g.base_cursor(pattern).0);
+            rest.extend(g.delta_cursors(pattern));
+        }
+        MatchIter::new(head, rest, filter)
     }
 
     // -- provided: facts ------------------------------------------------
@@ -258,7 +425,7 @@ pub trait KbRead {
 /// Vectorized extension of [`KbRead`]: the same pattern queries, but
 /// emitting columnar batches of ~[`BATCH_ROWS`] rows instead of single
 /// tuples. Blanket-implemented for every `KbRead`, so any view —
-/// monolithic snapshot, segmented stack, mutable façade — serves
+/// monolithic snapshot, segmented stack, mutable builder — serves
 /// batches; only the monolithic unfiltered path is specially
 /// vectorized (decoded frame windows spliced straight into the output
 /// columns), the rest fall back to the tuple merge internally.

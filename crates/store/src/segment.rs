@@ -17,7 +17,7 @@
 //!   speaks the same [`TermId`] language. `with_delta` enforces the
 //!   sequential-stacking contract.
 //! * Queries k-way merge the per-segment index slices (see
-//!   [`MatchIter`]): at each key the *newest* holding
+//!   [`MatchIter`](crate::MatchIter)): at each key the *newest* holding
 //!   segment wins, which implements both evidence shadowing (a delta's
 //!   noisy-or-merged fact replaces the base's) and retraction
 //!   (tombstones — confidence-zero facts indexed only in deltas —
@@ -33,10 +33,9 @@ use crate::builder::{KbBuilder, KbCore};
 use crate::fact::{Fact, Triple};
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
-use crate::pattern::TriplePattern;
-use crate::read::KbRead;
+use crate::read::{Group, Groups, KbRead};
 use crate::sameas::SameAsStore;
-use crate::snapshot::{FrozenIndexes, IndexStats, KbSnapshot, LiveFactsIter, MatchIter};
+use crate::snapshot::{FrozenIndexes, IndexStats, KbSnapshot};
 use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 
@@ -100,17 +99,13 @@ impl DeltaSegment {
         // terms continue the view's dense id space in first-seen order.
         let first_term = view.term_count() as u32;
         let mut ext_terms: Vec<Arc<str>> = Vec::new();
-        let mut ext_lookup: HashMap<Arc<str>, TermId> = HashMap::new();
         let remap: Vec<TermId> = core
             .dict
             .iter()
             .map(|(_, term)| {
                 view.term(term).unwrap_or_else(|| {
-                    let id = TermId(first_term + ext_terms.len() as u32);
-                    let arc: Arc<str> = Arc::from(term);
-                    ext_terms.push(Arc::clone(&arc));
-                    ext_lookup.insert(arc, id);
-                    id
+                    ext_terms.push(Arc::from(term));
+                    TermId(first_term + ext_terms.len() as u32 - 1)
                 })
             })
             .collect();
@@ -131,16 +126,12 @@ impl DeltaSegment {
 
         let mut facts = Vec::with_capacity(core.facts.len());
         let mut kinds = Vec::with_capacity(core.facts.len());
-        let mut by_triple = HashMap::with_capacity(core.facts.len());
-        let (mut new_facts, mut shadowed, mut tombstones) = (0usize, 0usize, 0usize);
-        let mut net_live = 0isize;
         for f in &core.facts {
             let t = Triple::new(
                 remap[f.triple.s.index()],
                 remap[f.triple.p.index()],
                 remap[f.triple.o.index()],
             );
-            let id = FactId(facts.len() as u32);
             if f.is_retracted() {
                 // Only meaningful as a tombstone over a visible fact;
                 // retracting something nobody can see is a no-op.
@@ -154,9 +145,6 @@ impl DeltaSegment {
                     span: None,
                 });
                 kinds.push(FactKind::Tombstone);
-                by_triple.insert(t, id);
-                tombstones += 1;
-                net_live -= 1;
                 continue;
             }
             match view.fact_for(&t) {
@@ -172,7 +160,6 @@ impl DeltaSegment {
                         span: seen.span.or(f.span),
                     });
                     kinds.push(FactKind::Shadow);
-                    shadowed += 1;
                 }
                 None => {
                     facts.push(Fact {
@@ -182,37 +169,25 @@ impl DeltaSegment {
                         span: f.span,
                     });
                     kinds.push(FactKind::New);
-                    new_facts += 1;
-                    net_live += 1;
                 }
             }
-            by_triple.insert(t, id);
         }
 
-        let mut touched: Vec<TermId> = facts.iter().map(|f| f.triple.p).collect();
-        touched.sort_unstable();
-        touched.dedup();
-
+        // The builder's triples are distinct and the remap is injective,
+        // so `from_parts` derives the lookup maps and counters exactly.
         let indexes = FrozenIndexes::build_with_tombstones(&facts);
-        span.stop();
-        obs.counter("store.delta.facts").add(facts.len() as u64);
-
-        Self {
+        let delta = Self::from_parts(
             ext_terms,
-            ext_lookup,
             first_term,
             ext_sources,
             first_source,
             facts,
             kinds,
-            by_triple,
             indexes,
-            touched,
-            new_facts,
-            shadowed,
-            tombstones,
-            net_live,
-        }
+        );
+        span.stop();
+        obs.counter("store.delta.facts").add(delta.facts.len() as u64);
+        delta
     }
 
     /// Rebuilds a delta segment from its serialized parts (see
@@ -266,11 +241,6 @@ impl DeltaSegment {
             tombstones,
             net_live,
         }
-    }
-
-    /// First provenance source id this segment allocates.
-    pub(crate) fn first_source_id(&self) -> u32 {
-        self.first_source
     }
 
     /// Total entries in this delta (new + shadow + tombstone).
@@ -348,12 +318,25 @@ impl DeltaSegment {
     }
 
     /// The delta's entry for a triple, tombstones included.
+    #[inline]
     pub(crate) fn fact_local(&self, t: &Triple) -> Option<&Fact> {
         self.by_triple.get(t).map(|id| &self.facts[id.index()])
     }
 
-    pub(crate) fn fact_table(&self) -> &[Fact] {
-        &self.facts
+    /// A term this delta added to the id space.
+    pub(crate) fn term_local(&self, term: &str) -> Option<TermId> {
+        self.ext_lookup.get(term).copied()
+    }
+
+    /// Resolves an id this delta allocated.
+    #[inline]
+    pub(crate) fn resolve_local(&self, id: TermId) -> Option<&str> {
+        self.ext_terms.get(id.index().checked_sub(self.first_term as usize)?).map(|t| &**t)
+    }
+
+    /// Resolves a source id this delta allocated.
+    pub(crate) fn source_name_local(&self, id: SourceId) -> Option<&str> {
+        self.ext_sources.get(id.0.checked_sub(self.first_source)? as usize).map(String::as_str)
     }
 
     /// Size and compression accounting for this delta's permutation
@@ -484,6 +467,12 @@ impl SegmentedSnapshot {
         &self.deltas
     }
 
+    /// The view as a run group (faults a lazily opened base).
+    #[inline]
+    pub(crate) fn group(&self) -> Group<'_> {
+        Group::new(self.base.core(), &self.base.indexes, &self.deltas)
+    }
+
     /// Delta-aware shape statistics for the view.
     pub fn segment_stats(&self) -> SegmentStats {
         SegmentStats {
@@ -566,25 +555,11 @@ impl SegmentedSnapshot {
     }
 }
 
+/// One group: the base under the delta stack.
 impl KbRead for SegmentedSnapshot {
-    fn term(&self, term: &str) -> Option<TermId> {
-        if let Some(id) = self.base.core().dict.get(term) {
-            return Some(id);
-        }
-        self.deltas.iter().find_map(|d| d.ext_lookup.get(term).copied())
-    }
-
-    fn resolve(&self, id: TermId) -> Option<&str> {
-        if id.index() < self.base.term_count() {
-            return self.base.core().dict.resolve(id);
-        }
-        for d in &self.deltas {
-            let first = d.first_term as usize;
-            if id.index() < first + d.ext_terms.len() {
-                return Some(&d.ext_terms[id.index() - first]);
-            }
-        }
-        None
+    #[inline]
+    fn groups(&self) -> Groups<'_> {
+        Groups::one(self.group())
     }
 
     /// Total terms across the base and every delta's extension table.
@@ -609,68 +584,9 @@ impl KbRead for SegmentedSnapshot {
         self.base.labels()
     }
 
-    fn source_name(&self, id: SourceId) -> Option<&str> {
-        let idx = id.0 as usize;
-        if idx < self.base.source_count() {
-            return self.base.core().source_name(id);
-        }
-        for d in &self.deltas {
-            let first = d.first_source as usize;
-            if idx < first + d.ext_sources.len() {
-                return Some(&d.ext_sources[idx - first]);
-            }
-        }
-        None
-    }
-
-    /// Fact ids address the concatenated fact tables: base first, then
-    /// each delta in stack order.
-    fn fact(&self, id: FactId) -> Option<&Fact> {
-        let mut idx = id.index();
-        let base_len = self.base.core().facts.len();
-        if idx < base_len {
-            return self.base.core().facts.get(idx);
-        }
-        idx -= base_len;
-        for d in &self.deltas {
-            if idx < d.facts.len() {
-                return d.facts.get(idx);
-            }
-            idx -= d.facts.len();
-        }
-        None
-    }
-
-    fn fact_for(&self, t: &Triple) -> Option<&Fact> {
-        // Newest segment holding the triple is authoritative.
-        for d in self.deltas.iter().rev() {
-            if let Some(f) = d.fact_local(t) {
-                return (!f.is_retracted()).then_some(f);
-            }
-        }
-        self.base.core().fact_for(t)
-    }
-
     fn len(&self) -> usize {
         let net: isize = self.deltas.iter().map(|d| d.net_live()).sum();
         (self.base.len() as isize + net) as usize
-    }
-
-    fn facts(&self) -> LiveFactsIter<'_> {
-        LiveFactsIter::segmented(&self.base.core().facts, &self.deltas)
-    }
-
-    fn matching_iter(&self, pattern: &TriplePattern) -> MatchIter<'_> {
-        let (head, filter) = self.base.indexes.cursor(pattern, &self.base.core().facts);
-        let deltas = self
-            .deltas
-            .iter()
-            .map(|d| {
-                let (cur, _) = d.indexes.cursor(pattern, &d.facts);
-                cur
-            })
-            .collect();
-        MatchIter::with_deltas(head, deltas, filter)
     }
 
     fn prefault(&self) -> Result<(), crate::StoreError> {
@@ -726,7 +642,7 @@ impl Compactor {
 mod tests {
     use super::*;
     use crate::time::{TimePoint, TimeSpan};
-    use crate::KbBuilder;
+    use crate::{KbBuilder, TriplePattern};
 
     fn base_view() -> SegmentedSnapshot {
         let mut b = KbBuilder::new();

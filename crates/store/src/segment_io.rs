@@ -52,6 +52,7 @@ use crate::frames::{ColFrames, FrameMeta};
 use crate::fx::FxHashMap;
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
+use crate::read::KbRead;
 use crate::sameas::SameAsStore;
 use crate::segmap::{ColSlot, FrameRegion, MemoryBudget, SegmentSource, FRAME_COLS};
 use crate::segment::{DeltaSegment, FactKind};
@@ -896,7 +897,7 @@ pub(crate) fn snapshot_to_bytes(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError
             encode_terms(core.sources.iter(), core.sources.len(), SegmentRegion::Sources)?,
         ),
         (SegmentRegion::Facts, encode_facts(&core.facts)?),
-        (SegmentRegion::Frames, encode_frames(snap.indexes().frame_cols())?),
+        (SegmentRegion::Frames, encode_frames(snap.indexes.frame_cols())?),
         (SegmentRegion::Taxonomy, encode_taxonomy(snap.taxonomy())?),
         (SegmentRegion::SameAs, encode_sameas(snap.sameas())?),
         (SegmentRegion::Labels, encode_labels(snap.labels())?),
@@ -923,8 +924,8 @@ pub(crate) fn snapshot_to_bytes_v1(snap: &KbSnapshot) -> Result<Vec<u8>, StoreEr
             encode_terms(core.sources.iter(), core.sources.len(), SegmentRegion::Sources)?,
         ),
         (SegmentRegion::Facts, encode_facts(&core.facts)?),
-        (SegmentRegion::Permutations, encode_perms(&snap.indexes().perm_fact_ids())?),
-        (SegmentRegion::Buckets, encode_buckets(&snap.indexes().bucket_starts_vec())?),
+        (SegmentRegion::Permutations, encode_perms(&snap.indexes.perm_fact_ids())?),
+        (SegmentRegion::Buckets, encode_buckets(&snap.indexes.bucket_starts_vec())?),
         (SegmentRegion::Taxonomy, encode_taxonomy(snap.taxonomy())?),
         (SegmentRegion::SameAs, encode_sameas(snap.sameas())?),
         (SegmentRegion::Labels, encode_labels(snap.labels())?),
@@ -1223,7 +1224,7 @@ pub(crate) fn delta_open_lazy(
 fn delta_common_regions(delta: &DeltaSegment) -> Result<Vec<(SegmentRegion, Vec<u8>)>, StoreError> {
     let mut meta = Vec::with_capacity(8);
     put_u32(&mut meta, delta.first_term().0);
-    put_u32(&mut meta, delta.first_source_id());
+    put_u32(&mut meta, delta.first_source);
     let mut kinds = Vec::with_capacity(4 + delta.kinds.len());
     put_len(&mut kinds, delta.kinds.len(), SegmentRegion::Kinds)?;
     kinds.extend(delta.kinds.iter().map(|k| match k {
@@ -1468,7 +1469,6 @@ impl DeltaSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::read::KbRead;
     use crate::{KbBuilder, SegmentedSnapshot, TimePoint, TriplePattern};
 
     fn sample_snapshot() -> KbSnapshot {
@@ -1749,6 +1749,28 @@ mod tests {
             snap.count_matching(&TriplePattern::with_s(jobs)),
             reopened.count_matching(&TriplePattern::with_s(jobs)),
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_confidence_fact_counts_the_same_before_and_after_a_segment_file() {
+        let mut b = KbBuilder::new();
+        b.assert_str("a", "r", "b");
+        let t = Triple::new(b.intern("a"), b.intern("b"), b.intern("c"));
+        b.add_fact(Fact { triple: t, confidence: 0.0, source: SourceId::DEFAULT, span: None });
+        let snap = b.freeze();
+        assert_eq!((snap.len(), snap.iter().count(), snap.stats().facts), (1, 1, 1));
+        let dir = std::env::temp_dir().join(format!("kbseg-zero-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("base.seg");
+        snap.write_segment(&path).unwrap();
+        let reopened = KbSnapshot::open_segment(&path).unwrap();
+        assert_eq!(reopened.len(), snap.len());
+        assert_eq!(reopened.iter().count(), snap.iter().count());
+        assert!(reopened.fact(FactId(1)).unwrap().is_retracted());
+        // What compaction's live-count invariant relies on.
+        let view = SegmentedSnapshot::from_base(reopened.into_shared());
+        assert_eq!(view.compact().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

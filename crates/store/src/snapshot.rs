@@ -38,7 +38,7 @@ use crate::frames::{ColFrames, FRAME_ROWS};
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::pattern::{IndexChoice, TriplePattern};
-use crate::read::KbRead;
+use crate::read::{Group, Groups, KbRead};
 use crate::sameas::SameAsStore;
 use crate::segmap::{ColSlot, FrameRegion, SegmentSource, FRAME_COLS};
 use crate::segment::DeltaSegment;
@@ -917,11 +917,10 @@ pub struct MatchIter<'a> {
 }
 
 impl<'a> MatchIter<'a> {
-    pub(crate) fn new(head: SegCursor<'a>, filter: Option<TriplePattern>) -> Self {
-        Self { head, deltas: Vec::new(), filter }
-    }
-
-    pub(crate) fn with_deltas(
+    /// `head` is the oldest run's cursor; `deltas` follow in the order
+    /// [`KbRead::matching_iter`] lays out (the later holder of a key
+    /// wins).
+    pub(crate) fn new(
         head: SegCursor<'a>,
         deltas: Vec<SegCursor<'a>>,
         filter: Option<TriplePattern>,
@@ -1207,29 +1206,16 @@ pub struct LiveFactsIter<'a> {
     /// Segments stacked above `cur`, oldest → newest: each shadows the
     /// current slice and then streams its own facts in turn.
     overlay: &'a [Arc<DeltaSegment>],
-    /// Later `(base, overlay)` groups, streamed after the current group
-    /// drains. Each group is an independent shadowing scope: a
-    /// partitioned view's partitions hold disjoint triple sets, so a
-    /// group's facts can never be shadowed by another group's overlay.
-    groups: std::vec::IntoIter<(&'a [Fact], &'a [Arc<DeltaSegment>])>,
+    /// Later groups, streamed after the current one drains. Each group
+    /// is an independent shadowing scope: groups hold disjoint triple
+    /// sets, so a group's facts can never be shadowed by another
+    /// group's overlay.
+    groups: Groups<'a>,
 }
 
 impl<'a> LiveFactsIter<'a> {
-    pub(crate) fn new(facts: &'a [Fact]) -> Self {
-        Self { cur: facts.iter(), overlay: &[], groups: Vec::new().into_iter() }
-    }
-
-    pub(crate) fn segmented(base: &'a [Fact], overlay: &'a [Arc<DeltaSegment>]) -> Self {
-        Self { cur: base.iter(), overlay, groups: Vec::new().into_iter() }
-    }
-
-    /// Streams several independent segment groups back to back — one
-    /// per partition of a
-    /// [`PartitionedView`](crate::partition::PartitionedView).
-    pub(crate) fn grouped(groups: Vec<(&'a [Fact], &'a [Arc<DeltaSegment>])>) -> Self {
-        let mut groups = groups.into_iter();
-        let (base, overlay) = groups.next().unwrap_or((&[], &[]));
-        Self { cur: base.iter(), overlay, groups }
+    pub(crate) fn new(groups: Groups<'a>) -> Self {
+        Self { cur: [].iter(), overlay: &[], groups }
     }
 }
 
@@ -1248,27 +1234,14 @@ impl<'a> Iterator for LiveFactsIter<'a> {
                 return Some(f);
             }
             if let Some((next_seg, rest)) = self.overlay.split_first() {
-                self.cur = next_seg.fact_table().iter();
+                self.cur = next_seg.facts.iter();
                 self.overlay = rest;
                 continue;
             }
-            let (base, overlay) = self.groups.next()?;
-            self.cur = base.iter();
-            self.overlay = overlay;
+            let group = self.groups.next()?;
+            self.cur = group.core.facts.iter();
+            self.overlay = group.deltas;
         }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let pending: usize = self.overlay.iter().map(|d| d.fact_table().len()).sum();
-        let grouped: usize = self
-            .groups
-            .as_slice()
-            .iter()
-            .map(|(base, overlay)| {
-                base.len() + overlay.iter().map(|d| d.fact_table().len()).sum::<usize>()
-            })
-            .sum();
-        (0, Some(self.cur.len() + pending + grouped))
     }
 }
 
@@ -1276,8 +1249,8 @@ impl<'a> Iterator for LiveFactsIter<'a> {
 ///
 /// Produced by [`KbBuilder::freeze`](crate::KbBuilder::freeze) (moves
 /// the builder's data, sorts the permutation arrays once) or
-/// [`KnowledgeBase::snapshot`](crate::KnowledgeBase::snapshot)
-/// (clones). A snapshot is `Send + Sync` and cheap to share:
+/// [`KbBuilder::snapshot`](crate::KbBuilder::snapshot) (clones). A
+/// snapshot is `Send + Sync` and cheap to share:
 /// [`into_shared`](Self::into_shared) wraps it in an [`Arc`] so
 /// read-heavy consumers (NED, analytics, serving) can query it from
 /// many threads with zero coordination.
@@ -1410,33 +1383,8 @@ impl KbSnapshot {
         })
     }
 
-    /// Faults and verifies every lazily loaded region — base regions
-    /// decode fully, the frames region is CRC-checked and its layout
-    /// walked. After `Ok(())`, queries on this snapshot cannot hit
-    /// cold-corruption panics (only live file rot can).
-    pub fn prefault(&self) -> Result<(), StoreError> {
-        self.try_base()?;
-        self.indexes.prefault()
-    }
-
     pub(crate) fn core(&self) -> &KbCore {
         &self.base_ref().core
-    }
-
-    pub(crate) fn taxonomy(&self) -> &Taxonomy {
-        &self.base_ref().taxonomy
-    }
-
-    pub(crate) fn sameas(&self) -> &SameAsStore {
-        &self.base_ref().sameas
-    }
-
-    pub(crate) fn labels(&self) -> &LabelStore {
-        &self.base_ref().labels
-    }
-
-    pub(crate) fn indexes(&self) -> &FrozenIndexes {
-        &self.indexes
     }
 
     /// Wraps the snapshot in an [`Arc`] for sharing across threads.
@@ -1471,13 +1419,11 @@ impl KbSnapshot {
     }
 }
 
+/// One run, no deltas.
 impl KbRead for KbSnapshot {
-    fn term(&self, term: &str) -> Option<TermId> {
-        self.core().dict.get(term)
-    }
-
-    fn resolve(&self, id: TermId) -> Option<&str> {
-        self.core().dict.resolve(id)
+    #[inline]
+    fn groups(&self) -> Groups<'_> {
+        Groups::one(Group::new(self.core(), &self.indexes, &[]))
     }
 
     /// Cheap on a lazy snapshot: served from the dictionary region's
@@ -1502,33 +1448,17 @@ impl KbRead for KbSnapshot {
         &self.base_ref().labels
     }
 
-    fn source_name(&self, id: SourceId) -> Option<&str> {
-        self.core().source_name(id)
-    }
-
-    fn fact(&self, id: FactId) -> Option<&Fact> {
-        self.core().facts.get(id.index())
-    }
-
-    fn fact_for(&self, t: &Triple) -> Option<&Fact> {
-        self.core().fact_for(t)
-    }
-
     fn len(&self) -> usize {
         self.core().live
     }
 
-    fn facts(&self) -> LiveFactsIter<'_> {
-        LiveFactsIter::new(&self.core().facts)
-    }
-
-    fn matching_iter(&self, pattern: &TriplePattern) -> MatchIter<'_> {
-        let (cur, filter) = self.indexes.cursor(pattern, &self.core().facts);
-        MatchIter::new(cur, filter)
-    }
-
+    /// Faults and verifies every lazily loaded region — base regions
+    /// decode fully, the frames region is CRC-checked and its layout
+    /// walked. After `Ok(())`, queries on this snapshot cannot hit
+    /// cold-corruption panics (only live file rot can).
     fn prefault(&self) -> Result<(), StoreError> {
-        KbSnapshot::prefault(self)
+        self.try_base()?;
+        self.indexes.prefault()
     }
 }
 

@@ -399,7 +399,7 @@ pub fn assert_conforms(query: &SelectQuery, got: &QueryOutput, view: &dyn KbRead
 mod tests {
     use super::*;
     use kb_query::parse;
-    use kb_store::KnowledgeBase;
+    use kb_store::KbBuilder;
 
     const TRIPLES: [(&str, &str, &str); 8] = [
         ("a", "knows", "b"),
@@ -608,8 +608,8 @@ mod tests {
     }
 
     /// A production-side view of the sample plus a hand-built answer.
-    fn produced(cols: &[&str], cells: &[&[&str]]) -> (KnowledgeBase, QueryOutput) {
-        let mut view = KnowledgeBase::new();
+    fn produced(cols: &[&str], cells: &[&[&str]]) -> (KbBuilder, QueryOutput) {
+        let mut view = KbBuilder::new();
         for (s, p, o) in TRIPLES {
             view.assert_str(s, p, o);
         }

@@ -11,7 +11,7 @@ use kbkit::kb_link::blocking::{blocking_quality, candidate_pairs, Blocking};
 use kbkit::kb_link::cluster::cluster_with_constraints;
 use kbkit::kb_link::logreg::{LogRegMatcher, TrainConfig};
 use kbkit::kb_link::record::from_corpus;
-use kbkit::kb_store::{KbRead, KnowledgeBase};
+use kbkit::kb_store::{KbBuilder, KbRead};
 
 fn main() {
     let world = World::generate(&CorpusConfig::tiny().world);
@@ -51,7 +51,7 @@ fn main() {
     println!("clustering refused {} constraint-violating merges", clusters.refused_merges);
 
     // 4. Materialize sameAs in a KB.
-    let mut kb = KnowledgeBase::new();
+    let mut kb = KbBuilder::new();
     let terms: Vec<_> =
         records.iter().map(|r| kb.intern(&format!("src{}:{}", r.source, r.name))).collect();
     for (i, a) in records.iter().enumerate() {

@@ -17,7 +17,7 @@ fn main() {
     let out = harvest(&corpus, &HarvestConfig::default()).expect("harvest");
     println!("harvested KB: {} facts\n", out.kb.len());
 
-    let snap = out.kb.into_snapshot().into_shared();
+    let snap = out.kb.freeze().into_shared();
     let service = QueryService::new(snap.clone());
 
     // Generic joins with no constants always parse and run, whatever

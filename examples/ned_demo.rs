@@ -6,13 +6,13 @@
 //! ```
 
 use kbkit::kb_ned::{Ned, Strategy};
-use kbkit::kb_store::{KbRead, KnowledgeBase};
+use kbkit::kb_store::{KbBuilder, KbRead};
 
 fn main() {
     // A miniature KB with two people called "Varen":
     //  * Alan Varen, entrepreneur, founded AcmeCo, lives in Lundholm;
     //  * Bea Varen, musician, plays with the Torberg Philharmonic.
-    let mut kb = KnowledgeBase::new();
+    let mut kb = KbBuilder::new();
     let alan = kb.intern("Alan_Varen");
     let bea = kb.intern("Bea_Varen");
     let acme = kb.intern("AcmeCo");

@@ -26,8 +26,8 @@ use kbkit::kb_query::{
 use kbkit::kb_serve::AdmissionConfig;
 use kbkit::kb_serve::{KbRouter, ServeError};
 use kbkit::kb_store::{
-    ntriples, Compactor, IndexStats, KbBuilder, KbRead, KbSnapshot, KnowledgeBase, SegmentStore,
-    StoreOptions, TriplePattern,
+    ntriples, Compactor, IndexStats, KbBuilder, KbRead, KbSnapshot, SegmentStore, StoreOptions,
+    TriplePattern,
 };
 
 const USAGE: &str = "\
@@ -168,7 +168,7 @@ fn positional(args: &[String]) -> Option<&str> {
     None
 }
 
-fn load_kb(path: &str) -> Result<KnowledgeBase, String> {
+fn load_kb(path: &str) -> Result<KbBuilder, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     ntriples::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
@@ -455,7 +455,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let path = positional(args).ok_or("query needs a KB file and a query")?;
     let q =
         args.iter().filter(|a| !a.starts_with("--")).nth(1).ok_or("query needs a query string")?;
-    let snap = load_kb(path)?.into_snapshot().into_shared();
+    let snap = load_kb(path)?.freeze().into_shared();
     let service = QueryService::new(snap.clone());
     if explain {
         let plan = service.plan_for(q).map_err(|e| e.to_string())?;
@@ -568,7 +568,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
         )
     } else {
         if let Some(path) = positional(args) {
-            base = load_kb(path)?.into_snapshot().into_shared();
+            base = load_kb(path)?.freeze().into_shared();
             eprintln!("loaded {path}: {} facts", base.len());
         } else {
             let mut cfg = CorpusConfig::tiny();
@@ -576,7 +576,7 @@ fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
             let corpus = Corpus::generate(&cfg);
             let output = harvest(&corpus, &HarvestConfig::default())
                 .map_err(|e| format!("harvest failed: {e}"))?;
-            base = output.kb.into_snapshot().into_shared();
+            base = output.kb.freeze().into_shared();
             eprintln!("harvested tiny corpus (seed {seed}): {} facts", base.len());
         }
         (
@@ -756,7 +756,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let output =
         harvest(&corpus, &HarvestConfig::default()).map_err(|e| format!("harvest failed: {e}"))?;
     // Storage layer: snapshot freeze span + index/fact gauges.
-    let snap = output.kb.into_snapshot().into_shared();
+    let snap = output.kb.freeze().into_shared();
     // Query layer: cache counters + parse/plan/exec histograms.
     let service = QueryService::new(snap);
     let queries = [

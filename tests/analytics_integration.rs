@@ -7,7 +7,7 @@ use kbkit::kb_analytics::{ComparisonReport, StreamPost, Tracker};
 use kbkit::kb_corpus::{Corpus, CorpusConfig};
 use kbkit::kb_harvest::pipeline::{harvest, HarvestConfig};
 use kbkit::kb_ned::Ned;
-use kbkit::kb_store::KbRead;
+use kbkit::kb_store::{KbBuilder, KbRead};
 
 struct Fixture {
     corpus: Corpus,
@@ -28,7 +28,7 @@ fn tracked_terms(f: &Fixture) -> (kbkit::kb_store::TermId, kbkit::kb_store::Term
     )
 }
 
-fn build_ned<'kb>(f: &'kb Fixture) -> Ned<'kb> {
+fn build_ned<'kb>(f: &'kb Fixture) -> Ned<'kb, KbBuilder> {
     let mut ned = Ned::new(&f.out.kb);
     for doc in f.corpus.all_docs() {
         for m in &doc.mentions {

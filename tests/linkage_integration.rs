@@ -9,7 +9,7 @@ use kbkit::kb_link::logreg::{LogRegMatcher, TrainConfig};
 use kbkit::kb_link::record::from_corpus;
 use kbkit::kb_link::rules::{rule_match, RuleConfig};
 use kbkit::kb_link::Record;
-use kbkit::kb_store::KnowledgeBase;
+use kbkit::kb_store::KbBuilder;
 use std::collections::{HashMap, HashSet};
 
 fn fixture() -> (Vec<Record>, HashSet<(u32, u32)>) {
@@ -96,7 +96,7 @@ fn clusters_materialize_as_sameas_in_the_store() {
         pairs.into_iter().filter(|&(a, b)| rule_match(by_id[&a], by_id[&b], &rule_cfg)).collect();
     let clusters = cluster_with_constraints(&records, &matched, true);
 
-    let mut kb = KnowledgeBase::new();
+    let mut kb = KbBuilder::new();
     let terms: HashMap<u32, _> =
         records.iter().map(|r| (r.id, kb.intern(&format!("src{}:{}", r.source, r.id)))).collect();
     for &(a, b) in &matched {

@@ -4,7 +4,7 @@ use kbkit::kb_corpus::{Corpus, CorpusConfig};
 use kbkit::kb_harvest::pipeline::{harvest, HarvestConfig};
 use kbkit::kb_ned::eval::GoldDoc;
 use kbkit::kb_ned::{detect_mentions, evaluate, Ned, Strategy};
-use kbkit::kb_store::KbRead;
+use kbkit::kb_store::{KbBuilder, KbRead};
 
 fn setup() -> (Corpus, kbkit::kb_harvest::pipeline::HarvestOutput) {
     let corpus = Corpus::generate(&CorpusConfig::tiny());
@@ -12,7 +12,7 @@ fn setup() -> (Corpus, kbkit::kb_harvest::pipeline::HarvestOutput) {
     (corpus, out)
 }
 
-fn build_ned<'kb>(corpus: &Corpus, kb: &'kb kbkit::kb_store::KnowledgeBase) -> Ned<'kb> {
+fn build_ned<'kb>(corpus: &Corpus, kb: &'kb KbBuilder) -> Ned<'kb, KbBuilder> {
     let mut ned = Ned::new(kb);
     for doc in corpus.all_docs() {
         for m in &doc.mentions {
@@ -25,7 +25,7 @@ fn build_ned<'kb>(corpus: &Corpus, kb: &'kb kbkit::kb_store::KnowledgeBase) -> N
     ned
 }
 
-fn gold_docs<'a>(corpus: &'a Corpus, kb: &kbkit::kb_store::KnowledgeBase) -> Vec<GoldDoc<'a>> {
+fn gold_docs<'a>(corpus: &'a Corpus, kb: &kbkit::kb_store::KbBuilder) -> Vec<GoldDoc<'a>> {
     corpus
         .articles
         .iter()

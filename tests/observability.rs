@@ -40,7 +40,7 @@ const EXPECTED_FAMILIES: &[&str] = &[
 fn one_pipeline_run_populates_all_three_layers() {
     let corpus = Corpus::generate(&CorpusConfig::tiny());
     let output = harvest(&corpus, &HarvestConfig::default()).expect("tiny harvest succeeds");
-    let snap = output.kb.into_snapshot().into_shared();
+    let snap = output.kb.freeze().into_shared();
     let service = QueryService::new(snap);
     for _ in 0..2 {
         service.query("?p bornIn ?c").expect("query succeeds");

@@ -12,6 +12,11 @@
 //! and each answers 40 generated queries — every construct of the
 //! language — which `assert_conforms` holds against the reference
 //! evaluation. No configuration is judged by another one here.
+//!
+//! A second check holds the accessors below the query engine — `term`,
+//! `resolve`, `source_name`, `fact`, `fact_for`, `facts`, bodies that
+//! `KbRead` provides once for every view — to the documented order of
+//! runs: base before deltas, partition 0 first.
 
 use std::sync::Arc;
 
@@ -20,7 +25,9 @@ use kbkit::kb_obs::Registry;
 use kbkit::kb_query;
 use kbkit::kb_serve::{AdmissionConfig, KbRouter};
 use kbkit::kb_store::{
-    segment_io, DeltaSegment, KbSnapshot, SegmentRegion, SegmentStore, StoreOptions,
+    partition_delta, partition_snapshot, segment_io, subject_partition, DeltaSegment, Fact, FactId,
+    KbBuilder, KbRead, KbSnapshot, PartitionedView, SegmentRegion, SegmentStore, SegmentedSnapshot,
+    SourceId, StoreOptions, TermId, Triple,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -101,4 +108,123 @@ fn every_read_configuration_conforms_to_the_reference_model() {
     // outside the dictionary), and a budget that made the store page.
     assert!(nonempty * 3 > answered, "{nonempty} of {answered} answers had rows");
     assert!(faults > 0, "the budgeted store never faulted a column in");
+}
+
+/// Replays `ops` into `b`, every assert under a source named after its
+/// subject (a triple keeps one source however often it is retracted and
+/// re-asserted, as it keeps one span).
+fn replay(mut b: KbBuilder, ops: &[common::Op]) -> KbBuilder {
+    for &(kind, s, p, o) in ops {
+        let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
+        if kind == 0 {
+            b.retract_str(&es, &rp, &eo);
+        } else {
+            let triple = Triple::new(b.intern(&es), b.intern(&rp), b.intern(&eo));
+            let source = b.register_source(&format!("src{s}"));
+            b.add_fact(Fact { source, span: common::span_of(s, p, o), ..Fact::asserted(triple) });
+        }
+    }
+    b
+}
+
+/// Every addressable fact of `view`, by ascending id.
+fn table_of(view: &dyn KbRead) -> Vec<Fact> {
+    (0..).map_while(|i| view.fact(FactId(i)).cloned()).collect()
+}
+
+#[test]
+fn shared_accessors_agree_across_monolith_segments_and_partitions() {
+    for seed in 0..6u64 {
+        let rng = &mut TestRng::for_case(seed, 1);
+        // Three chunks of ops, each reaching one entity further than the
+        // last, so that both deltas extend the term space and the
+        // source table.
+        let chunks = [4u32, 5, 6].map(|entities| {
+            let op = (0u8..5, 0..entities, 0u32..3, 0..entities);
+            prop::collection::vec(op, 30..50).generate(rng)
+        });
+        let monolith = chunks.iter().fold(KbBuilder::new(), |b, ops| replay(b, ops)).freeze();
+        let base = replay(KbBuilder::new(), &chunks[0]).freeze().into_shared();
+        let mut segmented = SegmentedSnapshot::from_base(Arc::clone(&base));
+        let mut parts: Vec<SegmentedSnapshot> = partition_snapshot(&base, 4)
+            .into_iter()
+            .map(|p| SegmentedSnapshot::from_base(p.into_shared()))
+            .collect();
+        for ops in &chunks[1..] {
+            let delta = Arc::new(replay(KbBuilder::new(), ops).freeze_delta(&segmented));
+            for (part, slice) in parts.iter_mut().zip(partition_delta(&delta, &segmented, 4)) {
+                *part = part.with_delta(Arc::new(slice));
+            }
+            segmented = segmented.with_delta(delta);
+        }
+        assert_eq!(segmented.delta_count(), 2);
+        let partitioned = PartitionedView::new(parts.into_iter().map(Arc::new).collect());
+        let views: [&dyn KbRead; 3] = [&monolith, &segmented, &partitioned];
+
+        // One term and source id space, whichever view is asked.
+        assert!(monolith.term_count() > base.term_count(), "seed {seed}: deltas add no term");
+        assert_eq!(monolith.term_count(), segmented.term_count());
+        for id in 0..monolith.term_count() as u32 + 2 {
+            let name = monolith.resolve(TermId(id));
+            assert_eq!(name.is_some(), (id as usize) < monolith.term_count());
+            for view in views {
+                assert_eq!(view.resolve(TermId(id)), name);
+                assert_eq!(name.and_then(|n| view.term(n)), name.map(|_| TermId(id)));
+            }
+        }
+        let sources = |view: &dyn KbRead| -> Vec<Option<String>> {
+            (0..9).map(|i| view.source_name(SourceId(i)).map(str::to_string)).collect()
+        };
+        let known = |names: &[Option<String>]| names.iter().flatten().count();
+        assert!(known(&sources(&monolith)) > known(&sources(base.as_ref())), "seed {seed}");
+        assert!(known(&sources(&monolith)) < 9);
+        for view in views {
+            assert_eq!(sources(view), sources(&monolith));
+        }
+
+        // Fact ids address the concatenated tables: the base, then each
+        // delta; with partitions, all of partition 0 before partition 1.
+        let runs: Vec<Vec<Fact>> = std::iter::once(table_of(base.as_ref()))
+            .chain(
+                segmented
+                    .deltas()
+                    .iter()
+                    .map(|d| d.entries_iter().map(|(f, _)| f.clone()).collect()),
+            )
+            .collect();
+        assert_eq!(table_of(&segmented), runs.concat());
+        let owner = |f: &Fact| subject_partition(monolith.resolve(f.triple.s).unwrap(), 4);
+        let by_partition: Vec<Fact> = (0..4)
+            .flat_map(|k| runs.iter().flatten().filter(move |f| owner(f) == k).cloned())
+            .collect();
+        assert_eq!(table_of(&partitioned), by_partition);
+        assert_eq!(by_partition.len(), runs.concat().len());
+
+        for view in views {
+            // `facts` walks those tables in that order and keeps what
+            // `fact_for` calls the live, authoritative entry.
+            let table = (0..).map_while(|i| view.fact(FactId(i)));
+            let authoritative: Vec<&Fact> = table
+                .filter(|f| view.fact_for(&f.triple).is_some_and(|g| std::ptr::eq(g, *f)))
+                .collect();
+            assert!(view.facts().zip(&authoritative).all(|(a, b)| std::ptr::eq(a, *b)));
+            assert_eq!(view.facts().count(), authoritative.len());
+            assert_eq!(view.len(), authoritative.len());
+            // And every view holds the monolith's facts, confidence and
+            // span included. (Not the source id: a triple re-asserted
+            // after a retraction keeps its first provenance inside one
+            // fact table, while across segments the tombstone hides the
+            // old entry and the new one brings its own — a difference
+            // of the write path, older than these accessors.)
+            let meta = |f: Option<&Fact>| f.map(|f| (f.triple, f.confidence.to_bits(), f.span));
+            for f in monolith.facts() {
+                assert_eq!(meta(view.fact_for(&f.triple)), meta(Some(f)), "seed {seed}");
+            }
+            for f in table_of(view) {
+                let here = view.fact_for(&f.triple);
+                assert_eq!(meta(here), meta(monolith.fact_for(&f.triple)), "seed {seed}");
+                assert!(view.source_name(f.source).is_some());
+            }
+        }
+    }
 }
