@@ -102,18 +102,22 @@ pub fn profile_store<K: KbRead>(kb: &K, seed: u64) -> StoreProfile {
     }
     assert!(total > 0);
     let scans = scan_iters as f64 / t1.elapsed().as_secs_f64();
-    // Path joins over random relation pairs.
-    let rel0 = kb.term("rel_0").expect("synthetic rel");
-    let rel1 = kb.term("rel_1").expect("synthetic rel");
+    // The two-hop path join, planned and executed by kb-query.
+    let join = two_hop_join(kb);
     let join_iters = 20;
     let t2 = Instant::now();
-    let mut join_rows = 0usize;
     for _ in 0..join_iters {
-        join_rows += kb.path_join(rel0, rel1).len();
+        std::hint::black_box(kb_query::execute(&join, kb).rows.len());
     }
     let joins = join_iters as f64 / t2.elapsed().as_secs_f64();
-    let _ = join_rows;
     StoreProfile { size, point_lookups_per_sec: point, scans_per_sec: scans, joins_per_sec: joins }
+}
+
+/// The two-hop path join `rel_0 ⋈ rel_1` of F4 and T17, planned by
+/// kb-query against `kb`'s statistics.
+pub fn two_hop_join<K: KbRead>(kb: &K) -> kb_query::Plan {
+    let query = kb_query::parse("?x rel_0 ?m . ?m rel_1 ?y").expect("join query parses");
+    kb_query::plan(&query, kb, &kb_query::StatsCatalog::build(kb)).expect("join plans")
 }
 
 /// F4: store throughput across sizes.

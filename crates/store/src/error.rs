@@ -22,12 +22,8 @@ pub enum SegmentRegion {
     Facts,
     /// The per-fact kind column of a delta segment.
     Kinds,
-    /// An SPO/POS/OSP permutation column.
-    Permutations,
-    /// A per-leading-term offset-bucket array.
-    Buckets,
-    /// A compressed-frame column block (format v2 permutations and
-    /// buckets).
+    /// The compressed-frame column block (permutation columns and
+    /// offset buckets).
     Frames,
     /// The taxonomy (subclass DAG) block.
     Taxonomy,
@@ -53,8 +49,6 @@ impl fmt::Display for SegmentRegion {
             SegmentRegion::Sources => "sources",
             SegmentRegion::Facts => "facts",
             SegmentRegion::Kinds => "kinds",
-            SegmentRegion::Permutations => "permutations",
-            SegmentRegion::Buckets => "buckets",
             SegmentRegion::Frames => "frames",
             SegmentRegion::Taxonomy => "taxonomy",
             SegmentRegion::SameAs => "sameAs",

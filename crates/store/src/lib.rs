@@ -98,7 +98,7 @@ pub use manifest::Manifest;
 pub use ntriples::LoadReport;
 pub use partition::{partition_delta, partition_snapshot, subject_partition, PartitionedView};
 pub use pattern::TriplePattern;
-pub use read::{Groups, KbRead, KbReadBatch, PairBatch, PathJoinBatches, PathJoinIter};
+pub use read::{Groups, KbRead, KbReadBatch};
 pub use sameas::SameAsStore;
 pub use segmap::MemoryBudget;
 pub use segment::{Compactor, DeltaSegment, FactKind, SegmentStats, SegmentedSnapshot};

@@ -38,7 +38,6 @@ use crate::sameas::SameAsStore;
 use crate::segment::{DeltaSegment, SegmentedSnapshot};
 use crate::snapshot::{
     FrozenIndexes, LiveFactsIter, MatchBatches, MatchIter, MatchingAtIter, SegCursor, TriplesIter,
-    BATCH_ROWS,
 };
 use crate::stats::KbStats;
 use crate::store::SourceId;
@@ -159,10 +158,8 @@ impl<'a> Iterator for Groups<'a> {
 /// base dictionary plus per-delta extensions) answer without
 /// materializing one merged dictionary.
 ///
-/// Object-safe except for [`path_join_iter`](Self::path_join_iter)
-/// (which must name `Self` in its return type and is therefore gated
-/// on `Self: Sized`); `&dyn KbRead` supports the full pattern-query
-/// surface.
+/// Object-safe: `&dyn KbRead` supports the full pattern-query surface.
+/// Joins are `kb-query`'s job.
 pub trait KbRead {
     // -- required: what the view is made of -----------------------------
 
@@ -317,42 +314,6 @@ pub trait KbRead {
         MatchingAtIter { inner: self.matching_iter(pattern), point: *point }
     }
 
-    /// All objects `o` such that `(s, p, o)` is a live fact.
-    fn objects(&self, s: TermId, p: TermId) -> Vec<TermId> {
-        self.triples_iter(&TriplePattern::with_sp(s, p)).map(|t| t.o).collect()
-    }
-
-    /// All subjects `s` such that `(s, p, o)` is a live fact.
-    fn subjects(&self, p: TermId, o: TermId) -> Vec<TermId> {
-        self.triples_iter(&TriplePattern::with_po(p, o)).map(|t| t.s).collect()
-    }
-
-    /// Two-pattern join on a shared variable: all `(x, y)` pairs such
-    /// that `(x, p1, m)` and `(m, p2, y)` both hold for some `m` (a
-    /// path join, e.g. "people born in cities located in country Y").
-    fn path_join(&self, p1: TermId, p2: TermId) -> Vec<(TermId, TermId)>
-    where
-        Self: Sized,
-    {
-        self.path_join_iter(p1, p2).collect()
-    }
-
-    /// Streaming form of [`path_join`](Self::path_join): the inner
-    /// range scan is opened lazily per outer fact, so no intermediate
-    /// `Vec` is built. Pair order is identical to the materialized
-    /// form.
-    fn path_join_iter(&self, p1: TermId, p2: TermId) -> PathJoinIter<'_, Self>
-    where
-        Self: Sized,
-    {
-        PathJoinIter {
-            kb: self,
-            outer: self.matching_iter(&TriplePattern::with_p(p1)),
-            p2,
-            inner: None,
-        }
-    }
-
     /// Degree of a term: number of live facts where it appears as
     /// subject plus those where it appears as object. Used by NED
     /// coherence and popularity priors.
@@ -423,7 +384,7 @@ pub trait KbRead {
 }
 
 /// Vectorized extension of [`KbRead`]: the same pattern queries, but
-/// emitting columnar batches of ~[`BATCH_ROWS`] rows instead of single
+/// emitting columnar batches of ~[`BATCH_ROWS`](crate::BATCH_ROWS) rows instead of single
 /// tuples. Blanket-implemented for every `KbRead`, so any view —
 /// monolithic snapshot, segmented stack, mutable builder — serves
 /// batches; only the monolithic unfiltered path is specially
@@ -436,107 +397,9 @@ pub trait KbReadBatch: KbRead {
     fn matching_batches(&self, pattern: &TriplePattern) -> MatchBatches<'_> {
         MatchBatches::new(self.matching_iter(pattern))
     }
-
-    /// Batch form of [`KbRead::path_join_iter`]: `(x, y)` pair columns
-    /// in the same order the tuple iterator yields them.
-    fn path_join_batches(&self, p1: TermId, p2: TermId) -> PathJoinBatches<'_, Self>
-    where
-        Self: Sized,
-    {
-        PathJoinBatches { inner: self.path_join_iter(p1, p2) }
-    }
 }
 
 impl<K: KbRead + ?Sized> KbReadBatch for K {}
-
-/// A columnar batch of join pairs: two parallel `TermId` columns, at
-/// most [`BATCH_ROWS`] rows.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct PairBatch {
-    /// Left (outer) column.
-    pub a: Vec<TermId>,
-    /// Right (inner) column.
-    pub b: Vec<TermId>,
-}
-
-impl PairBatch {
-    /// An empty batch with [`BATCH_ROWS`] capacity per column.
-    pub fn new() -> Self {
-        Self { a: Vec::with_capacity(BATCH_ROWS), b: Vec::with_capacity(BATCH_ROWS) }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.a.len()
-    }
-
-    /// Whether the batch has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.a.is_empty()
-    }
-
-    /// Drops all rows, keeping capacity.
-    pub fn clear(&mut self) {
-        self.a.clear();
-        self.b.clear();
-    }
-}
-
-/// Batch form of [`PathJoinIter`]: chunks the streaming path join into
-/// columnar [`PairBatch`]es. Returned by
-/// [`KbReadBatch::path_join_batches`].
-#[derive(Debug)]
-pub struct PathJoinBatches<'a, K: ?Sized> {
-    inner: PathJoinIter<'a, K>,
-}
-
-impl<K: KbRead> PathJoinBatches<'_, K> {
-    /// Fills `out` (cleared first) with the next batch. Returns `false`
-    /// when the join is exhausted and no rows were produced.
-    pub fn next_batch(&mut self, out: &mut PairBatch) -> bool {
-        out.clear();
-        while out.len() < BATCH_ROWS {
-            match self.inner.next() {
-                Some((x, y)) => {
-                    out.a.push(x);
-                    out.b.push(y);
-                }
-                None => break,
-            }
-        }
-        !out.is_empty()
-    }
-}
-
-/// Streaming path join: for each outer fact `(x, p1, m)` an inner
-/// range scan `(m, p2, ?)` is opened lazily; yields `(x, y)` pairs in
-/// the same order the nested materialized loops would.
-#[derive(Debug)]
-pub struct PathJoinIter<'a, K: ?Sized> {
-    kb: &'a K,
-    outer: MatchIter<'a>,
-    p2: TermId,
-    inner: Option<(TermId, MatchIter<'a>)>,
-}
-
-impl<K: KbRead + ?Sized> Iterator for PathJoinIter<'_, K> {
-    type Item = (TermId, TermId);
-
-    fn next(&mut self) -> Option<(TermId, TermId)> {
-        loop {
-            if let Some((x, inner)) = &mut self.inner {
-                if let Some(f) = inner.next() {
-                    return Some((*x, f.triple.o));
-                }
-            }
-            let f1 = self.outer.next()?;
-            self.inner = Some((
-                f1.triple.s,
-                self.kb.matching_iter(&TriplePattern::with_sp(f1.triple.o, self.p2)),
-            ));
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -561,33 +424,6 @@ mod tests {
         assert_eq!(dyn_kb.matching(&TriplePattern::with_s(jobs)).len(), 2);
         assert_eq!(dyn_kb.degree(jobs), 2);
         assert_eq!(dyn_kb.stats().facts, 5);
-    }
-
-    #[test]
-    fn path_join_streams_in_nested_loop_order() {
-        let s = snap();
-        let born = s.term("bornIn").unwrap();
-        let located = s.term("locatedIn").unwrap();
-        let streamed: Vec<_> = s.path_join_iter(born, located).collect();
-        assert_eq!(streamed, s.path_join(born, located));
-        assert_eq!(streamed.len(), 1);
-        assert_eq!(s.resolve(streamed[0].0), Some("Steve_Jobs"));
-        assert_eq!(s.resolve(streamed[0].1), Some("United_States"));
-    }
-
-    #[test]
-    fn path_join_batches_agree_with_tuple_pairs() {
-        let s = snap();
-        let born = s.term("bornIn").unwrap();
-        let located = s.term("locatedIn").unwrap();
-        let tuple = s.path_join(born, located);
-        let mut pairs = Vec::new();
-        let mut batches = s.path_join_batches(born, located);
-        let mut buf = PairBatch::new();
-        while batches.next_batch(&mut buf) {
-            pairs.extend(buf.a.iter().copied().zip(buf.b.iter().copied()));
-        }
-        assert_eq!(pairs, tuple);
     }
 
     #[test]

@@ -1,20 +1,24 @@
 //! Beyond-RAM segment access: pread-backed lazy column loading under a
 //! byte budget.
 //!
-//! A v2 base segment on disk is a header plus checksummed regions; the
+//! A base segment on disk is a header plus checksummed regions; the
 //! frames region alone holds fifteen compressed columns (three
 //! permutations × four columns, plus three bucket arrays) and dominates
 //! the file. Eager open decodes all of it, so open cost — and resident
 //! memory — grows linearly with KB size. The types here invert that:
 //!
-//! * [`SegmentSource`] — a positioned-read (`pread`) handle to the
-//!   segment file. No mmap: every byte that enters memory does so
-//!   through an explicit, checksummed read, and I/O errors surface as
-//!   [`StoreError::Io`] instead of `SIGBUS`.
+//! * [`SegmentSource`] — the bytes of one segment image, read by
+//!   position: a `pread` handle to the segment file, or a borrowed
+//!   in-memory image (a WAL payload). No mmap: every byte that enters
+//!   memory does so through an explicit, checksummed read, and I/O
+//!   errors surface as [`StoreError::Io`] instead of `SIGBUS`.
 //! * `FrameRegion` — the frames region as a lazily verified byte
 //!   range. The first touch streams the region once to check its CRC
-//!   and walk the column layout (O(1) memory); afterwards each column
-//!   is loadable independently with two `pread`s.
+//!   and walks the column layout (O(1) memory); afterwards each column
+//!   is loadable independently with two `pread`s. The layout walk and
+//!   the column load (`walk_layout`, `load_col`) are the only
+//!   parser of the frames region: the eager reader runs them over the
+//!   region it fetched.
 //! * `ColSlot` — one lazily materialized column. `pin` returns a
 //!   shared handle, faulting the bytes in on first use and charging
 //!   them to the budget.
@@ -29,6 +33,7 @@
 //! and then loads anyway — queries always complete, at the cost of one
 //! oversized resident column.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -54,59 +59,95 @@ fn corrupt(region: SegmentRegion, detail: impl Into<String>) -> StoreError {
 // SegmentSource
 // ---------------------------------------------------------------------
 
-/// A positioned-read handle to one segment file. All reads are
-/// `pread`-style (no shared seek position), so concurrent faults from
-/// different columns never race on a file offset.
+/// The bytes of one segment image, read by position: a segment file
+/// (`pread`-style, no shared seek position, so concurrent faults from
+/// different columns never race on a file offset) or an image already in
+/// memory. Every reader of the format goes through this one type, so a
+/// WAL payload and a sealed file are decoded by the same code.
 #[derive(Debug)]
-pub struct SegmentSource {
-    file: File,
+pub struct SegmentSource<'a> {
+    backing: Backing<'a>,
     path: PathBuf,
     len: u64,
 }
 
-impl SegmentSource {
+#[derive(Debug)]
+enum Backing<'a> {
+    File(File),
+    Image(&'a [u8]),
+}
+
+impl<'a> SegmentSource<'a> {
     /// Opens `path` read-only and records its length.
-    pub(crate) fn open(path: &Path) -> Result<Self, StoreError> {
+    pub(crate) fn open(path: &Path) -> Result<SegmentSource<'static>, StoreError> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
-        Ok(Self { file, path: path.to_path_buf(), len })
+        Ok(SegmentSource { backing: Backing::File(file), path: path.to_path_buf(), len })
     }
 
-    /// File length in bytes.
+    /// A source over an image already in memory.
+    pub(crate) fn image(bytes: &'a [u8]) -> Self {
+        Self { backing: Backing::Image(bytes), path: PathBuf::new(), len: bytes.len() as u64 }
+    }
+
+    /// Image length in bytes.
     pub(crate) fn len(&self) -> u64 {
         self.len
     }
 
-    /// The file this source reads.
+    /// The file this source reads (empty for an in-memory image).
     pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
     /// Reads exactly `buf.len()` bytes at `offset`.
-    #[cfg(unix)]
     pub(crate) fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
-        use std::os::unix::fs::FileExt;
-        self.file.read_exact_at(buf, offset)?;
-        Ok(())
+        match &self.backing {
+            Backing::File(file) => read_file_at(file, offset, buf),
+            Backing::Image(bytes) => {
+                let src = usize::try_from(offset)
+                    .ok()
+                    .and_then(|at| bytes.get(at..at.checked_add(buf.len())?))
+                    .ok_or_else(|| StoreError::Io("read past the end of the image".into()))?;
+                buf.copy_from_slice(src);
+                Ok(())
+            }
+        }
     }
 
-    #[cfg(not(unix))]
-    pub(crate) fn read_exact_at(&self, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
-        // Portable fallback: clone the handle and seek it, leaving the
-        // original handle's position untouched.
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = self.file.try_clone()?;
-        f.seek(SeekFrom::Start(offset))?;
-        f.read_exact(buf)?;
-        Ok(())
+    /// The byte range `[start, end)`: borrowed from an in-memory image,
+    /// read into a fresh buffer from a file.
+    pub(crate) fn read_range(&self, range: Range<usize>) -> Result<Cow<'_, [u8]>, StoreError> {
+        match &self.backing {
+            Backing::File(file) => {
+                let mut buf = vec![0u8; range.end.saturating_sub(range.start)];
+                read_file_at(file, range.start as u64, &mut buf)?;
+                Ok(Cow::Owned(buf))
+            }
+            Backing::Image(bytes) => bytes
+                .get(range)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| StoreError::Io("read past the end of the image".into())),
+        }
     }
+}
 
-    /// Reads the byte range `[start, end)` into a fresh buffer.
-    pub(crate) fn read_range(&self, range: Range<usize>) -> Result<Vec<u8>, StoreError> {
-        let mut buf = vec![0u8; range.end - range.start];
-        self.read_exact_at(range.start as u64, &mut buf)?;
-        Ok(buf)
-    }
+#[cfg(unix)]
+fn read_file_at(file: &File, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
+    use std::os::unix::fs::FileExt;
+    file.read_exact_at(buf, offset)?;
+    Ok(())
+}
+
+#[cfg(not(unix))]
+fn read_file_at(file: &File, offset: u64, buf: &mut [u8]) -> Result<(), StoreError> {
+    // Portable fallback: clone the handle and seek it, leaving the
+    // original handle's position untouched.
+    use std::io::{Read, Seek, SeekFrom};
+    let mut f = file.try_clone()?;
+    f.seek(SeekFrom::Start(offset))?;
+    f.read_exact(buf)?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -254,20 +295,93 @@ impl MemoryBudget {
 // FrameRegion
 // ---------------------------------------------------------------------
 
-/// Where one column's bytes live inside the frames region (file
-/// offsets), captured by the first-touch layout walk.
-#[derive(Debug, Clone, Copy)]
-struct ColLayout {
+/// Where one column's bytes live inside the frames region (offsets into
+/// the source), captured by the layout walk.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ColLayout {
     /// Row count of the column.
     len: usize,
     /// Number of frame descriptors.
     n_frames: usize,
-    /// File offset of the first [`FrameMeta`].
+    /// Offset of the first [`FrameMeta`].
     metas_at: u64,
-    /// File offset of the payload bytes.
+    /// Offset of the payload bytes.
     payload_at: u64,
     /// Payload length in bytes.
     payload_len: usize,
+}
+
+/// Walks the serialized column layout of the frames region at `range`:
+/// per column a `len u32 · n_frames u32` pair, `n_frames` metas, then
+/// `payload_len u32` and the payload. Only the fixed-size prefixes are
+/// read; metas and payloads are skipped by offset arithmetic,
+/// bounds-checked against the region end.
+pub(crate) fn walk_layout(
+    source: &SegmentSource<'_>,
+    range: Range<usize>,
+) -> Result<[ColLayout; FRAME_COLS], StoreError> {
+    let end = range.end as u64;
+    let mut at = range.start as u64;
+    let mut cols = [ColLayout::default(); FRAME_COLS];
+    for (i, col) in cols.iter_mut().enumerate() {
+        let mut head = [0u8; 8];
+        if at + 8 > end {
+            return Err(corrupt(SegmentRegion::Frames, format!("column {i} header truncated")));
+        }
+        source.read_exact_at(at, &mut head)?;
+        let len = u32::from_le_bytes(head[0..4].try_into().unwrap()) as usize;
+        let n_frames = u32::from_le_bytes(head[4..8].try_into().unwrap()) as usize;
+        let metas_at = at + 8;
+        let metas_bytes =
+            (n_frames as u64).checked_mul(FRAME_META_LEN as u64).ok_or_else(|| {
+                corrupt(SegmentRegion::Frames, format!("column {i} meta count overflows"))
+            })?;
+        let payload_len_at =
+            metas_at.checked_add(metas_bytes).filter(|&p| p + 4 <= end).ok_or_else(|| {
+                corrupt(SegmentRegion::Frames, format!("column {i} metas run past the region"))
+            })?;
+        let mut plen = [0u8; 4];
+        source.read_exact_at(payload_len_at, &mut plen)?;
+        let payload_len = u32::from_le_bytes(plen) as usize;
+        let payload_at = payload_len_at + 4;
+        if payload_at + payload_len as u64 > end {
+            return Err(corrupt(
+                SegmentRegion::Frames,
+                format!("column {i} payload runs past the region"),
+            ));
+        }
+        *col = ColLayout { len, n_frames, metas_at, payload_at, payload_len };
+        at = payload_at + payload_len as u64;
+    }
+    if at != end {
+        return Err(corrupt(SegmentRegion::Frames, "trailing bytes after the last column"));
+    }
+    Ok(cols)
+}
+
+/// Reads and decodes column `i` of a walked layout (two positioned
+/// reads: metas, then payload), validating its structural invariants.
+pub(crate) fn load_col(
+    source: &SegmentSource<'_>,
+    layout: &[ColLayout; FRAME_COLS],
+    i: usize,
+) -> Result<ColFrames, StoreError> {
+    let l = &layout[i];
+    let mut meta_bytes = vec![0u8; l.n_frames * FRAME_META_LEN];
+    source.read_exact_at(l.metas_at, &mut meta_bytes)?;
+    let metas: Vec<FrameMeta> = meta_bytes
+        .chunks_exact(FRAME_META_LEN)
+        .map(|m| FrameMeta {
+            base: u32::from_le_bytes(m[0..4].try_into().unwrap()),
+            enc: m[4],
+            width: m[5],
+            end: u32::from_le_bytes(m[6..10].try_into().unwrap()),
+        })
+        .collect();
+    let mut payload = vec![0u8; l.payload_len];
+    source.read_exact_at(l.payload_at, &mut payload)?;
+    ColFrames::from_raw(l.len, metas, payload)
+        .map_err(|e| corrupt(SegmentRegion::Frames, format!("column {i}: {e}")))
 }
 
 /// The frames region of one lazily opened segment: a checksummed byte
@@ -275,7 +389,7 @@ struct ColLayout {
 /// verified) on first touch, then loaded independently on demand.
 #[derive(Debug)]
 pub(crate) struct FrameRegion {
-    source: Arc<SegmentSource>,
+    source: Arc<SegmentSource<'static>>,
     /// Byte range of the region within the file.
     range: Range<usize>,
     /// Expected CRC-32 of the whole region, from the header table.
@@ -284,7 +398,7 @@ pub(crate) struct FrameRegion {
 }
 
 impl FrameRegion {
-    pub(crate) fn new(source: Arc<SegmentSource>, range: Range<usize>, crc: u32) -> Self {
+    pub(crate) fn new(source: Arc<SegmentSource<'static>>, range: Range<usize>, crc: u32) -> Self {
         Self { source, range, crc, init: OnceLock::new() }
     }
 
@@ -297,7 +411,7 @@ impl FrameRegion {
         self.init
             .get_or_init(|| {
                 self.verify_crc()?;
-                self.walk_layout()
+                walk_layout(&self.source, self.range.clone())
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -328,74 +442,6 @@ impl FrameRegion {
             ));
         }
         Ok(())
-    }
-
-    /// Walks the serialized column layout: per column a `len u32 ·
-    /// n_frames u32` pair, `n_frames` metas, then `payload_len u32` and
-    /// the payload. Only the fixed-size prefixes are read; metas and
-    /// payloads are skipped by offset arithmetic, bounds-checked
-    /// against the region end.
-    fn walk_layout(&self) -> Result<[ColLayout; FRAME_COLS], StoreError> {
-        let end = self.range.end as u64;
-        let mut at = self.range.start as u64;
-        let mut cols =
-            [ColLayout { len: 0, n_frames: 0, metas_at: 0, payload_at: 0, payload_len: 0 };
-                FRAME_COLS];
-        for (i, col) in cols.iter_mut().enumerate() {
-            let mut head = [0u8; 8];
-            if at + 8 > end {
-                return Err(corrupt(SegmentRegion::Frames, format!("column {i} header truncated")));
-            }
-            self.source.read_exact_at(at, &mut head)?;
-            let len = u32::from_le_bytes(head[0..4].try_into().unwrap()) as usize;
-            let n_frames = u32::from_le_bytes(head[4..8].try_into().unwrap()) as usize;
-            let metas_at = at + 8;
-            let metas_bytes =
-                (n_frames as u64).checked_mul(FRAME_META_LEN as u64).ok_or_else(|| {
-                    corrupt(SegmentRegion::Frames, format!("column {i} meta count overflows"))
-                })?;
-            let payload_len_at =
-                metas_at.checked_add(metas_bytes).filter(|&p| p + 4 <= end).ok_or_else(|| {
-                    corrupt(SegmentRegion::Frames, format!("column {i} metas run past the region"))
-                })?;
-            let mut plen = [0u8; 4];
-            self.source.read_exact_at(payload_len_at, &mut plen)?;
-            let payload_len = u32::from_le_bytes(plen) as usize;
-            let payload_at = payload_len_at + 4;
-            if payload_at + payload_len as u64 > end {
-                return Err(corrupt(
-                    SegmentRegion::Frames,
-                    format!("column {i} payload runs past the region"),
-                ));
-            }
-            *col = ColLayout { len, n_frames, metas_at, payload_at, payload_len };
-            at = payload_at + payload_len as u64;
-        }
-        if at != end {
-            return Err(corrupt(SegmentRegion::Frames, "trailing bytes after the last column"));
-        }
-        Ok(cols)
-    }
-
-    /// Reads and decodes column `i` (two positioned reads: metas, then
-    /// payload), re-validating its structural invariants.
-    fn load_col(&self, i: usize) -> Result<ColFrames, StoreError> {
-        let l = self.layout()?[i];
-        let mut meta_bytes = vec![0u8; l.n_frames * FRAME_META_LEN];
-        self.source.read_exact_at(l.metas_at, &mut meta_bytes)?;
-        let metas: Vec<FrameMeta> = meta_bytes
-            .chunks_exact(FRAME_META_LEN)
-            .map(|m| FrameMeta {
-                base: u32::from_le_bytes(m[0..4].try_into().unwrap()),
-                enc: m[4],
-                width: m[5],
-                end: u32::from_le_bytes(m[6..10].try_into().unwrap()),
-            })
-            .collect();
-        let mut payload = vec![0u8; l.payload_len];
-        self.source.read_exact_at(l.payload_at, &mut payload)?;
-        ColFrames::from_raw(l.len, metas, payload)
-            .map_err(|e| corrupt(SegmentRegion::Frames, format!("column {i}: {e}")))
     }
 
     /// Row count of column `i` from the layout alone (no column load).
@@ -460,7 +506,8 @@ impl ColSlot {
         if let Some(col) = data.as_ref() {
             return Ok(Arc::clone(col));
         }
-        let col = Arc::new(self.region.load_col(self.col)?);
+        let region = &self.region;
+        let col = Arc::new(load_col(&region.source, region.layout()?, self.col)?);
         self.budget.charge(col.compressed_bytes());
         *data = Some(Arc::clone(&col));
         Ok(col)

@@ -881,20 +881,4 @@ mod tests {
         assert_eq!(st.tombstones, 1);
         assert_eq!(st.live, 4);
     }
-
-    #[test]
-    fn path_join_works_across_segments() {
-        // bornIn lives in the base, locatedIn arrives via a delta.
-        let mut b = KbBuilder::new();
-        b.assert_str("Steve_Jobs", "bornIn", "San_Francisco");
-        let view = SegmentedSnapshot::from_base(b.freeze().into_shared());
-        let mut d = KbBuilder::new();
-        d.assert_str("San_Francisco", "locatedIn", "United_States");
-        let view = view.with_delta(Arc::new(d.freeze_delta(&view)));
-        let born = view.term("bornIn").unwrap();
-        let located = view.term("locatedIn").unwrap();
-        let pairs = view.path_join(born, located);
-        assert_eq!(pairs.len(), 1);
-        assert_eq!(view.resolve(pairs[0].1), Some("United_States"));
-    }
 }

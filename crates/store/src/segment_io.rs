@@ -19,27 +19,32 @@
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Version 2 (current) serializes the permutation indexes as the
-//! **frames** region: the fifteen delta/bitpacked [`ColFrames`] columns
-//! exactly as they live in memory, so opening a segment installs the
-//! compressed index without re-encoding. Version 1 stored raw fact-id
-//! permutations plus offset buckets; the reader still accepts v1 images
-//! (re-deriving and compressing the columns on open), and hidden `_v1`
-//! writers are retained so compatibility is testable forever.
+//! There is one format version and one reader. The permutation indexes
+//! are serialized as the **frames** region: the fifteen delta/bitpacked
+//! [`ColFrames`] columns exactly as they live in memory, so opening a
+//! segment installs the compressed index without re-encoding. Every
+//! door — the eager `open_segment`s, the lazy store open and its
+//! first-touch faults, WAL replay — reads through a [`SegmentSource`]
+//! (a file or an in-memory image) and shares one header parse
+//! (`read_header`), one region fetch (`fetch_region`), one decoder
+//! of the six base regions (`decode_base`) and one frames-layout
+//! parser (`walk_layout` + `load_col`). An image of any other
+//! version is refused as a corrupt header.
 //!
 //! Two deliberate format choices keep cold-start cheap and recovery
 //! honest:
 //!
-//! * **Redundant data is validated, never trusted.** v2 key columns are
-//!   checked against the fact table, sortedness is verified, and offset
-//!   buckets must equal a recomputed prefix sum — all in `O(n)`, with
-//!   no sorting or re-compression on the open path.
+//! * **Redundant data is validated, never trusted.** On an eager open
+//!   key columns are checked against the fact table, sortedness is
+//!   verified, and offset buckets must equal a recomputed prefix sum —
+//!   all in `O(n)`, with no sorting or re-compression on the open path.
 //! * **Nothing derivable is trusted.** Lookup maps, live counts and
 //!   delta counters are recomputed (or checked against a recomputation)
 //!   on load, so a reader can never be bit-flipped into a silently
 //!   wrong KB: every failure is a typed [`StoreError::Corrupt`] naming
 //!   the damaged [`SegmentRegion`].
 
+use std::borrow::Cow;
 use std::io::Write as _;
 use std::ops::Range;
 use std::path::Path;
@@ -48,13 +53,15 @@ use std::sync::Arc;
 use crate::builder::KbCore;
 use crate::error::SegmentRegion;
 use crate::fact::{Fact, Triple};
-use crate::frames::{ColFrames, FrameMeta};
+use crate::frames::ColFrames;
 use crate::fx::FxHashMap;
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::read::KbRead;
 use crate::sameas::SameAsStore;
-use crate::segmap::{ColSlot, FrameRegion, MemoryBudget, SegmentSource, FRAME_COLS};
+use crate::segmap::{
+    load_col, walk_layout, ColSlot, FrameRegion, MemoryBudget, SegmentSource, FRAME_COLS,
+};
 use crate::segment::{DeltaSegment, FactKind};
 use crate::snapshot::{EagerBase, FrozenIndexes, KbSnapshot, LazyBase, LazyIndexes, PermFrames};
 use crate::store::SourceId;
@@ -66,11 +73,9 @@ use crate::{Dictionary, StoreError};
 pub const MAGIC_BASE: [u8; 4] = *b"KBSG";
 /// Magic for a delta segment file.
 pub const MAGIC_DELTA: [u8; 4] = *b"KBDS";
-/// Current format version (compressed frames region). Readers accept
-/// this and [`FORMAT_VERSION_V1`]; anything else is rejected.
+/// The format version (compressed frames region). Readers accept this
+/// and nothing else.
 pub const FORMAT_VERSION: u32 = 2;
-/// The original format version: raw permutations + offset buckets.
-pub const FORMAT_VERSION_V1: u32 = 1;
 
 const PREAMBLE_LEN: usize = 16;
 const REGION_ENTRY_LEN: usize = 1 + 8 + 8 + 4;
@@ -183,8 +188,6 @@ fn region_tag(region: SegmentRegion) -> u8 {
         SegmentRegion::Sources => 2,
         SegmentRegion::Facts => 3,
         SegmentRegion::Kinds => 4,
-        SegmentRegion::Permutations => 5,
-        SegmentRegion::Buckets => 6,
         SegmentRegion::Taxonomy => 7,
         SegmentRegion::SameAs => 8,
         SegmentRegion::Labels => 9,
@@ -204,8 +207,6 @@ fn region_of_tag(tag: u8) -> Option<SegmentRegion> {
         2 => SegmentRegion::Sources,
         3 => SegmentRegion::Facts,
         4 => SegmentRegion::Kinds,
-        5 => SegmentRegion::Permutations,
-        6 => SegmentRegion::Buckets,
         7 => SegmentRegion::Taxonomy,
         8 => SegmentRegion::SameAs,
         9 => SegmentRegion::Labels,
@@ -397,33 +398,11 @@ fn encode_facts(facts: &[Fact]) -> Result<Vec<u8>, StoreError> {
     Ok(out)
 }
 
-fn encode_perms(perms: &[Vec<u32>; 3]) -> Result<Vec<u8>, StoreError> {
-    let mut out = Vec::new();
-    for p in perms {
-        put_len(&mut out, p.len(), SegmentRegion::Permutations)?;
-        for &id in p {
-            put_u32(&mut out, id);
-        }
-    }
-    Ok(out)
-}
-
-fn encode_buckets(starts: &[Vec<u32>; 3]) -> Result<Vec<u8>, StoreError> {
-    let mut out = Vec::new();
-    for s in starts {
-        put_len(&mut out, s.len(), SegmentRegion::Buckets)?;
-        for &v in s {
-            put_u32(&mut out, v);
-        }
-    }
-    Ok(out)
-}
-
 /// Bytes per serialized frame descriptor: base u32 · enc u8 · width u8
 /// · end u32.
 pub(crate) const FRAME_META_LEN: usize = 4 + 1 + 1 + 4;
 
-/// Serializes the fifteen compressed index columns (v2 frames region).
+/// Serializes the fifteen compressed index columns (the frames region).
 /// Per column: row count, frame descriptors, then the raw payload —
 /// exactly the in-memory representation, so a reader installs it
 /// without re-encoding.
@@ -444,47 +423,6 @@ fn encode_frames(cols: [&ColFrames; 15]) -> Result<Vec<u8>, StoreError> {
         out.extend_from_slice(payload);
     }
     Ok(out)
-}
-
-/// Decodes the v2 frames region back into the three permutations and
-/// three starts columns. Structural damage a checksum cannot catch
-/// (frame counts, offsets, encodings) is rejected by
-/// [`ColFrames::from_raw`]; cross-column consistency with the fact
-/// table is the caller's job via [`FrozenIndexes::from_frames`].
-fn decode_frames(buf: &[u8]) -> Result<([PermFrames; 3], [ColFrames; 3]), StoreError> {
-    let region = SegmentRegion::Frames;
-    let mut cur = Cur::new(buf, region);
-    let mut cols = Vec::with_capacity(15);
-    for i in 0..15 {
-        let len = cur.u32()? as usize;
-        let n_frames = cur.count(FRAME_META_LEN)?;
-        let mut metas = Vec::with_capacity(n_frames);
-        for _ in 0..n_frames {
-            let base = cur.u32()?;
-            let enc = cur.u8()?;
-            let width = cur.u8()?;
-            let end = cur.u32()?;
-            metas.push(FrameMeta { base, enc, width, end });
-        }
-        let payload_len = cur.u32()? as usize;
-        let payload = cur.take(payload_len)?.to_vec();
-        let col = ColFrames::from_raw(len, metas, payload)
-            .map_err(|e| corrupt(region, format!("column {i}: {e}")))?;
-        cols.push(col);
-    }
-    cur.finish()?;
-    let mut it = cols.into_iter();
-    let mut perm = || {
-        PermFrames::from_cols(
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-            it.next().unwrap(),
-        )
-    };
-    let perms = [perm(), perm(), perm()];
-    let starts = [it.next().unwrap(), it.next().unwrap(), it.next().unwrap()];
-    Ok((perms, starts))
 }
 
 fn encode_taxonomy(tax: &Taxonomy) -> Result<Vec<u8>, StoreError> {
@@ -629,25 +567,6 @@ fn check_fact_ids(
     Ok(())
 }
 
-fn decode_u32_arrays<const N: usize>(
-    buf: &[u8],
-    region: SegmentRegion,
-) -> Result<[Vec<u32>; N], StoreError> {
-    let mut cur = Cur::new(buf, region);
-    let mut out: [Vec<u32>; N] = std::array::from_fn(|_| Vec::new());
-    for arr in out.iter_mut() {
-        let n = cur.count(4)?;
-        // One bounds check for the whole array, then a straight
-        // little-endian gather — these columns are the bulk of a
-        // segment, so per-element cursor reads would dominate open.
-        let bytes = cur.take(n * 4)?;
-        arr.reserve_exact(n);
-        arr.extend(bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())));
-    }
-    cur.finish()?;
-    Ok(out)
-}
-
 fn decode_taxonomy(buf: &[u8], term_count: usize) -> Result<Taxonomy, StoreError> {
     let region = SegmentRegion::Taxonomy;
     let mut cur = Cur::new(buf, region);
@@ -721,7 +640,7 @@ fn decode_labels(buf: &[u8], term_count: usize) -> Result<LabelStore, StoreError
 // ---------------------------------------------------------------------
 // File assembly: preamble + checksummed region table + region payloads.
 
-fn assemble(magic: [u8; 4], version: u32, regions: Vec<(SegmentRegion, Vec<u8>)>) -> Vec<u8> {
+fn assemble(magic: [u8; 4], regions: Vec<(SegmentRegion, Vec<u8>)>) -> Vec<u8> {
     let header_len = 4 + regions.len() * REGION_ENTRY_LEN;
     let mut header = Vec::with_capacity(header_len);
     put_u32(&mut header, regions.len() as u32);
@@ -735,7 +654,7 @@ fn assemble(magic: [u8; 4], version: u32, regions: Vec<(SegmentRegion, Vec<u8>)>
     }
     let mut out = Vec::with_capacity(offset as usize);
     out.extend_from_slice(&magic);
-    put_u32(&mut out, version);
+    put_u32(&mut out, FORMAT_VERSION);
     put_u32(&mut out, header.len() as u32);
     put_u32(&mut out, crc32(&header));
     out.extend_from_slice(&header);
@@ -750,15 +669,14 @@ fn assemble(magic: [u8; 4], version: u32, regions: Vec<(SegmentRegion, Vec<u8>)>
 /// own range is reported under [`SegmentRegion::Header`]).
 ///
 /// This is the *diagnostic* entry point: corruption-injection tests and
-/// tooling use it to locate regions; the real readers re-do all of this
-/// plus per-region CRC and structural validation.
+/// tooling use it to locate regions; the real readers parse the same
+/// header and add per-region CRC and structural validation.
 pub fn region_map(buf: &[u8]) -> Result<Vec<(SegmentRegion, Range<usize>)>, StoreError> {
-    let (_, _, entries) = parse_header(buf, None)?;
-    let header_end = PREAMBLE_LEN + header_len_of(buf)?;
+    let entries = read_header(&SegmentSource::image(buf), None)?;
+    // `read_header` accepts only a table that fills the header exactly.
+    let header_end = PREAMBLE_LEN + 4 + entries.len() * REGION_ENTRY_LEN;
     let mut out = vec![(SegmentRegion::Header, 0..header_end)];
-    for e in entries {
-        out.push((e.region, e.range));
-    }
+    out.extend(entries.into_iter().map(|e| (e.region, e.range)));
     Ok(out)
 }
 
@@ -771,39 +689,23 @@ pub(crate) struct RegionEntry {
     pub(crate) crc: u32,
 }
 
-fn header_len_of(buf: &[u8]) -> Result<usize, StoreError> {
-    if buf.len() < PREAMBLE_LEN {
-        return Err(corrupt(SegmentRegion::Header, "file shorter than the 16-byte preamble"));
-    }
-    Ok(u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize)
-}
-
-/// Validates preamble magic/version and the header CRC, then decodes
-/// the region table. `expect_magic: None` accepts either segment kind.
-/// Both format versions parse identically at this level; the returned
-/// version tells the reader which index regions to expect.
-fn parse_header(
-    buf: &[u8],
+/// Reads the preamble and the region table off the front of an image —
+/// a few hundred bytes however large the segment — and validates them:
+/// magic, segment kind (`expect_magic: None` accepts either), version,
+/// header length and CRC, and every region's bounds against the image
+/// length.
+pub(crate) fn read_header(
+    source: &SegmentSource<'_>,
     expect_magic: Option<[u8; 4]>,
-) -> Result<([u8; 4], u32, Vec<RegionEntry>), StoreError> {
-    parse_header_limited(buf, expect_magic, buf.len())
-}
-
-/// [`parse_header`] over a *prefix* of the file: `buf` holds at least
-/// the preamble + header, while region payload bounds are checked
-/// against `data_len` (the full file length). This is what lets the
-/// lazy opener validate the region table after reading only the first
-/// few hundred bytes of an arbitrarily large segment.
-fn parse_header_limited(
-    buf: &[u8],
-    expect_magic: Option<[u8; 4]>,
-    data_len: usize,
-) -> Result<([u8; 4], u32, Vec<RegionEntry>), StoreError> {
+) -> Result<Vec<RegionEntry>, StoreError> {
     let region = SegmentRegion::Header;
-    if buf.len() < PREAMBLE_LEN {
+    let data_len = source.len() as usize;
+    if data_len < PREAMBLE_LEN {
         return Err(corrupt(region, "file shorter than the 16-byte preamble"));
     }
-    let magic: [u8; 4] = buf[0..4].try_into().unwrap();
+    let mut preamble = [0u8; PREAMBLE_LEN];
+    source.read_exact_at(0, &mut preamble)?;
+    let magic: [u8; 4] = preamble[0..4].try_into().unwrap();
     if magic != MAGIC_BASE && magic != MAGIC_DELTA {
         return Err(corrupt(region, format!("bad magic {magic:02x?}")));
     }
@@ -819,27 +721,24 @@ fn parse_header_limited(
             ));
         }
     }
-    let version = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    if version != FORMAT_VERSION && version != FORMAT_VERSION_V1 {
+    let version = u32::from_le_bytes(preamble[4..8].try_into().unwrap());
+    if version != FORMAT_VERSION {
         return Err(corrupt(
             region,
-            format!(
-                "unsupported format version {version} \
-                 (reader supports {FORMAT_VERSION_V1} and {FORMAT_VERSION})"
-            ),
+            format!("unsupported format version {version} (reader supports {FORMAT_VERSION})"),
         ));
     }
-    let header_len = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-    let header_crc = u32::from_le_bytes(buf[12..16].try_into().unwrap());
+    let header_len = u32::from_le_bytes(preamble[8..12].try_into().unwrap()) as usize;
+    let header_crc = u32::from_le_bytes(preamble[12..16].try_into().unwrap());
     let header_end = PREAMBLE_LEN
         .checked_add(header_len)
-        .filter(|&e| e <= buf.len())
+        .filter(|&e| e <= data_len)
         .ok_or_else(|| corrupt(region, "header length runs past end of file"))?;
-    let header = &buf[PREAMBLE_LEN..header_end];
-    if crc32(header) != header_crc {
+    let header = source.read_range(PREAMBLE_LEN..header_end)?;
+    if crc32(&header) != header_crc {
         return Err(corrupt(region, "header checksum mismatch"));
     }
-    let mut cur = Cur::new(header, region);
+    let mut cur = Cur::new(&header, region);
     let n = cur.count(REGION_ENTRY_LEN)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
@@ -856,21 +755,26 @@ fn parse_header_limited(
         entries.push(RegionEntry { region: r, range: offset..end, crc });
     }
     cur.finish()?;
-    Ok((magic, version, entries))
+    Ok(entries)
 }
 
-/// Locates a region, verifies its CRC, and hands back its payload.
-fn region<'a>(
-    buf: &'a [u8],
-    entries: &[RegionEntry],
-    want: SegmentRegion,
-) -> Result<&'a [u8], StoreError> {
-    let e = entries
+fn locate(entries: &[RegionEntry], want: SegmentRegion) -> Result<&RegionEntry, StoreError> {
+    entries
         .iter()
         .find(|e| e.region == want)
-        .ok_or_else(|| corrupt(SegmentRegion::Header, format!("missing {want} region")))?;
-    let payload = &buf[e.range.clone()];
-    if crc32(payload) != e.crc {
+        .ok_or_else(|| corrupt(SegmentRegion::Header, format!("missing {want} region")))
+}
+
+/// Locates a region, reads its payload (one positioned read on a file,
+/// a borrow of an in-memory image), and verifies its CRC.
+pub(crate) fn fetch_region<'s>(
+    source: &'s SegmentSource<'_>,
+    entries: &[RegionEntry],
+    want: SegmentRegion,
+) -> Result<Cow<'s, [u8]>, StoreError> {
+    let e = locate(entries, want)?;
+    let payload = source.read_range(e.range.clone())?;
+    if crc32(&payload) != e.crc {
         return Err(corrupt(want, "checksum mismatch"));
     }
     Ok(payload)
@@ -879,8 +783,8 @@ fn region<'a>(
 // ---------------------------------------------------------------------
 // Base snapshot image.
 
-/// Serializes a base snapshot to its segment image (current format:
-/// the compressed frames region carries the indexes verbatim).
+/// Serializes a base snapshot to its segment image (the compressed
+/// frames region carries the indexes verbatim).
 pub(crate) fn snapshot_to_bytes(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError> {
     let core = snap.core();
     let regions = vec![
@@ -902,212 +806,27 @@ pub(crate) fn snapshot_to_bytes(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError
         (SegmentRegion::SameAs, encode_sameas(snap.sameas())?),
         (SegmentRegion::Labels, encode_labels(snap.labels())?),
     ];
-    Ok(assemble(MAGIC_BASE, FORMAT_VERSION, regions))
+    Ok(assemble(MAGIC_BASE, regions))
 }
 
-/// Serializes a base snapshot in the legacy v1 layout (raw fact-id
-/// permutations + offset buckets). Kept so backward-compatibility of
-/// the reader stays under test; not used by the write path.
-pub(crate) fn snapshot_to_bytes_v1(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError> {
-    let core = snap.core();
-    let regions = vec![
-        (
-            SegmentRegion::Dictionary,
-            encode_terms(
-                core.dict.iter().map(|(_, t)| t),
-                core.dict.len(),
-                SegmentRegion::Dictionary,
-            )?,
-        ),
-        (
-            SegmentRegion::Sources,
-            encode_terms(core.sources.iter(), core.sources.len(), SegmentRegion::Sources)?,
-        ),
-        (SegmentRegion::Facts, encode_facts(&core.facts)?),
-        (SegmentRegion::Permutations, encode_perms(&snap.indexes.perm_fact_ids())?),
-        (SegmentRegion::Buckets, encode_buckets(&snap.indexes.bucket_starts_vec())?),
-        (SegmentRegion::Taxonomy, encode_taxonomy(snap.taxonomy())?),
-        (SegmentRegion::SameAs, encode_sameas(snap.sameas())?),
-        (SegmentRegion::Labels, encode_labels(snap.labels())?),
-    ];
-    Ok(assemble(MAGIC_BASE, FORMAT_VERSION_V1, regions))
-}
-
-/// Decodes and validates the index regions of a base or delta image,
-/// dispatching on the format version. `expected_len` / `is_base` carry
-/// the segment-kind invariants down to the validators.
-fn decode_indexes(
-    buf: &[u8],
-    entries: &[RegionEntry],
-    version: u32,
-    facts: &[Fact],
-    expected_len: usize,
-    is_base: bool,
-) -> Result<FrozenIndexes, StoreError> {
-    if version == FORMAT_VERSION_V1 {
-        let perms = decode_u32_arrays::<3>(
-            region(buf, entries, SegmentRegion::Permutations)?,
-            SegmentRegion::Permutations,
-        )?;
-        for p in &perms {
-            if p.len() != expected_len {
-                return Err(corrupt(
-                    SegmentRegion::Permutations,
-                    format!("permutation has {} entries, expected {expected_len}", p.len()),
-                ));
-            }
-        }
-        if is_base {
-            if let Some(&id) =
-                perms[0].iter().find(|&&id| facts.get(id as usize).is_none_or(|f| f.is_retracted()))
-            {
-                return Err(corrupt(
-                    SegmentRegion::Permutations,
-                    format!("permutation indexes retracted or missing fact {id}"),
-                ));
-            }
-        }
-        let starts = decode_u32_arrays::<3>(
-            region(buf, entries, SegmentRegion::Buckets)?,
-            SegmentRegion::Buckets,
-        )?;
-        FrozenIndexes::from_fact_perms(facts, perms, starts)
-    } else {
-        let (perms, starts) = decode_frames(region(buf, entries, SegmentRegion::Frames)?)?;
-        FrozenIndexes::from_frames(facts, expected_len, is_base, perms, starts)
-    }
-}
-
-/// Deserializes and fully validates a base snapshot image (either
-/// format version).
-pub(crate) fn snapshot_from_bytes(buf: &[u8]) -> Result<KbSnapshot, StoreError> {
-    let (_, version, entries) = parse_header(buf, Some(MAGIC_BASE))?;
-
-    // The fact table comes first: the triple-dedup map and the
-    // permutation validation both read it, while the dictionary decode
-    // is independent of all three — so decode facts once, then overlap
-    // the remaining heavy steps across threads. This fan-out is what
-    // keeps a cold open at 100k facts in the low tens of milliseconds.
-    let facts = decode_facts(region(buf, &entries, SegmentRegion::Facts)?)?;
-    let live = facts.iter().filter(|f| !f.is_retracted()).count();
-
-    type DictParts = (Dictionary, Vec<String>, FxHashMap<String, SourceId>);
-    let (dict_parts, by_triple, indexes) = std::thread::scope(|s| {
-        let dict_handle = s.spawn(|| -> Result<DictParts, StoreError> {
-            let terms = decode_terms(region(buf, &entries, SegmentRegion::Dictionary)?)?;
-            let dict = Dictionary::from_terms(terms).ok_or_else(|| {
-                corrupt(SegmentRegion::Dictionary, "duplicate term in dictionary")
-            })?;
-            let sources = decode_sources(region(buf, &entries, SegmentRegion::Sources)?)?;
-            let mut source_lookup =
-                FxHashMap::with_capacity_and_hasher(sources.len(), Default::default());
-            for (i, name) in sources.iter().enumerate() {
-                if source_lookup.insert(name.clone(), SourceId(i as u32)).is_some() {
-                    return Err(corrupt(
-                        SegmentRegion::Sources,
-                        format!("duplicate source {name:?}"),
-                    ));
-                }
-            }
-            Ok((dict, sources, source_lookup))
-        });
-        let triple_handle = s.spawn(|| -> Result<FxHashMap<Triple, FactId>, StoreError> {
-            let mut by_triple =
-                FxHashMap::with_capacity_and_hasher(facts.len(), Default::default());
-            for (i, f) in facts.iter().enumerate() {
-                if by_triple.insert(f.triple, FactId(i as u32)).is_some() {
-                    return Err(corrupt(
-                        SegmentRegion::Facts,
-                        format!("fact {i}: duplicate triple"),
-                    ));
-                }
-            }
-            Ok(by_triple)
-        });
-        // A base segment indexes exactly its live facts, none retracted.
-        let indexes = decode_indexes(buf, &entries, version, &facts, live, true);
-        (
-            dict_handle.join().expect("dictionary decode"),
-            triple_handle.join().expect("triple map build"),
-            indexes,
-        )
-    });
-    let (dict, sources, source_lookup) = dict_parts?;
-    let by_triple = by_triple?;
-    let indexes = indexes?;
-    // Deferred from decode_facts: the term/source universe only exists
-    // once the concurrent dictionary decode has landed.
-    check_fact_ids(&facts, dict.len(), sources.len())?;
-
-    let taxonomy = decode_taxonomy(region(buf, &entries, SegmentRegion::Taxonomy)?, dict.len())?;
-    let sameas = decode_sameas(region(buf, &entries, SegmentRegion::SameAs)?, dict.len())?;
-    let labels = decode_labels(region(buf, &entries, SegmentRegion::Labels)?, dict.len())?;
-
-    let core = KbCore { dict, facts, by_triple, sources, source_lookup, live };
-    Ok(KbSnapshot::from_parts(core, taxonomy, sameas, labels, indexes))
-}
-
-// ---------------------------------------------------------------------
-// Lazy (paged) base snapshot open.
-
-/// Locates a region in a file-backed source, reads its payload with one
-/// positioned read, and verifies the CRC — the `pread` twin of
-/// [`region`].
-fn region_from_source(
-    source: &SegmentSource,
-    entries: &[RegionEntry],
-    want: SegmentRegion,
-) -> Result<Vec<u8>, StoreError> {
-    let e = entries
-        .iter()
-        .find(|e| e.region == want)
-        .ok_or_else(|| corrupt(SegmentRegion::Header, format!("missing {want} region")))?;
-    let payload = source.read_range(e.range.clone())?;
-    if crc32(&payload) != e.crc {
-        return Err(corrupt(want, "checksum mismatch"));
-    }
-    Ok(payload)
-}
-
-/// Reads a count-prefixed region's leading `u32` without touching the
-/// rest of the payload. Returns 0 for a missing or short region — the
-/// caller treats the count as advisory (real validation happens when
-/// the region faults in).
-pub(crate) fn region_count_prefix(
-    source: &SegmentSource,
-    entries: &[RegionEntry],
-    want: SegmentRegion,
-) -> usize {
-    let Some(e) = entries.iter().find(|e| e.region == want) else {
-        return 0;
-    };
-    if e.range.len() < 4 {
-        return 0;
-    }
-    let mut buf = [0u8; 4];
-    match source.read_exact_at(e.range.start as u64, &mut buf) {
-        Ok(()) => u32::from_le_bytes(buf) as usize,
-        Err(_) => 0,
-    }
-}
-
-/// Decodes the base (non-index) regions of a lazily opened segment:
-/// dictionary, sources, facts, taxonomy, sameAs, labels — each read
-/// with one positioned read and CRC-verified on this first touch. Runs
-/// at most once per snapshot (cached in [`LazyBase`]); the same
-/// validation as the eager open applies, so a corrupt region is the
+/// Decodes the base (non-index) regions of a base segment: dictionary,
+/// sources, facts, taxonomy, sameAs, labels — each fetched once and
+/// CRC-verified, then cross-checked (no duplicate term, source or
+/// triple; every fact's ids inside the term and source universe). The
+/// eager open runs it at open, a lazily opened snapshot on first touch
+/// (at most once, cached in [`LazyBase`]), so a corrupt region is the
 /// same typed error either way.
-pub(crate) fn fault_base(
-    source: &Arc<SegmentSource>,
+pub(crate) fn decode_base(
+    source: &SegmentSource<'_>,
     entries: &[RegionEntry],
 ) -> Result<EagerBase, StoreError> {
-    let facts = decode_facts(&region_from_source(source, entries, SegmentRegion::Facts)?)?;
+    let facts = decode_facts(&fetch_region(source, entries, SegmentRegion::Facts)?)?;
     let live = facts.iter().filter(|f| !f.is_retracted()).count();
 
-    let terms = decode_terms(&region_from_source(source, entries, SegmentRegion::Dictionary)?)?;
+    let terms = decode_terms(&fetch_region(source, entries, SegmentRegion::Dictionary)?)?;
     let dict = Dictionary::from_terms(terms)
         .ok_or_else(|| corrupt(SegmentRegion::Dictionary, "duplicate term in dictionary"))?;
-    let sources = decode_sources(&region_from_source(source, entries, SegmentRegion::Sources)?)?;
+    let sources = decode_sources(&fetch_region(source, entries, SegmentRegion::Sources)?)?;
     let mut source_lookup = FxHashMap::with_capacity_and_hasher(sources.len(), Default::default());
     for (i, name) in sources.iter().enumerate() {
         if source_lookup.insert(name.clone(), SourceId(i as u32)).is_some() {
@@ -1122,31 +841,82 @@ pub(crate) fn fault_base(
     }
     check_fact_ids(&facts, dict.len(), sources.len())?;
 
-    let taxonomy = decode_taxonomy(
-        &region_from_source(source, entries, SegmentRegion::Taxonomy)?,
-        dict.len(),
-    )?;
-    let sameas =
-        decode_sameas(&region_from_source(source, entries, SegmentRegion::SameAs)?, dict.len())?;
-    let labels =
-        decode_labels(&region_from_source(source, entries, SegmentRegion::Labels)?, dict.len())?;
+    let taxonomy =
+        decode_taxonomy(&fetch_region(source, entries, SegmentRegion::Taxonomy)?, dict.len())?;
+    let sameas = decode_sameas(&fetch_region(source, entries, SegmentRegion::SameAs)?, dict.len())?;
+    let labels = decode_labels(&fetch_region(source, entries, SegmentRegion::Labels)?, dict.len())?;
 
     let core = KbCore { dict, facts, by_triple, sources, source_lookup, live };
     Ok(EagerBase { core, taxonomy, sameas, labels })
+}
+
+/// Decodes the frames region into resident indexes and cross-checks
+/// them against the fact table ([`FrozenIndexes::from_frames`]). The
+/// region is fetched and CRC-verified whole, then parsed by the same
+/// layout walk and column load a lazy open runs against the file.
+/// `expected_len` / `is_base` carry the segment-kind invariants down to
+/// the validators.
+fn decode_indexes(
+    source: &SegmentSource<'_>,
+    entries: &[RegionEntry],
+    facts: &[Fact],
+    expected_len: usize,
+    is_base: bool,
+) -> Result<FrozenIndexes, StoreError> {
+    let region = fetch_region(source, entries, SegmentRegion::Frames)?;
+    let image = SegmentSource::image(&region);
+    let layout = walk_layout(&image, 0..region.len())?;
+    let mut cols = (0..FRAME_COLS).map(|i| load_col(&image, &layout, i));
+    let mut col = || cols.next().expect("fifteen columns");
+    let mut perm = || -> Result<PermFrames, StoreError> {
+        Ok(PermFrames::from_cols(col()?, col()?, col()?, col()?))
+    };
+    let perms = [perm()?, perm()?, perm()?];
+    let starts = [col()?, col()?, col()?];
+    FrozenIndexes::from_frames(facts, expected_len, is_base, perms, starts)
+}
+
+/// Decodes and fully validates a base snapshot image: header, the six
+/// base regions, then the indexes checked against the fact table.
+fn decode_snapshot(source: &SegmentSource<'_>) -> Result<KbSnapshot, StoreError> {
+    let entries = read_header(source, Some(MAGIC_BASE))?;
+    let EagerBase { core, taxonomy, sameas, labels } = decode_base(source, &entries)?;
+    // A base segment indexes exactly its live facts, none retracted.
+    let indexes = decode_indexes(source, &entries, &core.facts, core.live, true)?;
+    Ok(KbSnapshot::from_parts(core, taxonomy, sameas, labels, indexes))
+}
+
+// ---------------------------------------------------------------------
+// Lazy (paged) opens.
+
+/// Reads a count-prefixed region's leading `u32` without touching the
+/// rest of the payload. The four bytes are *not* CRC-verified (that
+/// happens when the region faults in); see
+/// [`KbSnapshot::verify_counts`] for the one caller that must not act
+/// on them unverified.
+fn region_count_prefix(
+    source: &SegmentSource<'_>,
+    entries: &[RegionEntry],
+    want: SegmentRegion,
+) -> Result<usize, StoreError> {
+    let e = locate(entries, want)?;
+    if e.range.len() < 4 {
+        return Err(corrupt(want, "region shorter than its count prefix"));
+    }
+    let mut buf = [0u8; 4];
+    source.read_exact_at(e.range.start as u64, &mut buf)?;
+    Ok(u32::from_le_bytes(buf) as usize)
 }
 
 /// Builds a [`FrozenIndexes::Lazy`] over a file's frames region: one
 /// [`ColSlot`] per column, all registered with `budget`'s eviction
 /// clock. Nothing is read yet beyond what the caller already parsed.
 fn lazy_indexes(
-    source: &Arc<SegmentSource>,
+    source: &Arc<SegmentSource<'static>>,
     entries: &[RegionEntry],
     budget: &MemoryBudget,
 ) -> Result<FrozenIndexes, StoreError> {
-    let e = entries
-        .iter()
-        .find(|e| e.region == SegmentRegion::Frames)
-        .ok_or_else(|| corrupt(SegmentRegion::Header, "missing frames region"))?;
+    let e = locate(entries, SegmentRegion::Frames)?;
     let region = Arc::new(FrameRegion::new(Arc::clone(source), e.range.clone(), e.crc));
     let slots: [Arc<ColSlot>; FRAME_COLS] =
         std::array::from_fn(|i| ColSlot::new(Arc::clone(&region), i, budget.clone()));
@@ -1154,15 +924,15 @@ fn lazy_indexes(
 }
 
 /// Opens a base segment lazily: reads and validates only the preamble
-/// and region table, then hands back a [`KbSnapshot`] whose base
-/// regions fault in on first access and whose index columns page in
-/// (and spill back out) under `budget`. Open cost is `O(header)`,
-/// independent of KB size.
+/// and region table (plus the dictionary's and the source table's
+/// four-byte count prefixes, which delta stacking needs), then hands
+/// back a [`KbSnapshot`] whose base regions fault in on first access
+/// and whose index columns page in (and spill back out) under `budget`.
+/// Open cost is `O(header)`, independent of KB size.
 ///
 /// Corruption anywhere past the header surfaces on *first access* as a
 /// typed [`StoreError::Corrupt`]; call [`KbSnapshot::prefault`] right
-/// after open to get eager-open error semantics back. v1 images have no
-/// pageable frames region and fall back to the eager reader.
+/// after open to get eager-open error semantics back.
 pub(crate) fn snapshot_open_lazy(
     path: &Path,
     budget: &MemoryBudget,
@@ -1170,26 +940,13 @@ pub(crate) fn snapshot_open_lazy(
     let obs = kb_obs::global();
     let span = obs.span("store.segment.open_us");
     let source = Arc::new(SegmentSource::open(path)?);
-    let file_len = source.len() as usize;
-    let mut preamble = [0u8; PREAMBLE_LEN];
-    if file_len < PREAMBLE_LEN {
-        return Err(corrupt(SegmentRegion::Header, "file shorter than the 16-byte preamble"));
-    }
-    source.read_exact_at(0, &mut preamble)?;
-    let header_len = u32::from_le_bytes(preamble[8..12].try_into().unwrap()) as usize;
-    let prefix_len = PREAMBLE_LEN
-        .checked_add(header_len)
-        .filter(|&e| e <= file_len)
-        .ok_or_else(|| corrupt(SegmentRegion::Header, "header length runs past end of file"))?;
-    let prefix = source.read_range(0..prefix_len)?;
-    let (_, version, entries) = parse_header_limited(&prefix, Some(MAGIC_BASE), file_len)?;
-    if version == FORMAT_VERSION_V1 {
-        // v1 stores raw permutations that must be re-compressed on
-        // open; there is nothing to page. Fall back to the eager path.
-        return KbSnapshot::open_segment(path);
-    }
+    let entries = read_header(&source, Some(MAGIC_BASE))?;
+    let counts = (
+        region_count_prefix(&source, &entries, SegmentRegion::Dictionary)?,
+        region_count_prefix(&source, &entries, SegmentRegion::Sources)?,
+    );
     let indexes = lazy_indexes(&source, &entries, budget)?;
-    let snap = KbSnapshot::from_lazy(Arc::new(LazyBase::new(source, entries)), indexes);
+    let snap = KbSnapshot::from_lazy(Arc::new(LazyBase::new(source, entries, counts)), indexes);
     span.stop();
     obs.counter("store.segment.opens").inc();
     Ok(snap)
@@ -1206,14 +963,11 @@ pub(crate) fn delta_open_lazy(
     path: &Path,
     budget: &MemoryBudget,
 ) -> Result<DeltaSegment, StoreError> {
-    let bytes = std::fs::read(path)?;
-    let mut delta = delta_from_bytes(&bytes)?;
+    let source = Arc::new(SegmentSource::open(path)?);
+    let entries = read_header(&source, Some(MAGIC_DELTA))?;
+    let mut delta = decode_delta(&source, &entries)?;
     if budget.limit().is_some() {
-        let (_, version, entries) = parse_header(&bytes, Some(MAGIC_DELTA))?;
-        if version == FORMAT_VERSION {
-            let source = Arc::new(SegmentSource::open(path)?);
-            delta.indexes = lazy_indexes(&source, &entries, budget)?;
-        }
+        delta.indexes = lazy_indexes(&source, &entries, budget)?;
     }
     Ok(delta)
 }
@@ -1255,34 +1009,33 @@ fn delta_common_regions(delta: &DeltaSegment) -> Result<Vec<(SegmentRegion, Vec<
 pub(crate) fn delta_to_bytes(delta: &DeltaSegment) -> Result<Vec<u8>, StoreError> {
     let mut regions = delta_common_regions(delta)?;
     regions.push((SegmentRegion::Frames, encode_frames(delta.indexes.frame_cols())?));
-    Ok(assemble(MAGIC_DELTA, FORMAT_VERSION, regions))
+    Ok(assemble(MAGIC_DELTA, regions))
 }
 
-/// Serializes a delta segment in the legacy v1 layout. Retained for
-/// compatibility tests only (old WAL records and delta files carry v1
-/// images that must keep replaying).
-pub(crate) fn delta_to_bytes_v1(delta: &DeltaSegment) -> Result<Vec<u8>, StoreError> {
-    let mut regions = delta_common_regions(delta)?;
-    regions.push((SegmentRegion::Permutations, encode_perms(&delta.indexes.perm_fact_ids())?));
-    regions.push((SegmentRegion::Buckets, encode_buckets(&delta.indexes.bucket_starts_vec())?));
-    Ok(assemble(MAGIC_DELTA, FORMAT_VERSION_V1, regions))
+/// Deserializes and fully validates a delta segment image held in
+/// memory (a WAL payload); a sealed file goes through
+/// [`delta_open_lazy`] and the same [`decode_delta`].
+pub(crate) fn delta_from_bytes(buf: &[u8]) -> Result<DeltaSegment, StoreError> {
+    let source = SegmentSource::image(buf);
+    decode_delta(&source, &read_header(&source, Some(MAGIC_DELTA))?)
 }
 
-/// Deserializes and fully validates a delta segment image. Whether the
+/// Decodes and fully validates the regions of a delta image. Whether the
 /// delta actually stacks on a given view is checked at install time
 /// ([`SegmentedSnapshot::try_with_delta`](crate::SegmentedSnapshot::try_with_delta));
 /// here ids are validated against the universe the delta itself declares
 /// (`first_term + ext_terms`, `first_source + ext_sources`).
-pub(crate) fn delta_from_bytes(buf: &[u8]) -> Result<DeltaSegment, StoreError> {
-    let (_, version, entries) = parse_header(buf, Some(MAGIC_DELTA))?;
-
-    let meta = region(buf, &entries, SegmentRegion::DeltaMeta)?;
-    let mut cur = Cur::new(meta, SegmentRegion::DeltaMeta);
+fn decode_delta(
+    source: &SegmentSource<'_>,
+    entries: &[RegionEntry],
+) -> Result<DeltaSegment, StoreError> {
+    let meta = fetch_region(source, entries, SegmentRegion::DeltaMeta)?;
+    let mut cur = Cur::new(&meta, SegmentRegion::DeltaMeta);
     let first_term = cur.u32()?;
     let first_source = cur.u32()?;
     cur.finish()?;
 
-    let ext_terms = decode_terms(region(buf, &entries, SegmentRegion::Dictionary)?)?;
+    let ext_terms = decode_terms(&fetch_region(source, entries, SegmentRegion::Dictionary)?)?;
     {
         let mut seen = std::collections::HashSet::with_capacity(ext_terms.len());
         for t in &ext_terms {
@@ -1291,11 +1044,11 @@ pub(crate) fn delta_from_bytes(buf: &[u8]) -> Result<DeltaSegment, StoreError> {
             }
         }
     }
-    let ext_sources = decode_sources(region(buf, &entries, SegmentRegion::Sources)?)?;
+    let ext_sources = decode_sources(&fetch_region(source, entries, SegmentRegion::Sources)?)?;
 
     let term_count = first_term as usize + ext_terms.len();
     let source_count = first_source as usize + ext_sources.len();
-    let facts = decode_facts(region(buf, &entries, SegmentRegion::Facts)?)?;
+    let facts = decode_facts(&fetch_region(source, entries, SegmentRegion::Facts)?)?;
     check_fact_ids(&facts, term_count, source_count)?;
     {
         let mut seen = std::collections::HashSet::with_capacity(facts.len());
@@ -1306,8 +1059,8 @@ pub(crate) fn delta_from_bytes(buf: &[u8]) -> Result<DeltaSegment, StoreError> {
         }
     }
 
-    let kinds_buf = region(buf, &entries, SegmentRegion::Kinds)?;
-    let mut cur = Cur::new(kinds_buf, SegmentRegion::Kinds);
+    let kinds_buf = fetch_region(source, entries, SegmentRegion::Kinds)?;
+    let mut cur = Cur::new(&kinds_buf, SegmentRegion::Kinds);
     let n = cur.count(1)?;
     if n != facts.len() {
         return Err(corrupt(SegmentRegion::Kinds, format!("{n} kinds for {} facts", facts.len())));
@@ -1333,7 +1086,7 @@ pub(crate) fn delta_from_bytes(buf: &[u8]) -> Result<DeltaSegment, StoreError> {
     cur.finish()?;
 
     // A delta indexes *all* its entries, tombstones included.
-    let indexes = decode_indexes(buf, &entries, version, &facts, facts.len(), false)?;
+    let indexes = decode_indexes(source, entries, &facts, facts.len(), false)?;
 
     Ok(DeltaSegment::from_parts(
         ext_terms,
@@ -1410,23 +1163,12 @@ impl KbSnapshot {
         Ok(bytes.len() as u64)
     }
 
-    /// Writes this snapshot in the legacy v1 segment layout. Exists so
-    /// compatibility tests and tooling can produce old-format files;
-    /// normal code should use [`KbSnapshot::write_segment`].
-    #[doc(hidden)]
-    pub fn write_segment_v1(&self, path: impl AsRef<Path>) -> Result<u64, StoreError> {
-        let bytes = snapshot_to_bytes_v1(self)?;
-        write_file_atomic(path.as_ref(), &bytes, true)?;
-        Ok(bytes.len() as u64)
-    }
-
     /// Opens a base segment file, validating every checksum and
     /// structural invariant. `O(n)` — no sorting, no re-indexing.
     pub fn open_segment(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let obs = kb_obs::global();
         let span = obs.span("store.segment.open_us");
-        let bytes = std::fs::read(path.as_ref())?;
-        let snap = snapshot_from_bytes(&bytes)?;
+        let snap = decode_snapshot(&SegmentSource::open(path.as_ref())?)?;
         span.stop();
         obs.counter("store.segment.opens").inc();
         Ok(snap)
@@ -1449,20 +1191,9 @@ impl DeltaSegment {
         Ok(bytes.len() as u64)
     }
 
-    /// Writes this delta in the legacy v1 segment layout. Exists so
-    /// compatibility tests can produce old-format files; normal code
-    /// should use [`DeltaSegment::write_segment`].
-    #[doc(hidden)]
-    pub fn write_segment_v1(&self, path: impl AsRef<Path>) -> Result<u64, StoreError> {
-        let bytes = delta_to_bytes_v1(self)?;
-        write_file_atomic(path.as_ref(), &bytes, true)?;
-        Ok(bytes.len() as u64)
-    }
-
     /// Opens a delta segment file, validating checksums and structure.
     pub fn open_segment(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let bytes = std::fs::read(path.as_ref())?;
-        delta_from_bytes(&bytes)
+        delta_open_lazy(path.as_ref(), &MemoryBudget::unbounded())
     }
 }
 
@@ -1470,6 +1201,11 @@ impl DeltaSegment {
 mod tests {
     use super::*;
     use crate::{KbBuilder, SegmentedSnapshot, TimePoint, TriplePattern};
+
+    /// The eager door over an in-memory image.
+    fn snapshot_from_image(bytes: &[u8]) -> Result<KbSnapshot, StoreError> {
+        decode_snapshot(&SegmentSource::image(bytes))
+    }
 
     fn sample_snapshot() -> KbSnapshot {
         let mut b = KbBuilder::new();
@@ -1573,7 +1309,7 @@ mod tests {
     fn snapshot_round_trips_byte_identically() {
         let snap = sample_snapshot();
         let bytes = snapshot_to_bytes(&snap).unwrap();
-        let reopened = snapshot_from_bytes(&bytes).unwrap();
+        let reopened = snapshot_from_image(&bytes).unwrap();
         assert_eq!(
             crate::ntriples::to_string(&snap).unwrap(),
             crate::ntriples::to_string(&reopened).unwrap()
@@ -1639,53 +1375,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_images_still_open_identically() {
-        // The reader must keep accepting the legacy layout: same dump,
-        // same query results, and the reopened snapshot re-serializes
-        // into a byte-identical *v2* image (proving the index rebuild
-        // is exact, not merely equivalent).
-        let snap = sample_snapshot();
-        let v1 = snapshot_to_bytes_v1(&snap).unwrap();
-        assert_eq!(v1[4], FORMAT_VERSION_V1 as u8);
-        let reopened = snapshot_from_bytes(&v1).unwrap();
-        assert_eq!(
-            crate::ntriples::to_string(&snap).unwrap(),
-            crate::ntriples::to_string(&reopened).unwrap()
-        );
-        assert_eq!(snapshot_to_bytes(&snap).unwrap(), snapshot_to_bytes(&reopened).unwrap());
-
-        let view = SegmentedSnapshot::from_base(sample_snapshot().into_shared());
-        let mut d = KbBuilder::new();
-        d.assert_str("Tim_Cook", "worksAt", "Apple_Inc");
-        d.retract_str("Steve_Jobs", "bornIn", "SF");
-        let delta = d.freeze_delta(&view);
-        let v1 = delta_to_bytes_v1(&delta).unwrap();
-        assert_eq!(v1[4], FORMAT_VERSION_V1 as u8);
-        let reopened = delta_from_bytes(&v1).unwrap();
-        assert_eq!(delta_to_bytes(&delta).unwrap(), delta_to_bytes(&reopened).unwrap());
-        let a = view.with_delta(Arc::new(delta));
-        let b = view.try_with_delta(Arc::new(reopened)).unwrap();
-        assert_eq!(
-            crate::ntriples::to_string(&a).unwrap(),
-            crate::ntriples::to_string(&b).unwrap()
-        );
-    }
-
-    #[test]
-    fn every_flipped_byte_in_a_v1_image_is_caught() {
-        let bytes = snapshot_to_bytes_v1(&sample_snapshot()).unwrap();
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0xA5;
-            match snapshot_from_bytes(&bad) {
-                Err(StoreError::Corrupt { .. }) => {}
-                Err(other) => panic!("byte {i}: unexpected error kind {other:?}"),
-                Ok(_) => panic!("byte {i}: corruption accepted silently"),
-            }
-        }
-    }
-
-    #[test]
     fn every_flipped_byte_is_caught() {
         // Flipping ANY single byte of the image must surface as a typed
         // corruption (or, for a handful of semantically inert bytes such
@@ -1695,7 +1384,7 @@ mod tests {
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[i] ^= 0xA5;
-            match snapshot_from_bytes(&bad) {
+            match snapshot_from_image(&bad) {
                 Err(StoreError::Corrupt { .. }) => {}
                 Err(other) => panic!("byte {i}: unexpected error kind {other:?}"),
                 Ok(snap) => {
@@ -1713,11 +1402,14 @@ mod tests {
         let bytes = snapshot_to_bytes(&sample_snapshot()).unwrap();
         let err = delta_from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { region: SegmentRegion::Header, .. }));
-        let mut wrong_version = bytes.clone();
-        wrong_version[4] = 99;
-        let err = snapshot_from_bytes(&wrong_version).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { region: SegmentRegion::Header, .. }));
-        let err = snapshot_from_bytes(&[]).unwrap_err();
+        // One version is read; the retired v1 is as foreign as any other.
+        for version in [1, 3, 99] {
+            let mut wrong_version = bytes.clone();
+            wrong_version[4] = version;
+            let err = snapshot_from_image(&wrong_version).unwrap_err();
+            assert!(matches!(err, StoreError::Corrupt { region: SegmentRegion::Header, .. }));
+        }
+        let err = snapshot_from_image(&[]).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { region: SegmentRegion::Header, .. }));
     }
 
@@ -1725,7 +1417,7 @@ mod tests {
     fn truncated_file_is_a_header_corruption() {
         let bytes = snapshot_to_bytes(&sample_snapshot()).unwrap();
         for cut in [1, PREAMBLE_LEN - 1, PREAMBLE_LEN + 3, bytes.len() - 1] {
-            let err = snapshot_from_bytes(&bytes[..cut]).unwrap_err();
+            let err = snapshot_from_image(&bytes[..cut]).unwrap_err();
             assert!(matches!(err, StoreError::Corrupt { .. }), "cut at {cut}: {err:?}");
         }
     }

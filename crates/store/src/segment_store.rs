@@ -225,7 +225,12 @@ impl SegmentStore {
 
         // 2. Sealed deltas, in manifest order. The first failure
         //    quarantines that delta, every later one, and the WAL:
-        //    nothing stacked above a gap can be interpreted.
+        //    nothing stacked above a gap can be interpreted. The
+        //    stacking check reads the base's term and source counts,
+        //    which a lazy open took from bytes it has not checksummed —
+        //    so before anything is set aside (here or in step 3) those
+        //    regions are verified: a rotten base is the hard error of
+        //    step 1, not a reason to quarantine healthy deltas.
         let mut surviving_deltas = Vec::new();
         let mut stack_broken = false;
         let mut unsealed = Vec::new();
@@ -244,6 +249,7 @@ impl SegmentStore {
                     surviving_deltas.push(name);
                 }
                 Err(_) => {
+                    view.base().verify_counts()?;
                     stack_broken = true;
                     quarantine_file(&dir.join(&name), &mut report);
                 }
@@ -267,15 +273,6 @@ impl SegmentStore {
                 }
                 Ok(mut replay) => {
                     report.wal_truncated_bytes = replay.torn_bytes;
-                    if let Some((_, tail_bytes)) = replay.damage.take() {
-                        // Preserve the damaged tail for forensics, then
-                        // let `reopen` truncate it away.
-                        let all = std::fs::read(&wal_path)?;
-                        let tail_start = all.len() - tail_bytes as usize;
-                        let qpath = quarantined_path(&wal_path);
-                        std::fs::write(&qpath, &all[tail_start..]).ok();
-                        report.quarantined.push(file_name(&qpath));
-                    }
                     let mut replay_failed_at = None;
                     for (i, (seq, payload)) in replay.records.iter().enumerate() {
                         if *seq <= manifest.applied_seq {
@@ -291,10 +288,20 @@ impl SegmentStore {
                                 unsealed.push((*seq, delta));
                             }
                             Err(_) => {
+                                view.base().verify_counts()?;
                                 replay_failed_at = Some(i);
                                 break;
                             }
                         }
+                    }
+                    if let Some((_, tail_bytes)) = replay.damage.take() {
+                        // Preserve the damaged tail for forensics, then
+                        // let `reopen` truncate it away.
+                        let all = std::fs::read(&wal_path)?;
+                        let tail_start = all.len() - tail_bytes as usize;
+                        let qpath = quarantined_path(&wal_path);
+                        std::fs::write(&qpath, &all[tail_start..]).ok();
+                        report.quarantined.push(file_name(&qpath));
                     }
                     if let Some(i) = replay_failed_at {
                         // A record that frames correctly but decodes or

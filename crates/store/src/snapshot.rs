@@ -324,19 +324,6 @@ impl EagerIndexes {
         built
     }
 
-    /// The three permutation columns as fact-id arrays (SPO, POS, OSP
-    /// order) — the v1 serialized form: keys are redundant with the
-    /// fact table, so the legacy segment writer stores only the ids.
-    pub(crate) fn perm_fact_ids(&self) -> [Vec<u32>; 3] {
-        [self.spo.fid.values(), self.pos.fid.values(), self.osp.fid.values()]
-    }
-
-    /// The three offset-bucket arrays (SPO, POS, OSP order), decoded —
-    /// for the v1 segment writer.
-    pub(crate) fn bucket_starts_vec(&self) -> [Vec<u32>; 3] {
-        [self.spo_starts.values(), self.pos_starts.values(), self.osp_starts.values()]
-    }
-
     /// The fifteen compressed columns in serialization order: for each
     /// of SPO/POS/OSP the `k0,k1,k2,fid` columns, then the three starts
     /// columns.
@@ -380,71 +367,9 @@ impl EagerIndexes {
         st
     }
 
-    /// Reassembles frozen indexes from serialized fact-id permutations
-    /// and offset buckets (v1 segments), re-deriving each key from the
-    /// fact table in one linear pass.
-    ///
-    /// Validates everything a checksum cannot: ids in range, keys
-    /// non-decreasing in each permutation, buckets exactly the prefix
-    /// sums of the entries. Any violation is a [`StoreError::Corrupt`].
-    pub(crate) fn from_fact_perms(
-        facts: &[Fact],
-        perms: [Vec<u32>; 3],
-        starts: [Vec<u32>; 3],
-    ) -> Result<Self, crate::StoreError> {
-        use crate::error::SegmentRegion;
-        let corrupt =
-            |region: SegmentRegion, detail: String| crate::StoreError::Corrupt { region, detail };
-        let [spo_ids, pos_ids, osp_ids] = perms;
-        let [spo_starts, pos_starts, osp_starts] = starts;
-        let build = |ids: &[u32],
-                     key_of: fn(&Triple) -> Key,
-                     starts: &[u32]|
-         -> Result<(PermFrames, ColFrames), crate::StoreError> {
-            let mut out = Vec::with_capacity(ids.len());
-            let mut prev: Option<Key> = None;
-            for &id in ids {
-                let fact = facts.get(id as usize).ok_or_else(|| {
-                    corrupt(
-                        SegmentRegion::Permutations,
-                        format!("fact id {id} out of range ({} facts)", facts.len()),
-                    )
-                })?;
-                let key = key_of(&fact.triple);
-                if prev.is_some_and(|p| p > key) {
-                    return Err(corrupt(
-                        SegmentRegion::Permutations,
-                        "permutation column is not sorted".into(),
-                    ));
-                }
-                prev = Some(key);
-                out.push((key, FactId(id)));
-            }
-            if starts_of(&out) != starts {
-                return Err(corrupt(
-                    SegmentRegion::Buckets,
-                    "offset buckets disagree with the permutation entries".into(),
-                ));
-            }
-            Ok((PermFrames::from_entries(&out), ColFrames::from_values_packed(starts)))
-        };
-        // The three permutations are independent reads over the shared
-        // fact table; validating and compressing them is the most
-        // expensive step of a v1 cold open, so fan out across threads.
-        let (spo, pos, osp) = std::thread::scope(|s| {
-            let pos = s.spawn(|| build(&pos_ids, |t| t.pos_key(), &pos_starts));
-            let osp = s.spawn(|| build(&osp_ids, |t| t.osp_key(), &osp_starts));
-            let spo = build(&spo_ids, |t| t.spo_key(), &spo_starts);
-            (spo, pos.join().expect("pos build"), osp.join().expect("osp build"))
-        });
-        let ((spo, spo_starts), (pos, pos_starts), (osp, osp_starts)) = (spo?, pos?, osp?);
-        Ok(Self { spo, pos, osp, spo_starts, pos_starts, osp_starts })
-    }
-
     /// Reassembles frozen indexes straight from deserialized compressed
-    /// columns (v2 segments) — the frames are validated against the
-    /// fact table but *not* re-encoded, which is what keeps the v2 cold
-    /// open linear.
+    /// columns — the frames are validated against the fact table but
+    /// *not* re-encoded, which is what keeps the eager cold open linear.
     ///
     /// `expected_len` is the entry count every permutation must have
     /// (live facts for a base segment, all facts for a delta);
@@ -630,15 +555,6 @@ impl FrozenIndexes {
         FrozenIndexes::Eager(EagerIndexes::build_with_tombstones(facts))
     }
 
-    /// See [`EagerIndexes::from_fact_perms`].
-    pub(crate) fn from_fact_perms(
-        facts: &[Fact],
-        perms: [Vec<u32>; 3],
-        starts: [Vec<u32>; 3],
-    ) -> Result<Self, crate::StoreError> {
-        EagerIndexes::from_fact_perms(facts, perms, starts).map(FrozenIndexes::Eager)
-    }
-
     /// See [`EagerIndexes::from_frames`].
     pub(crate) fn from_frames(
         facts: &[Fact],
@@ -659,19 +575,6 @@ impl FrozenIndexes {
                  lazily (write paths always construct eager snapshots)"
             ),
         }
-    }
-
-    /// The three permutation columns as fact-id arrays (v1 writer).
-    /// Panics on lazily opened indexes — serialization always starts
-    /// from an eager snapshot.
-    pub(crate) fn perm_fact_ids(&self) -> [Vec<u32>; 3] {
-        self.eager().perm_fact_ids()
-    }
-
-    /// The three offset-bucket arrays (v1 writer). Panics on lazily
-    /// opened indexes.
-    pub(crate) fn bucket_starts_vec(&self) -> [Vec<u32>; 3] {
-        self.eager().bucket_starts_vec()
     }
 
     /// The fifteen compressed columns in serialization order. Panics on
@@ -1279,53 +1182,33 @@ pub(crate) struct EagerBase {
 /// the decoded [`EagerBase`] or the typed corruption error.
 #[derive(Debug)]
 pub(crate) struct LazyBase {
-    source: Arc<SegmentSource>,
+    source: Arc<SegmentSource<'static>>,
     entries: Vec<RegionEntry>,
     cell: OnceLock<Result<Box<EagerBase>, StoreError>>,
-    /// `(term_count, source_count)` read from the regions' count
-    /// prefixes — four-byte reads that keep delta stacking checks from
-    /// faulting the whole core.
-    counts: OnceLock<(usize, usize)>,
+    /// `(term_count, source_count)` as read at open from the regions'
+    /// count prefixes — eight bytes that keep delta stacking checks from
+    /// faulting the whole core. Not CRC-verified until the regions fault
+    /// (or [`KbSnapshot::verify_counts`] runs).
+    counts: (usize, usize),
 }
 
 impl LazyBase {
-    pub(crate) fn new(source: Arc<SegmentSource>, entries: Vec<RegionEntry>) -> Self {
-        Self { source, entries, cell: OnceLock::new(), counts: OnceLock::new() }
+    pub(crate) fn new(
+        source: Arc<SegmentSource<'static>>,
+        entries: Vec<RegionEntry>,
+        counts: (usize, usize),
+    ) -> Self {
+        Self { source, entries, cell: OnceLock::new(), counts }
     }
 
     fn fault(&self) -> Result<&EagerBase, StoreError> {
         self.cell
             .get_or_init(|| {
-                crate::segment_io::fault_base(&self.source, &self.entries).map(Box::new)
+                crate::segment_io::decode_base(&self.source, &self.entries).map(Box::new)
             })
             .as_ref()
             .map(|b| &**b)
             .map_err(Clone::clone)
-    }
-
-    /// `(term_count, source_count)` without decoding the core: the
-    /// dictionary and source regions are count-prefixed. The prefix is
-    /// not CRC-verified here (that happens when the region faults); a
-    /// corrupted count surfaces as a typed stacking or prefault error,
-    /// never silent data.
-    fn counts(&self) -> (usize, usize) {
-        *self.counts.get_or_init(|| {
-            if let Some(Ok(b)) = self.cell.get() {
-                return (b.core.dict.len(), b.core.sources.len());
-            }
-            (
-                crate::segment_io::region_count_prefix(
-                    &self.source,
-                    &self.entries,
-                    crate::error::SegmentRegion::Dictionary,
-                ),
-                crate::segment_io::region_count_prefix(
-                    &self.source,
-                    &self.entries,
-                    crate::error::SegmentRegion::Sources,
-                ),
-            )
-        })
     }
 }
 
@@ -1405,12 +1288,28 @@ impl KbSnapshot {
     }
 
     /// Number of registered provenance sources. Cheap on a lazy
-    /// snapshot (count-prefix read, no core fault).
+    /// snapshot (count prefix read at open, no core fault).
     pub(crate) fn source_count(&self) -> usize {
         match &self.base {
             BaseState::Eager(b) => b.core.sources.len(),
-            BaseState::Lazy(l) => l.counts().1,
+            BaseState::Lazy(l) => l.counts.1,
         }
+    }
+
+    /// Verifies what [`term_count`](KbRead::term_count) and
+    /// [`source_count`](Self::source_count) answer from on a lazily
+    /// opened snapshot: the dictionary and sources regions are
+    /// checksummed (not decoded). Recovery calls this before it blames a
+    /// delta for not stacking on those counts; a resident snapshot has
+    /// nothing left to verify.
+    pub(crate) fn verify_counts(&self) -> Result<(), StoreError> {
+        use crate::error::SegmentRegion::{Dictionary, Sources};
+        if let BaseState::Lazy(l) = &self.base {
+            for region in [Dictionary, Sources] {
+                crate::segment_io::fetch_region(&l.source, &l.entries, region)?;
+            }
+        }
+        Ok(())
     }
 
     /// Size and compression accounting for the permutation indexes.
@@ -1432,7 +1331,7 @@ impl KbRead for KbSnapshot {
     fn term_count(&self) -> usize {
         match &self.base {
             BaseState::Eager(b) => b.core.dict.len(),
-            BaseState::Lazy(l) => l.counts().0,
+            BaseState::Lazy(l) => l.counts.0,
         }
     }
 

@@ -243,8 +243,8 @@ proptest! {
     /// triples): after an arbitrary interleaving of adds (with
     /// confidence — zero included — and span), retracts and span
     /// updates, the snapshot engine holds the facts the reference holds
-    /// and answers every pattern shape, count, time-travel query, path
-    /// join, degree and neighborhood as it does. Two builders replay the
+    /// and answers every pattern shape, count, time-travel query,
+    /// degree and neighborhood as it does. Two builders replay the
     /// ops: `kb` is scanned after every one, so its lazily frozen
     /// indexes are built, kept across evidence merges and dropped by
     /// structural writes all along, and ends as `clone().freeze()`
@@ -406,26 +406,6 @@ proptest! {
             prop_assert_eq!(sorted_names(&at), want, "pattern {:?} at {}", pat, probe_year);
         }
 
-        // Path joins stream the outer POS scan, and per outer fact the
-        // inner SPO scan, in the order those scans have; the pairs are
-        // the reference's.
-        for (i1, i2) in [(3, 4), (1, 3)] {
-            let (p1, p2) = (ids[i1], ids[i2]);
-            let mut in_scan_order = Vec::new();
-            for t1 in snapshot.matching_triples(&TriplePattern::with_p(p1)) {
-                for t2 in snapshot.matching_triples(&TriplePattern::with_sp(t1.o, p2)) {
-                    in_scan_order.push((t1.s, t2.o));
-                }
-            }
-            prop_assert_eq!(&in_scan_order, &warm.path_join(p1, p2));
-            prop_assert_eq!(&in_scan_order, &snapshot.path_join_iter(p1, p2).collect::<Vec<_>>());
-            let mut got: Vec<(String, String)> =
-                in_scan_order.iter().map(|&(x, y)| (name(x), name(y))).collect();
-            got.sort();
-            let mut want = reference.path_join(&names[i1], &names[i2]);
-            want.sort();
-            prop_assert_eq!(got, want);
-        }
         for (t, text) in [(s, &names[0]), (o, &names[2])] {
             prop_assert_eq!(reference.degree(text), snapshot.degree(t));
             let neighbors = snapshot.neighbors(t);

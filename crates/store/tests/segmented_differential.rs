@@ -15,8 +15,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use kb_store::{
-    KbBuilder, KbRead, KbReadBatch, PairBatch, SegmentedSnapshot, TripleBatch, TriplePattern,
-    BATCH_ROWS,
+    KbBuilder, KbRead, KbReadBatch, SegmentedSnapshot, TripleBatch, TriplePattern, BATCH_ROWS,
 };
 
 /// One mutation: assert a fact with some confidence, or retract a
@@ -179,43 +178,6 @@ proptest! {
         }
     }
 
-    /// `path_join_iter` equivalence: the two-hop join streams the same
-    /// endpoint pairs over any segment split.
-    #[test]
-    fn segmented_path_join_matches_monolithic(
-        ops in prop::collection::vec(op_strategy(), 1..50),
-        cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
-        p1 in 0u32..4, p2 in 0u32..4,
-    ) {
-        let mut mono_b = KbBuilder::new();
-        for &op in &ops {
-            apply(&mut mono_b, op);
-        }
-        let mono = mono_b.freeze();
-        let seg = build_segmented(&ops, &cuts);
-
-        let resolve_pairs = |kb: &dyn KbRead, pairs: Vec<(kb_store::TermId, kb_store::TermId)>| {
-            let mut rows: Vec<(String, String)> = pairs
-                .into_iter()
-                .map(|(a, b)| {
-                    (kb.resolve(a).unwrap().to_string(), kb.resolve(b).unwrap().to_string())
-                })
-                .collect();
-            rows.sort();
-            rows
-        };
-        let (r1, r2) = (format!("r{p1}"), format!("r{p2}"));
-        let (m1, s1) = (mono.term(&r1), seg.term(&r1));
-        let (m2, s2) = (mono.term(&r2), seg.term(&r2));
-        prop_assert_eq!(m1.is_some(), s1.is_some());
-        prop_assert_eq!(m2.is_some(), s2.is_some());
-        if let (Some(m1), Some(m2), Some(s1), Some(s2)) = (m1, m2, s1, s2) {
-            let mono_pairs = resolve_pairs(&mono, mono.path_join_iter(m1, m2).collect());
-            let seg_pairs = resolve_pairs(&seg, seg.path_join_iter(s1, s2).collect());
-            prop_assert_eq!(mono_pairs, seg_pairs);
-        }
-    }
-
     /// Compaction is the identity on answers: folding every delta into
     /// a fresh monolithic base must preserve the merged view exactly.
     #[test]
@@ -272,28 +234,6 @@ proptest! {
                     "mask {} diverged on a {}-delta stack", mask, n_deltas
                 );
             }
-        }
-    }
-
-    /// `path_join_batches` ≡ `path_join_iter` over the same stacks.
-    #[test]
-    fn path_join_batches_match_tuple_join_across_delta_stacks(
-        ops in prop::collection::vec(op_strategy(), 1..50),
-        p1 in 0u32..4, p2 in 0u32..4,
-    ) {
-        for &n_deltas in &[0usize, 2, 8] {
-            let view = build_stack(&ops, n_deltas);
-            let (Some(id1), Some(id2)) =
-                (view.term(&format!("r{p1}")), view.term(&format!("r{p2}"))) else { continue };
-            let tuple: Vec<_> = view.path_join_iter(id1, id2).collect();
-            let mut got = Vec::new();
-            let mut pjb = view.path_join_batches(id1, id2);
-            let mut pb = PairBatch::new();
-            while pjb.next_batch(&mut pb) {
-                prop_assert!(pb.len() <= BATCH_ROWS);
-                got.extend(pb.a.iter().copied().zip(pb.b.iter().copied()));
-            }
-            prop_assert_eq!(&got, &tuple, "path join diverged on a {}-delta stack", n_deltas);
         }
     }
 }

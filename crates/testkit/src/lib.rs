@@ -104,17 +104,6 @@ impl RefKb {
         self.facts().filter(|(t, span)| agrees(&pat, t) && holds(*span)).map(|(t, _)| t).collect()
     }
 
-    /// Every `(x, y)` with `x p1 m` and `m p2 y` live, once per `m`.
-    pub fn path_join(&self, p1: &str, p2: &str) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for (x, _, m) in self.matching([None, Some(p1), None]) {
-            for (_, _, y) in self.matching([Some(m), Some(p2), None]) {
-                out.push((x.clone(), y.clone()));
-            }
-        }
-        out
-    }
-
     /// Live triples with `t` as subject plus those with `t` as object.
     pub fn degree(&self, t: &str) -> usize {
         self.matching([Some(t), None, None]).len() + self.matching([None, None, Some(t)]).len()
@@ -475,9 +464,6 @@ mod tests {
         assert_eq!(first, &("c".to_string(), "likes".to_string(), "a".to_string()));
         let at = |year| kb.matching_at([None, Some("likes"), None], &TimePoint::year(year)).len();
         assert_eq!((at(1995), at(2005)), (2, 1), "an unspanned triple holds at any time");
-        // a knows b knows c, a knows c likes a, b knows c likes a.
-        assert_eq!(kb.path_join("knows", "knows"), [("a".to_string(), "c".to_string())]);
-        assert_eq!(kb.path_join("knows", "likes").len(), 2);
         assert_eq!(kb.degree("a"), 3 + 2);
         assert_eq!(kb.neighbors("a"), ["30", "b", "c", "d"].map(String::from).into());
         let mut looped = RefKb::default();

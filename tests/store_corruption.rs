@@ -238,5 +238,55 @@ fn cold_region_flips_surface_on_first_access_not_open() {
             }
         }
     }
+
+    // With deltas stacked on it the lazy open does read eight cold
+    // bytes: the dictionary's and the source table's count prefixes,
+    // which the stacking check compares each delta against. A rotten
+    // prefix must not pass for a mis-stacked delta: recovery verifies
+    // those two regions before it sets anything aside, so the damage is
+    // the base's hard, typed error and no file is touched.
+    std::fs::remove_dir_all(&dir).ok();
+    let mut store = SegmentStore::create(&dir, rich_base(), NO_FSYNC).unwrap();
+    store.install_delta(Arc::new(delta_over(&store.view()))).unwrap();
+    store.seal().unwrap();
+    let unsealed = {
+        let mut b = KbBuilder::new();
+        b.assert_str("person_5", "wonPrize", "another_prize");
+        Arc::new(b.freeze_delta(&store.view()))
+    };
+    store.install_delta(unsealed).unwrap();
+    drop(store);
+    let listing = || {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    assert_eq!(listing().len(), 4, "manifest, base, one sealed delta, WAL");
+    let mut bad = bytes.clone();
+    let dictionary = regions.iter().find(|(r, _)| *r == SegmentRegion::Dictionary).unwrap();
+    bad[dictionary.1.start] ^= 0xA5;
+    std::fs::write(&path, &bad).unwrap();
+    let before = listing();
+    match SegmentStore::open_with(&dir, NO_FSYNC) {
+        Err(StoreError::Corrupt {
+            region: SegmentRegion::Dictionary | SegmentRegion::Header,
+            ..
+        }) => {}
+        Err(other) => panic!("rotten count prefix: wrong error {other}"),
+        Ok(store) => panic!(
+            "rotten count prefix blamed on the deltas: {:?}",
+            store.recovery_report().quarantined
+        ),
+    }
+    assert!(before == listing(), "a refused open must leave every file as it was");
+    // Repaired, the same directory opens whole.
+    std::fs::write(&path, &bytes).unwrap();
+    let store = SegmentStore::open_with(&dir, NO_FSYNC).unwrap();
+    let report = store.recovery_report();
+    assert_eq!((report.sealed_deltas, report.wal_replayed, report.degraded()), (1, 1, false));
     std::fs::remove_dir_all(&dir).ok();
 }
