@@ -1,28 +1,66 @@
-//! The experiment harness: regenerates every table and figure defined
-//! in DESIGN.md.
+//! The experiment harness: regenerates the paper's tables and figures
+//! (T1–T12, F1–F7 of DESIGN.md).
 //!
 //! Usage:
 //!
 //! ```text
 //! harness            # run everything on the standard corpus
-//! harness t3 f1      # run selected experiments
+//! harness t3 f1      # run selected experiments (an unknown id is an error)
 //! harness --small    # use the tiny corpus (fast smoke run)
 //! ```
 
 use std::env;
+use std::process::ExitCode;
 use std::time::Instant;
 
 use kb_bench::{
-    exp_analytics, exp_facts, exp_kb, exp_link, exp_misc, exp_ned, exp_openie, exp_query,
-    exp_rules, exp_scale, exp_segment, exp_serve, exp_store, exp_taxonomy, exp_vector, exp_view,
-    setup, HARNESS_SEED,
+    exp_analytics, exp_facts, exp_kb, exp_link, exp_misc, exp_ned, exp_openie, exp_rules,
+    exp_scale, exp_taxonomy, setup, HARNESS_SEED,
 };
+use kb_corpus::Corpus;
 
-fn main() {
+type Experiment = (&'static str, fn(&Corpus) -> String);
+
+/// Every experiment, in print order.
+const EXPERIMENTS: [Experiment; 19] = [
+    ("t1", exp_kb::t1),
+    ("t2", exp_taxonomy::t2),
+    ("t3", exp_facts::t3),
+    ("f1", exp_facts::f1),
+    ("t4", exp_openie::t4),
+    ("f2", exp_scale::f2),
+    ("t5", exp_ned::t5),
+    ("f3", exp_ned::f3),
+    ("f7", exp_ned::f7),
+    ("t6", exp_link::t6),
+    ("f5", exp_link::f5),
+    ("t7", exp_facts::t7),
+    ("t8", exp_misc::t8),
+    ("t9", exp_misc::t9),
+    ("f4", |_| exp_kb::f4()),
+    ("t11", exp_rules::t11),
+    ("t12", exp_facts::t12),
+    ("f6", exp_facts::f6),
+    ("t10", exp_analytics::t10),
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let small = args.iter().any(|a| a == "--small");
     let selected: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
+    // A mistyped or retired id must not pass as a run that checked
+    // something.
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+    let unknown: Vec<&str> = selected.iter().copied().filter(|id| !ids.contains(id)).collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "harness: unknown experiment {}; known ids: {}",
+            unknown.join(" "),
+            ids.join(" ")
+        );
+        return ExitCode::FAILURE;
+    }
     let corpus = if small {
         setup::small_corpus(HARNESS_SEED)
     } else {
@@ -36,49 +74,18 @@ fn main() {
         corpus.posts.len(),
         HARNESS_SEED
     );
-    let want = |id: &str| selected.is_empty() || selected.contains(&id);
-    type Experiment<'a> = (&'a str, Box<dyn Fn() -> String + 'a>);
-    let experiments: Vec<Experiment> = vec![
-        ("t1", Box::new(|| exp_kb::t1(&corpus))),
-        ("t2", Box::new(|| exp_taxonomy::t2(&corpus))),
-        ("t3", Box::new(|| exp_facts::t3(&corpus))),
-        ("f1", Box::new(|| exp_facts::f1(&corpus))),
-        ("t4", Box::new(|| exp_openie::t4(&corpus))),
-        ("f2", Box::new(|| exp_scale::f2(&corpus))),
-        ("t5", Box::new(|| exp_ned::t5(&corpus))),
-        ("f3", Box::new(|| exp_ned::f3(&corpus))),
-        ("f7", Box::new(|| exp_ned::f7(&corpus))),
-        ("t6", Box::new(|| exp_link::t6(&corpus))),
-        ("f5", Box::new(|| exp_link::f5(&corpus))),
-        ("t7", Box::new(|| exp_facts::t7(&corpus))),
-        ("t8", Box::new(|| exp_misc::t8(&corpus))),
-        ("t9", Box::new(|| exp_misc::t9(&corpus))),
-        ("f4", Box::new(exp_kb::f4)),
-        ("t11", Box::new(|| exp_rules::t11(&corpus))),
-        ("t12", Box::new(|| exp_facts::t12(&corpus))),
-        ("f6", Box::new(|| exp_facts::f6(&corpus))),
-        ("t10", Box::new(|| exp_analytics::t10(&corpus))),
-        ("t13", Box::new(exp_query::t13)),
-        ("f8", Box::new(exp_query::f8)),
-        ("t14", Box::new(exp_query::t14)),
-        ("t15", Box::new(exp_segment::t15)),
-        ("t16", Box::new(|| exp_store::t16(&corpus))),
-        ("t17", Box::new(exp_vector::t17)),
-        ("t18", Box::new(exp_serve::t18)),
-        ("t19", Box::new(exp_store::t19)),
-        ("t20", Box::new(exp_view::t20)),
-    ];
-    for (id, run) in experiments {
-        if !want(id) {
+    for (id, run) in EXPERIMENTS {
+        if !selected.is_empty() && !selected.contains(&id) {
             continue;
         }
         // Each experiment gets a clean global registry, so the blob
         // below holds exactly the metrics that experiment produced.
         kb_obs::global().reset();
         let t0 = Instant::now();
-        let output = run();
+        let output = run(&corpus);
         println!("{output}");
         println!("[{id} metrics] {}", kb_obs::global().render_json());
         println!("[{id} took {:.1}s]\n", t0.elapsed().as_secs_f64());
     }
+    ExitCode::SUCCESS
 }

@@ -113,9 +113,9 @@ pub fn profile_store<K: KbRead>(kb: &K, seed: u64) -> StoreProfile {
     StoreProfile { size, point_lookups_per_sec: point, scans_per_sec: scans, joins_per_sec: joins }
 }
 
-/// The two-hop path join `rel_0 ⋈ rel_1` of F4 and T17, planned by
-/// kb-query against `kb`'s statistics.
-pub fn two_hop_join<K: KbRead>(kb: &K) -> kb_query::Plan {
+/// F4's two-hop path join `rel_0 ⋈ rel_1`, planned by kb-query against
+/// `kb`'s statistics.
+fn two_hop_join<K: KbRead>(kb: &K) -> kb_query::Plan {
     let query = kb_query::parse("?x rel_0 ?m . ?m rel_1 ?y").expect("join query parses");
     kb_query::plan(&query, kb, &kb_query::StatsCatalog::build(kb)).expect("join plans")
 }

@@ -275,6 +275,10 @@ fn scatter_never_observes_a_torn_install() {
 /// Overload sheds with typed rejections driven by a manual clock: the
 /// exact requests past the bucket are refused, everything else serves,
 /// and the shed counter matches.
+///
+/// The second half is the only place the served/shed counts are
+/// compared across 1, 2 and 4 partitions: admission is per tenant and
+/// runs before routing, so the partition count must not move them.
 #[test]
 fn rate_overload_sheds_exactly_past_the_bucket() {
     let snap = build_kb().into_shared();
@@ -286,7 +290,7 @@ fn rate_overload_sheds_exactly_past_the_bucket() {
         queue_depth: 64,
         ..Default::default()
     };
-    let router = KbRouter::with_config(snap, 2, config, &registry);
+    let router = KbRouter::with_config(snap.clone(), 2, config, &registry);
 
     // Burst drains after 4 requests; the next two shed.
     for i in 0..4 {
@@ -313,4 +317,53 @@ fn rate_overload_sheds_exactly_past_the_bucket() {
     ));
     assert_eq!(registry.counter("serve.shed").get(), 3);
     assert_eq!(registry.counter("serve.admitted").get(), 8);
+
+    // The saturation schedule: evenly spaced arrivals for five simulated
+    // seconds at each offered rate, seven subject-bound probes to one
+    // scatter query, against a 400 rps bucket with a burst of 32.
+    const RATE: u64 = 400;
+    const SIM_SECS: u64 = 5;
+    let mut served_past_the_rate = Vec::new();
+    for partitions in [1usize, 2, 4] {
+        for offered in [100u64, 200, 400, 800, 1600] {
+            let clock = ManualClock::shared(0);
+            let registry = Registry::with_clock(clock.clone());
+            let config = AdmissionConfig {
+                rate_per_sec: Some(RATE as f64),
+                burst: 32.0,
+                queue_depth: 64,
+                ..Default::default()
+            };
+            let router = KbRouter::with_config(snap.clone(), partitions, config, &registry);
+            let total = offered * SIM_SECS;
+            let (mut served, mut shed) = (0u64, 0u64);
+            for i in 0..total {
+                clock.advance(1_000_000 / offered);
+                let q = if i % 8 == 7 {
+                    "?co headquarteredIn ?c".to_string()
+                } else {
+                    format!("p{} bornIn ?c", i % 64)
+                };
+                match router.query(&q) {
+                    Ok(_) => served += 1,
+                    Err(ServeError::Overloaded(Overloaded::RateLimited { .. })) => shed += 1,
+                    Err(e) => panic!("{offered} rps, {partitions} partitions: {e}"),
+                }
+            }
+            let at = format!("{offered} rps, {partitions} partitions");
+            assert_eq!(served + shed, total, "{at}: every request is answered or refused");
+            assert_eq!(registry.counter("serve.shed").get(), shed, "{at}");
+            assert_eq!(registry.counter("serve.admitted").get(), served, "{at}");
+            if offered <= RATE {
+                assert_eq!(shed, 0, "{at}: at or below the rate nothing sheds");
+            } else {
+                served_past_the_rate.push(served);
+            }
+        }
+    }
+    // Past the rate the bucket alone decides: 32 burst tokens plus
+    // 400/s × 5 s, less the part of the first arrival's refill that
+    // overflows the still-full bucket — at 800 and 1600 rps alike, at
+    // every partition count.
+    assert_eq!(served_past_the_rate, [2031; 6]);
 }

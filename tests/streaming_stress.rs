@@ -2,8 +2,8 @@
 //! study, end to end — incremental harvest batches become delta
 //! installs, delta installs patch standing views, and the analytics
 //! layer aggregates the synthesized long-horizon stream over sliding
-//! windows. CI-scaled (tens of thousands of posts); harness T20 runs
-//! the latency claims at full scale.
+//! windows. CI-scaled (tens of thousands of posts); patch latency is
+//! kbbench's `view.patch_us_p50`/`p95`.
 
 use std::sync::Arc;
 
