@@ -1,8 +1,8 @@
-//! Parallel stream aggregation: a worker pool over post chunks with
-//! commutative merge — the map-reduce shape of big-data analytics on a
-//! single machine. Tracked-entity sets are selected declaratively with
-//! `kb-query` (see [`tracked_by_query`]) instead of hand-rolled pattern
-//! scans.
+//! Parallel stream aggregation: `std` scoped threads over contiguous
+//! post chunks with commutative merge — the map-reduce shape of
+//! big-data analytics on a single machine. Tracked-entity sets are
+//! selected declaratively with `kb-query` (see [`tracked_by_query`])
+//! instead of hand-rolled pattern scans.
 
 use std::collections::HashMap;
 
@@ -29,14 +29,13 @@ pub fn aggregate_parallel<K: KbRead + Sync + ?Sized>(
         return tracker.aggregate(kb, posts);
     }
     let chunk_size = posts.len().div_ceil(workers);
-    let partials: Vec<HashMap<TermId, TimeSeries>> = crossbeam::thread::scope(|scope| {
+    let partials: Vec<HashMap<TermId, TimeSeries>> = std::thread::scope(|scope| {
         let handles: Vec<_> = posts
             .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move |_| tracker.aggregate(kb, chunk)))
+            .map(|chunk| scope.spawn(move || tracker.aggregate(kb, chunk)))
             .collect();
         handles.into_iter().map(|h| h.join().expect("analytics worker panicked")).collect()
-    })
-    .expect("scope failed");
+    });
     let mut merged: HashMap<TermId, TimeSeries> =
         tracker.tracked.iter().map(|&e| (e, TimeSeries::new())).collect();
     for partial in partials {

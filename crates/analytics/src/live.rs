@@ -20,7 +20,8 @@
 //! [`DeltaSegment`](kb_store::DeltaSegment) installs and patching
 //! standing views) lives in `kb_harvest::pipeline::IncrementalHarvester`
 //! and `kb_query::ViewRegistry`; the end-to-end replay is exercised by
-//! `tests/streaming_stress.rs` and harness T20.
+//! `tests/streaming_stress.rs` (its clock is kbbench's `view.patch_us_*`;
+//! harness table T20 left in PR 16).
 
 use std::collections::HashMap;
 

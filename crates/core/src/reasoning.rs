@@ -15,7 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::facts::extract::CandidateFact;
 use crate::facts::relation_spec;
@@ -420,9 +420,12 @@ pub fn reason_candidates(
             problem.hard(vec![Lit::neg(i)]);
         }
     }
-    // Functionality conflicts: group by (subject, relation).
-    let mut by_sr: HashMap<(&str, &str), Vec<usize>> = HashMap::new();
-    let mut by_ro: HashMap<(&str, &str), Vec<usize>> = HashMap::new();
+    // Functionality conflicts: group by (subject, relation). Ordered
+    // maps, because the groups are walked to emit clauses: clause order
+    // is the problem the seeded solver sees, so it must not follow the
+    // process's hash seed.
+    let mut by_sr: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    let mut by_ro: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
     for (i, c) in candidates.iter().enumerate() {
         by_sr.entry((c.subject.as_str(), c.relation.as_str())).or_default().push(i);
         by_ro.entry((c.relation.as_str(), c.object.as_str())).or_default().push(i);

@@ -123,12 +123,13 @@ pub fn panic_payload_to_string(payload: Box<dyn Any + Send>) -> String {
 
 /// Runs `f`, converting an unwinding panic into `Err(message)`. Panic
 /// output is suppressed for the duration (the payload is *captured*, not
-/// lost — it becomes the error string).
+/// lost — it becomes the error string). Guards nest: an inner one hands
+/// the outer one's suppression back.
 pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     install_quiet_hook();
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
+    let outer = SUPPRESS_PANIC_OUTPUT.with(|s| s.replace(true));
     let result = panic::catch_unwind(AssertUnwindSafe(f));
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
+    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(outer));
     result.map_err(panic_payload_to_string)
 }
 

@@ -91,6 +91,25 @@ impl Corpus {
             .chain(self.essays.iter())
             .collect()
     }
+
+    /// The incremental-harvest split: a bootstrap corpus holding the
+    /// first 70% of the articles (at least one) plus every overview,
+    /// web page and essay, and the held-out articles that arrive later
+    /// as batches. The bootstrap corpus carries no posts — harvesting
+    /// never reads them.
+    pub fn bootstrap_split(&self) -> (Corpus, &[Doc]) {
+        let n = self.articles.len();
+        let (first, held_out) = self.articles.split_at((n * 7 / 10).max(1).min(n));
+        let boot = Corpus {
+            world: self.world.clone(),
+            articles: first.to_vec(),
+            overviews: self.overviews.clone(),
+            web_pages: self.web_pages.clone(),
+            essays: self.essays.clone(),
+            posts: Vec::new(),
+        };
+        (boot, held_out)
+    }
 }
 
 #[cfg(test)]
@@ -121,6 +140,19 @@ mod tests {
         let b = Corpus::generate(&cfg2);
         let same = a.articles.iter().zip(&b.articles).filter(|(x, y)| x.text == y.text).count();
         assert!(same < a.articles.len(), "seeds produced identical corpora");
+    }
+
+    #[test]
+    fn bootstrap_split_partitions_the_articles_and_keeps_the_rest() {
+        let c = Corpus::generate(&CorpusConfig::tiny());
+        let (boot, held_out) = c.bootstrap_split();
+        assert_eq!(boot.articles.len(), c.articles.len() * 7 / 10);
+        assert!(!held_out.is_empty());
+        let ids = |docs: &[Doc]| docs.iter().map(|d| d.id).collect::<Vec<_>>();
+        assert_eq!([ids(&boot.articles), ids(held_out)].concat(), ids(&c.articles));
+        assert_eq!(boot.all_docs().len() + held_out.len(), c.all_docs().len());
+        assert_eq!(boot.world.entities.len(), c.world.entities.len());
+        assert!(boot.posts.is_empty());
     }
 
     #[test]

@@ -23,9 +23,9 @@
 //!    allocation.
 //! 3. **Serving layer** ([`service`]) — an `Arc<KbSnapshot>`-backed
 //!    [`QueryService`] with a bounded LRU plan cache keyed on
-//!    normalized query text, a result cache invalidated by snapshot
-//!    generation, and a crossbeam worker pool for concurrent batches.
-//!    The caching policy itself — LRU order, the generation/epoch
+//!    normalized query text and a result cache invalidated by snapshot
+//!    generation; callers bring their own threads (`query` takes
+//!    `&self`). The caching policy itself — LRU order, the generation/epoch
 //!    freshness rule, single-flight dedup of concurrent misses — is one
 //!    private type in `cache.rs`, shared by every cache of the service.
 //! 4. **Standing views** ([`view`]) — a [`ViewRegistry`] of

@@ -27,10 +27,11 @@
 //! [`cache_stats`]: QueryService::cache_stats
 //! [`Registry`]: kb_obs::Registry
 //!
-//! Batches run on a crossbeam scoped worker pool (the same shape as
-//! `kb-analytics`' `aggregate_parallel`): workers share the service and
-//! the immutable view, so no locking happens on the read path beyond
-//! brief cache probes.
+//! The service is `Sync` and has no worker pool of its own: whoever
+//! serves concurrently (`kb-serve`'s router, the stress suites) calls
+//! [`QueryService::query`] from its own threads, which share the
+//! immutable view, so no locking happens on the read path beyond brief
+//! cache probes.
 
 use std::sync::{Arc, Mutex};
 
@@ -549,35 +550,6 @@ impl QueryService {
         m.count(outcome, [&m.result_hits, &m.result_misses, &m.result_dedup, &m.result_evictions]);
         out
     }
-
-    /// Serves a batch of queries on `workers` threads, returning results
-    /// in input order. With one worker (or a single query) the batch
-    /// runs inline. Worker chunking mirrors `kb-analytics`'
-    /// `aggregate_parallel`.
-    pub fn serve_batch(
-        &self,
-        queries: &[&str],
-        workers: usize,
-    ) -> Vec<Result<Arc<QueryOutput>, QueryError>> {
-        let workers = workers.max(1);
-        if workers == 1 || queries.len() < 2 {
-            return queries.iter().map(|q| self.query(q)).collect();
-        }
-        let chunk_size = queries.len().div_ceil(workers);
-        let chunks: Vec<Vec<Result<Arc<QueryOutput>, QueryError>>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = queries
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope
-                            .spawn(move |_| chunk.iter().map(|q| self.query(q)).collect::<Vec<_>>())
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("query worker panicked")).collect()
-            })
-            .expect("scope failed");
-        chunks.into_iter().flatten().collect()
-    }
 }
 
 #[cfg(test)]
@@ -889,29 +861,6 @@ mod tests {
         // And the invariant persists for later traffic.
         svc.query("?p bornIn ?c").unwrap();
         assert_eq!(svc.stale_entries(), 0);
-    }
-
-    #[test]
-    fn batch_matches_serial_for_any_worker_count() {
-        let svc = service();
-        let queries: Vec<String> = (0..12)
-            .map(|i| {
-                if i % 2 == 0 {
-                    "?p bornIn ?c".to_string()
-                } else {
-                    format!("SELECT ?c WHERE {{ ?c locatedIn California }} LIMIT {}", i)
-                }
-            })
-            .collect();
-        let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-        let serial = svc.serve_batch(&refs, 1);
-        for w in [2, 4, 8] {
-            let parallel = svc.serve_batch(&refs, w);
-            assert_eq!(serial.len(), parallel.len());
-            for (s, p) in serial.iter().zip(&parallel) {
-                assert_eq!(s.as_ref().unwrap(), p.as_ref().unwrap(), "workers = {w}");
-            }
-        }
     }
 
     #[test]

@@ -1011,7 +1011,7 @@ impl ViewRegistry {
                         Err(_) => Arc::clone(&view.plan),
                     };
                     let fresh = canonical_output(&plan, &execute(&plan, new), new);
-                    let (added, removed) = diff_outputs(&view.output, &fresh, new);
+                    let (added, removed) = diff_outputs(&plan, &view.output, &fresh, new);
                     (added, removed, Arc::new(fresh), false)
                 }
             };
@@ -1038,8 +1038,10 @@ impl ViewRegistry {
 
 /// Multiset difference of two canonical outputs: rows in `after` but
 /// not `before` (added) and vice versa (removed). Both inputs are
-/// canonically sorted, so one merge pass suffices.
+/// sorted by [`cmp_canonical`] — ORDER BY keys first, possibly
+/// descending — so one merge pass stepping by that same order suffices.
 fn diff_outputs<K: KbRead + ?Sized>(
+    plan: &Plan,
     before: &QueryOutput,
     after: &QueryOutput,
     kb: &K,
@@ -1053,7 +1055,7 @@ fn diff_outputs<K: KbRead + ?Sized>(
             j += 1;
             continue;
         }
-        match cmp_row_total(&before.rows[i], &after.rows[j], kb) {
+        match cmp_canonical(plan, &before.rows[i], &after.rows[j], kb) {
             std::cmp::Ordering::Less => {
                 removed.push(before.rows[i].clone());
                 i += 1;
@@ -1183,19 +1185,33 @@ mod tests {
         let lim = reg
             .register("SELECT ?p WHERE { ?p bornIn ?c } ORDER BY ?p LIMIT 1", &view, &stats)
             .unwrap();
+        let desc = reg
+            .register("SELECT ?p WHERE { ?p bornIn ?c } ORDER BY DESC(?p) LIMIT 10", &view, &stats)
+            .unwrap();
         assert!(!reg.maintainability_of(opt).unwrap().is_incremental());
         assert!(!reg.maintainability_of(lim).unwrap().is_incremental());
 
         let mut b = KbBuilder::new();
         b.assert_str("Ada_Lovelace", "bornIn", "London");
+        b.assert_str("Steve_Martin", "bornIn", "London");
         let delta = Arc::new(b.freeze_delta(&view));
         let new = view.with_delta(Arc::clone(&delta));
         let new_stats = stats.merged_with_delta(&delta);
         let updates = reg.apply_delta(delta.as_ref(), &view, &new, &new_stats);
-        assert_eq!(updates.len(), 2);
+        assert_eq!(updates.len(), 3);
         assert!(updates.iter().all(|u| !u.patched), "fallback views re-execute");
         check_against_reexec(&reg, opt, &new);
         check_against_reexec(&reg, lim, &new);
+
+        // Surviving rows of the descending view are neither removed nor
+        // added. Fails at the parent, where `diff_outputs` stepped in
+        // ascending order: added = [Steve_Martin, Steve_Jobs,
+        // Ada_Lovelace], removed = [Steve_Jobs].
+        check_against_reexec(&reg, desc, &new);
+        let update = updates.iter().find(|u| u.id == desc).expect("the view is touched");
+        let added: Vec<_> = update.added.iter().map(|r| crate::cell_str(&r[0], &new)).collect();
+        assert_eq!(added, ["Steve_Martin", "Ada_Lovelace"]);
+        assert!(update.removed.is_empty(), "{:?}", update.removed);
     }
 
     #[test]

@@ -188,30 +188,6 @@ fn cold_query_bursts_execute_exactly_once() {
     );
 }
 
-#[test]
-fn serve_batch_matches_serial_for_every_worker_count() {
-    let snap = build_kb().into_shared();
-    let queries = workload();
-    let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-
-    let svc = QueryService::new(snap.clone());
-    let serial = svc.serve_batch(&refs, 1);
-    for workers in [2usize, 3, 4, 8] {
-        let fresh = QueryService::new(snap.clone());
-        let parallel = fresh.serve_batch(&refs, workers);
-        assert_eq!(serial.len(), parallel.len());
-        for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-            let s = s.as_ref().expect("serial query failed");
-            let p = p.as_ref().expect("parallel query failed");
-            assert_eq!(
-                s.render(snap.as_ref()),
-                p.render(snap.as_ref()),
-                "workers={workers} diverged on query #{i}"
-            );
-        }
-    }
-}
-
 /// Delta installs racing live queries: answers stay well-formed, no
 /// stale-generation entry survives, and — the point of segmenting —
 /// warm results whose predicates the deltas never touch keep serving

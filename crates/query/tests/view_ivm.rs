@@ -10,7 +10,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use kb_obs::Registry;
-use kb_query::{canonical_output, execute, parse, plan as compile, StatsCatalog, ViewRegistry};
+use kb_query::{
+    canonical_output, execute, parse, plan as compile, Cell, StatsCatalog, ViewRegistry,
+};
 use kb_store::{KbBuilder, SegmentedSnapshot};
 
 const VARS: [&str; 4] = ["x", "y", "z", "w"];
@@ -53,19 +55,21 @@ fn render_patterns(patterns: &[PatternTuple]) -> (String, Vec<String>) {
 }
 
 /// Wraps the conjunctive body in one of the supported query shapes.
-/// Shapes 3 and 4 are always incrementally maintainable; 5 (LIMIT)
-/// always takes the re-execution fallback — the property holds either
-/// way, which is exactly what pins the fallback decision as sound.
+/// Shapes 3 and 4 are always incrementally maintainable; 5 and 6
+/// (LIMIT) always take the re-execution fallback — the property holds
+/// either way, which is exactly what pins the fallback decision as
+/// sound. Shape 6 is the fallback over a *descending* answer.
 fn render_query(form: u8, body: &str, vars: &[String]) -> String {
     let v0 = &vars[0];
     let vlast = vars.last().expect("?x is always present");
-    match form % 6 {
+    match form % 7 {
         0 => body.to_string(),
         1 => format!("SELECT {v0} WHERE {{ {body} }}"),
         2 => format!("SELECT DISTINCT {v0} WHERE {{ {body} }}"),
         3 => format!("SELECT {v0} COUNT({vlast}) AS ?n WHERE {{ {body} }} GROUP BY {v0}"),
         4 => format!("SELECT {v0} WHERE {{ {body} . FILTER({v0} != e0) }} ORDER BY DESC({v0})"),
-        _ => format!("SELECT {v0} WHERE {{ {body} }} ORDER BY {v0} LIMIT 3"),
+        5 => format!("SELECT {v0} WHERE {{ {body} }} ORDER BY {v0} LIMIT 3"),
+        _ => format!("SELECT {v0} WHERE {{ {body} }} ORDER BY DESC({v0}) LIMIT 3"),
     }
 }
 
@@ -75,7 +79,12 @@ proptest! {
     /// Random KB, random standing-view shape, then a chain of 1–4
     /// random deltas mixing assertions with retractions: after every
     /// install the registry's materialized answer equals a from-scratch
-    /// re-execution, byte for byte.
+    /// re-execution, byte for byte, and every update's `removed` and
+    /// `added` lists are exactly the multiset difference between the
+    /// previous answer and the new one. (That invariant and shape 6 fail
+    /// at the parent commit: the fallback's diff stepped through
+    /// descending answers in ascending order and reported surviving rows
+    /// as both removed and added.)
     #[test]
     fn patched_views_match_reexecution_across_delta_chains(
         triples in prop::collection::vec((0u32..6, 0u32..4, 0u32..6), 1..30),
@@ -83,7 +92,7 @@ proptest! {
             ((0u8..6, 0u32..6), (0u8..3, 0u32..4), (0u8..6, 0u32..6)),
             1..3
         ),
-        form in 0u8..6,
+        form in 0u8..7,
         deltas in prop::collection::vec(
             prop::collection::vec((0u8..4, 0u32..6, 0u32..4, 0u32..6), 1..8),
             1..5
@@ -112,6 +121,7 @@ proptest! {
                     b.retract_str(&s, &p, &o);
                 }
             }
+            let before = reg.result(id).expect("view is registered");
             let delta = Arc::new(b.freeze_delta(&view));
             let next = view.with_delta(Arc::clone(&delta));
             stats = stats.merged_with_delta(&delta);
@@ -134,6 +144,21 @@ proptest! {
             // claims subscribers can resync from.
             for u in &updates {
                 prop_assert_eq!(u.output.render(&view), got.render(&view));
+                // The diff is exact: no row on both lists, and previous −
+                // removed + added = new as multisets (both sides sorted).
+                let rendered = |rows: &[Vec<Cell>]| -> Vec<String> {
+                    rows.iter().map(|r| got.render_row(r, &view)).collect()
+                };
+                let (removed, added) = (rendered(&u.removed), rendered(&u.added));
+                prop_assert!(
+                    !added.iter().any(|row| removed.contains(row)),
+                    "{} removes {:?} and adds {:?}", &text, removed, added
+                );
+                let mut patched = [rendered(&before.rows), added].concat();
+                let mut unpatched = [rendered(&got.rows), removed].concat();
+                patched.sort();
+                unpatched.sort();
+                prop_assert_eq!(patched, unpatched, "{}: previous + added ≠ new + removed", &text);
             }
         }
     }

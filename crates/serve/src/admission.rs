@@ -6,8 +6,8 @@
 //! answer "no" in microseconds so admitted requests keep their latency
 //! — the classic load-shedding posture of production serving stacks.
 //!
-//! Time comes from the registry clock, so tests (and the T18
-//! saturation experiment) drive the buckets with a
+//! Time comes from the registry clock, so tests (`router_stress`'s
+//! saturation curve, once harness table T18) drive the buckets with a
 //! [`ManualClock`](kb_obs::ManualClock) and get exactly reproducible
 //! shed curves.
 

@@ -19,22 +19,14 @@ fn main() {
     // 1. Generate a corpus and hold ~30% of the articles back — they
     //    play the role of documents that arrive after the first build.
     let corpus = Corpus::generate(&CorpusConfig::tiny());
-    let split = corpus.articles.len() * 7 / 10;
-    let boot = Corpus {
-        world: corpus.world.clone(),
-        articles: corpus.articles[..split].to_vec(),
-        overviews: corpus.overviews.clone(),
-        web_pages: corpus.web_pages.clone(),
-        essays: corpus.essays.clone(),
-        posts: Vec::new(),
-    };
+    let (boot, held_out) = corpus.bootstrap_split();
 
     // 2. Bootstrap: full harvest over the initial documents, keeping
     //    the trained pattern model + type index for later batches.
     let cfg = HarvestConfig { method: Method::Statistical, ..Default::default() };
     let (harvester, out) = IncrementalHarvester::bootstrap(&boot, &cfg).expect("bootstrap");
     let base = out.kb.snapshot().into_shared();
-    println!("base snapshot: {} facts from {} articles", base.len(), split);
+    println!("base snapshot: {} facts from {} articles", base.len(), boot.articles.len());
 
     // 3. Serve queries against the base, warming the result cache.
     //    `instanceOf` facts come from the bootstrap taxonomy only, so
@@ -49,7 +41,7 @@ fn main() {
     // 4. Late-arriving documents land as delta segments: each batch is
     //    extracted with the frozen model, frozen against the current
     //    view, and installed without rebuilding the base.
-    for (i, chunk) in corpus.articles[split..].chunks(4).enumerate() {
+    for (i, chunk) in held_out.chunks(4).enumerate() {
         let refs: Vec<_> = chunk.iter().collect();
         let view = service.snapshot();
         let outcome = harvester.harvest_batch(&corpus.world, &refs, &view).expect("harvest batch");

@@ -75,8 +75,9 @@ fn main() {
     }
 
     // The second run of each query is a pure cache hit.
-    let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-    let _ = service.serve_batch(&refs, 4);
+    for q in &queries {
+        let _ = service.query(q);
+    }
     let stats = service.cache_stats();
     println!(
         "cache: {} result hits, {} misses; {} plan hits, {} misses",

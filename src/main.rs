@@ -253,17 +253,10 @@ fn harvest_incremental(
     out_path: &str,
     durability: Option<(&str, StoreOptions)>,
 ) -> Result<(), String> {
-    let split = (corpus.articles.len() * 7 / 10).max(1);
-    let boot = Corpus {
-        world: corpus.world.clone(),
-        articles: corpus.articles[..split].to_vec(),
-        overviews: corpus.overviews.clone(),
-        web_pages: corpus.web_pages.clone(),
-        essays: corpus.essays.clone(),
-        posts: Vec::new(),
-    };
+    let (boot, held_out) = corpus.bootstrap_split();
     let cfg = HarvestConfig { method, ..Default::default() };
-    eprintln!("bootstrap harvest on {split}/{} articles ({method:?})...", corpus.articles.len());
+    let (first, all) = (boot.articles.len(), corpus.articles.len());
+    eprintln!("bootstrap harvest on {first}/{all} articles ({method:?})...");
     let (inc, out) = IncrementalHarvester::bootstrap(&boot, &cfg)
         .map_err(|e| format!("bootstrap failed: {e}"))?;
     let base = out.kb.snapshot().into_shared();
@@ -282,7 +275,7 @@ fn harvest_incremental(
     };
     let service = QueryService::new(base);
 
-    for (i, chunk) in corpus.articles[split..].chunks(4).enumerate() {
+    for (i, chunk) in held_out.chunks(4).enumerate() {
         let refs: Vec<_> = chunk.iter().collect();
         let view = service.snapshot();
         let outcome = inc
@@ -429,27 +422,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                 report.quarantined.join(", ")
             );
         }
-        if explain {
-            // Traced execution doubles as the serve — no second run.
-            let plan = service.plan_for(q).map_err(|e| e.to_string())?;
-            let (out, trace) = execute_traced(&plan, &view);
-            print_explain(&plan, &trace, &view.index_stats(), &view);
-            eprintln!(
-                "routing: {}",
-                routing_decision(&parse(q).map_err(|e| e.to_string())?).describe()
-            );
-            println!("{} solutions", out.rows.len());
-            for row in out.rows.iter().take(50) {
-                println!("  {}", out.render_row(row, &view));
-            }
-            return Ok(());
-        }
-        let out = service.query(q).map_err(|e| e.to_string())?;
-        println!("{} solutions", out.rows.len());
-        for row in out.rows.iter().take(50) {
-            println!("  {}", out.render_row(row, &view));
-        }
-        return Ok(());
+        return answer_query(&service, &view, q, explain.then(|| view.index_stats()));
     }
 
     let path = positional(args).ok_or("query needs a KB file and a query")?;
@@ -457,24 +430,35 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         args.iter().filter(|a| !a.starts_with("--")).nth(1).ok_or("query needs a query string")?;
     let snap = load_kb(path)?.freeze().into_shared();
     let service = QueryService::new(snap.clone());
-    if explain {
-        let plan = service.plan_for(q).map_err(|e| e.to_string())?;
-        let (out, trace) = execute_traced(&plan, snap.as_ref());
-        print_explain(&plan, &trace, &snap.index_stats(), snap.as_ref());
-        eprintln!(
-            "routing: {}",
-            routing_decision(&parse(q).map_err(|e| e.to_string())?).describe()
-        );
-        println!("{} solutions", out.rows.len());
-        for row in out.rows.iter().take(50) {
-            println!("  {}", out.render_row(row, snap.as_ref()));
+    answer_query(&service, snap.as_ref(), q, explain.then(|| snap.index_stats()))
+}
+
+/// The tail both `query` doors share: answers `q` over `view` and prints
+/// the first 50 rows. With `explain` (the view's index footprint, taken
+/// only under `--explain`) the traced execution doubles as the serve —
+/// no second run — and the plan report and routing verdict go to stderr.
+fn answer_query<K: KbRead + ?Sized>(
+    service: &QueryService,
+    view: &K,
+    q: &str,
+    explain: Option<IndexStats>,
+) -> Result<(), String> {
+    let out = match explain {
+        Some(index_stats) => {
+            let plan = service.plan_for(q).map_err(|e| e.to_string())?;
+            let (out, trace) = execute_traced(&plan, view);
+            print_explain(&plan, &trace, &index_stats, view);
+            eprintln!(
+                "routing: {}",
+                routing_decision(&parse(q).map_err(|e| e.to_string())?).describe()
+            );
+            Arc::new(out)
         }
-        return Ok(());
-    }
-    let out = service.query(q).map_err(|e| e.to_string())?;
+        None => service.query(q).map_err(|e| e.to_string())?,
+    };
     println!("{} solutions", out.rows.len());
     for row in out.rows.iter().take(50) {
-        println!("  {}", out.render_row(row, snap.as_ref()));
+        println!("  {}", out.render_row(row, view));
     }
     Ok(())
 }
@@ -673,16 +657,8 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     let mut cfg = CorpusConfig::tiny();
     cfg.world.seed = seed;
     let corpus = Corpus::generate(&cfg);
-    let split = (corpus.articles.len() * 7 / 10).max(1);
-    let boot = Corpus {
-        world: corpus.world.clone(),
-        articles: corpus.articles[..split].to_vec(),
-        overviews: corpus.overviews.clone(),
-        web_pages: corpus.web_pages.clone(),
-        essays: corpus.essays.clone(),
-        posts: Vec::new(),
-    };
-    eprintln!("bootstrap harvest on {split}/{} articles...", corpus.articles.len());
+    let (boot, held_out) = corpus.bootstrap_split();
+    eprintln!("bootstrap harvest on {}/{} articles...", boot.articles.len(), corpus.articles.len());
     let (inc, out) = IncrementalHarvester::bootstrap(&boot, &HarvestConfig::default())
         .map_err(|e| format!("bootstrap failed: {e}"))?;
     let service = QueryService::new(out.kb.snapshot().into_shared());
@@ -698,7 +674,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         service.snapshot().len()
     );
 
-    for (i, chunk) in corpus.articles[split..].chunks(batch).enumerate() {
+    for (i, chunk) in held_out.chunks(batch).enumerate() {
         let refs: Vec<_> = chunk.iter().collect();
         let view = service.snapshot();
         let outcome = inc

@@ -146,15 +146,7 @@ fn durable_run() -> &'static DurableRun {
     static RUN: OnceLock<DurableRun> = OnceLock::new();
     RUN.get_or_init(|| {
         let (corpus, _) = faulted_corpus();
-        let split = (corpus.articles.len() * 7 / 10).max(1);
-        let boot = Corpus {
-            world: corpus.world.clone(),
-            articles: corpus.articles[..split].to_vec(),
-            overviews: corpus.overviews.clone(),
-            web_pages: corpus.web_pages.clone(),
-            essays: corpus.essays.clone(),
-            posts: Vec::new(),
-        };
+        let (boot, held_out) = corpus.bootstrap_split();
         let cfg = HarvestConfig::default();
         let (inc, out) = IncrementalHarvester::bootstrap(&boot, &cfg).expect("bootstrap");
         let base = out.kb.snapshot().into_shared();
@@ -162,7 +154,7 @@ fn durable_run() -> &'static DurableRun {
         let dir = chaos_dir("fixture");
         let mut store = SegmentStore::create(&dir, base, NO_FSYNC).expect("create store");
         let mut oracles = vec![ntriples::to_string(&store.view()).expect("dump")];
-        for chunk in corpus.articles[split..].chunks(3) {
+        for chunk in held_out.chunks(3) {
             let refs: Vec<_> = chunk.iter().collect();
             let view = store.view();
             let outcome = inc.harvest_batch(&corpus.world, &refs, &view).expect("batch");

@@ -55,6 +55,35 @@ fn harvest_is_deterministic_across_runs() {
     assert_eq!(out1.kb.len(), out2.kb.len());
 }
 
+/// Fails at the parent commit: `reason_candidates` emitted its hard
+/// clauses in `HashMap` iteration order, so the seeded solver walked a
+/// different problem on every call and equal-confidence functional
+/// conflicts (which the tiny corpus above does not contain) resolved
+/// differently — same fact count, different facts. There, one pair of
+/// standard-corpus runs agrees about every second time, hence the
+/// doubled world (more such conflicts) and more than two runs.
+#[test]
+fn same_seed_standard_harvests_are_byte_identical() {
+    let mut cfg = CorpusConfig::standard(42);
+    let w = &mut cfg.world;
+    for n in [&mut w.people, &mut w.companies, &mut w.cities, &mut w.universities, &mut w.products]
+    {
+        *n *= 2;
+    }
+    let corpus = Corpus::generate(&cfg);
+    let run = || {
+        let out = harvest(&corpus, &HarvestConfig::default()).expect("harvest");
+        (out.accepted, ntriples::to_string(&out.kb).expect("serialize"))
+    };
+    let first = run();
+    for rerun in 1..=4 {
+        let again = run();
+        let fact = first.0.iter().zip(&again.0).find(|(a, b)| a != b);
+        assert!(fact.is_none(), "rerun {rerun} accepted other facts, first: {fact:?}");
+        assert!(first == again, "rerun {rerun} wrote another N-Triples dump");
+    }
+}
+
 #[test]
 fn harvested_kb_survives_serialization() {
     let corpus = corpus();

@@ -28,15 +28,7 @@ const VIEWS: [&str; 2] = [
 #[test]
 fn harvest_stream_keeps_standing_views_identical_to_reexecution() {
     let corpus = Corpus::generate(&CorpusConfig::tiny());
-    let split = (corpus.articles.len() * 7 / 10).max(1);
-    let boot = Corpus {
-        world: corpus.world.clone(),
-        articles: corpus.articles[..split].to_vec(),
-        overviews: corpus.overviews.clone(),
-        web_pages: corpus.web_pages.clone(),
-        essays: corpus.essays.clone(),
-        posts: Vec::new(),
-    };
+    let (boot, held_out) = corpus.bootstrap_split();
     let (inc, out) =
         IncrementalHarvester::bootstrap(&boot, &HarvestConfig::default()).expect("bootstrap");
     let service = QueryService::new(out.kb.snapshot().into_shared());
@@ -45,7 +37,7 @@ fn harvest_stream_keeps_standing_views_identical_to_reexecution() {
 
     let mut installs = 0u32;
     let mut patched_updates = 0u32;
-    for chunk in corpus.articles[split..].chunks(2) {
+    for chunk in held_out.chunks(2) {
         let refs: Vec<_> = chunk.iter().collect();
         let view = service.snapshot();
         let outcome = inc.harvest_batch(&corpus.world, &refs, &view).expect("batch harvests");
