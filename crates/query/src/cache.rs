@@ -181,6 +181,12 @@ struct LruCache<V> {
     /// lookups scan it: that needs no owned three-part key per probe,
     /// and the table is a handful of rows.
     inflight: Vec<Slot<V>>,
+    /// Values that left `map` since the lock was taken — evicted,
+    /// replaced, gone stale, swept by a delta or cleared by an install.
+    /// [`Held`] takes them along when it lets go of the lock: freeing a
+    /// large answer takes as long as a hundred hits, and every reader of
+    /// the service would wait for it.
+    removed: Vec<V>,
 }
 
 impl<V: Clone> LruCache<V> {
@@ -193,6 +199,7 @@ impl<V: Clone> LruCache<V> {
             map: HashMap::new(),
             recency: BTreeMap::new(),
             inflight: Vec::new(),
+            removed: Vec::new(),
         }
     }
 
@@ -204,7 +211,7 @@ impl<V: Clone> LruCache<V> {
         if !fresh {
             // Stale generation or delta-outdated: drop eagerly.
             self.recency.remove(&e.filed);
-            self.map.remove(key);
+            self.removed.extend(self.map.remove(key).map(|e| e.value));
             return None;
         }
         self.tick += 1;
@@ -218,7 +225,7 @@ impl<V: Clone> LruCache<V> {
         while let Some((filed, key)) = self.recency.pop_first() {
             let e = self.map.get_mut(&key).expect("every indexed key has an entry");
             if e.used == filed {
-                self.map.remove(&key);
+                self.removed.extend(self.map.remove(&key).map(|e| e.value));
                 return;
             }
             e.filed = e.used;
@@ -253,7 +260,8 @@ impl<V: Clone> LruCache<V> {
         };
         let (used, filed) = (self.tick, self.tick);
         self.recency.insert(filed, Arc::clone(&shared_key));
-        self.map.insert(shared_key, Entry { generation, epoch, used, filed, footprint, value });
+        let entry = Entry { generation, epoch, used, filed, footprint, value };
+        self.removed.extend(self.map.insert(shared_key, entry).map(|e| e.value));
         outcome
     }
 
@@ -265,7 +273,7 @@ impl<V: Clone> LruCache<V> {
         debug_assert!(generation >= self.floor, "generation floor must be monotone");
         self.floor = generation;
         self.deltas = DeltaEpochs::default();
-        self.map.clear();
+        self.removed.extend(self.map.drain().map(|(_, e)| e.value));
         self.recency.clear();
     }
 
@@ -279,15 +287,13 @@ impl<V: Clone> LruCache<V> {
         }
         self.deltas.last_delta_epoch = epoch;
         let before = self.map.len();
-        let recency = &mut self.recency;
-        self.map.retain(|_, e| {
-            let keep = !e.footprint.is_wildcard()
-                && (wildcard_only || !e.footprint.is_touched_by(touched));
-            if !keep {
-                recency.remove(&e.filed);
-            }
-            keep
+        let outdated = self.map.extract_if(|_, e| {
+            e.footprint.is_wildcard() || (!wildcard_only && e.footprint.is_touched_by(touched))
         });
+        for (_, e) in outdated {
+            self.recency.remove(&e.filed);
+            self.removed.push(e.value);
+        }
         let after = self.map.len();
         (after as u64, (before - after) as u64)
     }
@@ -330,6 +336,35 @@ impl<V> Drop for Retire<'_, V> {
     }
 }
 
+/// The table lock as [`StampedCache::lock`] hands it out. On drop it
+/// takes [`LruCache::removed`] with it and frees those values only once
+/// the lock is released: fields drop in declaration order, the guard
+/// first.
+struct Held<'a, V> {
+    guard: MutexGuard<'a, LruCache<V>>,
+    removed: Vec<V>,
+}
+
+impl<V> Drop for Held<'_, V> {
+    fn drop(&mut self) {
+        self.removed = std::mem::take(&mut self.guard.removed);
+    }
+}
+
+impl<V> std::ops::Deref for Held<'_, V> {
+    type Target = LruCache<V>;
+
+    fn deref(&self) -> &LruCache<V> {
+        &self.guard
+    }
+}
+
+impl<V> std::ops::DerefMut for Held<'_, V> {
+    fn deref_mut(&mut self) -> &mut LruCache<V> {
+        &mut self.guard
+    }
+}
+
 /// A bounded exact-LRU cache whose entries are stamped with
 /// `(generation, epoch, footprint)` and whose misses are deduplicated
 /// across threads. See the module docs for the freshness rule and the
@@ -343,8 +378,8 @@ impl<V: Clone> StampedCache<V> {
         StampedCache { shared: Mutex::new(LruCache::new(capacity)) }
     }
 
-    fn lock(&self) -> MutexGuard<'_, LruCache<V>> {
-        self.shared.lock().expect("cache poisoned")
+    fn lock(&self) -> Held<'_, V> {
+        Held { guard: self.shared.lock().expect("cache poisoned"), removed: Vec::new() }
     }
 
     /// The fresh entry under `key`, if any; refreshes its recency. An
@@ -525,6 +560,61 @@ mod tests {
         // Generation mismatch is a miss and drops the entry.
         assert_eq!(lru.get("a", 1, 0), None);
         assert_eq!(lru.len(), 1);
+    }
+
+    /// A cached value that notes, when it is freed, whether the lock
+    /// of the table it was cached in was free.
+    #[derive(Clone)]
+    struct Witness {
+        seen: Arc<Seen>,
+        /// Counts the copies alive, the test's own included.
+        copies: Arc<()>,
+    }
+
+    #[derive(Default)]
+    struct Seen {
+        table: std::sync::OnceLock<StampedCache<Witness>>,
+        table_was_free: Mutex<Vec<bool>>,
+    }
+
+    impl Drop for Witness {
+        fn drop(&mut self) {
+            if let (Some(table), Ok(mut log)) =
+                (self.seen.table.get(), self.seen.table_was_free.lock())
+            {
+                log.push(table.shared.try_lock().is_ok());
+            }
+        }
+    }
+
+    /// A cached answer can be large (a 22 000-row result takes half a
+    /// millisecond to free), so none may be freed while the table's
+    /// lock is held: not the LRU victim, not what a delta sweeps, not
+    /// what an install clears.
+    #[test]
+    fn removed_values_are_freed_after_the_table_lock_is_released() {
+        let seen = Arc::new(Seen::default());
+        let table = seen.table.get_or_init(|| StampedCache::new(2));
+        let cache = |key: &str, pred: u32| {
+            let value = Witness { seen: Arc::clone(&seen), copies: Arc::new(()) };
+            let copies = Arc::clone(&value.copies);
+            let footprint = Footprint { preds: vec![TermId(pred)], wildcard: false };
+            let (got, outcome) = table.get_or_compute(key, 0, 0, || Ok((value, footprint)));
+            assert!(got.is_ok() && matches!(outcome, Outcome::Computed(Some(_))));
+            copies
+        };
+        // The test's handle and the cached copy.
+        let (a, b) = (cache("a", 1), cache("b", 2));
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (2, 2));
+        let c = cache("c", 1);
+        assert_eq!(Arc::strong_count(&a), 1, "a full table evicts its least recently used entry");
+        table.apply_delta(1, &[TermId(2)], false);
+        assert_eq!(Arc::strong_count(&b), 1, "the delta touched b's footprint");
+        assert_eq!(Arc::strong_count(&c), 2);
+        table.set_floor(1);
+        assert_eq!(Arc::strong_count(&c), 1, "an install clears the table");
+        let log = seen.table_was_free.lock().unwrap();
+        assert!(log.len() >= 3 && log.iter().all(|&free| free), "{log:?}");
     }
 
     /// The min-scan LRU the cache replaced, kept as the reference the

@@ -14,6 +14,19 @@
 //! What the answers *are* is checked against the naive reference model
 //! of the dev-only `kb-testkit` crate (`tests/differential.rs`).
 //!
+//! COUNT…GROUP BY is one more batch operator, the sink (`Aggregator`):
+//! it reads the root's batches column by column, keeps group keys as
+//! fixed-width `u32` rows in one flat vector and counters in another,
+//! and finds a group through an open-addressing index of group ids — or
+//! not at all when a row repeats the key of the row before it, as the
+//! rows of an index scan grouped by the scan's leading column do.
+//! Groups leave in ascending key order, an unbound component before
+//! every term: the second half of the order contract, with the same
+//! dependants. Group ids are sorted by key once at the end, unless
+//! their keys arrived ascending. An output cell is a key component or a
+//! count (the planner rejects a projected variable that is not a GROUP
+//! BY key), so a group remembers nothing but the two.
+//!
 //! The executor is generic over any [`KbRead`] view, so the same
 //! compiled plan runs against the mutable builder, an immutable
 //! snapshot, or a segmented stack; only the monolithic unfiltered scan
@@ -22,9 +35,11 @@
 //! results.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::hash::Hasher as _;
 
+use kb_store::fx::FxHasher;
 use kb_store::{KbRead, KbReadBatch, TermId, TimePoint, Triple, TripleBatch, TriplePattern};
 
 use crate::ast::CmpOp;
@@ -207,8 +222,8 @@ impl Batch {
 
 /// Per-run execution statistics collected by [`execute_traced`]:
 /// actual rows out of every operator (aligned index-for-index with
-/// [`Plan::ops`]), total batches flushed through BGP steps, and rows
-/// reaching the root.
+/// [`Plan::ops`]), total batches flushed through BGP steps, rows
+/// reaching the root and the groups they made.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecTrace {
     /// Actual output rows per operator slot, in [`Plan::ops`] order.
@@ -217,66 +232,34 @@ pub struct ExecTrace {
     pub batches: u64,
     /// Rows emitted by the root operator (before DISTINCT/ORDER/LIMIT).
     pub rows: u64,
+    /// Groups those rows aggregated into (before DISTINCT/ORDER/LIMIT);
+    /// 0 for a plan that does not aggregate.
+    pub groups: u64,
 }
 
 // ---------------------------------------------------------------------
 // Shared projection / aggregation / finishing
 // ---------------------------------------------------------------------
 
-/// Group key → (representative projected-var values, one counter per
-/// COUNT column). `BTreeMap` keeps group order deterministic.
-type Groups = BTreeMap<Vec<Option<TermId>>, (Vec<Option<TermId>>, Vec<u64>)>;
-
-fn count_cols(plan: &Plan) -> usize {
-    plan.cols.iter().filter(|c| matches!(c, Col::Count { .. })).count()
-}
-
-fn agg_update(
-    plan: &Plan,
-    n_counts: usize,
-    groups: &mut Groups,
-    get: &dyn Fn(usize) -> Option<TermId>,
-) {
-    let key: Vec<Option<TermId>> = plan.group_by.iter().map(|&s| get(s)).collect();
-    let entry = groups.entry(key).or_insert_with(|| {
-        let rep = plan
-            .cols
-            .iter()
-            .map(|c| match c {
-                Col::Var { slot, .. } => get(*slot),
-                Col::Count { .. } => None,
-            })
-            .collect();
-        (rep, vec![0u64; n_counts])
-    });
-    let mut ci = 0;
-    for c in &plan.cols {
-        if let Col::Count { arg, .. } = c {
-            let counted = match arg {
-                None => true,
-                Some(slot) => get(*slot).is_some(),
-            };
-            if counted {
-                entry.1[ci] += 1;
-            }
-            ci += 1;
-        }
-    }
-}
-
-/// One aggregate output row: the group's representative values in the
-/// `Var` columns, `count(i)` in the `i`-th COUNT column.
+/// One aggregate output row. The planner rejects a projected variable
+/// that is not a GROUP BY key, so a `Var` column is always a component
+/// of the group's key — `key(i)` is the value of the `i`-th GROUP BY
+/// variable, `None` if unbound — and the `i`-th COUNT column is
+/// `count(i)`: a group needs to remember nothing else.
 pub(crate) fn group_row(
     plan: &Plan,
-    rep: &[Option<TermId>],
+    key: impl Fn(usize) -> Option<TermId>,
     count: impl Fn(usize) -> u64,
 ) -> Vec<Cell> {
     let mut ci = 0;
     plan.cols
         .iter()
-        .zip(rep)
-        .map(|(c, repv)| match c {
-            Col::Var { .. } => repv.map(Cell::Term).unwrap_or(Cell::Unbound),
+        .map(|c| match c {
+            Col::Var { slot, .. } => {
+                let at = plan.group_by.iter().position(|g| g == slot);
+                let at = at.expect("a projected variable of an aggregate plan is a GROUP BY key");
+                key(at).map_or(Cell::Unbound, Cell::Term)
+            }
             Col::Count { .. } => {
                 ci += 1;
                 Cell::Count(count(ci - 1))
@@ -285,8 +268,165 @@ pub(crate) fn group_row(
         .collect()
 }
 
-fn groups_to_rows(plan: &Plan, groups: Groups) -> Vec<Vec<Cell>> {
-    groups.into_values().map(|(rep, counts)| group_row(plan, &rep, |i| counts[i])).collect()
+/// An empty bucket of [`Aggregator::index`].
+const NO_GROUP: u32 = u32::MAX;
+
+/// Buckets of the first [`Aggregator::index`].
+const FIRST_BUCKETS: usize = 64;
+
+/// The COUNT…GROUP BY sink. It reads the root's batches column by
+/// column and holds every group in flat vectors: no allocation, no
+/// `Option` and no indirect call per input row.
+///
+/// Group ids are handed out in arrival order. A row whose key equals
+/// the previous row's takes that row's group without touching the
+/// index, so the sorted runs an index scan delivers cost one probe a
+/// run.
+struct Aggregator<'p> {
+    /// Its `group_by` slots are the key; their number is the key width.
+    plan: &'p Plan,
+    /// The counted slot of each COUNT column, `None` for `*`.
+    count_args: Vec<Option<usize>>,
+    /// Group `g`'s key: one raw column value a GROUP BY slot from
+    /// `g * plan.group_by.len()`, [`UNBOUND`] included.
+    keys: Vec<u32>,
+    /// Group `g`'s counters: `count_args.len()` of them from
+    /// `g * count_args.len()`.
+    counts: Vec<u64>,
+    /// Open addressing over group ids: a power of two of buckets, at
+    /// most half of them taken, bucket from the high bits of
+    /// [`hash_key`], linear probing. Term ids are minted by the store,
+    /// so nobody outside picks keys to collide.
+    index: Vec<u32>,
+    groups: usize,
+    /// The key of the row in hand.
+    row_key: Vec<u32>,
+    /// The previous row's group.
+    last: usize,
+    /// Whether every group so far arrived above the one before it in
+    /// [`key_order`]: group ids are then already in output order.
+    ascending: bool,
+}
+
+/// The multiply-rotate hash of `kb_store::fx` over a key's components.
+fn hash_key(key: &[u32]) -> u64 {
+    let mut h = FxHasher::default();
+    for &v in key {
+        h.write_u32(v);
+    }
+    h.finish()
+}
+
+/// The order groups leave in: component by component, unbound before
+/// every term and terms by id (adding one wraps [`UNBOUND`] round to
+/// zero) — the order of `Option<TermId>`, `None` first.
+fn key_order(a: &[u32], b: &[u32]) -> Ordering {
+    a.iter().map(|v| v.wrapping_add(1)).cmp(b.iter().map(|v| v.wrapping_add(1)))
+}
+
+impl<'p> Aggregator<'p> {
+    fn new(plan: &'p Plan) -> Self {
+        let count_args = plan.cols.iter().filter_map(|c| match c {
+            Col::Count { arg, .. } => Some(*arg),
+            Col::Var { .. } => None,
+        });
+        Aggregator {
+            plan,
+            count_args: count_args.collect(),
+            keys: Vec::new(),
+            counts: Vec::new(),
+            index: Vec::new(),
+            groups: 0,
+            row_key: vec![UNBOUND; plan.group_by.len()],
+            last: 0,
+            ascending: true,
+        }
+    }
+
+    fn key(&self, group: usize) -> &[u32] {
+        let width = self.plan.group_by.len();
+        &self.keys[group * width..][..width]
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        (hash >> (u64::BITS - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// Doubles the index and files every group again, from its flat key.
+    fn grow(&mut self) {
+        let buckets = (self.index.len() * 2).max(FIRST_BUCKETS);
+        self.index.clear();
+        self.index.resize(buckets, NO_GROUP);
+        for group in 0..self.groups {
+            let mut at = self.bucket(hash_key(self.key(group)));
+            while self.index[at] != NO_GROUP {
+                at = (at + 1) & (buckets - 1);
+            }
+            self.index[at] = group as u32;
+        }
+    }
+
+    /// The group of `row_key`, a new one if no row had that key yet.
+    fn group_of_row_key(&mut self) -> usize {
+        if self.groups > 0 && self.key(self.last) == self.row_key {
+            return self.last;
+        }
+        if (self.groups + 1) * 2 > self.index.len() {
+            self.grow();
+        }
+        let mut at = self.bucket(hash_key(&self.row_key));
+        loop {
+            match self.index[at] {
+                NO_GROUP => break,
+                group if self.key(group as usize) == self.row_key => return group as usize,
+                _ => at = (at + 1) & (self.index.len() - 1),
+            }
+        }
+        let group = self.groups;
+        assert!(group < NO_GROUP as usize, "more groups than a u32 group id can name");
+        if group > 0 && key_order(self.key(group - 1), &self.row_key) != Ordering::Less {
+            self.ascending = false;
+        }
+        self.index[at] = group as u32;
+        self.keys.extend_from_slice(&self.row_key);
+        self.counts.resize(self.counts.len() + self.count_args.len(), 0);
+        self.groups += 1;
+        group
+    }
+
+    fn push_batch(&mut self, b: &Batch) {
+        let counters = self.count_args.len();
+        for row in 0..b.len() {
+            for (k, &slot) in self.row_key.iter_mut().zip(&self.plan.group_by) {
+                *k = b.cols[slot][row];
+            }
+            self.last = self.group_of_row_key();
+            let counts = &mut self.counts[self.last * counters..][..counters];
+            for (n, arg) in counts.iter_mut().zip(&self.count_args) {
+                *n += match *arg {
+                    None => 1,
+                    Some(slot) => u64::from(b.cols[slot][row] != UNBOUND),
+                };
+            }
+        }
+    }
+
+    /// One row a group, in [`key_order`]. No input row, no group — also
+    /// without GROUP BY, where every row has the same, empty key.
+    fn into_rows(self) -> Vec<Vec<Cell>> {
+        let mut order: Vec<usize> = (0..self.groups).collect();
+        if !self.ascending {
+            order.sort_unstable_by(|&a, &b| key_order(self.key(a), self.key(b)));
+        }
+        let counters = self.count_args.len();
+        let term = |v: u32| (v != UNBOUND).then_some(TermId(v));
+        order
+            .into_iter()
+            .map(|g| {
+                group_row(self.plan, |i| term(self.key(g)[i]), |i| self.counts[g * counters + i])
+            })
+            .collect()
+    }
 }
 
 /// One non-aggregate output row: each `Var` column read from the
@@ -342,20 +482,18 @@ pub fn execute<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> QueryOutput {
 /// counts and batch statistics for `--explain`.
 pub fn execute_traced<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> (QueryOutput, ExecTrace) {
     let cols: Vec<String> = plan.cols.iter().map(|c| c.name().to_string()).collect();
-    let mut trace = ExecTrace { op_rows: vec![0; op_slots(&plan.root)], batches: 0, rows: 0 };
+    let mut trace = ExecTrace { op_rows: vec![0; op_slots(&plan.root)], ..ExecTrace::default() };
     let mut input = Batch::unit(plan.nvars);
 
     let mut rows: Vec<Vec<Cell>>;
     if plan.aggregate {
-        let n_counts = count_cols(plan);
-        let mut groups = Groups::new();
+        let mut groups = Aggregator::new(plan);
         run_batch(&plan.root, 0, kb, &mut input, &mut trace, &mut |tr, b| {
             tr.rows += b.len() as u64;
-            for row in 0..b.len() {
-                agg_update(plan, n_counts, &mut groups, &|s| b.get(row, s));
-            }
+            groups.push_batch(b);
         });
-        rows = groups_to_rows(plan, groups);
+        trace.groups = groups.groups as u64;
+        rows = groups.into_rows();
     } else {
         let mut out_rows: Vec<Vec<Cell>> = Vec::new();
         run_batch(&plan.root, 0, kb, &mut input, &mut trace, &mut |tr, b| {
@@ -867,6 +1005,180 @@ mod tests {
         );
         assert_eq!(out.rows.len(), 2);
         assert_eq!(out.rows[0][1], Cell::Count(1));
+    }
+
+    /// Rows of `out` as display text, cell by cell.
+    fn text_rows(out: &QueryOutput, s: &KbSnapshot) -> Vec<Vec<String>> {
+        out.rows.iter().map(|r| r.iter().map(|c| cell_str(c, s).into_owned()).collect()).collect()
+    }
+
+    /// The group keys of `out` (its first `width` columns) as raw ids,
+    /// unbound as `None` — which `Option`'s order puts first.
+    fn key_ids(out: &QueryOutput, width: usize) -> Vec<Vec<Option<TermId>>> {
+        let id = |c: &Cell| match c {
+            Cell::Term(id) => Some(*id),
+            Cell::Unbound => None,
+            Cell::Count(_) => panic!("a count in a key column"),
+        };
+        out.rows.iter().map(|r| r[..width].iter().map(id).collect()).collect()
+    }
+
+    fn assert_strictly_ascending(keys: &[Vec<Option<TermId>>]) {
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "groups out of key order: {keys:?}");
+    }
+
+    #[test]
+    fn groups_leave_in_key_order_when_rows_arrive_unsorted() {
+        // Ids follow first appearance: s2 < s0 < s1. The scan streams
+        // the POS bucket, by (object, subject): s2, s1, then s0.
+        let mut b = KbBuilder::new();
+        b.assert_str("s2", "rel", "o0");
+        b.assert_str("s0", "rel", "o1");
+        b.assert_str("s1", "rel", "o0");
+        b.assert_str("s1", "rel", "o1");
+        let s = b.freeze();
+        let unordered = solve(&s, "SELECT ?y ?x WHERE { ?x rel ?y }");
+        let arrival: Vec<String> =
+            text_rows(&unordered, &s).into_iter().map(|r| r[1].clone()).collect();
+        assert_eq!(arrival, ["s2", "s1", "s0", "s1"], "the premise: subjects arrive unsorted");
+
+        let out = solve(&s, "SELECT ?x COUNT(?y) AS ?n WHERE { ?x rel ?y } GROUP BY ?x");
+        assert_eq!(text_rows(&out, &s), [["s2", "1"], ["s0", "1"], ["s1", "2"]]);
+        assert_strictly_ascending(&key_ids(&out, 1));
+        // LIMIT/OFFSET without ORDER BY slice that order.
+        let window =
+            solve(&s, "SELECT ?x COUNT(?y) AS ?n WHERE { ?x rel ?y } GROUP BY ?x LIMIT 1 OFFSET 1");
+        assert_eq!(text_rows(&window, &s), [["s0", "1"]]);
+    }
+
+    #[test]
+    fn union_fed_groups_put_the_unbound_group_first() {
+        let s = city_snap();
+        // The right branch never binds ?c, and its row arrives last.
+        let out = solve(
+            &s,
+            "SELECT ?c COUNT(*) AS ?n COUNT(?c) AS ?bound \
+             WHERE { { ?p bornIn ?c } UNION { ?p founded ?x } } GROUP BY ?c",
+        );
+        assert_eq!(
+            text_rows(&out, &s),
+            [["_", "1", "0"], ["San_Francisco", "1", "1"], ["San_Jose", "1", "1"]]
+        );
+        assert_strictly_ascending(&key_ids(&out, 1));
+        // Arriving first, between and after bound keys it stays first.
+        let out = solve(
+            &s,
+            "SELECT ?c COUNT(*) AS ?n WHERE { { ?p founded ?x } UNION \
+             { { ?p bornIn ?c } UNION { ?p worksAt ?x } } } GROUP BY ?c",
+        );
+        assert_eq!(text_rows(&out, &s), [["_", "2"], ["San_Francisco", "1"], ["San_Jose", "1"]]);
+    }
+
+    #[test]
+    fn more_groups_than_a_batch_holds_in_either_arrival_order() {
+        // Subject i points at object i % 7 and, every third subject, at
+        // a second one: 3 batches and a bit of subjects, 7 objects.
+        let n = BATCH_ROWS * 3 + 17;
+        let mut b = KbBuilder::new();
+        for i in (0..n).rev() {
+            b.assert_str(&format!("s{i}"), "rel", &format!("o{}", i % 7));
+            if i.is_multiple_of(3) {
+                b.assert_str(&format!("s{i}"), "rel", &format!("o{}", (i + 1) % 7));
+            }
+        }
+        let s = b.freeze();
+        // Unsorted arrival (subjects of a POS scan), one group a subject.
+        let by_subject = solve(&s, "SELECT ?x COUNT(*) AS ?n WHERE { ?x rel ?y } GROUP BY ?x");
+        assert_eq!(by_subject.rows.len(), n);
+        assert_strictly_ascending(&key_ids(&by_subject, 1));
+        for row in text_rows(&by_subject, &s) {
+            let i: usize = row[0][1..].parse().unwrap();
+            assert_eq!(row[1], if i.is_multiple_of(3) { "2" } else { "1" }, "{row:?}");
+        }
+        // Sorted arrival (objects of the same scan): runs longer than a
+        // batch stay one group across the flush.
+        let by_object = solve(&s, "SELECT ?y COUNT(?x) AS ?n WHERE { ?x rel ?y } GROUP BY ?y");
+        assert_eq!(by_object.rows.len(), 7);
+        assert_strictly_ascending(&key_ids(&by_object, 1));
+        let mut want = [0usize; 7];
+        for i in 0..n {
+            want[i % 7] += 1;
+            if i.is_multiple_of(3) {
+                want[(i + 1) % 7] += 1;
+            }
+        }
+        for row in text_rows(&by_object, &s) {
+            let o: usize = row[0][1..].parse().unwrap();
+            assert_eq!(row[1], want[o].to_string(), "{row:?}");
+        }
+        // Both at once: more two-part keys than a batch holds.
+        let pairs = solve(&s, "SELECT ?y ?x COUNT(*) AS ?n WHERE { ?x rel ?y } GROUP BY ?y ?x");
+        assert_eq!(pairs.rows.len(), n + n.div_ceil(3));
+        assert_strictly_ascending(&key_ids(&pairs, 2));
+        assert!(pairs.rows.iter().all(|r| r[2] == Cell::Count(1)));
+    }
+
+    #[test]
+    fn two_keys_order_by_the_group_by_list_not_the_projection() {
+        let mut b = KbBuilder::new();
+        for (x, y) in [("b", "q"), ("a", "q"), ("b", "p"), ("a", "p"), ("b", "q2")] {
+            b.assert_str(x, "rel", y);
+            b.assert_str(x, "also", y);
+        }
+        let s = b.freeze();
+        // Ids: b < rel < q < also < a < p < q2.
+        let body = "{ { ?x rel ?y } UNION { ?x also ?y } }";
+        let out = solve(&s, &format!("SELECT ?x ?y COUNT(*) AS ?n WHERE {body} GROUP BY ?x ?y"));
+        let want = [["b", "q"], ["b", "p"], ["b", "q2"], ["a", "q"], ["a", "p"]];
+        assert_eq!(text_rows(&out, &s), want.map(|[x, y]| [x, y, "2"]));
+        assert_strictly_ascending(&key_ids(&out, 2));
+        // Projected the other way round, the rows keep the GROUP BY order.
+        let swapped =
+            solve(&s, &format!("SELECT ?y COUNT(*) AS ?n ?x WHERE {body} GROUP BY ?x ?y"));
+        assert_eq!(text_rows(&swapped, &s), want.map(|[x, y]| [y, "2", x]));
+        // A key that is not projected still separates and orders groups.
+        let hidden = solve(&s, &format!("SELECT ?y COUNT(*) AS ?n WHERE {body} GROUP BY ?x ?y"));
+        assert_eq!(text_rows(&hidden, &s), want.map(|[_, y]| [y, "2"]));
+        let no_columns = solve(&s, &format!("SELECT COUNT(?x) AS ?n WHERE {body} GROUP BY ?y"));
+        assert_eq!(text_rows(&no_columns, &s), [["4"], ["4"], ["2"]]);
+    }
+
+    #[test]
+    fn count_star_counts_rows_count_var_counts_bound_values() {
+        let s = city_snap();
+        let out = solve(
+            &s,
+            "SELECT ?p COUNT(*) AS ?all COUNT(?co) AS ?some \
+             WHERE { ?p bornIn ?c OPTIONAL { ?p founded ?co } } GROUP BY ?p",
+        );
+        assert_eq!(text_rows(&out, &s), [["Steve_Jobs", "1", "1"], ["Steve_Wozniak", "1", "0"]]);
+        // A key only the OPTIONAL binds: Wozniak's row is the unbound
+        // group, and it comes first.
+        let out = solve(
+            &s,
+            "SELECT ?co COUNT(*) AS ?all COUNT(?co) AS ?some \
+             WHERE { ?p bornIn ?c OPTIONAL { ?p founded ?co } } GROUP BY ?co",
+        );
+        assert_eq!(text_rows(&out, &s), [["_", "1", "0"], ["Apple_Inc", "1", "1"]]);
+        // No GROUP BY: one group over every row.
+        let out = solve(
+            &s,
+            "SELECT COUNT(*) AS ?all COUNT(?co) AS ?some \
+             WHERE { ?p bornIn ?c OPTIONAL { ?p founded ?co } }",
+        );
+        assert_eq!(text_rows(&out, &s), [["2", "1"]]);
+    }
+
+    #[test]
+    fn zero_rows_make_zero_groups_with_and_without_group_by() {
+        let s = city_snap();
+        let none = "{ ?p bornIn ?c . ?c locatedIn Steve_Jobs }";
+        assert_eq!(
+            solve(&s, &format!("SELECT ?c COUNT(?p) AS ?n WHERE {none} GROUP BY ?c")).rows.len(),
+            0
+        );
+        assert_eq!(solve(&s, &format!("SELECT COUNT(*) AS ?n WHERE {none}")).rows.len(), 0);
+        assert_eq!(solve(&s, &format!("SELECT COUNT(?p) AS ?n WHERE {none}")).rows.len(), 0);
     }
 
     #[test]

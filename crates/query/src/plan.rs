@@ -332,6 +332,13 @@ impl Plan {
         self.cols.iter().map(Col::name).collect()
     }
 
+    /// Whether the plan aggregates (COUNT, GROUP BY or both): its rows
+    /// are then groups, counted in
+    /// [`ExecTrace::groups`](crate::exec::ExecTrace::groups).
+    pub fn is_aggregate(&self) -> bool {
+        self.aggregate
+    }
+
     /// The predicates this plan's answer depends on.
     pub fn footprint(&self) -> &Footprint {
         &self.footprint

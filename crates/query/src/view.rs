@@ -494,9 +494,6 @@ impl IncSpec {
 /// Signed accumulator for one COUNT+GROUP BY group.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct GroupAcc {
-    /// Projected-variable values, fully determined by the group key
-    /// (projection is validated to be a subset of GROUP BY).
-    rep: Vec<Option<TermId>>,
     /// One signed counter per COUNT column.
     counts: Vec<i64>,
     /// Total signed row multiplicity of the group; the group exists
@@ -546,18 +543,9 @@ fn fold_row(
                 log.insert(key.clone(), groups.get(&key).cloned());
             }
             let n_counts = plan.cols.iter().filter(|c| matches!(c, Col::Count { .. })).count();
-            let acc = groups.entry(key).or_insert_with(|| GroupAcc {
-                rep: plan
-                    .cols
-                    .iter()
-                    .map(|c| match c {
-                        Col::Var { slot, .. } => get(*slot),
-                        Col::Count { .. } => None,
-                    })
-                    .collect(),
-                counts: vec![0; n_counts],
-                rows: 0,
-            });
+            let acc = groups
+                .entry(key)
+                .or_insert_with(|| GroupAcc { counts: vec![0; n_counts], rows: 0 });
             acc.rows += sign;
             let mut ci = 0;
             for c in &plan.cols {
@@ -577,10 +565,18 @@ fn fold_row(
     }
 }
 
-fn group_row(plan: &Plan, acc: &GroupAcc) -> Vec<Cell> {
-    crate::exec::group_row(plan, &acc.rep, |i| {
-        debug_assert!(acc.counts[i] >= 0, "negative group count after patch");
-        acc.counts[i].max(0) as u64
+/// The output row of a group that exists (`rows > 0`), `None` of one
+/// that does not.
+fn group_row(plan: &Plan, key: &[Option<TermId>], acc: &GroupAcc) -> Option<Vec<Cell>> {
+    (acc.rows > 0).then(|| {
+        crate::exec::group_row(
+            plan,
+            |i| key[i],
+            |i| {
+                debug_assert!(acc.counts[i] >= 0, "negative group count after patch");
+                acc.counts[i].max(0) as u64
+            },
+        )
     })
 }
 
@@ -600,7 +596,7 @@ fn materialize<K: KbRead + ?Sized>(plan: &Plan, state: &ViewState, kb: &K) -> Ve
         }
         ViewState::Groups(groups) => {
             let mut rows: Vec<Vec<Cell>> =
-                groups.values().filter(|a| a.rows > 0).map(|a| group_row(plan, a)).collect();
+                groups.iter().filter_map(|(key, acc)| group_row(plan, key, acc)).collect();
             if plan.distinct {
                 rows.sort_by(|a, b| cmp_row_total(a, b, kb));
                 rows.dedup();
@@ -642,8 +638,8 @@ fn drain_dirty<K: KbRead + ?Sized>(
         }
         (ViewState::Groups(groups), DirtyLog::Groups(log)) => {
             for (key, before) in log {
-                let before_row = before.filter(|a| a.rows > 0).map(|a| group_row(plan, &a));
-                let after_row = groups.get(&key).filter(|a| a.rows > 0).map(|a| group_row(plan, a));
+                let before_row = before.and_then(|acc| group_row(plan, &key, &acc));
+                let after_row = groups.get(&key).and_then(|acc| group_row(plan, &key, acc));
                 if before_row != after_row {
                     if let Some(r) = before_row {
                         removed.push(r);

@@ -142,14 +142,21 @@ pub fn operand_text((kind, idx): (u8, u32), bound: &[&str]) -> String {
 /// UNION, OPTIONAL, a FILTER between any two operands (constant against
 /// constant included); the bare form, `SELECT *`, named columns, or
 /// COUNT with and without GROUP BY; DISTINCT, ORDER BY over a column,
-/// LIMIT and OFFSET.
+/// LIMIT and OFFSET. Three texts in eight are COUNT…GROUP BY, in six
+/// shapes: one key ordered by its count; two keys; a key that is not
+/// projected; `COUNT(?v)` beside `COUNT(*)` over a `?v` only an
+/// OPTIONAL binds; that `?v` as the key (an unbound group); one key
+/// unordered. All but the first carry no ORDER BY, so under LIMIT and
+/// OFFSET they show the order groups leave the executor in — which
+/// `serve_differential` holds equal, byte for byte, between router and
+/// monolith.
 pub fn query_texts() -> impl Strategy<Value = String> {
     (
         prop::collection::vec(pattern(), 1..4),
         any::<bool>(),
         prop::option::of(pattern()),
         prop::option::of((0u8..3, (0u8..8, 0u32..8), 0usize..6, (0u8..8, 0u32..8))),
-        0u8..6,
+        (0u8..8, 0u8..6),
         any::<bool>(),
         prop::option::of((any::<prop::sample::Index>(), any::<bool>())),
         prop::option::of(0usize..20),
@@ -157,12 +164,19 @@ pub fn query_texts() -> impl Strategy<Value = String> {
     )
         .prop_map(
             |(patterns, union, optional, filter, select, distinct, order, limit, offset)| {
+                let (select, group_shape) = match select {
+                    (0 | 6 | 7, shape) => (0, shape),
+                    (select, _) => (select, 0),
+                };
                 let mut body = patterns;
                 if union {
                     body.push("{ ?x r0 ?y } UNION { ?x r1 ?y }".to_string());
                 }
                 if let Some(optional) = optional {
                     body.push(format!("OPTIONAL {{ {optional} }}"));
+                }
+                if select == 0 && matches!(group_shape, 3 | 4) {
+                    body.push("OPTIONAL { ?x r1 ?v }".to_string());
                 }
                 // Only what a pattern binds is a column `SELECT *` projects
                 // and ORDER BY may name; a filter binds nothing. Named
@@ -189,10 +203,17 @@ pub fn query_texts() -> impl Strategy<Value = String> {
                 let body = body.join(" . ");
                 let distinct = if distinct { "DISTINCT " } else { "" };
                 let mut text = match select {
-                    0 => format!(
-                        "SELECT {distinct}?x COUNT(?y) AS ?n WHERE {{ {body} }} \
-                         GROUP BY ?x ORDER BY DESC(?n) ?x"
-                    ),
+                    0 => {
+                        let (cols, keys) = match group_shape {
+                            0 => ("?x COUNT(?y) AS ?n", "?x ORDER BY DESC(?n) ?x"),
+                            1 => ("?x ?y COUNT(*) AS ?n", "?x ?y"),
+                            2 => ("?y COUNT(?x) AS ?n", "?x ?y"),
+                            3 => ("?x COUNT(?v) AS ?n COUNT(*) AS ?m", "?x"),
+                            4 => ("?v COUNT(*) AS ?n", "?v"),
+                            _ => ("?x COUNT(?y) AS ?n", "?x"),
+                        };
+                        format!("SELECT {distinct}{cols} WHERE {{ {body} }} GROUP BY {keys}")
+                    }
                     1 => format!("SELECT {distinct}COUNT(*) AS ?n WHERE {{ {body} }}"),
                     2 => return body,
                     _ => {

@@ -347,8 +347,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 /// Prints the `--explain` report: plan shape, predicate footprint and
-/// view-maintenance verdict, per-operator estimated vs actual rows,
-/// batch counts and the compressed-index footprint.
+/// view-maintenance verdict, per-operator estimated vs actual rows, what
+/// the aggregate made of them, batch counts and the compressed-index
+/// footprint.
 fn print_explain<K: KbRead + ?Sized>(plan: &Plan, trace: &ExecTrace, stats: &IndexStats, kb: &K) {
     eprintln!("plan (estimated cost {:.1}):", plan.estimated_cost());
     for line in plan.explain() {
@@ -369,6 +370,9 @@ fn print_explain<K: KbRead + ?Sized>(plan: &Plan, trace: &ExecTrace, stats: &Ind
     eprintln!("operators (estimated vs actual rows):");
     for (op, &actual) in plan.ops().iter().zip(&trace.op_rows) {
         eprintln!("  est {:>12.1}  actual {:>10}  {}", op.est_rows, actual, op.label);
+    }
+    if plan.is_aggregate() {
+        eprintln!("aggregate: {} rows → {} groups", trace.rows, trace.groups);
     }
     eprintln!(
         "execution: {} rows emitted in {} batches; index: {} entries in {} frames, {} B compressed / {} B raw ({:.0}% saved)",

@@ -37,22 +37,43 @@ fn harvest_stats_query_rules_ned_round_trip() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("solutions"), "{stdout}");
 
-    // query, full SELECT form with aggregation and --explain
-    let out = kbkit()
-        .args([
-            "query",
-            kb_path.to_str().unwrap(),
-            "SELECT ?n COUNT(?p) AS ?k WHERE { ?p bornIn ?c . ?c locatedIn ?n } \
-             GROUP BY ?n ORDER BY DESC(?k) ?n LIMIT 5",
-            "--explain",
-        ])
-        .output()
-        .expect("select query");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("solutions"), "{stdout}");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("estimated cost"), "{stderr}");
+    // query, full SELECT form with aggregation and --explain: the
+    // report says what the aggregate made of the rows it was fed, and
+    // without a LIMIT every group is a solution.
+    for limit in [Some(5), None] {
+        let window = limit.map_or(String::new(), |n| format!(" LIMIT {n}"));
+        let out = kbkit()
+            .args([
+                "query",
+                kb_path.to_str().unwrap(),
+                &format!(
+                    "SELECT ?n COUNT(?p) AS ?k WHERE {{ ?p bornIn ?c . ?c locatedIn ?n }} \
+                     GROUP BY ?n ORDER BY DESC(?k) ?n{window}"
+                ),
+                "--explain",
+            ])
+            .output()
+            .expect("select query");
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let solutions: u64 = stdout
+            .lines()
+            .find_map(|l| l.strip_suffix(" solutions"))
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("no solution count in {stdout}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("estimated cost"), "{stderr}");
+        let (rows, groups): (u64, u64) = stderr
+            .lines()
+            .find_map(|l| {
+                l.strip_prefix("aggregate: ")?.strip_suffix(" groups")?.split_once(" rows → ")
+            })
+            .and_then(|(rows, groups)| Some((rows.parse().ok()?, groups.parse().ok()?)))
+            .unwrap_or_else(|| panic!("no aggregate line in {stderr}"));
+        assert!(rows >= groups && groups > 0, "{stderr}");
+        assert!(stderr.contains(&format!("execution: {rows} rows emitted")), "{stderr}");
+        assert_eq!(solutions, limit.map_or(groups, |n| groups.min(n)), "{stderr}\n{stdout}");
+    }
 
     // rules
     let out = kbkit()
