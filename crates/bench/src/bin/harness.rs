@@ -8,6 +8,9 @@
 //! harness t3 f1      # run selected experiments (an unknown id is an error)
 //! harness --small    # use the tiny corpus (fast smoke run)
 //! ```
+//!
+//! A reader that closes the pipe early (`harness | head -1`) ends the
+//! run quietly: tables are written with `kb_obs::outln!`.
 
 use std::env;
 use std::process::ExitCode;
@@ -66,7 +69,7 @@ fn main() -> ExitCode {
     } else {
         setup::standard_corpus(HARNESS_SEED)
     };
-    println!(
+    kb_obs::outln!(
         "kbkit experiment harness — corpus: {} entities, {} gold facts, {} docs, {} posts (seed {})\n",
         corpus.world.entities.len(),
         corpus.world.facts.len(),
@@ -83,9 +86,9 @@ fn main() -> ExitCode {
         kb_obs::global().reset();
         let t0 = Instant::now();
         let output = run(&corpus);
-        println!("{output}");
-        println!("[{id} metrics] {}", kb_obs::global().render_json());
-        println!("[{id} took {:.1}s]\n", t0.elapsed().as_secs_f64());
+        kb_obs::outln!("{output}");
+        kb_obs::outln!("[{id} metrics] {}", kb_obs::global().render_json());
+        kb_obs::outln!("[{id} took {:.1}s]\n", t0.elapsed().as_secs_f64());
     }
     ExitCode::SUCCESS
 }

@@ -4,7 +4,8 @@
 //! [`Gauge`] atomics, a fixed-bucket [`Histogram`] with p50/p95/p99
 //! readout, a scoped [`SpanTimer`] driven by an injectable [`Clock`],
 //! and a [`Registry`] that catalogs metrics by name and renders them as
-//! an aligned text table or a stable JSON object.
+//! an aligned text table or a stable JSON object. Beside them
+//! [`outln!`], the `println!` of a report whose reader may stop reading.
 //!
 //! Deliberately dependency-free (not even the vendored crates): the
 //! write path is a handful of relaxed atomics, the read path is a
@@ -32,7 +33,9 @@
 mod clock;
 mod metrics;
 mod registry;
+mod report;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, SpanTimer, LATENCY_BUCKETS_US};
 pub use registry::{global, Registry};
+pub use report::print_line;

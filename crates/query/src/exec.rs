@@ -27,6 +27,28 @@
 //! count (the planner rejects a projected variable that is not a GROUP
 //! BY key), so a group remembers nothing but the two.
 //!
+//! A scan step answers an input row by an index lookup: one range
+//! cursor a row. A step whose pattern has a constant predicate, no
+//! `@point` and two different variables, of which the row binds exactly
+//! one, may instead answer it from a `ProbeTable`: the predicate's
+//! whole run, scanned once into flat vectors — a `KeyTable` (the
+//! aggregator's own) over the bound end, the other end's values grouped
+//! per key in scan order — and spliced columnar into the output, a
+//! slice a row. Whether and when is the executor's decision, from
+//! counts it holds (`RUN_ROWS_PER_ROW_SEEN`): the step keeps to the
+//! index until the run is at most eight times the rows it has been
+//! handed, then builds, and uses the table for every later row, batch
+//! and re-entry (a LEFT JOIN or UNION re-enters its right side row by
+//! row) of that execution. The planner knows nothing of it and a plan
+//! has no operator for it; the lookup path is the one every other row
+//! takes. A table changes no answer and no order: the run streams by
+//! (object, subject), so a key's values come in the order its own
+//! lookup yields them, in the same batches, and the merged scan of a
+//! segmented or partitioned view has settled newest-wins and tombstones
+//! before the table sees a row. What a step carries between calls — the
+//! table, its counts, scratch batches — lives in a per-execution
+//! context, one entry an operator slot, beside the trace.
+//!
 //! The executor is generic over any [`KbRead`] view, so the same
 //! compiled plan runs against the mutable builder, an immutable
 //! snapshot, or a segmented stack; only the monolithic unfiltered scan
@@ -168,10 +190,6 @@ pub(crate) struct Batch {
 }
 
 impl Batch {
-    fn new(nvars: usize) -> Self {
-        Self { cols: vec![Vec::new(); nvars], len: 0 }
-    }
-
     /// The single all-unbound row every plan starts from.
     fn unit(nvars: usize) -> Self {
         Self { cols: vec![vec![UNBOUND]; nvars], len: 1 }
@@ -186,6 +204,19 @@ impl Batch {
             c.clear();
         }
         self.len = 0;
+    }
+
+    /// Empties the batch and makes it `nvars` columns wide, keeping the
+    /// columns' capacity where it already is.
+    fn reset(&mut self, nvars: usize) {
+        self.clear();
+        self.cols.resize_with(nvars, Vec::new);
+    }
+
+    /// Makes the batch the one row `row` of `src`.
+    fn set_row_from(&mut self, src: &Batch, row: usize) {
+        self.reset(src.cols.len());
+        self.push_row_from(src, row);
     }
 
     fn get(&self, row: usize, slot: usize) -> Option<TermId> {
@@ -220,10 +251,22 @@ impl Batch {
     }
 }
 
+/// A probe table a scan step built in the course of one execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeBuild {
+    /// The step's operator slot, an index into [`Plan::ops`].
+    pub op: usize,
+    /// Rows of the predicate's run scanned into the table.
+    pub rows: u64,
+    /// Rows the step had answered by index lookup when it built it.
+    pub lookups: u64,
+}
+
 /// Per-run execution statistics collected by [`execute_traced`]:
 /// actual rows out of every operator (aligned index-for-index with
 /// [`Plan::ops`]), total batches flushed through BGP steps, rows
-/// reaching the root and the groups they made.
+/// reaching the root, the groups they made and the probe tables built
+/// on the way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecTrace {
     /// Actual output rows per operator slot, in [`Plan::ops`] order.
@@ -235,6 +278,33 @@ pub struct ExecTrace {
     /// Groups those rows aggregated into (before DISTINCT/ORDER/LIMIT);
     /// 0 for a plan that does not aggregate.
     pub groups: u64,
+    /// The probe tables scan steps built, in the order they did.
+    pub probe_tables: Vec<ProbeBuild>,
+}
+
+/// What one execution keeps between operator calls: the trace it
+/// writes and, per operator slot, what that operator carries from one
+/// call to its next.
+struct ExecCtx {
+    trace: ExecTrace,
+    /// One entry an operator slot, laid out as [`ExecTrace::op_rows`]
+    /// is (see [`op_slots`]). An operator takes its entry out for the
+    /// length of a call and puts it back: the tree has no cycle, so no
+    /// slot is entered again while its operator runs.
+    ops: Vec<OpState>,
+}
+
+/// The state of one operator slot within one execution.
+#[derive(Default)]
+struct OpState {
+    /// Scratch refilled instead of allocated per call: a BGP step's
+    /// output batch, the one-row input a LEFT JOIN or UNION hands its
+    /// children.
+    batch: Batch,
+    /// A scan step's store batch.
+    triples: TripleBatch,
+    /// A scan step's standing with the probe-table rule.
+    probe: Probe,
 }
 
 // ---------------------------------------------------------------------
@@ -268,11 +338,112 @@ pub(crate) fn group_row(
         .collect()
 }
 
-/// An empty bucket of [`Aggregator::index`].
-const NO_GROUP: u32 = u32::MAX;
+/// An empty bucket of [`KeyTable::index`].
+const NO_KEY: u32 = u32::MAX;
 
-/// Buckets of the first [`Aggregator::index`].
+/// The fewest buckets of a [`KeyTable::index`].
 const FIRST_BUCKETS: usize = 64;
+
+/// Distinct fixed-width `u32` keys, numbered in arrival order, in flat
+/// vectors: the group keys of the [`Aggregator`] and the key column of
+/// a [`ProbeTable`]. No allocation and no `Option` per key.
+struct KeyTable {
+    /// Components a key.
+    width: usize,
+    /// Key `k`: `width` raw column values from `k * width`, [`UNBOUND`]
+    /// included.
+    keys: Vec<u32>,
+    /// Open addressing over key numbers: a power of two of buckets, at
+    /// most half of them taken, bucket from the high bits of
+    /// [`hash_key`], linear probing. Term ids are minted by the store,
+    /// so nobody outside picks keys to collide.
+    index: Vec<u32>,
+    len: usize,
+}
+
+/// The multiply-rotate hash of `kb_store::fx` over a key's components.
+fn hash_key(key: &[u32]) -> u64 {
+    let mut h = FxHasher::default();
+    for &v in key {
+        h.write_u32(v);
+    }
+    h.finish()
+}
+
+impl KeyTable {
+    /// A table that takes `keys` keys before its index first grows.
+    fn with_capacity(width: usize, keys: usize) -> Self {
+        let buckets = (keys * 2).next_power_of_two().max(FIRST_BUCKETS);
+        KeyTable {
+            width,
+            keys: Vec::with_capacity(keys * width),
+            index: vec![NO_KEY; buckets],
+            len: 0,
+        }
+    }
+
+    fn key(&self, k: usize) -> &[u32] {
+        &self.keys[k * self.width..][..self.width]
+    }
+
+    fn bucket(&self, hash: u64) -> usize {
+        (hash >> (u64::BITS - self.index.len().trailing_zeros())) as usize
+    }
+
+    /// Doubles the index and files every key again, from the flat keys.
+    fn grow(&mut self) {
+        let buckets = self.index.len() * 2;
+        self.index.clear();
+        self.index.resize(buckets, NO_KEY);
+        for k in 0..self.len {
+            let mut at = self.bucket(hash_key(self.key(k)));
+            while self.index[at] != NO_KEY {
+                at = (at + 1) & (buckets - 1);
+            }
+            self.index[at] = k as u32;
+        }
+    }
+
+    /// The bucket holding `key`'s number, or the empty one it would go
+    /// into.
+    fn bucket_of(&self, key: &[u32]) -> usize {
+        let mut at = self.bucket(hash_key(key));
+        loop {
+            match self.index[at] {
+                NO_KEY => return at,
+                // Component by component: keys are a few words wide, a
+                // slice comparison would be a call.
+                k if self.key(k as usize).iter().zip(key).all(|(a, b)| a == b) => return at,
+                _ => at = (at + 1) & (self.index.len() - 1),
+            }
+        }
+    }
+
+    /// The number of `key`, if it was ever inserted.
+    fn find(&self, key: &[u32]) -> Option<usize> {
+        match self.index[self.bucket_of(key)] {
+            NO_KEY => None,
+            k => Some(k as usize),
+        }
+    }
+
+    /// The number of `key`: `len` as it was before the call if no such
+    /// key had been inserted yet.
+    fn find_or_insert(&mut self, key: &[u32]) -> usize {
+        if (self.len + 1) * 2 > self.index.len() {
+            self.grow();
+        }
+        let at = self.bucket_of(key);
+        if self.index[at] != NO_KEY {
+            return self.index[at] as usize;
+        }
+        assert!(self.len < NO_KEY as usize, "more keys than a u32 key number can name");
+        self.index[at] = self.len as u32;
+        self.keys.extend_from_slice(key);
+        self.len += 1;
+        self.len - 1
+    }
+}
 
 /// The COUNT…GROUP BY sink. It reads the root's batches column by
 /// column and holds every group in flat vectors: no allocation, no
@@ -287,18 +458,11 @@ struct Aggregator<'p> {
     plan: &'p Plan,
     /// The counted slot of each COUNT column, `None` for `*`.
     count_args: Vec<Option<usize>>,
-    /// Group `g`'s key: one raw column value a GROUP BY slot from
-    /// `g * plan.group_by.len()`, [`UNBOUND`] included.
-    keys: Vec<u32>,
+    /// The groups' keys; a key's number is its group's id.
+    keys: KeyTable,
     /// Group `g`'s counters: `count_args.len()` of them from
     /// `g * count_args.len()`.
     counts: Vec<u64>,
-    /// Open addressing over group ids: a power of two of buckets, at
-    /// most half of them taken, bucket from the high bits of
-    /// [`hash_key`], linear probing. Term ids are minted by the store,
-    /// so nobody outside picks keys to collide.
-    index: Vec<u32>,
-    groups: usize,
     /// The key of the row in hand.
     row_key: Vec<u32>,
     /// The previous row's group.
@@ -306,15 +470,6 @@ struct Aggregator<'p> {
     /// Whether every group so far arrived above the one before it in
     /// [`key_order`]: group ids are then already in output order.
     ascending: bool,
-}
-
-/// The multiply-rotate hash of `kb_store::fx` over a key's components.
-fn hash_key(key: &[u32]) -> u64 {
-    let mut h = FxHasher::default();
-    for &v in key {
-        h.write_u32(v);
-    }
-    h.finish()
 }
 
 /// The order groups leave in: component by component, unbound before
@@ -333,64 +488,27 @@ impl<'p> Aggregator<'p> {
         Aggregator {
             plan,
             count_args: count_args.collect(),
-            keys: Vec::new(),
+            keys: KeyTable::with_capacity(plan.group_by.len(), 0),
             counts: Vec::new(),
-            index: Vec::new(),
-            groups: 0,
             row_key: vec![UNBOUND; plan.group_by.len()],
             last: 0,
             ascending: true,
         }
     }
 
-    fn key(&self, group: usize) -> &[u32] {
-        let width = self.plan.group_by.len();
-        &self.keys[group * width..][..width]
-    }
-
-    fn bucket(&self, hash: u64) -> usize {
-        (hash >> (u64::BITS - self.index.len().trailing_zeros())) as usize
-    }
-
-    /// Doubles the index and files every group again, from its flat key.
-    fn grow(&mut self) {
-        let buckets = (self.index.len() * 2).max(FIRST_BUCKETS);
-        self.index.clear();
-        self.index.resize(buckets, NO_GROUP);
-        for group in 0..self.groups {
-            let mut at = self.bucket(hash_key(self.key(group)));
-            while self.index[at] != NO_GROUP {
-                at = (at + 1) & (buckets - 1);
-            }
-            self.index[at] = group as u32;
-        }
-    }
-
     /// The group of `row_key`, a new one if no row had that key yet.
     fn group_of_row_key(&mut self) -> usize {
-        if self.groups > 0 && self.key(self.last) == self.row_key {
+        let groups = self.keys.len;
+        if groups > 0 && self.keys.key(self.last) == self.row_key {
             return self.last;
         }
-        if (self.groups + 1) * 2 > self.index.len() {
-            self.grow();
-        }
-        let mut at = self.bucket(hash_key(&self.row_key));
-        loop {
-            match self.index[at] {
-                NO_GROUP => break,
-                group if self.key(group as usize) == self.row_key => return group as usize,
-                _ => at = (at + 1) & (self.index.len() - 1),
+        let group = self.keys.find_or_insert(&self.row_key);
+        if group == groups {
+            if group > 0 && key_order(self.keys.key(group - 1), &self.row_key) != Ordering::Less {
+                self.ascending = false;
             }
+            self.counts.resize(self.counts.len() + self.count_args.len(), 0);
         }
-        let group = self.groups;
-        assert!(group < NO_GROUP as usize, "more groups than a u32 group id can name");
-        if group > 0 && key_order(self.key(group - 1), &self.row_key) != Ordering::Less {
-            self.ascending = false;
-        }
-        self.index[at] = group as u32;
-        self.keys.extend_from_slice(&self.row_key);
-        self.counts.resize(self.counts.len() + self.count_args.len(), 0);
-        self.groups += 1;
         group
     }
 
@@ -414,16 +532,17 @@ impl<'p> Aggregator<'p> {
     /// One row a group, in [`key_order`]. No input row, no group — also
     /// without GROUP BY, where every row has the same, empty key.
     fn into_rows(self) -> Vec<Vec<Cell>> {
-        let mut order: Vec<usize> = (0..self.groups).collect();
+        let keys = &self.keys;
+        let mut order: Vec<usize> = (0..keys.len).collect();
         if !self.ascending {
-            order.sort_unstable_by(|&a, &b| key_order(self.key(a), self.key(b)));
+            order.sort_unstable_by(|&a, &b| key_order(keys.key(a), keys.key(b)));
         }
         let counters = self.count_args.len();
         let term = |v: u32| (v != UNBOUND).then_some(TermId(v));
         order
             .into_iter()
             .map(|g| {
-                group_row(self.plan, |i| term(self.key(g)[i]), |i| self.counts[g * counters + i])
+                group_row(self.plan, |i| term(keys.key(g)[i]), |i| self.counts[g * counters + i])
             })
             .collect()
     }
@@ -482,22 +601,26 @@ pub fn execute<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> QueryOutput {
 /// counts and batch statistics for `--explain`.
 pub fn execute_traced<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> (QueryOutput, ExecTrace) {
     let cols: Vec<String> = plan.cols.iter().map(|c| c.name().to_string()).collect();
-    let mut trace = ExecTrace { op_rows: vec![0; op_slots(&plan.root)], ..ExecTrace::default() };
+    let slots = op_slots(&plan.root);
+    let mut cx = ExecCtx {
+        trace: ExecTrace { op_rows: vec![0; slots], ..ExecTrace::default() },
+        ops: std::iter::repeat_with(OpState::default).take(slots).collect(),
+    };
     let mut input = Batch::unit(plan.nvars);
 
     let mut rows: Vec<Vec<Cell>>;
     if plan.aggregate {
         let mut groups = Aggregator::new(plan);
-        run_batch(&plan.root, 0, kb, &mut input, &mut trace, &mut |tr, b| {
-            tr.rows += b.len() as u64;
+        run_batch(&plan.root, 0, kb, &mut input, &mut cx, &mut |cx, b| {
+            cx.trace.rows += b.len() as u64;
             groups.push_batch(b);
         });
-        trace.groups = groups.groups as u64;
+        cx.trace.groups = groups.keys.len as u64;
         rows = groups.into_rows();
     } else {
         let mut out_rows: Vec<Vec<Cell>> = Vec::new();
-        run_batch(&plan.root, 0, kb, &mut input, &mut trace, &mut |tr, b| {
-            tr.rows += b.len() as u64;
+        run_batch(&plan.root, 0, kb, &mut input, &mut cx, &mut |cx, b| {
+            cx.trace.rows += b.len() as u64;
             for row in 0..b.len() {
                 out_rows.push(project_row(plan, &|s| b.get(row, s)));
             }
@@ -506,29 +629,32 @@ pub fn execute_traced<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> (QueryOutput, 
     }
 
     finish_rows(plan, &mut rows, kb);
-    (QueryOutput { cols, rows }, trace)
+    (QueryOutput { cols, rows }, cx.trace)
 }
 
+/// What an operator hands the rest of the plan: a batch of its rows.
+type Sink<'a> = &'a mut dyn FnMut(&mut ExecCtx, &mut Batch);
+
 /// Walks an operator batch-at-a-time. `base` is the operator's first
-/// trace slot (layout per [`op_slots`]). The callee may mutate `input`
-/// freely — callers rebuild what they still need.
+/// slot in the context (layout per [`op_slots`]). The callee may mutate
+/// `input` freely — callers rebuild what they still need.
 fn run_batch<K: KbRead + ?Sized>(
     op: &PhysOp,
     base: usize,
     kb: &K,
     input: &mut Batch,
-    trace: &mut ExecTrace,
-    sink: &mut dyn FnMut(&mut ExecTrace, &mut Batch),
+    cx: &mut ExecCtx,
+    sink: Sink<'_>,
 ) {
     if input.len() == 0 {
         return;
     }
     match op {
-        PhysOp::Steps(steps) => run_steps_batch(steps, 0, base, kb, input, trace, sink),
+        PhysOp::Steps(steps) => run_steps_batch(steps, 0, base, kb, input, cx, sink),
         PhysOp::Join(l, r) => {
             let rbase = base + op_slots(l);
-            run_batch(l, base, kb, input, trace, &mut |tr, lb| {
-                run_batch(r, rbase, kb, lb, tr, sink);
+            run_batch(l, base, kb, input, cx, &mut |cx, lb| {
+                run_batch(r, rbase, kb, lb, cx, sink);
             });
         }
         PhysOp::LeftJoin(l, r) => {
@@ -537,47 +663,45 @@ fn run_batch<K: KbRead + ?Sized>(
             // Row-at-a-time over the left's output: the right matches
             // (or the fallback) of one left row come out before anything
             // of the next — the executor's depth-first emit order.
-            run_batch(l, lbase, kb, input, trace, &mut |tr, lb| {
-                let nvars = lb.cols.len();
+            run_batch(l, lbase, kb, input, cx, &mut |cx, lb| {
+                let mut one = std::mem::take(&mut cx.ops[base].batch);
                 for row in 0..lb.len() {
                     let mut any = false;
-                    let mut one = Batch::new(nvars);
-                    one.push_row_from(lb, row);
-                    run_batch(r, rbase, kb, &mut one, tr, &mut |tr, b| {
+                    one.set_row_from(lb, row);
+                    run_batch(r, rbase, kb, &mut one, cx, &mut |cx, b| {
                         any = true;
-                        tr.op_rows[base] += b.len() as u64;
-                        sink(tr, b);
+                        cx.trace.op_rows[base] += b.len() as u64;
+                        sink(cx, b);
                     });
                     if !any {
-                        let mut one = Batch::new(nvars);
-                        one.push_row_from(lb, row);
-                        tr.op_rows[base] += 1;
-                        sink(tr, &mut one);
+                        one.set_row_from(lb, row);
+                        cx.trace.op_rows[base] += 1;
+                        sink(cx, &mut one);
                     }
                 }
+                cx.ops[base].batch = one;
             });
         }
         PhysOp::Union(l, r) => {
             let lbase = base + 1;
             let rbase = lbase + op_slots(l);
-            let nvars = input.cols.len();
-            let mut count = |tr: &mut ExecTrace, b: &mut Batch| {
-                tr.op_rows[base] += b.len() as u64;
-                sink(tr, b);
+            let mut count = |cx: &mut ExecCtx, b: &mut Batch| {
+                cx.trace.op_rows[base] += b.len() as u64;
+                sink(cx, b);
             };
             // Per input row, so both branches of one row come out
             // before anything of the next — the same depth-first order.
+            let mut one = std::mem::take(&mut cx.ops[base].batch);
             for row in 0..input.len() {
-                let mut one = Batch::new(nvars);
-                one.push_row_from(input, row);
-                run_batch(l, lbase, kb, &mut one, trace, &mut count);
-                let mut one = Batch::new(nvars);
-                one.push_row_from(input, row);
-                run_batch(r, rbase, kb, &mut one, trace, &mut count);
+                one.set_row_from(input, row);
+                run_batch(l, lbase, kb, &mut one, cx, &mut count);
+                one.set_row_from(input, row);
+                run_batch(r, rbase, kb, &mut one, cx, &mut count);
             }
+            cx.ops[base].batch = one;
         }
         PhysOp::Filter(inner, conds) => {
-            run_batch(inner, base + 1, kb, input, trace, &mut |tr, b| {
+            run_batch(inner, base + 1, kb, input, cx, &mut |cx, b| {
                 let n = b.len();
                 let mut keep = vec![0u64; n.div_ceil(64)];
                 let mut kept = 0usize;
@@ -593,8 +717,8 @@ fn run_batch<K: KbRead + ?Sized>(
                 if kept < n {
                     b.compact(&keep);
                 }
-                tr.op_rows[base] += kept as u64;
-                sink(tr, b);
+                cx.trace.op_rows[base] += kept as u64;
+                sink(cx, b);
             });
         }
         PhysOp::Empty => {}
@@ -609,15 +733,15 @@ fn flush_steps<K: KbRead + ?Sized>(
     base: usize,
     kb: &K,
     out: &mut Batch,
-    trace: &mut ExecTrace,
-    sink: &mut dyn FnMut(&mut ExecTrace, &mut Batch),
+    cx: &mut ExecCtx,
+    sink: Sink<'_>,
 ) {
     if out.len() == 0 {
         return;
     }
-    trace.op_rows[base + i] += out.len() as u64;
-    trace.batches += 1;
-    run_steps_batch(steps, i + 1, base, kb, out, trace, sink);
+    cx.trace.op_rows[base + i] += out.len() as u64;
+    cx.trace.batches += 1;
+    run_steps_batch(steps, i + 1, base, kb, out, cx, sink);
     out.clear();
 }
 
@@ -655,10 +779,31 @@ fn append_triple(
     out.len += 1;
 }
 
-/// Appends a whole store batch to `out`. When the pattern has no
-/// repeated unbound variable the copy is columnar: target columns are
-/// spliced from the [`TripleBatch`], every other column repeats the
+/// Appends `n` rows to `out`, columnar: a slot `source` has a column of
+/// `n` values for is spliced from it, every other slot repeats the
 /// input row's value.
+fn append_columns<'a>(
+    out: &mut Batch,
+    input: &Batch,
+    row: usize,
+    n: usize,
+    source: impl Fn(usize) -> Option<&'a [TermId]>,
+) {
+    for (slot, col) in out.cols.iter_mut().enumerate() {
+        match source(slot) {
+            Some(src) => col.extend(src.iter().map(|id| id.0)),
+            None => {
+                let v = input.cols[slot][row];
+                col.resize(col.len() + n, v);
+            }
+        }
+    }
+    out.len += n;
+}
+
+/// Appends a whole store batch to `out` — columnar when the pattern has
+/// no repeated unbound variable: target columns are spliced from the
+/// [`TripleBatch`].
 fn append_matches(
     out: &mut Batch,
     input: &Batch,
@@ -672,23 +817,13 @@ fn append_matches(
         return;
     }
     if dups.is_empty() {
-        for (slot, col) in out.cols.iter_mut().enumerate() {
-            match targets.iter().find(|tg| tg.0 == slot) {
-                Some(&(_, c)) => {
-                    let src = match c {
-                        0 => &tb.s,
-                        1 => &tb.p,
-                        _ => &tb.o,
-                    };
-                    col.extend(src.iter().map(|id| id.0));
-                }
-                None => {
-                    let v = input.cols[slot][row];
-                    col.resize(col.len() + n, v);
-                }
-            }
-        }
-        out.len += n;
+        append_columns(out, input, row, n, |slot| {
+            targets.iter().find(|tg| tg.0 == slot).map(|&(_, c)| match c {
+                0 => &tb.s[..],
+                1 => &tb.p[..],
+                _ => &tb.o[..],
+            })
+        });
     } else {
         for r in 0..n {
             append_triple(out, input, row, targets, dups, tb.row(r));
@@ -783,28 +918,183 @@ impl<'a> TripleStream<'a> {
     }
 }
 
+// ---------------------------------------------------------------------
+// Probe tables
+// ---------------------------------------------------------------------
+
+/// A scan step builds its probe table once the run of its predicate is
+/// at most this many times the rows it has been handed.
+///
+/// The three costs behind it, measured on the benchmark's 1M-fact KB: a
+/// lookup through the index ≈ 250 ns (a cursor opened by two binary
+/// searches into a fact table that is mostly out of cache), scanning
+/// one row of the run into a table ≈ 22 ns, probing the table ≈ 15 ns.
+/// A table of `run` rows costs what `run × 22 / 250 ≈ run / 11` lookups
+/// cost. How many rows are still to come the step cannot know, so it
+/// rents until the rows it was handed — answered already, or waiting in
+/// the batch in hand — would have paid for the table, and then buys
+/// (the ski-rental rule; 8, not 11, to err on the side of not
+/// building). Whatever comes, the step spends under twice what lookups
+/// alone would have cost it, and a step that sees few rows against a
+/// long run — a point query, the last arm of a star — never builds.
+const RUN_ROWS_PER_ROW_SEEN: usize = 8;
+
+/// Where a scan step stands with the rule of [`RUN_ROWS_PER_ROW_SEEN`],
+/// within one execution.
+#[derive(Default)]
+struct Probe {
+    /// Input rows the step has been handed, the batch in hand included.
+    seen: usize,
+    /// Those of them it answered by index lookup though a table would
+    /// have served.
+    lookups: u64,
+    /// The run length of the step's predicate — an upper bound on a
+    /// view with deltas — read when the first such row arrives.
+    run: Option<usize>,
+    table: Option<ProbeTable>,
+}
+
+/// One predicate's run, keyed by subject or by object: what a lookup
+/// with that end bound yields, for every key at once.
+struct ProbeTable {
+    /// The triple component rows are looked up by — 0 the subject, 2
+    /// the object; the values are the other one.
+    key: u8,
+    /// The distinct keys of the run.
+    keys: KeyTable,
+    /// Key number `k`'s values are `vals[starts[k]..starts[k + 1]]`, in
+    /// the order the scan yielded them.
+    starts: Vec<u32>,
+    vals: Vec<TermId>,
+}
+
+impl ProbeTable {
+    /// Scans the run of `p`, of at most `run` rows, into a table keyed
+    /// by component `key`.
+    ///
+    /// The values of a key keep the scan's order, which is the order a
+    /// lookup yields them in: the run streams by (object, subject), so
+    /// a subject's objects ascend as in the SPO range of `(s, p)`, and
+    /// an object's subjects ascend as in the POS range of `(p, o)` — on
+    /// any view, whose merged scans have already settled newest-wins
+    /// and tombstones.
+    fn build<K: KbRead + ?Sized>(
+        kb: &K,
+        p: TermId,
+        key: u8,
+        run: usize,
+        tb: &mut TripleBatch,
+    ) -> Self {
+        let mut scan = kb.matching_batches(&TriplePattern::with_p(p));
+        let mut keys = KeyTable::with_capacity(1, run);
+        // Per scanned row: its key's number and its value.
+        let mut rows: Vec<(u32, TermId)> = Vec::with_capacity(run);
+        let mut last = (NO_KEY, 0);
+        while scan.next_batch(tb) {
+            let (ks, vs) = if key == 0 { (&tb.s, &tb.o) } else { (&tb.o, &tb.s) };
+            for (k, &v) in ks.iter().zip(vs) {
+                if k.0 != last.0 {
+                    last = (k.0, keys.find_or_insert(&[k.0]) as u32);
+                }
+                rows.push((last.1, v));
+            }
+        }
+        assert!(rows.len() < u32::MAX as usize, "a run longer than a u32 offset can name");
+        // A stable counting sort by key number.
+        let mut starts = vec![0u32; keys.len + 1];
+        for &(k, _) in &rows {
+            starts[k as usize + 1] += 1;
+        }
+        for k in 0..keys.len {
+            starts[k + 1] += starts[k];
+        }
+        let mut next = starts.clone();
+        let mut vals = vec![TermId(0); rows.len()];
+        for &(k, v) in &rows {
+            vals[next[k as usize] as usize] = v;
+            next[k as usize] += 1;
+        }
+        ProbeTable { key, keys, starts, vals }
+    }
+
+    fn get(&self, key: TermId) -> &[TermId] {
+        match self.keys.find(&[key.0]) {
+            Some(k) => &self.vals[self.starts[k] as usize..self.starts[k + 1] as usize],
+            None => &[],
+        }
+    }
+}
+
+impl Probe {
+    /// What the index lookup `pat` of step `op` would yield — a constant
+    /// predicate and exactly one of subject and object, or this returns
+    /// `None` — if the step has a table or it is now time to build one;
+    /// `None` sends the row through the index, and counts it.
+    fn values<K: KbRead + ?Sized>(
+        &mut self,
+        kb: &K,
+        pat: &[Option<TermId>; 3],
+        op: usize,
+        tb: &mut TripleBatch,
+        trace: &mut ExecTrace,
+    ) -> Option<&[TermId]> {
+        let (p, by, key) = match *pat {
+            [Some(s), Some(p), None] => (p, 0, s),
+            [None, Some(p), Some(o)] => (p, 2, o),
+            _ => return None,
+        };
+        if self.table.is_none() {
+            let run = *self.run.get_or_insert_with(|| {
+                let scan = kb.matching_batches(&TriplePattern::with_p(p));
+                scan.size_hint().1.unwrap_or(usize::MAX)
+            });
+            if run > RUN_ROWS_PER_ROW_SEEN * self.seen {
+                self.lookups += 1;
+                return None;
+            }
+            let table = ProbeTable::build(kb, p, by, run, tb);
+            let (rows, lookups) = (table.vals.len() as u64, self.lookups);
+            trace.probe_tables.push(ProbeBuild { op, rows, lookups });
+            self.table = Some(table);
+        }
+        // A row bound at the other end than the table's key (a UNION
+        // can feed both kinds) keeps to the index.
+        self.table.as_ref().filter(|t| t.key == by).map(|t| t.get(key))
+    }
+}
+
 fn run_steps_batch<K: KbRead + ?Sized>(
     steps: &[Step],
     i: usize,
     base: usize,
     kb: &K,
     input: &mut Batch,
-    trace: &mut ExecTrace,
-    sink: &mut dyn FnMut(&mut ExecTrace, &mut Batch),
+    cx: &mut ExecCtx,
+    sink: Sink<'_>,
 ) {
     let Some(step) = steps.get(i) else {
         if input.len() > 0 {
-            sink(trace, input);
+            sink(cx, input);
         }
         return;
     };
-    let nvars = input.cols.len();
-    let mut out = Batch::new(nvars);
+    let mut state = std::mem::take(&mut cx.ops[base + i]);
+    let OpState { batch: out, triples: tb, probe } = &mut state;
+    out.reset(input.cols.len());
     match step {
         Step::Scan { s, p, o, at } => {
+            // The shape a probe table can answer: a constant predicate,
+            // no `@point`, two different variables — of which a row must
+            // bind exactly one.
+            let probed = matches!(
+                (s, p, o, at),
+                (Slot::Var(sv), Slot::Const(_), Slot::Var(ov), None) if sv != ov
+            );
+            if probed {
+                probe.seen += input.len();
+            }
             let mut targets: Vec<(usize, u8)> = Vec::new();
             let mut dups: Vec<(u8, u8)> = Vec::new();
-            let mut tb = TripleBatch::new();
             for row in 0..input.len() {
                 targets.clear();
                 dups.clear();
@@ -821,22 +1111,38 @@ fn run_steps_batch<K: KbRead + ?Sized>(
                         },
                     }
                 }
+                let values =
+                    if probed { probe.values(kb, &pat, base + i, tb, &mut cx.trace) } else { None };
+                if let Some(values) = values {
+                    // In the lookup's own batches, so that the pipeline
+                    // sees the same flushes either way.
+                    let target = targets[0].0;
+                    for chunk in values.chunks(BATCH_ROWS) {
+                        append_columns(out, input, row, chunk.len(), |slot| {
+                            (slot == target).then_some(chunk)
+                        });
+                        if out.len() >= BATCH_ROWS {
+                            flush_steps(steps, i, base, kb, out, cx, sink);
+                        }
+                    }
+                    continue;
+                }
                 let pattern = TriplePattern { s: pat[0], p: pat[1], o: pat[2] };
                 match at {
                     Some(point) => {
                         for f in kb.matching_at_iter(&pattern, point) {
-                            append_triple(&mut out, input, row, &targets, &dups, f.triple);
+                            append_triple(out, input, row, &targets, &dups, f.triple);
                             if out.len() >= BATCH_ROWS {
-                                flush_steps(steps, i, base, kb, &mut out, trace, sink);
+                                flush_steps(steps, i, base, kb, out, cx, sink);
                             }
                         }
                     }
                     None => {
                         let mut mb = kb.matching_batches(&pattern);
-                        while mb.next_batch(&mut tb) {
-                            append_matches(&mut out, input, row, &targets, &dups, &tb);
+                        while mb.next_batch(tb) {
+                            append_matches(out, input, row, &targets, &dups, tb);
                             if out.len() >= BATCH_ROWS {
-                                flush_steps(steps, i, base, kb, &mut out, trace, sink);
+                                flush_steps(steps, i, base, kb, out, cx, sink);
                             }
                         }
                     }
@@ -860,9 +1166,9 @@ fn run_steps_batch<K: KbRead + ?Sized>(
                             st1.take_run(obj, &mut run1);
                             st2.take_run(obj, &mut run2);
                             for &sv1 in &run1 {
-                                append_merge(&mut out, input, row, *s1, *s2, *o, sv1, obj.0, &run2);
+                                append_merge(out, input, row, *s1, *s2, *o, sv1, obj.0, &run2);
                                 if out.len() >= BATCH_ROWS {
-                                    flush_steps(steps, i, base, kb, &mut out, trace, sink);
+                                    flush_steps(steps, i, base, kb, out, cx, sink);
                                 }
                             }
                         }
@@ -871,7 +1177,8 @@ fn run_steps_batch<K: KbRead + ?Sized>(
             }
         }
     }
-    flush_steps(steps, i, base, kb, &mut out, trace, sink);
+    flush_steps(steps, i, base, kb, out, cx, sink);
+    cx.ops[base + i] = state;
 }
 
 /// Evaluates one compiled `FILTER` condition. The binding lookup is a
@@ -904,16 +1211,20 @@ pub(crate) fn eval_cond_with<K: KbRead + ?Sized>(
             (c.op == CmpOp::Eq) == eq
         }
         CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => {
-            let text = |op: &CondOperand| -> Option<String> {
+            fn text<'a, K: KbRead + ?Sized>(
+                op: &'a CondOperand,
+                get: &dyn Fn(usize) -> Option<TermId>,
+                kb: &'a K,
+            ) -> Option<&'a str> {
                 match op {
-                    CondOperand::Slot(s) => {
-                        get(*s).and_then(|id| kb.resolve(id)).map(str::to_string)
-                    }
-                    CondOperand::Const { text, .. } => Some(text.clone()),
+                    CondOperand::Slot(s) => get(*s).and_then(|id| kb.resolve(id)),
+                    CondOperand::Const { text, .. } => Some(text),
                 }
+            }
+            let (Some(l), Some(r)) = (text(&c.lhs, get, kb), text(&c.rhs, get, kb)) else {
+                return false;
             };
-            let (Some(l), Some(r)) = (text(&c.lhs), text(&c.rhs)) else { return false };
-            let ord = cmp_values(&l, &r);
+            let ord = cmp_values(l, r);
             match c.op {
                 CmpOp::Lt => ord == Ordering::Less,
                 CmpOp::Le => ord != Ordering::Greater,
@@ -932,6 +1243,7 @@ mod tests {
     use crate::plan::plan;
     use crate::stats::StatsCatalog;
     use kb_store::{KbBuilder, KbSnapshot, TimeSpan};
+    use std::collections::BTreeMap;
 
     fn city_snap() -> KbSnapshot {
         let mut b = KbBuilder::new();
@@ -1256,5 +1568,383 @@ mod tests {
             .flat_map(|o| (o..n).step_by(50).map(move |i| format!("?x=s{i}  ?y=o{o}")))
             .collect();
         assert_eq!(out.render(&s).lines().collect::<Vec<_>>(), expect);
+    }
+
+    // -- joins against the plain nested loop ----------------------------
+    //
+    // What a multi-pattern answer must be, row for row and in order, is
+    // restated here without the executor: one index lookup
+    // (`matching_iter`) per row of the prefix, patterns in the order the
+    // planner runs them (the fixtures make the anchor the rarest
+    // predicate by far).
+
+    type Binding = BTreeMap<String, TermId>;
+
+    /// `rows` extended by one pattern, one lookup a row, the matches of
+    /// a row in the order the lookup yields them. With `optional`, a row
+    /// nothing extends stays as it is.
+    fn extend(
+        kb: &KbSnapshot,
+        rows: &[Binding],
+        pattern: [&str; 3],
+        at: Option<&str>,
+        optional: bool,
+    ) -> Vec<Binding> {
+        let point = at.map(|y| TimePoint::parse(y).unwrap());
+        let mut out = Vec::new();
+        for row in rows {
+            let fixed = |t: &str| match t.strip_prefix('?') {
+                Some(var) => row.get(var).copied(),
+                None => Some(kb.term(t).unwrap_or_else(|| panic!("{t} is not a term"))),
+            };
+            let [s, p, o] = pattern.map(fixed);
+            let lookup = TriplePattern { s, p, o };
+            let found: Vec<Triple> = match &point {
+                Some(point) => kb.matching_at_iter(&lookup, point).map(|f| f.triple).collect(),
+                None => kb.matching_iter(&lookup).map(|f| f.triple).collect(),
+            };
+            let before = out.len();
+            'triples: for t in found {
+                let mut extended = row.clone();
+                for (term, id) in pattern.iter().zip([t.s, t.p, t.o]) {
+                    if let Some(var) = term.strip_prefix('?') {
+                        if *extended.entry(var.to_string()).or_insert(id) != id {
+                            continue 'triples;
+                        }
+                    }
+                }
+                out.push(extended);
+            }
+            if optional && out.len() == before {
+                out.push(row.clone());
+            }
+        }
+        out
+    }
+
+    /// The patterns joined left to right from the one empty row.
+    fn nested_loop(kb: &KbSnapshot, patterns: &[[&str; 3]]) -> Vec<Binding> {
+        patterns.iter().fold(vec![Binding::new()], |rows, &p| extend(kb, &rows, p, None, false))
+    }
+
+    /// The rows of `out` as bindings, unbound cells left out.
+    fn bindings(out: &QueryOutput) -> Vec<Binding> {
+        let cell = |(col, cell): (&String, &Cell)| match cell {
+            Cell::Term(id) => Some((col.clone(), *id)),
+            Cell::Unbound => None,
+            Cell::Count(_) => panic!("a count in a join answer"),
+        };
+        out.rows.iter().map(|r| out.cols.iter().zip(r).filter_map(cell).collect()).collect()
+    }
+
+    /// `anchors` subjects `s{i}`, each once under `anchor`. Under `arm`:
+    /// every second of them has one value, every tenth a second one —
+    /// asserted first though its id is the higher — every fourth of
+    /// those facts holds over [1980, 1985] only, every 500th subject
+    /// points at itself, and `filler` subjects the anchor lacks
+    /// lengthen the predicate's run.
+    fn star_kb(anchors: usize, filler: usize) -> KbSnapshot {
+        let mut b = KbBuilder::new();
+        for v in 0..8 {
+            b.intern(&format!("v{v}"));
+        }
+        for i in 0..anchors {
+            b.assert_str(&format!("s{i}"), "anchor", &format!("a{}", i % 5));
+        }
+        let span = TimeSpan { begin: TimePoint::parse("1980"), end: TimePoint::parse("1985") };
+        for i in (0..anchors).rev() {
+            let s = format!("s{i}");
+            if i % 10 == 0 {
+                b.assert_str(&s, "arm", &format!("v{}", i % 7 + 1));
+            }
+            if i % 2 == 0 {
+                b.assert_str(&s, "arm", &format!("v{}", i % 7));
+            }
+            if i % 4 == 0 {
+                let t = Triple::new(
+                    b.term(&s).unwrap(),
+                    b.term("arm").unwrap(),
+                    b.term(&format!("v{}", i % 7)).unwrap(),
+                );
+                assert!(b.set_span(t, span));
+            }
+            if i % 500 == 0 {
+                b.assert_str(&s, "arm", &s);
+            }
+        }
+        for j in 0..filler {
+            b.assert_str(&format!("t{j}"), "arm", &format!("v{}", j % 7));
+        }
+        b.freeze()
+    }
+
+    /// More anchor rows than two batches hold, and an `arm` run eight
+    /// times the 1 500th of them.
+    fn wide_star_kb() -> KbSnapshot {
+        let anchors = 2 * BATCH_ROWS + 100;
+        let s = star_kb(anchors, 12_000 - (anchors / 2 + anchors / 10 + 5));
+        let arm = s.term("arm").unwrap();
+        let run = s.count_matching(&TriplePattern::with_p(arm));
+        assert!(run > 8 * BATCH_ROWS && run < 8 * 2 * BATCH_ROWS, "arm run of {run}");
+        s
+    }
+
+    #[test]
+    fn subject_star_over_more_than_two_batches_is_the_nested_loop_row_for_row() {
+        let s = wide_star_kb();
+        let want = nested_loop(&s, &[["?x", "anchor", "?a"], ["?x", "arm", "?b"]]);
+        assert!(want.len() > BATCH_ROWS, "{} rows", want.len());
+        // A subject's two values come out by ascending id, not as
+        // asserted.
+        let two = want.iter().position(|r| r["x"] == s.term("s20").unwrap()).unwrap();
+        assert_eq!(want[two]["b"], s.term("v6").unwrap());
+        assert_eq!(want[two + 1]["b"], s.term("v7").unwrap());
+        let got = solve(&s, "?x anchor ?a . ?x arm ?b");
+        assert_eq!(bindings(&got), want);
+        // A window without ORDER BY slices that order, wherever it sits.
+        for (offset, limit) in [(0, 7), (600, 300), (900, 64), (want.len() - 3, 10)] {
+            let text = format!(
+                "SELECT * WHERE {{ ?x anchor ?a . ?x arm ?b }} LIMIT {limit} OFFSET {offset}"
+            );
+            let window = &want[offset..(offset + limit).min(want.len())];
+            assert_eq!(bindings(&solve(&s, &text)), window, "{text}");
+        }
+        // The third arm of a star sees the few rows the second kept.
+        let want =
+            nested_loop(&s, &[["?x", "anchor", "a3"], ["?x", "arm", "?b"], ["?x", "arm", "?c"]]);
+        assert_eq!(bindings(&solve(&s, "?x anchor a3 . ?x arm ?b . ?x arm ?c")), want);
+    }
+
+    #[test]
+    fn object_bound_step_yields_subjects_in_lookup_order() {
+        // `u{j} arm s{i}`: three subjects an object, asserted highest
+        // first, and a run past eight times the first hundred anchors.
+        let mut b = KbBuilder::new();
+        for i in 0..400 {
+            b.assert_str(&format!("s{i}"), "anchor", &format!("a{}", i % 5));
+        }
+        for j in (0..1_200).rev() {
+            b.assert_str(&format!("u{j}"), "arm", &format!("s{}", j % 300));
+        }
+        for j in 0..300 {
+            b.assert_str(&format!("w{j}"), "arm", &format!("a{}", j % 5));
+        }
+        let s = b.freeze();
+        let want = nested_loop(&s, &[["?x", "anchor", "?a"], ["?y", "arm", "?x"]]);
+        assert_eq!(want.len(), 1_200);
+        assert!(want[0]["y"] < want[1]["y"] && want[1]["y"] < want[2]["y"]);
+        assert_eq!(bindings(&solve(&s, "?x anchor ?a . ?y arm ?x")), want);
+        // Both ends bound by the prefix: a lookup per row, whatever came
+        // before.
+        let want =
+            nested_loop(&s, &[["?x", "anchor", "?a"], ["?y", "arm", "?x"], ["?y", "arm", "?x"]]);
+        assert_eq!(bindings(&solve(&s, "?x anchor ?a . ?y arm ?x . ?y arm ?x")).len(), want.len());
+    }
+
+    /// 1 000 `left` subjects `l{i}`, the first 40 also under `pre` (with
+    /// a value `arm` may or may not give them), two `other` subjects,
+    /// and an `arm` run of `run` facts: every second `l{i}` has a value,
+    /// every fifth another (every tenth so has two), the rest are filler
+    /// subjects.
+    fn optional_kb(run: usize) -> KbSnapshot {
+        let mut b = KbBuilder::new();
+        for i in 0..1_000 {
+            b.assert_str(&format!("l{i}"), "left", &format!("q{}", i % 3));
+        }
+        for i in 0..40 {
+            b.assert_str(&format!("l{i}"), "pre", &format!("v{}", i % 7));
+        }
+        for k in 0..2 {
+            b.assert_str(&format!("z{k}"), "other", "q0");
+        }
+        for i in (0..1_000).rev() {
+            if i % 5 == 0 {
+                b.assert_str(&format!("l{i}"), "arm", &format!("v{}", (i + 3) % 7));
+            }
+            if i % 2 == 0 {
+                b.assert_str(&format!("l{i}"), "arm", &format!("v{}", i % 7));
+            }
+        }
+        for j in 0..run - 700 {
+            b.assert_str(&format!("f{j}"), "arm", &format!("v{}", j % 7));
+        }
+        let s = b.freeze();
+        assert_eq!(s.count_matching(&TriplePattern::with_p(s.term("arm").unwrap())), run);
+        s
+    }
+
+    #[test]
+    fn optional_over_a_thousand_left_rows_of_every_boundness_is_the_nested_loop() {
+        let s = optional_kb(2_000);
+        let unit = [Binding::new()];
+        let pre = extend(&s, &unit, ["?x", "pre", "?y"], None, false);
+        let left = extend(&s, &unit, ["?x", "left", "?l"], None, false);
+        let other = extend(&s, &unit, ["?z", "other", "?l"], None, false);
+        // `?y` bound already (a lookup that only checks), then the
+        // thousand rows that bind it, the first kind again, and rows
+        // without `?x`, each of which the whole run extends.
+        let fed = [pre.clone(), left, pre, other].concat();
+        let want = extend(&s, &fed, ["?x", "arm", "?y"], None, true);
+        assert_eq!(want.len(), 40 + (500 + 200 + 400) + 40 + 2 * 2_000);
+        let got = solve(
+            &s,
+            "SELECT * WHERE { { ?x pre ?y } UNION { { ?x left ?l } UNION \
+             { { ?x pre ?y } UNION { ?z other ?l } } } OPTIONAL { ?x arm ?y } }",
+        );
+        assert_eq!(bindings(&got), want);
+    }
+
+    /// A view that counts how often it is asked for its runs: once a
+    /// cursor opened, whatever the pattern.
+    struct CountingView<'a> {
+        inner: &'a KbSnapshot,
+        asked: std::cell::Cell<usize>,
+    }
+
+    impl KbRead for CountingView<'_> {
+        fn groups(&self) -> kb_store::Groups<'_> {
+            self.asked.set(self.asked.get() + 1);
+            self.inner.groups()
+        }
+        fn term_count(&self) -> usize {
+            self.inner.term_count()
+        }
+        fn taxonomy(&self) -> &kb_store::Taxonomy {
+            self.inner.taxonomy()
+        }
+        fn sameas(&self) -> &kb_store::SameAsStore {
+            self.inner.sameas()
+        }
+        fn labels(&self) -> &kb_store::LabelStore {
+            self.inner.labels()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn an_optional_opens_a_cursor_a_left_row_and_at_most_two_more() {
+        for run in [2_000, 9_000] {
+            let s = optional_kb(run);
+            let q = parse("SELECT * WHERE { ?x left ?l OPTIONAL { ?x arm ?y } }").unwrap();
+            let p = plan(&q, &s, &StatsCatalog::build(&s)).unwrap();
+            let counting = CountingView { inner: &s, asked: std::cell::Cell::new(0) };
+            let out = execute(&p, &counting);
+            let left = nested_loop(&s, &[["?x", "left", "?l"]]);
+            assert_eq!(bindings(&out), extend(&s, &left, ["?x", "arm", "?y"], None, true));
+            // The left scan, a lookup a left row, and whatever the
+            // executor spends on sizing the right side up — once, not
+            // once a row.
+            let asked = counting.asked.get();
+            assert!(asked <= 1 + 1_000 + 2, "{asked} cursors for 1 000 left rows, run {run}");
+        }
+    }
+
+    #[test]
+    fn repeated_variable_and_time_travel_steps_are_the_nested_loop() {
+        let s = wide_star_kb();
+        // `?x arm ?x` under a bound `?x` only checks; under an unbound
+        // `?y` it scans the run for reflexive facts, once a row.
+        let want = nested_loop(&s, &[["?x", "anchor", "?a"], ["?x", "arm", "?x"]]);
+        assert_eq!(want.len(), 5);
+        assert_eq!(bindings(&solve(&s, "?x anchor ?a . ?x arm ?x")), want);
+        let want = nested_loop(&s, &[["?x", "anchor", "a0"], ["?y", "arm", "?y"]]);
+        assert_eq!(want.len(), 430 * 5);
+        assert_eq!(bindings(&solve(&s, "?x anchor a0 . ?y arm ?y")), want);
+        // `@1990` drops the facts that ended in 1985, `@1982` keeps them.
+        let anchored = nested_loop(&s, &[["?x", "anchor", "?a"]]);
+        let mut sizes = Vec::new();
+        for year in ["1990", "1982"] {
+            let want = extend(&s, &anchored, ["?x", "arm", "?b"], Some(year), false);
+            sizes.push(want.len());
+            let text = format!("?x anchor ?a . ?x arm ?b @{year}");
+            assert_eq!(bindings(&solve(&s, &text)), want, "{text}");
+        }
+        assert!(sizes[0] + 500 < sizes[1], "{sizes:?}");
+    }
+
+    #[test]
+    fn a_run_past_eight_times_the_prefix_is_the_nested_loop() {
+        // A hundred anchors against a run of five thousand.
+        let s = star_kb(100, 5_000);
+        let want = nested_loop(&s, &[["?x", "anchor", "?a"], ["?x", "arm", "?b"]]);
+        assert_eq!(want.len(), 50 + 10 + 1);
+        assert_eq!(bindings(&solve(&s, "?x anchor ?a . ?x arm ?b")), want);
+    }
+
+    // -- the probe-table rule, read off the trace -----------------------
+
+    /// The tables `text` built over `s`, each with its operator's label.
+    fn tables_built(s: &KbSnapshot, text: &str) -> Vec<(String, ProbeBuild)> {
+        let p = plan(&parse(text).unwrap(), s, &StatsCatalog::build(s)).unwrap();
+        let (_, trace) = execute_traced(&p, s);
+        trace.probe_tables.iter().map(|t| (p.ops()[t.op].label.clone(), *t)).collect()
+    }
+
+    #[test]
+    fn a_table_is_built_once_the_run_is_eight_times_the_rows_handed_over() {
+        // A run between eight and sixteen batches: the first batch of
+        // anchor rows goes through the index, the second builds.
+        let s = wide_star_kb();
+        let run = s.count_matching(&TriplePattern::with_p(s.term("arm").unwrap())) as u64;
+        let built = tables_built(&s, "?x anchor ?a . ?x arm ?b");
+        let [(label, table)] = &built[..] else { panic!("{built:?}") };
+        assert!(label.contains("arm"), "{label}");
+        assert_eq!(*table, ProbeBuild { op: 1, rows: run, lookups: BATCH_ROWS as u64 });
+        // Keyed by object, and at the first row when the first batch is
+        // already enough.
+        let mut b = KbBuilder::new();
+        for i in 0..400 {
+            b.assert_str(&format!("s{i}"), "anchor", "a");
+            b.assert_str(&format!("u{i}"), "arm", &format!("s{}", i % 300));
+        }
+        let built = tables_built(&b.freeze(), "?x anchor ?a . ?y arm ?x");
+        assert_eq!(built.len(), 1, "{built:?}");
+        assert_eq!(built[0].1, ProbeBuild { op: 1, rows: 400, lookups: 0 });
+        // One row at a time, ineligible rows counted as handed over but
+        // not as lookups: the 250th row of 40 + 1 000 + … builds.
+        let s = optional_kb(2_000);
+        let built = tables_built(
+            &s,
+            "SELECT * WHERE { { ?x pre ?y } UNION { { ?x left ?l } UNION \
+             { { ?x pre ?y } UNION { ?z other ?l } } } OPTIONAL { ?x arm ?y } }",
+        );
+        let [(label, table)] = &built[..] else { panic!("{built:?}") };
+        assert!(label.contains("arm"), "{label}");
+        assert_eq!((table.rows, table.lookups), (2_000, 250 - 40 - 1));
+    }
+
+    #[test]
+    fn no_table_for_few_rows_a_repeated_variable_or_a_time_point() {
+        let s = wide_star_kb();
+        for text in [
+            // 430 rows against a run of 12 000.
+            "?x anchor a3 . ?x arm ?c",
+            "?x anchor ?a . ?x arm ?x",
+            "?x anchor a0 . ?y arm ?y",
+            "?x anchor ?a . ?x arm ?b @1990",
+            // A constant end is one lookup, however many rows ask.
+            "?x anchor ?a . s20 arm ?b",
+            "?x arm ?b",
+        ] {
+            assert_eq!(tables_built(&s, text), [], "{text}");
+        }
+        assert_eq!(tables_built(&star_kb(100, 5_000), "?x anchor ?a . ?x arm ?b"), []);
+    }
+
+    #[test]
+    fn the_run_is_sized_once_an_execution() {
+        // Cursors: the left scan, a lookup a left row until the table is
+        // built, one to size the run, one to scan it.
+        for (run, lookups, building) in [(2_000, 249, 1), (9_000, 1_000, 0)] {
+            let s = optional_kb(run);
+            let q = parse("SELECT * WHERE { ?x left ?l OPTIONAL { ?x arm ?y } }").unwrap();
+            let p = plan(&q, &s, &StatsCatalog::build(&s)).unwrap();
+            let counting = CountingView { inner: &s, asked: std::cell::Cell::new(0) };
+            let (_, trace) = execute_traced(&p, &counting);
+            assert_eq!(trace.probe_tables.len(), building);
+            assert_eq!(counting.asked.get(), 1 + lookups + 1 + building, "run {run}");
+        }
     }
 }

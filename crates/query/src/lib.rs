@@ -58,7 +58,7 @@ pub mod view;
 
 pub use ast::SelectQuery;
 pub use error::QueryError;
-pub use exec::{cell_str, execute, execute_traced, Cell, ExecTrace, QueryOutput};
+pub use exec::{cell_str, execute, execute_traced, Cell, ExecTrace, ProbeBuild, QueryOutput};
 pub use parse::{normalize, parse};
 pub use plan::{plan, routing_decision, Footprint, OpInfo, Plan, RoutingDecision};
 pub use service::{CacheStats, QueryService, DEFAULT_CACHE_CAPACITY};

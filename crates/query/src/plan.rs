@@ -536,8 +536,7 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
         }
         let skip = usize::from(fused);
         for (&pi, step) in cand.pattern_order.iter().skip(skip * 2).zip(step_iter) {
-            if let Step::Scan { s, p, o, .. } = step {
-                let _ = (s, p, o);
+            if let Step::Scan { .. } = step {
                 explain.push(format!("index-nested-loop scan `{}`", patterns[pi]));
             }
         }

@@ -347,9 +347,9 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 /// Prints the `--explain` report: plan shape, predicate footprint and
-/// view-maintenance verdict, per-operator estimated vs actual rows, what
-/// the aggregate made of them, batch counts and the compressed-index
-/// footprint.
+/// view-maintenance verdict, per-operator estimated vs actual rows, the
+/// probe tables scan steps built, what the aggregate made of the rows,
+/// batch counts and the compressed-index footprint.
 fn print_explain<K: KbRead + ?Sized>(plan: &Plan, trace: &ExecTrace, stats: &IndexStats, kb: &K) {
     eprintln!("plan (estimated cost {:.1}):", plan.estimated_cost());
     for line in plan.explain() {
@@ -370,6 +370,10 @@ fn print_explain<K: KbRead + ?Sized>(plan: &Plan, trace: &ExecTrace, stats: &Ind
     eprintln!("operators (estimated vs actual rows):");
     for (op, &actual) in plan.ops().iter().zip(&trace.op_rows) {
         eprintln!("  est {:>12.1}  actual {:>10}  {}", op.est_rows, actual, op.label);
+    }
+    for table in &trace.probe_tables {
+        let label = &plan.ops()[table.op].label;
+        eprintln!("probe table: {label} — {} rows after {} lookups", table.rows, table.lookups);
     }
     if plan.is_aggregate() {
         eprintln!("aggregate: {} rows → {} groups", trace.rows, trace.groups);
@@ -460,9 +464,9 @@ fn answer_query<K: KbRead + ?Sized>(
         }
         None => service.query(q).map_err(|e| e.to_string())?,
     };
-    println!("{} solutions", out.rows.len());
+    kb_obs::outln!("{} solutions", out.rows.len());
     for row in out.rows.iter().take(50) {
-        println!("  {}", out.render_row(row, view));
+        kb_obs::outln!("  {}", out.render_row(row, view));
     }
     Ok(())
 }

@@ -15,6 +15,12 @@ fn harvest_to(path: &std::path::Path) {
     assert!(path.exists());
 }
 
+/// The count `kbkit query` heads its answer with.
+fn solutions(stdout: &str) -> u64 {
+    let count = stdout.lines().find_map(|l| l.strip_suffix(" solutions"));
+    count.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("no solution count in {stdout}"))
+}
+
 #[test]
 fn harvest_stats_query_rules_ned_round_trip() {
     let dir = std::env::temp_dir().join("kbkit-cli-test");
@@ -56,11 +62,7 @@ fn harvest_stats_query_rules_ned_round_trip() {
             .expect("select query");
         assert!(out.status.success());
         let stdout = String::from_utf8_lossy(&out.stdout);
-        let solutions: u64 = stdout
-            .lines()
-            .find_map(|l| l.strip_suffix(" solutions"))
-            .and_then(|n| n.parse().ok())
-            .unwrap_or_else(|| panic!("no solution count in {stdout}"));
+        let solutions = solutions(&stdout);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("estimated cost"), "{stderr}");
         let (rows, groups): (u64, u64) = stderr
@@ -74,6 +76,42 @@ fn harvest_stats_query_rules_ned_round_trip() {
         assert!(stderr.contains(&format!("execution: {rows} rows emitted")), "{stderr}");
         assert_eq!(solutions, limit.map_or(groups, |n| groups.min(n)), "{stderr}\n{stdout}");
     }
+
+    // --explain on a star join names the probe table a scan step built
+    // from its predicate's whole run; a point query builds none.
+    let explain = |text: &str| {
+        let out = kbkit()
+            .args(["query", kb_path.to_str().unwrap(), text, "--explain"])
+            .output()
+            .expect("explained query");
+        assert!(out.status.success(), "{text}");
+        (
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let (stdout, stderr) = explain("?p bornIn ?c . ?p citizenOf ?n");
+    let tables: Vec<(&str, u64, u64)> = stderr
+        .lines()
+        .filter_map(|l| {
+            let (label, counts) = l.strip_prefix("probe table: ")?.split_once(" — ")?;
+            let (rows, lookups) = counts.strip_suffix(" lookups")?.split_once(" rows after ")?;
+            Some((label, rows.parse().ok()?, lookups.parse().ok()?))
+        })
+        .collect();
+    let [(label, rows, lookups)] = tables[..] else { panic!("one table expected: {stderr}") };
+    assert!(label.contains("?p citizenOf ?n"), "{stderr}");
+    assert!(stderr.contains(&format!("actual {:>10}  {label}", solutions(&stdout))), "{stderr}");
+    // The table holds the predicate's run, and the first batch of
+    // `bornIn` rows was already reason enough to build it.
+    assert_eq!(rows, solutions(&explain("?p citizenOf ?n").0), "{stderr}");
+    assert_eq!(lookups, 0, "{stderr}");
+    let person = stdout.lines().find_map(|l| l.split("?p=").nth(1)).expect("a ?p binding");
+    let person = person.split_whitespace().next().unwrap();
+    let (stdout, stderr) = explain(&format!("{person} bornIn ?c"));
+    assert_eq!(solutions(&stdout), 1, "{stdout}");
+    assert!(stderr.contains("operators (estimated vs actual rows):"), "{stderr}");
+    assert!(!stderr.contains("probe table"), "{stderr}");
 
     // rules
     let out = kbkit()
@@ -93,6 +131,27 @@ fn harvest_stats_query_rules_ned_round_trip() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains('→'), "{stdout}");
+}
+
+#[test]
+fn a_reader_that_leaves_early_ends_query_quietly() {
+    let dir = std::env::temp_dir().join("kbkit-cli-pipe-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let kb_path = dir.join("kb.tsv");
+    harvest_to(&kb_path);
+    // The reading end is closed before the first answer line is
+    // written (`kbkit query … | head -0`, without the race).
+    let mut child = kbkit()
+        .args(["query", kb_path.to_str().unwrap(), "?x instanceOf ?c"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn kbkit");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("kbkit exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked") && !stderr.contains("Broken pipe"), "{stderr}");
 }
 
 #[test]

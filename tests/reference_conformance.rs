@@ -110,6 +110,95 @@ fn every_read_configuration_conforms_to_the_reference_model() {
     assert!(faults > 0, "the budgeted store never faulted a column in");
 }
 
+/// A star join wide enough that how the executor finds a prefix row's
+/// matches — a lookup a row, or anything it builds from the predicate's
+/// whole run once it has seen enough rows — shows: 160 anchor subjects
+/// `e{i} r0 …`, a `r1` run of some 420 facts (every second anchor
+/// subject plus filler subjects), `r2` facts pointing back at the
+/// anchors. Two deltas then add `r1` facts, assert facts again that are
+/// there, bury some under tombstones and revive a part of those.
+fn star_ops() -> (Vec<common::Op>, Vec<usize>) {
+    let arm = |i: u32| (1, i, 1, 2_000 + i % 7);
+    let mut ops: Vec<common::Op> = (0..160).map(|i| (1, i, 0, 1_000 + i % 5)).collect();
+    ops.extend((0..160).filter(|i| i % 2 == 0).map(arm));
+    ops.extend((0..340).map(|j| (1, 5_000 + j, 1, 2_000 + j % 7)));
+    ops.extend((0..240).rev().map(|j| (1, 6_000 + j, 2, j % 80)));
+    let mut cuts = vec![ops.len()];
+    // Delta one: a second value for every third subject, a fourth of the
+    // old facts asserted again, a tenth retracted (every twentieth both).
+    ops.extend((0..160).filter(|i| i % 3 == 0).map(|i| (1, i, 1, 2_000 + (i + 1) % 7)));
+    ops.extend((0..160).filter(|i| i % 4 == 0).map(arm));
+    ops.extend((0..160).filter(|i| i % 10 == 0).map(|i| (0, i, 1, 2_000 + i % 7)));
+    ops.extend((0..34).map(|j| (0, 5_000 + j * 10, 1, 2_000 + (j * 10) % 7)));
+    cuts.push(ops.len());
+    // Delta two: every third tombstone lifted, some of delta one's
+    // additions retracted, a few anchors gone and a few new.
+    ops.extend((0..160).filter(|i| i % 30 == 0).map(arm));
+    ops.extend((0..160).filter(|i| i % 9 == 0).map(|i| (0, i, 1, 2_000 + (i + 1) % 7)));
+    ops.extend((0..160).filter(|i| i % 50 == 0).map(|i| (0, i, 0, 1_000 + i % 5)));
+    ops.extend((160..170).flat_map(|i| [(1, i, 0, 1_000 + i % 5), arm(i)]));
+    (ops, cuts)
+}
+
+#[test]
+fn a_wide_star_join_conforms_and_renders_alike_on_every_view() {
+    let (ops, cuts) = star_ops();
+    let reference = common::reference_of(&ops);
+    let monolithic = common::builder_of(&ops).freeze();
+    let (base, deltas, segmented) = common::segment_chain(&ops, &cuts);
+    assert_eq!(deltas.len(), 2);
+    let router = KbRouter::with_config(base, 4, AdmissionConfig::default(), &Registry::new());
+    for delta in &deltas {
+        router.apply_delta(Arc::clone(delta));
+    }
+    let partitioned = router.view();
+    let views: [(&str, &dyn KbRead); 3] = [
+        ("monolithic", &monolithic),
+        ("segmented", &segmented),
+        ("4 partitions", partitioned.as_ref()),
+    ];
+
+    let bodies = [
+        "?x r0 ?a . ?x r1 ?b",
+        "?x r0 ?a . ?y r2 ?x",
+        "?x r0 ?a . ?x r1 ?b . ?y r2 ?x",
+        "?x r0 ?a OPTIONAL { ?x r1 ?b }",
+        "{ ?x r0 ?a } UNION { ?z r2 e7 } OPTIONAL { ?y r2 ?x }",
+    ];
+    for body in bodies {
+        // Every view's whole answer is the reference's, the router's too.
+        let text = format!("SELECT * WHERE {{ {body} }}");
+        let query = kb_query::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let mut answers = Vec::new();
+        for (name, view) in views {
+            let out = kb_query::query(view, &text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_conforms(&query, &out, view, &reference);
+            answers.push((name, out.render(view)));
+        }
+        let routed = router.query(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        assert_conforms(&query, &routed, partitioned.as_ref(), &reference);
+        answers.push(("routed", routed.render(partitioned.as_ref())));
+        // And its rows leave every executor in one order, the one a
+        // window without ORDER BY slices.
+        let (_, want) = &answers[0];
+        let rows: Vec<&str> = want.lines().collect();
+        assert!(rows.len() > 100, "{text}: {} rows", rows.len());
+        for (name, got) in &answers[1..] {
+            assert_eq!(got, want, "{name}: {text}");
+        }
+        for (offset, limit) in [(40, 25), (95, 40)] {
+            let text = format!("{text} LIMIT {limit} OFFSET {offset}");
+            let want = rows[offset..rows.len().min(offset + limit)].join("\n") + "\n";
+            for (name, view) in views {
+                let out = kb_query::query(view, &text).unwrap_or_else(|e| panic!("{text}: {e}"));
+                assert_eq!(out.render(view), want, "{name}: {text}");
+            }
+            let routed = router.query(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(routed.render(partitioned.as_ref()), want, "routed: {text}");
+        }
+    }
+}
+
 /// Replays `ops` into `b`, every assert under a source named after its
 /// subject (a triple keeps one source however often it is retracted and
 /// re-asserted, as it keeps one span).
