@@ -1,18 +1,18 @@
 //! Cardinality statistics harvested from a KB view — the planner's
 //! cost-model input.
 //!
-//! Per-predicate fact counts come straight from the snapshot's POS
-//! offset buckets (`count_matching` on a bound-predicate pattern is
-//! `O(1)` there); distinct-object counts stream the same bucket, which
-//! the index contract sorts by `(o, s)`, so distinct objects are just
-//! run boundaries; distinct subjects sort the bucket's subject column
-//! once. Building the catalog is `O(n log n)` worst case and done once
-//! per snapshot — the serving layer shares one catalog across all
-//! queries against a generation.
+//! Distinct counts are run boundaries of scans the indexes already
+//! sort: one batch scan in SPO order yields the subject runs (distinct
+//! subjects), the `(s, p)` runs (distinct subjects per predicate) and,
+//! through one bit per term, the distinct objects; one batch scan per
+//! predicate in POS order — sorted by `(o, s)` — yields its count and
+//! its object runs. Building the catalog is `O(n)`, allocates nothing
+//! per fact and is done once per snapshot — the serving layer shares
+//! one catalog across all queries against a generation.
 
 use std::collections::HashMap;
 
-use kb_store::{KbRead, TermId, TriplePattern};
+use kb_store::{KbRead, KbReadBatch, TermId, TripleBatch, TriplePattern};
 
 /// Statistics for one predicate.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -39,60 +39,50 @@ pub struct StatsCatalog {
 }
 
 impl StatsCatalog {
-    /// Harvests the catalog from any [`KbRead`] view.
+    /// Harvests the catalog from any [`KbRead`] view: one batch scan in
+    /// SPO order, then one per predicate in POS order. Every distinct
+    /// count but one is a count of run boundaries, so nothing is sorted
+    /// and nothing is allocated per fact.
     pub fn build<K: KbRead + ?Sized>(kb: &K) -> Self {
-        // One cheap insertion-order pass discovers the predicate set and
-        // the global distinct-subject/object counts.
-        let mut preds: Vec<TermId> = Vec::new();
-        let mut seen_p: HashMap<TermId, ()> = HashMap::new();
-        let mut subjects: Vec<TermId> = Vec::with_capacity(kb.len());
-        let mut objects: Vec<TermId> = Vec::with_capacity(kb.len());
-        for f in kb.facts() {
-            if seen_p.insert(f.triple.p, ()).is_none() {
-                preds.push(f.triple.p);
-            }
-            subjects.push(f.triple.s);
-            objects.push(f.triple.o);
-        }
-        // The two global sorts are independent and sized by the whole
-        // KB; overlapping them shaves a visible slice off cold start.
-        std::thread::scope(|s| {
-            let h = s.spawn(|| {
-                objects.sort_unstable();
-                objects.dedup();
-            });
-            subjects.sort_unstable();
-            subjects.dedup();
-            h.join().expect("object sort");
-        });
+        let mut batch = TripleBatch::new();
+        let mut cat = StatsCatalog { total: kb.len(), ..StatsCatalog::default() };
 
-        // Per predicate: the POS bucket is one contiguous range sorted
-        // by (o, s) — count is O(1), distinct objects are run
-        // boundaries, distinct subjects need one sort of the bucket.
-        let mut per_pred = HashMap::with_capacity(preds.len());
-        for p in preds {
-            let pattern = TriplePattern::with_p(p);
-            let count = kb.count_matching(&pattern);
-            let mut distinct_o = 0usize;
-            let mut last_o: Option<TermId> = None;
-            let mut bucket_s: Vec<TermId> = Vec::with_capacity(count);
-            for t in kb.triples_iter(&pattern) {
-                if last_o != Some(t.o) {
-                    distinct_o += 1;
-                    last_o = Some(t.o);
+        // SPO order: a new subject starts a subject run, a new (s, p)
+        // pair is one more distinct subject of `p`. Objects arrive in no
+        // order here; one bit a term says which have been seen.
+        let mut seen_o = vec![0u64; kb.term_count().div_ceil(64)];
+        let mut last: Option<(TermId, TermId)> = None;
+        let mut scan = kb.matching_batches(&TriplePattern::any());
+        while scan.next_batch(&mut batch) {
+            for ((&s, &p), &o) in batch.s.iter().zip(&batch.p).zip(&batch.o) {
+                if last != Some((s, p)) {
+                    cat.distinct_s += usize::from(last.map(|(s, _)| s) != Some(s));
+                    cat.per_pred.entry(p).or_default().distinct_s += 1;
+                    last = Some((s, p));
                 }
-                bucket_s.push(t.s);
+                let (word, bit) = (o.index() / 64, 1u64 << (o.index() % 64));
+                if word >= seen_o.len() {
+                    seen_o.resize(word + 1, 0);
+                }
+                cat.distinct_o += usize::from(seen_o[word] & bit == 0);
+                seen_o[word] |= bit;
             }
-            bucket_s.sort_unstable();
-            bucket_s.dedup();
-            per_pred.insert(p, PredStat { count, distinct_s: bucket_s.len(), distinct_o });
         }
-        StatsCatalog {
-            total: kb.len(),
-            per_pred,
-            distinct_s: subjects.len(),
-            distinct_o: objects.len(),
+
+        // POS order: a predicate's rows are one range sorted by (o, s) —
+        // its length is the count, its object runs the distinct objects.
+        for (&p, st) in cat.per_pred.iter_mut() {
+            let mut last_o = None;
+            let mut scan = kb.matching_batches(&TriplePattern::with_p(p));
+            while scan.next_batch(&mut batch) {
+                st.count += batch.len();
+                for &o in &batch.o {
+                    st.distinct_o += usize::from(last_o != Some(o));
+                    last_o = Some(o);
+                }
+            }
         }
+        cat
     }
 
     /// Folds one [`DeltaSegment`] into the catalog without rescanning
@@ -204,6 +194,77 @@ mod tests {
         let q = snap.term("q").unwrap();
         assert_eq!(cat.per_pred[&r], PredStat { count: 3, distinct_s: 2, distinct_o: 2 });
         assert_eq!(cat.per_pred[&q], PredStat { count: 1, distinct_s: 1, distinct_o: 1 });
+    }
+
+    /// The run-boundary counts against sets built from the fact table,
+    /// on a monolithic snapshot and on a stack whose delta adds facts
+    /// under old and new terms, shadows one and buries others: the
+    /// merged scans must still arrive in index order.
+    #[test]
+    fn catalog_matches_a_count_by_sets_on_monolithic_and_layered_views() {
+        use std::collections::{HashMap, HashSet};
+        use std::sync::Arc;
+
+        fn by_sets<K: KbRead>(kb: &K) -> StatsCatalog {
+            let mut cat = StatsCatalog { total: kb.len(), ..StatsCatalog::default() };
+            let (mut all_s, mut all_o) = (HashSet::new(), HashSet::new());
+            let mut per: HashMap<TermId, (usize, HashSet<TermId>, HashSet<TermId>)> =
+                HashMap::new();
+            for t in kb.facts().map(|f| f.triple) {
+                all_s.insert(t.s);
+                all_o.insert(t.o);
+                let e = per.entry(t.p).or_default();
+                e.0 += 1;
+                e.1.insert(t.s);
+                e.2.insert(t.o);
+            }
+            (cat.distinct_s, cat.distinct_o) = (all_s.len(), all_o.len());
+            cat.per_pred = per
+                .into_iter()
+                .map(|(p, (count, s, o))| {
+                    (p, PredStat { count, distinct_s: s.len(), distinct_o: o.len() })
+                })
+                .collect();
+            cat
+        }
+        fn assert_same<K: KbRead>(kb: &K) {
+            let (got, want) = (StatsCatalog::build(kb), by_sets(kb));
+            assert_eq!(
+                (got.total, got.distinct_s, got.distinct_o),
+                (want.total, want.distinct_s, want.distinct_o)
+            );
+            assert_eq!(got.per_pred, want.per_pred);
+        }
+
+        // Several frames, skewed predicates, objects that are subjects.
+        let mut b = KbBuilder::new();
+        for i in 0u32..5_000 {
+            b.assert_str(
+                &format!("e{}", i % 700),
+                &format!("r{}", (i % 7).min(4)),
+                &format!("e{}", (i * 31) % 900),
+            );
+        }
+        let base = b.freeze();
+        assert_same(&base);
+
+        let old = kb_store::SegmentedSnapshot::from_base(base.into_shared());
+        let mut b = KbBuilder::new();
+        for i in 0u32..300 {
+            b.assert_str(&format!("e{}", i % 700), "r_new", &format!("fresh{}", i % 40));
+            b.assert_str(&format!("fresh{i}"), "r1", &format!("e{}", i % 11));
+        }
+        b.assert_str("e1", "r1", "e31"); // a shadow: i = 1 asserted it
+        for i in (0u32..5_000).step_by(13) {
+            b.retract_str(
+                &format!("e{}", i % 700),
+                &format!("r{}", (i % 7).min(4)),
+                &format!("e{}", (i * 31) % 900),
+            );
+        }
+        let delta = Arc::new(b.freeze_delta(&old));
+        assert!(delta.new_facts() > 0 && delta.shadowed() > 0 && delta.tombstones() > 0);
+        assert_same(&old.with_delta(delta));
     }
 
     #[test]

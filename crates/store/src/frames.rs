@@ -191,10 +191,11 @@ impl ColFrames {
         Self { len: values.len(), metas, bytes }
     }
 
-    /// Reassembles a column from deserialized parts, validating every
-    /// structural invariant an attacker-controlled payload could break.
-    /// `payload` excludes the `PAD` bytes (they are not serialized).
-    pub fn from_raw(len: usize, metas: Vec<FrameMeta>, payload: Vec<u8>) -> Result<Self, String> {
+    /// Validates everything frame descriptors say without their payload:
+    /// the frame count against the row count, monotonic payload offsets
+    /// that end exactly at `payload_len`, known encodings, and each
+    /// frame's payload size against its rows and width.
+    pub fn check_metas(len: usize, metas: &[FrameMeta], payload_len: usize) -> Result<(), String> {
         if metas.len() != len.div_ceil(FRAME_ROWS) {
             return Err(format!(
                 "{} frames cannot cover {} rows (expected {})",
@@ -206,10 +207,9 @@ impl ColFrames {
         let mut prev_end = 0usize;
         for (f, m) in metas.iter().enumerate() {
             let end = m.end as usize;
-            if end < prev_end || end > payload.len() {
+            if end < prev_end || end > payload_len {
                 return Err(format!("frame {f} payload offsets are not monotonic"));
             }
-            let rows = frame_rows(len, f);
             let size = end - prev_end;
             match m.enc {
                 ENC_CONST => {
@@ -221,7 +221,7 @@ impl ColFrames {
                     if m.width == 0 || m.width > 32 {
                         return Err(format!("packed frame {f} has width {}", m.width));
                     }
-                    let expect = (rows * m.width as usize).div_ceil(8);
+                    let expect = (frame_rows(len, f) * m.width as usize).div_ceil(8);
                     if size != expect {
                         return Err(format!(
                             "packed frame {f} payload is {size} bytes, expected {expect}"
@@ -232,27 +232,44 @@ impl ColFrames {
                     if m.width != 0 {
                         return Err(format!("varint frame {f} declares a width"));
                     }
-                    let frame_bytes = &payload[prev_end..end];
-                    let mut pos = 0usize;
-                    let mut cur = i64::from(m.base);
-                    for _ in 1..rows {
-                        let u = try_read_varint(frame_bytes, &mut pos)
-                            .map_err(|e| format!("varint frame {f}: {e}"))?;
-                        cur += unzigzag(u);
-                        if cur < 0 || cur > i64::from(u32::MAX) {
-                            return Err(format!("varint frame {f} decodes outside u32 range"));
-                        }
-                    }
-                    if pos != frame_bytes.len() {
-                        return Err(format!("varint frame {f} has trailing payload bytes"));
-                    }
                 }
                 other => return Err(format!("frame {f} has unknown encoding {other}")),
             }
             prev_end = end;
         }
-        if prev_end != payload.len() {
+        if prev_end != payload_len {
             return Err("payload extends past the last frame".into());
+        }
+        Ok(())
+    }
+
+    /// Reassembles a column from deserialized parts, validating every
+    /// structural invariant an attacker-controlled payload could break:
+    /// the descriptors ([`check_metas`](Self::check_metas)), then every
+    /// varint frame's bytes. `payload` excludes the `PAD` bytes (they
+    /// are not serialized).
+    pub fn from_raw(len: usize, metas: Vec<FrameMeta>, payload: Vec<u8>) -> Result<Self, String> {
+        Self::check_metas(len, &metas, payload.len())?;
+        let mut prev_end = 0usize;
+        for (f, m) in metas.iter().enumerate() {
+            let end = m.end as usize;
+            if m.enc == ENC_VARINT {
+                let frame_bytes = &payload[prev_end..end];
+                let mut pos = 0usize;
+                let mut cur = i64::from(m.base);
+                for _ in 1..frame_rows(len, f) {
+                    let u = try_read_varint(frame_bytes, &mut pos)
+                        .map_err(|e| format!("varint frame {f}: {e}"))?;
+                    cur += unzigzag(u);
+                    if cur < 0 || cur > i64::from(u32::MAX) {
+                        return Err(format!("varint frame {f} decodes outside u32 range"));
+                    }
+                }
+                if pos != frame_bytes.len() {
+                    return Err(format!("varint frame {f} has trailing payload bytes"));
+                }
+            }
+            prev_end = end;
         }
         let mut bytes = payload;
         bytes.extend_from_slice(&[0u8; PAD]);

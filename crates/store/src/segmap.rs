@@ -14,26 +14,35 @@
 //!   errors surface as [`StoreError::Io`] instead of `SIGBUS`.
 //! * `FrameRegion` — the frames region as a lazily verified byte
 //!   range. The first touch streams the region once to check its CRC
-//!   and walks the column layout (O(1) memory); afterwards each column
-//!   is loadable independently with two `pread`s. The layout walk and
-//!   the column load (`walk_layout`, `load_col`) are the only
-//!   parser of the frames region: the eager reader runs them over the
-//!   region it fetched.
-//! * `ColSlot` — one lazily materialized column. `pin` returns a
-//!   shared handle, faulting the bytes in on first use and charging
-//!   them to the budget.
+//!   and walks the column layout (O(1) memory). The layout walk, the
+//!   descriptor read and the frame load (`walk_layout`, `read_metas`,
+//!   `load_frames`) are the only parser of the frames region: the eager
+//!   reader runs them over the region it fetched, a whole column at a
+//!   time.
+//! * `PagedCol` — one lazily materialized column. The unit that is
+//!   faulted, charged, given a second chance and spilled is a **page**:
+//!   a run of `PAGE_FRAMES` whole frames, read with one positioned read
+//!   and built by [`ColFrames::from_raw`] over its rebased descriptors,
+//!   so a page passes every structural check a column does. What stays
+//!   resident per touched column is its directory: row count, frame
+//!   descriptors (12 B a frame, validated once) and one slot per page.
+//! * `PageCursor` — a scan's handle on one column: it holds the page it
+//!   is reading, so consecutive rows cost no lock and an in-flight page
+//!   outlives its own eviction.
 //! * [`MemoryBudget`] — a byte budget with clock (second-chance)
-//!   eviction over every registered slot. Eviction happens *before* a
+//!   eviction over the resident pages. Eviction happens *before* a
 //!   fault is charged, so `resident_bytes` never exceeds the limit,
-//!   and it never writes: columns are clean, file-backed data, so
+//!   and it never writes: pages are clean, file-backed data, so
 //!   spilling is just dropping the decoded copy.
 //!
-//! The budget is a floor, not a guarantee of progress starvation: a
-//! single column larger than the whole limit evicts everything else
-//! and then loads anyway — queries always complete, at the cost of one
-//! oversized resident column.
+//! The budget is a floor, not a guarantee of progress starvation: the
+//! directories of the touched columns are not evictable, and a page
+//! that does not fit beside them evicts every other page and then loads
+//! anyway — queries always complete, at the cost of one page over the
+//! limit.
 
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::fs::File;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -41,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use crate::error::{SegmentRegion, StoreError};
-use crate::frames::{ColFrames, FrameMeta};
+use crate::frames::{ColFrames, FrameMeta, FRAME_ROWS};
 use crate::segment_io::{Crc32, FRAME_META_LEN};
 
 /// Columns in the frames region, in serialization order: SPO, POS, OSP
@@ -154,19 +163,27 @@ fn read_file_at(file: &File, offset: u64, buf: &mut [u8]) -> Result<(), StoreErr
 // MemoryBudget
 // ---------------------------------------------------------------------
 
-struct SlotRegistry {
-    slots: Vec<Weak<ColSlot>>,
-    /// Clock hand for second-chance eviction.
-    hand: usize,
-}
+/// A resident page as the eviction clock names it: its column and its
+/// index there. Weak, so a closed segment's pages drop out of the clock
+/// when the hand meets them.
+type PageRef = (Weak<PagedCol>, usize);
 
 struct BudgetInner {
     /// Resident-byte ceiling; `usize::MAX` means unbounded.
     limit: usize,
     resident: AtomicUsize,
     faults: AtomicUsize,
+    fault_bytes: AtomicUsize,
     spills: AtomicUsize,
-    registry: Mutex<SlotRegistry>,
+    /// The resident pages in clock order: the hand is the front, a
+    /// fault enters at the back. Only what can be evicted is in here, so
+    /// a sweep never walks cold slots. Stays empty when unbounded.
+    clock: Mutex<VecDeque<PageRef>>,
+    // The kb-obs handles, looked up once instead of once a fault.
+    obs_faults: Arc<kb_obs::Counter>,
+    obs_fault_bytes: Arc<kb_obs::Counter>,
+    obs_spills: Arc<kb_obs::Counter>,
+    obs_resident: Arc<kb_obs::Gauge>,
 }
 
 /// A shared byte budget for lazily loaded columns. Cloning shares the
@@ -189,13 +206,19 @@ impl std::fmt::Debug for MemoryBudget {
 impl MemoryBudget {
     /// A budget capped at `limit` bytes of resident column data.
     pub fn bounded(limit: usize) -> Self {
+        let obs = kb_obs::global();
         Self {
             inner: Arc::new(BudgetInner {
                 limit,
                 resident: AtomicUsize::new(0),
                 faults: AtomicUsize::new(0),
+                fault_bytes: AtomicUsize::new(0),
                 spills: AtomicUsize::new(0),
-                registry: Mutex::new(SlotRegistry { slots: Vec::new(), hand: 0 }),
+                clock: Mutex::new(VecDeque::new()),
+                obs_faults: obs.counter("store.page_faults"),
+                obs_fault_bytes: obs.counter("store.fault_bytes"),
+                obs_spills: obs.counter("store.spills"),
+                obs_resident: obs.gauge("store.resident_bytes"),
             }),
         }
     }
@@ -210,82 +233,87 @@ impl MemoryBudget {
         (self.inner.limit != usize::MAX).then_some(self.inner.limit)
     }
 
-    /// Bytes of decoded column data currently resident.
+    /// Bytes decoded from frames regions that are currently resident:
+    /// pages, and the directories of the columns touched so far.
     pub fn resident_bytes(&self) -> usize {
         self.inner.resident.load(Ordering::Relaxed)
     }
 
-    /// Column faults (first touches and re-loads after a spill).
+    /// Faults: positioned reads that brought a page in (a first touch
+    /// or a re-load after a spill) or, once per touched column, its
+    /// directory.
     pub fn page_faults(&self) -> usize {
         self.inner.faults.load(Ordering::Relaxed)
     }
 
-    /// Columns dropped back to disk by eviction.
+    /// Bytes read from segment files by faults (page payloads and
+    /// column directories; the region's one CRC pass is not a fault).
+    pub fn fault_bytes(&self) -> usize {
+        self.inner.fault_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Pages dropped back to disk by eviction.
     pub fn spills(&self) -> usize {
         self.inner.spills.load(Ordering::Relaxed)
     }
 
-    /// Makes a slot's column evictable. Called once per slot at lazy
-    /// open; dead weak refs are pruned during eviction scans.
-    fn register(&self, slot: &Arc<ColSlot>) {
-        let mut reg = self.inner.registry.lock().expect("budget registry poisoned");
-        reg.slots.push(Arc::downgrade(slot));
-    }
-
-    /// Charges `bytes` for a freshly decoded column, evicting cold
-    /// resident columns first so the gauge stays at or under the limit.
-    /// Serialized under the registry lock so concurrent faults cannot
-    /// jointly overshoot.
-    fn charge(&self, bytes: usize) {
-        let mut reg = self.inner.registry.lock().expect("budget registry poisoned");
-        if self.inner.limit != usize::MAX {
-            self.evict_locked(&mut reg, bytes);
+    /// Charges `bytes` for something freshly decoded out of `read`
+    /// bytes of the file — a page, which enters the clock, or a column
+    /// directory (`page: None`), which stays until its column is
+    /// dropped — evicting cold pages first so the gauge stays at or
+    /// under the limit. Serialized under the clock lock so concurrent
+    /// faults cannot jointly overshoot.
+    fn charge(&self, bytes: usize, read: usize, page: Option<PageRef>) {
+        let inner = &*self.inner;
+        let mut clock = inner.clock.lock().expect("budget clock poisoned");
+        if inner.limit != usize::MAX {
+            self.evict_locked(&mut clock, bytes);
+            clock.extend(page);
         }
-        self.inner.resident.fetch_add(bytes, Ordering::Relaxed);
-        self.inner.faults.fetch_add(1, Ordering::Relaxed);
-        let obs = kb_obs::global();
-        obs.counter("store.page_faults").inc();
-        obs.gauge("store.resident_bytes").set(self.resident_bytes() as i64);
+        let resident = inner.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        inner.faults.fetch_add(1, Ordering::Relaxed);
+        inner.fault_bytes.fetch_add(read, Ordering::Relaxed);
+        inner.obs_faults.inc();
+        inner.obs_fault_bytes.add(read as u64);
+        inner.obs_resident.set(resident as i64);
     }
 
-    /// Returns `bytes` to the budget (slot dropped or evicted).
+    /// Returns `bytes` to the budget (a column dropped with them).
     fn release(&self, bytes: usize) {
-        self.inner.resident.fetch_sub(bytes, Ordering::Relaxed);
-        kb_obs::global().gauge("store.resident_bytes").set(self.resident_bytes() as i64);
+        let resident = self.inner.resident.fetch_sub(bytes, Ordering::Relaxed) - bytes;
+        self.inner.obs_resident.set(resident as i64);
     }
 
-    /// Clock (second-chance) sweep: each resident slot gets its `hot`
-    /// bit cleared on the first pass and is spilled on the second,
-    /// until `incoming` more bytes fit under the limit. Victims are
-    /// `try_lock`ed so the slot mid-fault on this very thread (which
-    /// holds its own data lock) is skipped, never deadlocked on.
-    fn evict_locked(&self, reg: &mut SlotRegistry, incoming: usize) {
-        reg.slots.retain(|w| w.strong_count() > 0);
-        let n = reg.slots.len();
-        if n == 0 {
-            return;
-        }
-        let spills = kb_obs::global().counter("store.spills");
-        let mut scanned = 0;
-        while self.inner.resident.load(Ordering::Relaxed).saturating_add(incoming)
-            > self.inner.limit
-            && scanned < 2 * n
-        {
-            let i = reg.hand % n;
-            reg.hand = reg.hand.wrapping_add(1);
-            scanned += 1;
-            let Some(slot) = reg.slots[i].upgrade() else { continue };
-            if slot.hot.swap(false, Ordering::Relaxed) {
-                continue; // second chance
+    /// Clock (second-chance) sweep: a page at the hand with its `hot`
+    /// bit set has it cleared and goes to the back; a cold one is
+    /// spilled; until `incoming` more bytes fit under the limit or the
+    /// hand has been twice around. Victims are `try_lock`ed, so a page
+    /// another thread is looking at is passed over, never waited for
+    /// (the page being faulted right now is not in the clock yet). The
+    /// work is the pages spilled plus the pins since the last sweep,
+    /// whatever the number of cold slots.
+    fn evict_locked(&self, clock: &mut VecDeque<PageRef>, incoming: usize) {
+        let inner = &*self.inner;
+        for _ in 0..2 * clock.len() {
+            if inner.resident.load(Ordering::Relaxed).saturating_add(incoming) <= inner.limit {
+                return;
             }
-            let Ok(mut data) = slot.data.try_lock() else { continue };
-            if let Some(col) = data.take() {
-                let bytes = col.compressed_bytes();
-                drop(data);
-                drop(col);
-                self.inner.resident.fetch_sub(bytes, Ordering::Relaxed);
-                self.inner.spills.fetch_add(1, Ordering::Relaxed);
-                spills.inc();
+            let Some((col, page)) = clock.pop_front() else { return };
+            // A dropped column released its pages' bytes itself.
+            let Some(owner) = col.upgrade() else { continue };
+            let Some(slot) = owner.slot(page) else { continue };
+            if slot.hot.swap(false, Ordering::Relaxed) {
+                clock.push_back((col, page)); // second chance
+                continue;
+            }
+            let Ok(mut data) = slot.data.try_lock() else {
+                clock.push_back((col, page));
+                continue;
+            };
+            if let Some(frames) = data.take() {
+                inner.resident.fetch_sub(frames.compressed_bytes(), Ordering::Relaxed);
+                inner.spills.fetch_add(1, Ordering::Relaxed);
+                inner.obs_spills.inc();
             }
         }
     }
@@ -359,13 +387,13 @@ pub(crate) fn walk_layout(
     Ok(cols)
 }
 
-/// Reads and decodes column `i` of a walked layout (two positioned
-/// reads: metas, then payload), validating its structural invariants.
-pub(crate) fn load_col(
+/// Reads column `i`'s frame descriptors (one positioned read) and
+/// validates them against its row count and payload length.
+fn read_metas(
     source: &SegmentSource<'_>,
     layout: &[ColLayout; FRAME_COLS],
     i: usize,
-) -> Result<ColFrames, StoreError> {
+) -> Result<Vec<FrameMeta>, StoreError> {
     let l = &layout[i];
     let mut meta_bytes = vec![0u8; l.n_frames * FRAME_META_LEN];
     source.read_exact_at(l.metas_at, &mut meta_bytes)?;
@@ -378,15 +406,49 @@ pub(crate) fn load_col(
             end: u32::from_le_bytes(m[6..10].try_into().unwrap()),
         })
         .collect();
-    let mut payload = vec![0u8; l.payload_len];
-    source.read_exact_at(l.payload_at, &mut payload)?;
-    ColFrames::from_raw(l.len, metas, payload)
+    ColFrames::check_metas(l.len, &metas, l.payload_len)
+        .map_err(|e| corrupt(SegmentRegion::Frames, format!("column {i}: {e}")))?;
+    Ok(metas)
+}
+
+/// Reads and decodes the run `frames` of column `i` (one positioned
+/// read of exactly those frames' payload) as a column of its own, its
+/// descriptors rebased to the run. `metas` are the column's validated
+/// descriptors; [`ColFrames::from_raw`] runs over the run whatever its
+/// length, so a page and a whole column pass the same checks.
+fn load_frames(
+    source: &SegmentSource<'_>,
+    layout: &[ColLayout; FRAME_COLS],
+    i: usize,
+    metas: &[FrameMeta],
+    frames: Range<usize>,
+) -> Result<ColFrames, StoreError> {
+    let l = &layout[i];
+    let end_of = |f: usize| f.checked_sub(1).map_or(0, |last| metas[last].end);
+    let (start, end) = (end_of(frames.start), end_of(frames.end));
+    let rows = l.len.min(frames.end * FRAME_ROWS) - frames.start * FRAME_ROWS;
+    let mut payload = vec![0u8; (end - start) as usize];
+    source.read_exact_at(l.payload_at + u64::from(start), &mut payload)?;
+    let rebased = metas[frames].iter().map(|m| FrameMeta { end: m.end - start, ..*m }).collect();
+    ColFrames::from_raw(rows, rebased, payload)
         .map_err(|e| corrupt(SegmentRegion::Frames, format!("column {i}: {e}")))
+}
+
+/// Reads and decodes the whole of column `i` of a walked layout (two
+/// positioned reads: descriptors, then payload), validating its
+/// structural invariants.
+pub(crate) fn load_col(
+    source: &SegmentSource<'_>,
+    layout: &[ColLayout; FRAME_COLS],
+    i: usize,
+) -> Result<ColFrames, StoreError> {
+    let metas = read_metas(source, layout, i)?;
+    load_frames(source, layout, i, &metas, 0..metas.len())
 }
 
 /// The frames region of one lazily opened segment: a checksummed byte
 /// range whose fifteen columns are located (and the region CRC
-/// verified) on first touch, then loaded independently on demand.
+/// verified) on first touch, then paged in independently on demand.
 #[derive(Debug)]
 pub(crate) struct FrameRegion {
     source: Arc<SegmentSource<'static>>,
@@ -415,12 +477,6 @@ impl FrameRegion {
             })
             .as_ref()
             .map_err(Clone::clone)
-    }
-
-    /// Forces CRC verification and the layout walk, surfacing cold
-    /// corruption as a typed error instead of a later panic.
-    pub(crate) fn prefault(&self) -> Result<(), StoreError> {
-        self.layout().map(|_| ())
     }
 
     fn verify_crc(&self) -> Result<(), StoreError> {
@@ -463,63 +519,188 @@ impl FrameRegion {
 }
 
 // ---------------------------------------------------------------------
-// ColSlot
+// PagedCol
 // ---------------------------------------------------------------------
 
-/// One budget-managed column of a lazily opened segment. The decoded
-/// [`ColFrames`] lives behind an `Arc` so eviction can drop the slot's
-/// reference while live cursors keep theirs — a spill never invalidates
-/// an in-flight query.
-#[derive(Debug)]
-pub(crate) struct ColSlot {
-    region: Arc<FrameRegion>,
-    col: usize,
-    budget: MemoryBudget,
+/// Frames per page. Measured on kbbench's `restart_paged` (400 k facts,
+/// budget = half a 7.2 MB frames region, seed 11, three runs each;
+/// scan-phase M rows/s · faults a cycle): 2 frames 130–150 · 1 763,
+/// **4 frames 153–159 · 920**, 8 frames 134–144 · 499, 16 frames
+/// 79–104 · 356, 32 frames 73–78 · 281. Smaller pages pay a read, an
+/// allocation and a clock step more often for the same bytes; larger
+/// ones drag cold frames in beside a three-row probe, and the rows the
+/// scans keep coming back to stop fitting under the budget. Four frames
+/// are 4 096 rows — 2 to 10 KB of payload at the widths the permutation
+/// columns pack to.
+const PAGE_FRAMES: usize = 4;
+/// Rows per page (the last page of a column may be short).
+const PAGE_ROWS: usize = PAGE_FRAMES * FRAME_ROWS;
+
+/// One page's seat in its column: the decoded frames live behind an
+/// `Arc`, so eviction can drop the slot's reference while a live
+/// cursor keeps its own — a spill never invalidates an in-flight query.
+#[derive(Debug, Default)]
+struct PageSlot {
     /// Second-chance bit: set on every pin, cleared by the clock sweep.
     hot: AtomicBool,
     data: Mutex<Option<Arc<ColFrames>>>,
 }
 
-impl ColSlot {
-    /// Creates the slot and registers it with the budget's eviction
-    /// clock.
-    pub(crate) fn new(region: Arc<FrameRegion>, col: usize, budget: MemoryBudget) -> Arc<Self> {
-        let slot = Arc::new(Self {
-            region,
-            col,
-            budget: budget.clone(),
-            hot: AtomicBool::new(false),
-            data: Mutex::new(None),
-        });
-        budget.register(&slot);
-        slot
-    }
+/// What stays resident of a touched column: its validated frame
+/// descriptors (a page's payload range and encodings come from them)
+/// and one slot per page. Charged to the budget, never evicted.
+#[derive(Debug)]
+struct ColDir {
+    len: usize,
+    metas: Vec<FrameMeta>,
+    pages: Box<[PageSlot]>,
+}
 
-    /// Returns the decoded column, faulting it in from disk on a miss.
-    /// The region CRC has been verified by the time any bytes are
-    /// trusted (first touch of the region verifies; `from_raw`
-    /// re-validates structure), so an error here is a typed
-    /// [`StoreError::Corrupt`], never undefined behavior.
-    pub(crate) fn pin(&self) -> Result<Arc<ColFrames>, StoreError> {
-        self.hot.store(true, Ordering::Relaxed);
-        let mut data = self.data.lock().expect("column slot poisoned");
-        if let Some(col) = data.as_ref() {
-            return Ok(Arc::clone(col));
-        }
-        let region = &self.region;
-        let col = Arc::new(load_col(&region.source, region.layout()?, self.col)?);
-        self.budget.charge(col.compressed_bytes());
-        *data = Some(Arc::clone(&col));
-        Ok(col)
+impl ColDir {
+    fn bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.metas) + std::mem::size_of_val(&*self.pages)
     }
 }
 
-impl Drop for ColSlot {
+/// One budget-managed column of a lazily opened segment, paged in runs
+/// of [`PAGE_FRAMES`] frames.
+#[derive(Debug)]
+pub(crate) struct PagedCol {
+    region: Arc<FrameRegion>,
+    col: usize,
+    budget: MemoryBudget,
+    /// This column as the eviction clock holds it.
+    me: Weak<PagedCol>,
+    /// Read and validated on first touch; a damaged directory fails
+    /// every access the same way.
+    dir: OnceLock<Result<ColDir, StoreError>>,
+}
+
+impl PagedCol {
+    pub(crate) fn new(region: Arc<FrameRegion>, col: usize, budget: MemoryBudget) -> Arc<Self> {
+        Arc::new_cyclic(|me| Self { region, col, budget, me: me.clone(), dir: OnceLock::new() })
+    }
+
+    /// The column's directory, read (one small positioned read) and
+    /// validated on first touch. The region CRC has been verified by
+    /// then, so an error here is a typed [`StoreError::Corrupt`].
+    fn dir(&self) -> Result<&ColDir, StoreError> {
+        self.dir
+            .get_or_init(|| {
+                let layout = self.region.layout()?;
+                let metas = read_metas(&self.region.source, layout, self.col)?;
+                let pages = (0..metas.len().div_ceil(PAGE_FRAMES)).map(|_| PageSlot::default());
+                let dir = ColDir { len: layout[self.col].len, pages: pages.collect(), metas };
+                self.budget.charge(dir.bytes(), dir.metas.len() * FRAME_META_LEN, None);
+                Ok(dir)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// Verifies the region's CRC and layout (its first touch) and reads
+    /// and validates the directory, so that what is left to fail at
+    /// first touch is a page's payload.
+    pub(crate) fn prefault(&self) -> Result<(), StoreError> {
+        self.dir().map(|_| ())
+    }
+
+    /// The slot of `page`, if the directory is loaded and has one.
+    fn slot(&self, page: usize) -> Option<&PageSlot> {
+        self.dir.get()?.as_ref().ok()?.pages.get(page)
+    }
+
+    /// Returns the decoded page, faulting it in from disk on a miss:
+    /// one positioned read of the page's payload, every structural
+    /// check of [`ColFrames::from_raw`], then a charge to the budget.
+    fn pin(&self, page: usize) -> Result<Arc<ColFrames>, StoreError> {
+        let dir = self.dir()?;
+        let slot = &dir.pages[page];
+        slot.hot.store(true, Ordering::Relaxed);
+        let mut data = slot.data.lock().expect("page slot poisoned");
+        if let Some(frames) = data.as_ref() {
+            return Ok(Arc::clone(frames));
+        }
+        let region = &self.region;
+        let run = page * PAGE_FRAMES..dir.metas.len().min((page + 1) * PAGE_FRAMES);
+        let frames =
+            Arc::new(load_frames(&region.source, region.layout()?, self.col, &dir.metas, run)?);
+        let read = frames.payload().len();
+        self.budget.charge(frames.compressed_bytes(), read, Some((self.me.clone(), page)));
+        *data = Some(Arc::clone(&frames));
+        Ok(frames)
+    }
+}
+
+impl Drop for PagedCol {
     fn drop(&mut self) {
-        if let Ok(mut data) = self.data.lock() {
-            if let Some(col) = data.take() {
-                self.budget.release(col.compressed_bytes());
+        let Some(Ok(dir)) = self.dir.get_mut() else { return };
+        let mut bytes = dir.bytes();
+        for slot in dir.pages.iter_mut() {
+            if let Some(frames) = slot.data.get_mut().ok().and_then(Option::take) {
+                bytes += frames.compressed_bytes();
             }
+        }
+        self.budget.release(bytes);
+    }
+}
+
+/// A scan's handle on one paged column. It holds the page it read
+/// last, so consecutive rows of a page cost no lock, and what it holds
+/// stays alive even if the budget spills the slot's copy mid-scan.
+#[derive(Debug, Clone)]
+pub(crate) struct PageCursor<'a> {
+    col: &'a PagedCol,
+    held: Option<(usize, Arc<ColFrames>)>,
+}
+
+impl<'a> PageCursor<'a> {
+    pub(crate) fn new(col: &'a PagedCol) -> Self {
+        Self { col, held: None }
+    }
+
+    /// The region was CRC-verified on its first touch, so a load that
+    /// fails later means the file changed (or rotted) *under* a live
+    /// snapshot, or `prefault()` was skipped on a damaged one — there
+    /// is no corrupt-tolerant answer at this point, only refusal.
+    fn refuse(e: StoreError) -> ! {
+        panic!(
+            "lazily opened segment failed while reading a verified column: {e}; \
+             run prefault() after open to surface cold corruption as a typed error"
+        )
+    }
+
+    /// Row count of the column (from its directory; no page is read).
+    pub(crate) fn len(&self) -> usize {
+        self.col.dir().unwrap_or_else(|e| Self::refuse(e)).len
+    }
+
+    /// The page holding `row` and the row it starts at, pinning it if
+    /// it is not the one held.
+    #[inline]
+    fn page_of(&mut self, row: usize) -> (&ColFrames, usize) {
+        let page = row / PAGE_ROWS;
+        if !matches!(&self.held, Some((held, _)) if *held == page) {
+            self.held = Some((page, self.col.pin(page).unwrap_or_else(|e| Self::refuse(e))));
+        }
+        let (_, frames) = self.held.as_ref().expect("pinned above");
+        (frames, page * PAGE_ROWS)
+    }
+
+    /// [`ColFrames::get`] on the page holding row `i`.
+    #[inline]
+    pub(crate) fn get(&mut self, i: usize) -> u32 {
+        let (frames, base) = self.page_of(i);
+        frames.get(i - base)
+    }
+
+    /// [`ColFrames::decode_range`], page by page.
+    pub(crate) fn decode_range(&mut self, mut from: usize, to: usize, out: &mut Vec<u32>) {
+        while from < to {
+            let (frames, base) = self.page_of(from);
+            let stop = to.min(base + PAGE_ROWS);
+            frames.decode_range(from - base, stop - base, out);
+            from = stop;
         }
     }
 }
@@ -527,6 +708,8 @@ impl Drop for ColSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment_io::snapshot_open_lazy;
+    use crate::{KbBuilder, KbRead, KbSnapshot, TriplePattern};
 
     #[test]
     fn unbounded_budget_reports_no_limit() {
@@ -535,5 +718,98 @@ mod tests {
         assert_eq!(b.resident_bytes(), 0);
         let b = MemoryBudget::bounded(4096);
         assert_eq!(b.limit(), Some(4096));
+    }
+
+    /// Twenty frames a column, skewed buckets, written to `name`.
+    fn segment_file(name: &str) -> (KbSnapshot, PathBuf) {
+        let mut b = KbBuilder::new();
+        for i in 0u32..20_000 {
+            b.assert_str(
+                &format!("e{}", i % 700),
+                &format!("r{}", i % 5),
+                &format!("e{}", (i / 5) % 900),
+            );
+        }
+        let snap = b.freeze();
+        let path =
+            std::env::temp_dir().join(format!("kbkit-segmap-{}-{name}.seg", std::process::id()));
+        snap.write_segment(&path).unwrap();
+        (snap, path)
+    }
+
+    fn patterns(snap: &KbSnapshot) -> Vec<TriplePattern> {
+        let t = snap.triples_iter(&TriplePattern::any()).nth(12_345).unwrap();
+        vec![
+            TriplePattern::with_p(t.p),
+            TriplePattern::with_s(t.s),
+            TriplePattern::with_o(t.o),
+            TriplePattern::with_po(t.p, t.o),
+            TriplePattern::with_so(t.s, t.o),
+            TriplePattern::any(),
+            TriplePattern::exact(t),
+        ]
+    }
+
+    fn clock_len(budget: &MemoryBudget) -> usize {
+        budget.inner.clock.lock().unwrap().len()
+    }
+
+    /// What a sweep can visit is the resident pages, never the slots: a
+    /// budget nothing fits in keeps one page in the clock however many
+    /// slots the columns have, resident bytes are the touched columns'
+    /// directories plus at most that one page after every call, and a
+    /// closed segment gives everything back.
+    #[test]
+    fn a_starved_budget_keeps_the_directories_and_one_page() {
+        let (snap, path) = segment_file("starved");
+        let budget = MemoryBudget::bounded(1);
+        let lazy = snapshot_open_lazy(&path, &budget).unwrap();
+        lazy.prefault().unwrap();
+        // Prefault leaves all fifteen directories and no page.
+        let directories = budget.resident_bytes();
+        assert_eq!((budget.page_faults(), clock_len(&budget)), (FRAME_COLS, 0));
+        let slots = 12 * 20usize.div_ceil(PAGE_FRAMES);
+        assert!(directories >= slots * std::mem::size_of::<PageSlot>());
+        // No encoding takes more than four bytes a row.
+        let a_page = 4 * PAGE_ROWS + 8 + PAGE_FRAMES * std::mem::size_of::<FrameMeta>();
+        for pattern in patterns(&snap) {
+            assert_eq!(lazy.matching_triples(&pattern), snap.matching_triples(&pattern));
+            assert!(clock_len(&budget) <= 1, "{pattern:?}");
+            let resident = budget.resident_bytes();
+            assert!(resident <= directories + a_page, "{resident} B after {pattern:?}");
+        }
+        // Every page faulted was spilled again, but the one still held.
+        let pages_faulted = budget.page_faults() - FRAME_COLS;
+        assert!(pages_faulted >= 4 * 20usize.div_ceil(PAGE_FRAMES), "the SPO scan alone");
+        assert_eq!(budget.spills() + clock_len(&budget), pages_faulted);
+        assert!(budget.fault_bytes() > 0);
+        drop(lazy);
+        assert_eq!(budget.resident_bytes(), 0);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Two readers paging the same columns under a budget that makes
+    /// each evict what the other reads: every answer is the eager one.
+    #[test]
+    fn concurrent_readers_under_a_tight_budget_agree_with_the_resident_answers() {
+        let (snap, path) = segment_file("readers");
+        let budget = MemoryBudget::bounded(48 << 10);
+        let lazy = snapshot_open_lazy(&path, &budget).unwrap();
+        lazy.prefault().unwrap();
+        let patterns = patterns(&snap);
+        std::thread::scope(|s| {
+            for reader in 0..2 {
+                let (lazy, snap, patterns) = (&lazy, &snap, &patterns);
+                s.spawn(move || {
+                    for round in 0..6 {
+                        let pattern = &patterns[(reader * 3 + round) % patterns.len()];
+                        assert_eq!(lazy.matching_triples(pattern), snap.matching_triples(pattern));
+                    }
+                });
+            }
+        });
+        assert!(budget.spills() > 0);
+        assert!(budget.resident_bytes() <= 48 << 10);
+        std::fs::remove_file(path).ok();
     }
 }

@@ -28,7 +28,8 @@
 //! (a file or an in-memory image) and shares one header parse
 //! (`read_header`), one region fetch (`fetch_region`), one decoder
 //! of the six base regions (`decode_base`) and one frames-layout
-//! parser (`walk_layout` + `load_col`). An image of any other
+//! parser (`walk_layout`, then `read_metas` + `load_frames` over a
+//! whole column or over one page of it). An image of any other
 //! version is refused as a corrupt header.
 //!
 //! Two deliberate format choices keep cold-start cheap and recovery
@@ -60,7 +61,7 @@ use crate::labels::LabelStore;
 use crate::read::KbRead;
 use crate::sameas::SameAsStore;
 use crate::segmap::{
-    load_col, walk_layout, ColSlot, FrameRegion, MemoryBudget, SegmentSource, FRAME_COLS,
+    load_col, walk_layout, FrameRegion, MemoryBudget, PagedCol, SegmentSource, FRAME_COLS,
 };
 use crate::segment::{DeltaSegment, FactKind};
 use crate::snapshot::{EagerBase, FrozenIndexes, KbSnapshot, LazyBase, LazyIndexes, PermFrames};
@@ -909,8 +910,8 @@ fn region_count_prefix(
 }
 
 /// Builds a [`FrozenIndexes::Lazy`] over a file's frames region: one
-/// [`ColSlot`] per column, all registered with `budget`'s eviction
-/// clock. Nothing is read yet beyond what the caller already parsed.
+/// [`PagedCol`] per column, whose pages are charged to `budget` as they
+/// fault in. Nothing is read yet beyond what the caller already parsed.
 fn lazy_indexes(
     source: &Arc<SegmentSource<'static>>,
     entries: &[RegionEntry],
@@ -918,9 +919,9 @@ fn lazy_indexes(
 ) -> Result<FrozenIndexes, StoreError> {
     let e = locate(entries, SegmentRegion::Frames)?;
     let region = Arc::new(FrameRegion::new(Arc::clone(source), e.range.clone(), e.crc));
-    let slots: [Arc<ColSlot>; FRAME_COLS] =
-        std::array::from_fn(|i| ColSlot::new(Arc::clone(&region), i, budget.clone()));
-    Ok(FrozenIndexes::Lazy(LazyIndexes::new(region, slots)))
+    let cols: [Arc<PagedCol>; FRAME_COLS] =
+        std::array::from_fn(|i| PagedCol::new(Arc::clone(&region), i, budget.clone()));
+    Ok(FrozenIndexes::Lazy(LazyIndexes::new(region, cols)))
 }
 
 /// Opens a base segment lazily: reads and validates only the preamble

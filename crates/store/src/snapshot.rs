@@ -40,7 +40,7 @@ use crate::labels::LabelStore;
 use crate::pattern::{IndexChoice, TriplePattern};
 use crate::read::{Group, Groups, KbRead};
 use crate::sameas::SameAsStore;
-use crate::segmap::{ColSlot, FrameRegion, SegmentSource, FRAME_COLS};
+use crate::segmap::{FrameRegion, PageCursor, PagedCol, SegmentSource, FRAME_COLS};
 use crate::segment::DeltaSegment;
 use crate::segment_io::RegionEntry;
 use crate::store::SourceId;
@@ -125,54 +125,23 @@ impl PermFrames {
     }
 }
 
-/// A cursor's handle on one permutation's four columns: either borrowed
-/// from resident [`EagerIndexes`] (zero cost) or pinned `Arc`s faulted
-/// out of a lazily opened segment. Pinned columns stay alive for the
-/// cursor even if the budget evicts the slot's copy mid-query — a spill
-/// never invalidates an in-flight scan.
+/// A cursor's handle on one permutation's four columns (`k0, k1, k2,
+/// fid`): either borrowed from resident [`EagerIndexes`] (zero cost) or
+/// one [`PageCursor`] per column of a lazily opened segment, each
+/// pinning the page it reads when it reads it — a probe that only asks
+/// the fact-id column faults nothing of the key columns.
 #[derive(Debug, Clone)]
 pub(crate) enum PermRef<'a> {
     Borrowed(&'a PermFrames),
-    Pinned { k0: Arc<ColFrames>, k1: Arc<ColFrames>, k2: Arc<ColFrames>, fid: Arc<ColFrames> },
+    Paged([PageCursor<'a>; 4]),
 }
 
 impl PermRef<'_> {
-    fn k0(&self) -> &ColFrames {
-        match self {
-            PermRef::Borrowed(p) => &p.k0,
-            PermRef::Pinned { k0, .. } => k0,
-        }
-    }
-
-    fn k1(&self) -> &ColFrames {
-        match self {
-            PermRef::Borrowed(p) => &p.k1,
-            PermRef::Pinned { k1, .. } => k1,
-        }
-    }
-
-    fn k2(&self) -> &ColFrames {
-        match self {
-            PermRef::Borrowed(p) => &p.k2,
-            PermRef::Pinned { k2, .. } => k2,
-        }
-    }
-
-    fn fid(&self) -> &ColFrames {
-        match self {
-            PermRef::Borrowed(p) => &p.fid,
-            PermRef::Pinned { fid, .. } => fid,
-        }
-    }
-
     fn len(&self) -> usize {
-        self.fid().len()
-    }
-
-    /// The key at row `i`, probed through the `O(1)` fact-id column
-    /// and the fact table (never the possibly-varint key columns).
-    fn key_at(&self, facts: &[Fact], choice: IndexChoice, i: usize) -> Key {
-        permute(choice, &facts[self.fid().get(i) as usize].triple)
+        match self {
+            PermRef::Borrowed(p) => p.len(),
+            PermRef::Paged(cols) => cols[3].len(),
+        }
     }
 }
 
@@ -438,82 +407,88 @@ impl EagerIndexes {
     }
 }
 
-/// Locates the row range answering `pattern` in one permutation and
-/// opens a cursor over it, plus the post-filter kept for the `s?o`
-/// shape (its range is already exact; the filter only preserves the
-/// conservative size hint). `(a, b, c)` are the pattern components in
-/// the permutation's key order.
-fn locate<'a>(
-    perm: PermRef<'a>,
-    starts: &ColFrames,
-    (a, b, c): (Option<TermId>, Option<TermId>, Option<TermId>),
-    pattern: &TriplePattern,
-    facts: &'a [Fact],
-    choice: IndexChoice,
-) -> (SegCursor<'a>, Option<TriplePattern>) {
-    let filter = (pattern.bound_count() == 2 && pattern.p.is_none()).then_some(*pattern);
-    // Leading term bound → O(1) bucket lookup via the offset column.
-    // (`choose_index` only leaves the leading term unbound for the
-    // all-wildcard pattern, which scans the whole index.)
-    let (lo, hi) = match a {
-        None => (0, perm.len()),
-        Some(a) => {
-            let i = a.index();
-            if i + 1 >= starts.len() {
-                return (SegCursor::new(perm, facts, choice, 0, 0), filter);
-            }
-            (starts.get(i) as usize, starts.get(i + 1) as usize)
-        }
-    };
-    // Remaining bound components narrow within the bucket; probes
-    // go through the O(1) fid column into the fact table.
-    let (lo, hi) = match (b, c) {
+/// The bucket of leading term `a` — `starts[a] .. starts[a + 1]`, an
+/// `O(1)` lookup in the offset column (`starts`, `slots` long) — or the
+/// whole permutation when `a` is unbound, which `choose_index` only
+/// allows for the all-wildcard pattern. A term past the largest leading
+/// id has no slot and an empty bucket.
+fn bucket(
+    a: Option<TermId>,
+    rows: usize,
+    slots: usize,
+    mut starts: impl FnMut(usize) -> u32,
+) -> (usize, usize) {
+    match a.map(TermId::index) {
+        None => (0, rows),
+        Some(i) if i + 1 >= slots => (0, 0),
+        Some(i) => (starts(i) as usize, starts(i + 1) as usize),
+    }
+}
+
+/// Narrows the leading term's bucket `(lo, hi)` by the remaining bound
+/// components `(b, c)` (in the permutation's key order) with binary
+/// searches over `key_at`.
+fn narrow(
+    (lo, hi): (usize, usize),
+    (b, c): (Option<TermId>, Option<TermId>),
+    mut key_at: impl FnMut(usize) -> Key,
+) -> (usize, usize) {
+    match (b, c) {
         (None, _) => (lo, hi),
         (Some(b), None) => {
-            let s = partition(lo, hi, |i| perm.key_at(facts, choice, i).1 < b);
-            let e = partition(s, hi, |i| perm.key_at(facts, choice, i).1 <= b);
+            let s = partition(lo, hi, |i| key_at(i).1 < b);
+            let e = partition(s, hi, |i| key_at(i).1 <= b);
             (s, e)
         }
         (Some(b), Some(c)) => {
-            let key12 = |i| {
-                let k = perm.key_at(facts, choice, i);
+            let mut key12 = |i| {
+                let k = key_at(i);
                 (k.1, k.2)
             };
             let s = partition(lo, hi, |i| key12(i) < (b, c));
             let e = partition(s, hi, |i| key12(i) <= (b, c));
             (s, e)
         }
+    }
+}
+
+/// Opens a cursor over the rows of the leading term's bucket `range`
+/// that answer `pattern` ([`narrow`]ed by `bc`; a key is probed through
+/// the `O(1)` fact-id column and the fact table, never the possibly
+/// varint key columns), plus the post-filter kept for the `s?o` shape
+/// (its range is already exact; the filter only preserves the
+/// conservative size hint).
+fn locate<'a>(
+    mut perm: PermRef<'a>,
+    range: (usize, usize),
+    bc: (Option<TermId>, Option<TermId>),
+    pattern: &TriplePattern,
+    facts: &'a [Fact],
+    choice: IndexChoice,
+) -> (SegCursor<'a>, Option<TriplePattern>) {
+    let filter = (pattern.bound_count() == 2 && pattern.p.is_none()).then_some(*pattern);
+    let key_of = |id: u32| permute(choice, &facts[id as usize].triple);
+    let (lo, hi) = match &mut perm {
+        PermRef::Borrowed(p) => narrow(range, bc, |i| key_of(p.fid.get(i))),
+        PermRef::Paged(cols) => narrow(range, bc, |i| key_of(cols[3].get(i))),
     };
     (SegCursor::new(perm, facts, choice, lo, hi), filter)
 }
 
 /// The three permutation columns of a lazily opened segment: fifteen
-/// budget-managed [`ColSlot`]s over one checksummed [`FrameRegion`], in
+/// budget-managed [`PagedCol`]s over one checksummed [`FrameRegion`], in
 /// serialization order (SPO/POS/OSP × `k0,k1,k2,fid`, then the three
-/// starts columns). Columns materialize on first touch and may be
-/// spilled back to disk by the budget's clock sweep.
+/// starts columns). Pages of a column materialize on first touch and
+/// may be spilled back to disk by the budget's clock sweep.
 #[derive(Debug, Clone)]
 pub(crate) struct LazyIndexes {
     region: Arc<FrameRegion>,
-    slots: [Arc<ColSlot>; FRAME_COLS],
+    cols: [Arc<PagedCol>; FRAME_COLS],
 }
 
 impl LazyIndexes {
-    pub(crate) fn new(region: Arc<FrameRegion>, slots: [Arc<ColSlot>; FRAME_COLS]) -> Self {
-        Self { region, slots }
-    }
-
-    /// Pins column `i` resident. The region was CRC-verified on its
-    /// first touch, so a later load failure means the file changed (or
-    /// rotted) *under* a live snapshot — there is no corrupt-tolerant
-    /// answer at this point, only refusal.
-    fn pin(&self, i: usize) -> Arc<ColFrames> {
-        self.slots[i].pin().unwrap_or_else(|e| {
-            panic!(
-                "lazily opened segment failed while re-reading a verified column: {e}; \
-                 run prefault() after open to surface cold corruption as a typed error"
-            )
-        })
+    pub(crate) fn new(region: Arc<FrameRegion>, cols: [Arc<PagedCol>; FRAME_COLS]) -> Self {
+        Self { region, cols }
     }
 }
 
@@ -606,60 +581,60 @@ impl FrozenIndexes {
         }
     }
 
-    /// Verifies everything a query could later touch, surfacing cold
-    /// corruption as a typed error. Eager indexes were validated at
-    /// construction; lazy indexes verify the frames region CRC and
-    /// walk its layout.
+    /// Verifies what can be verified without reading the columns,
+    /// surfacing cold corruption as a typed error. Eager indexes were
+    /// validated at construction; lazy indexes verify the frames region
+    /// CRC, walk its layout and validate all fifteen columns' frame
+    /// descriptors (which stay resident). A page's payload is still
+    /// checked when it is first touched.
     pub(crate) fn prefault(&self) -> Result<(), StoreError> {
         match self {
             FrozenIndexes::Eager(_) => Ok(()),
-            FrozenIndexes::Lazy(ix) => ix.region.prefault(),
+            FrozenIndexes::Lazy(ix) => ix.cols.iter().try_for_each(|col| col.prefault()),
         }
     }
 
     /// Locates the row range answering `pattern` and opens a cursor
-    /// over it (see [`locate`]). On lazy indexes this pins the chosen
-    /// permutation's four columns plus its starts column, faulting any
-    /// that are cold.
+    /// over it (see [`bucket`] and [`locate`]). On lazy indexes nothing
+    /// is pinned that is not read: the bucket lookup touches one page
+    /// of the starts column, narrowing the fid pages it probes, and the
+    /// cursor pins key pages as it scans.
     pub(crate) fn cursor<'a>(
         &'a self,
         pattern: &TriplePattern,
         facts: &'a [Fact],
     ) -> (SegCursor<'a>, Option<TriplePattern>) {
         let choice = pattern.choose_index();
-        match self {
+        // The pattern components in the permutation's key order.
+        let (a, bc) = match choice {
+            IndexChoice::Spo => (pattern.s, (pattern.p, pattern.o)),
+            IndexChoice::Pos => (pattern.p, (pattern.o, pattern.s)),
+            IndexChoice::Osp => (pattern.o, (pattern.s, pattern.p)),
+        };
+        let (perm, range) = match self {
             FrozenIndexes::Eager(ix) => {
-                let (perm, starts, abc) = match choice {
-                    IndexChoice::Spo => {
-                        (&ix.spo, &ix.spo_starts, (pattern.s, pattern.p, pattern.o))
-                    }
-                    IndexChoice::Pos => {
-                        (&ix.pos, &ix.pos_starts, (pattern.p, pattern.o, pattern.s))
-                    }
-                    IndexChoice::Osp => {
-                        (&ix.osp, &ix.osp_starts, (pattern.o, pattern.s, pattern.p))
-                    }
+                let (perm, starts) = match choice {
+                    IndexChoice::Spo => (&ix.spo, &ix.spo_starts),
+                    IndexChoice::Pos => (&ix.pos, &ix.pos_starts),
+                    IndexChoice::Osp => (&ix.osp, &ix.osp_starts),
                 };
-                locate(PermRef::Borrowed(perm), starts, abc, pattern, facts, choice)
+                let range = bucket(a, perm.len(), starts.len(), |i| starts.get(i));
+                (PermRef::Borrowed(perm), range)
             }
             FrozenIndexes::Lazy(ix) => {
-                let (first, starts_col, abc) = match choice {
-                    IndexChoice::Spo => (0, 12, (pattern.s, pattern.p, pattern.o)),
-                    IndexChoice::Pos => (4, 13, (pattern.p, pattern.o, pattern.s)),
-                    IndexChoice::Osp => (8, 14, (pattern.o, pattern.s, pattern.p)),
+                let (first, starts_col) = match choice {
+                    IndexChoice::Spo => (0, 12),
+                    IndexChoice::Pos => (4, 13),
+                    IndexChoice::Osp => (8, 14),
                 };
-                let perm = PermRef::Pinned {
-                    k0: ix.pin(first),
-                    k1: ix.pin(first + 1),
-                    k2: ix.pin(first + 2),
-                    fid: ix.pin(first + 3),
-                };
-                // The starts pin is dropped after the bucket lookup;
-                // the slot keeps it resident until evicted.
-                let starts = ix.pin(starts_col);
-                locate(perm, &starts, abc, pattern, facts, choice)
+                let perm =
+                    PermRef::Paged(std::array::from_fn(|c| PageCursor::new(&ix.cols[first + c])));
+                let mut starts = PageCursor::new(&ix.cols[starts_col]);
+                let range = bucket(a, perm.len(), starts.len(), |i| starts.get(i));
+                (perm, range)
             }
-        }
+        };
+        locate(perm, range, bc, pattern, facts, choice)
     }
 }
 
@@ -720,27 +695,40 @@ impl<'a> SegCursor<'a> {
         if self.pos >= self.end {
             return;
         }
-        if self.end - self.pos <= SMALL_SCAN {
+        let Self { perm, facts, choice, pos, end, k0, k1, k2, fid, .. } = self;
+        let rows = *pos..*end;
+        if rows.len() <= SMALL_SCAN {
             // Small range: O(1) fid probes + fact-table derefs beat
             // decoding (possibly varint) key frames.
-            let fid_col = self.perm.fid();
-            for i in self.pos..self.end {
-                let id = fid_col.get(i);
-                let (a, b, c) = permute(self.choice, &self.facts[id as usize].triple);
-                self.k0.push(a.0);
-                self.k1.push(b.0);
-                self.k2.push(c.0);
-                self.fid.push(id);
+            let mut push = |id: u32| {
+                let (a, b, c) = permute(*choice, &facts[id as usize].triple);
+                k0.push(a.0);
+                k1.push(b.0);
+                k2.push(c.0);
+                fid.push(id);
+            };
+            match perm {
+                PermRef::Borrowed(p) => rows.for_each(|i| push(p.fid.get(i))),
+                PermRef::Paged(cols) => rows.for_each(|i| push(cols[3].get(i))),
             }
             return;
         }
         // Decode to the end of the current frame (keeps every later
         // fill frame-aligned, so varint frames decode exactly once).
-        let stop = self.end.min((self.pos / FRAME_ROWS + 1) * FRAME_ROWS);
-        self.perm.k0().decode_range(self.pos, stop, &mut self.k0);
-        self.perm.k1().decode_range(self.pos, stop, &mut self.k1);
-        self.perm.k2().decode_range(self.pos, stop, &mut self.k2);
-        self.perm.fid().decode_range(self.pos, stop, &mut self.fid);
+        let (from, stop) = (rows.start, rows.end.min((rows.start / FRAME_ROWS + 1) * FRAME_ROWS));
+        match perm {
+            PermRef::Borrowed(p) => {
+                p.k0.decode_range(from, stop, k0);
+                p.k1.decode_range(from, stop, k1);
+                p.k2.decode_range(from, stop, k2);
+                p.fid.decode_range(from, stop, fid);
+            }
+            PermRef::Paged(cols) => {
+                for (col, out) in cols.iter_mut().zip([k0, k1, k2, fid]) {
+                    col.decode_range(from, stop, out);
+                }
+            }
+        }
     }
 
     #[inline]

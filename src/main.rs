@@ -416,11 +416,13 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             report.wal_replayed,
         );
         if let Some(limit) = store.memory_budget().limit() {
+            let budget = store.memory_budget();
             eprintln!(
-                "memory budget: {limit} B (resident {} B, {} page faults, {} spills)",
-                store.memory_budget().resident_bytes(),
-                store.memory_budget().page_faults(),
-                store.memory_budget().spills(),
+                "memory budget: {limit} B (resident {} B, {} page faults reading {} B, {} spills)",
+                budget.resident_bytes(),
+                budget.page_faults(),
+                budget.fault_bytes(),
+                budget.spills(),
             );
         }
         if report.degraded() {
@@ -807,7 +809,8 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         drop(store);
         // Reopen under a deliberately tiny memory budget and scan, so
         // the paging families (store.resident_bytes, store.page_faults,
-        // store.spills) are exercised and present in the output schema.
+        // store.fault_bytes, store.spills) are exercised and present in
+        // the output schema.
         let budgeted = StoreOptions { memory_budget: Some(1), ..options };
         let store = SegmentStore::open_with(&scratch, budgeted)?;
         let view = store.view();

@@ -190,7 +190,12 @@ fn metrics_subcommand_emits_all_layers() {
     }
     // The budgeted reopen inside `kbkit metrics` must surface the
     // beyond-RAM paging families.
-    for family in ["\"store.resident_bytes\"", "\"store.page_faults\"", "\"store.spills\""] {
+    for family in [
+        "\"store.resident_bytes\"",
+        "\"store.page_faults\"",
+        "\"store.fault_bytes\"",
+        "\"store.spills\"",
+    ] {
         assert!(json.contains(family), "missing paging family {family} in:\n{json}");
     }
 }

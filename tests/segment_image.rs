@@ -138,6 +138,84 @@ fn a_flipped_base_byte_names_the_same_region_through_the_eager_and_the_lazy_door
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Recomputes every region's checksum and the header's, so that what a
+/// test wrote inside a region is all that is wrong with the image. The
+/// region table follows the 16-byte preamble (`… · header_crc u32`) and
+/// its count: `tag u8 · offset u64 · len u64 · crc u32` per region.
+fn reseal(image: &mut [u8]) {
+    let regions = segment_io::region_map(image).expect("the header is intact");
+    for (entry, (_, range)) in regions[1..].iter().enumerate() {
+        let crc_at = 20 + entry * 21 + 17;
+        let crc = segment_io::crc32(&image[range.clone()]);
+        image[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+    let crc = segment_io::crc32(&image[16..regions[0].1.end]);
+    image[12..16].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Offset of descriptor `frame` of column `col` in a frames region that
+/// starts at `at`: per column `rows u32 · frames u32`, ten bytes a
+/// descriptor (`base u32 · enc u8 · width u8 · end u32`), then
+/// `payload_len u32` and the payload.
+fn descriptor_at(image: &[u8], mut at: usize, col: usize, frame: usize) -> usize {
+    let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+    for _ in 0..col {
+        let payload_len_at = at + 8 + 10 * u32_at(at + 4);
+        at = payload_len_at + 4 + u32_at(payload_len_at);
+    }
+    assert!(frame < u32_at(at + 4), "column {col} has no frame {frame}");
+    at + 8 + 10 * frame
+}
+
+/// Frame descriptors that are wrong under valid checksums — an encoding
+/// nobody writes, payload offsets running backwards — are the same
+/// typed error through both doors: the lazy door reads all fifteen
+/// columns' descriptors at `prefault`, it does not wait for the first
+/// query to trip over them.
+#[test]
+fn damaged_frame_descriptors_under_valid_checksums_fail_prefault_like_the_eager_open() {
+    let dir = scratch("descriptors");
+    let mut b = KbBuilder::new();
+    for i in 0..1100 {
+        b.assert_str(&format!("person_{i}"), "bornIn", &format!("city_{}", i % 3));
+    }
+    drop(SegmentStore::create(&dir, b.freeze().into(), NO_FSYNC).unwrap());
+    let path = dir.join(BASE);
+    let image = std::fs::read(&path).unwrap();
+    let (_, frames) = segment_io::region_map(&image)
+        .unwrap()
+        .into_iter()
+        .find(|(region, _)| *region == SegmentRegion::Frames)
+        .unwrap();
+    // (column, frame, byte of the descriptor, value): the encoding of
+    // the first and of the last column's first frame, and the second
+    // frame of the SPO subject column ending before the first.
+    let first_end = descriptor_at(&image, frames.start, 0, 0) + 6;
+    assert_ne!(image[first_end..first_end + 4], [0; 4], "frame 0 of column 0 has a payload");
+    for (col, frame, byte, value) in [(0, 0, 4, 9u8), (14, 0, 4, 9), (0, 1, 6, 0), (0, 1, 7, 0)] {
+        let what = format!("descriptor {frame} of column {col}, byte {byte}");
+        let mut bad = image.clone();
+        let at = descriptor_at(&bad, frames.start, col, frame) + byte;
+        if bad[at] == value {
+            continue; // the high byte of a small offset is zero already
+        }
+        bad[at] = value;
+        reseal(&mut bad);
+        std::fs::write(&path, &bad).unwrap();
+        let eager = corrupt_region(&what, KbSnapshot::open_segment(&path));
+        assert_eq!(eager, SegmentRegion::Frames, "{what}");
+        for budget in BUDGETS {
+            let lazy = corrupt_region(&what, lazy_verdict(&dir, budget));
+            assert_eq!(lazy, SegmentRegion::Frames, "{what}, budget {budget:?}");
+        }
+    }
+    // Resealing an undamaged image changes nothing.
+    let mut same = image.clone();
+    reseal(&mut same);
+    assert_eq!(same, image);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The store does not fail on a bad delta, it sets it aside; so the
 /// doors agree when every image `DeltaSegment::open_segment` refuses is
 /// quarantined as a sealed file (either budget) and as a WAL payload,

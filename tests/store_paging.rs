@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use kbkit::kb_query::QueryService;
 use kbkit::kb_store::{
-    ntriples, segment_io, Fact, KbBuilder, KbRead, KbSnapshot, SegmentRegion, SegmentStore,
-    StoreOptions, TimeSpan, Triple,
+    ntriples, segment_io, Fact, KbBuilder, KbRead, KbReadBatch, KbSnapshot, SegmentRegion,
+    SegmentStore, StoreOptions, TermId, TimeSpan, Triple, TripleBatch, TriplePattern,
 };
 
 const NO_FSYNC: StoreOptions = StoreOptions { fsync: false, seal_every: 0, memory_budget: None };
@@ -179,5 +179,222 @@ fn spill_never_writes_and_store_survives_crash_during_paging() {
     }
     let store = SegmentStore::open_with(&dir, NO_FSYNC).unwrap();
     assert_eq!(ntriples::to_string(&store.view()).unwrap(), oracle);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rows per compression frame (`kb_store::frames::FRAME_ROWS`). A page
+/// is a run of whole frames, so every page boundary is a frame boundary
+/// whatever the private page size is.
+const FRAME: usize = 1024;
+/// Full frames of seam rows in each permutation.
+const SEAM_FRAMES: usize = 64;
+/// Bulk rows behind the seam rows: 35 frames and a partial one, one
+/// predicate, nearly all on one object.
+const BULK: usize = 35 * FRAME + 300;
+
+/// The lead term of seam row `n` in a permutation whose every frame
+/// holds three buckets — one row, 1022 rows, one row: the first starts
+/// exactly on the frame boundary and ends one row after it, the second
+/// starts one row after it and ends one row before the next, the third
+/// starts one row before the next boundary and ends exactly on it.
+fn seam_lead(n: usize) -> usize {
+    3 * (n / FRAME)
+        + match n % FRAME {
+            0 => 0,
+            1023 => 2,
+            _ => 1,
+        }
+}
+
+/// A KB whose three permutations all open with `SEAM_FRAMES` frames of
+/// seam buckets (see [`seam_lead`]; the lead terms hold the lowest ids
+/// of their role, so the buckets sit at rows `0..64 × 1024` of SPO, POS
+/// and OSP alike), followed by `BULK` rows of one predicate that give
+/// POS and OSP ranges spanning 35 frames and a last partial frame.
+/// Row `n` of SPO is row `r·64 + k` of POS and row
+/// `lo·4096 + hi·64 + k` of OSP (`k = n / 1024`, `r = n % 1024`,
+/// `hi = r / 16`, `lo = r % 16`): two rows of one subject never share
+/// predicate and object, so all facts are distinct.
+fn seam_base() -> (Arc<KbSnapshot>, [Vec<TermId>; 3]) {
+    let mut b = KbBuilder::new();
+    let leads: [Vec<TermId>; 3] = ["s", "p", "o"]
+        .map(|role| (0..3 * SEAM_FRAMES).map(|i| b.intern(&format!("{role}{i}"))).collect());
+    for n in 0..SEAM_FRAMES * FRAME {
+        let (k, r) = (n / FRAME, n % FRAME);
+        let (hi, lo) = (r / 16, r % 16);
+        let p = seam_lead(r * 64 + k);
+        let o = seam_lead(lo * 4096 + hi * 64 + k);
+        b.add_triple(leads[0][seam_lead(n)], leads[1][p], leads[2][o]);
+    }
+    let born = b.intern("bornIn");
+    let cities = [b.intern("city_big"), b.intern("city_small")];
+    for i in 0..BULK {
+        let s = b.intern(&format!("person_{i}"));
+        b.add_triple(s, born, cities[usize::from(i % 29 == 0)]);
+    }
+    let snap = b.freeze();
+    assert_eq!(snap.len(), SEAM_FRAMES * FRAME + BULK, "the seam rows must be distinct facts");
+    (snap.into(), leads)
+}
+
+/// Everything a pattern answers: the tuple scan, the batch scan and
+/// the count.
+fn scan<K: KbRead>(view: &K, pattern: &TriplePattern) -> (Vec<Triple>, Vec<Triple>, usize) {
+    let mut rows = Vec::new();
+    let mut batch = TripleBatch::new();
+    let mut batches = view.matching_batches(pattern);
+    while batches.next_batch(&mut batch) {
+        rows.extend((0..batch.len()).map(|i| batch.row(i)));
+    }
+    (view.matching_triples(pattern), rows, view.count_matching(pattern))
+}
+
+/// Differential at every seam: a store whose columns hold a hundred
+/// frames, opened under a budget nothing fits in, a budget of about one
+/// page, half the frames region and no budget, answers patterns whose
+/// ranges start and end exactly on, one row before and one row after
+/// every frame boundary — in all three permutations, narrowed by a
+/// second bound term, post-filtered (`s?o`), over the last partial
+/// frame, and past the end of the bucket array — and dumps N-Triples,
+/// all byte-identically to the eager open of the same file. Resident
+/// bytes end every call under the limit (under what one paged unit may
+/// take, for the two limits a unit does not fit in).
+#[test]
+fn every_seam_answers_like_the_eager_open_under_every_budget() {
+    let dir = scratch("seams");
+    let (base, leads) = seam_base();
+    drop(SegmentStore::create(&dir, base, NO_FSYNC).unwrap());
+    let region = frames_bytes(&dir);
+    let oracle = KbSnapshot::open_segment(dir.join("base-0.seg")).unwrap();
+    assert!(oracle.index_stats().frames >= 12 * (SEAM_FRAMES + 35));
+
+    // The seam buckets are where the construction says: degrees 1, 1022,
+    // 1 down every role, on the lowest ids of the role.
+    let by_role = [TriplePattern::with_s, TriplePattern::with_p, TriplePattern::with_o];
+    let mut patterns = vec![TriplePattern::any()];
+    for (terms, with) in leads.iter().zip(by_role) {
+        for (i, &t) in terms.iter().enumerate() {
+            assert_eq!(oracle.count_matching(&with(t)), [1, 1022, 1][i % 3]);
+            patterns.push(with(t));
+        }
+    }
+    // Two bound terms: a binary search inside a seam bucket, and the
+    // post-filtered `s?o` shape.
+    for t in oracle.matching_triples(&TriplePattern::any()).into_iter().step_by(1021).take(64) {
+        patterns.extend([
+            TriplePattern::with_sp(t.s, t.p),
+            TriplePattern::with_po(t.p, t.o),
+            TriplePattern::with_so(t.s, t.o),
+            TriplePattern::exact(t),
+        ]);
+    }
+    // The bulk: ranges of 35 frames and a partial one, narrowing whose
+    // probes jump across them, and subjects of the last partial frame.
+    let term = |name: &str| oracle.term(name).unwrap();
+    let (born, big, small) = (term("bornIn"), term("city_big"), term("city_small"));
+    let last = term(&format!("person_{}", BULK - 1));
+    patterns.extend([
+        TriplePattern::with_p(born),
+        TriplePattern::with_o(big),
+        TriplePattern::with_o(small),
+        TriplePattern::with_po(born, big),
+        TriplePattern::with_po(born, small),
+        TriplePattern::with_s(last),
+        TriplePattern::with_so(last, big),
+        TriplePattern::with_so(term("person_0"), small),
+        TriplePattern::with_sp(term("person_17"), born),
+        // No bucket: the highest id is never a predicate, and an id past
+        // the dictionary is nothing at all.
+        TriplePattern::with_p(last),
+        TriplePattern::with_s(TermId(last.0 + 7)),
+        TriplePattern::with_o(TermId(u32::MAX - 1)),
+    ]);
+    let want: Vec<_> = patterns.iter().map(|p| scan(&oracle, p)).collect();
+    assert_eq!(want[0].0.len(), SEAM_FRAMES * FRAME + BULK);
+    let want_dump = ntriples::to_string(&oracle).unwrap();
+
+    for budget in [Some(1), Some(32 << 10), Some(region / 2), None] {
+        let store =
+            SegmentStore::open_with(&dir, StoreOptions { memory_budget: budget, ..NO_FSYNC })
+                .unwrap();
+        let view = store.view();
+        let meter = store.memory_budget();
+        // One paged unit may stay resident however small the limit.
+        let ceiling = budget.map_or(usize::MAX, |limit| limit.max(region / 4));
+        for (pattern, want_one) in patterns.iter().zip(&want) {
+            assert_eq!(&scan(&view, pattern), want_one, "{pattern:?} under {budget:?}");
+            assert!(
+                meter.resident_bytes() <= ceiling,
+                "resident {} B after {pattern:?} under {budget:?}",
+                meter.resident_bytes(),
+            );
+        }
+        assert_eq!(ntriples::to_string(&view).unwrap(), want_dump, "dump under {budget:?}");
+        assert!(meter.resident_bytes() <= ceiling, "resident after the dump under {budget:?}");
+        assert_eq!(meter.spills() > 0, budget.is_some(), "spills under {budget:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A probe pays for what it reads: on a fresh budgeted open of the
+/// hundred-frame store, one subject lookup — a bucket slot, three
+/// fact-id rows — reads and keeps well under a twentieth of the frames
+/// region (two column directories and two pages), not the five whole
+/// columns a cursor used to pin.
+#[test]
+fn a_subject_probe_faults_kilobytes_not_columns() {
+    let dir = scratch("probe");
+    drop(SegmentStore::create(&dir, seam_base().0, NO_FSYNC).unwrap());
+    let region = frames_bytes(&dir);
+    let options = StoreOptions { memory_budget: Some(region / 2), ..NO_FSYNC };
+    let store = SegmentStore::open_with(&dir, options).unwrap();
+    let (view, meter) = (store.view(), store.memory_budget());
+    let person = view.term("person_17").unwrap();
+    assert_eq!(
+        (meter.fault_bytes(), meter.resident_bytes()),
+        (0, 0),
+        "the dictionary is not paged"
+    );
+
+    assert_eq!(view.matching_triples(&TriplePattern::with_s(person)).len(), 1);
+    let (read, resident) = (meter.fault_bytes(), meter.resident_bytes());
+    assert!(read > 0 && resident > 0);
+    assert!(read * 20 < region, "one probe read {read} B of a {region} B region");
+    assert!(resident * 20 < region, "one probe left {resident} B of a {region} B region resident");
+    assert!(meter.page_faults() <= 4, "{} faults for one probe", meter.page_faults());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A mix over all three permutations whose pages fit the budget is
+/// read from disk once: the second pass answers the same rows with the
+/// fault counters where the first pass left them, and nothing was
+/// spilled to make room.
+#[test]
+fn a_mix_that_fits_the_budget_faults_nothing_on_its_second_pass() {
+    let dir = scratch("second-pass");
+    let (base, leads) = seam_base();
+    drop(SegmentStore::create(&dir, base, NO_FSYNC).unwrap());
+    let options = StoreOptions { memory_budget: Some(frames_bytes(&dir) / 2), ..NO_FSYNC };
+    let store = SegmentStore::open_with(&dir, options).unwrap();
+    let (view, meter) = (store.view(), store.memory_budget());
+    let term = |name: &str| view.term(name).unwrap();
+    let (born, small) = (term("bornIn"), term("city_small"));
+    let mut mix = vec![TriplePattern::with_p(born), TriplePattern::with_po(born, small)];
+    for k in (1..3 * SEAM_FRAMES).step_by(48) {
+        mix.extend([
+            TriplePattern::with_p(leads[1][k]),
+            TriplePattern::with_s(leads[0][k]),
+            TriplePattern::with_o(leads[2][k]),
+            TriplePattern::with_s(term(&format!("person_{}", k * 100))),
+        ]);
+    }
+    let first: Vec<_> = mix.iter().map(|p| scan(&view, p)).collect();
+    let (faults, read) = (meter.page_faults(), meter.fault_bytes());
+    assert!(first.iter().map(|(rows, ..)| rows.len()).sum::<usize>() > BULK);
+    assert!(faults > 0 && meter.spills() == 0, "{faults} faults, {} spills", meter.spills());
+
+    let second: Vec<_> = mix.iter().map(|p| scan(&view, p)).collect();
+    assert_eq!(second, first);
+    assert_eq!((meter.page_faults(), meter.fault_bytes(), meter.spills()), (faults, read, 0));
     std::fs::remove_dir_all(&dir).ok();
 }
