@@ -15,52 +15,40 @@
 //!    redundant dots) share one plan and one result entry. The raw
 //!    text is then recorded as an alias for future level-1 hits.
 //!
-//! **Full-install invalidation:** every cached plan and result is
-//! stamped with the snapshot *generation* it was computed against.
-//! Installing a new base snapshot bumps the generation and raises each
-//! cache's *generation floor*: stale entries are cleared eagerly,
-//! entries probed with a mismatched stamp die lazily, and — crucially —
-//! an in-flight query that captured the old generation can no longer
-//! re-insert a dead generation's plan or result after the clear (the
-//! floor rejects the `put`), so a dead snapshot's plans cannot be
-//! pinned until LRU eviction. Plans are generation-scoped because
-//! resolved [`TermId`]s are dictionary-specific, not just because facts
-//! changed.
-//!
-//! **Partial (delta) invalidation:** [`apply_delta`] stacks a
-//! [`DeltaSegment`] onto the current view *without* bumping the
-//! generation. Instead it bumps an *epoch* counter and records, per
-//! predicate the delta touches, the epoch at which that predicate last
-//! changed. Every cached entry carries its plan's [`Footprint`] — the
-//! set of predicate ids its answer can depend on — and is served only
-//! while no footprint predicate has changed since the entry's epoch.
-//! Entries whose predicates are untouched by a delta *survive the
-//! install*; this is the cache-retention win the segmented store
-//! exists for. Footprints that cannot be predicate-scoped (variable
-//! predicates, or constants the view had never interned — a delta
-//! could make them real) are *wildcard* and die on every delta.
-//! The same epoch rule guards `put`: an execution that raced a delta
-//! install is rejected exactly like a stale-generation put, so the
-//! single-flight/floor machinery needs no special cases. Plans survive
-//! deltas unless wildcard (TermIds are append-only across deltas; a
-//! stale join order is a performance, not correctness, issue);
-//! results are additionally swept by touched predicate.
+//! **Freshness:** the served view changes only by delta.
+//! [`apply_delta`] stacks a [`DeltaSegment`] onto it, bumps an *epoch*
+//! counter and records, per predicate the delta touches, the epoch at
+//! which that predicate last changed. Every cached entry is stamped
+//! with the epoch it was computed at and carries its plan's
+//! [`Footprint`] — the set of predicate ids its answer can depend on —
+//! and is served only while no footprint predicate has changed since
+//! its epoch. Entries whose predicates are untouched by a delta
+//! *survive the install*; this is the cache-retention win the segmented
+//! store exists for. Footprints that cannot be predicate-scoped
+//! (variable predicates, or constants the view had never interned — a
+//! delta could make them real) are *wildcard* and die on every delta.
+//! The same rule guards `put`: an execution that raced a delta touching
+//! its footprint is rejected, so the single-flight machinery needs no
+//! special cases. Plans survive deltas unless wildcard ([`TermId`]s are
+//! append-only across deltas; a stale join order is a performance, not
+//! correctness, issue); results are additionally swept by touched
+//! predicate.
 //!
 //! ## Single flight
 //!
 //! Concurrent identical lookups that miss a cache do the work once.
 //! [`StampedCache::get_or_compute`] keeps an in-flight table keyed by
-//! `(generation, epoch, key)` under the same lock as the entries: the
-//! first thread to miss becomes the *leader* and computes; later
-//! arrivals block until it has an answer and are reported as
-//! [`Outcome::Joined`] (the service's `*_dedup` counters), not as
-//! misses. Keying on the epoch too means a flight can never dedup
-//! across a delta install. Missing and choosing to lead or follow
-//! happen under one lock, and the leader stores its value before it
-//! retires its flight, so a thread arriving after the retirement hits:
-//! no second probe is needed. An error reaches every follower of its
-//! flight but is never stored. A leader that unwinds without an answer
-//! wakes its followers, one of which takes over.
+//! `(epoch, key)` under the same lock as the entries: the first thread
+//! to miss becomes the *leader* and computes; later arrivals block
+//! until it has an answer and are reported as [`Outcome::Joined`] (the
+//! service's `*_dedup` counters), not as misses. Keying on the epoch
+//! means a flight can never dedup across a delta install. Missing and
+//! choosing to lead or follow happen under one lock, and the leader
+//! stores its value before it retires its flight, so a thread arriving
+//! after the retirement hits: no second probe is needed. An error
+//! reaches every follower of its flight but is never stored. A leader
+//! that unwinds without an answer wakes its followers, one of which
+//! takes over.
 //!
 //! [`apply_delta`]: crate::QueryService::apply_delta
 //! [`DeltaSegment`]: kb_store::DeltaSegment
@@ -81,8 +69,8 @@ pub(crate) enum PutOutcome {
     Inserted,
     /// Entry stored after evicting the least-recently-used one.
     Evicted,
-    /// Entry rejected: its generation stamp predates the cache floor,
-    /// or a delta touching its footprint landed after its epoch stamp.
+    /// Entry rejected: a delta touching its footprint landed after its
+    /// epoch stamp.
     StaleRejected,
 }
 
@@ -100,12 +88,9 @@ pub(crate) enum Outcome {
     Joined,
 }
 
-/// One cached value with its validity stamps.
+/// One cached value with its validity stamp.
 struct Entry<V> {
-    /// Base-snapshot generation the value was computed against.
-    generation: u64,
-    /// Delta epoch (within the generation) the value was computed
-    /// against.
+    /// Delta epoch the value was computed against.
     epoch: u64,
     /// LRU recency tick of the latest hit or store.
     used: u64,
@@ -143,34 +128,26 @@ impl DeltaEpochs {
     }
 }
 
-/// A bounded exact LRU keyed by string, stamped with `(generation,
-/// epoch, footprint)`. Recency is a monotone counter, so ticks are
-/// unique and the least-recently-used entry comes first in a
-/// tick-ordered index: eviction takes it from there instead of scanning
-/// every entry for the minimum, which was most of a cache miss's cost.
-/// A hit only stamps its entry; the index catches up at eviction: an
-/// entry filed under an older tick than its stamp is re-filed, and the
-/// first one filed under its own stamp is the victim — nothing can be
-/// older, since no entry is filed above its stamp.
+/// A bounded exact LRU keyed by string, stamped with `(epoch,
+/// footprint)`. Recency is a monotone counter, so ticks are unique and
+/// the least-recently-used entry comes first in a tick-ordered index:
+/// eviction takes it from there instead of scanning every entry for the
+/// minimum, which was most of a cache miss's cost. A hit only stamps
+/// its entry; the index catches up at eviction: an entry filed under an
+/// older tick than its stamp is re-filed, and the first one filed under
+/// its own stamp is the victim — nothing can be older, since no entry
+/// is filed above its stamp.
 ///
-/// Invalidation has two teeth:
-///
-/// * The *generation floor* — [`set_floor`](LruCache::set_floor)
-///   (called by `install`) clears the map and rejects any later `put`
-///   stamped below the floor, closing the race where an in-flight
-///   computation against a dead snapshot re-inserts after the clear.
-/// * The *predicate epoch map* — [`apply_delta`](LruCache::apply_delta)
-///   records the epoch at which each touched predicate last changed
-///   and sweeps affected entries; `get` and `put` both re-check an
-///   entry's footprint against the map, so a computation that raced a
-///   delta install can neither be served nor re-inserted. This is the
-///   same floor discipline, scoped per predicate.
+/// Invalidation is the predicate epoch map:
+/// [`apply_delta`](LruCache::apply_delta) records the epoch at which
+/// each touched predicate last changed and sweeps affected entries;
+/// `get` and `put` both re-check an entry's footprint against the map,
+/// so a computation that raced a delta install can neither be served
+/// nor re-inserted.
 struct LruCache<V> {
     capacity: usize,
     tick: u64,
-    /// Minimum generation stamp accepted by `put`.
-    floor: u64,
-    /// The delta installs seen since the floor was last raised.
+    /// The delta installs seen so far.
     deltas: DeltaEpochs,
     map: HashMap<Arc<str>, Entry<V>>,
     /// `filed` tick → key, one per entry of `map`.
@@ -178,11 +155,11 @@ struct LruCache<V> {
     /// The in-flight table of [`StampedCache::get_or_compute`], under
     /// the entries' lock so that "miss" and "lead or follow" are one
     /// decision. At most one slot per thread currently computing, so
-    /// lookups scan it: that needs no owned three-part key per probe,
-    /// and the table is a handful of rows.
+    /// lookups scan it: that needs no owned key per probe, and the
+    /// table is a handful of rows.
     inflight: Vec<Slot<V>>,
     /// Values that left `map` since the lock was taken — evicted,
-    /// replaced, gone stale, swept by a delta or cleared by an install.
+    /// replaced, gone stale or swept by a delta.
     /// [`Held`] takes them along when it lets go of the lock: freeing a
     /// large answer takes as long as a hundred hits, and every reader of
     /// the service would wait for it.
@@ -194,7 +171,6 @@ impl<V: Clone> LruCache<V> {
         LruCache {
             capacity: capacity.max(1),
             tick: 0,
-            floor: 0,
             deltas: DeltaEpochs::default(),
             map: HashMap::new(),
             recency: BTreeMap::new(),
@@ -203,13 +179,11 @@ impl<V: Clone> LruCache<V> {
         }
     }
 
-    fn get(&mut self, key: &str, generation: u64, epoch: u64) -> Option<V> {
+    fn get(&mut self, key: &str, epoch: u64) -> Option<V> {
         let e = self.map.get_mut(key)?;
-        let fresh = e.generation == generation
-            && e.epoch <= epoch
-            && self.deltas.fresh(&e.footprint, e.epoch);
-        if !fresh {
-            // Stale generation or delta-outdated: drop eagerly.
+        if e.epoch > epoch || !self.deltas.fresh(&e.footprint, e.epoch) {
+            // Newer than the reader's view, or delta-outdated: drop
+            // eagerly.
             self.recency.remove(&e.filed);
             self.removed.extend(self.map.remove(key).map(|e| e.value));
             return None;
@@ -233,15 +207,8 @@ impl<V: Clone> LruCache<V> {
         }
     }
 
-    fn put(
-        &mut self,
-        key: &str,
-        generation: u64,
-        epoch: u64,
-        footprint: Footprint,
-        value: V,
-    ) -> PutOutcome {
-        if generation < self.floor || !self.deltas.fresh(&footprint, epoch) {
+    fn put(&mut self, key: &str, epoch: u64, footprint: Footprint, value: V) -> PutOutcome {
+        if !self.deltas.fresh(&footprint, epoch) {
             return PutOutcome::StaleRejected;
         }
         self.tick += 1;
@@ -260,21 +227,9 @@ impl<V: Clone> LruCache<V> {
         };
         let (used, filed) = (self.tick, self.tick);
         self.recency.insert(filed, Arc::clone(&shared_key));
-        let entry = Entry { generation, epoch, used, filed, footprint, value };
+        let entry = Entry { epoch, used, filed, footprint, value };
         self.removed.extend(self.map.insert(shared_key, entry).map(|e| e.value));
         outcome
-    }
-
-    /// Raises the floor to `generation` and drops everything cached:
-    /// entries below the floor can neither be read (stamp mismatch) nor
-    /// re-inserted (floor check) afterwards. A full install starts a
-    /// fresh epoch timeline, so the predicate epochs reset too.
-    fn set_floor(&mut self, generation: u64) {
-        debug_assert!(generation >= self.floor, "generation floor must be monotone");
-        self.floor = generation;
-        self.deltas = DeltaEpochs::default();
-        self.removed.extend(self.map.drain().map(|(_, e)| e.value));
-        self.recency.clear();
     }
 
     /// Records a delta install at `epoch` touching `touched` and sweeps
@@ -297,11 +252,6 @@ impl<V: Clone> LruCache<V> {
         let after = self.map.len();
         (after as u64, (before - after) as u64)
     }
-
-    /// Entries stamped with a generation older than `current`.
-    fn stale_count(&self, current: u64) -> usize {
-        self.map.values().filter(|e| e.generation < current).count()
-    }
 }
 
 /// One in-flight computation, used as a latch: its leader holds the
@@ -310,11 +260,10 @@ impl<V: Clone> LruCache<V> {
 /// wait means the leader unwound without an answer.
 type Flight<V> = RwLock<Option<Result<V, QueryError>>>;
 
-/// A row of the in-flight table: the `(generation, epoch)` stamp and
-/// the key, so a flight can never dedup across an `install` *or* an
-/// `apply_delta`.
+/// A row of the in-flight table: the epoch and the key, so a flight can
+/// never dedup across an `apply_delta`.
 struct Slot<V> {
-    stamp: (u64, u64),
+    epoch: u64,
     key: Box<str>,
     flight: Arc<Flight<V>>,
 }
@@ -365,8 +314,8 @@ impl<V> std::ops::DerefMut for Held<'_, V> {
     }
 }
 
-/// A bounded exact-LRU cache whose entries are stamped with
-/// `(generation, epoch, footprint)` and whose misses are deduplicated
+/// A bounded exact-LRU cache whose entries are stamped with `(epoch,
+/// footprint)` and whose misses are deduplicated
 /// across threads. See the module docs for the freshness rule and the
 /// leader/follower protocol.
 pub(crate) struct StampedCache<V> {
@@ -384,30 +333,28 @@ impl<V: Clone> StampedCache<V> {
 
     /// The fresh entry under `key`, if any; refreshes its recency. An
     /// entry that has gone stale is dropped.
-    pub(crate) fn probe(&self, key: &str, generation: u64, epoch: u64) -> Option<V> {
-        self.lock().get(key, generation, epoch)
+    pub(crate) fn probe(&self, key: &str, epoch: u64) -> Option<V> {
+        self.lock().get(key, epoch)
     }
 
-    /// The value for `key` at `(generation, epoch)`: a fresh cached
-    /// entry, else the answer of a flight already computing it, else
-    /// `compute`'s — run on this thread, outside the lock, and offered
-    /// to the cache with the footprint it returns (subject to the floor
-    /// and epoch rules). `compute` runs at most once per flight; its
-    /// error reaches every follower and is not stored.
+    /// The value for `key` at `epoch`: a fresh cached entry, else the
+    /// answer of a flight already computing it, else `compute`'s — run
+    /// on this thread, outside the lock, and offered to the cache with
+    /// the footprint it returns (subject to the epoch rule). `compute`
+    /// runs at most once per flight; its error reaches every follower
+    /// and is not stored.
     pub(crate) fn get_or_compute(
         &self,
         key: &str,
-        generation: u64,
         epoch: u64,
         compute: impl FnOnce() -> Result<(V, Footprint), QueryError>,
     ) -> (Result<V, QueryError>, Outcome) {
         let mut shared = loop {
             let mut shared = self.lock();
-            if let Some(value) = shared.get(key, generation, epoch) {
+            if let Some(value) = shared.get(key, epoch) {
                 return (Ok(value), Outcome::Hit);
             }
-            let stamp = (generation, epoch);
-            let running = shared.inflight.iter().find(|s| s.stamp == stamp && &*s.key == key);
+            let running = shared.inflight.iter().find(|s| s.epoch == epoch && &*s.key == key);
             let Some(slot) = running else { break shared };
             let flight = Arc::clone(&slot.flight);
             drop(shared);
@@ -423,8 +370,7 @@ impl<V: Clone> StampedCache<V> {
         // held from the miss.
         let flight: Arc<Flight<V>> = Arc::new(RwLock::new(None));
         let mut answer = flight.write().expect("nobody else has seen this lock yet");
-        let slot = Slot { stamp: (generation, epoch), key: key.into(), flight: flight.clone() };
-        shared.inflight.push(slot);
+        shared.inflight.push(Slot { epoch, key: key.into(), flight: flight.clone() });
         drop(shared);
         // Declared after `answer`, so dropped before it: if `compute`
         // unwinds, the slot is gone by the time the followers wake to
@@ -432,7 +378,7 @@ impl<V: Clone> StampedCache<V> {
         let retire = Retire { cache: self, flight: &flight };
         let (result, put) = match compute() {
             Ok((value, footprint)) => {
-                let put = self.lock().put(key, generation, epoch, footprint, value.clone());
+                let put = self.lock().put(key, epoch, footprint, value.clone());
                 (Ok(value), Some(put))
             }
             Err(e) => (Err(e), None),
@@ -444,12 +390,6 @@ impl<V: Clone> StampedCache<V> {
         (result, Outcome::Computed(put))
     }
 
-    /// Raises the generation floor and drops every entry; see
-    /// [`LruCache::set_floor`].
-    pub(crate) fn set_floor(&self, generation: u64) {
-        self.lock().set_floor(generation);
-    }
-
     /// Records a delta install and sweeps what it outdates; see
     /// [`LruCache::apply_delta`]. Returns `(retained, invalidated)`.
     pub(crate) fn apply_delta(
@@ -459,11 +399,6 @@ impl<V: Clone> StampedCache<V> {
         wildcard_only: bool,
     ) -> (u64, u64) {
         self.lock().apply_delta(epoch, touched, wildcard_only)
-    }
-
-    /// Entries stamped with a generation older than `current`.
-    pub(crate) fn stale_count(&self, current: u64) -> usize {
-        self.lock().stale_count(current)
     }
 }
 
@@ -491,75 +426,50 @@ mod tests {
     }
 
     /// Epoch scoping at the cache level: entries probed or re-inserted
-    /// after a delta touching their footprint bounce exactly like
-    /// stale-generation entries.
+    /// after a delta touching their footprint bounce.
     #[test]
     fn delta_epoch_rejects_raced_puts_and_probes() {
         let mut lru: LruCache<u32> = LruCache::new(8);
         let p = TermId(7);
         let fp = Footprint { preds: vec![p], wildcard: false };
-        assert_eq!(lru.put("q", 0, 0, fp.clone(), 1), PutOutcome::Inserted);
+        assert_eq!(lru.put("q", 0, fp.clone(), 1), PutOutcome::Inserted);
 
         // A delta touching p at epoch 1 sweeps and raises the bar.
         let (retained, invalidated) = lru.apply_delta(1, &[p], false);
         assert_eq!((retained, invalidated), (0, 1));
 
         // A straggler stamped with the pre-delta epoch bounces.
-        assert_eq!(lru.put("q", 0, 0, fp.clone(), 1), PutOutcome::StaleRejected);
+        assert_eq!(lru.put("q", 0, fp.clone(), 1), PutOutcome::StaleRejected);
         // Stamped at the new epoch it lands and serves.
-        assert_eq!(lru.put("q", 0, 1, fp.clone(), 2), PutOutcome::Inserted);
-        assert_eq!(lru.get("q", 0, 1), Some(2));
+        assert_eq!(lru.put("q", 1, fp.clone(), 2), PutOutcome::Inserted);
+        assert_eq!(lru.get("q", 1), Some(2));
 
         // An untouched-predicate entry sails through regardless.
         let other = Footprint { preds: vec![TermId(9)], wildcard: false };
-        assert_eq!(lru.put("r", 0, 0, other, 3), PutOutcome::Inserted);
+        assert_eq!(lru.put("r", 0, other, 3), PutOutcome::Inserted);
         let (retained, invalidated) = lru.apply_delta(2, &[p], false);
         assert_eq!((retained, invalidated), (1, 1), "only the p-footprint entry dies");
-        assert_eq!(lru.get("r", 0, 0), Some(3));
+        assert_eq!(lru.get("r", 0), Some(3));
 
         // Wildcard footprints die on every delta, even a disjoint one.
         let wild = Footprint { preds: vec![], wildcard: true };
-        assert_eq!(lru.put("w", 0, 2, wild.clone(), 4), PutOutcome::Inserted);
+        assert_eq!(lru.put("w", 2, wild.clone(), 4), PutOutcome::Inserted);
         lru.apply_delta(3, &[TermId(1000)], false);
-        assert_eq!(lru.get("w", 0, 3), None);
-        assert_eq!(lru.put("w", 0, 2, wild, 4), PutOutcome::StaleRejected);
-    }
-
-    /// Regression for the dead-snapshot pinning bug, at the cache
-    /// level: the deterministic interleave is `put(gen 0)` →
-    /// `install` (floor raised to 1, map cleared) → a straggler
-    /// re-inserting its generation-0 entry. The straggler must bounce.
-    #[test]
-    fn stale_put_after_install_is_rejected() {
-        let mut lru: LruCache<u32> = LruCache::new(8);
-        let fp = Footprint::default;
-        assert_eq!(lru.put("q", 0, 0, fp(), 1), PutOutcome::Inserted);
-        // install(): bump generation, raise the floor, clear.
-        lru.set_floor(1);
-        assert_eq!(lru.len(), 0);
-        // The in-flight straggler stamped with the dead generation.
-        assert_eq!(lru.put("q", 0, 0, fp(), 1), PutOutcome::StaleRejected);
-        assert_eq!(lru.len(), 0, "dead-generation entry must not be pinned");
-        assert_eq!(lru.stale_count(1), 0);
-        // Current-generation inserts still land.
-        assert_eq!(lru.put("q", 1, 0, fp(), 2), PutOutcome::Inserted);
-        assert_eq!(lru.get("q", 1, 0), Some(2));
+        assert_eq!(lru.get("w", 3), None);
+        assert_eq!(lru.put("w", 2, wild, 4), PutOutcome::StaleRejected);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut lru: LruCache<u32> = LruCache::new(2);
         let fp = Footprint::default;
-        lru.put("a", 0, 0, fp(), 1);
-        lru.put("b", 0, 0, fp(), 2);
-        assert_eq!(lru.get("a", 0, 0), Some(1));
-        assert_eq!(lru.put("c", 0, 0, fp(), 3), PutOutcome::Evicted); // evicts "b"
-        assert_eq!(lru.get("b", 0, 0), None);
-        assert_eq!(lru.get("a", 0, 0), Some(1));
-        assert_eq!(lru.get("c", 0, 0), Some(3));
-        // Generation mismatch is a miss and drops the entry.
-        assert_eq!(lru.get("a", 1, 0), None);
-        assert_eq!(lru.len(), 1);
+        lru.put("a", 0, fp(), 1);
+        lru.put("b", 0, fp(), 2);
+        assert_eq!(lru.get("a", 0), Some(1));
+        assert_eq!(lru.put("c", 0, fp(), 3), PutOutcome::Evicted); // evicts "b"
+        assert_eq!(lru.get("b", 0), None);
+        assert_eq!(lru.get("a", 0), Some(1));
+        assert_eq!(lru.get("c", 0), Some(3));
     }
 
     /// A cached value that notes, when it is freed, whether the lock
@@ -589,8 +499,7 @@ mod tests {
 
     /// A cached answer can be large (a 22 000-row result takes half a
     /// millisecond to free), so none may be freed while the table's
-    /// lock is held: not the LRU victim, not what a delta sweeps, not
-    /// what an install clears.
+    /// lock is held: not the LRU victim, not what a delta sweeps.
     #[test]
     fn removed_values_are_freed_after_the_table_lock_is_released() {
         let seen = Arc::new(Seen::default());
@@ -599,7 +508,7 @@ mod tests {
             let value = Witness { seen: Arc::clone(&seen), copies: Arc::new(()) };
             let copies = Arc::clone(&value.copies);
             let footprint = Footprint { preds: vec![TermId(pred)], wildcard: false };
-            let (got, outcome) = table.get_or_compute(key, 0, 0, || Ok((value, footprint)));
+            let (got, outcome) = table.get_or_compute(key, 0, || Ok((value, footprint)));
             assert!(got.is_ok() && matches!(outcome, Outcome::Computed(Some(_))));
             copies
         };
@@ -611,8 +520,6 @@ mod tests {
         table.apply_delta(1, &[TermId(2)], false);
         assert_eq!(Arc::strong_count(&b), 1, "the delta touched b's footprint");
         assert_eq!(Arc::strong_count(&c), 2);
-        table.set_floor(1);
-        assert_eq!(Arc::strong_count(&c), 1, "an install clears the table");
         let log = seen.table_was_free.lock().unwrap();
         assert!(log.len() >= 3 && log.iter().all(|&free| free), "{log:?}");
     }
@@ -624,7 +531,6 @@ mod tests {
     struct Model {
         capacity: usize,
         tick: u64,
-        floor: u64,
         pred_epoch: HashMap<TermId, u64>,
         last_delta_epoch: u64,
         map: HashMap<String, Entry<u32>>,
@@ -638,12 +544,9 @@ mod tests {
             footprint.preds.iter().all(|p| self.pred_epoch.get(p).copied().unwrap_or(0) <= epoch)
         }
 
-        fn get(&mut self, key: &str, generation: u64, epoch: u64) -> Option<u32> {
+        fn get(&mut self, key: &str, epoch: u64) -> Option<u32> {
             let e = self.map.get(key)?;
-            if e.generation != generation
-                || e.epoch > epoch
-                || !self.delta_fresh(&e.footprint, e.epoch)
-            {
+            if e.epoch > epoch || !self.delta_fresh(&e.footprint, e.epoch) {
                 self.map.remove(key);
                 return None;
             }
@@ -653,15 +556,8 @@ mod tests {
             Some(e.value)
         }
 
-        fn put(
-            &mut self,
-            key: &str,
-            generation: u64,
-            epoch: u64,
-            fp: Footprint,
-            value: u32,
-        ) -> PutOutcome {
-            if generation < self.floor || !self.delta_fresh(&fp, epoch) {
+        fn put(&mut self, key: &str, epoch: u64, fp: Footprint, value: u32) -> PutOutcome {
+            if !self.delta_fresh(&fp, epoch) {
                 return PutOutcome::StaleRejected;
             }
             self.tick += 1;
@@ -673,7 +569,7 @@ mod tests {
                 outcome = PutOutcome::Evicted;
             }
             let (used, filed) = (self.tick, 0);
-            let entry = Entry { generation, epoch, used, filed, footprint: fp, value };
+            let entry = Entry { epoch, used, filed, footprint: fp, value };
             self.map.insert(key.to_string(), entry);
             outcome
         }
@@ -681,24 +577,14 @@ mod tests {
         fn get_or_compute(
             &mut self,
             key: &str,
-            generation: u64,
             epoch: u64,
             fp: Footprint,
             value: u32,
         ) -> (u32, Outcome) {
-            match self.get(key, generation, epoch) {
+            match self.get(key, epoch) {
                 Some(v) => (v, Outcome::Hit),
-                None => {
-                    (value, Outcome::Computed(Some(self.put(key, generation, epoch, fp, value))))
-                }
+                None => (value, Outcome::Computed(Some(self.put(key, epoch, fp, value)))),
             }
-        }
-
-        fn set_floor(&mut self, generation: u64) {
-            self.floor = generation;
-            self.pred_epoch.clear();
-            self.last_delta_epoch = 0;
-            self.map.clear();
         }
 
         fn apply_delta(
@@ -719,25 +605,24 @@ mod tests {
         }
     }
 
-    /// `(key, generation, epoch, value)` of every entry, sorted, plus
-    /// the keys from least to most recently used.
-    type Contents = (Vec<(String, u64, u64, u32)>, Vec<String>);
+    /// `(key, epoch, value)` of every entry, sorted, plus the keys from
+    /// least to most recently used.
+    type Contents = (Vec<(String, u64, u32)>, Vec<String>);
 
     fn contents<'a>(entries: impl Iterator<Item = (&'a str, &'a Entry<u32>)>) -> Contents {
         let mut all: Vec<_> = entries.collect();
         all.sort_by_key(|(_, e)| e.used);
         let by_recency = all.iter().map(|(k, _)| k.to_string()).collect();
-        let mut rows: Vec<_> =
-            all.iter().map(|(k, e)| (k.to_string(), e.generation, e.epoch, e.value)).collect();
+        let mut rows: Vec<_> = all.iter().map(|(k, e)| (k.to_string(), e.epoch, e.value)).collect();
         rows.sort();
         (rows, by_recency)
     }
 
     /// The proof behind "same victim": random `probe` / `get_or_compute`
-    /// / `apply_delta` / `set_floor` sequences leave the cache and the
-    /// min-scan model with the same entries in the same recency order
-    /// after every step — so the same key was evicted — and report the
-    /// same outcome at every step.
+    /// / `apply_delta` sequences leave the cache and the min-scan model
+    /// with the same entries in the same recency order after every step
+    /// — so the same key was evicted — and report the same outcome at
+    /// every step.
     #[test]
     fn ordered_index_evicts_what_the_min_scan_model_evicts() {
         for seed in 0..24u64 {
@@ -745,21 +630,14 @@ mod tests {
             let capacity = rng.gen_range(1..=6usize);
             let cache: StampedCache<u32> = StampedCache::new(capacity);
             let mut model = Model { capacity, ..Model::default() };
-            let (mut generation, mut epoch) = (0u64, 0u64);
+            let mut epoch = 0u64;
             for step in 0..600u32 {
                 let key = format!("k{}", rng.gen_range(0..10u32));
-                // Mostly the current stamps, sometimes a straggler's.
-                let g = if rng.gen_bool(0.1) { generation.saturating_sub(1) } else { generation };
+                // Mostly the current epoch, sometimes a straggler's.
                 let e = if rng.gen_bool(0.2) { rng.gen_range(0..=epoch) } else { epoch };
                 let at = format!("seed {seed} step {step}");
                 match rng.gen_range(0..20u32) {
-                    0 => {
-                        generation += 1;
-                        epoch = 0;
-                        cache.set_floor(generation);
-                        model.set_floor(generation);
-                    }
-                    1 | 2 => {
+                    0..=2 => {
                         epoch += 1;
                         let touched: Vec<TermId> =
                             (0..4).filter(|_| rng.gen_bool(0.3)).map(TermId).collect();
@@ -770,17 +648,17 @@ mod tests {
                             "{at}"
                         );
                     }
-                    3..=8 => assert_eq!(cache.probe(&key, g, e), model.get(&key, g, e), "{at}"),
+                    3..=8 => assert_eq!(cache.probe(&key, e), model.get(&key, e), "{at}"),
                     _ => {
                         let fp = Footprint {
                             preds: (0..4).filter(|_| rng.gen_bool(0.4)).map(TermId).collect(),
                             wildcard: rng.gen_bool(0.15),
                         };
                         let (got, outcome) =
-                            cache.get_or_compute(&key, g, e, || Ok((step, fp.clone())));
+                            cache.get_or_compute(&key, e, || Ok((step, fp.clone())));
                         assert_eq!(
                             (got.unwrap(), outcome),
-                            model.get_or_compute(&key, g, e, fp, step),
+                            model.get_or_compute(&key, e, fp, step),
                             "{at}"
                         );
                     }
@@ -793,13 +671,45 @@ mod tests {
                 );
                 assert_eq!(shared.len(), model.map.len(), "{at}");
                 assert!(shared.inflight.is_empty(), "{at}");
-                drop(shared);
-                assert_eq!(
-                    cache.stale_count(generation),
-                    model.map.values().filter(|e| e.generation < generation).count(),
-                    "{at}"
-                );
             }
+        }
+    }
+
+    /// A delta that lands while an epoch-0 leader computes splits the
+    /// flight: a lookup at epoch 1 leads its own instead of joining the
+    /// older one, and the epoch-0 leader's put then bounces if the delta
+    /// touched its footprint and lands if it did not.
+    #[test]
+    fn single_flight_never_spans_a_delta() {
+        let p = TermId(3);
+        let footprint = Footprint { preds: vec![p], wildcard: false };
+        for touched in [p, TermId(4)] {
+            let (cache, footprint) = (&StampedCache::<u32>::new(4), &footprint);
+            let (go, wait) = std::sync::mpsc::channel::<()>();
+            let (leader, later) = thread::scope(|scope| {
+                let leader = scope.spawn(move || {
+                    cache.get_or_compute("q", 0, || {
+                        // A wrongly joined epoch-1 lookup would wait on
+                        // this flight: time out and let the asserts say so.
+                        let _ = wait.recv_timeout(std::time::Duration::from_secs(10));
+                        Ok((1, footprint.clone()))
+                    })
+                });
+                while cache.shared.lock().unwrap().inflight.is_empty() {
+                    thread::yield_now();
+                }
+                cache.apply_delta(1, &[touched], false);
+                let later = cache.get_or_compute("q", 1, || Ok((2, footprint.clone())));
+                go.send(()).unwrap();
+                (leader.join().unwrap(), later)
+            });
+            let at = format!("delta touching {touched:?}");
+            assert_eq!(later, (Ok(2), Outcome::Computed(Some(PutOutcome::Inserted))), "{at}");
+            let put = if touched == p { PutOutcome::StaleRejected } else { PutOutcome::Inserted };
+            assert_eq!(leader, (Ok(1), Outcome::Computed(Some(put))), "{at}");
+            let cached = if touched == p { 2 } else { 1 };
+            assert_eq!(cache.probe("q", 1), Some(cached), "{at}");
+            assert!(cache.lock().inflight.is_empty(), "{at}");
         }
     }
 
@@ -836,7 +746,7 @@ mod tests {
         let (leader, followers) = thread::scope(|scope| {
             let leader = scope.spawn(|| {
                 catch_unwind(AssertUnwindSafe(|| {
-                    cache.get_or_compute("q", 0, 0, || {
+                    cache.get_or_compute("q", 0, || {
                         wait_for_followers(cache, FOLLOWERS);
                         leader_compute()
                     })
@@ -850,7 +760,7 @@ mod tests {
             let followers: Vec<_> = (0..FOLLOWERS)
                 .map(|_| {
                     scope.spawn(|| {
-                        cache.get_or_compute("q", 0, 0, || {
+                        cache.get_or_compute("q", 0, || {
                             recomputes.fetch_add(1, Ordering::SeqCst);
                             Ok((7, Footprint::default()))
                         })
@@ -880,7 +790,7 @@ mod tests {
             assert!(matches!(outcome, Outcome::Computed(_) | Outcome::Joined | Outcome::Hit));
         }
         assert!(cache.lock().inflight.is_empty(), "no flight may outlive its leader");
-        assert_eq!(cache.probe("q", 0, 0), Some(7));
+        assert_eq!(cache.probe("q", 0), Some(7));
     }
 
     /// An `Err` from `compute` reaches every joined follower, is not
@@ -897,7 +807,7 @@ mod tests {
         }
         assert_eq!(cache.len(), 0, "errors leave no entry behind");
         assert!(cache.lock().inflight.is_empty());
-        let (again, outcome) = cache.get_or_compute("q", 0, 0, || Ok((9, Footprint::default())));
+        let (again, outcome) = cache.get_or_compute("q", 0, || Ok((9, Footprint::default())));
         assert_eq!((again, outcome), (Ok(9), Outcome::Computed(Some(PutOutcome::Inserted))));
     }
 }

@@ -23,11 +23,12 @@
 //!    allocation.
 //! 3. **Serving layer** ([`service`]) — an `Arc<KbSnapshot>`-backed
 //!    [`QueryService`] with a bounded LRU plan cache keyed on
-//!    normalized query text and a result cache invalidated by snapshot
-//!    generation; callers bring their own threads (`query` takes
-//!    `&self`). The caching policy itself — LRU order, the generation/epoch
-//!    freshness rule, single-flight dedup of concurrent misses — is one
-//!    private type in `cache.rs`, shared by every cache of the service.
+//!    normalized query text and a result cache invalidated per
+//!    predicate by delta installs; callers bring their own threads
+//!    (`query` takes `&self`). The caching policy itself — LRU order,
+//!    the epoch freshness rule, single-flight dedup of concurrent
+//!    misses — is one private type in `cache.rs`, shared by every cache
+//!    of the service.
 //! 4. **Standing views** ([`view`]) — a [`ViewRegistry`] of
 //!    materialized continuous queries patched incrementally from each
 //!    delta install via signed delta joins, falling back to

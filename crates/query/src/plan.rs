@@ -295,7 +295,7 @@ pub fn routing_decision(query: &SelectQuery) -> RoutingDecision {
 
 /// An executable physical plan. Produced by [`plan()`]; run with
 /// [`crate::exec::execute`]. Plans borrow nothing — they are cheap to
-/// cache and share across threads for a given snapshot generation.
+/// cache and share across threads for a given view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Number of variable slots in the binding array.

@@ -1,16 +1,17 @@
 //! Concurrent serving layer: a segmented-snapshot-backed service with a
-//! bounded plan cache and a generation/epoch-invalidated result cache.
+//! bounded plan cache and an epoch-invalidated result cache.
 //!
 //! ## Caching
 //!
 //! Three caches of one type front the parse → plan → execute pipeline:
-//! raw text → normalized key, key → plan, key → result. What keeps an
-//! entry fresh across [`install`] and [`apply_delta`], which entry a
-//! full cache evicts and how concurrent identical misses share one
-//! computation are the policy of the private `cache` module (`cache.rs`
-//! beside this file), explained there; this module decides what is
-//! cached under which key and maps each lookup's outcome onto the
-//! `query.cache.*` counters.
+//! raw text → normalized key, key → plan, key → result. The served
+//! view changes only by [`apply_delta`], which bumps the epoch; what
+//! keeps an entry fresh across it (its epoch stamp and predicate
+//! footprint), which entry a full cache evicts and how concurrent
+//! identical misses share one computation are the policy of the private
+//! `cache` module (`cache.rs` beside this file), explained there; this
+//! module decides what is cached under which key and maps each lookup's
+//! outcome onto the `query.cache.*` counters.
 //!
 //! ## Observability
 //!
@@ -22,7 +23,6 @@
 //! clock. By default metrics land in [`kb_obs::global()`]; tests pass a
 //! private registry via [`QueryService::with_instrumentation`].
 //!
-//! [`install`]: QueryService::install
 //! [`apply_delta`]: QueryService::apply_delta
 //! [`cache_stats`]: QueryService::cache_stats
 //! [`Registry`]: kb_obs::Registry
@@ -33,7 +33,7 @@
 //! immutable view, so no locking happens on the read path beyond brief
 //! cache probes.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use kb_obs::{Clock, Counter, Histogram, Registry, SpanTimer};
 use kb_store::{DeltaSegment, KbSnapshot, SegmentedSnapshot};
@@ -75,9 +75,8 @@ pub struct CacheStats {
     pub plan_evictions: u64,
     /// Entries evicted from the result cache by capacity pressure.
     pub result_evictions: u64,
-    /// Inserts rejected because their generation stamp predated the
-    /// cache's floor, or their epoch stamp predated a delta touching
-    /// their footprint (an install raced the computation).
+    /// Inserts rejected because their epoch stamp predated a delta
+    /// touching their footprint (an install raced the computation).
     pub stale_put_rejects: u64,
     /// Delta segments stacked onto the serving view by
     /// [`apply_delta`](QueryService::apply_delta).
@@ -105,7 +104,6 @@ struct ServiceMetrics {
     plan_evictions: Arc<Counter>,
     result_evictions: Arc<Counter>,
     stale_put_rejects: Arc<Counter>,
-    installs: Arc<Counter>,
     delta_installs: Arc<Counter>,
     result_retained: Arc<Counter>,
     result_invalidated: Arc<Counter>,
@@ -139,7 +137,6 @@ impl ServiceMetrics {
             plan_evictions: counter("query.cache.plan_evictions"),
             result_evictions: counter("query.cache.result_evictions"),
             stale_put_rejects: counter("query.cache.stale_put_rejects"),
-            installs: counter("query.service.installs"),
             delta_installs: counter("query.service.delta_installs"),
             result_retained: counter("query.cache.result_retained"),
             result_invalidated: counter("query.cache.result_invalidated"),
@@ -164,7 +161,7 @@ impl ServiceMetrics {
 
     /// Maps one lookup's outcome onto its cache's counters: exactly one
     /// of `hits` / `misses` / `dedup` moves, and a miss whose value
-    /// displaced an entry or bounced off the floor counts as that too.
+    /// displaced an entry or bounced as stale counts as that too.
     fn count(&self, outcome: Outcome, [hits, misses, dedup, evictions]: [&Counter; 4]) {
         match outcome {
             Outcome::Hit => hits.inc(),
@@ -182,15 +179,13 @@ impl ServiceMetrics {
 }
 
 /// The current serving view (base + delta stack) and its planner
-/// statistics, swapped atomically under one lock. `number` bumps on
-/// full installs and scopes plan validity; `epoch` bumps on delta
-/// installs (resetting on full installs) and scopes result freshness
-/// per predicate. A query clones it once and runs against that copy.
+/// statistics, swapped atomically under one lock. `epoch` bumps on
+/// every delta install and scopes cache freshness per predicate. A
+/// query clones it once and runs against that copy.
 #[derive(Clone)]
-struct Generation {
+struct Served {
     view: Arc<SegmentedSnapshot>,
     stats: Arc<StatsCatalog>,
-    number: u64,
     epoch: u64,
 }
 
@@ -200,13 +195,13 @@ struct Generation {
 /// take `&self`. See the module docs for what is cached and the metrics
 /// published, `cache.rs` for caching discipline and single-flight dedup.
 pub struct QueryService {
-    current: Mutex<Generation>,
+    current: Mutex<Served>,
     plans: StampedCache<Arc<Plan>>,
     results: StampedCache<Arc<QueryOutput>>,
     /// raw query text → normalized cache key. Text to text, so
-    /// generation- and delta-independent: entries are stamped `(0, 0)`
-    /// with the empty footprint and never go stale. Only the key: the
-    /// parse itself would cost more memory than a re-parse is worth.
+    /// delta-independent: entries are stamped epoch 0 with the empty
+    /// footprint and never go stale. Only the key: the parse itself
+    /// would cost more memory than a re-parse is worth.
     aliases: StampedCache<Arc<str>>,
     /// Standing views maintained across delta installs. Lock order is
     /// always `current` → `views`, never the reverse.
@@ -247,7 +242,7 @@ impl QueryService {
         registry: &Registry,
     ) -> Self {
         QueryService {
-            current: Mutex::new(Generation { view: Arc::new(view), stats, number: 0, epoch: 0 }),
+            current: Mutex::new(Served { view: Arc::new(view), stats, epoch: 0 }),
             plans: StampedCache::new(capacity),
             results: StampedCache::new(capacity),
             aliases: StampedCache::new(capacity * 4),
@@ -288,79 +283,36 @@ impl QueryService {
         service
     }
 
-    /// [`from_view`](Self::from_view) for lazily opened stores: faults
-    /// every region of the view first (see
-    /// [`KbRead::prefault`](kb_store::KbRead::prefault)) so that a
-    /// cold-region corruption surfaces here as a typed
-    /// [`QueryError::Store`] instead of panicking mid-query later.
-    pub fn try_from_view(view: &SegmentedSnapshot) -> Result<Self, QueryError> {
-        use kb_store::KbRead as _;
-        view.prefault()?;
-        Ok(Self::from_view(view))
-    }
-
-    /// Installs a new base snapshot, bumping the generation and
-    /// starting a fresh (empty) delta stack. The caches are cleared and
-    /// their generation floor raised, so entries computed against older
-    /// generations can neither be probed nor re-inserted afterwards
-    /// (see `cache.rs`); the alias map is generation-independent
-    /// and survives. Every standing view keeps its [`ViewId`] and is
-    /// materialized afresh against the new snapshot.
-    ///
-    /// The cache sweeps and the view rebuild happen while the
-    /// generation lock is held, so an `apply_delta` racing this install
-    /// cannot interleave between the swap and the floor raise, and no
-    /// view is ever patched from a delta of the other generation.
-    /// (Lock order is always `current` → cache / `views`, never the
-    /// reverse, so this cannot deadlock.)
-    pub fn install(&self, snapshot: Arc<KbSnapshot>) {
-        let view = Arc::new(SegmentedSnapshot::from_base(snapshot));
-        let stats = Arc::new(StatsCatalog::build(view.as_ref()));
-        let mut cur = self.current.lock().expect("service lock poisoned");
-        cur.number += 1;
-        cur.epoch = 0;
-        let generation = cur.number;
-        cur.view = view;
-        cur.stats = stats;
-        self.plans.set_floor(generation);
-        self.results.set_floor(generation);
-        self.views
-            .lock()
-            .expect("view registry poisoned")
-            .rematerialize(cur.view.as_ref(), &cur.stats);
-        drop(cur);
-        self.metrics.installs.inc();
-    }
-
-    /// Stacks `delta` onto the current view *without* a full
-    /// invalidation: the epoch bumps, the delta's statistics fold into
-    /// the planner catalog incrementally, and only cached results whose
-    /// footprint intersects the delta's
+    /// Stacks `delta` onto the current view: the epoch bumps, the
+    /// delta's statistics fold into the planner catalog incrementally,
+    /// and only cached results whose footprint intersects the delta's
     /// [`touched_predicates`](DeltaSegment::touched_predicates) (plus
     /// all wildcard entries) are swept — everything else keeps serving.
     /// Plans survive unless wildcard: term ids are append-only across
     /// deltas, so a cached plan stays *correct*, merely possibly
-    /// mis-costed until the next full install.
+    /// mis-costed against the updated catalog.
     ///
     /// The delta must have been frozen (via
     /// [`KbBuilder::freeze_delta`](kb_store::KbBuilder::freeze_delta))
     /// against the currently-served view — the sequential-stacking
-    /// contract; a mismatch panics. The sweep runs while the generation
+    /// contract; a mismatch panics. The sweep runs while the service
     /// lock is held so no query can observe the new view with the old
     /// cache epoch.
     ///
     /// Returns one consistent [`ViewUpdate`] per registered standing
     /// view the delta touches — the subscription feed; callers without
-    /// views ignore it. Views are maintained under the same generation
+    /// views ignore it. Views are maintained under the same service
     /// lock as the install itself, so every update batch corresponds to
     /// exactly one epoch.
     pub fn apply_delta(&self, delta: Arc<DeltaSegment>) -> Vec<ViewUpdate> {
-        self.apply_delta_with_stats(delta, None)
+        let cur = self.current.lock().expect("service lock poisoned");
+        let stats = Arc::new(cur.stats.merged_with_delta(&delta));
+        self.stack(cur, delta, stats)
     }
 
-    /// [`apply_delta`](Self::apply_delta), optionally installing a
-    /// caller-provided statistics catalog (`Some`) instead of folding
-    /// the delta's statistics into the current one (`None`).
+    /// [`apply_delta`](Self::apply_delta), installing a caller-provided
+    /// statistics catalog instead of folding the delta's statistics
+    /// into the current one.
     ///
     /// Partitioned deployments pass one: the router merges the *full*
     /// delta into the global catalog once and hands the result to every
@@ -370,12 +322,21 @@ impl QueryService {
     pub fn apply_delta_with_stats(
         &self,
         delta: Arc<DeltaSegment>,
-        shared: Option<Arc<StatsCatalog>>,
+        stats: Arc<StatsCatalog>,
     ) -> Vec<ViewUpdate> {
-        let mut cur = self.current.lock().expect("service lock poisoned");
+        self.stack(self.current.lock().expect("service lock poisoned"), delta, stats)
+    }
+
+    /// The body both delta doors share, run under the service lock
+    /// `cur` their caller took.
+    fn stack(
+        &self,
+        mut cur: MutexGuard<'_, Served>,
+        delta: Arc<DeltaSegment>,
+        stats: Arc<StatsCatalog>,
+    ) -> Vec<ViewUpdate> {
         let old_view = Arc::clone(&cur.view);
         let view = Arc::new(cur.view.with_delta(Arc::clone(&delta)));
-        let stats = shared.unwrap_or_else(|| Arc::new(cur.stats.merged_with_delta(&delta)));
         cur.epoch += 1;
         let epoch = cur.epoch;
         cur.view = view;
@@ -399,7 +360,7 @@ impl QueryService {
     /// Registers `text` as a materialized standing view over the
     /// currently-served view; later [`apply_delta`](Self::apply_delta)
     /// calls patch its answer incrementally (see [`crate::view`]).
-    /// Registration holds the generation lock so the initial answer is
+    /// Registration holds the service lock so the initial answer is
     /// consistent with one epoch.
     pub fn register_view(&self, text: &str) -> Result<ViewId, QueryError> {
         let cur = self.current.lock().expect("service lock poisoned");
@@ -426,15 +387,8 @@ impl QueryService {
         self.views.lock().expect("view registry poisoned").len()
     }
 
-    /// The current snapshot generation (starts at 0, bumps on
-    /// [`install`](Self::install)).
-    pub fn generation(&self) -> u64 {
-        self.current.lock().expect("service lock poisoned").number
-    }
-
-    /// The delta epoch within the current generation (starts at 0,
-    /// bumps on [`apply_delta`](Self::apply_delta), resets on
-    /// [`install`](Self::install)).
+    /// The delta epoch (starts at 0, bumps on
+    /// [`apply_delta`](Self::apply_delta)).
     pub fn epoch(&self) -> u64 {
         self.current.lock().expect("service lock poisoned").epoch
     }
@@ -463,16 +417,6 @@ impl QueryService {
         }
     }
 
-    /// Diagnostic: cached plan/result entries stamped with a generation
-    /// older than the current one. The generation-floor invariant keeps
-    /// this at zero from the moment [`install`](Self::install) returns —
-    /// a dead snapshot's entries can never reappear (regression guard
-    /// for the dead-snapshot pinning bug).
-    pub fn stale_entries(&self) -> usize {
-        let current = self.generation();
-        self.plans.stale_count(current) + self.results.stale_count(current)
-    }
-
     /// Looks up or compiles the plan for `text`. Public so callers can
     /// inspect [`Plan::explain`] (the CLI's `--explain` does).
     pub fn plan_for(&self, text: &str) -> Result<Arc<Plan>, QueryError> {
@@ -487,7 +431,7 @@ impl QueryService {
     /// for the planning that follows; `None` there: alias remembered.
     fn normalized_key(&self, text: &str) -> Result<(Arc<str>, Option<SelectQuery>), QueryError> {
         let mut parsed = None;
-        let (key, _) = self.aliases.get_or_compute(text, 0, 0, || {
+        let (key, _) = self.aliases.get_or_compute(text, 0, || {
             let query = self.metrics.timed_parse(text)?;
             let key = Arc::from(query.to_string());
             parsed = Some(query);
@@ -497,16 +441,16 @@ impl QueryService {
     }
 
     /// Level 2: the plan cached under the normalized `key` for the
-    /// generation `at`, compiled (timed) on a miss — from `parsed`, or
+    /// served view `at`, compiled (timed) on a miss — from `parsed`, or
     /// from `text` again if a remembered alias had skipped the parse.
     fn plan_of(
         &self,
         text: &str,
         key: &str,
         parsed: Option<SelectQuery>,
-        at: &Generation,
+        at: &Served,
     ) -> Result<Arc<Plan>, QueryError> {
-        let (compiled, outcome) = self.plans.get_or_compute(key, at.number, at.epoch, || {
+        let (compiled, outcome) = self.plans.get_or_compute(key, at.epoch, || {
             let parsed = match parsed {
                 Some(query) => query,
                 None => self.metrics.timed_parse(text)?,
@@ -534,13 +478,13 @@ impl QueryService {
         // touches the plan cache: the hot path for repeated identical
         // queries moves one counter and never parses or plans.
         if parsed.is_none() {
-            if let Some(hit) = self.results.probe(&key, at.number, at.epoch) {
+            if let Some(hit) = self.results.probe(&key, at.epoch) {
                 self.metrics.result_hits.inc();
                 return Ok(hit);
             }
         }
         let compiled = self.plan_of(text, &key, parsed, &at)?;
-        let (out, outcome) = self.results.get_or_compute(&key, at.number, at.epoch, || {
+        let (out, outcome) = self.results.get_or_compute(&key, at.epoch, || {
             let exec_span = self.metrics.span(&self.metrics.exec_us);
             let out = Arc::new(execute(compiled.as_ref(), at.view.as_ref()));
             exec_span.stop();
@@ -658,23 +602,6 @@ mod tests {
         assert_eq!(s.result_hits + s.result_misses + s.result_dedup, 4);
     }
 
-    #[test]
-    fn install_invalidates_results() {
-        let svc = service();
-        let q = "SELECT ?p WHERE { ?p bornIn San_Jose }";
-        let before = svc.query(q).unwrap();
-        assert_eq!(before.rows.len(), 1);
-
-        let mut b = KbBuilder::new();
-        b.assert_str("Steve_Wozniak", "bornIn", "San_Jose");
-        b.assert_str("Another_Person", "bornIn", "San_Jose");
-        svc.install(b.freeze().into_shared());
-        assert_eq!(svc.generation(), 1);
-
-        let after = svc.query(q).unwrap();
-        assert_eq!(after.rows.len(), 2, "stale cached result must not survive install");
-    }
-
     /// The partial-invalidation win: a delta that touches only a
     /// disjoint predicate leaves warm results serving, bumps the
     /// retention counter and never re-executes.
@@ -692,7 +619,6 @@ mod tests {
         b.assert_str("Steve_Jobs", "worksAt", "Apple_Inc");
         svc.apply_delta(Arc::new(b.freeze_delta(&view)));
         assert_eq!(svc.epoch(), 1);
-        assert_eq!(svc.generation(), 0, "a delta install is not a generation bump");
 
         // Both warm results survive: pure cache hits, no re-execution.
         svc.query(qa).unwrap();
@@ -822,45 +748,6 @@ mod tests {
             (THREADS - 1) as u64,
             "everyone else reused the leader's work: {stats:?}"
         );
-    }
-
-    /// Service-level version of the same regression: queries racing
-    /// installs must never leave an entry stamped with an older
-    /// generation once `install` has returned — and the stale puts are
-    /// visible in the counters.
-    #[test]
-    fn install_racing_queries_leaves_no_stale_entries() {
-        let svc = Arc::new(service());
-        let queries = [
-            "?p bornIn ?c",
-            "SELECT ?c WHERE { ?c locatedIn California }",
-            "?p bornIn ?c . ?c locatedIn California",
-        ];
-        thread::scope(|scope| {
-            for t in 0..4usize {
-                let svc = Arc::clone(&svc);
-                scope.spawn(move || {
-                    for i in 0..200 {
-                        let _ = svc.query(queries[(t + i) % queries.len()]);
-                    }
-                });
-            }
-            let svc = Arc::clone(&svc);
-            scope.spawn(move || {
-                for _ in 0..20 {
-                    let mut b = KbBuilder::new();
-                    b.assert_str("Steve_Jobs", "bornIn", "San_Francisco");
-                    b.assert_str("San_Francisco", "locatedIn", "California");
-                    svc.install(b.freeze().into_shared());
-                    std::thread::yield_now();
-                }
-            });
-        });
-        assert_eq!(svc.generation(), 20);
-        assert_eq!(svc.stale_entries(), 0, "no dead generation may stay cached");
-        // And the invariant persists for later traffic.
-        svc.query("?p bornIn ?c").unwrap();
-        assert_eq!(svc.stale_entries(), 0);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! predicate in POS order — sorted by `(o, s)` — yields its count and
 //! its object runs. Building the catalog is `O(n)`, allocates nothing
 //! per fact and is done once per snapshot — the serving layer shares
-//! one catalog across all queries against a generation.
+//! one catalog across all queries against a view and folds each delta
+//! into it.
 
 use std::collections::HashMap;
 

@@ -846,7 +846,7 @@ impl ViewMetrics {
 /// The registry is passive: its owner calls
 /// [`apply_delta`](ViewRegistry::apply_delta) with the installed
 /// segment plus the pre- and post-install views, under whatever lock
-/// already serializes installs (the query service's generation lock,
+/// already serializes installs (the query service's lock,
 /// the router's epoch barrier) — so every update batch is consistent
 /// with exactly one install.
 pub struct ViewRegistry {
@@ -874,18 +874,6 @@ impl ViewRegistry {
         self.next_id += 1;
         self.metrics.registered.set(self.views.len() as i64);
         Ok(id)
-    }
-
-    /// Rebuilds every view from scratch over `kb`, keeping ids and
-    /// registration order. A full install replaces the snapshot the
-    /// materialized states were computed from, so nothing of them
-    /// carries over — there is no delta to patch from.
-    pub fn rematerialize<K: KbRead + ?Sized>(&mut self, kb: &K, stats: &StatsCatalog) {
-        for view in &mut self.views {
-            let parsed = parse(&view.text).expect("normalized text always re-parses");
-            *view = StandingView::build(view.id, &parsed, kb, stats)
-                .expect("planning fails on the query alone, and this one planned when registered");
-        }
     }
 
     /// Removes a view; returns whether it existed.

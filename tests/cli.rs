@@ -134,24 +134,31 @@ fn harvest_stats_query_rules_ned_round_trip() {
 }
 
 #[test]
-fn a_reader_that_leaves_early_ends_query_quietly() {
+fn a_reader_that_leaves_early_ends_the_cli_quietly() {
     let dir = std::env::temp_dir().join("kbkit-cli-pipe-test");
     std::fs::create_dir_all(&dir).unwrap();
     let kb_path = dir.join("kb.tsv");
     harvest_to(&kb_path);
-    // The reading end is closed before the first answer line is
-    // written (`kbkit query … | head -0`, without the race).
-    let mut child = kbkit()
-        .args(["query", kb_path.to_str().unwrap(), "?x instanceOf ?c"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn kbkit");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("kbkit exits");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
-    assert!(!stderr.contains("panicked") && !stderr.contains("Broken pipe"), "{stderr}");
+    let kb = kb_path.to_str().unwrap();
+    let query = ["query", kb, "?x instanceOf ?c"];
+    for args in [&query[..], &["stats", kb], &["rules", kb], &["metrics", "--json"]] {
+        // The reading end is closed before the first line is written
+        // (`kbkit … | head -0`, without the race).
+        let mut child = kbkit()
+            .args(args)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn kbkit");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("kbkit exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -83,7 +83,8 @@ fn budgeted_queries_are_byte_identical_and_stay_under_budget() {
     // Oracle: unbudgeted (eager-equivalent) open.
     let oracle_store = SegmentStore::open_with(&dir, NO_FSYNC).unwrap();
     let oracle_view = oracle_store.view();
-    let oracle_service = QueryService::try_from_view(&oracle_view).unwrap();
+    oracle_view.prefault().unwrap();
+    let oracle_service = QueryService::from_view(&oracle_view);
     let want = answers(&oracle_service, &oracle_view);
     let want_dump = ntriples::to_string(&oracle_view).unwrap();
 
@@ -91,7 +92,8 @@ fn budgeted_queries_are_byte_identical_and_stay_under_budget() {
     let options = StoreOptions { memory_budget: Some(budget), ..NO_FSYNC };
     let store = SegmentStore::open_with(&dir, options).unwrap();
     let view = store.view();
-    let service = QueryService::try_from_view(&view).unwrap();
+    view.prefault().unwrap();
+    let service = QueryService::from_view(&view);
     let meter = store.memory_budget();
     assert_eq!(meter.limit(), Some(budget));
 
