@@ -49,6 +49,12 @@
 //! table, its counts, scratch batches — lives in a per-execution
 //! context, one entry an operator slot, beside the trace.
 //!
+//! The scan step is the only join there is. A standing view joins its
+//! deltas through it too (`delta_join`): the delta facts that bind one
+//! step of its pipeline become a batch of seed rows, which the steps
+//! after it join over the view before the install and the steps before
+//! it over the view after.
+//!
 //! The executor is generic over any [`KbRead`] view, so the same
 //! compiled plan runs against the mutable builder, an immutable
 //! snapshot, or a segmented stack; only the monolithic unfiltered scan
@@ -292,6 +298,15 @@ struct ExecCtx {
     /// length of a call and puts it back: the tree has no cycle, so no
     /// slot is entered again while its operator runs.
     ops: Vec<OpState>,
+}
+
+impl ExecCtx {
+    fn new(slots: usize) -> Self {
+        ExecCtx {
+            trace: ExecTrace { op_rows: vec![0; slots], ..ExecTrace::default() },
+            ops: std::iter::repeat_with(OpState::default).take(slots).collect(),
+        }
+    }
 }
 
 /// The state of one operator slot within one execution.
@@ -601,11 +616,7 @@ pub fn execute<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> QueryOutput {
 /// counts and batch statistics for `--explain`.
 pub fn execute_traced<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> (QueryOutput, ExecTrace) {
     let cols: Vec<String> = plan.cols.iter().map(|c| c.name().to_string()).collect();
-    let slots = op_slots(&plan.root);
-    let mut cx = ExecCtx {
-        trace: ExecTrace { op_rows: vec![0; slots], ..ExecTrace::default() },
-        ops: std::iter::repeat_with(OpState::default).take(slots).collect(),
-    };
+    let mut cx = ExecCtx::new(op_slots(&plan.root));
     let mut input = Batch::unit(plan.nvars);
 
     let mut rows: Vec<Vec<Cell>>;
@@ -831,93 +842,6 @@ fn append_matches(
     }
 }
 
-/// Appends the cross product of one left subject against a run of
-/// right subjects for a merge-range object, columnar.
-#[allow(clippy::too_many_arguments)]
-fn append_merge(
-    out: &mut Batch,
-    input: &Batch,
-    row: usize,
-    s1: usize,
-    s2: usize,
-    o: usize,
-    sv1: u32,
-    ov: u32,
-    run2: &[u32],
-) {
-    let n = run2.len();
-    for (slot, col) in out.cols.iter_mut().enumerate() {
-        // Should slots coincide, s2 wins over s1 over o.
-        if slot == s2 {
-            col.extend_from_slice(run2);
-        } else if slot == s1 {
-            col.resize(col.len() + n, sv1);
-        } else if slot == o {
-            col.resize(col.len() + n, ov);
-        } else {
-            let v = input.cols[slot][row];
-            col.resize(col.len() + n, v);
-        }
-    }
-    out.len += n;
-}
-
-/// Buffered reader over [`MatchBatches`] for the merge-range co-scan:
-/// peek the current object, consume one row, or take the whole run of
-/// subjects sharing an object.
-struct TripleStream<'a> {
-    mb: kb_store::MatchBatches<'a>,
-    buf: TripleBatch,
-    pos: usize,
-}
-
-impl<'a> TripleStream<'a> {
-    fn new(mb: kb_store::MatchBatches<'a>) -> Self {
-        Self { mb, buf: TripleBatch::new(), pos: 0 }
-    }
-
-    /// Ensures at least one unread row is buffered.
-    fn fill(&mut self) -> bool {
-        while self.pos >= self.buf.len() {
-            self.pos = 0;
-            if !self.mb.next_batch(&mut self.buf) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn peek_o(&mut self) -> Option<TermId> {
-        if self.fill() {
-            Some(self.buf.o[self.pos])
-        } else {
-            None
-        }
-    }
-
-    fn skip_one(&mut self) {
-        self.pos += 1;
-    }
-
-    /// Consumes the maximal run of rows whose object equals `obj`,
-    /// collecting their raw subject ids.
-    fn take_run(&mut self, obj: TermId, out: &mut Vec<u32>) {
-        out.clear();
-        loop {
-            if !self.fill() {
-                return;
-            }
-            while self.pos < self.buf.len() && self.buf.o[self.pos] == obj {
-                out.push(self.buf.s[self.pos].0);
-                self.pos += 1;
-            }
-            if self.pos < self.buf.len() {
-                return;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Probe tables
 // ---------------------------------------------------------------------
@@ -1081,97 +1005,51 @@ fn run_steps_batch<K: KbRead + ?Sized>(
     let mut state = std::mem::take(&mut cx.ops[base + i]);
     let OpState { batch: out, triples: tb, probe } = &mut state;
     out.reset(input.cols.len());
-    match step {
-        Step::Scan { s, p, o, at } => {
-            // The shape a probe table can answer: a constant predicate,
-            // no `@point`, two different variables — of which a row must
-            // bind exactly one.
-            let probed = matches!(
-                (s, p, o, at),
-                (Slot::Var(sv), Slot::Const(_), Slot::Var(ov), None) if sv != ov
-            );
-            if probed {
-                probe.seen += input.len();
-            }
-            let mut targets: Vec<(usize, u8)> = Vec::new();
-            let mut dups: Vec<(u8, u8)> = Vec::new();
-            for row in 0..input.len() {
-                targets.clear();
-                dups.clear();
-                let mut pat: [Option<TermId>; 3] = [None; 3];
-                for (c, slot) in [s, p, o].into_iter().enumerate() {
-                    match *slot {
-                        Slot::Const(id) => pat[c] = Some(id),
-                        Slot::Var(v) => match input.get(row, v) {
-                            Some(id) => pat[c] = Some(id),
-                            None => match targets.iter().find(|tg| tg.0 == v) {
-                                Some(&(_, c0)) => dups.push((c0, c as u8)),
-                                None => targets.push((v, c as u8)),
-                            },
-                        },
-                    }
-                }
-                let values =
-                    if probed { probe.values(kb, &pat, base + i, tb, &mut cx.trace) } else { None };
-                if let Some(values) = values {
-                    // In the lookup's own batches, so that the pipeline
-                    // sees the same flushes either way.
-                    let target = targets[0].0;
-                    for chunk in values.chunks(BATCH_ROWS) {
-                        append_columns(out, input, row, chunk.len(), |slot| {
-                            (slot == target).then_some(chunk)
-                        });
-                        if out.len() >= BATCH_ROWS {
-                            flush_steps(steps, i, base, kb, out, cx, sink);
-                        }
-                    }
-                    continue;
-                }
-                let pattern = TriplePattern { s: pat[0], p: pat[1], o: pat[2] };
-                match at {
-                    Some(point) => {
-                        for f in kb.matching_at_iter(&pattern, point) {
-                            append_triple(out, input, row, &targets, &dups, f.triple);
-                            if out.len() >= BATCH_ROWS {
-                                flush_steps(steps, i, base, kb, out, cx, sink);
-                            }
-                        }
-                    }
-                    None => {
-                        let mut mb = kb.matching_batches(&pattern);
-                        while mb.next_batch(tb) {
-                            append_matches(out, input, row, &targets, &dups, tb);
-                            if out.len() >= BATCH_ROWS {
-                                flush_steps(steps, i, base, kb, out, cx, sink);
-                            }
-                        }
-                    }
+    let Step { s, p, o, at } = *step;
+    // The shape a probe table can answer: a constant predicate, no
+    // `@point`, two different variables — of which a row must bind
+    // exactly one.
+    let probed =
+        matches!((s, p, o, at), (Slot::Var(sv), Slot::Const(_), Slot::Var(ov), None) if sv != ov);
+    if probed {
+        probe.seen += input.len();
+    }
+    let mut targets: Vec<(usize, u8)> = Vec::new();
+    let mut dups: Vec<(u8, u8)> = Vec::new();
+    for row in 0..input.len() {
+        let pat = lookup(step, input, row, &mut targets, &mut dups);
+        let values =
+            if probed { probe.values(kb, &pat, base + i, tb, &mut cx.trace) } else { None };
+        if let Some(values) = values {
+            // In the lookup's own batches, so that the pipeline sees the
+            // same flushes either way.
+            let target = targets[0].0;
+            for chunk in values.chunks(BATCH_ROWS) {
+                append_columns(out, input, row, chunk.len(), |slot| {
+                    (slot == target).then_some(chunk)
+                });
+                if out.len() >= BATCH_ROWS {
+                    flush_steps(steps, i, base, kb, out, cx, sink);
                 }
             }
+            continue;
         }
-        Step::MergeRange { p1, s1, p2, s2, o } => {
-            let mut run1: Vec<u32> = Vec::new();
-            let mut run2: Vec<u32> = Vec::new();
-            for row in 0..input.len() {
-                let mut st1 = TripleStream::new(kb.matching_batches(&TriplePattern::with_p(*p1)));
-                let mut st2 = TripleStream::new(kb.matching_batches(&TriplePattern::with_p(*p2)));
-                // POS buckets stream sorted by (o, s): merge on o, cross
-                // the matching subject runs.
-                while let (Some(o1), Some(o2)) = (st1.peek_o(), st2.peek_o()) {
-                    match o1.cmp(&o2) {
-                        Ordering::Less => st1.skip_one(),
-                        Ordering::Greater => st2.skip_one(),
-                        Ordering::Equal => {
-                            let obj = o1;
-                            st1.take_run(obj, &mut run1);
-                            st2.take_run(obj, &mut run2);
-                            for &sv1 in &run1 {
-                                append_merge(out, input, row, *s1, *s2, *o, sv1, obj.0, &run2);
-                                if out.len() >= BATCH_ROWS {
-                                    flush_steps(steps, i, base, kb, out, cx, sink);
-                                }
-                            }
-                        }
+        let pattern = TriplePattern { s: pat[0], p: pat[1], o: pat[2] };
+        match at {
+            Some(point) => {
+                for f in kb.matching_at_iter(&pattern, &point) {
+                    append_triple(out, input, row, &targets, &dups, f.triple);
+                    if out.len() >= BATCH_ROWS {
+                        flush_steps(steps, i, base, kb, out, cx, sink);
+                    }
+                }
+            }
+            None => {
+                let mut mb = kb.matching_batches(&pattern);
+                while mb.next_batch(tb) {
+                    append_matches(out, input, row, &targets, &dups, tb);
+                    if out.len() >= BATCH_ROWS {
+                        flush_steps(steps, i, base, kb, out, cx, sink);
                     }
                 }
             }
@@ -1181,9 +1059,83 @@ fn run_steps_batch<K: KbRead + ?Sized>(
     cx.ops[base + i] = state;
 }
 
+/// The index lookup `step` makes for row `row` of `input`: the
+/// components a constant or the row fixes. Into `targets` go the slots
+/// a match binds, each with the component it takes, and into `dups` the
+/// pairs of components an unbound variable repeated in the pattern
+/// makes equal.
+fn lookup(
+    step: &Step,
+    input: &Batch,
+    row: usize,
+    targets: &mut Vec<(usize, u8)>,
+    dups: &mut Vec<(u8, u8)>,
+) -> [Option<TermId>; 3] {
+    targets.clear();
+    dups.clear();
+    let mut pat = [None; 3];
+    for (c, slot) in [step.s, step.p, step.o].into_iter().enumerate() {
+        match slot {
+            Slot::Const(id) => pat[c] = Some(id),
+            Slot::Var(v) => match input.get(row, v) {
+                Some(id) => pat[c] = Some(id),
+                None => match targets.iter().find(|tg| tg.0 == v) {
+                    Some(&(_, c0)) => dups.push((c0, c as u8)),
+                    None => targets.push((v, c as u8)),
+                },
+            },
+        }
+    }
+    pat
+}
+
+/// One position of a standing view's delta join. Each of `facts` that
+/// matches step `i` of the view's pipeline — its constants and its
+/// repeated variables — binds that step's variables in one seed row;
+/// the steps after `i` join the seed rows over `old`, the view the
+/// delta was frozen against, then the steps before `i` over `new`, the
+/// view with the delta stacked. `sink` sees every joined row through a
+/// slot lookup. Which facts hold at the step's `@point` is the caller's
+/// to decide: a delta fact carries its span, the seed row does not.
+pub(crate) fn delta_join<K, F>(
+    steps: &[Step],
+    i: usize,
+    nvars: usize,
+    facts: impl IntoIterator<Item = Triple>,
+    old: &K,
+    new: &K,
+    mut sink: F,
+) where
+    K: KbRead + ?Sized,
+    F: FnMut(&dyn Fn(usize) -> Option<TermId>),
+{
+    let unit = Batch::unit(nvars);
+    let (mut targets, mut dups) = (Vec::new(), Vec::new());
+    let fixed = lookup(&steps[i], &unit, 0, &mut targets, &mut dups);
+    let mut seed = Batch::default();
+    seed.reset(nvars);
+    for t in facts {
+        if fixed.iter().zip([t.s, t.p, t.o]).all(|(want, got)| want.is_none_or(|w| w == got)) {
+            append_triple(&mut seed, &unit, 0, &targets, &dups, t);
+        }
+    }
+    if seed.len() == 0 {
+        return;
+    }
+    let mut cx = ExecCtx::new(steps.len());
+    run_steps_batch(steps, i + 1, 0, old, &mut seed, &mut cx, &mut |cx, b| {
+        run_steps_batch(&steps[..i], 0, 0, new, b, cx, &mut |_, b| {
+            for row in 0..b.len() {
+                sink(&|slot| b.get(row, slot));
+            }
+        });
+    });
+}
+
 /// Evaluates one compiled `FILTER` condition. The binding lookup is a
-/// closure so the executor can evaluate straight out of a columnar
-/// batch row and the view maintainer out of a delta-join binding.
+/// closure so the executor and the view maintainer, which filters the
+/// rows of [`delta_join`], evaluate straight out of a columnar batch
+/// row.
 pub(crate) fn eval_cond_with<K: KbRead + ?Sized>(
     c: &CondC,
     get: &dyn Fn(usize) -> Option<TermId>,

@@ -18,9 +18,9 @@
 //!    cardinality and distinct counts harvested from the snapshot's
 //!    index buckets feed a Selinger-style join-order optimizer (exact
 //!    subset DP for small BGPs, greedy beyond), emitting physical
-//!    plans of index-nested-loop scans and POS-bucket merge-range
-//!    joins that execute over any [`KbRead`] with no per-row
-//!    allocation.
+//!    plans whose one join is the index-nested-loop scan step — which
+//!    the executor may answer from a probe table of its predicate's
+//!    run — over any [`KbRead`], with no per-row allocation.
 //! 3. **Serving layer** ([`service`]) — an `Arc<KbSnapshot>`-backed
 //!    [`QueryService`] with a bounded LRU plan cache keyed on
 //!    normalized query text and a result cache invalidated per
@@ -31,7 +31,8 @@
 //!    of the service.
 //! 4. **Standing views** ([`view`]) — a [`ViewRegistry`] of
 //!    materialized continuous queries patched incrementally from each
-//!    delta install via signed delta joins, falling back to
+//!    delta install via signed delta joins, run through the executor's
+//!    own scan steps, falling back to
 //!    re-execution only for plan shapes outside the maintainable
 //!    fragment.
 //!

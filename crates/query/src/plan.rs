@@ -1,5 +1,5 @@
 //! The cost-based planner: lowers a parsed [`SelectQuery`] into a
-//! physical [`Plan`] of index-nested-loop and merge-range operators.
+//! physical [`Plan`] whose one join is the index-nested-loop scan step.
 //!
 //! ## Cost model
 //!
@@ -19,14 +19,14 @@
 //! pattern. Both leave execution *correct* under any order — the order
 //! only decides how much work the scans do.
 //!
-//! ## Merge-range operator
+//! ## One physical join
 //!
-//! Two patterns with constant predicates that share an unbound object
-//! variable (`?a bornIn ?c . ?b diedIn ?c`) can skip the nested loop
-//! entirely: the POS index streams each predicate's bucket sorted by
-//! `(o, s)`, so both ranges merge on `o` in a single co-scan. The
-//! planner emits a `Step::MergeRange` when its scan cost undercuts
-//! the best nested-loop order.
+//! Every pattern of a BGP becomes one scan step, run in the chosen
+//! order. Whether a step answers its rows by index lookups or from a
+//! probe table of its predicate's run is the executor's decision, made
+//! from the rows it has been handed (see [`crate::exec`]); two patterns
+//! sharing an object variable (`?a bornIn ?c . ?b diedIn ?c`) are two
+//! such steps, the second keyed by the object the first binds.
 
 use std::collections::HashMap;
 
@@ -50,14 +50,38 @@ pub(crate) enum Slot {
     Var(usize),
 }
 
-/// One step of a basic-graph-pattern pipeline.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Step {
-    /// Index-nested-loop step: one range scan per row of the prefix.
-    Scan { s: Slot, p: Slot, o: Slot, at: Option<TimePoint> },
-    /// Merge-range step (always first in its pipeline): co-scan the POS
-    /// buckets of `p1` and `p2`, merging on the shared object variable.
-    MergeRange { p1: TermId, s1: usize, p2: TermId, s2: usize, o: usize },
+/// One step of a basic-graph-pattern pipeline: a triple pattern with
+/// its terms resolved, answered per row of the prefix under that row's
+/// bindings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Step {
+    pub s: Slot,
+    pub p: Slot,
+    pub o: Slot,
+    /// `@point`: only facts whose span holds at the point match.
+    pub at: Option<TimePoint>,
+}
+
+impl Step {
+    fn slots(&self) -> impl Iterator<Item = usize> {
+        [self.s, self.p, self.o].into_iter().filter_map(|sl| match sl {
+            Slot::Var(v) => Some(v),
+            Slot::Const(_) => None,
+        })
+    }
+
+    /// Estimated matches given the set of bound slots.
+    fn estimate(&self, bound: &[bool], stats: &StatsCatalog) -> f64 {
+        let fixed = |sl: Slot| match sl {
+            Slot::Const(_) => true,
+            Slot::Var(v) => bound[v],
+        };
+        let pred = match self.p {
+            Slot::Const(id) => Some(id),
+            Slot::Var(_) => None,
+        };
+        stats.estimate(pred, fixed(self.s), fixed(self.o))
+    }
 }
 
 /// A compiled filter operand.
@@ -383,42 +407,6 @@ impl Slots {
     }
 }
 
-/// A pattern with terms resolved to slots/ids (`None` in a position
-/// means the constant is unknown to the dictionary).
-#[derive(Clone, Copy)]
-struct RPattern {
-    s: Option<Slot>,
-    p: Option<Slot>,
-    o: Option<Slot>,
-    at: Option<TimePoint>,
-}
-
-impl RPattern {
-    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
-        [self.s, self.p, self.o].into_iter().flatten().filter_map(|sl| match sl {
-            Slot::Var(v) => Some(v),
-            Slot::Const(_) => None,
-        })
-    }
-
-    /// Estimated matches given the set of bound slots.
-    fn estimate(&self, bound: &[bool], stats: &StatsCatalog) -> f64 {
-        let fixed = |sl: Option<Slot>| match sl {
-            Some(Slot::Const(_)) => true,
-            Some(Slot::Var(v)) => bound[v],
-            None => true, // unknown constant: fixed (and unmatchable)
-        };
-        if self.s.is_none() || self.p.is_none() || self.o.is_none() {
-            return 0.0;
-        }
-        let pred = match self.p {
-            Some(Slot::Const(id)) => Some(id),
-            _ => None,
-        };
-        stats.estimate(pred, fixed(self.s), fixed(self.o))
-    }
-}
-
 /// Compiles and cost-orders one BGP, returning the operator, its
 /// estimated cost and output rows, and explain lines.
 struct BgpPlan {
@@ -443,108 +431,44 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
         }
     }
 
-    /// Orders the BGP with subset DP (≤ [`DP_CUTOFF`] patterns) or
-    /// greedily, then considers a merge-range fusion; returns the
-    /// cheaper plan.
+    /// Resolves the BGP's patterns into scan steps and orders them with
+    /// subset DP (≤ [`DP_CUTOFF`] patterns) or greedily.
     fn plan_bgp(&mut self, patterns: &[crate::ast::Pattern], bound: &[bool]) -> BgpPlan {
-        let rp: Vec<RPattern> = patterns
+        // Every pattern is resolved (interning its variables) before a
+        // constant the dictionary lacks empties the BGP.
+        let resolved: Vec<Option<Step>> = patterns
             .iter()
-            .map(|p| RPattern {
-                s: self.resolve_term(&p.s),
-                p: self.resolve_term(&p.p),
-                o: self.resolve_term(&p.o),
-                at: p.at,
+            .map(|pat| {
+                let [s, p, o] = [&pat.s, &pat.p, &pat.o].map(|t| self.resolve_term(t));
+                Some(Step { s: s?, p: p?, o: o?, at: pat.at })
             })
             .collect();
-        // `resolve_term` may have grown the slot table; re-pad `bound`.
-        let mut bound = bound.to_vec();
-        bound.resize(self.slots.names.len(), false);
-
-        if rp.iter().any(|p| p.s.is_none() || p.p.is_none() || p.o.is_none()) {
-            let which = rp
-                .iter()
-                .zip(patterns)
-                .find(|(r, _)| r.s.is_none() || r.p.is_none() || r.o.is_none())
-                .map(|(_, p)| p.to_string())
-                .unwrap_or_default();
+        if let Some(k) = resolved.iter().position(Option::is_none) {
             return BgpPlan {
                 op: PhysOp::Empty,
                 cost: 0.0,
                 rows: 0.0,
-                explain: vec![format!("empty (unknown constant in `{which}`)")],
+                explain: vec![format!("empty (unknown constant in `{}`)", patterns[k])],
             };
         }
-        if rp.is_empty() {
-            return BgpPlan {
-                op: PhysOp::Steps(Vec::new()),
-                cost: 0.0,
-                rows: 1.0,
-                explain: vec![],
-            };
-        }
+        let rp: Vec<Step> = resolved.into_iter().flatten().collect();
+        // `resolve_term` may have grown the slot table; re-pad `bound`.
+        let mut bound = bound.to_vec();
+        bound.resize(self.slots.names.len(), false);
 
         let order = if rp.len() <= DP_CUTOFF {
             self.dp_order(&rp, &bound)
         } else {
-            self.greedy_order(&rp, &bound, &(0..rp.len()).collect::<Vec<_>>())
+            self.greedy_order(&rp, &bound)
         };
-        let (nested_cost, nested_rows) = self.sequence_cost(&rp, &order, &bound);
-        let nested = (order, nested_cost, nested_rows);
-
-        let best = self
-            .best_merge(&rp, &bound)
-            .filter(|m| m.cost < nested.1)
-            .map(|m| (m, true))
-            .unwrap_or_else(|| {
-                (
-                    MergeCandidate {
-                        steps: nested
-                            .0
-                            .iter()
-                            .map(|&i| Step::Scan {
-                                s: rp[i].s.unwrap(),
-                                p: rp[i].p.unwrap(),
-                                o: rp[i].o.unwrap(),
-                                at: rp[i].at,
-                            })
-                            .collect(),
-                        pattern_order: nested.0.clone(),
-                        cost: nested.1,
-                        rows: nested.2,
-                        merged: None,
-                    },
-                    false,
-                )
-            });
-        let (cand, fused) = best;
-        let mut explain = Vec::new();
-        let mut step_iter = cand.steps.iter();
-        if let (Some(Step::MergeRange { p1, p2, .. }), Some((i, j))) =
-            (step_iter.next(), cand.merged)
-        {
-            explain.push(format!(
-                "merge-range `{}` ⋈o `{}` (|{}|={}, |{}|={})",
-                patterns[i],
-                patterns[j],
-                self.kb.resolve(*p1).unwrap_or("?"),
-                self.stats.per_pred.get(p1).map_or(0, |s| s.count),
-                self.kb.resolve(*p2).unwrap_or("?"),
-                self.stats.per_pred.get(p2).map_or(0, |s| s.count),
-            ));
-        } else {
-            step_iter = cand.steps.iter();
-        }
-        let skip = usize::from(fused);
-        for (&pi, step) in cand.pattern_order.iter().skip(skip * 2).zip(step_iter) {
-            if let Step::Scan { .. } = step {
-                explain.push(format!("index-nested-loop scan `{}`", patterns[pi]));
-            }
-        }
-        BgpPlan { op: PhysOp::Steps(cand.steps), cost: cand.cost, rows: cand.rows, explain }
+        let (cost, rows) = self.sequence_cost(&rp, &order, &bound);
+        let explain =
+            order.iter().map(|&i| format!("index-nested-loop scan `{}`", patterns[i])).collect();
+        BgpPlan { op: PhysOp::Steps(order.iter().map(|&i| rp[i]).collect()), cost, rows, explain }
     }
 
     /// Exact left-deep join ordering by DP over pattern subsets.
-    fn dp_order(&self, rp: &[RPattern], entry_bound: &[bool]) -> Vec<usize> {
+    fn dp_order(&self, rp: &[Step], entry_bound: &[bool]) -> Vec<usize> {
         let k = rp.len();
         let full = (1usize << k) - 1;
         // (cost, rows, last pattern chosen)
@@ -554,9 +478,6 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
         for mask in 0..=full {
             let Some((cost, rows, _)) = best[mask] else { continue };
             // Recompute the bound set for this subset.
-            for b in bound.iter_mut() {
-                *b = false;
-            }
             bound.copy_from_slice(entry_bound);
             for (i, p) in rp.iter().enumerate() {
                 if mask & (1 << i) != 0 {
@@ -593,9 +514,9 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
     }
 
     /// Greedy ordering: repeatedly take the cheapest remaining pattern.
-    fn greedy_order(&self, rp: &[RPattern], entry_bound: &[bool], todo: &[usize]) -> Vec<usize> {
+    fn greedy_order(&self, rp: &[Step], entry_bound: &[bool]) -> Vec<usize> {
         let mut bound = entry_bound.to_vec();
-        let mut remaining: Vec<usize> = todo.to_vec();
+        let mut remaining: Vec<usize> = (0..rp.len()).collect();
         let mut order = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
             let (pos, &pick) = remaining
@@ -617,7 +538,7 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
     }
 
     /// Cost and output rows of executing `rp` in `order`.
-    fn sequence_cost(&self, rp: &[RPattern], order: &[usize], entry_bound: &[bool]) -> (f64, f64) {
+    fn sequence_cost(&self, rp: &[Step], order: &[usize], entry_bound: &[bool]) -> (f64, f64) {
         let mut bound = entry_bound.to_vec();
         let mut cost = 0.0;
         let mut rows = 1.0;
@@ -631,78 +552,6 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
             }
         }
         (cost, rows)
-    }
-
-    /// The cheapest merge-range fusion over any eligible pattern pair,
-    /// if one exists.
-    fn best_merge(&self, rp: &[RPattern], entry_bound: &[bool]) -> Option<MergeCandidate> {
-        let mut best: Option<MergeCandidate> = None;
-        for i in 0..rp.len() {
-            for j in (i + 1)..rp.len() {
-                let Some(cand) = self.merge_pair(rp, i, j, entry_bound) else { continue };
-                if best.as_ref().is_none_or(|b| cand.cost < b.cost) {
-                    best = Some(cand);
-                }
-            }
-        }
-        best
-    }
-
-    fn merge_pair(
-        &self,
-        rp: &[RPattern],
-        i: usize,
-        j: usize,
-        entry_bound: &[bool],
-    ) -> Option<MergeCandidate> {
-        let (a, b) = (&rp[i], &rp[j]);
-        if a.at.is_some() || b.at.is_some() {
-            return None;
-        }
-        let (Some(Slot::Const(p1)), Some(Slot::Const(p2))) = (a.p, b.p) else { return None };
-        let (Some(Slot::Var(o1)), Some(Slot::Var(o2))) = (a.o, b.o) else { return None };
-        let (Some(Slot::Var(s1)), Some(Slot::Var(s2))) = (a.s, b.s) else { return None };
-        if o1 != o2 || s1 == s2 || s1 == o1 || s2 == o2 {
-            return None;
-        }
-        if entry_bound[o1] || entry_bound[s1] || entry_bound[s2] {
-            return None;
-        }
-        let st1 = self.stats.per_pred.get(&p1)?;
-        let st2 = self.stats.per_pred.get(&p2)?;
-        let (c1, c2) = (st1.count as f64, st2.count as f64);
-        let rows_pair = (c1 * c2) / (st1.distinct_o.max(st2.distinct_o).max(1) as f64);
-        let mut cost = c1 + c2 + rows_pair;
-        // Order the remaining patterns greedily with the merged trio
-        // bound.
-        let mut bound = entry_bound.to_vec();
-        for v in [s1, s2, o1] {
-            bound[v] = true;
-        }
-        let rest: Vec<usize> = (0..rp.len()).filter(|&x| x != i && x != j).collect();
-        let rest_order = self.greedy_order(rp, &bound, &rest);
-        let mut rows = rows_pair;
-        for &r in &rest_order {
-            let sel = rp[r].estimate(&bound, self.stats);
-            let nrows = rows * sel;
-            cost += rows.max(1.0) + nrows;
-            rows = nrows;
-            for v in rp[r].slots() {
-                bound[v] = true;
-            }
-        }
-        let mut steps = vec![Step::MergeRange { p1, s1, p2, s2, o: o1 }];
-        let mut pattern_order = vec![i, j];
-        for &r in &rest_order {
-            steps.push(Step::Scan {
-                s: rp[r].s.unwrap(),
-                p: rp[r].p.unwrap(),
-                o: rp[r].o.unwrap(),
-                at: rp[r].at,
-            });
-            pattern_order.push(r);
-        }
-        Some(MergeCandidate { steps, pattern_order, cost, rows, merged: Some((i, j)) })
     }
 
     /// Lowers a group: BGP ⋈ unions ⟕ optionals, filtered.
@@ -802,57 +651,20 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
             PhysOp::Steps(steps) => {
                 let mut rows = rows_in;
                 for step in steps {
-                    match step {
-                        Step::Scan { s, p, o, at } => {
-                            let fixed = |sl: &Slot| match sl {
-                                Slot::Const(_) => true,
-                                Slot::Var(v) => bound[*v],
-                            };
-                            let pred = match p {
-                                Slot::Const(id) => Some(*id),
-                                Slot::Var(_) => None,
-                            };
-                            let per = self.stats.estimate(pred, fixed(s), fixed(o));
-                            rows *= per;
-                            let mut label = format!(
-                                "scan `{} {} {}`",
-                                self.slot_label(*s),
-                                self.slot_label(*p),
-                                self.slot_label(*o)
-                            );
-                            if at.is_some() {
-                                label.push_str(" @t");
-                            }
-                            out.push(OpInfo { label, est_rows: rows });
-                            for sl in [s, o] {
-                                if let Slot::Var(v) = sl {
-                                    bound[*v] = true;
-                                }
-                            }
-                        }
-                        Step::MergeRange { p1, s1, p2, s2, o } => {
-                            let stat = |p: &TermId| {
-                                self.stats.per_pred.get(p).cloned().unwrap_or_default()
-                            };
-                            let (st1, st2) = (stat(p1), stat(p2));
-                            let per = (st1.count as f64 * st2.count as f64)
-                                / (st1.distinct_o.max(st2.distinct_o).max(1) as f64);
-                            rows *= per;
-                            out.push(OpInfo {
-                                label: format!(
-                                    "merge-range `?{} {} ?{}` ⋈o `?{} {} ?{}`",
-                                    self.slots.names[*s1],
-                                    self.kb.resolve(*p1).unwrap_or("?"),
-                                    self.slots.names[*o],
-                                    self.slots.names[*s2],
-                                    self.kb.resolve(*p2).unwrap_or("?"),
-                                    self.slots.names[*o],
-                                ),
-                                est_rows: rows,
-                            });
-                            for v in [s1, s2, o] {
-                                bound[*v] = true;
-                            }
+                    rows *= step.estimate(bound, self.stats);
+                    let mut label = format!(
+                        "scan `{} {} {}`",
+                        self.slot_label(step.s),
+                        self.slot_label(step.p),
+                        self.slot_label(step.o)
+                    );
+                    if step.at.is_some() {
+                        label.push_str(" @t");
+                    }
+                    out.push(OpInfo { label, est_rows: rows });
+                    for sl in [step.s, step.o] {
+                        if let Slot::Var(v) = sl {
+                            bound[v] = true;
                         }
                     }
                 }
@@ -908,14 +720,6 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
             PhysOp::Empty => 0.0,
         }
     }
-}
-
-struct MergeCandidate {
-    steps: Vec<Step>,
-    pattern_order: Vec<usize>,
-    cost: f64,
-    rows: f64,
-    merged: Option<(usize, usize)>,
 }
 
 /// Plans a parsed query against a KB view and its statistics catalog.
@@ -1038,7 +842,7 @@ mod tests {
         let PhysOp::Steps(steps) = &p.root else { panic!("expected steps") };
         let rare = snap.term("rel_rare").unwrap();
         assert!(
-            matches!(&steps[0], Step::Scan { p: Slot::Const(pid), .. } if *pid == rare),
+            matches!(&steps[0], Step { p: Slot::Const(pid), .. } if *pid == rare),
             "first step should scan rel_rare: {steps:?}"
         );
     }
@@ -1051,19 +855,6 @@ mod tests {
         let p = plan(&q, &snap, &stats).unwrap();
         assert_eq!(p.root, PhysOp::Empty);
         assert_eq!(p.estimated_cost(), 0.0);
-    }
-
-    #[test]
-    fn shared_object_pair_uses_merge_range() {
-        let snap = skewed_snap();
-        let stats = StatsCatalog::build(&snap);
-        let q = parse("?a rel_big ?c . ?b rel_big ?c").unwrap();
-        let p = plan(&q, &snap, &stats).unwrap();
-        let PhysOp::Steps(steps) = &p.root else { panic!("expected steps") };
-        assert!(
-            matches!(steps[0], Step::MergeRange { .. }),
-            "expected a merge-range first step: {steps:?}"
-        );
     }
 
     #[test]

@@ -12,11 +12,16 @@
 //!    `Shadow` entries a `−old/+new` pair when the evidence merge
 //!    changed the fact's span (confidence and provenance are invisible
 //!    to query answers, so span-preserving shadows contribute nothing).
-//! 2. Each standing view's plan is flattened to its scan list
+//! 2. Each standing view's plan is flattened to its scan steps
 //!    `S₁ … Sₙ` plus filters, and the classic telescoping decomposition
 //!    `Δ(S₁ ⋈ … ⋈ Sₙ) = Σᵢ  Sⱼ₍ⱼ₌₁…ᵢ₋₁₎(new) ⋈ ΔSᵢ ⋈ Sⱼ₍ⱼ₌ᵢ₊₁…ₙ₎(old)`
 //!    enumerates exactly the result rows whose multiplicity changed,
-//!    with the sign carried through the join.
+//!    with the sign carried through the join. The join is the
+//!    executor's: for position `i`, the delta facts of one sign that
+//!    bind `Sᵢ` seed a batch that `Sᵢ₊₁ … Sₙ` join over the old view and
+//!    `S₁ … Sᵢ₋₁` over the new one, through the same scan steps (and
+//!    probe tables) a query runs on. This module opens no index scan of
+//!    its own.
 //! 3. The signed rows patch the view's state — a row multiset for
 //!    plain SELECTs, a signed per-group counter map for COUNT+GROUP BY
 //!    — and the materialized output is rebuilt from that state in
@@ -42,13 +47,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use kb_obs::{Clock, Counter, Gauge, Histogram, Registry, SpanTimer};
-use kb_store::{DeltaSegment, Fact, FactKind, KbRead, TermId, Triple, TriplePattern};
+use kb_store::{DeltaSegment, Fact, FactKind, KbRead, TermId};
 
 use crate::ast::SelectQuery;
 use crate::error::QueryError;
-use crate::exec::{cmp_cells, eval_cond_with, execute, project_row, Cell, QueryOutput};
+use crate::exec::{cmp_cells, delta_join, eval_cond_with, execute, project_row, Cell, QueryOutput};
 use crate::parse::parse;
-use crate::plan::{plan as compile, Col, CondC, CondOperand, PhysOp, Plan, Slot, Step};
+use crate::plan::{plan as compile, Col, CondC, CondOperand, PhysOp, Plan, Step};
 use crate::stats::StatsCatalog;
 
 /// Handle to one registered standing view. Ids are registry-scoped and
@@ -91,56 +96,26 @@ impl Maintainability {
     }
 }
 
-/// One scan of the flattened conjunctive fragment (merge-ranges
-/// decompose into their two equivalent scans — the fusion is a physical
-/// optimization, not a semantic one).
-#[derive(Debug, Clone)]
-struct ScanSpec {
-    s: Slot,
-    p: Slot,
-    o: Slot,
-    at: Option<kb_store::TimePoint>,
-}
-
-/// Flattens a physical operator tree into scans + hoisted filters.
-/// Conjunctive plans attach every filter above the full join (single
-/// group, no OPTIONAL/UNION), so hoisting preserves semantics exactly.
+/// Flattens a physical operator tree into one pipeline of scan steps +
+/// hoisted filters. Conjunctive plans attach every filter above the
+/// full join (single group, no OPTIONAL/UNION), so hoisting preserves
+/// semantics exactly.
 fn flatten(
     op: &PhysOp,
-    scans: &mut Vec<ScanSpec>,
+    steps: &mut Vec<Step>,
     filters: &mut Vec<CondC>,
 ) -> Result<(), &'static str> {
     match op {
-        PhysOp::Steps(steps) => {
-            for step in steps {
-                match step {
-                    Step::Scan { s, p, o, at } => {
-                        scans.push(ScanSpec { s: *s, p: *p, o: *o, at: *at });
-                    }
-                    Step::MergeRange { p1, s1, p2, s2, o } => {
-                        scans.push(ScanSpec {
-                            s: Slot::Var(*s1),
-                            p: Slot::Const(*p1),
-                            o: Slot::Var(*o),
-                            at: None,
-                        });
-                        scans.push(ScanSpec {
-                            s: Slot::Var(*s2),
-                            p: Slot::Const(*p2),
-                            o: Slot::Var(*o),
-                            at: None,
-                        });
-                    }
-                }
-            }
+        PhysOp::Steps(s) => {
+            steps.extend_from_slice(s);
             Ok(())
         }
         PhysOp::Join(l, r) => {
-            flatten(l, scans, filters)?;
-            flatten(r, scans, filters)
+            flatten(l, steps, filters)?;
+            flatten(r, steps, filters)
         }
         PhysOp::Filter(inner, conds) => {
-            flatten(inner, scans, filters)?;
+            flatten(inner, steps, filters)?;
             filters.extend(conds.iter().cloned());
             Ok(())
         }
@@ -158,9 +133,9 @@ pub fn maintainability(plan: &Plan) -> Maintainability {
     if plan.limit.is_some() || plan.offset > 0 {
         return Maintainability::Fallback("LIMIT/OFFSET window over the full answer");
     }
-    let mut scans = Vec::new();
+    let mut steps = Vec::new();
     let mut filters = Vec::new();
-    if let Err(reason) = flatten(&plan.root, &mut scans, &mut filters) {
+    if let Err(reason) = flatten(&plan.root, &mut steps, &mut filters) {
         return Maintainability::Fallback(reason);
     }
     for c in &filters {
@@ -332,49 +307,19 @@ fn signed_changes<K: KbRead + ?Sized>(delta: &DeltaSegment, old: &K) -> Vec<Sign
     out
 }
 
-/// Binds `slot` to `value`, recording newly-bound slots in `undo`.
-/// Returns false on a constant or repeated-variable mismatch.
-fn bind_slot(slot: Slot, value: TermId, b: &mut [Option<TermId>], undo: &mut Vec<usize>) -> bool {
-    match slot {
-        Slot::Const(id) => id == value,
-        Slot::Var(v) => match b[v] {
-            Some(existing) => existing == value,
-            None => {
-                b[v] = Some(value);
-                undo.push(v);
-                true
-            }
-        },
-    }
-}
-
-fn unwind(b: &mut [Option<TermId>], undo: &mut Vec<usize>, from: usize) {
-    while undo.len() > from {
-        let v = undo.pop().expect("undo length checked");
-        b[v] = None;
-    }
-}
-
-/// Whether a fact satisfies a scan's temporal restriction: untimed
-/// facts match every point (mirrors `matching_at_iter`).
-fn at_matches(spec: &ScanSpec, fact: &Fact) -> bool {
-    match spec.at {
+/// Whether a fact satisfies a step's temporal restriction: untimed
+/// facts match every point, as in the executor's `@point` scan.
+fn at_matches(step: &Step, fact: &Fact) -> bool {
+    match step.at {
         None => true,
         Some(point) => fact.span.is_none_or(|sp| sp.contains(&point)),
-    }
-}
-
-fn slot_bound(slot: Slot, b: &[Option<TermId>]) -> Option<TermId> {
-    match slot {
-        Slot::Const(id) => Some(id),
-        Slot::Var(v) => b[v],
     }
 }
 
 /// The incrementally-maintainable core of a plan.
 #[derive(Debug, Clone)]
 struct IncSpec {
-    scans: Vec<ScanSpec>,
+    steps: Vec<Step>,
     filters: Vec<CondC>,
 }
 
@@ -383,105 +328,41 @@ impl IncSpec {
         if !maintainability(plan).is_incremental() {
             return None;
         }
-        let mut scans = Vec::new();
+        let mut steps = Vec::new();
         let mut filters = Vec::new();
-        flatten(&plan.root, &mut scans, &mut filters).ok()?;
-        Some(IncSpec { scans, filters })
+        flatten(&plan.root, &mut steps, &mut filters).ok()?;
+        Some(IncSpec { steps, filters })
     }
 
-    /// Emits every signed result binding of the telescoped delta join:
-    /// for each scan position `i`, scan `i` is bound from the signed
-    /// delta facts, scans before `i` evaluate against the *new* view
-    /// and scans after `i` against the *old* view. `emit` receives the
-    /// complete binding and the row's sign.
-    fn delta_rows<K: KbRead + ?Sized>(
+    /// Folds every signed result row of the telescoped delta join into
+    /// `state`: for each step position `i` and each sign, the changes
+    /// of that sign seed step `i`, and the executor joins the seed rows
+    /// with the steps after `i` over the *old* view and those before it
+    /// over the *new* view.
+    fn fold_delta<K: KbRead + ?Sized>(
         &self,
-        nvars: usize,
+        plan: &Plan,
         changes: &[SignedFact],
         old: &K,
         new: &K,
-        emit: &mut dyn FnMut(&[Option<TermId>], i64),
+        state: &mut ViewState,
+        dirty: &mut DirtyLog,
     ) {
-        let mut binding: Vec<Option<TermId>> = vec![None; nvars];
-        let mut undo: Vec<usize> = Vec::new();
-        for i in 0..self.scans.len() {
-            let spec = &self.scans[i];
-            for change in changes {
-                if !at_matches(spec, &change.fact) {
-                    continue;
-                }
-                let t = change.fact.triple;
-                let mark = undo.len();
-                let ok = bind_slot(spec.s, t.s, &mut binding, &mut undo)
-                    && bind_slot(spec.p, t.p, &mut binding, &mut undo)
-                    && bind_slot(spec.o, t.o, &mut binding, &mut undo);
-                if ok {
-                    self.join_rest(i, 0, change.sign, &mut binding, &mut undo, old, new, emit);
-                }
-                unwind(&mut binding, &mut undo, mark);
-            }
-        }
-    }
-
-    /// Joins the remaining scans (skipping the delta-bound position
-    /// `delta_i`) in plan order; scans before `delta_i` read the new
-    /// view, scans after it the old view.
-    #[allow(clippy::too_many_arguments)]
-    fn join_rest<K: KbRead + ?Sized>(
-        &self,
-        delta_i: usize,
-        j: usize,
-        sign: i64,
-        binding: &mut Vec<Option<TermId>>,
-        undo: &mut Vec<usize>,
-        old: &K,
-        new: &K,
-        emit: &mut dyn FnMut(&[Option<TermId>], i64),
-    ) {
-        if j == self.scans.len() {
-            // Filters resolve against the new view: its dictionary is a
-            // superset (term ids are append-only), so rows mixing old-
-            // and new-view bindings still resolve every id.
-            if self.filters.iter().all(|c| eval_cond_with(c, &|s| binding[s], new)) {
-                emit(binding, sign);
-            }
-            return;
-        }
-        if j == delta_i {
-            self.join_rest(delta_i, j + 1, sign, binding, undo, old, new, emit);
-            return;
-        }
-        let kb: &K = if j < delta_i { new } else { old };
-        let spec = &self.scans[j];
-        let pattern = TriplePattern {
-            s: slot_bound(spec.s, binding),
-            p: slot_bound(spec.p, binding),
-            o: slot_bound(spec.o, binding),
-        };
-        let mut handle =
-            |triple: Triple, binding: &mut Vec<Option<TermId>>, undo: &mut Vec<usize>| {
-                let mark = undo.len();
-                let ok = bind_slot(spec.s, triple.s, binding, undo)
-                    && bind_slot(spec.p, triple.p, binding, undo)
-                    && bind_slot(spec.o, triple.o, binding, undo);
-                if ok {
-                    self.join_rest(delta_i, j + 1, sign, binding, undo, old, new, emit);
-                }
-                unwind(binding, undo, mark);
-            };
-        match &spec.at {
-            Some(point) => {
-                let triples: Vec<Triple> =
-                    kb.matching_at_iter(&pattern, point).map(|f| f.triple).collect();
-                for t in triples {
-                    handle(t, binding, undo);
-                }
-            }
-            None => {
-                let triples: Vec<Triple> = kb.triples_iter(&pattern).collect();
-                for t in triples {
-                    handle(t, binding, undo);
-                }
+        for (i, step) in self.steps.iter().enumerate() {
+            for sign in [1, -1] {
+                let facts = changes
+                    .iter()
+                    .filter(|c| c.sign == sign && at_matches(step, &c.fact))
+                    .map(|c| c.fact.triple);
+                delta_join(&self.steps, i, plan.nvars, facts, old, new, |get| {
+                    // Filters resolve against the new view: its
+                    // dictionary is a superset (term ids are
+                    // append-only), so rows mixing old- and new-view
+                    // bindings still resolve every id.
+                    if self.filters.iter().all(|c| eval_cond_with(c, get, new)) {
+                        fold_row(plan, state, dirty, get, sign);
+                    }
+                });
             }
         }
     }
@@ -961,12 +842,7 @@ impl ViewRegistry {
                         ViewState::Rows(_) => DirtyLog::Rows(HashMap::new()),
                         _ => DirtyLog::Groups(HashMap::new()),
                     };
-                    {
-                        let state = &mut view.state;
-                        spec.delta_rows(plan.nvars, &changes, old, new, &mut |binding, sign| {
-                            fold_row(&plan, state, &mut dirty, &|s| binding[s], sign);
-                        });
-                    }
+                    spec.fold_delta(&plan, &changes, old, new, &mut view.state, &mut dirty);
                     let (added, removed) = drain_dirty(&plan, &view.state, dirty, new);
                     // DISTINCT over a grouped view can merge identical
                     // rows produced by different group keys; only a
@@ -1058,7 +934,7 @@ fn diff_outputs<K: KbRead + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kb_store::{KbBuilder, SegmentedSnapshot};
+    use kb_store::{KbBuilder, SegmentedSnapshot, TimeSpan, Triple};
 
     fn base() -> SegmentedSnapshot {
         let mut b = KbBuilder::new();
@@ -1107,6 +983,52 @@ mod tests {
         assert_eq!(updates[0].removed.len(), 1);
         assert_eq!(reg.result(id).unwrap().rows.len(), 2);
         check_against_reexec(&reg, id, &new);
+    }
+
+    /// The first cells of `rows`, as text.
+    fn first_cells(rows: &[Vec<Cell>], kb: &SegmentedSnapshot) -> Vec<String> {
+        rows.iter().map(|r| crate::cell_str(&r[0], kb).into_owned()).collect()
+    }
+
+    #[test]
+    fn time_point_views_seed_from_the_span_each_change_carries() {
+        let works_at = |b: &mut KbBuilder, s: &str, o: &str, span: Option<&str>| {
+            let triple = Triple::new(b.intern(s), b.intern("worksAt"), b.intern(o));
+            let span = span.map(|text| TimeSpan::parse(text).unwrap());
+            b.add_fact(Fact { span, ..Fact::asserted(triple) });
+        };
+        let mut b = KbBuilder::new();
+        works_at(&mut b, "Alice", "Acme", Some("[1980,1990]"));
+        works_at(&mut b, "Bob", "Acme", Some("[1995,2000]"));
+        works_at(&mut b, "Carol", "Acme", None);
+        works_at(&mut b, "Dave", "Initech", None);
+        b.assert_str("Acme", "locatedIn", "Cupertino");
+        b.assert_str("Initech", "locatedIn", "Austin");
+        let old = SegmentedSnapshot::from_base(b.freeze().into_shared());
+        let stats = StatsCatalog::build(&old);
+        let mut reg = ViewRegistry::new(&Registry::new());
+        let text = "SELECT ?p ?w WHERE { ?p worksAt ?c @1985 . ?c locatedIn ?w }";
+        let id = reg.register(text, &old, &stats).unwrap();
+        assert!(reg.maintainability_of(id).unwrap().is_incremental());
+        assert_eq!(first_cells(&reg.result(id).unwrap().rows, &old), ["Alice", "Carol", "Dave"]);
+
+        // Alice's spanned fact is retracted, and so is Bob's, which never
+        // held in 1985. Carol's and Dave's unspanned facts take spans:
+        // Carol's leaves 1985, Dave's keeps it.
+        let mut b = KbBuilder::new();
+        b.retract_str("Alice", "worksAt", "Acme");
+        b.retract_str("Bob", "worksAt", "Acme");
+        works_at(&mut b, "Carol", "Acme", Some("[1990,2000]"));
+        works_at(&mut b, "Dave", "Initech", Some("[1980,1986]"));
+        let delta = Arc::new(b.freeze_delta(&old));
+        let new = old.with_delta(Arc::clone(&delta));
+        let new_stats = stats.merged_with_delta(&delta);
+        let updates = reg.apply_delta(delta.as_ref(), &old, &new, &new_stats);
+        assert!(updates[0].patched);
+        check_against_reexec(&reg, id, &new);
+        assert_eq!(first_cells(&updates[0].removed, &new), ["Alice", "Carol"]);
+        assert!(updates[0].added.is_empty(), "{:?}", updates[0].added);
+        assert_eq!(first_cells(&reg.result(id).unwrap().rows, &new), ["Dave"]);
     }
 
     #[test]

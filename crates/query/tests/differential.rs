@@ -187,19 +187,19 @@ proptest! {
 }
 
 /// Regression (PR 3 review finding, promoted from a scratch test): an
-/// OPTIONAL block after a UNION must correlate its merge-range join
-/// with the bindings produced by the union branches — the merge-range
-/// physical operator must not cross-join uncorrelated `bornIn`/`diedIn`
-/// rows onto every union binding.
+/// OPTIONAL block after a UNION must correlate its shared-object join
+/// with the bindings produced by the union branches — it must not
+/// cross-join uncorrelated `bornIn`/`diedIn` rows onto every union
+/// binding.
 #[test]
-fn optional_after_union_keeps_merge_range_correlated() {
+fn optional_after_union_keeps_its_shared_object_join_correlated() {
     use kb_store::KbBuilder;
 
     let mut b = KbBuilder::new();
     // Union binds ?a.
     b.assert_str("alice", "knows", "bob");
     b.assert_str("carol", "likes", "bob");
-    // Merge-eligible pair inside the OPTIONAL: ?a bornIn ?c . ?d diedIn ?c
+    // A shared-object pair inside the OPTIONAL: ?a bornIn ?c . ?d diedIn ?c
     b.assert_str("alice", "bornIn", "town1");
     b.assert_str("carol", "bornIn", "town2");
     b.assert_str("dave", "diedIn", "town1");
@@ -334,4 +334,32 @@ fn f8_queries_conform_to_reference_on_small_kb() {
             assert_conforms(&parsed, &out, view, &reference);
         }
     }
+}
+
+/// Two patterns sharing an object variable plan as two scan steps,
+/// the long run first. The second step is handed a thousand rows
+/// against a run of fifty, so it answers them from one probe table
+/// keyed by the object the first binds — built at its first row — and
+/// the answer is the reference's.
+#[test]
+fn shared_object_pair_plans_as_two_scan_steps() {
+    let mut kb = KbBuilder::new();
+    let mut reference = RefKb::default();
+    let facts = (0..1_000).map(|i| (format!("p{i}"), "bornIn", format!("c{}", i % 10)));
+    let facts = facts.chain((0..50).map(|j| (format!("d{j}"), "diedIn", format!("c{j}"))));
+    for (s, p, o) in facts {
+        kb.assert_str(&s, p, &o);
+        reference.assert(&s, p, &o, None);
+    }
+    let snap = kb.snapshot();
+    let text = "?a bornIn ?c . ?b diedIn ?c";
+    let parsed = kb_query::parse(text).unwrap();
+    let plan = kb_query::plan(&parsed, &snap, &kb_query::StatsCatalog::build(&snap)).unwrap();
+    let labels: Vec<&str> = plan.ops().iter().map(|op| op.label.as_str()).collect();
+    assert_eq!(labels, ["scan `?a bornIn ?c`", "scan `?b diedIn ?c`"]);
+
+    let (out, trace) = kb_query::execute_traced(&plan, &snap);
+    assert_eq!(trace.probe_tables, [kb_query::ProbeBuild { op: 1, rows: 50, lookups: 0 }]);
+    assert_eq!(out.rows.len(), 1_000);
+    assert_conforms(&parsed, &out, &snap, &reference);
 }

@@ -84,13 +84,15 @@ proptest! {
     /// previous answer and the new one. (That invariant and shape 6 fail
     /// at the parent commit: the fallback's diff stepped through
     /// descending answers in ascending order and reported surviving rows
-    /// as both removed and added.)
+    /// as both removed and added.) Up to three patterns, so that a delta
+    /// position can have steps both before it (joined over the new view)
+    /// and after it (over the old one).
     #[test]
     fn patched_views_match_reexecution_across_delta_chains(
         triples in prop::collection::vec((0u32..6, 0u32..4, 0u32..6), 1..30),
         patterns in prop::collection::vec(
             ((0u8..6, 0u32..6), (0u8..3, 0u32..4), (0u8..6, 0u32..6)),
-            1..3
+            1..4
         ),
         form in 0u8..7,
         deltas in prop::collection::vec(
