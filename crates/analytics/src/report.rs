@@ -25,7 +25,7 @@ impl ComparisonReport {
     }
 
     /// The first week where B's mentions overtake A's, if any.
-    pub fn crossover_week(&self) -> Option<u32> {
+    pub(crate) fn crossover_week(&self) -> Option<u32> {
         let weeks: std::collections::BTreeSet<u32> =
             self.series_a.buckets.keys().chain(self.series_b.buckets.keys()).copied().collect();
         for w in weeks {

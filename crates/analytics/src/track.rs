@@ -47,43 +47,6 @@ impl<'a, 'kb, K: KbRead + ?Sized> Tracker<'a, 'kb, K> {
             .collect()
     }
 
-    /// Top entities co-mentioned with a tracked entity: for every post
-    /// mentioning `entity`, counts the *other* resolved entities —
-    /// the "what is it discussed with?" view.
-    pub fn co_mentions(
-        &self,
-        kb: &K,
-        posts: &[StreamPost],
-        entity: TermId,
-        k: usize,
-    ) -> Vec<(TermId, usize)> {
-        let mut counts: HashMap<TermId, usize> = HashMap::new();
-        for post in posts {
-            let mentions = detect_mentions(kb, &post.text);
-            if mentions.is_empty() {
-                continue;
-            }
-            let spans: Vec<(usize, usize)> = mentions.iter().map(|m| (m.start, m.end)).collect();
-            let resolved: Vec<TermId> = self
-                .ned
-                .disambiguate(&post.text, &spans, self.strategy)
-                .into_iter()
-                .flatten()
-                .collect();
-            if resolved.contains(&entity) {
-                for other in resolved {
-                    if other != entity {
-                        *counts.entry(other).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        let mut out: Vec<(TermId, usize)> = counts.into_iter().collect();
-        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
-    }
-
     /// Aggregates a whole stream into per-entity weekly time series.
     pub fn aggregate(&self, kb: &K, posts: &[StreamPost]) -> HashMap<TermId, TimeSeries> {
         let mut series: HashMap<TermId, TimeSeries> =
@@ -151,23 +114,6 @@ mod tests {
         let series = tracker.aggregate(&kb, &posts);
         assert_eq!(series[&strato].total_mentions(), 0);
         assert!(!series.contains_key(&nova));
-    }
-
-    #[test]
-    fn co_mentions_count_other_resolved_entities() {
-        let (kb, strato, nova) = setup();
-        let mut ned = Ned::new(&kb);
-        ned.add_anchor("Strato 3", strato);
-        ned.add_anchor("Nova 2", nova);
-        ned.finalize();
-        let tracker = Tracker::new(&ned, vec![strato]);
-        let posts = vec![
-            StreamPost::new(0, "comparing the Strato 3 and the Nova 2 today"),
-            StreamPost::new(1, "the Strato 3 alone"),
-            StreamPost::new(2, "the Nova 2 alone"),
-        ];
-        let co = tracker.co_mentions(&kb, &posts, strato, 5);
-        assert_eq!(co, vec![(nova, 1)]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Variables are booleans; factors are log-potentials over one or two
 //! variables. [`gibbs_marginals`] estimates `P(x = true)` for every
-//! variable. [`infer_candidates`] wires candidate facts into a graph:
+//! variable. `infer_candidates` wires candidate facts into a graph:
 //! unary evidence factors from extraction confidence, negative pairwise
 //! factors between constraint-violating pairs — the *soft* counterpart
 //! of the MaxSat reasoner's hard clauses.
@@ -68,7 +68,7 @@ impl FactorGraph {
 
     /// Adds a mutual-exclusion penalty: log-potential `-penalty` when
     /// both variables are true.
-    pub fn mutex(&mut self, a: usize, b: usize, penalty: f64) {
+    pub(crate) fn mutex(&mut self, a: usize, b: usize, penalty: f64) {
         self.pairwise(a, b, [0.0, 0.0, 0.0, -penalty]);
     }
 }
@@ -155,7 +155,7 @@ pub fn gibbs_marginals(graph: &FactorGraph, cfg: &GibbsConfig) -> Vec<f64> {
 }
 
 /// Converts a confidence in `(0,1)` to clamped log-odds.
-pub fn confidence_log_odds(conf: f64) -> f64 {
+pub(crate) fn confidence_log_odds(conf: f64) -> f64 {
     let c = conf.clamp(0.02, 0.98);
     (c / (1.0 - c)).ln()
 }
@@ -167,7 +167,7 @@ pub fn confidence_log_odds(conf: f64) -> f64 {
 /// strong negative unary; functionality / inverse-functionality
 /// conflicts become pairwise mutex penalties (soft, unlike the MaxSat
 /// reasoner's hard clauses).
-pub fn infer_candidates(
+pub(crate) fn infer_candidates(
     candidates: &[CandidateFact],
     types: &TypeIndex,
     cfg: &GibbsConfig,

@@ -49,7 +49,7 @@ impl Default for ExtractConfig {
 
 /// Applies the model to all occurrences, producing aggregated candidate
 /// facts sorted by descending confidence.
-pub fn extract_candidates(
+pub(crate) fn extract_candidates(
     occurrences: &[PatternOccurrence],
     model: &PatternModel,
     cfg: &ExtractConfig,

@@ -108,7 +108,7 @@ fn is_subsequence(skeleton: &[String], tokens: &[&str]) -> bool {
 
 /// Applies generalized patterns to occurrences the exact model missed,
 /// producing extra candidate facts.
-pub fn extract_generalized(
+pub(crate) fn extract_generalized(
     occurrences: &[PatternOccurrence],
     model: &PatternModel,
     generalized: &[GeneralizedPattern],

@@ -26,7 +26,7 @@ pub const INFOBOX_MAPPING: &[(&str, &str)] = &[
 ];
 
 /// Relation mapped to an infobox key, if any.
-pub fn relation_for_key(key: &str) -> Option<&'static str> {
+pub(crate) fn relation_for_key(key: &str) -> Option<&'static str> {
     INFOBOX_MAPPING.iter().find(|(k, _)| *k == key).map(|&(_, r)| r)
 }
 

@@ -122,7 +122,7 @@ pub const RELATION_SCHEMA: &[RelationSpec] = &[
 ];
 
 /// Looks up a relation's spec by name.
-pub fn relation_spec(name: &str) -> Option<&'static RelationSpec> {
+pub(crate) fn relation_spec(name: &str) -> Option<&'static RelationSpec> {
     RELATION_SCHEMA.iter().find(|r| r.name == name)
 }
 

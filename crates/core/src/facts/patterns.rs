@@ -66,7 +66,7 @@ impl Default for CollectConfig {
 }
 
 /// Collects all pattern occurrences from one document.
-pub fn collect_occurrences<'a>(
+pub(crate) fn collect_occurrences<'a>(
     doc: &Doc,
     canonical_of: &impl Fn(kb_corpus::EntityId) -> &'a str,
     cfg: &CollectConfig,
@@ -118,7 +118,7 @@ pub fn collect_occurrences<'a>(
 
 /// Extracts the sentence-level temporal hint: `from Y1 to Y2` wins over
 /// a bare `in Y`; the first match of each shape is used.
-pub fn sentence_time_hint(sentence: &str) -> Option<TimeHint> {
+pub(crate) fn sentence_time_hint(sentence: &str) -> Option<TimeHint> {
     let toks = tokenize(sentence);
     // from Y1 to Y2
     for w in toks.windows(4) {
@@ -145,7 +145,7 @@ pub fn sentence_time_hint(sentence: &str) -> Option<TimeHint> {
 }
 
 /// Parses a plausible year (4 digits, 1000–2999).
-pub fn parse_year(text: &str) -> Option<i32> {
+pub(crate) fn parse_year(text: &str) -> Option<i32> {
     if text.len() != 4 {
         return None;
     }

@@ -66,7 +66,7 @@ pub const DISJOINT_KINDS: [&str; 6] =
 /// carry no disjointness information, so their presence alone never
 /// produces a violation — the harvested taxonomy is incomplete and
 /// "not known to be a person" must not mean "not a person".
-pub fn type_verdict(c: &CandidateFact, types: &TypeIndex) -> TypeVerdict {
+pub(crate) fn type_verdict(c: &CandidateFact, types: &TypeIndex) -> TypeVerdict {
     let Some(spec) = relation_spec(&c.relation) else {
         return TypeVerdict::Unknown;
     };
@@ -94,7 +94,11 @@ pub fn type_verdict(c: &CandidateFact, types: &TypeIndex) -> TypeVerdict {
 
 /// Rescales candidate confidences in place according to their type
 /// verdicts, then re-sorts by confidence.
-pub fn apply_type_scoring(candidates: &mut [CandidateFact], types: &TypeIndex, cfg: &ScoreConfig) {
+pub(crate) fn apply_type_scoring(
+    candidates: &mut [CandidateFact],
+    types: &TypeIndex,
+    cfg: &ScoreConfig,
+) {
     for c in candidates.iter_mut() {
         match type_verdict(c, types) {
             TypeVerdict::Match => {

@@ -50,7 +50,7 @@ fn strip_affixes(label: &str, lang: &str) -> String {
 }
 
 /// Whether a link passes the consistency filter.
-pub fn is_consistent(link: &LangLink, cfg: &MultilingualConfig) -> bool {
+pub(crate) fn is_consistent(link: &LangLink, cfg: &MultilingualConfig) -> bool {
     let stripped = strip_affixes(&link.label, &link.lang);
     jaro_winkler(&stripped.to_lowercase(), &link.english.to_lowercase()) >= cfg.min_consistency
 }

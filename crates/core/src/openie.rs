@@ -59,7 +59,7 @@ impl Default for OpenIeConfig {
 /// map step of the pipeline. The lexical constraint needs corpus-wide
 /// statistics and is applied afterwards by
 /// [`apply_lexical_constraint`].
-pub fn extract_raw(doc: &Doc, cfg: &OpenIeConfig) -> Vec<OpenFact> {
+pub(crate) fn extract_raw(doc: &Doc, cfg: &OpenIeConfig) -> Vec<OpenFact> {
     let tagger = PosTagger::new();
     let mut raw: Vec<OpenFact> = Vec::new();
     for sent in split_sentences(&doc.text) {
@@ -82,7 +82,7 @@ pub fn extract_open(docs: &[&Doc], cfg: &OpenIeConfig) -> Vec<OpenFact> {
 
 /// Applies the corpus-wide lexical constraint and frequency-aware
 /// confidences to raw extractions (the reduce step).
-pub fn apply_lexical_constraint(raw: Vec<OpenFact>, cfg: &OpenIeConfig) -> Vec<OpenFact> {
+pub(crate) fn apply_lexical_constraint(raw: Vec<OpenFact>, cfg: &OpenIeConfig) -> Vec<OpenFact> {
     // Lexical constraint: distinct arg pairs per normalized phrase.
     let mut pairs_per_phrase: HashMap<&str, HashSet<(&str, &str)>> = HashMap::new();
     for f in &raw {

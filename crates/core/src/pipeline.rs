@@ -217,7 +217,7 @@ pub fn analyze_parallel<'a>(
     Ok((occs.into_iter().flatten().collect(), open.into_iter().flatten().collect()))
 }
 
-/// What [`collect_resilient`] produced: the occurrences and survivors,
+/// What `collect_resilient` produced: the occurrences and survivors,
 /// plus the dead-letter queue and retry ledger.
 #[derive(Debug, Default)]
 pub struct CollectOutcome {
@@ -237,7 +237,7 @@ pub struct CollectOutcome {
 /// configured retry policy. A document that fails validation or keeps
 /// panicking is quarantined; the rest of the harvest proceeds without
 /// it. Output order is deterministic and independent of `workers`.
-pub fn collect_resilient<'a>(
+pub(crate) fn collect_resilient<'a>(
     docs: &[&Doc],
     canonical_of: &(impl Fn(kb_corpus::EntityId) -> &'a str + Sync),
     cfg: &CollectConfig,
@@ -472,32 +472,7 @@ fn harvest_with_models(
         let gold_facts = gold::gold_fact_strings(world);
         let seeds = distant::stratified_seeds(&gold_facts, cfg.seed_fraction);
         let model = distant::train(&occurrences, &seeds, &cfg.train);
-        let mut candidates = extract::extract_candidates(&occurrences, &model, &cfg.extract);
-        if cfg.generalize {
-            use crate::facts::generalize::{extract_generalized, generalize, GeneralizeConfig};
-            let skeletons = generalize(&model, &GeneralizeConfig::default());
-            let extra = extract_generalized(&occurrences, &model, &skeletons);
-            // Merge: generalized candidates are new keys by construction
-            // (they only cover occurrences the exact model missed), but a
-            // fact can be seen both ways through different occurrences.
-            let mut by_key: std::collections::HashMap<_, usize> =
-                candidates.iter().enumerate().map(|(i, c)| (c.key(), i)).collect();
-            for g in extra {
-                match by_key.get(&g.key()) {
-                    Some(&i) => {
-                        let c = &mut candidates[i];
-                        c.confidence = 1.0 - (1.0 - c.confidence) * (1.0 - g.confidence);
-                        c.support += g.support;
-                        c.hints.extend(g.hints);
-                    }
-                    None => {
-                        by_key.insert(g.key(), candidates.len());
-                        candidates.push(g);
-                    }
-                }
-            }
-        }
-
+        let mut candidates = extract_all(&occurrences, &model, cfg);
         extract_span.stop();
 
         // ---- Phase 4: refinement (with degradation ladder) ----------
@@ -544,6 +519,43 @@ fn harvest_with_models(
         Ok((out, model, types))
     })
     .map_err(|detail| PipelineError::StagePanic { stage: "harvest", detail })?
+}
+
+/// The extraction stage of [`harvest`] and of every
+/// [`IncrementalHarvester::harvest_batch`]: the exact model's candidates,
+/// plus — with [`HarvestConfig::generalize`] — the matches of its
+/// PrefixSpan-generalized skeletons.
+fn extract_all(
+    occurrences: &[PatternOccurrence],
+    model: &distant::PatternModel,
+    cfg: &HarvestConfig,
+) -> Vec<CandidateFact> {
+    let mut candidates = extract::extract_candidates(occurrences, model, &cfg.extract);
+    if cfg.generalize {
+        use crate::facts::generalize::{extract_generalized, generalize, GeneralizeConfig};
+        let skeletons = generalize(model, &GeneralizeConfig::default());
+        let extra = extract_generalized(occurrences, model, &skeletons);
+        // Merge: generalized candidates are new keys by construction
+        // (they only cover occurrences the exact model missed), but a
+        // fact can be seen both ways through different occurrences.
+        let mut by_key: std::collections::HashMap<_, usize> =
+            candidates.iter().enumerate().map(|(i, c)| (c.key(), i)).collect();
+        for g in extra {
+            match by_key.get(&g.key()) {
+                Some(&i) => {
+                    let c = &mut candidates[i];
+                    c.confidence = 1.0 - (1.0 - c.confidence) * (1.0 - g.confidence);
+                    c.support += g.support;
+                    c.hints.extend(g.hints);
+                }
+                None => {
+                    by_key.insert(g.key(), candidates.len());
+                    candidates.push(g);
+                }
+            }
+        }
+    }
+    candidates
 }
 
 /// Publishes one harvest run's volume and resilience ledger as
@@ -643,8 +655,7 @@ impl IncrementalHarvester {
             world.entities.len() as u32,
         )?;
         catch_panic(|| -> Result<BatchOutcome, PipelineError> {
-            let mut candidates =
-                extract::extract_candidates(&collected.occurrences, &self.model, &self.cfg.extract);
+            let mut candidates = extract_all(&collected.occurrences, &self.model, &self.cfg);
             let (accepted_idx, _) = refine_candidates(&mut candidates, &self.types, &self.cfg);
             let accepted: Vec<CandidateFact> =
                 accepted_idx.iter().map(|&i| candidates[i].clone()).collect();
@@ -881,6 +892,37 @@ mod tests {
         let (sharded_entries, sharded_dump) = freeze(4);
         assert_eq!(serial_entries, sharded_entries);
         assert!(serial_dump == sharded_dump, "stacked views dump differently");
+    }
+
+    /// A batch honours `generalize` as the whole harvest does: the batch
+    /// path used to run the exact model's extraction only. Scarce seeds,
+    /// as in T3's ablation: at the default fraction every paraphrase is
+    /// learned exactly and a skeleton has nothing left to match.
+    #[test]
+    fn a_batch_adds_generalized_matches_when_the_harvest_does() {
+        use kb_store::SegmentedSnapshot;
+
+        let corpus = Corpus::generate(&CorpusConfig::standard(42));
+        let (boot, held_out) = corpus.bootstrap_split();
+        let batch: Vec<&Doc> = held_out.iter().collect();
+        let candidates = |generalize: bool| {
+            let cfg = HarvestConfig {
+                method: Method::Statistical,
+                workers: 2,
+                generalize,
+                seed_fraction: 0.08,
+                ..Default::default()
+            };
+            // The bootstrap output is `harvest`'s for the same inputs.
+            let (inc, out) = IncrementalHarvester::bootstrap(&boot, &cfg).expect("bootstrap");
+            let view = SegmentedSnapshot::from_base(out.kb.snapshot().into_shared());
+            let outcome = inc.harvest_batch(&corpus.world, &batch, &view).expect("batch");
+            (out.stats.candidates, outcome.candidates)
+        };
+        let (whole_exact, batch_exact) = candidates(false);
+        let (whole_general, batch_general) = candidates(true);
+        assert!(whole_general > whole_exact, "harvest: {whole_exact} → {whole_general}");
+        assert!(batch_general > batch_exact, "batch: {batch_exact} → {batch_general}");
     }
 
     // ---- fan-out ----------------------------------------------------

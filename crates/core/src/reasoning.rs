@@ -40,13 +40,13 @@ impl Lit {
     }
 
     /// Negative literal.
-    pub fn neg(var: Var) -> Self {
+    pub(crate) fn neg(var: Var) -> Self {
         Self { var, positive: false }
     }
 
     /// Whether the literal is satisfied under `assignment`.
     #[inline]
-    pub fn satisfied(&self, assignment: &[bool]) -> bool {
+    pub(crate) fn satisfied(&self, assignment: &[bool]) -> bool {
         assignment[self.var] == self.positive
     }
 }

@@ -111,7 +111,7 @@ fn install_quiet_hook() {
 
 /// Stringifies a panic payload (the common `&str`/`String` payloads are
 /// preserved verbatim; anything else becomes a placeholder).
-pub fn panic_payload_to_string(payload: Box<dyn Any + Send>) -> String {
+pub(crate) fn panic_payload_to_string(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -125,7 +125,7 @@ pub fn panic_payload_to_string(payload: Box<dyn Any + Send>) -> String {
 /// output is suppressed for the duration (the payload is *captured*, not
 /// lost — it becomes the error string). Guards nest: an inner one hands
 /// the outer one's suppression back.
-pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+pub(crate) fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     install_quiet_hook();
     let outer = SUPPRESS_PANIC_OUTPUT.with(|s| s.replace(true));
     let result = panic::catch_unwind(AssertUnwindSafe(f));
@@ -184,14 +184,14 @@ impl RetryPolicy {
     /// A policy that retries `max_attempts` times with no sleeping —
     /// the right default for CPU-local work where backing off buys
     /// nothing (used by the pipeline's per-document guard).
-    pub fn immediate(max_attempts: u32) -> Self {
+    pub(crate) fn immediate(max_attempts: u32) -> Self {
         Self { max_attempts, base_delay_ms: 0, max_delay_ms: 0, ..Self::default() }
     }
 
     /// The delay scheduled *after* failed attempt `attempt` (1-based):
     /// exponential in the attempt number, scaled by a deterministic
     /// jitter factor in `[0.5, 1.5)`, capped at `max_delay_ms`.
-    pub fn delay_after(&self, attempt: u32) -> Duration {
+    pub(crate) fn delay_after(&self, attempt: u32) -> Duration {
         if self.base_delay_ms == 0 {
             return Duration::ZERO;
         }
@@ -247,7 +247,7 @@ impl BudgetGuard {
     }
 
     /// Seconds elapsed since the guard started.
-    pub fn elapsed_secs(&self) -> f64 {
+    pub(crate) fn elapsed_secs(&self) -> f64 {
         self.start.elapsed().as_secs_f64()
     }
 
@@ -258,11 +258,6 @@ impl BudgetGuard {
             return true;
         }
         self.budget_secs.is_finite() && self.elapsed_secs() > self.budget_secs
-    }
-
-    /// The configured budget in seconds.
-    pub fn budget_secs(&self) -> f64 {
-        self.budget_secs
     }
 }
 

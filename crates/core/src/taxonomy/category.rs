@@ -46,7 +46,7 @@ fn is_nationality_adjective(word: &str) -> bool {
 }
 
 /// Parses one category string.
-pub fn parse_category(cat: &str) -> ParsedCategory {
+pub(crate) fn parse_category(cat: &str) -> ParsedCategory {
     let tokens: Vec<&str> = cat.split_whitespace().collect();
     if tokens.is_empty() {
         return ParsedCategory::Relational { head: None };

@@ -50,7 +50,7 @@ pub fn merge_instances(sources: &[(&[InstanceAssertion], f64)]) -> Vec<MergedIns
 /// min_containment`, `|inst(A)| ≥ min_instances`, and `|inst(A)| <
 /// |inst(B)|`. Only the most specific containing classes are kept (no
 /// shortcut edges to grandparents that a chain already implies).
-pub fn induce_subclasses(
+pub(crate) fn induce_subclasses(
     instances: &[MergedInstance],
     min_containment: f64,
     min_instances: usize,
@@ -97,7 +97,7 @@ pub fn induce_subclasses(
 /// `instanceOf` facts with their confidences, plus taxonomy edges.
 /// Cycle-rejected edges are skipped (returned count reflects applied
 /// edges).
-pub fn load_into_kb(
+pub(crate) fn load_into_kb(
     kb: &mut KbBuilder,
     instances: &[MergedInstance],
     subclass_edges: &[(String, String)],

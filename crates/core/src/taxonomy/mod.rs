@@ -37,7 +37,7 @@ pub fn to_eval_set(assertions: &[InstanceAssertion]) -> HashSet<(String, String)
 /// Normalizes a plural class head to the singular class identifier used
 /// by the gold taxonomy: lowercase, `people → person`,
 /// `-ies → -y`, trailing `-s` stripped, spaces → underscores.
-pub fn singularize_class(plural: &str) -> String {
+pub(crate) fn singularize_class(plural: &str) -> String {
     let lower = plural.to_lowercase().replace(' ', "_");
     if lower == "people" || lower == "persons" {
         return "person".to_string();

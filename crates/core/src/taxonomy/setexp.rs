@@ -11,7 +11,7 @@ pub type EnumGroup = Vec<String>;
 
 /// Extracts enumeration groups from a document: maximal runs of
 /// mentions separated only by list glue (`", "`, `" and "`, `" or "`).
-pub fn enumeration_groups<'a>(
+pub(crate) fn enumeration_groups<'a>(
     doc: &Doc,
     canonical_of: &impl Fn(kb_corpus::EntityId) -> &'a str,
 ) -> Vec<EnumGroup> {

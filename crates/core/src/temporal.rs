@@ -2,8 +2,10 @@
 //! expressions and inferring the timespans during which facts hold
 //! (YAGO2 lineage).
 //!
-//! The tagger recognizes year expressions (`in 1976`,
-//! `from 1970 to 1985`); the inference step aggregates the hints
+//! The tagger, which the pattern extractor runs on every sentence it
+//! takes an occurrence from, recognizes year expressions (`in 1976`,
+//! `from 1970 to 1985`) and keeps one hint per sentence, an interval
+//! over a bare year; the inference step here aggregates the hints
 //! attached to a candidate fact's supporting sentences into a single
 //! [`TimeSpan`] by majority vote over begin years (and end years when
 //! present).
@@ -13,70 +15,6 @@ use std::collections::HashMap;
 use kb_store::{TimePoint, TimeSpan};
 
 use crate::facts::patterns::TimeHint;
-
-/// A tagged temporal expression in text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TemporalTag {
-    /// Byte offset where the expression starts.
-    pub start: usize,
-    /// Byte offset one past its end.
-    pub end: usize,
-    /// The hint it denotes.
-    pub hint: TimeHint,
-}
-
-/// Tags all temporal expressions in `text`: every `from Y1 to Y2` span
-/// and every remaining `in Y`.
-pub fn tag_temporal(text: &str) -> Vec<TemporalTag> {
-    use kb_nlp::token::{tokenize, TokenKind};
-    let toks = tokenize(text);
-    let mut tags: Vec<TemporalTag> = Vec::new();
-    let mut consumed = vec![false; toks.len()];
-    // from Y1 to Y2
-    for i in 0..toks.len().saturating_sub(3) {
-        if toks[i].kind == TokenKind::Word
-            && toks[i].lower() == "from"
-            && toks[i + 1].kind == TokenKind::Number
-            && toks[i + 2].lower() == "to"
-            && toks[i + 3].kind == TokenKind::Number
-        {
-            let (Some(a), Some(b)) = (
-                crate::facts::patterns::parse_year(&toks[i + 1].text),
-                crate::facts::patterns::parse_year(&toks[i + 3].text),
-            ) else {
-                continue;
-            };
-            tags.push(TemporalTag {
-                start: toks[i].start,
-                end: toks[i + 3].end,
-                hint: TimeHint { begin: Some(a), end: Some(b) },
-            });
-            for c in consumed.iter_mut().skip(i).take(4) {
-                *c = true;
-            }
-        }
-    }
-    // in Y
-    for i in 0..toks.len().saturating_sub(1) {
-        if consumed[i] || consumed[i + 1] {
-            continue;
-        }
-        if toks[i].kind == TokenKind::Word
-            && toks[i].lower() == "in"
-            && toks[i + 1].kind == TokenKind::Number
-        {
-            if let Some(y) = crate::facts::patterns::parse_year(&toks[i + 1].text) {
-                tags.push(TemporalTag {
-                    start: toks[i].start,
-                    end: toks[i + 1].end,
-                    hint: TimeHint { begin: Some(y), end: None },
-                });
-            }
-        }
-    }
-    tags.sort_by_key(|t| t.start);
-    tags
-}
 
 /// Infers a single timespan from a fact's collected hints.
 ///
@@ -170,6 +108,7 @@ pub fn score_spans(inferred: &[(Option<TimeSpan>, Option<i32>, Option<i32>)]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::facts::patterns::sentence_time_hint;
 
     fn hint(b: Option<i32>, e: Option<i32>) -> TimeHint {
         TimeHint { begin: b, end: e }
@@ -177,31 +116,27 @@ mod tests {
 
     #[test]
     fn tags_in_year() {
-        let tags = tag_temporal("Jobs founded Apple in 1976.");
-        assert_eq!(tags.len(), 1);
-        assert_eq!(tags[0].hint, hint(Some(1976), None));
-        assert_eq!(&"Jobs founded Apple in 1976."[tags[0].start..tags[0].end], "in 1976");
+        let tag = sentence_time_hint("Jobs founded Apple in 1976.");
+        assert_eq!(tag, Some(hint(Some(1976), None)));
     }
 
     #[test]
     fn tags_from_to_without_double_counting() {
-        let tags = tag_temporal("She worked there from 1970 to 1985 happily.");
-        assert_eq!(tags.len(), 1);
-        assert_eq!(tags[0].hint, hint(Some(1970), Some(1985)));
+        let tag = sentence_time_hint("She worked there from 1970 to 1985 happily.");
+        assert_eq!(tag, Some(hint(Some(1970), Some(1985))));
     }
 
     #[test]
     fn mixed_expressions() {
-        let tags = tag_temporal("Born in 1955, he worked from 1970 to 1985.");
-        assert_eq!(tags.len(), 2);
-        assert_eq!(tags[0].hint, hint(Some(1955), None));
-        assert_eq!(tags[1].hint, hint(Some(1970), Some(1985)));
+        // The interval wins over the bare year before it.
+        let tag = sentence_time_hint("Born in 1955, he worked from 1970 to 1985.");
+        assert_eq!(tag, Some(hint(Some(1970), Some(1985))));
     }
 
     #[test]
     fn non_years_are_ignored() {
-        assert!(tag_temporal("in 12 days from 3 to 5").is_empty());
-        assert!(tag_temporal("no numbers at all").is_empty());
+        assert_eq!(sentence_time_hint("in 12 days from 3 to 5"), None);
+        assert_eq!(sentence_time_hint("no numbers at all"), None);
     }
 
     #[test]

@@ -160,7 +160,7 @@ impl Histogram {
     /// The upper bound of the bucket containing the `q`-quantile sample
     /// (`0.0 < q <= 1.0`), or 0 for an empty histogram. The overflow
     /// bucket reports the last finite bound.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;

@@ -57,7 +57,7 @@ impl Metric {
 #[derive(Debug)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
-    clock: Mutex<Arc<dyn Clock>>,
+    clock: Arc<dyn Clock>,
 }
 
 impl Default for Registry {
@@ -75,17 +75,12 @@ impl Registry {
     /// An empty registry on an injected clock (tests pass a
     /// [`ManualClock`](crate::ManualClock) so span durations are exact).
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
-        Registry { metrics: Mutex::new(BTreeMap::new()), clock: Mutex::new(clock) }
+        Registry { metrics: Mutex::new(BTreeMap::new()), clock }
     }
 
     /// The clock spans started from this registry read.
     pub fn clock(&self) -> Arc<dyn Clock> {
-        self.clock.lock().expect("registry clock poisoned").clone()
-    }
-
-    /// Swaps the clock (affects spans started after the call).
-    pub fn set_clock(&self, clock: Arc<dyn Clock>) {
-        *self.clock.lock().expect("registry clock poisoned") = clock;
+        Arc::clone(&self.clock)
     }
 
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {

@@ -88,7 +88,7 @@ pub enum CmpOp {
 
 impl CmpOp {
     /// The surface token.
-    pub fn symbol(self) -> &'static str {
+    pub(crate) fn symbol(self) -> &'static str {
         match self {
             CmpOp::Eq => "=",
             CmpOp::Ne => "!=",

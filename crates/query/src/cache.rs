@@ -60,6 +60,7 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use kb_store::TermId;
 
 use crate::error::QueryError;
+use crate::lock::{lock, recover, write};
 use crate::plan::Footprint;
 
 /// What [`LruCache::put`] did with the offered entry.
@@ -280,7 +281,7 @@ impl<V> Drop for Retire<'_, V> {
         // This may run in an unwind, where a second panic would abort:
         // take the lock even if poisoned. No update of the cache panics
         // half-way, so its data is valid either way.
-        let mut shared = self.cache.shared.lock().unwrap_or_else(|p| p.into_inner());
+        let mut shared = recover(self.cache.shared.lock());
         shared.inflight.retain(|slot| !Arc::ptr_eq(&slot.flight, self.flight));
     }
 }
@@ -328,7 +329,7 @@ impl<V: Clone> StampedCache<V> {
     }
 
     fn lock(&self) -> Held<'_, V> {
-        Held { guard: self.shared.lock().expect("cache poisoned"), removed: Vec::new() }
+        Held { guard: lock(&self.shared), removed: Vec::new() }
     }
 
     /// The fresh entry under `key`, if any; refreshes its recency. An
@@ -361,7 +362,7 @@ impl<V: Clone> StampedCache<V> {
             // Blocks until the leader lets go. If it panicked the lock
             // is poisoned and the answer missing: probe again, maybe
             // lead.
-            let answer = flight.read().unwrap_or_else(|p| p.into_inner()).clone();
+            let answer = recover(flight.read()).clone();
             if let Some(result) = answer {
                 return (result, Outcome::Joined);
             }
@@ -369,7 +370,7 @@ impl<V: Clone> StampedCache<V> {
         // Nobody is computing this: lead, with the table lock still
         // held from the miss.
         let flight: Arc<Flight<V>> = Arc::new(RwLock::new(None));
-        let mut answer = flight.write().expect("nobody else has seen this lock yet");
+        let mut answer = write(&flight);
         shared.inflight.push(Slot { epoch, key: key.into(), flight: flight.clone() });
         drop(shared);
         // Declared after `answer`, so dropped before it: if `compute`

@@ -67,7 +67,7 @@ use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::hash::Hasher as _;
 
-use kb_store::fx::FxHasher;
+use kb_store::FxHasher;
 use kb_store::{KbRead, KbReadBatch, TermId, TimePoint, Triple, TripleBatch, TriplePattern};
 
 use crate::ast::CmpOp;
@@ -75,7 +75,7 @@ use crate::plan::{op_slots, Col, CondC, CondOperand, PhysOp, Plan, Slot, Step};
 
 /// Batch granularity of the executor, re-exported from the store so the
 /// two layers stay in lock-step.
-pub use kb_store::BATCH_ROWS;
+pub(crate) use kb_store::BATCH_ROWS;
 
 /// One projected value.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -6,7 +6,7 @@
 //!
 //! Four layers:
 //!
-//! 1. **Language + algebra** ([`ast`], [`mod@parse`]) — a SPARQL-like
+//! 1. **Language + algebra** ([`SelectQuery`], [`parse()`]) — a SPARQL-like
 //!    surface (`SELECT`/`DISTINCT`, conjunctive basic graph patterns,
 //!    `FILTER`, `OPTIONAL`, `UNION`, `GROUP BY`/`COUNT`,
 //!    `ORDER BY`/`LIMIT`/`OFFSET`, and `@point` temporal restriction)
@@ -14,14 +14,14 @@
 //!    [`Display`](std::fmt::Display) form is canonical: `parse ∘
 //!    display` is the identity, and the canonical text keys the plan
 //!    cache.
-//! 2. **Cost-based planner** ([`stats`], [`mod@plan`]) — per-predicate
+//! 2. **Cost-based planner** ([`StatsCatalog`], [`plan()`]) — per-predicate
 //!    cardinality and distinct counts harvested from the snapshot's
 //!    index buckets feed a Selinger-style join-order optimizer (exact
 //!    subset DP for small BGPs, greedy beyond), emitting physical
 //!    plans whose one join is the index-nested-loop scan step — which
 //!    the executor may answer from a probe table of its predicate's
 //!    run — over any [`KbRead`], with no per-row allocation.
-//! 3. **Serving layer** ([`service`]) — an `Arc<KbSnapshot>`-backed
+//! 3. **Serving layer** — an `Arc<KbSnapshot>`-backed
 //!    [`QueryService`] with a bounded LRU plan cache keyed on
 //!    normalized query text and a result cache invalidated per
 //!    predicate by delta installs; callers bring their own threads
@@ -29,12 +29,23 @@
 //!    the epoch freshness rule, single-flight dedup of concurrent
 //!    misses — is one private type in `cache.rs`, shared by every cache
 //!    of the service.
-//! 4. **Standing views** ([`view`]) — a [`ViewRegistry`] of
+//! 4. **Standing views** — a [`ViewRegistry`] of
 //!    materialized continuous queries patched incrementally from each
 //!    delta install via signed delta joins, run through the executor's
 //!    own scan steps, falling back to
 //!    re-execution only for plan shapes outside the maintainable
 //!    fragment.
+//!
+//! Every module is private: the crate's whole API is the `pub use` list
+//! at the end of this file — the query algebra ([`SelectQuery`] and the
+//! [`Pattern`], [`Term`], [`Group`], [`Condition`], [`CmpOp`],
+//! [`ProjItem`] and [`OrderKey`] it is built from), [`parse()`] /
+//! [`normalize`], [`plan()`] / [`Plan`] / [`routing_decision`],
+//! [`execute`] / [`execute_traced`] and the [`QueryOutput`] they return,
+//! [`QueryService`], [`ViewRegistry`] and its [`ViewUpdate`]s, and
+//! [`QueryError`]. A name joins the list when a crate, test, example or
+//! benchmark outside kb-query needs it (or a public signature returns
+//! it), and `unreachable_pub` flags a `pub` item that is on neither path.
 //!
 //! ```
 //! use kb_store::KbBuilder;
@@ -48,17 +59,20 @@
 //! assert_eq!(out.rows.len(), 1);
 //! ```
 
-pub mod ast;
-mod cache;
-pub mod error;
-pub mod exec;
-pub mod parse;
-pub mod plan;
-pub mod service;
-pub mod stats;
-pub mod view;
+#![warn(unreachable_pub)]
 
-pub use ast::SelectQuery;
+mod ast;
+mod cache;
+mod error;
+mod exec;
+mod lock;
+mod parse;
+mod plan;
+mod service;
+mod stats;
+mod view;
+
+pub use ast::{CmpOp, Condition, Group, OrderKey, Pattern, ProjItem, SelectQuery, Term};
 pub use error::QueryError;
 pub use exec::{cell_str, execute, execute_traced, Cell, ExecTrace, ProbeBuild, QueryOutput};
 pub use parse::{normalize, parse};
@@ -66,8 +80,7 @@ pub use plan::{plan, routing_decision, Footprint, OpInfo, Plan, RoutingDecision}
 pub use service::{CacheStats, QueryService, DEFAULT_CACHE_CAPACITY};
 pub use stats::{PredStat, StatsCatalog};
 pub use view::{
-    canonical_output, canonical_sort, maintainability, Maintainability, ViewId, ViewRegistry,
-    ViewUpdate,
+    canonical_output, maintainability, Maintainability, ViewId, ViewRegistry, ViewUpdate,
 };
 
 use kb_store::KbRead;

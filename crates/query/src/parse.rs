@@ -123,7 +123,7 @@ fn tokenize(text: &str) -> Result<Vec<Tok>, QueryError> {
 /// bounded: an unoptimized build spends about 5 KB of stack a level,
 /// and this many fit a 256 KB stack with room to spare. No
 /// hand-written query comes near it.
-pub const MAX_GROUP_DEPTH: usize = 32;
+pub(crate) const MAX_GROUP_DEPTH: usize = 32;
 
 /// Recursive-descent parser over the token stream.
 struct Parser {

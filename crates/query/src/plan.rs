@@ -38,7 +38,7 @@ use crate::stats::StatsCatalog;
 
 /// BGPs up to this size are join-ordered by exact subset DP; larger
 /// ones greedily.
-pub const DP_CUTOFF: usize = 10;
+pub(crate) const DP_CUTOFF: usize = 10;
 
 /// A pattern component in a physical scan: a resolved constant or a
 /// variable slot in the binding array.
@@ -191,7 +191,7 @@ pub struct Footprint {
 impl Footprint {
     /// Whether a delta touching `touched` (sorted) can change this
     /// plan's answer.
-    pub fn is_touched_by(&self, touched: &[TermId]) -> bool {
+    pub(crate) fn is_touched_by(&self, touched: &[TermId]) -> bool {
         if self.wildcard {
             return true;
         }

@@ -42,6 +42,7 @@ use crate::ast::SelectQuery;
 use crate::cache::{Outcome, PutOutcome, StampedCache};
 use crate::error::QueryError;
 use crate::exec::{execute, QueryOutput};
+use crate::lock::lock;
 use crate::parse::parse;
 use crate::plan::{plan, Footprint, Plan};
 use crate::stats::StatsCatalog;
@@ -305,7 +306,7 @@ impl QueryService {
     /// lock as the install itself, so every update batch corresponds to
     /// exactly one epoch.
     pub fn apply_delta(&self, delta: Arc<DeltaSegment>) -> Vec<ViewUpdate> {
-        let cur = self.current.lock().expect("service lock poisoned");
+        let cur = lock(&self.current);
         let stats = Arc::new(cur.stats.merged_with_delta(&delta));
         self.stack(cur, delta, stats)
     }
@@ -324,7 +325,7 @@ impl QueryService {
         delta: Arc<DeltaSegment>,
         stats: Arc<StatsCatalog>,
     ) -> Vec<ViewUpdate> {
-        self.stack(self.current.lock().expect("service lock poisoned"), delta, stats)
+        self.stack(lock(&self.current), delta, stats)
     }
 
     /// The body both delta doors share, run under the service lock
@@ -344,7 +345,7 @@ impl QueryService {
         let touched = delta.touched_predicates();
         self.plans.apply_delta(epoch, touched, true);
         let (retained, invalidated) = self.results.apply_delta(epoch, touched, false);
-        let updates = self.views.lock().expect("view registry poisoned").apply_delta(
+        let updates = lock(&self.views).apply_delta(
             delta.as_ref(),
             old_view.as_ref(),
             cur.view.as_ref(),
@@ -359,44 +360,35 @@ impl QueryService {
 
     /// Registers `text` as a materialized standing view over the
     /// currently-served view; later [`apply_delta`](Self::apply_delta)
-    /// calls patch its answer incrementally (see [`crate::view`]).
+    /// calls patch its answer incrementally (see [`ViewRegistry`](crate::ViewRegistry)).
     /// Registration holds the service lock so the initial answer is
     /// consistent with one epoch.
     pub fn register_view(&self, text: &str) -> Result<ViewId, QueryError> {
-        let cur = self.current.lock().expect("service lock poisoned");
-        self.views.lock().expect("view registry poisoned").register(
-            text,
-            cur.view.as_ref(),
-            &cur.stats,
-        )
+        let cur = lock(&self.current);
+        lock(&self.views).register(text, cur.view.as_ref(), &cur.stats)
     }
 
     /// Removes a standing view; returns whether it existed.
     pub fn unregister_view(&self, id: ViewId) -> bool {
-        self.views.lock().expect("view registry poisoned").unregister(id)
+        lock(&self.views).unregister(id)
     }
 
     /// The standing view's current materialized answer (canonical row
     /// order).
     pub fn view_result(&self, id: ViewId) -> Option<Arc<QueryOutput>> {
-        self.views.lock().expect("view registry poisoned").result(id)
-    }
-
-    /// Number of registered standing views.
-    pub fn view_count(&self) -> usize {
-        self.views.lock().expect("view registry poisoned").len()
+        lock(&self.views).result(id)
     }
 
     /// The delta epoch (starts at 0, bumps on
     /// [`apply_delta`](Self::apply_delta)).
     pub fn epoch(&self) -> u64 {
-        self.current.lock().expect("service lock poisoned").epoch
+        lock(&self.current).epoch
     }
 
     /// The currently served view: the base snapshot plus any stacked
     /// deltas. Freeze incremental batches against this.
     pub fn snapshot(&self) -> Arc<SegmentedSnapshot> {
-        self.current.lock().expect("service lock poisoned").view.clone()
+        lock(&self.current).view.clone()
     }
 
     /// Cache counters since construction.
@@ -420,7 +412,7 @@ impl QueryService {
     /// Looks up or compiles the plan for `text`. Public so callers can
     /// inspect [`Plan::explain`] (the CLI's `--explain` does).
     pub fn plan_for(&self, text: &str) -> Result<Arc<Plan>, QueryError> {
-        let at = self.current.lock().expect("service lock poisoned").clone();
+        let at = lock(&self.current).clone();
         let (key, parsed) = self.normalized_key(text)?;
         self.plan_of(text, &key, parsed, &at)
     }
@@ -472,7 +464,7 @@ impl QueryService {
     /// and deduplicating concurrent identical executions (single
     /// flight).
     pub fn query(&self, text: &str) -> Result<Arc<QueryOutput>, QueryError> {
-        let at = self.current.lock().expect("service lock poisoned").clone();
+        let at = lock(&self.current).clone();
         let (key, parsed) = self.normalized_key(text)?;
         // A remembered raw text probes the result cache before it
         // touches the plan cache: the hot path for repeated identical
@@ -667,7 +659,6 @@ mod tests {
         let id = svc
             .register_view("SELECT ?p ?c WHERE { ?p bornIn ?c . ?c locatedIn California }")
             .unwrap();
-        assert_eq!(svc.view_count(), 1);
         assert_eq!(svc.view_result(id).unwrap().rows.len(), 2);
 
         let view = svc.snapshot();
@@ -685,7 +676,7 @@ mod tests {
         assert_eq!(svc.view_result(id).unwrap().rows.len(), direct.unwrap().rows.len());
 
         assert!(svc.unregister_view(id));
-        assert_eq!(svc.view_count(), 0);
+        assert!(svc.view_result(id).is_none());
     }
 
     /// A delta disjoint from every view footprint produces no updates,

@@ -153,7 +153,7 @@ impl StatsCatalog {
     ///
     /// Uses the classic uniformity assumption: fixing a component
     /// divides the range cardinality by its distinct count.
-    pub fn estimate(&self, pred: Option<TermId>, s_fixed: bool, o_fixed: bool) -> f64 {
+    pub(crate) fn estimate(&self, pred: Option<TermId>, s_fixed: bool, o_fixed: bool) -> f64 {
         let (base, ds, do_) = match pred {
             Some(p) => match self.per_pred.get(&p) {
                 // A constant predicate the KB has never seen: the scan

@@ -91,7 +91,7 @@ impl Maintainability {
     }
 
     /// Whether the plan is delta-patchable.
-    pub fn is_incremental(&self) -> bool {
+    pub(crate) fn is_incremental(&self) -> bool {
         matches!(self, Maintainability::Incremental)
     }
 }
@@ -199,7 +199,7 @@ fn cmp_canonical<K: KbRead + ?Sized>(
 /// delta-patched path and full re-execution canonicalize through this
 /// one order, which is what makes "byte-identical" well-defined even
 /// though raw executor row order depends on the join order.
-pub fn canonical_sort<K: KbRead + ?Sized>(plan: &Plan, rows: &mut [Vec<Cell>], kb: &K) {
+pub(crate) fn canonical_sort<K: KbRead + ?Sized>(plan: &Plan, rows: &mut [Vec<Cell>], kb: &K) {
     rows.sort_by(|a, b| cmp_canonical(plan, a, b, kb));
 }
 
@@ -626,7 +626,6 @@ struct StandingView {
     /// Normalized query text (re-planned on fallback maintenance).
     text: String,
     plan: Arc<Plan>,
-    maint: Maintainability,
     spec: Option<IncSpec>,
     state: ViewState,
     output: Arc<QueryOutput>,
@@ -642,10 +641,10 @@ impl StandingView {
         stats: &StatsCatalog,
     ) -> Result<Self, QueryError> {
         let plan = Arc::new(compile(parsed, kb, stats)?);
-        let maint = maintainability(&plan);
-        let (spec, state) = match maint {
-            Maintainability::Incremental => (IncSpec::from_plan(&plan), initial_state(&plan, kb)),
-            Maintainability::Fallback(_) => (None, ViewState::Reexec),
+        let spec = IncSpec::from_plan(&plan);
+        let state = match spec {
+            Some(_) => initial_state(&plan, kb),
+            None => ViewState::Reexec,
         };
         let output = match &state {
             ViewState::Reexec => Arc::new(canonical_output(&plan, &execute(&plan, kb), kb)),
@@ -657,7 +656,7 @@ impl StandingView {
                 })
             }
         };
-        Ok(StandingView { id, text: parsed.to_string(), plan, maint, spec, state, output })
+        Ok(StandingView { id, text: parsed.to_string(), plan, spec, state, output })
     }
 }
 
@@ -793,11 +792,6 @@ impl ViewRegistry {
     /// The view's normalized query text.
     pub fn query_text(&self, id: ViewId) -> Option<&str> {
         self.views.iter().find(|v| v.id == id).map(|v| v.text.as_str())
-    }
-
-    /// How the view is maintained.
-    pub fn maintainability_of(&self, id: ViewId) -> Option<Maintainability> {
-        self.views.iter().find(|v| v.id == id).map(|v| v.maint)
     }
 
     /// Maintains every registered view across one delta install: `old`
@@ -947,6 +941,11 @@ mod tests {
         SegmentedSnapshot::from_base(b.freeze().into_shared())
     }
 
+    /// Whether `register` classified the view as delta-patchable.
+    fn incremental(reg: &ViewRegistry, id: ViewId) -> bool {
+        maintainability(&reg.plan(id).unwrap()).is_incremental()
+    }
+
     fn check_against_reexec(reg: &ViewRegistry, id: ViewId, view: &SegmentedSnapshot) {
         let plan = reg.plan(id).unwrap();
         let reexec = canonical_output(&plan, &execute(&plan, view), view);
@@ -967,7 +966,7 @@ mod tests {
             .register("SELECT ?p ?c WHERE { ?p bornIn ?c . ?c locatedIn California }", &old, &stats)
             .unwrap();
         assert_eq!(reg.result(id).unwrap().rows.len(), 2);
-        assert!(reg.maintainability_of(id).unwrap().is_incremental());
+        assert!(incremental(&reg, id));
 
         // Insert one matching person, retract another.
         let mut b = KbBuilder::new();
@@ -1009,7 +1008,7 @@ mod tests {
         let mut reg = ViewRegistry::new(&Registry::new());
         let text = "SELECT ?p ?w WHERE { ?p worksAt ?c @1985 . ?c locatedIn ?w }";
         let id = reg.register(text, &old, &stats).unwrap();
-        assert!(reg.maintainability_of(id).unwrap().is_incremental());
+        assert!(incremental(&reg, id));
         assert_eq!(first_cells(&reg.result(id).unwrap().rows, &old), ["Alice", "Carol", "Dave"]);
 
         // Alice's spanned fact is retracted, and so is Bob's, which never
@@ -1094,8 +1093,8 @@ mod tests {
         let desc = reg
             .register("SELECT ?p WHERE { ?p bornIn ?c } ORDER BY DESC(?p) LIMIT 10", &view, &stats)
             .unwrap();
-        assert!(!reg.maintainability_of(opt).unwrap().is_incremental());
-        assert!(!reg.maintainability_of(lim).unwrap().is_incremental());
+        assert!(!incremental(&reg, opt));
+        assert!(!incremental(&reg, lim));
 
         let mut b = KbBuilder::new();
         b.assert_str("Ada_Lovelace", "bornIn", "London");
@@ -1129,7 +1128,7 @@ mod tests {
         // wildcard, so the view must fall back — and start answering
         // once a delta interns the constant.
         let id = reg.register("SELECT ?p WHERE { ?p bornIn Atlantis }", &view, &stats).unwrap();
-        assert!(!reg.maintainability_of(id).unwrap().is_incremental());
+        assert!(!incremental(&reg, id));
         assert!(reg.result(id).unwrap().rows.is_empty());
 
         let mut b = KbBuilder::new();
@@ -1155,7 +1154,7 @@ mod tests {
                 &stats,
             )
             .unwrap();
-        assert!(reg.maintainability_of(id).unwrap().is_incremental());
+        assert!(incremental(&reg, id));
 
         for round in 0..3 {
             let mut b = KbBuilder::new();

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use kb_query::exec::{cell_str, QueryOutput};
+use kb_query::{cell_str, QueryOutput};
 use kb_store::{Fact, KbBuilder, KbRead, TimeSpan, Triple, TriplePattern};
 use kb_testkit::{assert_conforms, RefKb};
 

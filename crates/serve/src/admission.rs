@@ -18,6 +18,8 @@ use std::sync::{Arc, Mutex};
 
 use kb_obs::{Clock, Gauge};
 
+use crate::lock::lock;
+
 /// Admission-control policy for a [`KbRouter`](crate::KbRouter).
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
@@ -134,7 +136,7 @@ impl Admission {
     /// Number of resident tenant buckets (for tests and stats).
     #[cfg(test)]
     pub(crate) fn tenant_count(&self) -> usize {
-        self.buckets.lock().expect("admission buckets poisoned").map.len()
+        lock(&self.buckets).map.len()
     }
 
     /// Takes one token from `tenant`'s bucket, refilling it first from
@@ -153,7 +155,7 @@ impl Admission {
         };
         let now = self.clock.now_micros();
         let idle_cutoff = self.full_refill_micros(rate);
-        let mut buckets = self.buckets.lock().expect("admission buckets poisoned");
+        let mut buckets = lock(&self.buckets);
         if now.saturating_sub(buckets.last_sweep_micros) >= idle_cutoff {
             buckets.last_sweep_micros = now;
             buckets.map.retain(|_, b| now.saturating_sub(b.last_micros) < idle_cutoff);

@@ -53,6 +53,7 @@
 //! fast, explicit rejections while admitted traffic keeps its latency.
 
 mod admission;
+mod lock;
 mod metrics;
 mod router;
 mod subscribe;

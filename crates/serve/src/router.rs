@@ -15,6 +15,7 @@ use kb_store::{
 };
 
 use crate::admission::{Admission, AdmissionConfig, Overloaded};
+use crate::lock::{lock, read, write};
 use crate::metrics::ServeMetrics;
 use crate::subscribe::{Subscription, SubscriptionHub};
 
@@ -137,13 +138,13 @@ impl KbRouter {
 
     /// The delta epoch (bumps once per [`apply_delta`](Self::apply_delta)).
     pub fn epoch(&self) -> u64 {
-        self.state.read().expect("router state poisoned").epoch
+        read(&self.state).epoch
     }
 
     /// The current merged view — what scatter queries execute over, and
     /// what callers render results against.
     pub fn view(&self) -> Arc<PartitionedView> {
-        Arc::clone(&self.state.read().expect("router state poisoned").view)
+        Arc::clone(&read(&self.state).view)
     }
 
     /// One partition's replica (tests assert per-partition cache and
@@ -167,7 +168,7 @@ impl KbRouter {
     /// swap is internally atomic).
     pub fn apply_delta(&self, delta: Arc<DeltaSegment>) {
         let span = self.metrics.span(&self.metrics.install_us);
-        let mut st = self.state.write().expect("router state poisoned");
+        let mut st = write(&self.state);
         let old_view = Arc::clone(&st.view);
         let split = partition_delta(delta.as_ref(), st.view.as_ref(), self.services.len());
         let stats = Arc::new(st.stats.merged_with_delta(&delta));
@@ -183,7 +184,7 @@ impl KbRouter {
         // consistent update batch per view per install. The push never
         // blocks (bounded queues shed), so a stalled subscriber cannot
         // hold the barrier.
-        let updates = self.views.lock().expect("router views poisoned").apply_delta(
+        let updates = lock(&self.views).apply_delta(
             delta.as_ref(),
             old_view.as_ref(),
             st.view.as_ref(),
@@ -202,25 +203,21 @@ impl KbRouter {
     ///
     /// [`ViewUpdate`]: kb_query::ViewUpdate
     pub fn register_view(&self, text: &str) -> Result<ViewId, ServeError> {
-        let st = self.state.read().expect("router state poisoned");
-        let id = self.views.lock().expect("router views poisoned").register(
-            text,
-            st.view.as_ref(),
-            &st.stats,
-        )?;
+        let st = read(&self.state);
+        let id = lock(&self.views).register(text, st.view.as_ref(), &st.stats)?;
         Ok(id)
     }
 
     /// Removes a standing view; returns whether it existed. Existing
     /// subscriptions on it simply stop receiving updates.
     pub fn unregister_view(&self, id: ViewId) -> bool {
-        self.views.lock().expect("router views poisoned").unregister(id)
+        lock(&self.views).unregister(id)
     }
 
     /// The standing view's current materialized answer (canonical row
     /// order; render against [`view`](Self::view)).
     pub fn view_result(&self, id: ViewId) -> Option<Arc<QueryOutput>> {
-        self.views.lock().expect("router views poisoned").result(id)
+        lock(&self.views).result(id)
     }
 
     /// Opens a subscription on a standing view. The queue is bounded by
@@ -228,11 +225,6 @@ impl KbRouter {
     /// [`Subscription::try_recv`] for the lag contract.
     pub fn subscribe(&self, id: ViewId) -> Subscription {
         self.subs.subscribe(id, self.subscriber_buffer)
-    }
-
-    /// Live standing-view subscriber count.
-    pub fn subscriber_count(&self) -> usize {
-        self.subs.live()
     }
 
     /// [`query_as`](Self::query_as) billed to [`DEFAULT_TENANT`].
@@ -286,7 +278,7 @@ impl KbRouter {
                 // Capture view + stats together under the read lock:
                 // the query's whole execution sees one epoch.
                 let (view, stats) = {
-                    let st = self.state.read().expect("router state poisoned");
+                    let st = read(&self.state);
                     (Arc::clone(&st.view), Arc::clone(&st.stats))
                 };
                 let plan = kb_query::plan(&parsed, view.as_ref(), &stats)?;
@@ -444,7 +436,6 @@ mod tests {
         let (router, registry) = isolated(2, cfg);
         let id = router.register_view("SELECT ?p WHERE { ?p bornIn c1 }").unwrap();
         let sub = router.subscribe(id);
-        assert_eq!(router.subscriber_count(), 1);
 
         // Five installs against a 2-slot queue; the subscriber stalls.
         // Deltas freeze against a monolithic shadow of the router's
@@ -481,7 +472,6 @@ mod tests {
         b.assert_str("after_drop", "bornIn", "c1");
         let delta = Arc::new(b.freeze_delta(&shadow));
         router.apply_delta(delta);
-        assert_eq!(router.subscriber_count(), 0);
         assert_eq!(registry.counter("view.pushed").get(), 5, "no push after unsubscribe");
     }
 

@@ -22,6 +22,8 @@ use std::sync::{Arc, Mutex};
 use kb_obs::Counter;
 use kb_query::{ViewId, ViewUpdate};
 
+use crate::lock::lock;
+
 /// A subscriber fell behind: `missed` updates were dropped (oldest
 /// first) since its last receive. The next received update carries the
 /// view's full answer, so recovery is just "keep reading".
@@ -66,7 +68,7 @@ impl Subscription {
     /// exactly once per lag episode — when updates were shed since the
     /// last receive; `Ok(None)` means the queue is currently empty.
     pub fn try_recv(&self) -> Result<Option<Arc<ViewUpdate>>, ViewLag> {
-        let mut st = self.inner.state.lock().expect("subscription poisoned");
+        let mut st = lock(&self.inner.state);
         if st.missed > 0 {
             let missed = st.missed;
             st.missed = 0;
@@ -77,7 +79,7 @@ impl Subscription {
 
     /// Updates currently queued.
     pub fn len(&self) -> usize {
-        self.inner.state.lock().expect("subscription poisoned").queue.len()
+        lock(&self.inner.state).queue.len()
     }
 
     /// Whether no updates are queued.
@@ -107,7 +109,7 @@ impl SubscriptionHub {
             capacity: capacity.max(1),
             state: Mutex::new(SubState { queue: VecDeque::new(), missed: 0 }),
         });
-        self.subs.lock().expect("subscription hub poisoned").push(Arc::clone(&inner));
+        lock(&self.subs).push(Arc::clone(&inner));
         Subscription { inner }
     }
 
@@ -118,7 +120,7 @@ impl SubscriptionHub {
         if updates.is_empty() {
             return;
         }
-        let mut subs = self.subs.lock().expect("subscription hub poisoned");
+        let mut subs = lock(&self.subs);
         // A strong count of 1 means the `Subscription` handle is gone.
         subs.retain(|s| Arc::strong_count(s) > 1);
         for update in updates {
@@ -127,7 +129,7 @@ impl SubscriptionHub {
                 if sub.view != update.id {
                     continue;
                 }
-                let mut st = sub.state.lock().expect("subscription poisoned");
+                let mut st = lock(&sub.state);
                 if st.queue.len() >= sub.capacity {
                     st.queue.pop_front();
                     st.missed += 1;
@@ -137,12 +139,5 @@ impl SubscriptionHub {
                 self.pushed.inc();
             }
         }
-    }
-
-    /// Live subscriber count (prunes dropped handles first).
-    pub(crate) fn live(&self) -> usize {
-        let mut subs = self.subs.lock().expect("subscription hub poisoned");
-        subs.retain(|s| Arc::strong_count(s) > 1);
-        subs.len()
     }
 }

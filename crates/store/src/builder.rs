@@ -25,10 +25,10 @@ use crate::labels::LabelStore;
 use crate::read::{Groups, KbRead};
 use crate::sameas::SameAsStore;
 use crate::snapshot::{FrozenIndexes, KbSnapshot};
-use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 use crate::time::TimeSpan;
 use crate::Dictionary;
+use crate::SourceId;
 
 /// What [`KbCore::add_fact`] did with the incoming fact — the builder
 /// uses this to decide whether its cached read indexes must be
@@ -343,13 +343,6 @@ impl KbBuilder {
         id
     }
 
-    /// Bulk ingest in iteration order.
-    pub fn add_facts(&mut self, facts: impl IntoIterator<Item = Fact>) {
-        for f in facts {
-            self.add_fact(f);
-        }
-    }
-
     /// Retracts a triple: its confidence is set to zero and it stops
     /// matching queries. The fact id remains valid. Returns whether the
     /// triple was present and live.
@@ -381,7 +374,7 @@ impl KbBuilder {
 
     /// Merges one shard (replay in order; see [`KbShard`]). Returns the
     /// number of new facts.
-    pub fn merge_shard(&mut self, shard: &KbShard) -> usize {
+    pub(crate) fn merge_shard(&mut self, shard: &KbShard) -> usize {
         self.frozen.take();
         self.core.merge_shard(shard)
     }

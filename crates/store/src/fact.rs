@@ -5,8 +5,8 @@
 //! construction needs to track: extraction confidence, provenance
 //! source and temporal scope.
 
-use crate::store::SourceId;
 use crate::time::TimeSpan;
+use crate::SourceId;
 use crate::TermId;
 
 /// A bare SPO statement over interned terms.
@@ -68,7 +68,7 @@ impl Fact {
     }
 
     /// Whether the fact has been retracted (confidence forced to zero).
-    pub fn is_retracted(&self) -> bool {
+    pub(crate) fn is_retracted(&self) -> bool {
         self.confidence == 0.0
     }
 }

@@ -19,10 +19,6 @@
 //! Columns that back `O(1)` probes — fact ids and bucket offsets — are
 //! built with [`ColFrames::from_values_packed`], which never emits a
 //! varint frame, so `get` on them is always constant-time.
-//!
-//! [`FrameCursor`] walks a row range frame-at-a-time with a decoded
-//! window, and supports a galloping `seek_ge` over sorted columns that
-//! skips whole frames using only their `O(1)` first values.
 
 /// Rows per compression frame (and per decoded batch).
 pub const FRAME_ROWS: usize = 1024;
@@ -42,7 +38,7 @@ const PAD: usize = 8;
 /// offset: frame `f`'s payload spans `metas[f-1].end .. metas[f].end`
 /// (frame 0 starts at offset 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameMeta {
+pub(crate) struct FrameMeta {
     /// Frame-of-reference base (Const/Packed) or first value (Varint).
     pub base: u32,
     /// One of `ENC_CONST` / `ENC_PACKED` / `ENC_VARINT`.
@@ -143,7 +139,7 @@ impl ColFrames {
     /// Compresses a column without ever using Varint frames, so `get`
     /// is `O(1)` for every row — required for the fact-id and
     /// bucket-offset columns that back binary-search probes.
-    pub fn from_values_packed(values: &[u32]) -> Self {
+    pub(crate) fn from_values_packed(values: &[u32]) -> Self {
         Self::encode(values, false)
     }
 
@@ -195,7 +191,11 @@ impl ColFrames {
     /// the frame count against the row count, monotonic payload offsets
     /// that end exactly at `payload_len`, known encodings, and each
     /// frame's payload size against its rows and width.
-    pub fn check_metas(len: usize, metas: &[FrameMeta], payload_len: usize) -> Result<(), String> {
+    pub(crate) fn check_metas(
+        len: usize,
+        metas: &[FrameMeta],
+        payload_len: usize,
+    ) -> Result<(), String> {
         if metas.len() != len.div_ceil(FRAME_ROWS) {
             return Err(format!(
                 "{} frames cannot cover {} rows (expected {})",
@@ -248,7 +248,11 @@ impl ColFrames {
     /// the descriptors ([`check_metas`](Self::check_metas)), then every
     /// varint frame's bytes. `payload` excludes the `PAD` bytes (they
     /// are not serialized).
-    pub fn from_raw(len: usize, metas: Vec<FrameMeta>, payload: Vec<u8>) -> Result<Self, String> {
+    pub(crate) fn from_raw(
+        len: usize,
+        metas: Vec<FrameMeta>,
+        payload: Vec<u8>,
+    ) -> Result<Self, String> {
         Self::check_metas(len, &metas, payload.len())?;
         let mut prev_end = 0usize;
         for (f, m) in metas.iter().enumerate() {
@@ -287,17 +291,17 @@ impl ColFrames {
     }
 
     /// Number of frames.
-    pub fn n_frames(&self) -> usize {
+    pub(crate) fn n_frames(&self) -> usize {
         self.metas.len()
     }
 
     /// Whether any frame uses the sequential-only Varint encoding.
-    pub fn has_varint(&self) -> bool {
+    pub(crate) fn has_varint(&self) -> bool {
         self.metas.iter().any(|m| m.enc == ENC_VARINT)
     }
 
     /// Frame metadata (for serialization).
-    pub fn metas(&self) -> &[FrameMeta] {
+    pub(crate) fn metas(&self) -> &[FrameMeta] {
         &self.metas
     }
 
@@ -320,16 +324,6 @@ impl ColFrames {
         }
     }
 
-    /// The first value of frame `f` — `O(1)` for every encoding, which
-    /// is what lets [`FrameCursor::seek_ge`] skip whole frames.
-    pub fn first_of(&self, f: usize) -> u32 {
-        let m = self.metas[f];
-        match m.enc {
-            ENC_PACKED => m.base + self.get_packed(self.payload_start(f), m.width, 0),
-            _ => m.base,
-        }
-    }
-
     fn get_packed(&self, payload_start: usize, width: u8, idx: usize) -> u32 {
         let bitpos = idx * width as usize;
         let byte = payload_start + bitpos / 8;
@@ -340,7 +334,7 @@ impl ColFrames {
 
     /// Random access. `O(1)` for Const/Packed frames; `O(frame prefix)`
     /// for Varint frames (columns built with
-    /// [`from_values_packed`](Self::from_values_packed) never hit that
+    /// `from_values_packed` never hit that
     /// case).
     pub fn get(&self, i: usize) -> u32 {
         debug_assert!(i < self.len);
@@ -410,109 +404,6 @@ impl ColFrames {
 /// short).
 fn frame_rows(len: usize, f: usize) -> usize {
     FRAME_ROWS.min(len - f * FRAME_ROWS)
-}
-
-/// A decoding cursor over a row range of one [`ColFrames`] column:
-/// sequential frame-at-a-time windows plus a galloping `seek_ge` for
-/// sorted columns.
-#[derive(Debug, Clone)]
-pub struct FrameCursor<'a> {
-    col: &'a ColFrames,
-    /// Next row to yield (absolute).
-    pos: usize,
-    /// Exclusive end of the scanned range (absolute).
-    end: usize,
-    buf: Vec<u32>,
-    /// Absolute row of `buf[0]`.
-    buf_start: usize,
-}
-
-impl<'a> FrameCursor<'a> {
-    /// Cursor over the whole column.
-    pub fn new(col: &'a ColFrames) -> Self {
-        Self::with_range(col, 0, col.len())
-    }
-
-    /// Cursor over rows `[pos, end)`.
-    pub fn with_range(col: &'a ColFrames, pos: usize, end: usize) -> Self {
-        debug_assert!(pos <= end && end <= col.len());
-        Self { col, pos, end, buf: Vec::new(), buf_start: pos }
-    }
-
-    /// Rows left to yield.
-    pub fn remaining(&self) -> usize {
-        self.end - self.pos
-    }
-
-    fn fill(&mut self) {
-        self.buf.clear();
-        self.buf_start = self.pos;
-        if self.pos >= self.end {
-            return;
-        }
-        // Decode to the end of the current frame (or the range end).
-        let stop = self.end.min((self.pos / FRAME_ROWS + 1) * FRAME_ROWS);
-        self.col.decode_range(self.pos, stop, &mut self.buf);
-    }
-
-    /// The decoded rows at the cursor head (at most one frame's worth);
-    /// empty iff the cursor is exhausted. Consume with
-    /// [`advance`](Self::advance).
-    pub fn window(&mut self) -> &[u32] {
-        if self.pos >= self.buf_start + self.buf.len() {
-            self.fill();
-        }
-        &self.buf[self.pos - self.buf_start..]
-    }
-
-    /// Consumes `n` rows of the current window.
-    pub fn advance(&mut self, n: usize) {
-        debug_assert!(self.pos + n <= self.end);
-        self.pos += n;
-    }
-
-    /// The value at the cursor head without consuming it.
-    pub fn peek(&mut self) -> Option<u32> {
-        self.window().first().copied()
-    }
-
-    /// Yields the value at the cursor head.
-    pub fn next_val(&mut self) -> Option<u32> {
-        let v = self.peek()?;
-        self.pos += 1;
-        Some(v)
-    }
-
-    /// Advances a cursor over a *sorted* range until the head value is
-    /// `>= target` (or the range is exhausted). Gallops: once the
-    /// current decoded window is exhausted, whole frames are skipped
-    /// using only their `O(1)` first values.
-    pub fn seek_ge(&mut self, target: u32) {
-        loop {
-            let win = self.window();
-            match win.last() {
-                None => return,
-                Some(&last) if last >= target => {
-                    let skip = win.partition_point(|&v| v < target);
-                    self.pos += skip;
-                    return;
-                }
-                Some(_) => self.pos += win.len(),
-            }
-            // Skip whole frames whose first value is still below target.
-            loop {
-                let f = self.pos / FRAME_ROWS;
-                let next_start = (f + 1) * FRAME_ROWS;
-                if next_start >= self.end
-                    || next_start >= self.col.len()
-                    || self.col.first_of(f + 1) >= target
-                {
-                    break;
-                }
-                self.pos = next_start;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -587,43 +478,6 @@ mod tests {
             col.decode_range(from, to, &mut out);
             assert_eq!(out, &vals[from..to], "range {from}..{to}");
         }
-    }
-
-    #[test]
-    fn cursor_seek_ge_matches_partition_point() {
-        let vals: Vec<u32> = (0..9000u32).map(|i| i / 3 * 2).collect(); // sorted with dups
-        let col = ColFrames::from_values(&vals);
-        for target in [0, 1, 2, 777, 2048, 5999, 6000, 7000] {
-            let mut cur = FrameCursor::new(&col);
-            cur.seek_ge(target);
-            let expect = vals.partition_point(|&v| v < target);
-            assert_eq!(cur.remaining(), vals.len() - expect, "target {target}");
-            assert_eq!(cur.peek(), vals.get(expect).copied());
-        }
-        // Seeking past the end empties the cursor.
-        let mut cur = FrameCursor::new(&col);
-        cur.seek_ge(u32::MAX);
-        assert_eq!(cur.remaining(), 0);
-        assert_eq!(cur.peek(), None);
-    }
-
-    #[test]
-    fn cursor_windows_cover_the_range_in_order() {
-        let vals: Vec<u32> = (0..2600u32).map(|i| i.wrapping_mul(7919) % 500).collect();
-        let col = ColFrames::from_values(&vals);
-        let mut cur = FrameCursor::with_range(&col, 3, 2591);
-        let mut seen = Vec::new();
-        loop {
-            let win = cur.window();
-            if win.is_empty() {
-                break;
-            }
-            let n = win.len().min(100); // consume in odd-sized bites
-            seen.extend_from_slice(&win[..n]);
-            cur.advance(n);
-        }
-        assert_eq!(seen, &vals[3..2591]);
-        assert_eq!(cur.remaining(), 0);
     }
 
     #[test]

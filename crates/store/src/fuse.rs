@@ -82,18 +82,18 @@ impl KbBuilder {
     /// Labels of non-canonical terms are copied to the canon. Returns
     /// the number of facts rewritten.
     pub fn canonicalize(&mut self) -> usize {
-        let rewrites: Vec<(Triple, Triple, f64, crate::store::SourceId, Option<crate::TimeSpan>)> =
-            self.iter()
-                .filter_map(|f| {
-                    let s = self.sameas.canon(f.triple.s);
-                    let o = self.sameas.canon(f.triple.o);
-                    if s == f.triple.s && o == f.triple.o {
-                        return None;
-                    }
-                    let new = Triple::new(s, f.triple.p, o);
-                    Some((f.triple, new, f.confidence, f.source, f.span))
-                })
-                .collect();
+        let rewrites: Vec<(Triple, Triple, f64, crate::SourceId, Option<crate::TimeSpan>)> = self
+            .iter()
+            .filter_map(|f| {
+                let s = self.sameas.canon(f.triple.s);
+                let o = self.sameas.canon(f.triple.o);
+                if s == f.triple.s && o == f.triple.o {
+                    return None;
+                }
+                let new = Triple::new(s, f.triple.p, o);
+                Some((f.triple, new, f.confidence, f.source, f.span))
+            })
+            .collect();
         let count = rewrites.len();
         for (old, new, confidence, source, span) in rewrites {
             self.retract(old);
@@ -219,13 +219,13 @@ mod tests {
         kb.add_fact(Fact {
             triple: Triple::new(a, r, x),
             confidence: 0.5,
-            source: crate::store::SourceId::DEFAULT,
+            source: crate::SourceId::DEFAULT,
             span: None,
         });
         kb.add_fact(Fact {
             triple: Triple::new(b, r, x),
             confidence: 0.5,
-            source: crate::store::SourceId::DEFAULT,
+            source: crate::SourceId::DEFAULT,
             span: None,
         });
         kb.sameas.declare(a, b);

@@ -12,13 +12,10 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
-/// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// Zero-sized builder for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

@@ -5,7 +5,9 @@
 //! [`Dictionary`](crate::Dictionary). Facts are addressed by [`FactId`].
 //! Both are `u32` newtypes: a KB of up to four billion terms/facts is far
 //! beyond the laptop scale this library targets, and 4-byte ids keep the
-//! permutation indexes compact (12 bytes per indexed triple).
+//! permutation indexes compact (12 bytes per indexed triple). Every
+//! [`Fact`](crate::Fact) also names the provenance source it came from
+//! by [`SourceId`].
 
 use std::fmt;
 
@@ -46,6 +48,22 @@ impl FactId {
 impl fmt::Display for FactId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "f{}", self.0)
+    }
+}
+
+/// Identifier of a registered provenance source (a corpus, an extractor,
+/// a manual assertion batch, ...).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SourceId(pub u32);
+
+impl SourceId {
+    /// The pre-registered source `"asserted"` present in every store.
+    pub const DEFAULT: SourceId = SourceId(0);
+}
+
+impl fmt::Display for SourceId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "src{}", self.0)
     }
 }
 

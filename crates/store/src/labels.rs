@@ -43,11 +43,6 @@ impl LabelStore {
         l
     }
 
-    /// Looks up a language tag without inserting.
-    pub fn lang_of(&self, tag: &str) -> Option<Lang> {
-        self.lang_lookup.get(tag).copied()
-    }
-
     /// Resolves a language id back to its tag.
     pub fn lang_tag(&self, lang: Lang) -> Option<&str> {
         self.langs.get(lang.0 as usize).map(|s| s.as_str())
@@ -72,7 +67,7 @@ impl LabelStore {
     }
 
     /// All `(term, lang)` pairs a surface form can mean, case-insensitive.
-    pub fn meanings(&self, form: &str) -> &[(TermId, Lang)] {
+    pub(crate) fn meanings(&self, form: &str) -> &[(TermId, Lang)] {
         self.reverse.get(&form.to_lowercase()).map_or(&[], |v| v.as_slice())
     }
 
@@ -92,11 +87,6 @@ impl LabelStore {
     /// Total number of stored labels.
     pub fn label_count(&self) -> usize {
         self.count
-    }
-
-    /// Number of distinct surface forms.
-    pub fn surface_form_count(&self) -> usize {
-        self.reverse.len()
     }
 
     /// Iterates over all `(term, lang, form)` labels in unspecified order.
@@ -167,15 +157,5 @@ mod tests {
         assert_eq!(ls.labels(t(1), de), &["Deutschland"]);
         // Reverse lookup spans languages but reports each.
         assert_eq!(ls.meanings("germany"), &[(t(1), en)]);
-    }
-
-    #[test]
-    fn surface_form_count_deduplicates() {
-        let mut ls = LabelStore::new();
-        let en = ls.lang("en");
-        ls.add(t(1), en, "Jobs");
-        ls.add(t(2), en, "Jobs");
-        ls.add(t(1), en, "Steve Jobs");
-        assert_eq!(ls.surface_form_count(), 2);
     }
 }

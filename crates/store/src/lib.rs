@@ -30,8 +30,8 @@
 //!
 //! * a string [`Dictionary`] interning every term
 //!   (entity, class, relation, literal) to a dense [`TermId`];
-//! * per-fact metadata: extraction [confidence](fact::Fact::confidence),
-//!   [provenance source](store::SourceId) and an optional
+//! * per-fact metadata: extraction [confidence](Fact::confidence),
+//!   [provenance source](SourceId) and an optional
 //!   temporal scope ([`TimeSpan`]);
 //! * a class [`Taxonomy`] (subclass-of DAG with
 //!   transitive subsumption and cycle rejection);
@@ -41,6 +41,35 @@
 //!   surface-form index (the `means` relation used by NED);
 //! * a line-oriented [N-Triples-style text format](ntriples) for
 //!   persistence.
+//!
+//! ## The public surface
+//!
+//! Every module is private except two formats named by path:
+//! [`ntriples`] (the text dump) and [`segment_io`] (the segment image).
+//! Everything else is the `pub use` list at the end of this file, named
+//! from the crate root:
+//!
+//! * **terms and facts** — [`Dictionary`], [`TermId`], [`FactId`],
+//!   [`SourceId`], [`Fact`], [`Triple`], [`TimePoint`], [`TimeSpan`],
+//!   [`TriplePattern`] (with the [`IndexChoice`] it plans);
+//! * **the mutable KB** — [`KbBuilder`], [`KbShard`], with the
+//!   [`Taxonomy`], [`SameAsStore`] and [`LabelStore`] it owns;
+//! * **frozen views** — [`KbSnapshot`], [`SegmentedSnapshot`] over
+//!   [`DeltaSegment`]s ([`FactKind`]), [`PartitionedView`]
+//!   ([`partition_snapshot`], [`partition_delta`],
+//!   [`subject_partition`]), all read through [`KbRead`] /
+//!   [`KbReadBatch`] and the iterators, batches and statistics those
+//!   return;
+//! * **durability** — [`SegmentStore`] ([`StoreOptions`],
+//!   [`MemoryBudget`], [`RecoveryReport`], [`Compactor`]), its
+//!   [`Manifest`] and [`Wal`] ([`WalReplay`], [`DurabilityCost`],
+//!   [`WAL_HEADER_LEN`]), and [`StoreError`] / [`SegmentRegion`];
+//! * **shared mechanics** — the compressed column [`ColFrames`]
+//!   ([`FRAME_ROWS`]) and the [`FxHasher`] kb-query's key tables use.
+//!
+//! A name joins the list when a crate, test, example or benchmark outside
+//! kb-store needs it (or a public signature returns it), and
+//! `unreachable_pub` flags a `pub` item that is on neither path.
 //!
 //! ```
 //! use kb_store::{KbBuilder, KbRead, TriplePattern};
@@ -60,55 +89,54 @@
 //! assert_eq!(snap.count_matching(&TriplePattern::any()), 1);
 //! ```
 
-pub mod builder;
-pub mod dict;
-pub mod error;
-pub mod fact;
-pub mod frames;
-pub mod fuse;
-pub mod fx;
-pub mod ids;
-pub mod labels;
-pub mod manifest;
+#![warn(unreachable_pub)]
+
+mod builder;
+mod dict;
+mod error;
+mod fact;
+mod frames;
+mod fuse;
+mod fx;
+mod ids;
+mod labels;
+mod manifest;
 pub mod ntriples;
-pub mod partition;
-pub mod pattern;
-pub mod read;
-pub mod sameas;
-pub mod segmap;
-pub mod segment;
+mod partition;
+mod pattern;
+mod read;
+mod sameas;
+mod segmap;
+mod segment;
 pub mod segment_io;
-pub mod segment_store;
-pub mod snapshot;
-pub mod stats;
-pub mod store;
-pub mod taxonomy;
-pub mod time;
-pub mod wal;
+mod segment_store;
+mod snapshot;
+mod stats;
+mod taxonomy;
+mod time;
+mod wal;
 
 pub use builder::{KbBuilder, KbShard};
 pub use dict::Dictionary;
 pub use error::{SegmentRegion, StoreError};
 pub use fact::{Fact, Triple};
-pub use frames::{ColFrames, FrameCursor, FrameMeta, FRAME_ROWS};
-pub use fx::{FxHashMap, FxHashSet};
-pub use ids::{FactId, TermId};
+pub use frames::{ColFrames, FRAME_ROWS};
+pub use fx::FxHasher;
+pub use ids::{FactId, SourceId, TermId};
 pub use labels::LabelStore;
 pub use manifest::Manifest;
-pub use ntriples::LoadReport;
 pub use partition::{partition_delta, partition_snapshot, subject_partition, PartitionedView};
-pub use pattern::TriplePattern;
+pub use pattern::{IndexChoice, TriplePattern};
 pub use read::{Groups, KbRead, KbReadBatch};
 pub use sameas::SameAsStore;
 pub use segmap::MemoryBudget;
-pub use segment::{Compactor, DeltaSegment, FactKind, SegmentStats, SegmentedSnapshot};
+pub use segment::{Compactor, DeltaSegment, FactKind, SegmentedSnapshot};
 pub use segment_store::{RecoveryReport, SegmentStore, StoreOptions};
 pub use snapshot::{
     IndexStats, KbSnapshot, LiveFactsIter, MatchBatches, MatchIter, MatchingAtIter, TripleBatch,
     TriplesIter, BATCH_ROWS,
 };
 pub use stats::KbStats;
-pub use store::SourceId;
 pub use taxonomy::Taxonomy;
 pub use time::{TimePoint, TimeSpan};
-pub use wal::{DurabilityCost, Wal, WalReplay};
+pub use wal::{DurabilityCost, Wal, WalReplay, WAL_HEADER_LEN};

@@ -33,7 +33,7 @@ use crate::segment_io::{crc32, write_file_atomic};
 use crate::StoreError;
 
 /// Name of the manifest file inside a store directory.
-pub const MANIFEST_NAME: &str = "MANIFEST";
+pub(crate) const MANIFEST_NAME: &str = "MANIFEST";
 const MANIFEST_HEADER: &str = "kbstore-manifest v1";
 
 fn corrupt(detail: impl Into<String>) -> StoreError {
@@ -84,7 +84,7 @@ impl Manifest {
 
     /// Parses and CRC-verifies a manifest. Every malformed shape maps
     /// to a typed [`StoreError::Corrupt`] in the `manifest` region.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Self, StoreError> {
         let text = std::str::from_utf8(bytes).map_err(|_| corrupt("manifest is not UTF-8"))?;
         // Split off the trailing `crc 0x...` line and verify it covers
         // everything before it.
@@ -161,7 +161,7 @@ impl Manifest {
 
     /// Every file name the manifest references (used by recovery to
     /// garbage-collect unreferenced leftovers from crashed operations).
-    pub fn referenced_files(&self) -> Vec<&str> {
+    pub(crate) fn referenced_files(&self) -> Vec<&str> {
         let mut out = vec![self.base.as_str(), self.wal.as_str()];
         out.extend(self.deltas.iter().map(String::as_str));
         out

@@ -69,7 +69,7 @@ fn unescape(s: &str, line: usize) -> Result<String, StoreError> {
 
 /// Writes the full KB (any [`KbRead`] view — live store or frozen
 /// snapshot) to `w` in the TSV format described in the module docs.
-pub fn write_kb<K: KbRead + ?Sized, W: Write>(kb: &K, w: &mut W) -> Result<(), StoreError> {
+pub(crate) fn write_kb<K: KbRead + ?Sized, W: Write>(kb: &K, w: &mut W) -> Result<(), StoreError> {
     writeln!(w, "# kbkit knowledge base dump")?;
     // All sections are emitted in lexicographic *string* order so that a
     // dump is byte-stable across round trips (term ids are reassigned on
@@ -126,9 +126,9 @@ pub fn write_kb<K: KbRead + ?Sized, W: Write>(kb: &K, w: &mut W) -> Result<(), S
     Ok(())
 }
 
-/// Parses one non-comment, non-blank line into `kb`. Shared by the
-/// strict and lossy readers; a failed line leaves `kb` with at most
-/// interned terms (no partial facts, edges or labels are added).
+/// Parses one non-comment, non-blank line into `kb`. A failed line
+/// leaves `kb` with at most interned terms (no partial facts, edges or
+/// labels are added).
 fn apply_line(kb: &mut KbBuilder, line: &str, lineno: usize) -> Result<(), StoreError> {
     let fields: Vec<&str> = line.split('\t').collect();
     match fields[0] {
@@ -211,7 +211,7 @@ fn apply_line(kb: &mut KbBuilder, line: &str, lineno: usize) -> Result<(), Store
 
 /// Reads a KB previously written by [`write_kb`]. Unknown record kinds
 /// and malformed lines produce a [`StoreError::Parse`] naming the line.
-pub fn read_kb<R: BufRead>(r: R) -> Result<KbBuilder, StoreError> {
+pub(crate) fn read_kb<R: BufRead>(r: R) -> Result<KbBuilder, StoreError> {
     let mut kb = KbBuilder::new();
     for (i, line) in r.lines().enumerate() {
         let line = line?;
@@ -221,46 +221,6 @@ pub fn read_kb<R: BufRead>(r: R) -> Result<KbBuilder, StoreError> {
         apply_line(&mut kb, &line, i + 1)?;
     }
     Ok(kb)
-}
-
-/// What a lossy load recovered and what it dropped.
-///
-/// Produced by [`read_kb_lossy`] / [`from_str_lossy`]: the kind of
-/// accounting a fault-tolerant ingest needs when dumps arrive truncated
-/// or corrupted from a crawl or an interrupted writer.
-#[derive(Debug, Default)]
-pub struct LoadReport {
-    /// Records successfully applied to the KB.
-    pub loaded: usize,
-    /// Malformed lines that were skipped: `(line number, error)`.
-    pub skipped: Vec<(usize, StoreError)>,
-}
-
-impl LoadReport {
-    /// Whether every record parsed cleanly.
-    pub fn is_clean(&self) -> bool {
-        self.skipped.is_empty()
-    }
-}
-
-/// Reads a KB like [`read_kb`], but skips malformed lines instead of
-/// aborting, reporting each skip with its line number. I/O errors are
-/// still fatal — a broken reader is not a recoverable record.
-pub fn read_kb_lossy<R: BufRead>(r: R) -> Result<(KbBuilder, LoadReport), StoreError> {
-    let mut kb = KbBuilder::new();
-    let mut report = LoadReport::default();
-    for (i, line) in r.lines().enumerate() {
-        let line = line?;
-        let lineno = i + 1;
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match apply_line(&mut kb, &line, lineno) {
-            Ok(()) => report.loaded += 1,
-            Err(e) => report.skipped.push((lineno, e)),
-        }
-    }
-    Ok((kb, report))
 }
 
 /// Serializes the KB (any [`KbRead`] view) to an in-memory string.
@@ -275,18 +235,12 @@ pub fn from_str(s: &str) -> Result<KbBuilder, StoreError> {
     read_kb(s.as_bytes())
 }
 
-/// Parses a KB from a string, skipping malformed lines. See
-/// [`read_kb_lossy`].
-pub fn from_str_lossy(s: &str) -> Result<(KbBuilder, LoadReport), StoreError> {
-    read_kb_lossy(s.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pattern::TriplePattern;
-    use crate::store::SourceId;
     use crate::time::TimePoint;
+    use crate::SourceId;
 
     fn populated() -> KbBuilder {
         let mut kb = KbBuilder::new();
@@ -397,52 +351,5 @@ mod tests {
         let kb = from_str("T\ta\tb\tc\t1\t-\tasserted\n").unwrap();
         let f = kb.iter().next().unwrap();
         assert_eq!(f.source, SourceId::DEFAULT);
-    }
-
-    #[test]
-    fn lossy_load_skips_bad_lines_and_keeps_good_ones() {
-        let text = "# header\n\
-                    T\ta\tb\tc\t1\t-\tsrc\n\
-                    T\ttruncated\trecord\n\
-                    X\tunknown\tkind\n\
-                    T\td\te\tf\t0.7\t-\tsrc\n\
-                    T\tg\th\ti\t2.5\t-\tsrc\n\
-                    L\ta\ten\tLabel A\n";
-        // The strict loader refuses the dump outright.
-        assert!(from_str(text).is_err());
-
-        let (kb, report) = from_str_lossy(text).unwrap();
-        assert_eq!(kb.len(), 2);
-        assert!(kb.term("a").is_some() && kb.term("f").is_some());
-        assert!(kb.term("g").is_none(), "fact with bad confidence must not load");
-        assert_eq!(report.loaded, 3); // two facts + one label
-        assert!(!report.is_clean());
-        let skipped_lines: Vec<usize> = report.skipped.iter().map(|(l, _)| *l).collect();
-        assert_eq!(skipped_lines, vec![3, 4, 6]);
-        for (line, err) in &report.skipped {
-            match err {
-                StoreError::Parse { line: l, .. } => assert_eq!(l, line),
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn lossy_load_of_clean_dump_matches_strict() {
-        let kb = populated();
-        let text = to_string(&kb).unwrap();
-        let (lossy, report) = from_str_lossy(&text).unwrap();
-        assert!(report.is_clean());
-        let strict = from_str(&text).unwrap();
-        assert_eq!(lossy.len(), strict.len());
-        assert_eq!(to_string(&lossy).unwrap(), to_string(&strict).unwrap());
-    }
-
-    #[test]
-    fn lossy_load_of_garbage_recovers_nothing_but_survives() {
-        let (kb, report) = from_str_lossy("garbage\nmore garbage\tstill\n").unwrap();
-        assert_eq!(kb.len(), 0);
-        assert_eq!(report.loaded, 0);
-        assert_eq!(report.skipped.len(), 2);
     }
 }

@@ -70,7 +70,7 @@ impl TriplePattern {
     }
 
     /// Number of bound components.
-    pub fn bound_count(&self) -> u8 {
+    pub(crate) fn bound_count(&self) -> u8 {
         u8::from(self.s.is_some()) + u8::from(self.p.is_some()) + u8::from(self.o.is_some())
     }
 

@@ -40,9 +40,9 @@ use crate::snapshot::{
     FrozenIndexes, LiveFactsIter, MatchBatches, MatchIter, MatchingAtIter, SegCursor, TriplesIter,
 };
 use crate::stats::KbStats;
-use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 use crate::time::TimePoint;
+use crate::SourceId;
 
 /// The permutation indexes of a group's base run: already frozen, or
 /// a builder's cache that the first scan fills.
@@ -163,8 +163,7 @@ impl<'a> Iterator for Groups<'a> {
 pub trait KbRead {
     // -- required: what the view is made of -----------------------------
 
-    /// The sorted runs this view is made of (see the
-    /// [module docs](crate::read)).
+    /// The sorted runs this view is made of (see [`Groups`]).
     fn groups(&self) -> Groups<'_>;
 
     /// Number of distinct terms interned in this view. Its own method

@@ -17,7 +17,6 @@ pub struct SameAsStore {
     rank: HashMap<TermId, u32>,
     /// minimum TermId in each root's class — the canonical representative
     min_of_root: HashMap<TermId, TermId>,
-    merges: usize,
 }
 
 impl SameAsStore {
@@ -44,7 +43,6 @@ impl SameAsStore {
         let min_w = *self.min_of_root.get(&winner).unwrap_or(&winner);
         let min_l = *self.min_of_root.get(&loser).unwrap_or(&loser);
         self.min_of_root.insert(winner, min_w.min(min_l));
-        self.merges += 1;
         true
     }
 
@@ -87,12 +85,6 @@ impl SameAsStore {
     /// Whether the two terms are known to denote the same entity.
     pub fn same(&self, a: TermId, b: TermId) -> bool {
         self.find_readonly(a) == self.find_readonly(b)
-    }
-
-    /// Number of merge operations that actually joined two classes.
-    /// Equivalently: (terms touched) − (number of classes).
-    pub fn merge_count(&self) -> usize {
-        self.merges
     }
 
     /// Number of non-singleton equivalence classes. O(n) in the number of

@@ -74,7 +74,7 @@ fn corrupt(region: SegmentRegion, detail: impl Into<String>) -> StoreError {
 /// memory. Every reader of the format goes through this one type, so a
 /// WAL payload and a sealed file are decoded by the same code.
 #[derive(Debug)]
-pub struct SegmentSource<'a> {
+pub(crate) struct SegmentSource<'a> {
     backing: Backing<'a>,
     path: PathBuf,
     len: u64,

@@ -36,8 +36,8 @@ use crate::labels::LabelStore;
 use crate::read::{Group, Groups, KbRead};
 use crate::sameas::SameAsStore;
 use crate::snapshot::{FrozenIndexes, IndexStats, KbSnapshot};
-use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
+use crate::SourceId;
 
 /// How a delta fact relates to the view it was frozen against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -346,26 +346,6 @@ impl DeltaSegment {
     }
 }
 
-/// Shape of a layered view: how many segments, and where its facts
-/// live. Returned by [`SegmentedSnapshot::segment_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SegmentStats {
-    /// Total segments (base + deltas).
-    pub segments: usize,
-    /// Live facts in the base segment.
-    pub base_facts: usize,
-    /// Total entries across all delta segments.
-    pub delta_facts: usize,
-    /// Net-new facts across deltas.
-    pub new_facts: usize,
-    /// Shadow (evidence-merge) entries across deltas.
-    pub shadowed: usize,
-    /// Tombstones across deltas.
-    pub tombstones: usize,
-    /// Live facts visible through the merged view.
-    pub live: usize,
-}
-
 /// A layered, immutable view: one base [`KbSnapshot`] plus zero or more
 /// [`DeltaSegment`]s, served through [`KbRead`] exactly like a
 /// monolithic snapshot — consumers (NED, linkage, analytics, rules, the
@@ -434,7 +414,10 @@ impl SegmentedSnapshot {
     /// [`StoreError::Corrupt`](crate::StoreError::Corrupt) instead of a panic. This is the install
     /// path recovery uses — a damaged or out-of-order on-disk delta must
     /// degrade gracefully, never crash the reopening process.
-    pub fn try_with_delta(&self, delta: Arc<DeltaSegment>) -> Result<Self, crate::StoreError> {
+    pub(crate) fn try_with_delta(
+        &self,
+        delta: Arc<DeltaSegment>,
+    ) -> Result<Self, crate::StoreError> {
         use crate::error::SegmentRegion;
         let term_total = self.term_count();
         let source_total = self.source_count();
@@ -471,19 +454,6 @@ impl SegmentedSnapshot {
     #[inline]
     pub(crate) fn group(&self) -> Group<'_> {
         Group::new(self.base.core(), &self.base.indexes, &self.deltas)
-    }
-
-    /// Delta-aware shape statistics for the view.
-    pub fn segment_stats(&self) -> SegmentStats {
-        SegmentStats {
-            segments: 1 + self.deltas.len(),
-            base_facts: self.base.len(),
-            delta_facts: self.deltas.iter().map(|d| d.len()).sum(),
-            new_facts: self.deltas.iter().map(|d| d.new_facts()).sum(),
-            shadowed: self.deltas.iter().map(|d| d.shadowed()).sum(),
-            tombstones: self.deltas.iter().map(|d| d.tombstones()).sum(),
-            live: self.len(),
-        }
     }
 
     /// Size and compression accounting for every segment's permutation
@@ -620,7 +590,7 @@ impl Default for Compactor {
 
 impl Compactor {
     /// Whether the view's delta stack has outgrown the policy.
-    pub fn should_compact(&self, view: &SegmentedSnapshot) -> bool {
+    pub(crate) fn should_compact(&self, view: &SegmentedSnapshot) -> bool {
         if view.delta_count() == 0 {
             return false;
         }
@@ -862,23 +832,5 @@ mod tests {
         assert!(strict.should_compact(&view));
         let loose = Compactor { max_deltas: 8, max_ratio: 1.0 };
         assert!(!loose.should_compact(&view));
-    }
-
-    #[test]
-    fn segment_stats_reflect_the_stack() {
-        let view = base_view();
-        let mut d = KbBuilder::new();
-        d.assert_str("Tim_Cook", "worksAt", "Apple_Inc");
-        d.assert_str("Steve_Jobs", "founded", "Apple_Inc");
-        d.retract_str("Steve_Jobs", "bornIn", "San_Francisco");
-        let view = view.with_delta(Arc::new(d.freeze_delta(&view)));
-        let st = view.segment_stats();
-        assert_eq!(st.segments, 2);
-        assert_eq!(st.base_facts, 4);
-        assert_eq!(st.delta_facts, 3);
-        assert_eq!(st.new_facts, 1);
-        assert_eq!(st.shadowed, 1);
-        assert_eq!(st.tombstones, 1);
-        assert_eq!(st.live, 4);
     }
 }

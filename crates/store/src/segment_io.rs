@@ -24,7 +24,7 @@
 //! [`ColFrames`] columns exactly as they live in memory, so opening a
 //! segment installs the compressed index without re-encoding. Every
 //! door — the eager `open_segment`s, the lazy store open and its
-//! first-touch faults, WAL replay — reads through a [`SegmentSource`]
+//! first-touch faults, WAL replay — reads through a `SegmentSource`
 //! (a file or an in-memory image) and shares one header parse
 //! (`read_header`), one region fetch (`fetch_region`), one decoder
 //! of the six base regions (`decode_base`) and one frames-layout
@@ -65,9 +65,9 @@ use crate::segmap::{
 };
 use crate::segment::{DeltaSegment, FactKind};
 use crate::snapshot::{EagerBase, FrozenIndexes, KbSnapshot, LazyBase, LazyIndexes, PermFrames};
-use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 use crate::time::TimeSpan;
+use crate::SourceId;
 use crate::{Dictionary, StoreError};
 
 /// Magic for a base (full snapshot) segment file.

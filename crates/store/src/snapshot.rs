@@ -43,10 +43,10 @@ use crate::sameas::SameAsStore;
 use crate::segmap::{FrameRegion, PageCursor, PagedCol, SegmentSource, FRAME_COLS};
 use crate::segment::DeltaSegment;
 use crate::segment_io::RegionEntry;
-use crate::store::SourceId;
 use crate::taxonomy::Taxonomy;
 use crate::time::TimePoint;
 use crate::Dictionary;
+use crate::SourceId;
 
 pub(crate) type Key = (TermId, TermId, TermId);
 
@@ -823,7 +823,7 @@ impl<'a> MatchIter<'a> {
     /// matches — `O(1)` for every monolithic shape except `s?o`;
     /// segmented views must walk the merge (shadowing and tombstones
     /// make the count data-dependent).
-    pub fn exact_count(self) -> usize {
+    pub(crate) fn exact_count(self) -> usize {
         if self.deltas.is_empty() && self.filter.is_none() {
             return self.head.remaining();
         }

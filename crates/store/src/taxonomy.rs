@@ -97,20 +97,11 @@ impl Taxonomy {
 
     /// All ancestors of `class` (excluding itself), breadth-first.
     pub fn ancestors(&self, class: TermId) -> Vec<TermId> {
-        self.closure(class, |t, c| t.superclasses(c))
-    }
-
-    /// All descendants of `class` (excluding itself), breadth-first.
-    pub fn descendants(&self, class: TermId) -> Vec<TermId> {
-        self.closure(class, |t, c| t.subclasses(c))
-    }
-
-    fn closure(&self, start: TermId, step: impl Fn(&Self, TermId) -> &[TermId]) -> Vec<TermId> {
         let mut seen = HashSet::new();
         let mut order = Vec::new();
-        let mut queue = VecDeque::from([start]);
+        let mut queue = VecDeque::from([class]);
         while let Some(c) = queue.pop_front() {
-            for &next in step(self, c) {
+            for &next in self.superclasses(c) {
                 if seen.insert(next) {
                     order.push(next);
                     queue.push_back(next);
@@ -120,49 +111,12 @@ impl Taxonomy {
         order
     }
 
-    /// Root classes: classes with no superclass.
-    pub fn roots(&self) -> Vec<TermId> {
-        let mut roots: Vec<TermId> =
-            self.classes.iter().copied().filter(|c| self.superclasses(*c).is_empty()).collect();
-        roots.sort_unstable();
-        roots
-    }
-
     /// Leaf classes: classes with no subclass.
     pub fn leaves(&self) -> Vec<TermId> {
         let mut leaves: Vec<TermId> =
             self.classes.iter().copied().filter(|c| self.subclasses(*c).is_empty()).collect();
         leaves.sort_unstable();
         leaves
-    }
-
-    /// Lowest common ancestors of two classes: the ancestors of both
-    /// (reflexive) that have no descendant also common to both.
-    pub fn lowest_common_ancestors(&self, a: TermId, b: TermId) -> Vec<TermId> {
-        let mut anc_a: HashSet<TermId> = self.ancestors(a).into_iter().collect();
-        anc_a.insert(a);
-        let mut anc_b: HashSet<TermId> = self.ancestors(b).into_iter().collect();
-        anc_b.insert(b);
-        let common: HashSet<TermId> = anc_a.intersection(&anc_b).copied().collect();
-        let mut lcas: Vec<TermId> = common
-            .iter()
-            .copied()
-            .filter(|&c| {
-                !self
-                    .subclasses(c)
-                    .iter()
-                    .any(|sub| common.contains(sub) || self.descendants_contain_any(*sub, &common))
-            })
-            .collect();
-        lcas.sort_unstable();
-        lcas
-    }
-
-    fn descendants_contain_any(&self, start: TermId, set: &HashSet<TermId>) -> bool {
-        if set.contains(&start) {
-            return true;
-        }
-        self.descendants(start).iter().any(|d| set.contains(d))
     }
 
     /// Depth of a class: length of the longest upward path to a root.
@@ -246,8 +200,8 @@ mod tests {
         let t = sample();
         let anc = t.ancestors(c(2));
         assert_eq!(anc, vec![c(1), c(0), c(9)]);
-        let mut desc = t.descendants(c(0));
-        desc.sort_unstable();
+        let desc: Vec<TermId> =
+            (1..10).map(c).filter(|&d| t.contains(d) && t.is_subclass_of(d, c(0))).collect();
         assert_eq!(desc, vec![c(1), c(2), c(3)]);
         assert!(t.ancestors(c(9)).is_empty());
     }
@@ -255,17 +209,10 @@ mod tests {
     #[test]
     fn roots_and_leaves() {
         let t = sample();
-        assert_eq!(t.roots(), vec![c(9)]);
+        let roots: Vec<TermId> =
+            (0..10).map(c).filter(|&r| t.contains(r) && t.depth(r) == 0).collect();
+        assert_eq!(roots, vec![c(9)]);
         assert_eq!(t.leaves(), vec![c(2), c(3), c(4)]);
-    }
-
-    #[test]
-    fn lca_finds_deepest_shared_ancestor() {
-        let t = sample();
-        assert_eq!(t.lowest_common_ancestors(c(2), c(3)), vec![c(0)]);
-        assert_eq!(t.lowest_common_ancestors(c(2), c(4)), vec![c(9)]);
-        assert_eq!(t.lowest_common_ancestors(c(2), c(1)), vec![c(1)]);
-        assert_eq!(t.lowest_common_ancestors(c(2), c(2)), vec![c(2)]);
     }
 
     #[test]
@@ -285,7 +232,7 @@ mod tests {
         t.add_subclass(c(11), c(13)).unwrap();
         t.add_subclass(c(12), c(13)).unwrap();
         assert!(t.is_subclass_of(c(10), c(13)));
-        assert_eq!(t.lowest_common_ancestors(c(11), c(12)), vec![c(13)]);
+        assert_eq!(t.depth(c(10)), 2);
     }
 
     #[test]
@@ -294,7 +241,7 @@ mod tests {
         t.add_class(c(7));
         assert!(t.contains(c(7)));
         assert_eq!(t.class_count(), 1);
-        assert_eq!(t.roots(), vec![c(7)]);
+        assert_eq!(t.depth(c(7)), 0);
         assert_eq!(t.leaves(), vec![c(7)]);
     }
 }

@@ -35,7 +35,7 @@ impl TimePoint {
     }
 
     /// A point at month granularity.
-    pub fn year_month(year: i32, month: u8) -> Self {
+    pub(crate) fn year_month(year: i32, month: u8) -> Self {
         debug_assert!((1..=12).contains(&month));
         Self { year, month, day: 0 }
     }
@@ -139,11 +139,6 @@ impl TimeSpan {
     /// The completely unknown span.
     pub fn unknown() -> Self {
         Self::default()
-    }
-
-    /// Whether any endpoint is known.
-    pub fn is_known(&self) -> bool {
-        self.begin.is_some() || self.end.is_some()
     }
 
     /// Whether the two spans can overlap given what is known.

@@ -31,9 +31,9 @@ use crate::segment_io::{crc32, sync_file};
 use crate::StoreError;
 
 /// Magic for a WAL file.
-pub const MAGIC_WAL: [u8; 4] = *b"KBWL";
+pub(crate) const MAGIC_WAL: [u8; 4] = *b"KBWL";
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+pub(crate) const WAL_VERSION: u32 = 1;
 
 /// Size of the WAL file header in bytes.
 pub const WAL_HEADER_LEN: u64 = 20;
@@ -154,7 +154,7 @@ impl Wal {
     }
 
     /// Sequence number of the most recent record.
-    pub fn last_seq(&self) -> u64 {
+    pub(crate) fn last_seq(&self) -> u64 {
         self.last_seq
     }
 

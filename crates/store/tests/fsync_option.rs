@@ -7,9 +7,7 @@
 
 use std::sync::Arc;
 
-use kb_store::segment::Compactor;
-use kb_store::segment_store::{SegmentStore, StoreOptions};
-use kb_store::{KbBuilder, KbRead};
+use kb_store::{Compactor, KbBuilder, KbRead, SegmentStore, StoreOptions};
 
 const INSTALLS: u64 = 3;
 

@@ -4,11 +4,9 @@ use proptest::prelude::*;
 
 use std::collections::{BTreeSet, HashMap};
 
-use kb_store::pattern::IndexChoice;
-use kb_store::store::SourceId;
 use kb_store::{
-    Fact, KbBuilder, KbRead, KbShard, SameAsStore, TermId, TimePoint, TimeSpan, Triple,
-    TriplePattern,
+    Fact, IndexChoice, KbBuilder, KbRead, KbShard, SameAsStore, SourceId, TermId, TimePoint,
+    TimeSpan, Triple, TriplePattern,
 };
 use kb_testkit::{RefKb, StrTriple};
 

@@ -50,7 +50,7 @@ fn apply(b: &mut KbBuilder, op: Op) {
             b.add_fact(kb_store::Fact {
                 triple: t,
                 confidence: conf,
-                source: kb_store::store::SourceId::DEFAULT,
+                source: kb_store::SourceId::DEFAULT,
                 span: None,
             });
         }

@@ -33,8 +33,7 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
-use kb_query::ast::{CmpOp, Condition, Group, Pattern, ProjItem, SelectQuery, Term};
-use kb_query::{Cell, QueryOutput};
+use kb_query::{Cell, CmpOp, Condition, Group, Pattern, ProjItem, QueryOutput, SelectQuery, Term};
 use kb_store::{KbRead, TimePoint, TimeSpan};
 
 /// A triple of term strings: subject, predicate, object.
@@ -176,7 +175,7 @@ fn key_order(keys: &[(usize, bool)], a: &[RefCell], b: &[RefCell]) -> Ordering {
 
 /// The `ORDER BY` keys of `query` as (column, descending) pairs.
 fn order_keys(query: &SelectQuery, cols: &[String]) -> Result<Vec<(usize, bool)>, String> {
-    let key = |k: &kb_query::ast::OrderKey| match cols.iter().position(|c| *c == k.var) {
+    let key = |k: &kb_query::OrderKey| match cols.iter().position(|c| *c == k.var) {
         Some(col) => Ok((col, k.desc)),
         None => Err(format!("ORDER BY ?{} is not projected", k.var)),
     };

@@ -180,7 +180,7 @@ fn durable_run() -> &'static DurableRun {
         let replay = Wal::replay(&wal_path).expect("replay");
         assert_eq!(replay.records.len(), oracles.len() - 1);
         let mut boundaries = Vec::new();
-        let mut pos = kbkit::kb_store::wal::WAL_HEADER_LEN as usize;
+        let mut pos = kbkit::kb_store::WAL_HEADER_LEN as usize;
         for (_, payload) in &replay.records {
             pos += 16 + payload.len();
             boundaries.push(pos);
@@ -259,7 +259,7 @@ proptest! {
     #[test]
     fn kill_nine_at_any_wal_offset_recovers_to_a_barrier(frac in 0.0f64..1.0) {
         let run = durable_run();
-        let header = kbkit::kb_store::wal::WAL_HEADER_LEN as usize;
+        let header = kbkit::kb_store::WAL_HEADER_LEN as usize;
         let full = *run.boundaries.last().unwrap();
         let cut = header + ((full - header) as f64 * frac) as usize;
         let dir = chaos_dir(&format!("prop-{cut}"));

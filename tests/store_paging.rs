@@ -184,7 +184,7 @@ fn spill_never_writes_and_store_survives_crash_during_paging() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Rows per compression frame (`kb_store::frames::FRAME_ROWS`). A page
+/// Rows per compression frame (`kb_store::FRAME_ROWS`). A page
 /// is a run of whole frames, so every page boundary is a frame boundary
 /// whatever the private page size is.
 const FRAME: usize = 1024;
