@@ -1194,7 +1194,7 @@ mod tests {
     use crate::parse::parse;
     use crate::plan::plan;
     use crate::stats::StatsCatalog;
-    use kb_store::{KbBuilder, KbSnapshot, TimeSpan};
+    use kb_store::{Fact, KbBuilder, KbSnapshot, TimeSpan};
     use std::collections::BTreeMap;
 
     fn city_snap() -> KbSnapshot {
@@ -1204,14 +1204,9 @@ mod tests {
         b.assert_str("San_Francisco", "locatedIn", "California");
         b.assert_str("San_Jose", "locatedIn", "California");
         b.assert_str("Steve_Jobs", "founded", "Apple_Inc");
-        b.assert_str("Steve_Jobs", "worksAt", "Apple_Inc");
-        let t = kb_store::Triple::new(
-            b.term("Steve_Jobs").unwrap(),
-            b.term("worksAt").unwrap(),
-            b.term("Apple_Inc").unwrap(),
-        );
+        let t = Triple::new(b.intern("Steve_Jobs"), b.intern("worksAt"), b.intern("Apple_Inc"));
         let span = TimeSpan { begin: TimePoint::parse("1976"), end: TimePoint::parse("1985") };
-        b.set_span(t, span);
+        b.add_fact(Fact { span: Some(span), ..Fact::asserted(t) });
         b.freeze()
     }
 
@@ -1610,15 +1605,10 @@ mod tests {
                 b.assert_str(&s, "arm", &format!("v{}", i % 7 + 1));
             }
             if i % 2 == 0 {
-                b.assert_str(&s, "arm", &format!("v{}", i % 7));
-            }
-            if i % 4 == 0 {
-                let t = Triple::new(
-                    b.term(&s).unwrap(),
-                    b.term("arm").unwrap(),
-                    b.term(&format!("v{}", i % 7)).unwrap(),
-                );
-                assert!(b.set_span(t, span));
+                let t =
+                    Triple::new(b.intern(&s), b.intern("arm"), b.intern(&format!("v{}", i % 7)));
+                let span = (i % 4 == 0).then_some(span);
+                b.add_fact(Fact { span, ..Fact::asserted(t) });
             }
             if i % 500 == 0 {
                 b.assert_str(&s, "arm", &s);

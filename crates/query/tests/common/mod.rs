@@ -1,45 +1,74 @@
 //! What the differential suites share: one generator of KBs (an op list
 //! built monolithically, as a segment chain, and into the reference
-//! model) and one generator of query texts. Used by
+//! model; each assertion with its own confidence, span and source) and
+//! one generator of query texts. Used by
 //! `crates/query/tests/differential.rs` (as `mod common`) and, by
 //! `#[path]`, the root package's `tests/reference_conformance.rs` and
 //! `tests/serve_differential.rs`; each uses a part of it.
 #![allow(dead_code)]
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use kb_store::{
     DeltaSegment, Fact, KbBuilder, KbSnapshot, SegmentedSnapshot, TimePoint, TimeSpan, Triple,
 };
-use kb_testkit::RefKb;
+use kb_testkit::{RefFact, RefKb};
 use proptest::prelude::*;
 
-/// One mutation of `e{s} r{p} e{o}`: kind 0 retracts (a tombstone when
-/// it crosses a segment boundary), anything else asserts.
-pub type Op = (u8, u32, u32, u32);
-
-/// The time span every assertion of one triple carries: a third of the
-/// triples have none, a third a single year, a third an interval. Fixed
-/// per triple because the span of a triple retracted in an older
-/// segment and asserted again depends on the write path today (one
-/// builder remembers the old span, a delta takes the new one), and
-/// `set_span` in a delta cannot reach a triple of an older segment.
-pub fn span_of(s: u32, p: u32, o: u32) -> Option<TimeSpan> {
-    let year = |y: u32| TimePoint::year(1985 + y as i32);
-    match (s + 2 * p + o) % 3 {
-        0 => None,
-        1 => Some(TimeSpan::at(year(s * 3 + o))),
-        _ => Some(TimeSpan { begin: Some(year(s)), end: Some(year(10 + 2 * o)) }),
-    }
+/// What one op does to its triple.
+#[derive(Debug, Clone, Copy)]
+pub enum Write {
+    /// Retracts the triple (a tombstone when it crosses a segment
+    /// boundary).
+    Retract,
+    /// Asserts it with this confidence and span, from source
+    /// `src{source}`.
+    Assert { confidence: f64, span: Option<TimeSpan>, source: u32 },
 }
 
-pub fn apply(b: &mut KbBuilder, (kind, s, p, o): Op) {
+/// An assertion at confidence 1, without a span, from `src0`.
+pub const CERTAIN: Write = Write::Assert { confidence: 1.0, span: None, source: 0 };
+
+/// One write to `e{s} r{p} e{o}`.
+pub type Op = (Write, u32, u32, u32);
+
+/// `len` ops over `entities` entities and `relations` relations. One in
+/// five retracts. Each assertion draws its own confidence, span and
+/// source: a confidence of 0 (a retraction) one time in eight, else ½
+/// or 1 — dyadic, so that noisy-or is exact in any grouping and every
+/// configuration agrees bit for bit; no span, a year or an interval;
+/// one of as many sources as there are entities.
+pub fn ops(entities: u32, relations: u32, len: Range<usize>) -> impl Strategy<Value = Vec<Op>> {
+    let write = (0u8..5, 0u8..8, 0u8..3, 0u32..30, 0u32..20, 0..entities).prop_map(
+        |(kind, confidence, span, year, years, source)| {
+            let at = |offset: u32| TimePoint::year(1985 + (year + offset) as i32);
+            let span = match span {
+                0 => None,
+                1 => Some(TimeSpan::at(at(0))),
+                _ => Some(TimeSpan { begin: Some(at(0)), end: Some(at(years)) }),
+            };
+            let confidence = [0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0][confidence as usize];
+            match kind {
+                0 => Write::Retract,
+                _ => Write::Assert { confidence, span, source },
+            }
+        },
+    );
+    prop::collection::vec((write, 0..entities, 0..relations, 0..entities), len)
+}
+
+pub fn apply(b: &mut KbBuilder, (write, s, p, o): Op) {
     let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
-    if kind == 0 {
-        b.retract_str(&es, &rp, &eo);
-    } else {
-        let triple = Triple::new(b.intern(&es), b.intern(&rp), b.intern(&eo));
-        b.add_fact(Fact { span: span_of(s, p, o), ..Fact::asserted(triple) });
+    match write {
+        Write::Retract => {
+            b.retract_str(&es, &rp, &eo);
+        }
+        Write::Assert { confidence, span, source } => {
+            let triple = Triple::new(b.intern(&es), b.intern(&rp), b.intern(&eo));
+            let source = b.register_source(&format!("src{source}"));
+            b.add_fact(Fact { triple, confidence, source, span });
+        }
     }
 }
 
@@ -54,12 +83,16 @@ pub fn builder_of(ops: &[Op]) -> KbBuilder {
 /// `ops` replayed into the reference model.
 pub fn reference_of(ops: &[Op]) -> RefKb {
     let mut reference = RefKb::default();
-    for &(kind, s, p, o) in ops {
+    for &(write, s, p, o) in ops {
         let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
-        if kind == 0 {
-            reference.retract(&es, &rp, &eo);
-        } else {
-            reference.assert(&es, &rp, &eo, span_of(s, p, o));
+        match write {
+            Write::Retract => {
+                reference.retract(&es, &rp, &eo);
+            }
+            Write::Assert { confidence, span, source } => {
+                let source = format!("src{source}");
+                reference.add(&es, &rp, &eo, RefFact { confidence, span, source });
+            }
         }
     }
     reference

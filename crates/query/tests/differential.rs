@@ -11,10 +11,10 @@ use proptest::prelude::*;
 
 use kb_query::{cell_str, QueryOutput};
 use kb_store::{Fact, KbBuilder, KbRead, TimeSpan, Triple, TriplePattern};
-use kb_testkit::{assert_conforms, RefKb};
+use kb_testkit::{assert_conforms, assert_facts_conform, RefKb};
 
 mod common;
-use common::{builder_of, cut_positions, pattern, query_texts, reference_of, segment_chain};
+use common::{builder_of, cut_positions, ops, pattern, query_texts, reference_of, segment_chain};
 
 /// Resolves the engine's rows to sorted, deduplicated string rows.
 fn new_rows<K: KbRead + ?Sized>(out: &QueryOutput, kb: &K) -> Vec<Vec<String>> {
@@ -68,17 +68,19 @@ proptest! {
 
     /// Segmented vs monolithic read path, at the engine level: the
     /// same op sequence — asserts and retractions — split into a base
-    /// plus 1–3 random deltas must produce identical SELECT binding
-    /// sets to the single-shot monolithic snapshot, for random
-    /// conjunctive queries.
+    /// plus 1–3 random deltas must hold the reference's facts and
+    /// produce identical SELECT binding sets to the single-shot
+    /// monolithic snapshot, for random conjunctive queries.
     #[test]
     fn select_results_identical_across_segment_splits(
-        ops in prop::collection::vec((0u8..5, 0u32..6, 0u32..3, 0u32..6), 1..40),
+        ops in ops(6, 3, 1..40),
         cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
         patterns in prop::collection::vec(pattern(), 1..4),
     ) {
-        let mono = builder_of(&ops).freeze();
+        let (mono, reference) = (builder_of(&ops).freeze(), reference_of(&ops));
         let (_, _, view) = segment_chain(&ops, &cut_positions(&ops, &cuts));
+        assert_facts_conform(&mono, &reference);
+        assert_facts_conform(&view, &reference);
 
         let text = patterns.join(" . ");
         let a = kb_query::query(&mono, &text).unwrap();
@@ -158,7 +160,8 @@ proptest! {
 
     /// Every construct of the language, over both storage shapes: on
     /// random KBs (asserts and retractions, spanned and unspanned
-    /// facts) and random queries from [`query_texts`], the planned,
+    /// facts, which both shapes hold as the reference does, confidence
+    /// and source included) and random queries from [`query_texts`], the planned,
     /// batch-executed answer over the monolithic snapshot and over a
     /// segmented delta stack conforms to the reference evaluation —
     /// the rule, windows and ORDER BY included, is
@@ -167,7 +170,7 @@ proptest! {
     #[test]
     fn planned_execution_conforms_to_reference_on_both_storage_shapes(
         // Four entities, so that most patterns match something.
-        ops in prop::collection::vec((0u8..5, 0u32..4, 0u32..3, 0u32..4), 4..40),
+        ops in ops(4, 3, 4..40),
         cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
         text in query_texts(),
     ) {
@@ -176,6 +179,7 @@ proptest! {
         let parsed = kb_query::parse(&text)
             .unwrap_or_else(|e| panic!("generated query failed to parse: {text:?}: {e}"));
         for view in [&mono as &dyn KbRead, &seg as &dyn KbRead] {
+            assert_facts_conform(view, &reference);
             let stats = kb_query::StatsCatalog::build(view);
             let plan = kb_query::plan(&parsed, view, &stats)
                 .unwrap_or_else(|e| panic!("generated query failed to plan: {text:?}: {e}"));

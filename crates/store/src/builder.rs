@@ -19,7 +19,7 @@
 use std::sync::OnceLock;
 
 use crate::fact::{Fact, Triple};
-use crate::fx::FxHashMap;
+use crate::fx::{FxHashMap, FxHashSet};
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::read::{Groups, KbRead};
@@ -29,20 +29,6 @@ use crate::taxonomy::Taxonomy;
 use crate::time::TimeSpan;
 use crate::Dictionary;
 use crate::SourceId;
-
-/// What [`KbCore::add_fact`] did with the incoming fact — the builder
-/// uses this to decide whether its cached read indexes must be
-/// dropped (only structural changes touch the index key set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AddOutcome {
-    /// A brand-new triple was appended (as a tombstone when its
-    /// confidence is zero).
-    New,
-    /// The triple already existed live; evidence was merged in place.
-    Merged,
-    /// The triple existed retracted and came back to life.
-    Resurrected,
-}
 
 /// The mutable heart shared by every write-side type: term dictionary,
 /// append-only fact table, triple→fact dedup map and provenance
@@ -58,6 +44,10 @@ pub(crate) struct KbCore {
     /// Number of live (non-retracted) facts, maintained incrementally
     /// so `len()` stays O(1) without any index.
     pub(crate) live: usize,
+    /// Entries a retraction in this core reset: what they hold now
+    /// owes nothing to an older segment's copy of the triple, so a
+    /// delta freeze writes them as they stand instead of merging.
+    pub(crate) reset: FxHashSet<FactId>,
 }
 
 impl KbCore {
@@ -83,74 +73,43 @@ impl KbCore {
         self.sources.get(id.0 as usize).map(|s| s.as_str())
     }
 
-    /// Adds or merges a fact; see [`KbBuilder::add_fact`] for the merge
-    /// semantics (noisy-or confidence, first-known span, earliest
-    /// source). A brand-new fact of confidence zero is a tombstone, as
-    /// in [`retract_or_tombstone`](Self::retract_or_tombstone): stored
-    /// and addressable, never counted live.
-    pub(crate) fn add_fact(&mut self, fact: Fact) -> (FactId, AddOutcome) {
+    /// Adds or merges a fact under the write contract of
+    /// [`KbBuilder::add_fact`]. Returns the entry's id and whether the
+    /// live key set changed (a new or revived triple, or a retraction).
+    pub(crate) fn add_fact(&mut self, fact: Fact) -> (FactId, bool) {
         debug_assert!((0.0..=1.0).contains(&fact.confidence));
+        if fact.is_retracted() {
+            return self.retract(fact.triple);
+        }
         if let Some(&id) = self.by_triple.get(&fact.triple) {
             let existing = &mut self.facts[id.index()];
-            let was_retracted = existing.is_retracted();
-            existing.confidence = 1.0 - (1.0 - existing.confidence) * (1.0 - fact.confidence);
-            if existing.span.is_none() {
-                existing.span = fact.span;
-            }
-            let outcome = if was_retracted && !existing.is_retracted() {
-                self.live += 1;
-                AddOutcome::Resurrected
-            } else {
-                AddOutcome::Merged
-            };
-            return (id, outcome);
+            let revived = existing.is_retracted();
+            *existing = existing.merged(fact);
+            self.live += usize::from(revived);
+            return (id, revived);
         }
         let id = FactId(self.facts.len() as u32);
         self.by_triple.insert(fact.triple, id);
-        self.live += usize::from(!fact.is_retracted());
+        self.live += 1;
         self.facts.push(fact);
-        (id, AddOutcome::New)
+        (id, true)
     }
 
-    /// Retracts a live triple (confidence forced to zero). Returns
-    /// whether anything changed.
-    pub(crate) fn retract(&mut self, t: Triple) -> bool {
-        let Some(&id) = self.by_triple.get(&t) else {
-            return false;
-        };
+    /// Retracts a triple: its entry's confidence drops to zero, and an
+    /// absent triple gets a confidence-zero *tombstone* entry (never
+    /// counted live), which in a delta build shadows an older segment's
+    /// copy. Returns the entry's id and whether the triple was live.
+    pub(crate) fn retract(&mut self, t: Triple) -> (FactId, bool) {
+        let id = *self.by_triple.entry(t).or_insert_with(|| {
+            self.facts.push(Fact { confidence: 0.0, ..Fact::asserted(t) });
+            FactId(self.facts.len() as u32 - 1)
+        });
+        self.reset.insert(id);
         let fact = &mut self.facts[id.index()];
-        if fact.is_retracted() {
-            return false;
-        }
+        let was_live = !fact.is_retracted();
         fact.confidence = 0.0;
-        self.live -= 1;
-        true
-    }
-
-    /// Retracts a triple even when it is not present locally: an absent
-    /// triple gets a confidence-zero *tombstone* entry (never counted
-    /// live). Delta builders use this to retract facts that live in an
-    /// older segment — the tombstone shadows them at merge time.
-    pub(crate) fn retract_or_tombstone(&mut self, t: Triple) -> bool {
-        if self.by_triple.contains_key(&t) {
-            return self.retract(t);
-        }
-        let id = FactId(self.facts.len() as u32);
-        self.facts.push(Fact { triple: t, confidence: 0.0, source: SourceId::DEFAULT, span: None });
-        self.by_triple.insert(t, id);
-        true
-    }
-
-    /// Sets the temporal scope of an existing triple. Does not change
-    /// the index key set, so callers need not invalidate caches.
-    pub(crate) fn set_span(&mut self, t: Triple, span: TimeSpan) -> bool {
-        match self.by_triple.get(&t) {
-            Some(&id) => {
-                self.facts[id.index()].span = Some(span);
-                true
-            }
-            None => false,
-        }
+        self.live -= usize::from(was_live);
+        (id, was_live)
     }
 
     /// This run's entry for a triple, retracted or not.
@@ -166,16 +125,13 @@ impl KbCore {
     pub(crate) fn merge_shard(&mut self, shard: &KbShard) -> usize {
         let remap: Vec<TermId> =
             shard.dict.iter().map(|(_, term)| self.dict.intern(term)).collect();
-        let mut new_facts = 0usize;
+        let before = self.facts.len();
         for fact in &shard.facts {
             let t = fact.triple;
             let triple = Triple::new(remap[t.s.index()], remap[t.p.index()], remap[t.o.index()]);
-            let (_, outcome) = self.add_fact(Fact { triple, ..fact.clone() });
-            if outcome == AddOutcome::New {
-                new_facts += 1;
-            }
+            self.add_fact(Fact { triple, ..fact.clone() });
         }
-        new_facts
+        self.facts.len() - before
     }
 }
 
@@ -251,9 +207,9 @@ impl KbShard {
 /// frozen lazily and cached between structural writes, and freezes
 /// into an immutable, `Arc`-shareable [`KbSnapshot`].
 ///
-/// Confidence merges and span updates do not change the index key set,
-/// so they keep the cache; new facts, retractions, resurrections and
-/// shard merges drop it. Queries take `&self` and the cache is a
+/// Evidence merges do not change the index key set, so they keep the
+/// cache; new facts, retractions, resurrections and shard merges drop
+/// it. Queries take `&self` and the cache is a
 /// `OnceLock`, so the builder stays `Sync`; for long-lived read sharing
 /// detach a snapshot.
 ///
@@ -329,47 +285,46 @@ impl KbBuilder {
         self.add_fact(Fact::asserted(t))
     }
 
-    /// Adds a fact. If the same triple already exists the stored fact is
-    /// *merged*: confidence combines by noisy-or
-    /// (`1 - (1-a)(1-b)`, the standard evidence combination for
-    /// independent extractors), the temporal span is kept if previously
-    /// unknown, and provenance keeps the earlier source. Returns the id
-    /// of the (new or merged) fact.
+    /// Adds a fact under the write contract, which every configuration
+    /// — this builder, a delta stack, its compaction, WAL replay —
+    /// answers alike:
+    ///
+    /// * evidence for a live triple *merges*: confidence combines by
+    ///   noisy-or (`1 - (1-a)(1-b)`), the span is kept if it was known,
+    ///   and provenance keeps the earlier source;
+    /// * a retraction forgets: evidence for a retracted or tombstoned
+    ///   triple starts it fresh, with this fact's confidence, source and
+    ///   span;
+    /// * a fact of confidence zero is a retraction
+    ///   ([`retract`](Self::retract)).
+    ///
+    /// Returns the id of the (new or merged) fact.
     pub fn add_fact(&mut self, fact: Fact) -> FactId {
-        let (id, outcome) = self.core.add_fact(fact);
-        if outcome != AddOutcome::Merged {
+        let (id, structural) = self.core.add_fact(fact);
+        if structural {
             self.frozen.take();
         }
         id
     }
 
-    /// Retracts a triple: its confidence is set to zero and it stops
-    /// matching queries. The fact id remains valid. Returns whether the
-    /// triple was present and live.
+    /// Retracts a triple: it stops matching queries and the next
+    /// assertion of it starts fresh. A triple this builder does not hold
+    /// gets a *tombstone*, which in a delta build
+    /// ([`freeze_delta`](Self::freeze_delta)) hides the view's copy and
+    /// in a plain [`freeze`](Self::freeze) is inert. Fact ids stay
+    /// valid. Returns whether the triple was live here.
     pub fn retract(&mut self, t: Triple) -> bool {
-        let changed = self.core.retract(t);
-        if changed {
+        let (_, was_live) = self.core.retract(t);
+        if was_live {
             self.frozen.take();
         }
-        changed
+        was_live
     }
 
-    /// Retracts by strings, recording a tombstone even when the triple
-    /// was never added to *this* builder. In a delta build
-    /// ([`freeze_delta`](Self::freeze_delta)) the tombstone shadows the
-    /// base segment's assertion; in a plain [`freeze`](Self::freeze) a
-    /// tombstone for an absent triple is inert.
+    /// Interns three strings and [`retract`](Self::retract)s the triple.
     pub fn retract_str(&mut self, s: &str, p: &str, o: &str) -> bool {
         let t = Triple::new(self.intern(s), self.intern(p), self.intern(o));
-        self.frozen.take();
-        self.core.retract_or_tombstone(t)
-    }
-
-    /// Sets the temporal scope of an existing triple. Returns `false` if
-    /// the triple is absent. Spans are read from the fact table, never
-    /// from the index keys, so the cached indexes stay.
-    pub fn set_span(&mut self, t: Triple, span: TimeSpan) -> bool {
-        self.core.set_span(t, span)
+        self.retract(t)
     }
 
     /// Merges one shard (replay in order; see [`KbShard`]). Returns the
@@ -597,9 +552,12 @@ mod tests {
         assert!(kb.fact(id).unwrap().is_retracted(), "still addressable by id");
         let snap = kb.clone().freeze();
         assert_eq!((snap.len(), snap.iter().count(), snap.stats().facts), (0, 0, 0));
-        // Later evidence revives it under the same id.
+        // Later evidence revives it under the same id, and a second
+        // zero-confidence fact retracts it again.
         assert_eq!(kb.add_fact(fact(t, 0.6)), id);
         assert_eq!((kb.len(), kb.iter().count()), (1, 1));
+        assert_eq!(kb.add_fact(fact(t, 0.0)), id);
+        assert_eq!((kb.len(), kb.iter().count()), (0, 0));
     }
 
     #[test]
@@ -643,8 +601,9 @@ mod tests {
     #[test]
     fn stats_reflect_contents() {
         let mut kb = sample_kb();
+        // Evidence with a span gives an unspanned fact its span.
         let t = kb.matching_triples(&TriplePattern::any())[0];
-        kb.set_span(t, TimeSpan::since(TimePoint::year(1976)));
+        kb.add_fact(Fact { span: Some(TimeSpan::since(TimePoint::year(1976))), ..fact(t, 1.0) });
         let st = kb.stats();
         assert_eq!(st.facts, 5);
         assert_eq!(st.predicates, 4);
@@ -657,11 +616,8 @@ mod tests {
         let mut kb = KbBuilder::new();
         let p = kb.intern("worksAt");
         let (a, b, acme) = (kb.intern("A"), kb.intern("B"), kb.intern("Acme"));
-        kb.add_triple(a, p, acme);
-        kb.set_span(
-            Triple::new(a, p, acme),
-            TimeSpan::between(TimePoint::year(1990), TimePoint::year(1995)).unwrap(),
-        );
+        let span = TimeSpan::between(TimePoint::year(1990), TimePoint::year(1995)).ok();
+        kb.add_fact(Fact { span, ..fact(Triple::new(a, p, acme), 1.0) });
         kb.add_triple(b, p, acme); // timeless
         let pat = TriplePattern::with_p(p);
         assert_eq!(kb.matching_at(&pat, &TimePoint::year(1992)).len(), 2);

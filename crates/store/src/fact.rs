@@ -71,6 +71,24 @@ impl Fact {
     pub(crate) fn is_retracted(&self) -> bool {
         self.confidence == 0.0
     }
+
+    /// The write contract's one evidence merge: what this stored entry
+    /// becomes when `incoming` — live evidence for the same triple —
+    /// arrives. A retracted entry is forgotten and `incoming` starts
+    /// fresh; a live one combines confidence by noisy-or
+    /// (`1 - (1-a)(1-b)`, the standard evidence combination for
+    /// independent extractors) and keeps its span if it knew one and
+    /// its source, the earliest.
+    pub(crate) fn merged(&self, incoming: Fact) -> Fact {
+        if self.is_retracted() {
+            return incoming;
+        }
+        Fact {
+            confidence: 1.0 - (1.0 - self.confidence) * (1.0 - incoming.confidence),
+            span: self.span.or(incoming.span),
+            ..self.clone()
+        }
+    }
 }
 
 #[cfg(test)]

@@ -14,6 +14,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `HashMap` keyed with [`FxHasher`].
 pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
+/// `HashSet` keyed with [`FxHasher`].
+pub(crate) type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
+
 /// Zero-sized builder for [`FxHasher`].
 pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 

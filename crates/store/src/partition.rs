@@ -37,7 +37,6 @@ use std::sync::Arc;
 
 use crate::builder::KbCore;
 use crate::fact::Fact;
-use crate::fx::FxHashMap;
 use crate::ids::FactId;
 use crate::labels::LabelStore;
 use crate::read::{Groups, KbRead};
@@ -77,11 +76,9 @@ pub fn partition_snapshot(base: &KbSnapshot, partitions: usize) -> Vec<KbSnapsho
     assert!(partitions > 0, "partition count must be positive");
     let template = KbCore {
         dict: base.core().dict.clone(),
-        facts: Vec::new(),
-        by_triple: FxHashMap::default(),
         sources: base.core().sources.clone(),
         source_lookup: base.core().source_lookup.clone(),
-        live: 0,
+        ..KbCore::default()
     };
     let mut cores: Vec<KbCore> = (0..partitions).map(|_| template.clone()).collect();
     for f in &base.core().facts {

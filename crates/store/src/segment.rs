@@ -26,11 +26,11 @@
 //!   base off the serving path once the stack grows past a size ratio,
 //!   bounding merge fan-in.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::builder::{KbBuilder, KbCore};
 use crate::fact::{Fact, Triple};
+use crate::fx::FxHashMap;
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::read::{Group, Groups, KbRead};
@@ -44,8 +44,10 @@ use crate::SourceId;
 pub enum FactKind {
     /// Triple not visible in the underlying view: a net-new fact.
     New,
-    /// Triple already visible: this entry carries the evidence-merged
-    /// (noisy-or) fact and shadows the older segment's copy.
+    /// Triple already visible: this entry shadows the older segment's
+    /// copy with the fact as the delta leaves it — merged into that
+    /// copy, or fresh where the delta's builder retracted the triple
+    /// first.
     Shadow,
     /// Retraction of a view-visible triple (confidence zero).
     Tombstone,
@@ -63,7 +65,7 @@ pub struct DeltaSegment {
     /// Terms unknown to the underlying view, in allocation order; term
     /// id `first_term + i` resolves to `ext_terms[i]`.
     pub(crate) ext_terms: Vec<Arc<str>>,
-    pub(crate) ext_lookup: HashMap<Arc<str>, TermId>,
+    pub(crate) ext_lookup: FxHashMap<Arc<str>, TermId>,
     /// First term id this segment allocates (== the view's term count
     /// at freeze time — the sequential-stacking contract).
     pub(crate) first_term: u32,
@@ -75,7 +77,7 @@ pub struct DeltaSegment {
     pub(crate) facts: Vec<Fact>,
     /// Parallel to `facts`.
     pub(crate) kinds: Vec<FactKind>,
-    pub(crate) by_triple: HashMap<Triple, FactId>,
+    pub(crate) by_triple: FxHashMap<Triple, FactId>,
     /// Frozen permutation arrays over `facts`, tombstones included.
     pub(crate) indexes: FrozenIndexes,
     /// Distinct predicates this delta touches (including tombstones),
@@ -126,51 +128,25 @@ impl DeltaSegment {
 
         let mut facts = Vec::with_capacity(core.facts.len());
         let mut kinds = Vec::with_capacity(core.facts.len());
-        for f in &core.facts {
-            let t = Triple::new(
-                remap[f.triple.s.index()],
-                remap[f.triple.p.index()],
-                remap[f.triple.o.index()],
-            );
-            if f.is_retracted() {
-                // Only meaningful as a tombstone over a visible fact;
-                // retracting something nobody can see is a no-op.
-                if view.fact_for(&t).is_none() {
-                    continue;
-                }
-                facts.push(Fact {
-                    triple: t,
-                    confidence: 0.0,
-                    source: source_remap[f.source.0 as usize],
-                    span: None,
-                });
-                kinds.push(FactKind::Tombstone);
-                continue;
-            }
-            match view.fact_for(&t) {
-                Some(seen) => {
-                    // Same merge semantics as KbCore::add_fact, applied
-                    // across the segment boundary: noisy-or confidence,
-                    // first-known span, earliest source.
-                    let confidence = 1.0 - (1.0 - seen.confidence) * (1.0 - f.confidence);
-                    facts.push(Fact {
-                        triple: t,
-                        confidence,
-                        source: seen.source,
-                        span: seen.span.or(f.span),
-                    });
-                    kinds.push(FactKind::Shadow);
-                }
-                None => {
-                    facts.push(Fact {
-                        triple: t,
-                        confidence: f.confidence,
-                        source: source_remap[f.source.0 as usize],
-                        span: f.span,
-                    });
-                    kinds.push(FactKind::New);
-                }
-            }
+        for (i, f) in core.facts.iter().enumerate() {
+            let t = &f.triple;
+            let fact = Fact {
+                triple: Triple::new(remap[t.s.index()], remap[t.p.index()], remap[t.o.index()]),
+                source: source_remap[f.source.0 as usize],
+                ..f.clone()
+            };
+            // Retracting what nobody can see is a no-op; a retraction in
+            // this builder forgot the view's copy; anything else merges
+            // into it.
+            let (fact, kind) = match view.fact_for(&fact.triple) {
+                None if f.is_retracted() => continue,
+                None => (fact, FactKind::New),
+                Some(_) if f.is_retracted() => (fact, FactKind::Tombstone),
+                Some(_) if core.reset.contains(&FactId(i as u32)) => (fact, FactKind::Shadow),
+                Some(seen) => (seen.merged(fact), FactKind::Shadow),
+            };
+            facts.push(fact);
+            kinds.push(kind);
         }
 
         // The builder's triples are distinct and the remap is injective,

@@ -847,7 +847,7 @@ pub(crate) fn decode_base(
     let sameas = decode_sameas(&fetch_region(source, entries, SegmentRegion::SameAs)?, dict.len())?;
     let labels = decode_labels(&fetch_region(source, entries, SegmentRegion::Labels)?, dict.len())?;
 
-    let core = KbCore { dict, facts, by_triple, sources, source_lookup, live };
+    let core = KbCore { dict, facts, by_triple, sources, source_lookup, live, ..KbCore::default() };
     Ok(EagerBase { core, taxonomy, sameas, labels })
 }
 

@@ -2,13 +2,13 @@
 
 use proptest::prelude::*;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use kb_store::{
     Fact, IndexChoice, KbBuilder, KbRead, KbShard, SameAsStore, SourceId, TermId, TimePoint,
     TimeSpan, Triple, TriplePattern,
 };
-use kb_testkit::{RefKb, StrTriple};
+use kb_testkit::{assert_facts_conform, RefFact, RefKb, StrTriple};
 
 fn term_strategy() -> impl Strategy<Value = String> {
     // Mix of plain identifiers and nasty strings with escapes/unicode.
@@ -239,18 +239,17 @@ proptest! {
     /// Differential test against the reference model
     /// (`kb_testkit::RefKb`, which filters one ordered set of string
     /// triples): after an arbitrary interleaving of adds (with
-    /// confidence — zero included — and span), retracts and span
-    /// updates, the snapshot engine holds the facts the reference holds
-    /// and answers every pattern shape, count, time-travel query,
-    /// degree and neighborhood as it does. Two builders replay the
-    /// ops: `kb` is scanned after every one, so its lazily frozen
-    /// indexes are built, kept across evidence merges and dropped by
-    /// structural writes all along, and ends as `clone().freeze()`
-    /// (which reuses a warm cache); `builder` is never read before its
-    /// `freeze()`. What the reference cannot say, the test states
-    /// directly: results come in the order of the permutation index the
-    /// pattern chooses, and merged confidences are the noisy-or fold of
-    /// the adds, bit for bit.
+    /// confidence — zero included —, span and source) and retracts, the
+    /// snapshot engine holds the facts the reference holds, confidence
+    /// bits, span and source included, and answers every pattern shape,
+    /// count, time-travel query, degree and neighborhood as it does.
+    /// Two builders replay the ops: `kb` is scanned after every one, so
+    /// its lazily frozen indexes are built, kept across evidence merges
+    /// and dropped by structural writes all along, and ends as
+    /// `clone().freeze()` (which reuses a warm cache); `builder` is
+    /// never read before its `freeze()`. What the reference cannot say,
+    /// the test states directly: results come in the order of the
+    /// permutation index the pattern chooses.
     #[test]
     fn snapshot_engine_matches_reference_model(
         ops in prop::collection::vec(
@@ -262,7 +261,7 @@ proptest! {
                 0u32..5,
                 (0.0f64..=1.0).prop_map(|c| if c < 0.08 { 0.0 } else { c }),
                 prop::option::of(1950i32..2030),
-                0u8..8,
+                0u8..7,
             ),
             1..60
         ),
@@ -270,9 +269,6 @@ proptest! {
         probe_year in 1950i32..2030,
     ) {
         let mut reference = RefKb::default();
-        // Merged confidence of every triple ever added, folded in op
-        // order; zero while retracted.
-        let mut confidence: HashMap<Triple, f64> = HashMap::new();
         let mut kb = KbBuilder::new();
         let mut builder = KbBuilder::new();
         for &(s, p, o, conf, year, kind) in &ops {
@@ -285,32 +281,14 @@ proptest! {
                     let was_live = reference.retract(&ss, &ps, &os);
                     prop_assert_eq!(was_live, kb.retract(tf));
                     prop_assert_eq!(was_live, builder.retract(tb));
-                    if was_live {
-                        confidence.insert(tf, 0.0);
-                    }
-                }
-                7 => {
-                    let span = TimeSpan::at(TimePoint::year(year.unwrap_or(2000)));
-                    let known = reference.set_span(&ss, &ps, &os, span);
-                    prop_assert_eq!(known, kb.set_span(tf, span));
-                    prop_assert_eq!(known, builder.set_span(tb, span));
                 }
                 _ => {
                     let span = year.map(|y| TimeSpan::at(TimePoint::year(y)));
-                    let f = |t| Fact { triple: t, confidence: conf, source: SourceId::DEFAULT, span };
-                    let was_live =
-                        !reference.matching([Some(&*ss), Some(&*ps), Some(&*os)]).is_empty();
-                    reference.assert(&ss, &ps, &os, span);
-                    if conf == 0.0 && !was_live {
-                        // Zero-confidence evidence makes the triple
-                        // known (and may give it its span) but never
-                        // brings it to life.
-                        reference.retract(&ss, &ps, &os);
-                    }
-                    confidence
-                        .entry(tf)
-                        .and_modify(|c| *c = 1.0 - (1.0 - *c) * (1.0 - conf))
-                        .or_insert(conf);
+                    let source = format!("src{}", kind % 3);
+                    let (sf, sb) = (kb.register_source(&source), builder.register_source(&source));
+                    prop_assert_eq!(sf, sb);
+                    let f = |t| Fact { triple: t, confidence: conf, source: sf, span };
+                    reference.add(&ss, &ps, &os, RefFact { confidence: conf, span, source });
                     kb.add_fact(f(tf));
                     builder.add_fact(f(tb));
                 }
@@ -342,23 +320,15 @@ proptest! {
         prop_assert_eq!(reference.facts().count(), snapshot.len());
 
         // Full scans: the two snapshots agree fact for fact, in SPO
-        // order; the facts are the reference's, spans included; the
-        // confidences are the fold above.
-        let dump = |facts: Vec<&Fact>| -> Vec<(Triple, u64, Option<TimeSpan>)> {
-            facts.into_iter().map(|f| (f.triple, f.confidence.to_bits(), f.span)).collect()
+        // order, and the facts are the reference's, confidence bits,
+        // spans and sources included.
+        let dump = |facts: Vec<&Fact>| -> Vec<(Triple, u64, Option<TimeSpan>, SourceId)> {
+            facts.into_iter().map(|f| (f.triple, f.confidence.to_bits(), f.span, f.source)).collect()
         };
         let all = dump(snapshot.iter().collect());
         prop_assert_eq!(&all, &dump(warm.iter().collect()));
         prop_assert!(all.windows(2).all(|w| w[0].0.spo_key() < w[1].0.spo_key()));
-        let mut got: Vec<(StrTriple, Option<TimeSpan>)> =
-            all.iter().map(|(t, _, span)| (named(t), *span)).collect();
-        got.sort_by(|a, b| a.0.cmp(&b.0));
-        let want: Vec<(StrTriple, Option<TimeSpan>)> =
-            reference.facts().map(|(t, span)| (t.clone(), span)).collect();
-        prop_assert_eq!(got, want);
-        for (t, bits, _) in &all {
-            prop_assert_eq!(*bits, confidence[t].to_bits(), "confidence of {:?}", named(t));
-        }
+        assert_facts_conform(&snapshot, &reference);
 
         // Every binding shape: the reference's triples, in the order of
         // the permutation index the pattern chooses.
@@ -397,7 +367,7 @@ proptest! {
             let at = dump(snapshot.matching_at(&pat, &point));
             prop_assert_eq!(&at, &dump(warm.matching_at(&pat, &point)));
             prop_assert!(at.iter().all(|fact| all.contains(fact)));
-            let at: Vec<Triple> = at.into_iter().map(|(t, _, _)| t).collect();
+            let at: Vec<Triple> = at.into_iter().map(|(t, ..)| t).collect();
             prop_assert!(in_index_order(&pat, &at), "time-travel order under {:?}", pat);
             let want: Vec<StrTriple> =
                 reference.matching_at(rpat, &point).into_iter().cloned().collect();

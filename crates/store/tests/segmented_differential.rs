@@ -15,44 +15,44 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use kb_store::{
-    KbBuilder, KbRead, KbReadBatch, SegmentedSnapshot, TripleBatch, TriplePattern, BATCH_ROWS,
+    KbBuilder, KbRead, KbReadBatch, SegmentedSnapshot, TimePoint, TimeSpan, TripleBatch,
+    TriplePattern, BATCH_ROWS,
 };
 
-/// One mutation: assert a fact with some confidence, or retract a
-/// triple (which the delta path turns into a tombstone when the triple
-/// is visible below the split point).
+/// One mutation: assert a fact with some confidence, span and source,
+/// or retract a triple (which the delta path turns into a tombstone
+/// when the triple is visible below the split point).
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Add { s: u32, p: u32, o: u32, conf: f64 },
+    Add { s: u32, p: u32, o: u32, conf: f64, span: Option<TimeSpan>, source: u32 },
     Retract { s: u32, p: u32, o: u32 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     // kind 0 retracts, anything else asserts — a 4:1 bias keeps most
-    // sequences live enough to exercise the merge paths.
-    (0u8..5, 0u32..8, 0u32..4, 0u32..8, 1u32..10).prop_map(|(kind, s, p, o, c)| {
-        if kind == 0 {
-            Op::Retract { s, p, o }
-        } else {
-            Op::Add { s, p, o, conf: c as f64 / 10.0 }
-        }
-    })
+    // sequences live enough to exercise the merge paths. A third of
+    // the assertions carry no span, the rest one year.
+    (0u8..5, 0u32..8, 0u32..4, 0u32..8, 1u32..10, 0i32..45, 0u32..3).prop_map(
+        |(kind, s, p, o, c, year, source)| {
+            if kind == 0 {
+                return Op::Retract { s, p, o };
+            }
+            let span = (year >= 15).then(|| TimeSpan::at(TimePoint::year(1970 + year)));
+            Op::Add { s, p, o, conf: c as f64 / 10.0, span, source }
+        },
+    )
 }
 
 fn apply(b: &mut KbBuilder, op: Op) {
     match op {
-        Op::Add { s, p, o, conf } => {
+        Op::Add { s, p, o, conf, span, source } => {
             let t = kb_store::Triple::new(
                 b.intern(&format!("e{s}")),
                 b.intern(&format!("r{p}")),
                 b.intern(&format!("e{o}")),
             );
-            b.add_fact(kb_store::Fact {
-                triple: t,
-                confidence: conf,
-                source: kb_store::SourceId::DEFAULT,
-                span: None,
-            });
+            let source = b.register_source(&format!("src{source}"));
+            b.add_fact(kb_store::Fact { triple: t, confidence: conf, source, span });
         }
         Op::Retract { s, p, o } => {
             b.retract_str(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"));
@@ -86,10 +86,14 @@ fn build_segmented(ops: &[Op], cuts: &[prop::sample::Index]) -> SegmentedSnapsho
     view
 }
 
-/// Renders every live fact as resolved strings plus confidence, for
-/// id-independent comparison. Sorted: the two views may enumerate in
-/// different (fact-table vs merged) orders.
-fn fact_dump<K: KbRead + ?Sized>(kb: &K) -> Vec<(String, String, String, i64)> {
+/// One live fact as resolved strings, its confidence, span and source
+/// name.
+type Row = (String, String, String, i64, Option<TimeSpan>, String);
+
+/// Renders every live fact as a [`Row`], for id-independent comparison.
+/// Sorted: the two views may enumerate in different (fact-table vs
+/// merged) orders.
+fn fact_dump<K: KbRead + ?Sized>(kb: &K) -> Vec<Row> {
     let mut rows: Vec<_> = kb
         .facts()
         .map(|f| {
@@ -100,10 +104,12 @@ fn fact_dump<K: KbRead + ?Sized>(kb: &K) -> Vec<(String, String, String, i64)> {
                 // Quantize the confidence so float noise under 1e-9
                 // cannot flip a comparison.
                 (f.confidence * 1e9).round() as i64,
+                f.span,
+                kb.source_name(f.source).unwrap().to_string(),
             )
         })
         .collect();
-    rows.sort();
+    rows.sort_by(|a, b| (&a.0, &a.1, &a.2).cmp(&(&b.0, &b.1, &b.2)));
     rows
 }
 

@@ -8,6 +8,17 @@
 //! index, no plan, no statistics. It shares nothing with the engine it
 //! judges but the syntax tree and the store's value types.
 //!
+//! ## The write contract, restated
+//!
+//! Every configuration of the store — one builder, its snapshot, a
+//! delta stack, its compaction, a store reopened from sealed deltas and
+//! its WAL — answers alike. Evidence for a live triple merges:
+//! confidence by noisy-or (`1 - (1-a)(1-b)`), the span if none was
+//! known yet, the earlier source. A retraction forgets: asserting the
+//! triple again starts it fresh, with the new confidence, span and
+//! source. A fact of confidence zero is a retraction. So [`RefKb`]
+//! needs to hold the live triples only.
+//!
 //! ## Query semantics, restated
 //!
 //! A *solution* maps variable names to term strings. A group is
@@ -42,22 +53,23 @@ pub type StrTriple = (String, String, String);
 /// A triple pattern over strings; `None` leaves the position free.
 pub type StrPattern<'a> = [Option<&'a str>; 3];
 
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    live: bool,
-    span: Option<TimeSpan>,
+/// What the reference holds for a live triple.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RefFact {
+    /// Confidence in `(0, 1]`.
+    pub confidence: f64,
+    /// Time span, if one is known.
+    pub span: Option<TimeSpan>,
+    /// Provenance source, by name.
+    pub source: String,
 }
 
-/// The reference knowledge base: every triple ever asserted, ordered by
-/// its strings, with whether it is live and its time span.
-///
-/// It replays the write contract of `KbBuilder`: asserting a known
-/// triple revives it and keeps the first span it was given, retracting
-/// hides it without forgetting that span, and `set_span` overwrites the
-/// span of any known triple, live or not.
+/// The reference knowledge base: the live triples, ordered by their
+/// strings, each with its confidence, span and source, written under
+/// the contract restated in the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct RefKb {
-    entries: BTreeMap<StrTriple, Entry>,
+    entries: BTreeMap<StrTriple, RefFact>,
 }
 
 fn key(s: &str, p: &str, o: &str) -> StrTriple {
@@ -69,38 +81,53 @@ fn agrees(pat: &StrPattern, (s, p, o): &StrTriple) -> bool {
 }
 
 impl RefKb {
-    /// Asserts a triple, optionally with a time span.
+    /// Asserts a triple at confidence 1 from the source `asserted`.
     pub fn assert(&mut self, s: &str, p: &str, o: &str, span: Option<TimeSpan>) {
-        let entry = self.entries.entry(key(s, p, o)).or_insert(Entry { live: true, span });
-        entry.live = true;
-        entry.span = entry.span.or(span);
+        self.add(s, p, o, RefFact { confidence: 1.0, span, source: "asserted".into() });
+    }
+
+    /// Adds evidence for a triple under the write contract.
+    pub fn add(&mut self, s: &str, p: &str, o: &str, fact: RefFact) {
+        if fact.confidence == 0.0 {
+            self.retract(s, p, o);
+            return;
+        }
+        match self.entries.get_mut(&key(s, p, o)) {
+            Some(known) => {
+                known.confidence = 1.0 - (1.0 - known.confidence) * (1.0 - fact.confidence);
+                known.span = known.span.or(fact.span);
+            }
+            None => {
+                self.entries.insert(key(s, p, o), fact);
+            }
+        }
     }
 
     /// Retracts a triple; returns whether it was live.
     pub fn retract(&mut self, s: &str, p: &str, o: &str) -> bool {
-        self.entries.get_mut(&key(s, p, o)).is_some_and(|e| std::mem::replace(&mut e.live, false))
+        self.entries.remove(&key(s, p, o)).is_some()
     }
 
-    /// Sets the span of a known triple; returns whether it was known.
-    pub fn set_span(&mut self, s: &str, p: &str, o: &str, span: TimeSpan) -> bool {
-        self.entries.get_mut(&key(s, p, o)).map(|e| e.span = Some(span)).is_some()
+    /// A live triple's fact.
+    pub fn fact(&self, s: &str, p: &str, o: &str) -> Option<&RefFact> {
+        self.entries.get(&key(s, p, o))
     }
 
-    /// The live triples with their spans, in string order.
-    pub fn facts(&self) -> impl Iterator<Item = (&StrTriple, Option<TimeSpan>)> + '_ {
-        self.entries.iter().filter(|(_, e)| e.live).map(|(t, e)| (t, e.span))
+    /// The live triples with their facts, in string order.
+    pub fn facts(&self) -> impl Iterator<Item = (&StrTriple, &RefFact)> + '_ {
+        self.entries.iter()
     }
 
     /// The live triples that agree with `pat`, in string order.
     pub fn matching(&self, pat: StrPattern) -> Vec<&StrTriple> {
-        self.facts().map(|(t, _)| t).filter(|t| agrees(&pat, t)).collect()
+        self.entries.keys().filter(|t| agrees(&pat, t)).collect()
     }
 
     /// The live triples that agree with `pat` and hold at `point`:
     /// those without a span, and those whose span contains it.
     pub fn matching_at(&self, pat: StrPattern, point: &TimePoint) -> Vec<&StrTriple> {
-        let holds = |span: Option<TimeSpan>| span.is_none_or(|sp| sp.contains(point));
-        self.facts().filter(|(t, span)| agrees(&pat, t) && holds(*span)).map(|(t, _)| t).collect()
+        let holds = |f: &RefFact| f.span.is_none_or(|sp| sp.contains(point));
+        self.facts().filter(|(t, f)| agrees(&pat, t) && holds(f)).map(|(t, _)| t).collect()
     }
 
     /// Live triples with `t` as subject plus those with `t` as object.
@@ -237,7 +264,7 @@ fn eval_group<'a>(g: &'a Group, kb: &'a RefKb, context: Solution<'a>) -> Vec<Sol
     for pat in &g.patterns {
         sols = sols
             .iter()
-            .flat_map(|sol| kb.facts().filter_map(move |(t, span)| extend(sol, pat, t, span)))
+            .flat_map(|sol| kb.facts().filter_map(move |(t, f)| extend(sol, pat, t, f.span)))
             .collect();
     }
     for (a, b) in &g.unions {
@@ -383,6 +410,23 @@ pub fn assert_conforms(query: &SelectQuery, got: &QueryOutput, view: &dyn KbRead
     }
 }
 
+/// Panics unless the live facts of `view` are those of `kb`, each with
+/// its confidence (bit for bit), span and source name.
+pub fn assert_facts_conform(view: &dyn KbRead, kb: &RefKb) {
+    let name = |id| view.resolve(id).expect("a fact's terms resolve").to_string();
+    let mut got: Vec<(StrTriple, RefFact)> = view
+        .facts()
+        .map(|f| {
+            let source = view.source_name(f.source).expect("a fact's source resolves").into();
+            let fact = RefFact { confidence: f.confidence, span: f.span, source };
+            ((name(f.triple.s), name(f.triple.p), name(f.triple.o)), fact)
+        })
+        .collect();
+    got.sort_by(|a, b| a.0.cmp(&b.0));
+    let want: Vec<(StrTriple, RefFact)> = kb.facts().map(|(t, f)| (t.clone(), f.clone())).collect();
+    assert_eq!(got, want, "live facts");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,9 +448,9 @@ mod tests {
     fn sample() -> RefKb {
         let mut kb = RefKb::default();
         for (s, p, o) in TRIPLES {
-            kb.assert(s, p, o, None);
+            let span = (s, p) == ("c", "likes");
+            kb.assert(s, p, o, span.then(|| TimeSpan::parse("[1990,2000]").unwrap()));
         }
-        assert!(kb.set_span("c", "likes", "a", TimeSpan::parse("[1990,2000]").unwrap()));
         kb
     }
 
@@ -434,20 +478,23 @@ mod tests {
     #[test]
     fn refkb_replays_the_write_contract() {
         let mut kb = RefKb::default();
-        let y = |year| TimeSpan::at(TimePoint::year(year));
+        let y = |year| Some(TimeSpan::at(TimePoint::year(year)));
+        let fact =
+            |confidence, span, source: &str| RefFact { confidence, span, source: source.into() };
         assert!(!kb.retract("a", "r", "b"), "unknown triple");
-        assert!(!kb.set_span("a", "r", "b", y(1990)), "unknown triple");
-        kb.assert("a", "r", "b", None);
-        kb.assert("a", "r", "b", Some(y(1990)));
-        kb.assert("a", "r", "b", Some(y(2000)));
-        assert_eq!(kb.facts().next().unwrap().1, Some(y(1990)), "first known span stays");
+        kb.add("a", "r", "b", fact(0.5, None, "x"));
+        kb.add("a", "r", "b", fact(0.5, y(1990), "y"));
+        kb.add("a", "r", "b", fact(0.5, y(2000), "z"));
+        assert_eq!(kb.fact("a", "r", "b"), Some(&fact(0.875, y(1990), "x")), "merged");
         assert!(kb.retract("a", "r", "b"));
         assert!(!kb.retract("a", "r", "b"), "already hidden");
         assert_eq!(kb.facts().count(), 0);
-        assert!(kb.set_span("a", "r", "b", y(2010)), "hidden but known");
-        kb.assert("a", "r", "b", Some(y(1950)));
-        assert_eq!(kb.facts().count(), 1);
-        assert_eq!(kb.facts().next().unwrap().1, Some(y(2010)), "revived with its span");
+        kb.add("a", "r", "b", fact(0.5, y(1950), "w"));
+        assert_eq!(kb.fact("a", "r", "b"), Some(&fact(0.5, y(1950), "w")), "starts fresh");
+        kb.add("a", "r", "b", fact(0.0, None, "x"));
+        assert_eq!(kb.fact("a", "r", "b"), None, "zero confidence retracts");
+        kb.assert("a", "r", "b", None);
+        assert_eq!(kb.fact("a", "r", "b"), Some(&fact(1.0, None, "asserted")));
     }
 
     #[test]

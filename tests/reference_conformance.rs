@@ -1,6 +1,7 @@
 //! Every production read configuration against the one reference model
-//! (`kb-testkit`): a fixed-seed list of assert / retract ops over
-//! spanned and unspanned triples is replayed into `RefKb` and into
+//! (`kb-testkit`): a fixed-seed list of assert / retract ops, each
+//! assertion with its own confidence, span and source, is replayed into
+//! `RefKb` and into
 //!
 //! * one monolithic `KbSnapshot`,
 //! * a `SegmentedSnapshot` of a base plus 1–3 deltas,
@@ -9,7 +10,8 @@
 //!   the base's frames, so columns page in and out while answering,
 //! * a 4-partition `KbRouter` fed the same base and deltas,
 //!
-//! and each answers 40 generated queries — every construct of the
+//! and each holds the reference's facts — confidence bits, span and
+//! source — and answers 40 generated queries — every construct of the
 //! language — which `assert_conforms` holds against the reference
 //! evaluation. No configuration is judged by another one here.
 //!
@@ -20,14 +22,14 @@
 
 use std::sync::Arc;
 
-use kb_testkit::assert_conforms;
+use kb_testkit::{assert_conforms, assert_facts_conform};
 use kbkit::kb_obs::Registry;
 use kbkit::kb_query;
 use kbkit::kb_serve::{AdmissionConfig, KbRouter};
 use kbkit::kb_store::{
     partition_delta, partition_snapshot, segment_io, subject_partition, DeltaSegment, Fact, FactId,
-    KbBuilder, KbRead, KbSnapshot, PartitionedView, SegmentRegion, SegmentStore, SegmentedSnapshot,
-    SourceId, StoreOptions, TermId, Triple,
+    KbRead, KbSnapshot, PartitionedView, SegmentRegion, SegmentStore, SegmentedSnapshot, SourceId,
+    StoreOptions, TermId,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -71,7 +73,7 @@ fn every_read_configuration_conforms_to_the_reference_model() {
     for seed in 0..6u64 {
         let rng = &mut TestRng::for_case(seed, 0);
         // Four entities and three relations: dense enough to join.
-        let ops = prop::collection::vec((0u8..5, 0u32..4, 0u32..3, 0u32..4), 40..120).generate(rng);
+        let ops = common::ops(4, 3, 40..120).generate(rng);
         let cuts: Vec<usize> = (1..=1 + seed as usize % 3).map(|i| i * ops.len() / 4).collect();
         let reference = common::reference_of(&ops);
 
@@ -85,6 +87,9 @@ fn every_read_configuration_conforms_to_the_reference_model() {
             router.apply_delta(Arc::clone(delta));
         }
         let partitioned = router.view();
+        for view in [&monolithic as &dyn KbRead, &segmented, &paged, partitioned.as_ref()] {
+            assert_facts_conform(view, &reference);
+        }
 
         for _ in 0..40 {
             let text = common::query_texts().generate(rng);
@@ -118,25 +123,26 @@ fn every_read_configuration_conforms_to_the_reference_model() {
 /// anchors. Two deltas then add `r1` facts, assert facts again that are
 /// there, bury some under tombstones and revive a part of those.
 fn star_ops() -> (Vec<common::Op>, Vec<usize>) {
-    let arm = |i: u32| (1, i, 1, 2_000 + i % 7);
-    let mut ops: Vec<common::Op> = (0..160).map(|i| (1, i, 0, 1_000 + i % 5)).collect();
+    use common::{Write::Retract, CERTAIN};
+    let arm = |i: u32| (CERTAIN, i, 1, 2_000 + i % 7);
+    let mut ops: Vec<common::Op> = (0..160).map(|i| (CERTAIN, i, 0, 1_000 + i % 5)).collect();
     ops.extend((0..160).filter(|i| i % 2 == 0).map(arm));
-    ops.extend((0..340).map(|j| (1, 5_000 + j, 1, 2_000 + j % 7)));
-    ops.extend((0..240).rev().map(|j| (1, 6_000 + j, 2, j % 80)));
+    ops.extend((0..340).map(|j| (CERTAIN, 5_000 + j, 1, 2_000 + j % 7)));
+    ops.extend((0..240).rev().map(|j| (CERTAIN, 6_000 + j, 2, j % 80)));
     let mut cuts = vec![ops.len()];
     // Delta one: a second value for every third subject, a fourth of the
     // old facts asserted again, a tenth retracted (every twentieth both).
-    ops.extend((0..160).filter(|i| i % 3 == 0).map(|i| (1, i, 1, 2_000 + (i + 1) % 7)));
+    ops.extend((0..160).filter(|i| i % 3 == 0).map(|i| (CERTAIN, i, 1, 2_000 + (i + 1) % 7)));
     ops.extend((0..160).filter(|i| i % 4 == 0).map(arm));
-    ops.extend((0..160).filter(|i| i % 10 == 0).map(|i| (0, i, 1, 2_000 + i % 7)));
-    ops.extend((0..34).map(|j| (0, 5_000 + j * 10, 1, 2_000 + (j * 10) % 7)));
+    ops.extend((0..160).filter(|i| i % 10 == 0).map(|i| (Retract, i, 1, 2_000 + i % 7)));
+    ops.extend((0..34).map(|j| (Retract, 5_000 + j * 10, 1, 2_000 + (j * 10) % 7)));
     cuts.push(ops.len());
     // Delta two: every third tombstone lifted, some of delta one's
     // additions retracted, a few anchors gone and a few new.
     ops.extend((0..160).filter(|i| i % 30 == 0).map(arm));
-    ops.extend((0..160).filter(|i| i % 9 == 0).map(|i| (0, i, 1, 2_000 + (i + 1) % 7)));
-    ops.extend((0..160).filter(|i| i % 50 == 0).map(|i| (0, i, 0, 1_000 + i % 5)));
-    ops.extend((160..170).flat_map(|i| [(1, i, 0, 1_000 + i % 5), arm(i)]));
+    ops.extend((0..160).filter(|i| i % 9 == 0).map(|i| (Retract, i, 1, 2_000 + (i + 1) % 7)));
+    ops.extend((0..160).filter(|i| i % 50 == 0).map(|i| (Retract, i, 0, 1_000 + i % 5)));
+    ops.extend((160..170).flat_map(|i| [(CERTAIN, i, 0, 1_000 + i % 5), arm(i)]));
     (ops, cuts)
 }
 
@@ -199,23 +205,6 @@ fn a_wide_star_join_conforms_and_renders_alike_on_every_view() {
     }
 }
 
-/// Replays `ops` into `b`, every assert under a source named after its
-/// subject (a triple keeps one source however often it is retracted and
-/// re-asserted, as it keeps one span).
-fn replay(mut b: KbBuilder, ops: &[common::Op]) -> KbBuilder {
-    for &(kind, s, p, o) in ops {
-        let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
-        if kind == 0 {
-            b.retract_str(&es, &rp, &eo);
-        } else {
-            let triple = Triple::new(b.intern(&es), b.intern(&rp), b.intern(&eo));
-            let source = b.register_source(&format!("src{s}"));
-            b.add_fact(Fact { source, span: common::span_of(s, p, o), ..Fact::asserted(triple) });
-        }
-    }
-    b
-}
-
 /// Every addressable fact of `view`, by ascending id.
 fn table_of(view: &dyn KbRead) -> Vec<Fact> {
     (0..).map_while(|i| view.fact(FactId(i)).cloned()).collect()
@@ -225,22 +214,19 @@ fn table_of(view: &dyn KbRead) -> Vec<Fact> {
 fn shared_accessors_agree_across_monolith_segments_and_partitions() {
     for seed in 0..6u64 {
         let rng = &mut TestRng::for_case(seed, 1);
-        // Three chunks of ops, each reaching one entity further than the
-        // last, so that both deltas extend the term space and the
-        // source table.
-        let chunks = [4u32, 5, 6].map(|entities| {
-            let op = (0u8..5, 0..entities, 0u32..3, 0..entities);
-            prop::collection::vec(op, 30..50).generate(rng)
-        });
-        let monolith = chunks.iter().fold(KbBuilder::new(), |b, ops| replay(b, ops)).freeze();
-        let base = replay(KbBuilder::new(), &chunks[0]).freeze().into_shared();
+        // Three chunks of ops, each reaching one entity — and so one
+        // source — further than the last, so that both deltas extend
+        // the term space and the source table.
+        let chunks = [4u32, 5, 6].map(|entities| common::ops(entities, 3, 30..50).generate(rng));
+        let monolith = common::builder_of(&chunks.concat()).freeze();
+        let base = common::builder_of(&chunks[0]).freeze().into_shared();
         let mut segmented = SegmentedSnapshot::from_base(Arc::clone(&base));
         let mut parts: Vec<SegmentedSnapshot> = partition_snapshot(&base, 4)
             .into_iter()
             .map(|p| SegmentedSnapshot::from_base(p.into_shared()))
             .collect();
         for ops in &chunks[1..] {
-            let delta = Arc::new(replay(KbBuilder::new(), ops).freeze_delta(&segmented));
+            let delta = Arc::new(common::builder_of(ops).freeze_delta(&segmented));
             for (part, slice) in parts.iter_mut().zip(partition_delta(&delta, &segmented, 4)) {
                 *part = part.with_delta(Arc::new(slice));
             }
@@ -299,19 +285,19 @@ fn shared_accessors_agree_across_monolith_segments_and_partitions() {
             assert!(view.facts().zip(&authoritative).all(|(a, b)| std::ptr::eq(a, *b)));
             assert_eq!(view.facts().count(), authoritative.len());
             assert_eq!(view.len(), authoritative.len());
-            // And every view holds the monolith's facts, confidence and
-            // span included. (Not the source id: a triple re-asserted
-            // after a retraction keeps its first provenance inside one
-            // fact table, while across segments the tombstone hides the
-            // old entry and the new one brings its own — a difference
-            // of the write path, older than these accessors.)
-            let meta = |f: Option<&Fact>| f.map(|f| (f.triple, f.confidence.to_bits(), f.span));
+            // And every view holds the monolith's facts, confidence,
+            // span and source included.
+            let meta = |view: &dyn KbRead, f: Option<&Fact>| {
+                let source = |f: &Fact| view.source_name(f.source).map(str::to_string);
+                f.map(|f| (f.triple, f.confidence.to_bits(), f.span, source(f)))
+            };
             for f in monolith.facts() {
-                assert_eq!(meta(view.fact_for(&f.triple)), meta(Some(f)), "seed {seed}");
+                let here = meta(view, view.fact_for(&f.triple));
+                assert_eq!(here, meta(&monolith, Some(f)), "seed {seed}");
             }
             for f in table_of(view) {
-                let here = view.fact_for(&f.triple);
-                assert_eq!(meta(here), meta(monolith.fact_for(&f.triple)), "seed {seed}");
+                let here = meta(view, view.fact_for(&f.triple));
+                assert_eq!(here, meta(&monolith, monolith.fact_for(&f.triple)), "seed {seed}");
                 assert!(view.source_name(f.source).is_some());
             }
         }

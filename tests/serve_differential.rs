@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use kb_testkit::assert_facts_conform;
 use kbkit::kb_obs::Registry;
 use kbkit::kb_query::QueryService;
 use kbkit::kb_serve::{AdmissionConfig, KbRouter};
@@ -27,9 +28,11 @@ proptest! {
     /// delta-segmented KB renders byte-identically to a single
     /// `QueryService` over the same chain — including a guaranteed
     /// subject-bound probe so both routing paths are always exercised.
+    /// Every partition count holds the reference's facts, confidence,
+    /// span and source included.
     #[test]
     fn partitioned_router_matches_monolithic_service(
-        ops in prop::collection::vec((0u8..5, 0u32..6, 0u32..3, 0u32..6), 1..40),
+        ops in common::ops(6, 3, 1..40),
         cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..3),
         text in common::query_texts(),
         probe in (0u32..6, 0u32..3),
@@ -43,6 +46,7 @@ proptest! {
 
         let oracle = QueryService::from_view(&view);
         let oview = oracle.snapshot();
+        let reference = common::reference_of(&ops);
 
         for partitions in 1usize..=4 {
             let router = KbRouter::with_config(
@@ -55,6 +59,7 @@ proptest! {
                 router.apply_delta(Arc::clone(delta));
             }
             let rview = router.view();
+            assert_facts_conform(rview.as_ref(), &reference);
             for q in [text.as_str(), probe_text.as_str()] {
                 match (router.query(q), oracle.query(q)) {
                     (Ok(got), Ok(want)) => prop_assert_eq!(
