@@ -62,23 +62,24 @@
 //! tuple merge inside [`kb_store::MatchBatches`] without changing
 //! results.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::fmt::Write as _;
-use std::hash::Hasher as _;
+use std::hash::{BuildHasherDefault, Hasher as _};
 
 use kb_store::FxHasher;
 use kb_store::{KbRead, KbReadBatch, TermId, TimePoint, Triple, TripleBatch, TriplePattern};
 
 use crate::ast::CmpOp;
-use crate::plan::{op_slots, Col, CondC, CondOperand, PhysOp, Plan, Slot, Step};
+use crate::plan::{op_slots, Col, CondC, CondOperand, GroupCol, PhysOp, Plan, Slot, Step};
 
 /// Batch granularity of the executor, re-exported from the store so the
 /// two layers stay in lock-step.
 pub(crate) use kb_store::BATCH_ROWS;
 
 /// One projected value.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cell {
     /// A bound term.
     Term(TermId),
@@ -88,6 +89,104 @@ pub enum Cell {
     Unbound,
 }
 
+/// Rows of one width in one flat block of cells: row `r` is the `width`
+/// cells from `r * width`. The row count is kept apart from the cells,
+/// so a zero-width answer — a query without variables, answered by
+/// whether its patterns hold — still says how many solutions it has.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Rows {
+    cells: Vec<Cell>,
+    width: usize,
+    len: usize,
+}
+
+impl Rows {
+    /// No rows, `width` cells a row. With [`push`](Self::push), this is
+    /// how an answer no execution gives is built, e.g. to test a
+    /// conformance check.
+    pub fn new(width: usize) -> Self {
+        Rows { cells: Vec::new(), width, len: 0 }
+    }
+
+    /// No rows yet, room for `rows` of them.
+    pub(crate) fn with_capacity(width: usize, rows: usize) -> Self {
+        Rows { cells: Vec::with_capacity(width * rows), width, len: 0 }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether there is no row.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends one row.
+    ///
+    /// # Panics
+    /// If `row` is not as wide as the rows already here.
+    pub fn push<C: Borrow<Cell>>(&mut self, row: impl IntoIterator<Item = C>) {
+        self.cells.extend(row.into_iter().map(|c| *c.borrow()));
+        self.len += 1;
+        assert_eq!(self.cells.len(), self.len * self.width, "a row not {} cells wide", self.width);
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[Cell]> + '_ {
+        (0..self.len).map(move |r| &self[r])
+    }
+
+    /// The rows `order` names, in that order, in a block of their own.
+    pub(crate) fn gather(&self, order: &[u32]) -> Rows {
+        let mut out = Rows::with_capacity(self.width, order.len());
+        for &r in order {
+            out.push(&self[r as usize]);
+        }
+        out
+    }
+
+    /// The first row not under `pred`, where every row under it comes
+    /// before every row that is not.
+    pub(crate) fn partition_point(&self, mut pred: impl FnMut(&[Cell]) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(&self[mid]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Keeps the rows from `offset`, at most `limit` of them, in place.
+    fn window(&mut self, offset: usize, limit: Option<usize>) {
+        let from = offset.min(self.len);
+        let len = limit.map_or(self.len - from, |l| l.min(self.len - from));
+        self.cells.drain(..from * self.width);
+        self.cells.truncate(len * self.width);
+        self.len = len;
+    }
+}
+
+impl std::ops::Index<usize> for Rows {
+    type Output = [Cell];
+
+    fn index(&self, r: usize) -> &[Cell] {
+        assert!(r < self.len, "row {r} of {}", self.len);
+        &self.cells[r * self.width..][..self.width]
+    }
+}
+
+impl std::fmt::Debug for Rows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// The materialized result of executing a plan: column names plus rows
 /// of [`Cell`]s, already deduplicated/aggregated/ordered/sliced per the
 /// plan's modifiers.
@@ -95,8 +194,8 @@ pub enum Cell {
 pub struct QueryOutput {
     /// Output column names, in projection order (no `?` prefix).
     pub cols: Vec<String>,
-    /// Result rows.
-    pub rows: Vec<Vec<Cell>>,
+    /// Result rows, one cell a column.
+    pub rows: Rows,
 }
 
 impl QueryOutput {
@@ -130,7 +229,7 @@ impl QueryOutput {
     /// Renders the whole result deterministically, one row per line.
     pub fn render<K: KbRead + ?Sized>(&self, kb: &K) -> String {
         let mut out = String::new();
-        for row in &self.rows {
+        for row in self.rows.iter() {
             self.render_row_into(row, kb, &mut out);
             out.push('\n');
         }
@@ -326,31 +425,19 @@ struct OpState {
 // Shared projection / aggregation / finishing
 // ---------------------------------------------------------------------
 
-/// One aggregate output row. The planner rejects a projected variable
-/// that is not a GROUP BY key, so a `Var` column is always a component
-/// of the group's key — `key(i)` is the value of the `i`-th GROUP BY
-/// variable, `None` if unbound — and the `i`-th COUNT column is
-/// `count(i)`: a group needs to remember nothing else.
-pub(crate) fn group_row(
+/// Appends one aggregate output row to `rows`: the plan's
+/// [`GroupCol`]s read `key(i)`, the value of the `i`-th GROUP BY
+/// variable (`None` if unbound), and `count(i)`, the `i`-th COUNT.
+pub(crate) fn push_group(
     plan: &Plan,
+    rows: &mut Rows,
     key: impl Fn(usize) -> Option<TermId>,
     count: impl Fn(usize) -> u64,
-) -> Vec<Cell> {
-    let mut ci = 0;
-    plan.cols
-        .iter()
-        .map(|c| match c {
-            Col::Var { slot, .. } => {
-                let at = plan.group_by.iter().position(|g| g == slot);
-                let at = at.expect("a projected variable of an aggregate plan is a GROUP BY key");
-                key(at).map_or(Cell::Unbound, Cell::Term)
-            }
-            Col::Count { .. } => {
-                ci += 1;
-                Cell::Count(count(ci - 1))
-            }
-        })
-        .collect()
+) {
+    rows.push(plan.group_cols.iter().map(|c| match *c {
+        GroupCol::Key(i) => key(i).map_or(Cell::Unbound, Cell::Term),
+        GroupCol::Count(i) => Cell::Count(count(i)),
+    }));
 }
 
 /// An empty bucket of [`KeyTable::index`].
@@ -401,6 +488,13 @@ impl KeyTable {
         &self.keys[k * self.width..][..self.width]
     }
 
+    /// Whether key `k` is `key`. Component by component: keys are a
+    /// few words wide, and a slice comparison would be a call to the C
+    /// library's `bcmp` for every row the aggregator reads.
+    fn key_is(&self, k: usize, key: &[u32]) -> bool {
+        self.key(k).iter().zip(key).all(|(a, b)| a == b)
+    }
+
     fn bucket(&self, hash: u64) -> usize {
         (hash >> (u64::BITS - self.index.len().trailing_zeros())) as usize
     }
@@ -426,9 +520,7 @@ impl KeyTable {
         loop {
             match self.index[at] {
                 NO_KEY => return at,
-                // Component by component: keys are a few words wide, a
-                // slice comparison would be a call.
-                k if self.key(k as usize).iter().zip(key).all(|(a, b)| a == b) => return at,
+                k if self.key_is(k as usize, key) => return at,
                 _ => at = (at + 1) & (self.index.len() - 1),
             }
         }
@@ -514,7 +606,7 @@ impl<'p> Aggregator<'p> {
     /// The group of `row_key`, a new one if no row had that key yet.
     fn group_of_row_key(&mut self) -> usize {
         let groups = self.keys.len;
-        if groups > 0 && self.keys.key(self.last) == self.row_key {
+        if groups > 0 && self.keys.key_is(self.last, &self.row_key) {
             return self.last;
         }
         let group = self.keys.find_or_insert(&self.row_key);
@@ -544,9 +636,10 @@ impl<'p> Aggregator<'p> {
         }
     }
 
-    /// One row a group, in [`key_order`]. No input row, no group — also
-    /// without GROUP BY, where every row has the same, empty key.
-    fn into_rows(self) -> Vec<Vec<Cell>> {
+    /// One row a group, in [`key_order`], in a block sized to the
+    /// groups. No input row, no group — also without GROUP BY, where
+    /// every row has the same, empty key.
+    fn into_rows(self) -> Rows {
         let keys = &self.keys;
         let mut order: Vec<usize> = (0..keys.len).collect();
         if !self.ascending {
@@ -554,36 +647,46 @@ impl<'p> Aggregator<'p> {
         }
         let counters = self.count_args.len();
         let term = |v: u32| (v != UNBOUND).then_some(TermId(v));
-        order
-            .into_iter()
-            .map(|g| {
-                group_row(self.plan, |i| term(keys.key(g)[i]), |i| self.counts[g * counters + i])
-            })
-            .collect()
+        let mut rows = Rows::with_capacity(self.plan.cols.len(), keys.len);
+        for g in order {
+            let (key, counts) = (keys.key(g), &self.counts[g * counters..][..counters]);
+            push_group(self.plan, &mut rows, |i| term(key[i]), |i| counts[i]);
+        }
+        rows
     }
 }
 
 /// One non-aggregate output row: each `Var` column read from the
-/// solution through `get`.
-pub(crate) fn project_row(plan: &Plan, get: &dyn Fn(usize) -> Option<TermId>) -> Vec<Cell> {
-    plan.cols
-        .iter()
-        .map(|c| match c {
-            Col::Var { slot, .. } => get(*slot).map(Cell::Term).unwrap_or(Cell::Unbound),
-            Col::Count { .. } => Cell::Unbound,
-        })
-        .collect()
+/// solution through `get`, a COUNT column of a plan that does not
+/// aggregate unbound.
+pub(crate) fn project_row<'p>(
+    plan: &'p Plan,
+    get: impl Fn(usize) -> Option<TermId> + 'p,
+) -> impl Iterator<Item = Cell> + 'p {
+    plan.cols.iter().map(move |c| match c {
+        Col::Var { slot, .. } => get(*slot).map_or(Cell::Unbound, Cell::Term),
+        Col::Count { .. } => Cell::Unbound,
+    })
 }
 
-/// DISTINCT → ORDER BY → OFFSET → LIMIT, shared by both executors.
-fn finish_rows<K: KbRead + ?Sized>(plan: &Plan, rows: &mut Vec<Vec<Cell>>, kb: &K) {
-    if plan.distinct {
-        let mut seen: HashSet<Vec<Cell>> = HashSet::with_capacity(rows.len());
-        rows.retain(|r| seen.insert(r.clone()));
+/// DISTINCT → ORDER BY → OFFSET → LIMIT. DISTINCT keeps the first of
+/// equal rows and ORDER BY sorts stably, both over row numbers; the rows
+/// they leave are gathered into a new block once.
+fn finish_rows<K: KbRead + ?Sized>(plan: &Plan, mut rows: Rows, kb: &K) -> Rows {
+    if !plan.distinct && plan.order_by.is_empty() {
+        rows.window(plan.offset, plan.limit);
+        return rows;
     }
-
+    assert!(rows.len() <= u32::MAX as usize, "more rows than a u32 row number can name");
+    let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+    if plan.distinct {
+        let mut seen: HashSet<&[Cell], BuildHasherDefault<FxHasher>> =
+            HashSet::with_capacity_and_hasher(rows.len(), Default::default());
+        order.retain(|&r| seen.insert(&rows[r as usize]));
+    }
     if !plan.order_by.is_empty() {
-        rows.sort_by(|a, b| {
+        order.sort_by(|&a, &b| {
+            let (a, b) = (&rows[a as usize], &rows[b as usize]);
             for &(idx, desc) in &plan.order_by {
                 let ord = cmp_cells(&a[idx], &b[idx], kb);
                 let ord = if desc { ord.reverse() } else { ord };
@@ -594,13 +697,9 @@ fn finish_rows<K: KbRead + ?Sized>(plan: &Plan, rows: &mut Vec<Vec<Cell>>, kb: &
             Ordering::Equal
         });
     }
-
-    if plan.offset > 0 {
-        rows.drain(..plan.offset.min(rows.len()));
-    }
-    if let Some(limit) = plan.limit {
-        rows.truncate(limit);
-    }
+    let from = plan.offset.min(order.len());
+    let to = plan.limit.map_or(order.len(), |l| order.len().min(from.saturating_add(l)));
+    rows.gather(&order[from..to])
 }
 
 // ---------------------------------------------------------------------
@@ -619,27 +718,26 @@ pub fn execute_traced<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> (QueryOutput, 
     let mut cx = ExecCtx::new(op_slots(&plan.root));
     let mut input = Batch::unit(plan.nvars);
 
-    let mut rows: Vec<Vec<Cell>>;
-    if plan.aggregate {
+    let rows = if plan.aggregate {
         let mut groups = Aggregator::new(plan);
         run_batch(&plan.root, 0, kb, &mut input, &mut cx, &mut |cx, b| {
             cx.trace.rows += b.len() as u64;
             groups.push_batch(b);
         });
         cx.trace.groups = groups.keys.len as u64;
-        rows = groups.into_rows();
+        groups.into_rows()
     } else {
-        let mut out_rows: Vec<Vec<Cell>> = Vec::new();
+        let mut rows = Rows::new(plan.cols.len());
         run_batch(&plan.root, 0, kb, &mut input, &mut cx, &mut |cx, b| {
             cx.trace.rows += b.len() as u64;
+            rows.cells.reserve(b.len() * rows.width);
             for row in 0..b.len() {
-                out_rows.push(project_row(plan, &|s| b.get(row, s)));
+                rows.push(project_row(plan, |s| b.get(row, s)));
             }
         });
-        rows = out_rows;
-    }
-
-    finish_rows(plan, &mut rows, kb);
+        rows
+    };
+    let rows = finish_rows(plan, rows, kb);
     (QueryOutput { cols, rows }, cx.trace)
 }
 

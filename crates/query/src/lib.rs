@@ -41,7 +41,8 @@
 //! [`Pattern`], [`Term`], [`Group`], [`Condition`], [`CmpOp`],
 //! [`ProjItem`] and [`OrderKey`] it is built from), [`parse()`] /
 //! [`normalize`], [`plan()`] / [`Plan`] / [`routing_decision`],
-//! [`execute`] / [`execute_traced`] and the [`QueryOutput`] they return,
+//! [`execute`] / [`execute_traced`] and the [`QueryOutput`] they return
+//! (its [`Rows`] of [`Cell`]s),
 //! [`QueryService`], [`ViewRegistry`] and its [`ViewUpdate`]s, and
 //! [`QueryError`]. A name joins the list when a crate, test, example or
 //! benchmark outside kb-query needs it (or a public signature returns
@@ -74,7 +75,7 @@ mod view;
 
 pub use ast::{CmpOp, Condition, Group, OrderKey, Pattern, ProjItem, SelectQuery, Term};
 pub use error::QueryError;
-pub use exec::{cell_str, execute, execute_traced, Cell, ExecTrace, ProbeBuild, QueryOutput};
+pub use exec::{cell_str, execute, execute_traced, Cell, ExecTrace, ProbeBuild, QueryOutput, Rows};
 pub use parse::{normalize, parse};
 pub use plan::{plan, routing_decision, Footprint, OpInfo, Plan, RoutingDecision};
 pub use service::{CacheStats, QueryService, DEFAULT_CACHE_CAPACITY};

@@ -131,6 +131,15 @@ pub(crate) enum Col {
     Count { name: String, arg: Option<usize> },
 }
 
+/// Where one output column of an aggregate plan reads from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GroupCol {
+    /// The `i`-th GROUP BY key component.
+    Key(usize),
+    /// The `i`-th COUNT counter.
+    Count(usize),
+}
+
 impl Col {
     pub(crate) fn name(&self) -> &str {
         match self {
@@ -334,6 +343,9 @@ pub struct Plan {
     pub(crate) group_by: Vec<usize>,
     /// Whether the plan aggregates.
     pub(crate) aggregate: bool,
+    /// Where each column of an aggregate plan reads from, in column
+    /// order; empty unless `aggregate` is set.
+    pub(crate) group_cols: Vec<GroupCol>,
     /// `ORDER BY` keys as (column index, descending).
     pub(crate) order_by: Vec<(usize, bool)>,
     /// Row limit.
@@ -760,15 +772,26 @@ pub fn plan<K: KbRead + ?Sized>(
             })
             .collect(),
     };
+    // An aggregate's output cell is a GROUP BY key component or a count,
+    // so a group needs to remember nothing else.
+    let mut group_cols = Vec::new();
     if aggregate {
+        let mut counts = 0;
         for col in &cols {
-            if let Col::Var { name, .. } = col {
-                if !query.group_by.iter().any(|g| g == name) {
-                    return Err(QueryError::Plan(format!(
-                        "projected variable ?{name} must appear in GROUP BY"
-                    )));
+            group_cols.push(match col {
+                Col::Var { name, .. } => match query.group_by.iter().position(|g| g == name) {
+                    Some(at) => GroupCol::Key(at),
+                    None => {
+                        return Err(QueryError::Plan(format!(
+                            "projected variable ?{name} must appear in GROUP BY"
+                        )))
+                    }
+                },
+                Col::Count { .. } => {
+                    counts += 1;
+                    GroupCol::Count(counts - 1)
                 }
-            }
+            });
         }
     }
     let group_by: Vec<usize> = query.group_by.iter().map(|v| ctx.slots.slot(v)).collect();
@@ -804,6 +827,7 @@ pub fn plan<K: KbRead + ?Sized>(
         distinct: query.distinct,
         group_by,
         aggregate,
+        group_cols,
         order_by,
         limit: query.limit,
         offset: query.offset,

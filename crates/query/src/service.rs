@@ -679,6 +679,58 @@ mod tests {
         assert!(svc.view_result(id).is_none());
     }
 
+    /// A query without variables answers in rows of no cells, so its
+    /// row count is all it says. Every stage an answer passes through
+    /// keeps that count: the executor, DISTINCT, OFFSET and LIMIT, the
+    /// result cache, a standing view across a retraction and a
+    /// re-assertion, and the render.
+    #[test]
+    fn a_ground_query_keeps_its_row_count_through_every_stage() {
+        let svc = service();
+        let fact = "Steve_Wozniak bornIn San_Jose";
+        let count = |text: &str| crate::query(svc.snapshot().as_ref(), text).unwrap().rows.len();
+        let out = crate::query(svc.snapshot().as_ref(), fact).unwrap();
+        assert_eq!((out.cols.len(), out.rows.len()), (0, 1));
+        assert!(out.rows[0].is_empty());
+        assert_eq!(out.render(svc.snapshot().as_ref()), "\n");
+        assert_eq!(count("Steve_Wozniak bornIn San_Francisco"), 0);
+
+        let both = "{ Steve_Wozniak bornIn San_Jose } UNION { Steve_Jobs bornIn San_Francisco }";
+        assert_eq!(count(&format!("SELECT * WHERE {{ {both} }}")), 2);
+        assert_eq!(count(&format!("SELECT DISTINCT * WHERE {{ {both} }}")), 1);
+        assert_eq!(count(&format!("SELECT * WHERE {{ {both} }} OFFSET 1")), 1);
+        assert_eq!(count(&format!("SELECT * WHERE {{ {both} }} OFFSET 3")), 0);
+        assert_eq!(count(&format!("SELECT * WHERE {{ {both} }} LIMIT 0")), 0);
+        assert_eq!(count(&format!("SELECT DISTINCT * WHERE {{ {both} }} LIMIT 1")), 1);
+
+        assert_eq!(svc.query(fact).unwrap().rows.len(), 1);
+        assert_eq!(svc.query(fact).unwrap().rows.len(), 1);
+        assert_eq!(svc.cache_stats().result_hits, 1, "the second answer comes from the cache");
+
+        let id = svc.register_view(fact).unwrap();
+        assert_eq!(svc.view_result(id).unwrap().rows.len(), 1);
+        let install = |edit: &dyn Fn(&mut KbBuilder)| {
+            let mut b = KbBuilder::new();
+            edit(&mut b);
+            let mut updates = svc.apply_delta(Arc::new(b.freeze_delta(&svc.snapshot())));
+            assert_eq!(updates.len(), 1);
+            assert!(updates[0].patched, "a ground pattern is delta-patchable");
+            updates.remove(0)
+        };
+        let gone = install(&|b| {
+            b.retract_str("Steve_Wozniak", "bornIn", "San_Jose");
+        });
+        assert_eq!((gone.added.len(), gone.removed.len(), gone.output.rows.len()), (0, 1, 0));
+        assert_eq!(svc.query(fact).unwrap().rows.len(), 0);
+        let back = install(&|b| {
+            b.assert_str("Steve_Wozniak", "bornIn", "San_Jose");
+        });
+        assert_eq!((back.added.len(), back.removed.len(), back.output.rows.len()), (1, 0, 1));
+        assert_eq!(svc.view_result(id).unwrap().rows.len(), 1);
+        assert_eq!(back.output.render(svc.snapshot().as_ref()), "\n");
+        assert_eq!(svc.query(fact).unwrap().rows.len(), 1);
+    }
+
     /// A delta disjoint from every view footprint produces no updates,
     /// and an `apply_delta` whose updates are ignored still maintains
     /// state.

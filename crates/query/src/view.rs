@@ -51,7 +51,10 @@ use kb_store::{DeltaSegment, Fact, FactKind, KbRead, TermId};
 
 use crate::ast::SelectQuery;
 use crate::error::QueryError;
-use crate::exec::{cmp_cells, delta_join, eval_cond_with, execute, project_row, Cell, QueryOutput};
+use crate::exec::{
+    cmp_cells, delta_join, eval_cond_with, execute, project_row, push_group, Cell, QueryOutput,
+    Rows,
+};
 use crate::parse::parse;
 use crate::plan::{plan as compile, Col, CondC, CondOperand, PhysOp, Plan, Step};
 use crate::stats::StatsCatalog;
@@ -195,34 +198,42 @@ fn cmp_canonical<K: KbRead + ?Sized>(
     cmp_row_total(a, b, kb)
 }
 
-/// Sorts `rows` into the canonical standing-view order. Both the
-/// delta-patched path and full re-execution canonicalize through this
-/// one order, which is what makes "byte-identical" well-defined even
-/// though raw executor row order depends on the join order.
-pub(crate) fn canonical_sort<K: KbRead + ?Sized>(plan: &Plan, rows: &mut [Vec<Cell>], kb: &K) {
-    rows.sort_by(|a, b| cmp_canonical(plan, a, b, kb));
+/// The row numbers of `rows` in the canonical standing-view order. Both
+/// the delta-patched path and full re-execution canonicalize through
+/// this one order, which is what makes "byte-identical" well-defined
+/// even though raw executor row order depends on the join order. Equal
+/// rows are neighbours in it: the order is total.
+fn canonical_order<K: KbRead + ?Sized>(plan: &Plan, rows: &Rows, kb: &K) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+    order.sort_by(|&a, &b| cmp_canonical(plan, &rows[a as usize], &rows[b as usize], kb));
+    order
+}
+
+/// `rows` in the canonical standing-view order.
+fn canonical_sort<K: KbRead + ?Sized>(plan: &Plan, rows: &Rows, kb: &K) -> Rows {
+    rows.gather(&canonical_order(plan, rows, kb))
 }
 
 /// Splices canonically sorted `added`/`removed` multisets into an
-/// already-canonical row vector without re-sorting it: binary searches
+/// already-canonical block without re-sorting it: binary searches
 /// locate every edit (O((a+r)·log n) cell comparisons — each of which
 /// may resolve term strings, so keeping them off the O(n) path
-/// matters), then one linear pass rebuilds the vector. This keeps
-/// per-install maintenance cost proportional to the delta, not to the
-/// answer.
+/// matters), then one linear pass copies the rows into a new block.
+/// This keeps per-install maintenance cost proportional to the delta,
+/// not to the answer.
 fn patch_sorted_rows<K: KbRead + ?Sized>(
     plan: &Plan,
-    rows: &[Vec<Cell>],
-    added: &[Vec<Cell>],
-    removed: &[Vec<Cell>],
+    rows: &Rows,
+    added: &Rows,
+    removed: &Rows,
     kb: &K,
-) -> Vec<Vec<Cell>> {
+) -> Rows {
     use std::cmp::Ordering;
     // Removal indices. `removed` is sorted and is a sub-multiset of
     // `rows`; canonically equal rows are identical, so consecutive
     // duplicates take successive indices.
     let mut remove_at: Vec<usize> = Vec::with_capacity(removed.len());
-    for r in removed {
+    for r in removed.iter() {
         let lo = rows.partition_point(|x| cmp_canonical(plan, x, r, kb) == Ordering::Less);
         let i = lo.max(remove_at.last().map_or(0, |&l| l + 1));
         debug_assert!(i < rows.len() && rows[i] == *r, "removed row missing from the view");
@@ -233,20 +244,22 @@ fn patch_sorted_rows<K: KbRead + ?Sized>(
         .iter()
         .map(|a| rows.partition_point(|x| cmp_canonical(plan, x, a, kb) == Ordering::Less))
         .collect();
-    let mut out = Vec::with_capacity(rows.len() + added.len() - removed.len());
+    let mut out = Rows::with_capacity(plan.cols.len(), rows.len() + added.len() - removed.len());
     let (mut ai, mut ri) = (0, 0);
     for (i, row) in rows.iter().enumerate() {
         while ai < added.len() && insert_at[ai] == i {
-            out.push(added[ai].clone());
+            out.push(&added[ai]);
             ai += 1;
         }
         if ri < remove_at.len() && remove_at[ri] == i {
             ri += 1;
             continue;
         }
-        out.push(row.clone());
+        out.push(row);
     }
-    out.extend(added[ai..].iter().cloned());
+    for a in ai..added.len() {
+        out.push(&added[a]);
+    }
     out
 }
 
@@ -254,9 +267,7 @@ fn patch_sorted_rows<K: KbRead + ?Sized>(
 /// the reference form the differential tests compare patched views
 /// against.
 pub fn canonical_output<K: KbRead + ?Sized>(plan: &Plan, out: &QueryOutput, kb: &K) -> QueryOutput {
-    let mut rows = out.rows.clone();
-    canonical_sort(plan, &mut rows, kb);
-    QueryOutput { cols: out.cols.clone(), rows }
+    QueryOutput { cols: out.cols.clone(), rows: canonical_sort(plan, &out.rows, kb) }
 }
 
 // ---------------------------------------------------------------------
@@ -411,7 +422,7 @@ fn fold_row(
 ) {
     match (state, dirty) {
         (ViewState::Rows(counts), DirtyLog::Rows(log)) => {
-            let row = project_row(plan, get);
+            let row: Vec<Cell> = project_row(plan, get).collect();
             if !log.contains_key(&row) {
                 log.insert(row.clone(), counts.get(&row).copied().unwrap_or(0));
             }
@@ -446,60 +457,64 @@ fn fold_row(
     }
 }
 
-/// The output row of a group that exists (`rows > 0`), `None` of one
-/// that does not.
-fn group_row(plan: &Plan, key: &[Option<TermId>], acc: &GroupAcc) -> Option<Vec<Cell>> {
-    (acc.rows > 0).then(|| {
-        crate::exec::group_row(
-            plan,
-            |i| key[i],
-            |i| {
-                debug_assert!(acc.counts[i] >= 0, "negative group count after patch");
-                acc.counts[i].max(0) as u64
-            },
-        )
-    })
+/// The accumulator of a group that exists (`rows > 0`).
+fn live(acc: Option<&GroupAcc>) -> Option<&GroupAcc> {
+    acc.filter(|acc| acc.rows > 0)
+}
+
+/// Appends the output row of an existing group to `rows`.
+fn push_group_row(plan: &Plan, rows: &mut Rows, key: &[Option<TermId>], acc: &GroupAcc) {
+    push_group(
+        plan,
+        rows,
+        |i| key[i],
+        |i| {
+            debug_assert!(acc.counts[i] >= 0, "negative group count after patch");
+            acc.counts[i].max(0) as u64
+        },
+    );
 }
 
 /// Rebuilds the canonical materialized rows from the view state.
-fn materialize<K: KbRead + ?Sized>(plan: &Plan, state: &ViewState, kb: &K) -> Vec<Vec<Cell>> {
-    let mut rows: Vec<Vec<Cell>> = match state {
+fn materialize<K: KbRead + ?Sized>(plan: &Plan, state: &ViewState, kb: &K) -> Rows {
+    let mut rows = Rows::new(plan.cols.len());
+    match state {
         ViewState::Rows(counts) => {
-            let mut rows = Vec::new();
             for (row, &c) in counts {
                 debug_assert!(c >= 0, "negative row multiplicity after patch");
                 let copies = if plan.distinct { i64::from(c > 0) } else { c.max(0) };
                 for _ in 0..copies {
-                    rows.push(row.clone());
+                    rows.push(row);
                 }
             }
-            rows
         }
         ViewState::Groups(groups) => {
-            let mut rows: Vec<Vec<Cell>> =
-                groups.iter().filter_map(|(key, acc)| group_row(plan, key, acc)).collect();
-            if plan.distinct {
-                rows.sort_by(|a, b| cmp_row_total(a, b, kb));
-                rows.dedup();
+            for (key, acc) in groups {
+                if acc.rows > 0 {
+                    push_group_row(plan, &mut rows, key, acc);
+                }
             }
-            rows
+            if plan.distinct {
+                let mut order = canonical_order(plan, &rows, kb);
+                order.dedup_by(|a, b| rows[*a as usize] == rows[*b as usize]);
+                return rows.gather(&order);
+            }
         }
         ViewState::Reexec => unreachable!("fallback views never materialize from state"),
-    };
-    canonical_sort(plan, &mut rows, kb);
-    rows
+    }
+    canonical_sort(plan, &rows, kb)
 }
 
-/// Drains the dirty log into (added, removed) row lists, canonically
+/// Drains the dirty log into (added, removed) row blocks, canonically
 /// sorted.
 fn drain_dirty<K: KbRead + ?Sized>(
     plan: &Plan,
     state: &ViewState,
     dirty: DirtyLog,
     kb: &K,
-) -> (Vec<Vec<Cell>>, Vec<Vec<Cell>>) {
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
+) -> (Rows, Rows) {
+    let mut added = Rows::new(plan.cols.len());
+    let mut removed = Rows::new(plan.cols.len());
     match (state, dirty) {
         (ViewState::Rows(counts), DirtyLog::Rows(log)) => {
             for (row, before) in log {
@@ -510,32 +525,31 @@ fn drain_dirty<K: KbRead + ?Sized>(
                     (before.max(0), after.max(0))
                 };
                 for _ in 0..(a - b).max(0) {
-                    added.push(row.clone());
+                    added.push(&row);
                 }
                 for _ in 0..(b - a).max(0) {
-                    removed.push(row.clone());
+                    removed.push(&row);
                 }
             }
         }
         (ViewState::Groups(groups), DirtyLog::Groups(log)) => {
             for (key, before) in log {
-                let before_row = before.and_then(|acc| group_row(plan, &key, &acc));
-                let after_row = groups.get(&key).and_then(|acc| group_row(plan, &key, acc));
-                if before_row != after_row {
-                    if let Some(r) = before_row {
-                        removed.push(r);
+                // A group's row is its key and its counts: it changed
+                // when the group came or went, or a count moved.
+                let (before, after) = (live(before.as_ref()), live(groups.get(&key)));
+                if before.map(|acc| &acc.counts) != after.map(|acc| &acc.counts) {
+                    if let Some(acc) = before {
+                        push_group_row(plan, &mut removed, &key, acc);
                     }
-                    if let Some(r) = after_row {
-                        added.push(r);
+                    if let Some(acc) = after {
+                        push_group_row(plan, &mut added, &key, acc);
                     }
                 }
             }
         }
         _ => unreachable!("state and dirty log always share a variant"),
     }
-    canonical_sort(plan, &mut added, kb);
-    canonical_sort(plan, &mut removed, kb);
-    (added, removed)
+    (canonical_sort(plan, &added, kb), canonical_sort(plan, &removed, kb))
 }
 
 // ---------------------------------------------------------------------
@@ -581,6 +595,7 @@ fn feed_plan(plan: &Plan) -> (Plan, Vec<usize>) {
         distinct: false,
         group_by: Vec::new(),
         aggregate: false,
+        group_cols: Vec::new(),
         order_by: Vec::new(),
         limit: None,
         offset: 0,
@@ -604,7 +619,7 @@ fn initial_state<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> ViewState {
     };
     let (feed, slots) = feed_plan(plan);
     let raw = execute(&feed, kb);
-    for row in &raw.rows {
+    for row in raw.rows.iter() {
         let get = |s: usize| -> Option<TermId> {
             slots.iter().position(|&x| x == s).and_then(|i| match row[i] {
                 Cell::Term(id) => Some(id),
@@ -648,13 +663,10 @@ impl StandingView {
         };
         let output = match &state {
             ViewState::Reexec => Arc::new(canonical_output(&plan, &execute(&plan, kb), kb)),
-            state => {
-                let rows = materialize(&plan, state, kb);
-                Arc::new(QueryOutput {
-                    cols: plan.columns().iter().map(|c| c.to_string()).collect(),
-                    rows,
-                })
-            }
+            state => Arc::new(QueryOutput {
+                cols: plan.columns().iter().map(|c| c.to_string()).collect(),
+                rows: materialize(&plan, state, kb),
+            }),
         };
         Ok(StandingView { id, text: parsed.to_string(), plan, spec, state, output })
     }
@@ -668,9 +680,9 @@ pub struct ViewUpdate {
     /// The view's normalized query text.
     pub query: String,
     /// Rows that entered the answer, canonically sorted.
-    pub added: Vec<Vec<Cell>>,
+    pub added: Rows,
     /// Rows that left the answer, canonically sorted.
-    pub removed: Vec<Vec<Cell>>,
+    pub removed: Rows,
     /// The full patched answer after this install (a consistent
     /// snapshot — slow subscribers resync from here after a
     /// `ViewLag`).
@@ -899,29 +911,34 @@ fn diff_outputs<K: KbRead + ?Sized>(
     before: &QueryOutput,
     after: &QueryOutput,
     kb: &K,
-) -> (Vec<Vec<Cell>>, Vec<Vec<Cell>>) {
-    let mut added = Vec::new();
-    let mut removed = Vec::new();
+) -> (Rows, Rows) {
+    let (before, after) = (&before.rows, &after.rows);
+    let mut added = Rows::new(plan.cols.len());
+    let mut removed = Rows::new(plan.cols.len());
     let (mut i, mut j) = (0, 0);
-    while i < before.rows.len() && j < after.rows.len() {
-        if before.rows[i] == after.rows[j] {
+    while i < before.len() && j < after.len() {
+        if before[i] == after[j] {
             i += 1;
             j += 1;
             continue;
         }
-        match cmp_canonical(plan, &before.rows[i], &after.rows[j], kb) {
+        match cmp_canonical(plan, &before[i], &after[j], kb) {
             std::cmp::Ordering::Less => {
-                removed.push(before.rows[i].clone());
+                removed.push(&before[i]);
                 i += 1;
             }
             _ => {
-                added.push(after.rows[j].clone());
+                added.push(&after[j]);
                 j += 1;
             }
         }
     }
-    removed.extend(before.rows[i..].iter().cloned());
-    added.extend(after.rows[j..].iter().cloned());
+    for r in i..before.len() {
+        removed.push(&before[r]);
+    }
+    for r in j..after.len() {
+        added.push(&after[r]);
+    }
     (added, removed)
 }
 
@@ -929,6 +946,7 @@ fn diff_outputs<K: KbRead + ?Sized>(
 mod tests {
     use super::*;
     use kb_store::{KbBuilder, SegmentedSnapshot, TimeSpan, Triple};
+    use proptest::prelude::*;
 
     fn base() -> SegmentedSnapshot {
         let mut b = KbBuilder::new();
@@ -985,7 +1003,7 @@ mod tests {
     }
 
     /// The first cells of `rows`, as text.
-    fn first_cells(rows: &[Vec<Cell>], kb: &SegmentedSnapshot) -> Vec<String> {
+    fn first_cells(rows: &Rows, kb: &SegmentedSnapshot) -> Vec<String> {
         rows.iter().map(|r| crate::cell_str(&r[0], kb).into_owned()).collect()
     }
 
@@ -1191,5 +1209,64 @@ mod tests {
         assert_eq!(registry.counter("view.delta_patched").get(), 1);
         assert_eq!(registry.counter("view.reexecuted").get(), 1);
         assert_eq!(registry.histogram("view.patch_us").count(), 2);
+    }
+
+    /// The plans of the diff/patch round trip: widths 0, 1 and 3, in
+    /// total row order or under ORDER BY keys, descending ones included.
+    const ROUND_TRIP_PLANS: [&str; 5] = [
+        "SELECT * WHERE { a p b }",
+        "SELECT ?x WHERE { ?x p ?y }",
+        "SELECT ?x WHERE { ?x p ?y } ORDER BY DESC(?x)",
+        "SELECT ?x ?y ?z WHERE { ?x p ?y . ?y p ?z }",
+        "SELECT ?x ?y ?z WHERE { ?x p ?y . ?y p ?z } ORDER BY DESC(?y) ?x",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Patching a canonical block with the diff between it and
+        /// another gives the other, for multisets of rows drawn from a
+        /// pool of five, so duplicates are common. The cells mix terms
+        /// that one value names twice (`1969`, `01969`), counts and
+        /// unbound cells.
+        #[test]
+        fn patching_with_the_diff_of_two_blocks_gives_the_second(
+            shape in 0usize..ROUND_TRIP_PLANS.len(),
+            pool in prop::collection::vec(prop::collection::vec(0usize..7, 3usize), 5usize),
+            before in prop::collection::vec(0usize..5, 0..10),
+            after in prop::collection::vec(0usize..5, 0..10),
+        ) {
+            let mut kb = KbBuilder::new();
+            for (s, o) in [("1969", "01969"), ("a", "b")] {
+                kb.assert_str(s, "p", o);
+            }
+            let term = |t: &str| Cell::Term(kb.term(t).unwrap());
+            let cells = [
+                term("1969"),
+                term("01969"),
+                term("a"),
+                term("b"),
+                Cell::Count(2),
+                Cell::Count(10),
+                Cell::Unbound,
+            ];
+            let stats = StatsCatalog::build(&kb);
+            let plan = compile(&parse(ROUND_TRIP_PLANS[shape]).unwrap(), &kb, &stats).unwrap();
+            let width = plan.cols.len();
+            let block = |picks: &[usize]| {
+                let mut rows = Rows::new(width);
+                for &i in picks {
+                    let row: Vec<Cell> = pool[i][..width].iter().map(|&c| cells[c]).collect();
+                    rows.push(&row);
+                }
+                let cols = plan.columns().iter().map(|c| c.to_string()).collect();
+                canonical_output(&plan, &QueryOutput { cols, rows }, &kb)
+            };
+            let (before, after) = (block(&before), block(&after));
+            let (added, removed) = diff_outputs(&plan, &before, &after, &kb);
+            let both = added.iter().find(|a| removed.iter().any(|r| r == *a));
+            prop_assert!(both.is_none(), "{both:?} is added and removed");
+            prop_assert_eq!(patch_sorted_rows(&plan, &before.rows, &added, &removed, &kb), after.rows);
+        }
     }
 }

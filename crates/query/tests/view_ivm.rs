@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use kb_obs::Registry;
 use kb_query::{
-    canonical_output, execute, parse, plan as compile, Cell, StatsCatalog, ViewRegistry,
+    canonical_output, execute, parse, plan as compile, Rows, StatsCatalog, ViewRegistry,
 };
 use kb_store::{KbBuilder, SegmentedSnapshot};
 
@@ -148,7 +148,7 @@ proptest! {
                 prop_assert_eq!(u.output.render(&view), got.render(&view));
                 // The diff is exact: no row on both lists, and previous −
                 // removed + added = new as multisets (both sides sorted).
-                let rendered = |rows: &[Vec<Cell>]| -> Vec<String> {
+                let rendered = |rows: &Rows| -> Vec<String> {
                     rows.iter().map(|r| got.render_row(r, &view)).collect()
                 };
                 let (removed, added) = (rendered(&u.removed), rendered(&u.added));

@@ -430,7 +430,7 @@ pub fn assert_facts_conform(view: &dyn KbRead, kb: &RefKb) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kb_query::parse;
+    use kb_query::{parse, Rows};
     use kb_store::KbBuilder;
 
     const TRIPLES: [(&str, &str, &str); 8] = [
@@ -645,18 +645,18 @@ mod tests {
         for (s, p, o) in TRIPLES {
             view.assert_str(s, p, o);
         }
-        let rows = cells
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|c| match c.strip_prefix('#') {
-                        Some(n) => Cell::Count(n.parse().unwrap()),
-                        None if *c == "_" => Cell::Unbound,
-                        None => Cell::Term(view.term(c).unwrap()),
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut rows = Rows::new(cols.len());
+        for row in cells {
+            let row: Vec<Cell> = row
+                .iter()
+                .map(|c| match c.strip_prefix('#') {
+                    Some(n) => Cell::Count(n.parse().unwrap()),
+                    None if *c == "_" => Cell::Unbound,
+                    None => Cell::Term(view.term(c).unwrap()),
+                })
+                .collect();
+            rows.push(&row);
+        }
         (view, QueryOutput { cols: cols.iter().map(|c| c.to_string()).collect(), rows })
     }
 

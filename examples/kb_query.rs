@@ -39,7 +39,7 @@ fn main() {
     // country the generic join produced, so this query is populated by
     // construction.
     if let Ok(seed) = service.query("SELECT ?country WHERE { ?c locatedIn ?country } LIMIT 1") {
-        if let Some(row) = seed.rows.first() {
+        if let Some(row) = seed.rows.iter().next() {
             let country = kbkit::kb_query::cell_str(&row[0], snap.as_ref()).into_owned();
             queries.push(format!(
                 "SELECT ?p ?city WHERE {{ ?p bornIn ?city . ?city locatedIn {country} \
