@@ -549,7 +549,11 @@ fn drain_dirty<K: KbRead + ?Sized>(
         }
         _ => unreachable!("state and dirty log always share a variant"),
     }
-    (canonical_sort(plan, &added, kb), canonical_sort(plan, &removed, kb))
+    // Two groups whose keys differ only in columns the view does not
+    // project can leave and enter as one row: what is left of both
+    // lists once equal rows cancel is the diff.
+    let (added, removed) = (canonical_sort(plan, &added, kb), canonical_sort(plan, &removed, kb));
+    diff_rows(plan, &removed, &added, kb)
 }
 
 // ---------------------------------------------------------------------
@@ -849,19 +853,26 @@ impl ViewRegistry {
                         _ => DirtyLog::Groups(HashMap::new()),
                     };
                     spec.fold_delta(&plan, &changes, old, new, &mut view.state, &mut dirty);
-                    let (added, removed) = drain_dirty(&plan, &view.state, dirty, new);
+                    let cols = view.output.cols.clone();
                     // DISTINCT over a grouped view can merge identical
                     // rows produced by different group keys; only a
-                    // full rebuild sees across groups. Everything else
-                    // splices the (delta-sized) diff into the previous
-                    // sorted answer.
-                    let rows = if plan.distinct && matches!(view.state, ViewState::Groups(_)) {
-                        materialize(&plan, &view.state, new)
+                    // full rebuild sees across groups, and only a diff
+                    // of the two answers says which rows the merge
+                    // left changed. Everything else splices the
+                    // (delta-sized) diff into the previous sorted
+                    // answer.
+                    if plan.distinct && matches!(view.state, ViewState::Groups(_)) {
+                        let output =
+                            QueryOutput { cols, rows: materialize(&plan, &view.state, new) };
+                        let (added, removed) =
+                            diff_rows(&plan, &view.output.rows, &output.rows, new);
+                        (added, removed, Arc::new(output), true)
                     } else {
-                        patch_sorted_rows(&plan, &view.output.rows, &added, &removed, new)
-                    };
-                    let output = Arc::new(QueryOutput { cols: view.output.cols.clone(), rows });
-                    (added, removed, output, true)
+                        let (added, removed) = drain_dirty(&plan, &view.state, dirty, new);
+                        let rows =
+                            patch_sorted_rows(&plan, &view.output.rows, &added, &removed, new);
+                        (added, removed, Arc::new(QueryOutput { cols, rows }), true)
+                    }
                 }
                 None => {
                     // Fallback: re-plan from the normalized text so
@@ -877,7 +888,7 @@ impl ViewRegistry {
                         Err(_) => Arc::clone(&view.plan),
                     };
                     let fresh = canonical_output(&plan, &execute(&plan, new), new);
-                    let (added, removed) = diff_outputs(&plan, &view.output, &fresh, new);
+                    let (added, removed) = diff_rows(&plan, &view.output.rows, &fresh.rows, new);
                     (added, removed, Arc::new(fresh), false)
                 }
             };
@@ -902,17 +913,11 @@ impl ViewRegistry {
     }
 }
 
-/// Multiset difference of two canonical outputs: rows in `after` but
-/// not `before` (added) and vice versa (removed). Both inputs are
+/// Multiset difference of two canonical row blocks: rows in `after`
+/// but not `before` (added) and vice versa (removed). Both inputs are
 /// sorted by [`cmp_canonical`] — ORDER BY keys first, possibly
 /// descending — so one merge pass stepping by that same order suffices.
-fn diff_outputs<K: KbRead + ?Sized>(
-    plan: &Plan,
-    before: &QueryOutput,
-    after: &QueryOutput,
-    kb: &K,
-) -> (Rows, Rows) {
-    let (before, after) = (&before.rows, &after.rows);
+fn diff_rows<K: KbRead + ?Sized>(plan: &Plan, before: &Rows, after: &Rows, kb: &K) -> (Rows, Rows) {
     let mut added = Rows::new(plan.cols.len());
     let mut removed = Rows::new(plan.cols.len());
     let (mut i, mut j) = (0, 0);
@@ -1127,9 +1132,9 @@ mod tests {
         check_against_reexec(&reg, lim, &new);
 
         // Surviving rows of the descending view are neither removed nor
-        // added. Fails at the parent, where `diff_outputs` stepped in
-        // ascending order: added = [Steve_Martin, Steve_Jobs,
-        // Ada_Lovelace], removed = [Steve_Jobs].
+        // added. Fails when `diff_rows` steps in ascending order: added
+        // = [Steve_Martin, Steve_Jobs, Ada_Lovelace], removed =
+        // [Steve_Jobs].
         check_against_reexec(&reg, desc, &new);
         let update = updates.iter().find(|u| u.id == desc).expect("the view is touched");
         let added: Vec<_> = update.added.iter().map(|r| crate::cell_str(&r[0], &new)).collect();
@@ -1263,7 +1268,7 @@ mod tests {
                 canonical_output(&plan, &QueryOutput { cols, rows }, &kb)
             };
             let (before, after) = (block(&before), block(&after));
-            let (added, removed) = diff_outputs(&plan, &before, &after, &kb);
+            let (added, removed) = diff_rows(&plan, &before.rows, &after.rows, &kb);
             let both = added.iter().find(|a| removed.iter().any(|r| r == *a));
             prop_assert!(both.is_none(), "{both:?} is added and removed");
             prop_assert_eq!(patch_sorted_rows(&plan, &before.rows, &added, &removed, &kb), after.rows);

@@ -11,10 +11,10 @@ use proptest::prelude::*;
 
 use kb_query::{cell_str, QueryOutput};
 use kb_store::{Fact, KbBuilder, KbRead, TimeSpan, Triple, TriplePattern};
+use kb_testkit::gen::{
+    builder_of, cut_positions, ops, pattern, query_texts, reference_of, segment_chain,
+};
 use kb_testkit::{assert_conforms, assert_facts_conform, RefKb};
-
-mod common;
-use common::{builder_of, cut_positions, ops, pattern, query_texts, reference_of, segment_chain};
 
 /// Resolves the engine's rows to sorted, deduplicated string rows.
 fn new_rows<K: KbRead + ?Sized>(out: &QueryOutput, kb: &K) -> Vec<Vec<String>> {

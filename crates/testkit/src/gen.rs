@@ -1,11 +1,14 @@
-//! What the differential suites share: one generator of KBs (an op list
-//! built monolithically, as a segment chain, and into the reference
-//! model; each assertion with its own confidence, span and source) and
-//! one generator of query texts. Used by
-//! `crates/query/tests/differential.rs` (as `mod common`) and, by
-//! `#[path]`, the root package's `tests/reference_conformance.rs` and
-//! `tests/serve_differential.rs`; each uses a part of it.
-#![allow(dead_code)]
+//! The one generator every conformance suite draws from: KBs as op
+//! lists (each assertion with its own confidence, span and source),
+//! built monolithically, as a segment chain and into the reference
+//! model; query texts over every construct of the language; and whole
+//! workloads — writes, installs, seals, compactions, crashes, reopens,
+//! standing views and queries — for the stack-wide state machine.
+//!
+//! The vendored `proptest` draws from one [`TestRng`] and does not
+//! shrink, so a workload is a plain [`Strategy`] whose value, a list of
+//! [`Step`]s, prints (`{:?}`) as Rust source a regression test can
+//! replay.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -13,8 +16,10 @@ use std::sync::Arc;
 use kb_store::{
     DeltaSegment, Fact, KbBuilder, KbSnapshot, SegmentedSnapshot, TimePoint, TimeSpan, Triple,
 };
-use kb_testkit::{RefFact, RefKb};
 use proptest::prelude::*;
+use proptest::TestRng;
+
+use crate::{RefFact, RefKb};
 
 /// What one op does to its triple.
 #[derive(Debug, Clone, Copy)]
@@ -58,6 +63,7 @@ pub fn ops(entities: u32, relations: u32, len: Range<usize>) -> impl Strategy<Va
     prop::collection::vec((write, 0..entities, 0..relations, 0..entities), len)
 }
 
+/// Applies one op to a builder.
 pub fn apply(b: &mut KbBuilder, (write, s, p, o): Op) {
     let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
     match write {
@@ -72,6 +78,7 @@ pub fn apply(b: &mut KbBuilder, (write, s, p, o): Op) {
     }
 }
 
+/// `ops` applied to a fresh builder.
 pub fn builder_of(ops: &[Op]) -> KbBuilder {
     let mut b = KbBuilder::new();
     for &op in ops {
@@ -80,20 +87,25 @@ pub fn builder_of(ops: &[Op]) -> KbBuilder {
     b
 }
 
+/// Applies one op to the reference model.
+pub fn record(reference: &mut RefKb, (write, s, p, o): Op) {
+    let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
+    match write {
+        Write::Retract => {
+            reference.retract(&es, &rp, &eo);
+        }
+        Write::Assert { confidence, span, source } => {
+            let source = format!("src{source}");
+            reference.add(&es, &rp, &eo, RefFact { confidence, span, source });
+        }
+    }
+}
+
 /// `ops` replayed into the reference model.
 pub fn reference_of(ops: &[Op]) -> RefKb {
     let mut reference = RefKb::default();
-    for &(write, s, p, o) in ops {
-        let (es, rp, eo) = (format!("e{s}"), format!("r{p}"), format!("e{o}"));
-        match write {
-            Write::Retract => {
-                reference.retract(&es, &rp, &eo);
-            }
-            Write::Assert { confidence, span, source } => {
-                let source = format!("src{source}");
-                reference.add(&es, &rp, &eo, RefFact { confidence, span, source });
-            }
-        }
+    for &op in ops {
+        record(&mut reference, op);
     }
     reference
 }
@@ -181,9 +193,20 @@ pub fn operand_text((kind, idx): (u8, u32), bound: &[&str]) -> String {
 /// OPTIONAL binds; that `?v` as the key (an unbound group); one key
 /// unordered. All but the first carry no ORDER BY, so under LIMIT and
 /// OFFSET they show the order groups leave the executor in — which
-/// `serve_differential` holds equal, byte for byte, between router and
-/// monolith.
+/// `tests/stack_conformance.rs` holds equal, byte for byte, between the
+/// routers and the service.
 pub fn query_texts() -> impl Strategy<Value = String> {
+    texts(false)
+}
+
+/// The texts of [`query_texts`] without UNION, OPTIONAL, LIMIT or
+/// OFFSET: those a standing view can maintain by patching its answer,
+/// unless a constant it names is not interned yet.
+pub fn monotone_texts() -> impl Strategy<Value = String> {
+    texts(true)
+}
+
+fn texts(monotone: bool) -> impl Strategy<Value = String> {
     (
         prop::collection::vec(pattern(), 1..4),
         any::<bool>(),
@@ -196,11 +219,14 @@ pub fn query_texts() -> impl Strategy<Value = String> {
         prop::option::of(1usize..6),
     )
         .prop_map(
-            |(patterns, union, optional, filter, select, distinct, order, limit, offset)| {
+            move |(patterns, union, optional, filter, select, distinct, order, limit, offset)| {
                 let (select, group_shape) = match select {
+                    (0 | 6 | 7, 3 | 4) if monotone => (0, 5),
                     (0 | 6 | 7, shape) => (0, shape),
                     (select, _) => (select, 0),
                 };
+                let (union, optional) = (union && !monotone, optional.filter(|_| !monotone));
+                let (limit, offset) = if monotone { (None, None) } else { (limit, offset) };
                 let mut body = patterns;
                 if union {
                     body.push("{ ?x r0 ?y } UNION { ?x r1 ?y }".to_string());
@@ -276,4 +302,118 @@ pub fn query_texts() -> impl Strategy<Value = String> {
                 text
             },
         )
+}
+
+/// The memory budget a store reopens under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Budget {
+    /// Lazy columns, resident once touched.
+    Lazy,
+    /// Half the bytes of the base segment's frames region, so that
+    /// columns page in and spill while answering.
+    HalfBaseFrames,
+}
+
+/// One step of a workload against a KB stack: a write to the pending
+/// batch, a lifecycle event of the store, or a read. Its `{:?}` form is
+/// the Rust expression that builds it, but for a text, which prints as a
+/// `&str` literal.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Step {
+    /// Asserts `e{s} r{p} e{o}` from source `src{source}`.
+    Assert { s: u32, p: u32, o: u32, confidence: f64, span: Option<TimeSpan>, source: u32 },
+    /// Retracts `e{s} r{p} e{o}`.
+    Retract { s: u32, p: u32, o: u32 },
+    /// Freezes the pending writes as one delta and installs it.
+    Install,
+    /// Seals the store's WAL into delta files.
+    Seal,
+    /// Compacts the store into a new base.
+    Compact,
+    /// Kills the store and cuts its WAL to `wal_byte` bytes past the
+    /// header (clamped to its length).
+    Crash { wal_byte: usize },
+    /// Closes the store cleanly and opens it again.
+    Reopen { budget: Budget },
+    /// Registers a standing view.
+    Register(String),
+    /// Unregisters the standing view at this index (modulo their
+    /// number) among those registered.
+    Unregister(usize),
+    /// Answers a query.
+    Query(String),
+}
+
+/// One op as a workload step.
+pub fn step((write, s, p, o): Op) -> Step {
+    match write {
+        Write::Retract => Step::Retract { s, p, o },
+        Write::Assert { confidence, span, source } => {
+            Step::Assert { s, p, o, confidence, span, source }
+        }
+    }
+}
+
+/// `ops` cut into `installs` (at least one) stretches of about equal
+/// length, each followed by an `Install` — the later ones empty if there
+/// are fewer ops than installs, an empty delta being a legal stack level.
+pub fn installed(ops: &[Op], installs: usize) -> Vec<Step> {
+    let installs = installs.max(1);
+    let mut stretches = ops.chunks(ops.len().div_ceil(installs).max(1));
+    (0..installs)
+        .flat_map(|_| {
+            let writes = stretches.next().unwrap_or(&[]).iter().map(|&op| step(op));
+            writes.chain([Step::Install]).collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+/// Whole workloads over four entities and three relations, drawn in
+/// three passes, each inserting its steps at drawn positions: 30–80
+/// writes (the [`ops`] draw); 4–13 installs, up to two seals, one
+/// compaction, two crashes and two reopens; then views and queries over
+/// a pool of one or two [`query_texts`] and one or two
+/// [`monotone_texts`], so that a repeated text meets the result cache of
+/// an earlier install — one to three registrations, up to one
+/// unregistration, three to nine queries.
+pub fn workload() -> impl Strategy<Value = Vec<Step>> {
+    Workload
+}
+
+struct Workload;
+
+impl Strategy for Workload {
+    type Value = Vec<Step>;
+
+    fn generate(&self, rng: &mut TestRng) -> Vec<Step> {
+        let mut steps: Vec<Step> = ops(4, 3, 30..80).generate(rng).into_iter().map(step).collect();
+        scatter(&mut steps, rng, 4..14, |_| Step::Install);
+        scatter(&mut steps, rng, 0..3, |_| Step::Seal);
+        scatter(&mut steps, rng, 0..2, |_| Step::Compact);
+        scatter(&mut steps, rng, 0..3, |rng| Step::Crash { wal_byte: rng.below(3_000) as usize });
+        scatter(&mut steps, rng, 0..3, |rng| Step::Reopen {
+            budget: if rng.chance(0.5) { Budget::Lazy } else { Budget::HalfBaseFrames },
+        });
+        let mut pool = prop::collection::vec(query_texts(), 1..3).generate(rng);
+        pool.extend(prop::collection::vec(monotone_texts(), 1..3).generate(rng));
+        let text = |rng: &mut TestRng| pool[rng.below(pool.len() as u64) as usize].clone();
+        scatter(&mut steps, rng, 1..4, |rng| Step::Register(text(rng)));
+        scatter(&mut steps, rng, 0..2, |rng| Step::Unregister(rng.below(4) as usize));
+        scatter(&mut steps, rng, 3..10, |rng| Step::Query(text(rng)));
+        steps
+    }
+}
+
+/// Inserts `count` steps made by `make` at drawn positions of `steps`.
+fn scatter(
+    steps: &mut Vec<Step>,
+    rng: &mut TestRng,
+    count: Range<u64>,
+    make: impl Fn(&mut TestRng) -> Step,
+) {
+    for _ in 0..count.generate(rng) {
+        let step = make(rng);
+        let at = rng.below(steps.len() as u64 + 1) as usize;
+        steps.insert(at, step);
+    }
 }

@@ -1,5 +1,8 @@
-//! `kb-testkit`: the one reference model every differential suite
-//! compares a production configuration against.
+//! `kb-testkit`: the one reference model every conformance suite
+//! compares a production configuration against, in [`gen`] the one
+//! generator of the KBs, queries and workloads it compares them on, and
+//! in [`stack`] the one runner that replays a workload into the
+//! reference and every configuration at once.
 //!
 //! Deliberately naive, so that it is obviously right: [`RefKb`] is an
 //! ordered map of string triples answered by filtering the whole map,
@@ -40,6 +43,9 @@
 //! no rows); `COUNT(*)` counts a group's solutions, `COUNT(?x)` those
 //! that bind `?x`. Then `DISTINCT`, `ORDER BY` (unbound last),
 //! `OFFSET`, `LIMIT`, in that order.
+
+pub mod gen;
+pub mod stack;
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};

@@ -1,117 +1,59 @@
 //! Every production read configuration against the one reference model
-//! (`kb-testkit`): a fixed-seed list of assert / retract ops, each
-//! assertion with its own confidence, span and source, is replayed into
-//! `RefKb` and into
-//!
-//! * one monolithic `KbSnapshot`,
-//! * a `SegmentedSnapshot` of a base plus 1–3 deltas,
-//! * the same segments written to disk by a `SegmentStore` (sealed
-//!   deltas and a WAL tail) and reopened under a memory budget of half
-//!   the base's frames, so columns page in and out while answering,
-//! * a 4-partition `KbRouter` fed the same base and deltas,
-//!
-//! and each holds the reference's facts — confidence bits, span and
-//! source — and answers 40 generated queries — every construct of the
-//! language — which `assert_conforms` holds against the reference
-//! evaluation. No configuration is judged by another one here.
-//!
-//! A second check holds the accessors below the query engine — `term`,
-//! `resolve`, `source_name`, `fact`, `fact_for`, `facts`, bodies that
-//! `KbRead` provides once for every view — to the documented order of
-//! runs: base before deltas, partition 0 first.
+//! (`kb-testkit`): drawn workloads replayed by the stack-wide runner
+//! (`kb_testkit::stack`), each ended by a compaction and a reopen under
+//! a memory budget, so that the paged store answers too. Beside them
+//! two fixed shapes: a star join wide enough for the executor to switch
+//! from index lookups to a probe table, alike on monolithic, segmented
+//! and 4-partition views; and the `KbRead` accessors every view shares,
+//! held to the documented order of runs (base before deltas, partition
+//! 0 first).
 
 use std::sync::Arc;
 
-use kb_testkit::{assert_conforms, assert_facts_conform};
+use kb_testkit::assert_conforms;
+use kb_testkit::gen::{self, Budget, Step, Write::Retract, CERTAIN};
+use kb_testkit::stack::replay;
 use kbkit::kb_obs::Registry;
 use kbkit::kb_query;
 use kbkit::kb_serve::{AdmissionConfig, KbRouter};
 use kbkit::kb_store::{
-    partition_delta, partition_snapshot, segment_io, subject_partition, DeltaSegment, Fact, FactId,
-    KbRead, KbSnapshot, PartitionedView, SegmentRegion, SegmentStore, SegmentedSnapshot, SourceId,
-    StoreOptions, TermId,
+    partition_delta, partition_snapshot, subject_partition, Fact, FactId, KbRead, PartitionedView,
+    SegmentedSnapshot, SourceId, TermId,
 };
 use proptest::prelude::*;
-use proptest::TestRng;
+use proptest::{test_seed, TestRng};
 
-// The KB and query generators `kb-query`'s differential suite uses.
-#[path = "../crates/query/tests/common/mod.rs"]
-mod common;
-
-/// The base plus its deltas on disk — all but the last sealed into
-/// delta files, the last left in the WAL — reopened under a budget of
-/// half the base segment's frames region.
-fn reopened_under_budget(
-    dir: &std::path::Path,
-    base: &Arc<KbSnapshot>,
-    deltas: &[Arc<DeltaSegment>],
-) -> SegmentStore {
-    let options = StoreOptions { fsync: false, seal_every: 0, memory_budget: None };
-    std::fs::remove_dir_all(dir).ok();
-    let mut store = SegmentStore::create(dir, Arc::clone(base), options).unwrap();
-    for (i, delta) in deltas.iter().enumerate() {
-        if i + 1 == deltas.len() {
-            store.seal().unwrap();
-        }
-        store.install_delta(Arc::clone(delta)).unwrap();
-    }
-    drop(store);
-    let image = std::fs::read(dir.join("base-0.seg")).unwrap();
-    let (_, frames) = segment_io::region_map(&image)
-        .unwrap()
-        .into_iter()
-        .find(|(region, _)| *region == SegmentRegion::Frames)
-        .expect("a v2 segment has a frames region");
-    let options = StoreOptions { memory_budget: Some(frames.len() / 2), ..options };
-    SegmentStore::open_with(dir, options).unwrap()
-}
-
+/// Every configuration — the builder and its freeze, a segment chain, a
+/// durable store, a query service and routers at 1 and 4 partitions —
+/// holds the reference's facts and answers every query as it does over
+/// drawn workloads. Each ends with its writes installed and compacted
+/// into the base, and the store reopened under half the base's frames,
+/// where the workload's texts are asked again, columns paging in and
+/// out while answering.
 #[test]
 fn every_read_configuration_conforms_to_the_reference_model() {
-    let dir = std::env::temp_dir().join(format!("kbkit-conformance-{}", std::process::id()));
-    let (mut answered, mut nonempty, mut faults) = (0u32, 0u32, 0usize);
-    for seed in 0..6u64 {
-        let rng = &mut TestRng::for_case(seed, 0);
-        // Four entities and three relations: dense enough to join.
-        let ops = common::ops(4, 3, 40..120).generate(rng);
-        let cuts: Vec<usize> = (1..=1 + seed as usize % 3).map(|i| i * ops.len() / 4).collect();
-        let reference = common::reference_of(&ops);
-
-        let monolithic = common::builder_of(&ops).freeze();
-        let (base, deltas, segmented) = common::segment_chain(&ops, &cuts);
-        assert_eq!(deltas.len(), cuts.len());
-        let store = reopened_under_budget(&dir, &base, &deltas);
-        let paged = store.view();
-        let router = KbRouter::with_config(base, 4, AdmissionConfig::default(), &Registry::new());
-        for delta in &deltas {
-            router.apply_delta(Arc::clone(delta));
-        }
-        let partitioned = router.view();
-        for view in [&monolithic as &dyn KbRead, &segmented, &paged, partitioned.as_ref()] {
-            assert_facts_conform(view, &reference);
-        }
-
-        for _ in 0..40 {
-            let text = common::query_texts().generate(rng);
-            let query = kb_query::parse(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-            let run = |view: &dyn kbkit::kb_store::KbRead| {
-                kb_query::query(view, &text).unwrap_or_else(|e| panic!("{text}: {e}"))
-            };
-            assert_conforms(&query, &run(&monolithic), &monolithic, &reference);
-            assert_conforms(&query, &run(&segmented), &segmented, &reference);
-            assert_conforms(&query, &run(&paged), &paged, &reference);
-            let routed = router.query(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
-            assert_conforms(&query, &routed, partitioned.as_ref(), &reference);
-            answered += 1;
-            nonempty += u32::from(!routed.rows.is_empty());
-        }
-        faults += store.memory_budget().page_faults();
+    let seed = test_seed("every_read_configuration_conforms_to_the_reference_model");
+    let (mut queries, mut with_rows, mut faults) = (0, 0, 0);
+    for case in 0..3 {
+        let mut steps = gen::workload().generate(&mut TestRng::for_case(seed, case));
+        let texts: Vec<Step> = (steps.iter())
+            .filter_map(|step| match step {
+                Step::Register(text) | Step::Query(text) => Some(Step::Query(text.clone())),
+                _ => None,
+            })
+            .collect();
+        let budget = Budget::HalfBaseFrames;
+        steps.extend([Step::Install, Step::Compact, Step::Reopen { budget }]);
+        steps.extend(texts);
+        let coverage = replay(&steps);
+        queries += coverage["Query"];
+        with_rows += coverage["a Query with rows"];
+        faults += coverage["budgeted page faults"];
     }
-    std::fs::remove_dir_all(&dir).ok();
     // The run must have been worth it: enough non-empty answers (many
     // are empty by design — false filters, windows past the end, terms
     // outside the dictionary), and a budget that made the store page.
-    assert!(nonempty * 3 > answered, "{nonempty} of {answered} answers had rows");
+    assert!(with_rows * 3 > queries, "{with_rows} of {queries} queries had rows");
     assert!(faults > 0, "the budgeted store never faulted a column in");
 }
 
@@ -122,10 +64,9 @@ fn every_read_configuration_conforms_to_the_reference_model() {
 /// subject plus filler subjects), `r2` facts pointing back at the
 /// anchors. Two deltas then add `r1` facts, assert facts again that are
 /// there, bury some under tombstones and revive a part of those.
-fn star_ops() -> (Vec<common::Op>, Vec<usize>) {
-    use common::{Write::Retract, CERTAIN};
+fn star_ops() -> (Vec<gen::Op>, Vec<usize>) {
     let arm = |i: u32| (CERTAIN, i, 1, 2_000 + i % 7);
-    let mut ops: Vec<common::Op> = (0..160).map(|i| (CERTAIN, i, 0, 1_000 + i % 5)).collect();
+    let mut ops: Vec<gen::Op> = (0..160).map(|i| (CERTAIN, i, 0, 1_000 + i % 5)).collect();
     ops.extend((0..160).filter(|i| i % 2 == 0).map(arm));
     ops.extend((0..340).map(|j| (CERTAIN, 5_000 + j, 1, 2_000 + j % 7)));
     ops.extend((0..240).rev().map(|j| (CERTAIN, 6_000 + j, 2, j % 80)));
@@ -149,9 +90,9 @@ fn star_ops() -> (Vec<common::Op>, Vec<usize>) {
 #[test]
 fn a_wide_star_join_conforms_and_renders_alike_on_every_view() {
     let (ops, cuts) = star_ops();
-    let reference = common::reference_of(&ops);
-    let monolithic = common::builder_of(&ops).freeze();
-    let (base, deltas, segmented) = common::segment_chain(&ops, &cuts);
+    let reference = gen::reference_of(&ops);
+    let monolithic = gen::builder_of(&ops).freeze();
+    let (base, deltas, segmented) = gen::segment_chain(&ops, &cuts);
     assert_eq!(deltas.len(), 2);
     let router = KbRouter::with_config(base, 4, AdmissionConfig::default(), &Registry::new());
     for delta in &deltas {
@@ -217,16 +158,16 @@ fn shared_accessors_agree_across_monolith_segments_and_partitions() {
         // Three chunks of ops, each reaching one entity — and so one
         // source — further than the last, so that both deltas extend
         // the term space and the source table.
-        let chunks = [4u32, 5, 6].map(|entities| common::ops(entities, 3, 30..50).generate(rng));
-        let monolith = common::builder_of(&chunks.concat()).freeze();
-        let base = common::builder_of(&chunks[0]).freeze().into_shared();
+        let chunks = [4u32, 5, 6].map(|entities| gen::ops(entities, 3, 30..50).generate(rng));
+        let monolith = gen::builder_of(&chunks.concat()).freeze();
+        let base = gen::builder_of(&chunks[0]).freeze().into_shared();
         let mut segmented = SegmentedSnapshot::from_base(Arc::clone(&base));
         let mut parts: Vec<SegmentedSnapshot> = partition_snapshot(&base, 4)
             .into_iter()
             .map(|p| SegmentedSnapshot::from_base(p.into_shared()))
             .collect();
         for ops in &chunks[1..] {
-            let delta = Arc::new(common::builder_of(ops).freeze_delta(&segmented));
+            let delta = Arc::new(gen::builder_of(ops).freeze_delta(&segmented));
             for (part, slice) in parts.iter_mut().zip(partition_delta(&delta, &segmented, 4)) {
                 *part = part.with_delta(Arc::new(slice));
             }
