@@ -23,8 +23,6 @@ pub fn t1(corpus: &Corpus) -> String {
     t.row(vec!["fact candidates".into(), out.stats.candidates.to_string()]);
     t.row(vec!["facts accepted".into(), out.stats.accepted.to_string()]);
     t.row(vec!["docs quarantined".into(), out.stats.quarantined_count().to_string()]);
-    t.row(vec!["extraction retries".into(), out.stats.retries.to_string()]);
-    t.row(vec!["method downgrades".into(), out.stats.downgrades.len().to_string()]);
     t.row(vec!["instance assertions".into(), out.stats.instances.to_string()]);
     t.row(vec!["KB terms".into(), stats.terms.to_string()]);
     t.row(vec!["KB facts".into(), stats.facts.to_string()]);

@@ -32,9 +32,8 @@
 //!   over a document collection producing a populated
 //!   [`kb_store::KbBuilder`].
 //! * **Resilience** ([`resilience`]): poison-document quarantine with a
-//!   dead-letter queue, deterministic retry/backoff, stage budgets and
-//!   the refinement degradation ladder — web-scale noise must not kill
-//!   the harvest.
+//!   dead-letter queue, and typed errors for a panic in a stage —
+//!   web-scale noise must not kill the harvest.
 
 pub mod commonsense;
 pub mod factorgraph;
@@ -50,7 +49,4 @@ pub mod temporal;
 
 pub use facts::extract::CandidateFact;
 pub use pipeline::{HarvestConfig, HarvestOutput};
-pub use resilience::{
-    Downgrade, DowngradeReason, PipelineError, QuarantineReason, Quarantined, ResilienceConfig,
-    RetryPolicy,
-};
+pub use resilience::{PipelineError, QuarantineReason, Quarantined};

@@ -4,34 +4,33 @@
 //! scoped threads over contiguous document chunks) and a resilience
 //! layer that keeps the harvest alive on poisoned input.
 //!
-//! One fan-out, one body: every parallel stage (resilient collection,
-//! [`analyze_parallel`], the sharded KB load) goes through the private
-//! `fan_out`, which is the only place that chunks, spawns and joins, so
-//! output never depends on the worker count. [`harvest`] and
-//! [`IncrementalHarvester::bootstrap`] run the same body once —
-//! `bootstrap` merely keeps the pattern model and type index that body
-//! learned — and [`IncrementalHarvester::harvest_batch`] reuses its
-//! collection, refinement and load stages with those frozen models.
+//! One fan-out, one body, one ingest loop: both parallel stages
+//! (resilient collection and [`analyze_parallel`]) go through the
+//! private `fan_out`, which is the only place that chunks, spawns and
+//! joins, so output never depends on the worker count; the KB load is
+//! one serial loop. [`harvest`] and [`IncrementalHarvester::bootstrap`]
+//! run the same body once — `bootstrap` merely keeps the pattern model
+//! and type index that body learned — and
+//! [`IncrementalHarvester::harvest_batch`] reuses its collection,
+//! refinement and load stages with those frozen models.
 //!
-//! Failure model (see DESIGN.md, "Failure model"):
+//! Failure model (see DESIGN.md, "Failure model"): input is
+//! quarantined, and a panic in our own code is a typed error.
 //!
-//! * **Quarantine** — per-document work runs behind integrity
-//!   validation plus `catch_unwind`; a poison document lands in the
+//! * **Quarantine** — each document is validated and then extracted
+//!   once behind `catch_unwind`; a poison document lands in the
 //!   dead-letter queue ([`PipelineStats::quarantined`]) instead of
 //!   killing the run.
-//! * **Degradation** — the refinement stage falls back from
-//!   [`Method::Reasoning`] / [`Method::FactorGraph`] to
-//!   [`Method::Statistical`] when it panics or blows its budget, and
-//!   records the [`Downgrade`].
 //! * **No panics across the API** — [`harvest`] returns
-//!   `Result<_, PipelineError>`; worker joins and stage bodies are
-//!   shielded.
+//!   `Result<_, PipelineError>`; a panicking worker becomes
+//!   [`PipelineError::WorkerPanic`] and a panicking stage body
+//!   [`PipelineError::StagePanic`].
 
 use std::collections::HashSet;
 use std::time::Instant;
 
 use kb_corpus::{gold, Corpus, Doc};
-use kb_store::{Fact, KbBuilder, KbShard, SourceId, TimeSpan, Triple};
+use kb_store::{Fact, KbBuilder, SourceId, Triple};
 
 use crate::factorgraph::{self, GibbsConfig};
 use crate::facts::distant::{self, FactKey, TrainConfig};
@@ -40,8 +39,7 @@ use crate::facts::patterns::{self, CollectConfig, PatternOccurrence};
 use crate::facts::scoring::{self, ScoreConfig, TypeIndex};
 use crate::reasoning::{self, SolverConfig};
 use crate::resilience::{
-    catch_panic, panic_payload_to_string, BudgetGuard, Downgrade, DowngradeReason, PipelineError,
-    QuarantineReason, Quarantined, ResilienceConfig,
+    catch_panic, panic_payload_to_string, PipelineError, QuarantineReason, Quarantined,
 };
 use crate::taxonomy::induce::{self, MergedInstance};
 use crate::taxonomy::{category, hearst};
@@ -81,8 +79,6 @@ pub struct HarvestConfig {
     pub train: TrainConfig,
     /// Extraction parameters.
     pub extract: ExtractConfig,
-    /// Retry, quarantine and degradation knobs.
-    pub resilience: ResilienceConfig,
 }
 
 impl Default for HarvestConfig {
@@ -96,13 +92,12 @@ impl Default for HarvestConfig {
             collect: CollectConfig::default(),
             train: TrainConfig::default(),
             extract: ExtractConfig::default(),
-            resilience: ResilienceConfig::default(),
         }
     }
 }
 
-/// Wall-clock timings and counters per stage, plus the run's resilience
-/// ledger (dead letters, retries, downgrades).
+/// Wall-clock timings and counters per stage, plus the run's
+/// dead-letter queue.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
     /// Documents that survived quarantine and were processed.
@@ -124,18 +119,9 @@ pub struct PipelineStats {
     /// The dead-letter queue: every quarantined document with its
     /// captured failure.
     pub quarantined: Vec<Quarantined>,
-    /// Extra per-document extraction attempts spent on retries.
-    pub retries: usize,
-    /// Degradation-ladder rungs taken during refinement.
-    pub downgrades: Vec<Downgrade>,
 }
 
 impl PipelineStats {
-    /// Whether any stage was downgraded during the run.
-    pub fn downgraded(&self) -> bool {
-        !self.downgrades.is_empty()
-    }
-
     /// Number of documents in the dead-letter queue.
     pub fn quarantined_count(&self) -> usize {
         self.quarantined.len()
@@ -218,7 +204,7 @@ pub fn analyze_parallel<'a>(
 }
 
 /// What `collect_resilient` produced: the occurrences and survivors,
-/// plus the dead-letter queue and retry ledger.
+/// plus the dead-letter queue.
 #[derive(Debug, Default)]
 pub struct CollectOutcome {
     /// Occurrences from surviving documents, in serial doc order.
@@ -227,43 +213,34 @@ pub struct CollectOutcome {
     pub survivors: Vec<usize>,
     /// Quarantined documents, in serial doc order.
     pub quarantined: Vec<Quarantined>,
-    /// Extra extraction attempts spent on retries.
-    pub retries: usize,
 }
 
 /// Fault-tolerant occurrence collection: each document is validated
 /// (mention spans in bounds, on char boundaries, entity ids below
-/// `entity_bound`) and then extracted behind `catch_unwind` with the
-/// configured retry policy. A document that fails validation or keeps
-/// panicking is quarantined; the rest of the harvest proceeds without
-/// it. Output order is deterministic and independent of `workers`.
+/// `entity_bound`) and then extracted once behind `catch_unwind`. A
+/// document that fails validation or panics is quarantined; the rest of
+/// the harvest proceeds without it. Extraction is a pure function of
+/// the document, so it is never retried. Output order is deterministic
+/// and independent of `workers`.
 pub(crate) fn collect_resilient<'a>(
     docs: &[&Doc],
     canonical_of: &(impl Fn(kb_corpus::EntityId) -> &'a str + Sync),
     cfg: &CollectConfig,
     workers: usize,
-    res: &ResilienceConfig,
     entity_bound: u32,
 ) -> Result<CollectOutcome, PipelineError> {
     let per_doc = fan_out(docs, workers, "collect-resilient", |chunk| {
         chunk
             .iter()
-            .map(|doc| -> (Result<Vec<PatternOccurrence>, QuarantineReason>, u32) {
-                if let Some(defect) = doc.integrity_error(entity_bound) {
-                    // Validation failures are permanent properties of the
-                    // input; retrying cannot fix them.
-                    return (Err(QuarantineReason::Defect(defect.to_string())), 1);
-                }
-                let outcome = res
-                    .retry
-                    .run(|_| catch_panic(|| patterns::collect_occurrences(doc, canonical_of, cfg)));
-                (outcome.result.map_err(QuarantineReason::Panic), outcome.attempts)
+            .map(|doc| match doc.integrity_error(entity_bound) {
+                Some(defect) => Err(QuarantineReason::Defect(defect.to_string())),
+                None => catch_panic(|| patterns::collect_occurrences(doc, canonical_of, cfg))
+                    .map_err(QuarantineReason::Panic),
             })
             .collect::<Vec<_>>()
     })?;
     let mut out = CollectOutcome::default();
-    for (i, (survived, attempts)) in per_doc.into_iter().flatten().enumerate() {
-        out.retries += attempts.saturating_sub(1) as usize;
+    for (i, survived) in per_doc.into_iter().flatten().enumerate() {
         match survived {
             Ok(occs) => {
                 out.survivors.push(i);
@@ -273,7 +250,6 @@ pub(crate) fn collect_resilient<'a>(
                 doc_id: docs[i].id,
                 title: docs[i].title.clone(),
                 reason,
-                attempts,
             }),
         }
     }
@@ -285,131 +261,54 @@ fn threshold_filter(candidates: &[CandidateFact], min_confidence: f64) -> Vec<us
     (0..candidates.len()).filter(|&i| candidates[i].confidence >= min_confidence).collect()
 }
 
-/// The refinement stage with its graceful-degradation ladder.
-///
-/// [`Method::Reasoning`] and [`Method::FactorGraph`] run behind a panic
-/// shield and a wall-clock budget; if either trips, the stage falls
-/// back to the already-computed [`Method::Statistical`] scores and
-/// records the [`Downgrade`]. The budget check is cooperative (the
-/// result of an over-budget solve is discarded, not preempted), so a
-/// budget of `0` forces the ladder deterministically.
+/// The refinement stage, one arm per row of experiment T3. Every
+/// method but [`Method::PatternsOnly`] rescores by type first;
+/// [`Method::Reasoning`] then keeps what the MaxSat solver accepts, and
+/// [`Method::FactorGraph`] replaces each confidence with its marginal.
+/// Returns the indices of the accepted candidates.
 fn refine_candidates(
     candidates: &mut [CandidateFact],
     types: &TypeIndex,
     cfg: &HarvestConfig,
-) -> (Vec<usize>, Vec<Downgrade>) {
-    enum Refined {
-        Accepted(Vec<usize>),
-        Marginals(Vec<f64>),
-    }
-    let method = cfg.method;
-    match method {
-        Method::PatternsOnly => (threshold_filter(candidates, cfg.min_confidence), Vec::new()),
+) -> Vec<usize> {
+    match cfg.method {
+        Method::PatternsOnly => threshold_filter(candidates, cfg.min_confidence),
         Method::Statistical => {
             scoring::apply_type_scoring(candidates, types, &ScoreConfig::default());
-            (threshold_filter(candidates, cfg.min_confidence), Vec::new())
+            threshold_filter(candidates, cfg.min_confidence)
         }
-        Method::Reasoning | Method::FactorGraph => {
+        Method::Reasoning => {
             scoring::apply_type_scoring(candidates, types, &ScoreConfig::default());
-            let budget = cfg.resilience.refine_budget_secs;
-            let attempt = if budget <= 0.0 {
-                Err(DowngradeReason::BudgetExceeded { budget_secs: budget, elapsed_secs: 0.0 })
-            } else {
-                let guard = BudgetGuard::start(budget);
-                let shielded = catch_panic(|| {
-                    if cfg.resilience.inject_refine_panic {
-                        panic!("injected refinement fault (chaos hook)");
-                    }
-                    match method {
-                        Method::Reasoning => {
-                            let outcome = reasoning::reason_candidates(
-                                candidates,
-                                types,
-                                &SolverConfig::default(),
-                            );
-                            Refined::Accepted(
-                                outcome
-                                    .accepted
-                                    .into_iter()
-                                    .filter(|&i| candidates[i].confidence >= cfg.min_confidence)
-                                    .collect(),
-                            )
-                        }
-                        Method::FactorGraph => Refined::Marginals(factorgraph::infer_candidates(
-                            candidates,
-                            types,
-                            &GibbsConfig::default(),
-                        )),
-                        _ => unreachable!("outer match restricts the method"),
-                    }
-                });
-                match shielded {
-                    Ok(refined) if !guard.exceeded() => Ok(refined),
-                    Ok(_) => Err(DowngradeReason::BudgetExceeded {
-                        budget_secs: budget,
-                        elapsed_secs: guard.elapsed_secs(),
-                    }),
-                    Err(payload) => Err(DowngradeReason::Panicked(payload)),
-                }
-            };
-            match attempt {
-                Ok(Refined::Accepted(accepted)) => (accepted, Vec::new()),
-                Ok(Refined::Marginals(marginals)) => {
-                    for (c, &m) in candidates.iter_mut().zip(&marginals) {
-                        c.confidence = m;
-                    }
-                    (threshold_filter(candidates, cfg.min_confidence), Vec::new())
-                }
-                Err(reason) => {
-                    let downgrade = Downgrade {
-                        stage: "refinement",
-                        from: method,
-                        to: Method::Statistical,
-                        reason,
-                    };
-                    (threshold_filter(candidates, cfg.min_confidence), vec![downgrade])
-                }
+            let outcome = reasoning::reason_candidates(candidates, types, &SolverConfig::default());
+            outcome
+                .accepted
+                .into_iter()
+                .filter(|&i| candidates[i].confidence >= cfg.min_confidence)
+                .collect()
+        }
+        Method::FactorGraph => {
+            scoring::apply_type_scoring(candidates, types, &ScoreConfig::default());
+            let marginals =
+                factorgraph::infer_candidates(candidates, types, &GibbsConfig::default());
+            for (c, m) in candidates.iter_mut().zip(marginals) {
+                c.confidence = m;
             }
+            threshold_filter(candidates, cfg.min_confidence)
         }
     }
 }
 
-/// Below this many accepted facts per worker, sharded ingest costs more
-/// in thread setup than it saves; the loader stays serial.
-const MIN_FACTS_PER_SHARD: usize = 64;
-
-/// Loads accepted candidates into the KB. With several workers and
-/// enough facts, each worker builds a private [`KbShard`] (local
-/// dictionary, no contention on the global store) and the shards merge
-/// at a barrier in chunk order. The merge is bit-identical to a serial
-/// ingest — same dictionary ids, same noisy-or confidence combination —
-/// because each shard interns subject, relation, object in candidate
-/// order and [`KbBuilder::merge_shards`] replays shards in order.
-fn ingest_accepted(
-    kb: &mut KbBuilder,
-    accepted: &[CandidateFact],
-    src: SourceId,
-    workers: usize,
-) -> Result<(), PipelineError> {
-    if workers <= 1 || accepted.len() < 2 * MIN_FACTS_PER_SHARD {
-        for c in accepted {
-            let triple =
-                Triple::new(kb.intern(&c.subject), kb.intern(&c.relation), kb.intern(&c.object));
-            let span: Option<TimeSpan> = temporal::infer_span(&c.hints);
-            kb.add_fact(Fact { triple, confidence: c.confidence.min(1.0), source: src, span });
-        }
-        return Ok(());
+/// Loads accepted candidates into the KB, one at a time in candidate
+/// order: subject, relation and object are interned in that order, the
+/// span comes from the candidate's temporal hints, and a repeated
+/// triple merges under the write contract.
+fn ingest_accepted(kb: &mut KbBuilder, accepted: &[CandidateFact], src: SourceId) {
+    for c in accepted {
+        let triple =
+            Triple::new(kb.intern(&c.subject), kb.intern(&c.relation), kb.intern(&c.object));
+        let span = temporal::infer_span(&c.hints);
+        kb.add_fact(Fact { triple, confidence: c.confidence.min(1.0), source: src, span });
     }
-    let shards = fan_out(accepted, workers, "kb-load", |chunk| {
-        let mut shard = KbShard::new();
-        for c in chunk {
-            let span: Option<TimeSpan> = temporal::infer_span(&c.hints);
-            shard.add(&c.subject, &c.relation, &c.object, c.confidence.min(1.0), src, span);
-        }
-        shard
-    })?;
-    kb.merge_shards(shards);
-    Ok(())
 }
 
 /// Runs the full pipeline over a corpus. Never panics on poisoned
@@ -436,17 +335,11 @@ fn harvest_with_models(
     let obs = kb_obs::global();
     let t0 = Instant::now();
     let collect_span = obs.span("harvest.phase.collect_us");
-    let collected = collect_resilient(
-        &all_docs,
-        &canonical_of,
-        &cfg.collect,
-        cfg.workers,
-        &cfg.resilience,
-        entity_bound,
-    )?;
+    let collected =
+        collect_resilient(&all_docs, &canonical_of, &cfg.collect, cfg.workers, entity_bound)?;
     collect_span.stop();
     let collect_secs = t0.elapsed().as_secs_f64();
-    let CollectOutcome { occurrences, survivors, quarantined, retries } = collected;
+    let CollectOutcome { occurrences, survivors, quarantined } = collected;
     let docs: Vec<&Doc> = survivors.iter().map(|&i| all_docs[i]).collect();
 
     // The remaining stages run over validated survivors only; shield
@@ -475,20 +368,20 @@ fn harvest_with_models(
         let mut candidates = extract_all(&occurrences, &model, cfg);
         extract_span.stop();
 
-        // ---- Phase 4: refinement (with degradation ladder) ----------
+        // ---- Phase 4: refinement ------------------------------------
         let refine_span = obs.span("harvest.phase.refine_us");
-        let (accepted_idx, downgrades) = refine_candidates(&mut candidates, &types, cfg);
+        let accepted_idx = refine_candidates(&mut candidates, &types, cfg);
         let accepted: Vec<CandidateFact> =
             accepted_idx.iter().map(|&i| candidates[i].clone()).collect();
         refine_span.stop();
         let infer_secs = t1.elapsed().as_secs_f64();
 
-        // ---- Phase 5: load KB (sharded ingest + merge barrier) ------
+        // ---- Phase 5: load KB ---------------------------------------
         let load_span = obs.span("harvest.phase.load_us");
         let mut kb = KbBuilder::new();
         let src = kb.register_source("harvest");
         induce::load_into_kb(&mut kb, &instances, &subclass_edges, "taxonomy")?;
-        ingest_accepted(&mut kb, &accepted, src, cfg.workers)?;
+        ingest_accepted(&mut kb, &accepted, src);
         // Surface forms from mention annotations (the anchor-text signal).
         let en = kb.labels.lang("en");
         for doc in &docs {
@@ -510,8 +403,6 @@ fn harvest_with_models(
             collect_secs,
             infer_secs,
             quarantined,
-            retries,
-            downgrades,
         };
         record_pipeline_metrics(&stats);
         let out =
@@ -558,7 +449,7 @@ fn extract_all(
     candidates
 }
 
-/// Publishes one harvest run's volume and resilience ledger as
+/// Publishes one harvest run's volume and dead-letter count as
 /// `harvest.*` counters in the global [`kb_obs`] registry (counters
 /// accumulate across runs; `kbkit metrics` resets between phases).
 fn record_pipeline_metrics(stats: &PipelineStats) {
@@ -569,8 +460,6 @@ fn record_pipeline_metrics(stats: &PipelineStats) {
     obs.counter("harvest.facts.accepted").add(stats.accepted as u64);
     obs.counter("harvest.facts.rejected")
         .add(stats.candidates.saturating_sub(stats.accepted) as u64);
-    obs.counter("harvest.resilience.retries").add(stats.retries as u64);
-    obs.counter("harvest.resilience.downgrades").add(stats.downgrades.len() as u64);
 }
 
 /// What one incremental batch produced: the frozen delta (ready for
@@ -603,14 +492,13 @@ pub struct BatchOutcome {
 /// pattern model and type index that body learned — and returns the
 /// populated base KB. [`harvest_batch`](Self::harvest_batch) then runs
 /// the same stage functions over a batch with the frozen models:
-/// resilient collection → extraction → refinement → (sharded, when the
-/// batch is large enough) load into a throwaway [`KbBuilder`] that
-/// freezes as a delta against the currently-served view. Batches use
-/// the statistical refinement rung (not the global reasoner, whose
-/// consistency constraints need the whole fact set) so per-batch
-/// install cost stays proportional to the batch, not the base — the
-/// periodic compaction or full rebuild restores the stronger
-/// refinement.
+/// resilient collection → extraction → refinement → load into a
+/// throwaway [`KbBuilder`] that freezes as a delta against the
+/// currently-served view. Batches use the statistical refinement
+/// method (not the global reasoner, whose consistency constraints need
+/// the whole fact set) so per-batch install cost stays proportional to
+/// the batch, not the base — the periodic compaction or full rebuild
+/// restores the stronger refinement.
 pub struct IncrementalHarvester {
     cfg: HarvestConfig,
     model: distant::PatternModel,
@@ -651,18 +539,17 @@ impl IncrementalHarvester {
             &canonical_of,
             &self.cfg.collect,
             self.cfg.workers,
-            &self.cfg.resilience,
             world.entities.len() as u32,
         )?;
         catch_panic(|| -> Result<BatchOutcome, PipelineError> {
             let mut candidates = extract_all(&collected.occurrences, &self.model, &self.cfg);
-            let (accepted_idx, _) = refine_candidates(&mut candidates, &self.types, &self.cfg);
+            let accepted_idx = refine_candidates(&mut candidates, &self.types, &self.cfg);
             let accepted: Vec<CandidateFact> =
                 accepted_idx.iter().map(|&i| candidates[i].clone()).collect();
 
             let mut b = KbBuilder::new();
             let src = b.register_source("harvest");
-            ingest_accepted(&mut b, &accepted, src, self.cfg.workers)?;
+            ingest_accepted(&mut b, &accepted, src);
             let delta = b.freeze_delta(view);
             Ok(BatchOutcome {
                 delta,
@@ -692,7 +579,6 @@ pub fn evaluate_discovered(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilience::RetryPolicy;
     use kb_corpus::{CorpusConfig, EntityId, Mention};
     use kb_store::KbRead;
 
@@ -713,7 +599,6 @@ mod tests {
         assert!(out.kb.labels.label_count() > 0);
         assert!(out.kb.taxonomy.class_count() > 0);
         assert!(out.stats.quarantined.is_empty());
-        assert!(!out.stats.downgraded());
     }
 
     #[test]
@@ -754,20 +639,20 @@ mod tests {
         let keys1: Vec<_> = out1.accepted.iter().map(CandidateFact::key).collect();
         let keys4: Vec<_> = out4.accepted.iter().map(CandidateFact::key).collect();
         assert_eq!(keys1, keys4);
-        // The sharded KB load must be bit-identical to the serial one:
-        // same dictionary ids, same facts, same confidences.
+        // Collection fans out over the workers; the KB must not show
+        // it: same dictionary ids, same facts, same confidences.
         assert_eq!(
             kb_store::ntriples::to_string(&out1.kb),
             kb_store::ntriples::to_string(&out4.kb),
         );
     }
 
+    /// The one ingest loop on a large candidate set with repeated
+    /// triples: terms get ids in first-seen order, and a repeat merges by
+    /// noisy-or in candidate order, to the bit.
     #[test]
     fn sharded_ingest_matches_serial_for_large_candidate_sets() {
-        // Enough synthetic candidates to force the parallel shard path
-        // (>= 2 * MIN_FACTS_PER_SHARD), with duplicate keys so the
-        // noisy-or merge order matters.
-        let candidates: Vec<CandidateFact> = (0..(4 * MIN_FACTS_PER_SHARD))
+        let candidates: Vec<CandidateFact> = (0..256)
             .map(|i| CandidateFact {
                 subject: format!("S{}", i % 97),
                 relation: format!("r{}", i % 7),
@@ -779,21 +664,32 @@ mod tests {
                 hints: Vec::new(),
             })
             .collect();
-        let build = |workers: usize| {
-            let mut kb = KbBuilder::new();
-            let src = kb.register_source("harvest");
-            ingest_accepted(&mut kb, &candidates, src, workers).expect("ingest");
-            kb
-        };
-        let serial = build(1);
-        for workers in [2, 3, 4, 7] {
-            let sharded = build(workers);
-            assert_eq!(serial.len(), sharded.len(), "workers={workers}");
-            assert_eq!(
-                kb_store::ntriples::to_string(&serial),
-                kb_store::ntriples::to_string(&sharded),
-                "workers={workers}",
-            );
+        let mut kb = KbBuilder::new();
+        let src = kb.register_source("harvest");
+        ingest_accepted(&mut kb, &candidates, src);
+
+        let mut first_seen: Vec<&str> = Vec::new();
+        let mut folded: std::collections::HashMap<[&str; 3], f64> = Default::default();
+        for c in &candidates {
+            let key = [c.subject.as_str(), c.relation.as_str(), c.object.as_str()];
+            for term in key {
+                if !first_seen.contains(&term) {
+                    first_seen.push(term);
+                }
+            }
+            folded
+                .entry(key)
+                .and_modify(|a| *a = 1.0 - (1.0 - *a) * (1.0 - c.confidence))
+                .or_insert(c.confidence);
+        }
+        let ids: Vec<&str> = kb.dictionary().iter().map(|(_, term)| term).collect();
+        assert_eq!(ids, first_seen);
+        assert_eq!(kb.len(), folded.len());
+        for f in kb.iter() {
+            let t = f.triple;
+            let key = [t.s, t.p, t.o].map(|id| kb.resolve(id).expect("interned"));
+            assert_eq!(f.confidence.to_bits(), folded[&key].to_bits(), "{key:?}");
+            assert_eq!(f.source, src);
         }
     }
 
@@ -867,8 +763,8 @@ mod tests {
         assert_eq!(compacted.len(), view.len());
     }
 
-    /// Covers what the parent could not reach: `harvest_batch` loaded
-    /// its delta in a serial loop of its own, so a batch never sharded.
+    /// Batch collection fans out over the workers; the delta a batch
+    /// freezes must not show how many there were.
     #[test]
     fn a_large_batch_shards_and_freezes_the_same_delta_at_any_worker_count() {
         use kb_store::{Fact, FactKind, SegmentedSnapshot};
@@ -882,16 +778,16 @@ mod tests {
             let (inc, out) = IncrementalHarvester::bootstrap(&boot, &cfg).expect("bootstrap");
             let view = SegmentedSnapshot::from_base(out.kb.snapshot().into_shared());
             let outcome = inc.harvest_batch(&corpus.world, &batch, &view).expect("batch");
-            assert!(outcome.accepted >= 2 * MIN_FACTS_PER_SHARD, "{} accepted", outcome.accepted);
+            assert!(outcome.accepted > 0);
             let entries: Vec<(Fact, FactKind)> =
                 outcome.delta.entries_iter().map(|(f, k)| (f.clone(), k)).collect();
             let stacked = view.with_delta(Arc::new(outcome.delta));
             (entries, kb_store::ntriples::to_string(&stacked).expect("dump"))
         };
-        let (serial_entries, serial_dump) = freeze(1);
-        let (sharded_entries, sharded_dump) = freeze(4);
-        assert_eq!(serial_entries, sharded_entries);
-        assert!(serial_dump == sharded_dump, "stacked views dump differently");
+        let (entries_1, dump_1) = freeze(1);
+        let (entries_4, dump_4) = freeze(4);
+        assert_eq!(entries_1, entries_4);
+        assert!(dump_1 == dump_4, "stacked views dump differently");
     }
 
     /// A batch honours `generalize` as the whole harvest does: the batch
@@ -974,7 +870,8 @@ mod tests {
     fn extractor_panics_are_caught_retried_and_dead_lettered() {
         // Point one article's mentions at a phantom entity and disable
         // the validation bound, so the document reaches the extractor
-        // and panics there — exercising the catch_unwind + retry path.
+        // and panics there — exercising the catch_unwind path. It is
+        // extracted once: a second attempt would panic the same way.
         let mut corpus = Corpus::generate(&CorpusConfig::tiny());
         let poison_id = corpus.articles[0].id;
         // Alternate two phantom ids: the extractor skips same-entity
@@ -986,7 +883,6 @@ mod tests {
         }
         let docs = corpus.all_docs();
         let total = docs.len();
-        let res = ResilienceConfig { retry: RetryPolicy::immediate(3), ..Default::default() };
         let world = &corpus.world;
         let canonical_of = |id: kb_corpus::EntityId| world.entity(id).canonical.as_str();
         let outcome = collect_resilient(
@@ -994,7 +890,6 @@ mod tests {
             &canonical_of,
             &CollectConfig::default(),
             2,
-            &res,
             u32::MAX, // validation cannot see the phantom: panic path
         )
         .expect("resilient collection");
@@ -1002,55 +897,58 @@ mod tests {
         let dead = &outcome.quarantined[0];
         assert_eq!(dead.doc_id, poison_id);
         assert!(matches!(dead.reason, QuarantineReason::Panic(_)), "{:?}", dead.reason);
-        assert_eq!(dead.attempts, 3, "panic should be retried to exhaustion");
-        assert_eq!(outcome.retries, 2);
         assert_eq!(outcome.survivors.len(), total - 1);
     }
 
+    /// Reasoning refines the statistical method's answer: it keeps a
+    /// subset of what the type scores alone accept, never adds to it.
     #[test]
     fn zero_budget_downgrades_reasoning_to_statistical() {
-        let corpus = Corpus::generate(&CorpusConfig::tiny());
-        let statistical =
-            harvest(&corpus, &HarvestConfig { method: Method::Statistical, ..Default::default() })
-                .expect("statistical harvest");
-        let mut cfg = HarvestConfig { method: Method::Reasoning, ..Default::default() };
-        cfg.resilience.refine_budget_secs = 0.0;
-        let degraded = harvest(&corpus, &cfg).expect("degraded harvest");
-        assert!(degraded.stats.downgraded());
-        let d = &degraded.stats.downgrades[0];
-        assert_eq!(d.from, Method::Reasoning);
-        assert_eq!(d.to, Method::Statistical);
-        assert!(matches!(d.reason, DowngradeReason::BudgetExceeded { .. }));
-        // Degraded output is exactly the statistical output.
-        let a: Vec<_> = degraded.accepted.iter().map(CandidateFact::key).collect();
-        let b: Vec<_> = statistical.accepted.iter().map(CandidateFact::key).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn injected_refinement_panic_takes_the_ladder() {
-        let corpus = Corpus::generate(&CorpusConfig::tiny());
-        for method in [Method::Reasoning, Method::FactorGraph] {
-            let mut cfg = HarvestConfig { method, ..Default::default() };
-            cfg.resilience.inject_refine_panic = true;
-            let out = harvest(&corpus, &cfg).expect("harvest survives refinement panic");
-            assert!(out.stats.downgraded(), "{method:?} should downgrade");
-            let d = &out.stats.downgrades[0];
-            assert_eq!(d.from, method);
-            assert_eq!(d.to, Method::Statistical);
-            assert!(matches!(d.reason, DowngradeReason::Panicked(_)), "{:?}", d.reason);
-            assert!(!out.accepted.is_empty(), "degraded run still produces facts");
+        let (_, statistical) = run(Method::Statistical);
+        let (_, reasoning) = run(Method::Reasoning);
+        assert_eq!(statistical.candidates.len(), reasoning.candidates.len());
+        let kept: HashSet<_> = statistical.accepted.iter().map(CandidateFact::key).collect();
+        assert!(!reasoning.accepted.is_empty());
+        for c in &reasoning.accepted {
+            assert!(kept.contains(&c.key()), "reasoning accepted {:?} on its own", c.key());
         }
     }
 
+    /// A panic in our own code is a defect, not a reason to fall back to
+    /// a cheaper method: the stage boundary reports it as a typed
+    /// error. A gold fact naming an entity the world does not hold
+    /// panics inside the harvest body.
+    #[test]
+    fn injected_refinement_panic_takes_the_ladder() {
+        let mut corpus = Corpus::generate(&CorpusConfig::tiny());
+        let mut broken = corpus.world.facts[0];
+        broken.s = EntityId(u32::MAX);
+        corpus.world.facts.push(broken);
+        for method in [Method::Reasoning, Method::FactorGraph] {
+            let err = harvest(&corpus, &HarvestConfig { method, ..Default::default() })
+                .expect_err("a panicking stage is an error");
+            assert!(
+                matches!(&err, PipelineError::StagePanic { stage: "harvest", detail }
+                    if detail.contains("out of bounds")),
+                "{method:?}: {err:?}"
+            );
+        }
+    }
+
+    /// The two methods without a solver accept exactly the candidates
+    /// at or above the threshold.
     #[test]
     fn statistical_and_patterns_only_never_downgrade() {
         for method in [Method::PatternsOnly, Method::Statistical] {
-            let corpus = Corpus::generate(&CorpusConfig::tiny());
-            let mut cfg = HarvestConfig { method, ..Default::default() };
-            cfg.resilience.refine_budget_secs = 0.0;
-            let out = harvest(&corpus, &cfg).expect("harvest");
-            assert!(!out.stats.downgraded(), "{method:?} has no ladder to take");
+            let (_, out) = run(method);
+            let cleared: Vec<_> = out
+                .candidates
+                .iter()
+                .filter(|c| c.confidence >= HarvestConfig::default().min_confidence)
+                .map(CandidateFact::key)
+                .collect();
+            let accepted: Vec<_> = out.accepted.iter().map(CandidateFact::key).collect();
+            assert_eq!(accepted, cleared, "{method:?}");
         }
     }
 }

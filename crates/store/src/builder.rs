@@ -1,7 +1,5 @@
 //! The write side of the storage engine: `KbCore` (the shared
-//! dictionary + fact-table state), the mutable [`KbBuilder`], and
-//! per-worker [`KbShard`]s with local interning that merge
-//! deterministically at a barrier.
+//! dictionary + fact-table state) and the mutable [`KbBuilder`].
 //!
 //! The construction/serving split mirrors the batch-curation vs
 //! read-serving architecture of the industrial KBs the tutorial surveys
@@ -11,10 +9,9 @@
 //! permutation indexes are frozen on the first scan after a structural
 //! write and cached until the next one.
 //!
-//! Determinism contract: merging shards in shard order reproduces the
-//! exact dictionary ids, fact ids and merge semantics of a serial
-//! ingest that processed the same facts in the same order. This is what
-//! keeps parallel harvest output bit-identical to the serial path.
+//! Ingest is a pure function of the write order: terms get ids in
+//! first-interned order and facts in first-added order, so the same
+//! writes in the same order give the same builder, bit for bit.
 
 use std::sync::OnceLock;
 
@@ -26,7 +23,6 @@ use crate::read::{Groups, KbRead};
 use crate::sameas::SameAsStore;
 use crate::snapshot::{FrozenIndexes, KbSnapshot};
 use crate::taxonomy::Taxonomy;
-use crate::time::TimeSpan;
 use crate::Dictionary;
 use crate::SourceId;
 
@@ -117,99 +113,16 @@ impl KbCore {
     pub(crate) fn entry(&self, t: &Triple) -> Option<&Fact> {
         self.by_triple.get(t).map(|id| &self.facts[id.index()])
     }
-
-    /// Replays one shard into this core. Local term ids are remapped by
-    /// re-interning the shard dictionary in local-id (= first-seen)
-    /// order, which reproduces the global id assignment a serial ingest
-    /// of the same facts would have produced.
-    pub(crate) fn merge_shard(&mut self, shard: &KbShard) -> usize {
-        let remap: Vec<TermId> =
-            shard.dict.iter().map(|(_, term)| self.dict.intern(term)).collect();
-        let before = self.facts.len();
-        for fact in &shard.facts {
-            let t = fact.triple;
-            let triple = Triple::new(remap[t.s.index()], remap[t.p.index()], remap[t.o.index()]);
-            self.add_fact(Fact { triple, ..fact.clone() });
-        }
-        self.facts.len() - before
-    }
 }
 
-/// A per-worker ingest shard: facts over a *local* dictionary, built
-/// without any shared lock. Workers fill shards independently; the
-/// merge barrier ([`KbBuilder::merge_shards`]) replays them in shard
-/// order, so the result is bit-identical to a serial ingest of the
-/// concatenated shards.
-///
-/// Provenance [`SourceId`]s are *global*: register sources on the
-/// target builder before forking shards and pass the returned ids in.
-#[derive(Debug, Default, Clone)]
-pub struct KbShard {
-    dict: Dictionary,
-    facts: Vec<Fact>,
-}
-
-impl KbShard {
-    /// An empty shard.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns a term into the shard-local dictionary.
-    pub fn intern(&mut self, term: &str) -> TermId {
-        self.dict.intern(term)
-    }
-
-    /// Appends a fact whose triple uses shard-local term ids (from
-    /// [`intern`](Self::intern)). Duplicates are *not* merged here —
-    /// merge semantics are applied at the barrier, exactly as a serial
-    /// ingest would.
-    pub fn add_fact(&mut self, fact: Fact) {
-        debug_assert!((0.0..=1.0).contains(&fact.confidence));
-        self.facts.push(fact);
-    }
-
-    /// Convenience: interns three strings (subject first, then
-    /// predicate, then object — the same order the serial ingest path
-    /// uses, which keeps merged dictionaries identical) and appends the
-    /// fact.
-    pub fn add(
-        &mut self,
-        s: &str,
-        p: &str,
-        o: &str,
-        confidence: f64,
-        source: SourceId,
-        span: Option<TimeSpan>,
-    ) {
-        let triple = Triple::new(self.intern(s), self.intern(p), self.intern(o));
-        self.add_fact(Fact { triple, confidence, source, span });
-    }
-
-    /// Number of facts buffered in this shard.
-    pub fn len(&self) -> usize {
-        self.facts.len()
-    }
-
-    /// Whether the shard holds no facts.
-    pub fn is_empty(&self) -> bool {
-        self.facts.is_empty()
-    }
-
-    /// Distinct terms in the shard-local dictionary.
-    pub fn term_count(&self) -> usize {
-        self.dict.len()
-    }
-}
-
-/// The mutable knowledge base: accepts ingest (directly or via
-/// [`KbShard`]s), answers [`KbRead`] queries on permutation indexes
-/// frozen lazily and cached between structural writes, and freezes
-/// into an immutable, `Arc`-shareable [`KbSnapshot`].
+/// The mutable knowledge base: accepts ingest, answers [`KbRead`]
+/// queries on permutation indexes frozen lazily and cached between
+/// structural writes, and freezes into an immutable, `Arc`-shareable
+/// [`KbSnapshot`].
 ///
 /// Evidence merges do not change the index key set, so they keep the
-/// cache; new facts, retractions, resurrections and shard merges drop
-/// it. Queries take `&self` and the cache is a
+/// cache; new facts, retractions and resurrections drop it. Queries
+/// take `&self` and the cache is a
 /// `OnceLock`, so the builder stays `Sync`; for long-lived read sharing
 /// detach a snapshot.
 ///
@@ -327,36 +240,6 @@ impl KbBuilder {
         self.retract(t)
     }
 
-    /// Merges one shard (replay in order; see [`KbShard`]). Returns the
-    /// number of new facts.
-    pub(crate) fn merge_shard(&mut self, shard: &KbShard) -> usize {
-        self.frozen.take();
-        self.core.merge_shard(shard)
-    }
-
-    /// The merge barrier: replays `shards` in iteration order, which
-    /// must be the deterministic work-split order (chunk 0 first).
-    /// Returns the number of new facts across all shards.
-    pub fn merge_shards<I>(&mut self, shards: I) -> usize
-    where
-        I: IntoIterator<Item = KbShard>,
-    {
-        let obs = kb_obs::global();
-        let span = obs.span("store.shard.merge_us");
-        let mut merges = 0u64;
-        let added = shards
-            .into_iter()
-            .map(|s| {
-                merges += 1;
-                self.merge_shard(&s)
-            })
-            .sum();
-        span.stop();
-        obs.counter("store.shard.merges").add(merges);
-        obs.counter("store.shard.merged_facts").add(added as u64);
-        added
-    }
-
     /// The read indexes, frozen now if a structural write dropped them.
     pub(crate) fn indexes(&self) -> &FrozenIndexes {
         self.frozen.get_or_init(|| FrozenIndexes::build(&self.core.facts))
@@ -428,7 +311,7 @@ impl KbRead for KbBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::TimePoint;
+    use crate::time::{TimePoint, TimeSpan};
     use crate::TriplePattern;
 
     fn sample_kb() -> KbBuilder {
@@ -667,34 +550,32 @@ mod tests {
         assert_eq!(frozen.stats(), snap.stats());
     }
 
+    /// Ingest is a pure function of the write order: the same facts in
+    /// the same order give the same dictionary ids and fact table, with
+    /// a repeated triple merged by noisy-or into its first entry.
     #[test]
     fn shard_merge_matches_serial_ingest_exactly() {
-        // Serial reference.
-        let mut serial = KbBuilder::new();
         let facts = [
             ("x", "p", "y", 0.5),
             ("y", "p", "z", 0.9),
             ("x", "p", "y", 0.5), // duplicate → noisy-or merge
             ("z", "q", "x", 0.7),
         ];
-        for &(s, p, o, c) in &facts {
-            let t = Triple::new(serial.intern(s), serial.intern(p), serial.intern(o));
-            serial.add_fact(fact(t, c));
-        }
-        // Sharded: same facts split 2/2, merged in order.
-        let mut sharded = KbBuilder::new();
-        let mut shards = vec![KbShard::new(), KbShard::new()];
-        for (i, &(s, p, o, c)) in facts.iter().enumerate() {
-            shards[i / 2].add(s, p, o, c, SourceId::DEFAULT, None);
-        }
-        let added = sharded.merge_shards(shards);
-        assert_eq!(added, 3);
-        // Identical dictionaries (same ids in same order) and fact tables.
-        assert_eq!(serial.core.dict.len(), sharded.core.dict.len());
-        for (id, term) in serial.dictionary().iter() {
-            assert_eq!(sharded.resolve(id), Some(term));
-        }
-        assert_eq!(serial.core.facts, sharded.core.facts);
+        let ingest = || {
+            let mut b = KbBuilder::new();
+            for &(s, p, o, c) in &facts {
+                let t = Triple::new(b.intern(s), b.intern(p), b.intern(o));
+                b.add_fact(fact(t, c));
+            }
+            b
+        };
+        let (a, b) = (ingest(), ingest());
+        assert!(a.dictionary().iter().eq(b.dictionary().iter()));
+        assert_eq!(a.core.facts, b.core.facts);
+        let terms: Vec<&str> = a.dictionary().iter().map(|(_, term)| term).collect();
+        assert_eq!(terms, ["x", "p", "y", "z", "q"]);
+        let confidences: Vec<f64> = a.core.facts.iter().map(|f| f.confidence).collect();
+        assert_eq!(confidences, [0.75, 0.9, 0.7]);
     }
 
     #[test]
@@ -710,12 +591,18 @@ mod tests {
         assert_eq!(b.len(), 1);
     }
 
+    /// A builder that holds nothing freezes to an empty delta, which
+    /// changes no view it is stacked on.
     #[test]
     fn empty_shard_is_a_no_op() {
-        let mut b = KbBuilder::new();
-        b.assert_str("a", "r", "b");
-        assert_eq!(b.merge_shard(&KbShard::new()), 0);
-        assert_eq!(b.len(), 1);
-        assert!(KbShard::new().is_empty());
+        let base = crate::SegmentedSnapshot::from_base(sample_kb().snapshot().into_shared());
+        let delta = KbBuilder::new().freeze_delta(&base);
+        assert!(delta.is_empty());
+        let stacked = base.with_delta(std::sync::Arc::new(delta));
+        assert_eq!(stacked.len(), base.len());
+        assert_eq!(
+            stacked.matching_triples(&TriplePattern::any()),
+            base.matching_triples(&TriplePattern::any())
+        );
     }
 }

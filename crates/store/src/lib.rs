@@ -10,11 +10,10 @@
 //! industrial KBs the paper surveys:
 //!
 //! * **Write side** — [`KbBuilder`], the one mutable KB, accepts
-//!   batched ingest; parallel producers fill per-worker [`KbShard`]s
-//!   (local interning, no shared lock) that merge deterministically at
-//!   a barrier. Code that interleaves reads and writes queries the
-//!   builder itself: its indexes are frozen lazily and cached between
-//!   structural writes.
+//!   ingest in one stream of writes, so the same writes in the same
+//!   order give the same builder. Code that interleaves reads and writes
+//!   queries the builder itself: its indexes are frozen lazily and
+//!   cached between structural writes.
 //! * **Read side** — [`KbBuilder::freeze`] produces an immutable,
 //!   `Arc`-shareable [`KbSnapshot`] whose SPO/POS/OSP permutation
 //!   indexes are frozen sorted arrays answered by binary-search range
@@ -52,8 +51,8 @@
 //! * **terms and facts** — [`Dictionary`], [`TermId`], [`FactId`],
 //!   [`SourceId`], [`Fact`], [`Triple`], [`TimePoint`], [`TimeSpan`],
 //!   [`TriplePattern`] (with the [`IndexChoice`] it plans);
-//! * **the mutable KB** — [`KbBuilder`], [`KbShard`], with the
-//!   [`Taxonomy`], [`SameAsStore`] and [`LabelStore`] it owns;
+//! * **the mutable KB** — [`KbBuilder`], with the [`Taxonomy`],
+//!   [`SameAsStore`] and [`LabelStore`] it owns;
 //! * **frozen views** — [`KbSnapshot`], [`SegmentedSnapshot`] over
 //!   [`DeltaSegment`]s ([`FactKind`]), [`PartitionedView`]
 //!   ([`partition_snapshot`], [`partition_delta`],
@@ -116,7 +115,7 @@ mod taxonomy;
 mod time;
 mod wal;
 
-pub use builder::{KbBuilder, KbShard};
+pub use builder::KbBuilder;
 pub use dict::Dictionary;
 pub use error::{SegmentRegion, StoreError};
 pub use fact::{Fact, Triple};

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 use kb_store::{
-    Fact, IndexChoice, KbBuilder, KbRead, KbShard, SameAsStore, SourceId, TermId, TimePoint,
-    TimeSpan, Triple, TriplePattern,
+    Fact, IndexChoice, KbBuilder, KbRead, SameAsStore, SourceId, TermId, TimePoint, TimeSpan,
+    Triple, TriplePattern,
 };
 use kb_testkit::{assert_facts_conform, RefFact, RefKb, StrTriple};
 
@@ -383,9 +383,12 @@ proptest! {
         }
     }
 
-    /// Sharded parallel-style ingest is indistinguishable from serial
-    /// ingest: any chunking of the fact stream into `KbShard`s, merged
-    /// in order, yields the same dictionary, dump and confidences.
+    /// One stream of writes, read or not: ingesting the rows the way the
+    /// harvest does (intern subject, predicate, object, then add) in
+    /// consecutive chunks with a scan after each — so the builder's
+    /// cached indexes freeze and drop between writes — gives the
+    /// dictionary, dump and confidence bits of one uninterrupted
+    /// ingest, and the facts are the reference's.
     #[test]
     fn shard_merge_is_bit_identical_to_serial(
         rows in prop::collection::vec(
@@ -394,43 +397,39 @@ proptest! {
         ),
         workers in 1usize..5,
     ) {
-        let mut serial = KbBuilder::new();
-        let src = serial.register_source("harvest");
-        for &(s, p, o, conf) in &rows {
+        let add = |kb: &mut KbBuilder, &(s, p, o, conf): &(u32, u32, u32, f64)| {
+            let source = kb.register_source("harvest");
             let t = Triple::new(
-                serial.intern(&format!("e{s}")),
-                serial.intern(&format!("r{p}")),
-                serial.intern(&format!("e{o}")),
+                kb.intern(&format!("e{s}")),
+                kb.intern(&format!("r{p}")),
+                kb.intern(&format!("e{o}")),
             );
-            serial.add_fact(Fact { triple: t, confidence: conf, source: src, span: None });
+            kb.add_fact(Fact { triple: t, confidence: conf, source, span: None });
+        };
+        let mut reference = RefKb::default();
+        let mut serial = KbBuilder::new();
+        for row in &rows {
+            add(&mut serial, row);
+            let &(s, p, o, confidence) = row;
+            let fact = RefFact { confidence, span: None, source: "harvest".into() };
+            reference.add(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"), fact);
         }
-        let mut sharded = KbBuilder::new();
-        let src2 = sharded.register_source("harvest");
-        let chunk = rows.len().div_ceil(workers);
-        let shards: Vec<KbShard> = rows
-            .chunks(chunk)
-            .map(|chunk| {
-                let mut shard = KbShard::new();
-                for &(s, p, o, conf) in chunk {
-                    shard.add(&format!("e{s}"), &format!("r{p}"), &format!("e{o}"), conf, src2, None);
-                }
-                shard
-            })
-            .collect();
-        sharded.merge_shards(shards);
+        let mut chunked = KbBuilder::new();
+        for chunk in rows.chunks(rows.len().div_ceil(workers)) {
+            chunk.iter().for_each(|row| add(&mut chunked, row));
+            prop_assert_eq!(chunked.count_matching(&TriplePattern::any()), chunked.len());
+        }
         // Same dictionary ids in the same order…
-        prop_assert_eq!(serial.dictionary().len(), sharded.dictionary().len());
-        for (id, term) in serial.dictionary().iter() {
-            prop_assert_eq!(sharded.resolve(id), Some(term));
-        }
+        prop_assert!(serial.dictionary().iter().eq(chunked.dictionary().iter()));
         // …and the same facts with bit-identical merged confidences.
         let dump = |kb: &KbBuilder| -> Vec<(Triple, u64)> {
             kb.iter().map(|f| (f.triple, f.confidence.to_bits())).collect()
         };
-        prop_assert_eq!(dump(&serial), dump(&sharded));
+        prop_assert_eq!(dump(&serial), dump(&chunked));
         let a = kb_store::ntriples::to_string(&serial).unwrap();
-        let b = kb_store::ntriples::to_string(&sharded).unwrap();
+        let b = kb_store::ntriples::to_string(&chunked).unwrap();
         prop_assert_eq!(a, b);
+        assert_facts_conform(&serial, &reference);
     }
 
     /// merge_from + canonicalize preserve the fact *content* modulo

@@ -206,13 +206,9 @@ fn cmd_harvest(args: &[String]) -> Result<(), String> {
         "  {} occurrences → {} candidates → {} accepted facts",
         output.stats.occurrences, output.stats.candidates, output.stats.accepted
     );
-    if output.stats.quarantined_count() > 0 || output.stats.downgraded() {
-        eprintln!(
-            "  resilience: {} quarantined, {} retries, {} downgrades",
-            output.stats.quarantined_count(),
-            output.stats.retries,
-            output.stats.downgrades.len()
-        );
+    let quarantined = output.stats.quarantined_count();
+    if quarantined > 0 {
+        eprintln!("  quarantined: {quarantined} documents");
     }
     let dump = ntriples::to_string(&output.kb).map_err(|e| e.to_string())?;
     fs::write(out_path, &dump).map_err(|e| format!("cannot write {out_path}: {e}"))?;
@@ -592,7 +588,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     let mut cfg = CorpusConfig::tiny();
     cfg.world.seed = seed;
     let corpus = Corpus::generate(&cfg);
-    // Pipeline layer: per-phase spans + fact/resilience counters.
+    // Pipeline layer: per-phase spans + fact/quarantine counters.
     let output =
         harvest(&corpus, &HarvestConfig::default()).map_err(|e| format!("harvest failed: {e}"))?;
     // Storage layer: snapshot freeze span + index/fact gauges.

@@ -86,19 +86,19 @@ fn harvested_kb_survives_serialization() {
     assert_eq!(text, text2);
 }
 
+/// The worker count reaches collection only, whatever the method: the
+/// KB is the same, byte for byte, at one worker and at four.
 #[test]
 fn sharded_harvest_matches_serial_harvest_byte_for_byte() {
     let corpus = corpus();
-    let serial = harvest(&corpus, &HarvestConfig { workers: 1, ..Default::default() })
-        .expect("serial harvest");
-    let sharded = harvest(&corpus, &HarvestConfig { workers: 4, ..Default::default() })
-        .expect("sharded harvest");
-    assert_eq!(serial.kb.len(), sharded.kb.len());
-    assert_eq!(
-        ntriples::to_string(&serial.kb).expect("serialize serial"),
-        ntriples::to_string(&sharded.kb).expect("serialize sharded"),
-        "worker count must not change the harvested KB"
-    );
+    for method in [Method::Statistical, Method::FactorGraph] {
+        let dump = |workers: usize| {
+            let out = harvest(&corpus, &HarvestConfig { method, workers, ..Default::default() })
+                .expect("harvest");
+            ntriples::to_string(&out.kb).expect("serialize")
+        };
+        assert_eq!(dump(1), dump(4), "{method:?}: worker count must not change the KB");
+    }
 }
 
 #[test]
