@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use crate::fx::FxHashMap;
+use crate::fx::{map_bytes, FxHashMap};
 use crate::TermId;
 
 /// A bidirectional string ↔ [`TermId`] map.
@@ -80,6 +80,13 @@ impl Dictionary {
     /// Whether no terms have been interned.
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
+    }
+
+    /// Heap bytes of both tables and the shared strings (each a 16-byte
+    /// `Arc` count header plus its text), from lengths and capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let strings: usize = self.terms.iter().map(|t| 16 + t.len()).sum();
+        self.terms.capacity() * std::mem::size_of::<Arc<str>>() + map_bytes(&self.lookup) + strings
     }
 
     /// Iterates over all `(id, term)` pairs in id order.

@@ -144,47 +144,11 @@ impl ColFrames {
     }
 
     fn encode(values: &[u32], allow_varint: bool) -> Self {
-        let mut metas = Vec::with_capacity(values.len().div_ceil(FRAME_ROWS));
-        let mut bytes = Vec::new();
-        let mut scratch = Vec::new();
+        let mut enc = ColEncoder::new(values.len(), allow_varint);
         for frame in values.chunks(FRAME_ROWS) {
-            let (min, max) =
-                frame.iter().fold((u32::MAX, 0u32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
-            if min == max {
-                metas.push(FrameMeta {
-                    base: min,
-                    enc: ENC_CONST,
-                    width: 0,
-                    end: bytes.len() as u32,
-                });
-                continue;
-            }
-            let width = (32 - (max - min).leading_zeros()) as u8;
-            let packed_size = (frame.len() * width as usize).div_ceil(8);
-            if allow_varint {
-                scratch.clear();
-                for w in frame.windows(2) {
-                    put_varint(zigzag(i64::from(w[1]) - i64::from(w[0])), &mut scratch);
-                    if scratch.len() >= packed_size {
-                        break;
-                    }
-                }
-                if scratch.len() < packed_size {
-                    bytes.extend_from_slice(&scratch);
-                    metas.push(FrameMeta {
-                        base: frame[0],
-                        enc: ENC_VARINT,
-                        width: 0,
-                        end: bytes.len() as u32,
-                    });
-                    continue;
-                }
-            }
-            pack_into(frame, min, width, &mut bytes);
-            metas.push(FrameMeta { base: min, enc: ENC_PACKED, width, end: bytes.len() as u32 });
+            enc.push(frame);
         }
-        bytes.extend_from_slice(&[0u8; PAD]);
-        Self { len: values.len(), metas, bytes }
+        enc.finish()
     }
 
     /// Validates everything frame descriptors say without their payload:
@@ -397,6 +361,79 @@ impl ColFrames {
         let mut out = Vec::with_capacity(self.len);
         self.decode_range(0, self.len, &mut out);
         out
+    }
+}
+
+/// Builds a [`ColFrames`] one frame at a time, choosing the smallest
+/// encoding per frame (Const, Packed, or — when allowed — Varint), so a
+/// column can be encoded without ever being materialized whole.
+pub(crate) struct ColEncoder {
+    len: usize,
+    metas: Vec<FrameMeta>,
+    bytes: Vec<u8>,
+    scratch: Vec<u8>,
+    allow_varint: bool,
+}
+
+impl ColEncoder {
+    /// An encoder for a column of about `rows` rows.
+    pub(crate) fn new(rows: usize, allow_varint: bool) -> Self {
+        Self {
+            len: 0,
+            metas: Vec::with_capacity(rows.div_ceil(FRAME_ROWS)),
+            bytes: Vec::new(),
+            scratch: Vec::new(),
+            allow_varint,
+        }
+    }
+
+    /// Appends the next frame: [`FRAME_ROWS`] values, fewer only for
+    /// the last.
+    pub(crate) fn push(&mut self, frame: &[u32]) {
+        debug_assert!(!frame.is_empty() && frame.len() <= FRAME_ROWS);
+        debug_assert_eq!(self.len % FRAME_ROWS, 0, "only the last frame may be short");
+        self.len += frame.len();
+        let bytes = &mut self.bytes;
+        let (min, max) = frame.iter().fold((u32::MAX, 0u32), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        if min == max {
+            self.metas.push(FrameMeta {
+                base: min,
+                enc: ENC_CONST,
+                width: 0,
+                end: bytes.len() as u32,
+            });
+            return;
+        }
+        let width = (32 - (max - min).leading_zeros()) as u8;
+        let packed_size = (frame.len() * width as usize).div_ceil(8);
+        if self.allow_varint {
+            let scratch = &mut self.scratch;
+            scratch.clear();
+            for w in frame.windows(2) {
+                put_varint(zigzag(i64::from(w[1]) - i64::from(w[0])), scratch);
+                if scratch.len() >= packed_size {
+                    break;
+                }
+            }
+            if scratch.len() < packed_size {
+                bytes.extend_from_slice(scratch);
+                self.metas.push(FrameMeta {
+                    base: frame[0],
+                    enc: ENC_VARINT,
+                    width: 0,
+                    end: bytes.len() as u32,
+                });
+                return;
+            }
+        }
+        pack_into(frame, min, width, bytes);
+        self.metas.push(FrameMeta { base: min, enc: ENC_PACKED, width, end: bytes.len() as u32 });
+    }
+
+    /// The encoded column.
+    pub(crate) fn finish(mut self) -> ColFrames {
+        self.bytes.extend_from_slice(&[0u8; PAD]);
+        ColFrames { len: self.len, metas: self.metas, bytes: self.bytes }
     }
 }
 

@@ -20,6 +20,13 @@ pub(crate) type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 /// Zero-sized builder for [`FxHasher`].
 pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// Heap bytes of a map's table, from its capacity: one `(K, V)` slot
+/// plus one control byte per entry it can hold (a floor — the table
+/// rounds its slot count up to a power of two).
+pub(crate) fn map_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
+    map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
+}
+
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// Multiply-rotate hasher over 64-bit words; not collision-resistant

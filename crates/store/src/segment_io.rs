@@ -32,13 +32,21 @@
 //! whole column or over one page of it). An image of any other
 //! version is refused as a corrupt header.
 //!
+//! There is one writer, too: `ImageWriter` reserves the preamble and
+//! region table, then encodes, checksums, writes and drops one region
+//! at a time, and writes the table over its placeholder last. A file
+//! (`write_segment`) and an in-memory image (the WAL payload) are the
+//! same writer over different sinks, so at most one encoded region is
+//! in memory while a segment is written.
+//!
 //! Two deliberate format choices keep cold-start cheap and recovery
 //! honest:
 //!
 //! * **Redundant data is validated, never trusted.** On an eager open
 //!   key columns are checked against the fact table, sortedness is
-//!   verified, and offset buckets must equal a recomputed prefix sum —
-//!   all in `O(n)`, with no sorting or re-compression on the open path.
+//!   verified, and offset buckets must equal the running prefix count
+//!   of the leading column — all in `O(n)`, one decoded frame window at
+//!   a time, with no sorting or re-compression on the open path.
 //! * **Nothing derivable is trusted.** Lookup maps, live counts and
 //!   delta counters are recomputed (or checked against a recomputation)
 //!   on load, so a reader can never be bit-flipped into a silently
@@ -46,7 +54,7 @@
 //!   the damaged [`SegmentRegion`].
 
 use std::borrow::Cow;
-use std::io::Write as _;
+use std::io::{Cursor, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -409,7 +417,8 @@ pub(crate) const FRAME_META_LEN: usize = 4 + 1 + 1 + 4;
 /// without re-encoding.
 fn encode_frames(cols: [&ColFrames; 15]) -> Result<Vec<u8>, StoreError> {
     let region = SegmentRegion::Frames;
-    let mut out = Vec::new();
+    let size = cols.iter().map(|c| 12 + c.n_frames() * FRAME_META_LEN + c.payload().len()).sum();
+    let mut out = Vec::with_capacity(size);
     for col in cols {
         put_len(&mut out, col.len(), region)?;
         put_len(&mut out, col.n_frames(), region)?;
@@ -639,30 +648,55 @@ fn decode_labels(buf: &[u8], term_count: usize) -> Result<LabelStore, StoreError
 }
 
 // ---------------------------------------------------------------------
-// File assembly: preamble + checksummed region table + region payloads.
+// Image writing: a placeholder for preamble + region table, then each
+// region encoded, checksummed, written and dropped in turn, then the
+// real preamble and table over the placeholder.
 
-fn assemble(magic: [u8; 4], regions: Vec<(SegmentRegion, Vec<u8>)>) -> Vec<u8> {
-    let header_len = 4 + regions.len() * REGION_ENTRY_LEN;
-    let mut header = Vec::with_capacity(header_len);
-    put_u32(&mut header, regions.len() as u32);
-    let mut offset = (PREAMBLE_LEN + header_len) as u64;
-    for (region, payload) in &regions {
-        header.push(region_tag(*region));
-        put_u64(&mut header, offset);
-        put_u64(&mut header, payload.len() as u64);
-        put_u32(&mut header, crc32(payload));
-        offset += payload.len() as u64;
+/// Streams one segment image into `out`. At most one encoded region is
+/// alive at a time; the region table is written last, at offset 0, over
+/// the zeroed placeholder [`new`](Self::new) reserved for it.
+struct ImageWriter<W: Write + Seek> {
+    out: W,
+    header: Vec<u8>,
+    regions: usize,
+    offset: u64,
+}
+
+impl<W: Write + Seek> ImageWriter<W> {
+    /// Reserves the preamble and a table of `regions` entries.
+    fn new(mut out: W, regions: usize) -> Result<Self, StoreError> {
+        let header_len = 4 + regions * REGION_ENTRY_LEN;
+        let mut header = Vec::with_capacity(header_len);
+        put_u32(&mut header, regions as u32);
+        out.write_all(&vec![0u8; PREAMBLE_LEN + header_len])?;
+        Ok(Self { out, header, regions, offset: (PREAMBLE_LEN + header_len) as u64 })
     }
-    let mut out = Vec::with_capacity(offset as usize);
-    out.extend_from_slice(&magic);
-    put_u32(&mut out, FORMAT_VERSION);
-    put_u32(&mut out, header.len() as u32);
-    put_u32(&mut out, crc32(&header));
-    out.extend_from_slice(&header);
-    for (_, payload) in regions {
-        out.extend_from_slice(&payload);
+
+    /// Appends the next region's payload and its table entry.
+    fn region(&mut self, region: SegmentRegion, payload: Vec<u8>) -> Result<(), StoreError> {
+        self.header.push(region_tag(region));
+        put_u64(&mut self.header, self.offset);
+        put_u64(&mut self.header, payload.len() as u64);
+        put_u32(&mut self.header, crc32(&payload));
+        self.out.write_all(&payload)?;
+        self.offset += payload.len() as u64;
+        Ok(())
     }
-    out
+
+    /// Writes the preamble and the region table over the placeholder;
+    /// returns the sink and the image length.
+    fn finish(mut self, magic: [u8; 4]) -> Result<(W, u64), StoreError> {
+        debug_assert_eq!(self.header.len(), 4 + self.regions * REGION_ENTRY_LEN);
+        let mut preamble = Vec::with_capacity(PREAMBLE_LEN);
+        preamble.extend_from_slice(&magic);
+        put_u32(&mut preamble, FORMAT_VERSION);
+        put_u32(&mut preamble, self.header.len() as u32);
+        put_u32(&mut preamble, crc32(&self.header));
+        self.out.seek(SeekFrom::Start(0))?;
+        self.out.write_all(&preamble)?;
+        self.out.write_all(&self.header)?;
+        Ok((self.out, self.offset))
+    }
 }
 
 /// Parses and validates the preamble + region table of a segment image,
@@ -784,30 +818,33 @@ pub(crate) fn fetch_region<'s>(
 // ---------------------------------------------------------------------
 // Base snapshot image.
 
-/// Serializes a base snapshot to its segment image (the compressed
-/// frames region carries the indexes verbatim).
-pub(crate) fn snapshot_to_bytes(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError> {
+/// Streams a base snapshot's segment image into `out` (the compressed
+/// frames region carries the indexes verbatim); returns the sink and
+/// the image length.
+fn write_snapshot<W: Write + Seek>(snap: &KbSnapshot, out: W) -> Result<(W, u64), StoreError> {
     let core = snap.core();
-    let regions = vec![
-        (
-            SegmentRegion::Dictionary,
-            encode_terms(
-                core.dict.iter().map(|(_, t)| t),
-                core.dict.len(),
-                SegmentRegion::Dictionary,
-            )?,
-        ),
-        (
-            SegmentRegion::Sources,
-            encode_terms(core.sources.iter(), core.sources.len(), SegmentRegion::Sources)?,
-        ),
-        (SegmentRegion::Facts, encode_facts(&core.facts)?),
-        (SegmentRegion::Frames, encode_frames(snap.indexes.frame_cols())?),
-        (SegmentRegion::Taxonomy, encode_taxonomy(snap.taxonomy())?),
-        (SegmentRegion::SameAs, encode_sameas(snap.sameas())?),
-        (SegmentRegion::Labels, encode_labels(snap.labels())?),
-    ];
-    Ok(assemble(MAGIC_BASE, regions))
+    let mut w = ImageWriter::new(out, 7)?;
+    w.region(
+        SegmentRegion::Dictionary,
+        encode_terms(core.dict.iter().map(|(_, t)| t), core.dict.len(), SegmentRegion::Dictionary)?,
+    )?;
+    w.region(
+        SegmentRegion::Sources,
+        encode_terms(core.sources.iter(), core.sources.len(), SegmentRegion::Sources)?,
+    )?;
+    w.region(SegmentRegion::Facts, encode_facts(&core.facts)?)?;
+    w.region(SegmentRegion::Frames, encode_frames(snap.indexes.frame_cols())?)?;
+    w.region(SegmentRegion::Taxonomy, encode_taxonomy(snap.taxonomy())?)?;
+    w.region(SegmentRegion::SameAs, encode_sameas(snap.sameas())?)?;
+    w.region(SegmentRegion::Labels, encode_labels(snap.labels())?)?;
+    w.finish(MAGIC_BASE)
+}
+
+/// A base snapshot's segment image in memory: [`write_snapshot`] over
+/// a `Vec`, byte for byte the file `write_segment` writes.
+#[cfg(test)]
+pub(crate) fn snapshot_to_bytes(snap: &KbSnapshot) -> Result<Vec<u8>, StoreError> {
+    Ok(write_snapshot(snap, Cursor::new(Vec::new()))?.0.into_inner())
 }
 
 /// Decodes the base (non-index) regions of a base segment: dictionary,
@@ -864,16 +901,19 @@ fn decode_indexes(
     expected_len: usize,
     is_base: bool,
 ) -> Result<FrozenIndexes, StoreError> {
-    let region = fetch_region(source, entries, SegmentRegion::Frames)?;
-    let image = SegmentSource::image(&region);
-    let layout = walk_layout(&image, 0..region.len())?;
-    let mut cols = (0..FRAME_COLS).map(|i| load_col(&image, &layout, i));
-    let mut col = || cols.next().expect("fifteen columns");
-    let mut perm = || -> Result<PermFrames, StoreError> {
-        Ok(PermFrames::from_cols(col()?, col()?, col()?, col()?))
+    // The region buffer is dropped once its columns are installed,
+    // before they are checked.
+    let (perms, starts) = {
+        let region = fetch_region(source, entries, SegmentRegion::Frames)?;
+        let image = SegmentSource::image(&region);
+        let layout = walk_layout(&image, 0..region.len())?;
+        let mut cols = (0..FRAME_COLS).map(|i| load_col(&image, &layout, i));
+        let mut col = || cols.next().expect("fifteen columns");
+        let mut perm = || -> Result<PermFrames, StoreError> {
+            Ok(PermFrames::from_cols(col()?, col()?, col()?, col()?))
+        };
+        ([perm()?, perm()?, perm()?], [col()?, col()?, col()?])
     };
-    let perms = [perm()?, perm()?, perm()?];
-    let starts = [col()?, col()?, col()?];
     FrozenIndexes::from_frames(facts, expected_len, is_base, perms, starts)
 }
 
@@ -976,10 +1016,23 @@ pub(crate) fn delta_open_lazy(
 // ---------------------------------------------------------------------
 // Delta segment image.
 
-fn delta_common_regions(delta: &DeltaSegment) -> Result<Vec<(SegmentRegion, Vec<u8>)>, StoreError> {
+/// Streams a delta segment's image into `out`; returns the sink and the
+/// image length.
+fn write_delta<W: Write + Seek>(delta: &DeltaSegment, out: W) -> Result<(W, u64), StoreError> {
+    let mut w = ImageWriter::new(out, 6)?;
     let mut meta = Vec::with_capacity(8);
     put_u32(&mut meta, delta.first_term().0);
     put_u32(&mut meta, delta.first_source);
+    w.region(SegmentRegion::DeltaMeta, meta)?;
+    w.region(
+        SegmentRegion::Dictionary,
+        encode_terms(delta.ext_terms.iter(), delta.ext_terms.len(), SegmentRegion::Dictionary)?,
+    )?;
+    w.region(
+        SegmentRegion::Sources,
+        encode_terms(delta.ext_sources.iter(), delta.ext_sources.len(), SegmentRegion::Sources)?,
+    )?;
+    w.region(SegmentRegion::Facts, encode_facts(&delta.facts)?)?;
     let mut kinds = Vec::with_capacity(4 + delta.kinds.len());
     put_len(&mut kinds, delta.kinds.len(), SegmentRegion::Kinds)?;
     kinds.extend(delta.kinds.iter().map(|k| match k {
@@ -987,30 +1040,15 @@ fn delta_common_regions(delta: &DeltaSegment) -> Result<Vec<(SegmentRegion, Vec<
         FactKind::Shadow => 1,
         FactKind::Tombstone => 2,
     }));
-    Ok(vec![
-        (SegmentRegion::DeltaMeta, meta),
-        (
-            SegmentRegion::Dictionary,
-            encode_terms(delta.ext_terms.iter(), delta.ext_terms.len(), SegmentRegion::Dictionary)?,
-        ),
-        (
-            SegmentRegion::Sources,
-            encode_terms(
-                delta.ext_sources.iter(),
-                delta.ext_sources.len(),
-                SegmentRegion::Sources,
-            )?,
-        ),
-        (SegmentRegion::Facts, encode_facts(&delta.facts)?),
-        (SegmentRegion::Kinds, kinds),
-    ])
+    w.region(SegmentRegion::Kinds, kinds)?;
+    w.region(SegmentRegion::Frames, encode_frames(delta.indexes.frame_cols())?)?;
+    w.finish(MAGIC_DELTA)
 }
 
-/// Serializes a delta segment to its image (also the WAL payload).
+/// A delta segment's image in memory (also the WAL payload):
+/// [`write_delta`] over a `Vec`.
 pub(crate) fn delta_to_bytes(delta: &DeltaSegment) -> Result<Vec<u8>, StoreError> {
-    let mut regions = delta_common_regions(delta)?;
-    regions.push((SegmentRegion::Frames, encode_frames(delta.indexes.frame_cols())?));
-    Ok(assemble(MAGIC_DELTA, regions))
+    Ok(write_delta(delta, Cursor::new(Vec::new()))?.0.into_inner())
 }
 
 /// Deserializes and fully validates a delta segment image held in
@@ -1103,24 +1141,38 @@ fn decode_delta(
 // ---------------------------------------------------------------------
 // File-level helpers.
 
-/// Writes `bytes` to `path` atomically: write to a sibling temp file,
-/// flush (+ optional fsync), rename into place, then fsync the parent
-/// directory so the rename itself is durable.
+/// Writes `bytes` to `path` atomically (see [`write_atomic_with`]).
 pub(crate) fn write_file_atomic(path: &Path, bytes: &[u8], fsync: bool) -> Result<(), StoreError> {
+    write_atomic_with(path, fsync, |f| Ok(f.write_all(bytes)?))
+}
+
+/// Creates `path` atomically: `write` fills a sibling temp file, which
+/// is flushed (+ optionally fsynced) and renamed into place, then the
+/// parent directory is fsynced so the rename itself is durable. A write
+/// that fails removes the temp file.
+fn write_atomic_with<T>(
+    path: &Path,
+    fsync: bool,
+    write: impl FnOnce(&mut std::fs::File) -> Result<T, StoreError>,
+) -> Result<T, StoreError> {
     let tmp = path.with_extension("tmp");
-    {
+    let write_tmp = || -> Result<T, StoreError> {
         let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
+        let out = write(&mut f)?;
         f.flush()?;
         if fsync {
             sync_file(&f)?;
         }
-    }
+        Ok(out)
+    };
+    let out = write_tmp().inspect_err(|_| {
+        std::fs::remove_file(&tmp).ok();
+    })?;
     std::fs::rename(&tmp, path)?;
     if fsync {
         fsync_dir(path.parent().unwrap_or_else(|| Path::new(".")))?;
     }
-    Ok(())
+    Ok(out)
 }
 
 /// `sync_all` on a file or directory handle, counted in `store.fsyncs`.
@@ -1157,11 +1209,10 @@ impl KbSnapshot {
     pub(crate) fn write_segment_with(&self, path: &Path, fsync: bool) -> Result<u64, StoreError> {
         let obs = kb_obs::global();
         let span = obs.span("store.segment.write_us");
-        let bytes = snapshot_to_bytes(self)?;
-        write_file_atomic(path, &bytes, fsync)?;
+        let len = write_atomic_with(path, fsync, |f| Ok(write_snapshot(self, f)?.1))?;
         span.stop();
         obs.counter("store.segment.writes").inc();
-        Ok(bytes.len() as u64)
+        Ok(len)
     }
 
     /// Opens a base segment file, validating every checksum and
@@ -1187,9 +1238,7 @@ impl DeltaSegment {
     /// caller's control: the segment store passes its
     /// [`StoreOptions::fsync`](crate::StoreOptions::fsync).
     pub(crate) fn write_segment_with(&self, path: &Path, fsync: bool) -> Result<u64, StoreError> {
-        let bytes = delta_to_bytes(self)?;
-        write_file_atomic(path, &bytes, fsync)?;
-        Ok(bytes.len() as u64)
+        write_atomic_with(path, fsync, |f| Ok(write_delta(self, f)?.1))
     }
 
     /// Opens a delta segment file, validating checksums and structure.
@@ -1289,6 +1338,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let err = with_len_limit(2, || snap.write_segment(dir.join("big.seg"))).unwrap_err();
         assert!(matches!(err, StoreError::TooLarge { .. }));
+        // A write that fails part-way leaves no file behind, temp or not.
+        assert!(!dir.join("big.tmp").exists() && !dir.join("big.seg").exists());
         // Every region encoder is checked, not just the dictionary: a
         // limit of 2 lets two-element tables through but still trips on
         // the first longer string/column, so sweep a range of limits
@@ -1322,6 +1373,27 @@ mod tests {
         assert_eq!(reopened.fact(FactId(1)).unwrap().confidence, 0.0);
         // Serialization is deterministic.
         assert_eq!(bytes, snapshot_to_bytes(&reopened).unwrap());
+    }
+
+    #[test]
+    fn the_file_a_segment_streams_to_is_its_in_memory_image() {
+        let dir = std::env::temp_dir().join(format!("kbseg-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let snap = sample_snapshot();
+        let written = snap.write_segment(dir.join("base.seg")).unwrap();
+        let bytes = snapshot_to_bytes(&snap).unwrap();
+        assert_eq!(written, bytes.len() as u64);
+        assert_eq!(std::fs::read(dir.join("base.seg")).unwrap(), bytes);
+        let view = SegmentedSnapshot::from_base(snap.into_shared());
+        let mut d = KbBuilder::new();
+        d.assert_str("Tim_Cook", "worksAt", "Apple_Inc");
+        d.retract_str("Steve_Jobs", "bornIn", "SF");
+        let delta = d.freeze_delta(&view);
+        let written = delta.write_segment(dir.join("delta.seg")).unwrap();
+        let bytes = delta_to_bytes(&delta).unwrap();
+        assert_eq!(written, bytes.len() as u64);
+        assert_eq!(std::fs::read(dir.join("delta.seg")).unwrap(), bytes);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

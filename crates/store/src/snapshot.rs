@@ -15,6 +15,15 @@
 //! through a `SegCursor`, which decodes one frame-sized window at a
 //! time (or takes a constant-time fid path for small ranges).
 //!
+//! One body builds every index — freeze, `snapshot`, compaction, the
+//! delta freeze and the partition split: it fills one `(key, fact id)`
+//! buffer with SPO keys, sorts it and encodes it column by column, one
+//! frame at a time through one small buffer, then rotates every key
+//! into the next permutation's order (SPO → POS → OSP) and sorts
+//! again. Its peak beside the frames it keeps is 16 B a fact plus 4 B a
+//! leading term; no column is ever materialized whole. The eager open
+//! checks decoded frames the same way, one frame window at a time.
+//!
 //! The same cursors also serve layered views: a
 //! [`SegmentedSnapshot`](crate::SegmentedSnapshot) opens one cursor
 //! per segment and [`MatchIter`] k-way merges them by minimum key,
@@ -34,7 +43,8 @@ use std::sync::{Arc, OnceLock};
 use crate::builder::KbCore;
 use crate::error::StoreError;
 use crate::fact::{Fact, Triple};
-use crate::frames::{ColFrames, FRAME_ROWS};
+use crate::frames::{ColEncoder, ColFrames, FRAME_ROWS};
+use crate::fx::map_bytes;
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::pattern::{IndexChoice, TriplePattern};
@@ -90,26 +100,30 @@ pub(crate) struct PermFrames {
 }
 
 impl PermFrames {
-    fn from_entries(entries: &[(Key, FactId)]) -> Self {
-        let n = entries.len();
-        let (mut k0, mut k1, mut k2, mut fid) = (
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-            Vec::with_capacity(n),
-        );
-        for &((a, b, c), id) in entries {
-            k0.push(a.0);
-            k1.push(b.0);
-            k2.push(c.0);
-            fid.push(id.0);
-        }
-        Self {
-            k0: ColFrames::from_values(&k0),
-            k1: ColFrames::from_values(&k1),
-            k2: ColFrames::from_values(&k2),
-            fid: ColFrames::from_values_packed(&fid),
-        }
+    /// Sorts `entries` and encodes them as one permutation plus its
+    /// offset column, each column in turn one [`FRAME_ROWS`]-row frame
+    /// at a time through one small buffer: no column is ever
+    /// materialized, and one column's payload grows at a time.
+    fn build(entries: &mut [(Key, FactId)]) -> (Self, ColFrames) {
+        entries.sort_unstable();
+        let starts = starts_from_leading(entries.iter().map(|e| e.0 .0 .0));
+        let starts = ColFrames::from_values_packed(&starts);
+        let mut frame = Vec::with_capacity(FRAME_ROWS);
+        let mut encode = |allow_varint: bool, field: fn(&(Key, FactId)) -> u32| {
+            let mut col = ColEncoder::new(entries.len(), allow_varint);
+            for chunk in entries.chunks(FRAME_ROWS) {
+                frame.clear();
+                frame.extend(chunk.iter().map(field));
+                col.push(&frame);
+            }
+            col.finish()
+        };
+        let k0 = encode(true, |e| e.0 .0 .0);
+        let k1 = encode(true, |e| e.0 .1 .0);
+        let k2 = encode(true, |e| e.0 .2 .0);
+        // The fact-id column backs `O(1)` probes: no varint frames.
+        let fid = encode(false, |e| e.1 .0);
+        (Self { k0, k1, k2, fid }, starts)
     }
 
     pub(crate) fn from_cols(k0: ColFrames, k1: ColFrames, k2: ColFrames, fid: ColFrames) -> Self {
@@ -145,14 +159,14 @@ impl PermRef<'_> {
     }
 }
 
-/// Prefix-sum offsets over a sorted leading-key column:
+/// Prefix-sum offsets over a sorted run of leading keys:
 /// `starts[t] .. starts[t + 1]` brackets term `t`'s entries. Terms past
 /// the largest seen leading id have no slot (callers treat out-of-range
 /// as empty).
-pub(crate) fn starts_from_leading(leading: &[u32]) -> Vec<u32> {
-    let top = leading.last().map_or(0, |&a| a as usize + 1);
+fn starts_from_leading(leading: impl DoubleEndedIterator<Item = u32> + Clone) -> Vec<u32> {
+    let top = leading.clone().next_back().map_or(0, |a| a as usize + 1);
     let mut starts = vec![0u32; top + 1];
-    for &a in leading {
+    for a in leading {
         starts[a as usize + 1] += 1;
     }
     for i in 1..starts.len() {
@@ -161,16 +175,12 @@ pub(crate) fn starts_from_leading(leading: &[u32]) -> Vec<u32> {
     starts
 }
 
-fn starts_of(entries: &[(Key, FactId)]) -> Vec<u32> {
-    let top = entries.last().map_or(0, |&((a, _, _), _)| a.index() + 1);
-    let mut starts = vec![0u32; top + 1];
-    for &((a, _, _), _) in entries {
-        starts[a.index() + 1] += 1;
+/// Turns every key into the next permutation's by rotating it left:
+/// SPO `(s, p, o)` → POS `(p, o, s)` → OSP `(o, s, p)`.
+fn rotate_keys(entries: &mut [(Key, FactId)]) {
+    for ((a, b, c), _) in entries {
+        (*a, *b, *c) = (*b, *c, *a);
     }
-    for i in 1..starts.len() {
-        starts[i] += starts[i - 1];
-    }
-    starts
 }
 
 /// Binary search: the first `i` in `[lo, hi)` with `!below(i)`.
@@ -236,34 +246,23 @@ pub(crate) struct EagerIndexes {
 }
 
 impl EagerIndexes {
+    /// The one index build (see the module docs): one entries buffer,
+    /// sorted and encoded frame by frame for each permutation in turn.
     fn build_impl(facts: &[Fact], include_retracted: bool) -> Self {
-        let mut spo = Vec::with_capacity(facts.len());
-        let mut pos = Vec::with_capacity(facts.len());
-        let mut osp = Vec::with_capacity(facts.len());
-        for (i, f) in facts.iter().enumerate() {
-            if f.is_retracted() && !include_retracted {
-                continue;
-            }
-            let id = FactId(i as u32);
-            let t = f.triple;
-            spo.push((t.spo_key(), id));
-            pos.push((t.pos_key(), id));
-            osp.push((t.osp_key(), id));
-        }
-        spo.sort_unstable();
-        pos.sort_unstable();
-        osp.sort_unstable();
-        let spo_starts = ColFrames::from_values_packed(&starts_of(&spo));
-        let pos_starts = ColFrames::from_values_packed(&starts_of(&pos));
-        let osp_starts = ColFrames::from_values_packed(&starts_of(&osp));
-        Self {
-            spo: PermFrames::from_entries(&spo),
-            pos: PermFrames::from_entries(&pos),
-            osp: PermFrames::from_entries(&osp),
-            spo_starts,
-            pos_starts,
-            osp_starts,
-        }
+        let mut entries: Vec<(Key, FactId)> = Vec::with_capacity(facts.len());
+        entries.extend(
+            facts
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| include_retracted || !f.is_retracted())
+                .map(|(i, f)| (f.triple.spo_key(), FactId(i as u32))),
+        );
+        let (spo, spo_starts) = PermFrames::build(&mut entries);
+        rotate_keys(&mut entries);
+        let (pos, pos_starts) = PermFrames::build(&mut entries);
+        rotate_keys(&mut entries);
+        let (osp, osp_starts) = PermFrames::build(&mut entries);
+        Self { spo, pos, osp, spo_starts, pos_starts, osp_starts }
     }
 
     /// Indexes every live fact in `facts` (retracted entries are
@@ -339,6 +338,8 @@ impl EagerIndexes {
     /// Reassembles frozen indexes straight from deserialized compressed
     /// columns — the frames are validated against the fact table but
     /// *not* re-encoded, which is what keeps the eager cold open linear.
+    /// Each permutation is walked one decoded frame window at a time, so
+    /// the check holds four [`FRAME_ROWS`]-row buffers, never a column.
     ///
     /// `expected_len` is the entry count every permutation must have
     /// (live facts for a base segment, all facts for a delta);
@@ -368,27 +369,48 @@ impl EagerIndexes {
             if perm.fid.has_varint() || starts.has_varint() {
                 return Err(corrupt("sequential-only encoding in a random-access column".into()));
             }
-            let fids = perm.fid.values();
-            let (k0, k1, k2) = (perm.k0.values(), perm.k1.values(), perm.k2.values());
+            // One decoded frame window of each column at a time; the
+            // buckets are checked against the running prefix of `k0`:
+            // every slot up to a row's leading term must equal that
+            // row's index, and the slot past the last term the row count.
+            let mut window: [Vec<u32>; 4] = Default::default();
             let mut prev: Option<Key> = None;
-            for (i, &id) in fids.iter().enumerate() {
-                let fact = facts.get(id as usize).ok_or_else(|| {
-                    corrupt(format!("fact id {id} out of range ({} facts)", facts.len()))
-                })?;
-                if is_base && fact.is_retracted() {
-                    return Err(corrupt("retracted fact indexed in a base segment".into()));
+            let mut slot = 0usize;
+            let bucket_err =
+                || corrupt("offset buckets disagree with the permutation entries".into());
+            for from in (0..expected_len).step_by(FRAME_ROWS) {
+                let to = expected_len.min(from + FRAME_ROWS);
+                for (buf, col) in window.iter_mut().zip(perm.cols()) {
+                    buf.clear();
+                    col.decode_range(from, to, buf);
                 }
-                let key = key_of(&fact.triple);
-                if (key.0 .0, key.1 .0, key.2 .0) != (k0[i], k1[i], k2[i]) {
-                    return Err(corrupt("key columns disagree with the fact table".into()));
+                let [k0, k1, k2, fids] = &window;
+                for (j, &id) in fids.iter().enumerate() {
+                    let fact = facts.get(id as usize).ok_or_else(|| {
+                        corrupt(format!("fact id {id} out of range ({} facts)", facts.len()))
+                    })?;
+                    if is_base && fact.is_retracted() {
+                        return Err(corrupt("retracted fact indexed in a base segment".into()));
+                    }
+                    let key = key_of(&fact.triple);
+                    if (key.0 .0, key.1 .0, key.2 .0) != (k0[j], k1[j], k2[j]) {
+                        return Err(corrupt("key columns disagree with the fact table".into()));
+                    }
+                    if prev.is_some_and(|p| p > key) {
+                        return Err(corrupt("permutation column is not sorted".into()));
+                    }
+                    prev = Some(key);
+                    let row = (from + j) as u32;
+                    while slot <= key.0.index() {
+                        if slot >= starts.len() || starts.get(slot) != row {
+                            return Err(bucket_err());
+                        }
+                        slot += 1;
+                    }
                 }
-                if prev.is_some_and(|p| p > key) {
-                    return Err(corrupt("permutation column is not sorted".into()));
-                }
-                prev = Some(key);
             }
-            if starts.values() != starts_from_leading(&k0) {
-                return Err(corrupt("offset buckets disagree with the permutation entries".into()));
+            if starts.len() != slot + 1 || starts.get(slot) != expected_len as u32 {
+                return Err(bucket_err());
             }
             Ok(())
         };
@@ -1221,6 +1243,13 @@ impl KbSnapshot {
         obs.gauge("store.index_bytes").set(st.compressed_bytes as i64);
         obs.gauge("store.frames.compressed_bytes").set(st.compressed_bytes as i64);
         obs.gauge("store.frames.raw_bytes").set(st.raw_bytes as i64);
+        // Where the frozen KB's resident bytes sit, from lengths and
+        // capacities.
+        let fact_bytes = core.facts.capacity() * std::mem::size_of::<Fact>();
+        obs.gauge("store.bytes.facts").set(fact_bytes as i64);
+        obs.gauge("store.bytes.by_triple").set(map_bytes(&core.by_triple) as i64);
+        obs.gauge("store.bytes.dict").set(core.dict.heap_bytes() as i64);
+        obs.gauge("store.bytes.frames").set(st.compressed_bytes as i64);
         Self {
             base: BaseState::Eager(Box::new(EagerBase { core, taxonomy, sameas, labels })),
             indexes,

@@ -1,0 +1,168 @@
+//! The bulk paths of the store hold no second copy of what they build.
+//!
+//! A counting global allocator tracks the bytes live in this process;
+//! each bulk step — freeze, segment write, eager segment open — runs on
+//! a seeded ≈ 100k-fact KB and must stay within a bound derived from
+//! what it keeps plus the one transient buffer its design allows:
+//!
+//! * **freeze** sorts one permutation at a time: one 16-byte entries
+//!   buffer beside the frames it keeps, encoded frame by frame — not
+//!   three sorted arrays and four column copies;
+//! * **write** streams the image region by region: one region in
+//!   flight, not every region plus an assembled copy;
+//! * **open** checks the permutations frame by frame: beyond what it
+//!   keeps, only the frames region read off disk, not decoded columns.
+//!
+//! This file holds a single test so that nothing else in its process
+//! allocates while a step is measured.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use kb_store::segment_io::region_map;
+use kb_store::{KbBuilder, KbRead, KbSnapshot, SegmentRegion};
+
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(n: usize) {
+    let now = LIVE.fetch_add(n, Ordering::SeqCst) + n;
+    PEAK.fetch_max(now, Ordering::SeqCst);
+}
+
+fn shrink(n: usize) {
+    LIVE.fetch_sub(n, Ordering::SeqCst);
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters only
+// observe sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            grow(layout.size());
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            grow(layout.size());
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        shrink(layout.size());
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            if new_size > layout.size() {
+                grow(new_size - layout.size());
+            } else {
+                shrink(layout.size() - new_size);
+            }
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Runs `f`; returns its result, the bytes it left live (`kept`) and
+/// the most bytes live at once during it, both beyond those live when
+/// it began.
+fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    let out = f();
+    let kept = LIVE.load(Ordering::SeqCst).saturating_sub(base);
+    (out, kept, PEAK.load(Ordering::SeqCst) - base)
+}
+
+/// Metric registrations, thread bookkeeping and small headers: what a
+/// step may allocate beyond its derived bound.
+const SLACK: usize = 64 << 10;
+
+const FACTS: u64 = 100_000;
+
+/// A seeded KB of ≈ `FACTS` facts over 25k subjects, 50 predicates and
+/// 40k objects (a duplicate draw would merge).
+fn seeded_kb() -> KbBuilder {
+    let mut b = KbBuilder::new();
+    let mut x = 11u64;
+    let mut next = |m: u64| {
+        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (x >> 33) % m
+    };
+    for i in 0..FACTS {
+        let (p, o) = (next(50), next(40_000));
+        b.assert_str(&format!("e{}", i % 25_000), &format!("p{p}"), &format!("o{o}"));
+    }
+    b
+}
+
+#[test]
+fn freeze_write_and_open_hold_no_second_copy_of_the_kb() {
+    let dir = std::env::temp_dir().join(format!("kbstore-alloc-peak-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("base.seg");
+
+    // Warm-up: the first freeze, write and open register their metrics.
+    let mut tiny = KbBuilder::new();
+    tiny.assert_str("a", "r", "b");
+    tiny.freeze().write_segment(&path).unwrap();
+    KbSnapshot::open_segment(&path).unwrap();
+
+    let builder = seeded_kb();
+    let n = builder.len();
+    let terms = builder.term_count();
+    assert!(n > 95_000, "the seeded KB has {n} facts");
+    let mut over = Vec::new();
+
+    // Freeze: the frames it keeps, one (key, fact id) entry a fact and
+    // one bucket slot a term.
+    let (snap, kept, peak) = measure(|| builder.freeze());
+    let bound = kept + n * 16 + (terms + 1) * 4 + SLACK;
+    if peak > bound {
+        over.push(format!("freeze: peak {peak} B > bound {bound} B (kept {kept} B, {n} facts)"));
+    }
+
+    // Write: nothing kept; one region in flight, in a buffer at most the
+    // next power of two of its length (a doubling `Vec`).
+    let (written, _, peak) = measure(|| snap.write_segment(&path).unwrap());
+    let image = std::fs::read(&path).unwrap();
+    assert_eq!(written, image.len() as u64);
+    let regions = region_map(&image).unwrap();
+    let largest = regions.iter().map(|(_, r)| r.len().next_power_of_two()).max().unwrap();
+    let bound = largest + SLACK;
+    if peak > bound {
+        over.push(format!(
+            "write: peak {peak} B > bound {bound} B (image {} B, largest region {largest} B)",
+            image.len()
+        ));
+    }
+
+    // Open: what it keeps, plus the frames region read whole before its
+    // columns are installed.
+    let frames = regions.iter().find(|(r, _)| *r == SegmentRegion::Frames).unwrap().1.len();
+    let (reopened, kept, peak) = measure(|| KbSnapshot::open_segment(&path).unwrap());
+    let bound = kept + frames + SLACK;
+    if peak > bound {
+        over.push(format!(
+            "open: peak {peak} B > bound {bound} B (kept {kept} B, frames region {frames} B)"
+        ));
+    }
+    assert_eq!(reopened.len(), snap.len());
+
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(over.is_empty(), "bulk steps over their bounds:\n{}", over.join("\n"));
+}

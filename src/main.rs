@@ -321,8 +321,19 @@ fn harvest_incremental(
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let path = positional(args).ok_or("stats needs a KB file")?;
-    let kb = load_kb(path)?;
+    let kb = load_kb(path)?.freeze();
     kb_obs::outln!("{}", kb.stats());
+    // Freezing set the `store.bytes.*` gauges: where the KB's resident
+    // bytes sit.
+    let obs = kb_obs::global();
+    let bytes = |part: &str| obs.gauge(&format!("store.bytes.{part}")).get();
+    kb_obs::outln!(
+        "resident bytes:   facts {} · by_triple {} · dict {} · frames {}",
+        bytes("facts"),
+        bytes("by_triple"),
+        bytes("dict"),
+        bytes("frames")
+    );
     Ok(())
 }
 

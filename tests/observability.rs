@@ -25,6 +25,11 @@ const EXPECTED_FAMILIES: &[&str] = &[
     "store.index_bytes",
     "store.frames.compressed_bytes",
     "store.frames.raw_bytes",
+    // kb-store resident bytes by part
+    "store.bytes.facts",
+    "store.bytes.by_triple",
+    "store.bytes.dict",
+    "store.bytes.frames",
     // kb-store durable layer (WAL + recovery)
     "store.wal.appends",
     "store.wal.replayed",
@@ -87,4 +92,12 @@ fn one_pipeline_run_populates_all_three_layers() {
     assert!(compressed > 0, "compressed frame bytes should be non-zero");
     assert!(compressed < raw, "frames should compress below the raw layout");
     assert_eq!(registry.gauge("store.index_bytes").get(), compressed);
+
+    // Every part of a frozen KB holds some resident bytes, and the
+    // frames part is the compressed index.
+    for part in ["facts", "by_triple", "dict", "frames"] {
+        let bytes = registry.gauge(&format!("store.bytes.{part}")).get();
+        assert!(bytes > 0, "store.bytes.{part} should be non-zero");
+    }
+    assert_eq!(registry.gauge("store.bytes.frames").get(), compressed);
 }
