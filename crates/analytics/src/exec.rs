@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use kb_ned::Ned;
-use kb_query::{Cell, QueryError};
+use kb_query::{CellValue, QueryError};
 use kb_store::{KbRead, TermId};
 
 use crate::aggregate::TimeSeries;
@@ -69,9 +69,9 @@ pub fn tracked_by_query<'a, 'kb, K: KbRead + ?Sized>(
     let mut tracked: Vec<TermId> = out
         .rows
         .iter()
-        .filter_map(|row| match row[0] {
-            Cell::Term(id) => Some(id),
-            Cell::Count(_) | Cell::Unbound => None,
+        .filter_map(|row| match row[0].value() {
+            CellValue::Term(id) => Some(id),
+            CellValue::Count(_) | CellValue::Unbound => None,
         })
         .collect();
     tracked.sort_unstable();

@@ -57,6 +57,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
+use kb_obs::Gauge;
 use kb_store::TermId;
 
 use crate::error::QueryError;
@@ -165,6 +166,34 @@ struct LruCache<V> {
     /// large answer takes as long as a hundred hits, and every reader of
     /// the service would wait for it.
     removed: Vec<V>,
+    /// The bytes the values hold, if the cache is weighed.
+    weight: Option<Weight<V>>,
+}
+
+/// The bytes a cache's values hold, on a gauge that several caches may
+/// share: raised by what [`LruCache::put`] stores, lowered by what
+/// leaves through [`LruCache::removed`], and by what is still held
+/// when the cache goes.
+struct Weight<V> {
+    gauge: Arc<Gauge>,
+    bytes: fn(&V) -> usize,
+    /// This cache's share of the gauge.
+    held: i64,
+}
+
+impl<V> Weight<V> {
+    /// Adds `value`'s bytes (`sign` 1) or takes them off (−1).
+    fn add(&mut self, value: &V, sign: i64) {
+        let delta = sign * (self.bytes)(value) as i64;
+        self.held += delta;
+        self.gauge.add(delta);
+    }
+}
+
+impl<V> Drop for Weight<V> {
+    fn drop(&mut self) {
+        self.gauge.add(-self.held);
+    }
 }
 
 impl<V: Clone> LruCache<V> {
@@ -177,6 +206,7 @@ impl<V: Clone> LruCache<V> {
             recency: BTreeMap::new(),
             inflight: Vec::new(),
             removed: Vec::new(),
+            weight: None,
         }
     }
 
@@ -227,6 +257,9 @@ impl<V: Clone> LruCache<V> {
             }
         };
         let (used, filed) = (self.tick, self.tick);
+        if let Some(weight) = &mut self.weight {
+            weight.add(&value, 1);
+        }
         self.recency.insert(filed, Arc::clone(&shared_key));
         let entry = Entry { epoch, used, filed, footprint, value };
         self.removed.extend(self.map.insert(shared_key, entry).map(|e| e.value));
@@ -297,7 +330,13 @@ struct Held<'a, V> {
 
 impl<V> Drop for Held<'_, V> {
     fn drop(&mut self) {
-        self.removed = std::mem::take(&mut self.guard.removed);
+        let cache = &mut *self.guard;
+        self.removed = std::mem::take(&mut cache.removed);
+        if let Some(weight) = &mut cache.weight {
+            for value in &self.removed {
+                weight.add(value, -1);
+            }
+        }
     }
 }
 
@@ -326,6 +365,14 @@ pub(crate) struct StampedCache<V> {
 impl<V: Clone> StampedCache<V> {
     pub(crate) fn new(capacity: usize) -> Self {
         StampedCache { shared: Mutex::new(LruCache::new(capacity)) }
+    }
+
+    /// Like [`new`](Self::new), keeping on `gauge` the `bytes` of the
+    /// values held.
+    pub(crate) fn weighed(capacity: usize, gauge: Arc<Gauge>, bytes: fn(&V) -> usize) -> Self {
+        let mut cache = LruCache::new(capacity);
+        cache.weight = Some(Weight { gauge, bytes, held: 0 });
+        StampedCache { shared: Mutex::new(cache) }
     }
 
     fn lock(&self) -> Held<'_, V> {

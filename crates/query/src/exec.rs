@@ -78,15 +78,79 @@ use crate::plan::{op_slots, Col, CondC, CondOperand, GroupCol, PhysOp, Plan, Slo
 /// two layers stay in lock-step.
 pub(crate) use kb_store::BATCH_ROWS;
 
-/// One projected value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Cell {
+/// One projected value in one 8-byte word: a term id in the low 32
+/// bits, or a count, marked by the top bit, in the other 63 bits, or
+/// [`UNBOUND`](Self::UNBOUND), a value above every `u32` without the
+/// mark. Only this type's own `impl` knows the
+/// layout: cells are built by [`term`](Self::term),
+/// [`count`](Self::count) and `UNBOUND`, and read by
+/// [`value`](Self::value). Equality and hashing are the word's, which
+/// tell exactly the cells that hold different values apart.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Cell(u64);
+
+/// What a [`Cell`] holds, as [`Cell::value`] hands it out to `match`
+/// on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellValue {
     /// A bound term.
     Term(TermId),
     /// An aggregate count.
     Count(u64),
     /// An unbound variable (possible under `OPTIONAL` and `UNION`).
     Unbound,
+}
+
+// A cell is one word: a `Rows` block of n cells is 8n bytes.
+const _: () = assert!(std::mem::size_of::<Cell>() == 8);
+
+impl Cell {
+    /// The bit that marks a count.
+    const COUNT_TAG: u64 = 1 << 63;
+
+    /// The largest count a cell holds.
+    const MAX_COUNT: u64 = Self::COUNT_TAG - 1;
+
+    /// An unbound variable.
+    pub const UNBOUND: Cell = Cell(1 << 32);
+
+    /// A bound term.
+    pub const fn term(id: TermId) -> Cell {
+        Cell(id.0 as u64)
+    }
+
+    /// An aggregate count.
+    ///
+    /// # Panics
+    /// If `n` is above 2^63 − 1.
+    #[expect(
+        clippy::panic,
+        reason = "a counter goes up by one per counted row, so it cannot reach 2^63"
+    )]
+    pub fn count(n: u64) -> Cell {
+        if n > Self::MAX_COUNT {
+            panic!("count {n} does not fit a cell");
+        }
+        Cell(Self::COUNT_TAG | n)
+    }
+
+    /// The value this cell holds.
+    #[inline]
+    pub const fn value(self) -> CellValue {
+        if self.0 & Self::COUNT_TAG != 0 {
+            CellValue::Count(self.0 & Self::MAX_COUNT)
+        } else if self.0 == Self::UNBOUND.0 {
+            CellValue::Unbound
+        } else {
+            CellValue::Term(TermId(self.0 as u32))
+        }
+    }
+}
+
+impl std::fmt::Debug for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.value().fmt(f)
+    }
 }
 
 /// Rows of one width in one flat block of cells: row `r` is the `width`
@@ -162,13 +226,24 @@ impl Rows {
         lo
     }
 
-    /// Keeps the rows from `offset`, at most `limit` of them, in place.
+    /// Keeps the rows from `offset`, at most `limit` of them, in a
+    /// block exactly their size: an answer is cached as it leaves here,
+    /// and a `LIMIT 10` over a long scan must not keep the scan's
+    /// allocation.
     fn window(&mut self, offset: usize, limit: Option<usize>) {
         let from = offset.min(self.len);
         let len = limit.map_or(self.len - from, |l| l.min(self.len - from));
-        self.cells.drain(..from * self.width);
-        self.cells.truncate(len * self.width);
+        if len < self.len {
+            self.cells = self.cells[from * self.width..][..len * self.width].to_vec();
+        } else {
+            self.cells.shrink_to_fit();
+        }
         self.len = len;
+    }
+
+    /// Bytes of the block's cells, spare capacity included.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.cells.capacity() * std::mem::size_of::<Cell>()
     }
 }
 
@@ -216,12 +291,12 @@ impl QueryOutput {
             out.push('?');
             out.push_str(c);
             out.push('=');
-            match v {
-                Cell::Term(id) => out.push_str(kb.resolve(*id).unwrap_or("?")),
-                Cell::Count(n) => {
+            match v.value() {
+                CellValue::Term(id) => out.push_str(kb.resolve(id).unwrap_or("?")),
+                CellValue::Count(n) => {
                     let _ = write!(out, "{n}");
                 }
-                Cell::Unbound => out.push('_'),
+                CellValue::Unbound => out.push('_'),
             }
         }
     }
@@ -239,10 +314,10 @@ impl QueryOutput {
 
 /// Resolves a cell to display text.
 pub fn cell_str<'k, K: KbRead + ?Sized>(cell: &Cell, kb: &'k K) -> std::borrow::Cow<'k, str> {
-    match cell {
-        Cell::Term(id) => std::borrow::Cow::Borrowed(kb.resolve(*id).unwrap_or("?")),
-        Cell::Count(n) => std::borrow::Cow::Owned(n.to_string()),
-        Cell::Unbound => std::borrow::Cow::Borrowed("_"),
+    match cell.value() {
+        CellValue::Term(id) => std::borrow::Cow::Borrowed(kb.resolve(id).unwrap_or("?")),
+        CellValue::Count(n) => std::borrow::Cow::Owned(n.to_string()),
+        CellValue::Unbound => std::borrow::Cow::Borrowed("_"),
     }
 }
 
@@ -259,19 +334,19 @@ pub(crate) fn cmp_values(a: &str, b: &str) -> Ordering {
     }
 }
 
-pub(crate) fn cmp_cells<K: KbRead + ?Sized>(a: &Cell, b: &Cell, kb: &K) -> Ordering {
-    match (a, b) {
-        (Cell::Term(x), Cell::Term(y)) => {
-            cmp_values(kb.resolve(*x).unwrap_or("?"), kb.resolve(*y).unwrap_or("?"))
+pub(crate) fn cmp_cells<K: KbRead + ?Sized>(a: Cell, b: Cell, kb: &K) -> Ordering {
+    match (a.value(), b.value()) {
+        (CellValue::Term(x), CellValue::Term(y)) => {
+            cmp_values(kb.resolve(x).unwrap_or("?"), kb.resolve(y).unwrap_or("?"))
         }
-        (Cell::Count(x), Cell::Count(y)) => x.cmp(y),
+        (CellValue::Count(x), CellValue::Count(y)) => x.cmp(&y),
         // Heterogeneous cells only happen in hand-crafted plans; order
         // them deterministically: counts < terms < unbound.
-        (Cell::Count(_), Cell::Term(_)) => Ordering::Less,
-        (Cell::Term(_), Cell::Count(_)) => Ordering::Greater,
-        (Cell::Unbound, Cell::Unbound) => Ordering::Equal,
-        (Cell::Unbound, _) => Ordering::Greater,
-        (_, Cell::Unbound) => Ordering::Less,
+        (CellValue::Count(_), CellValue::Term(_)) => Ordering::Less,
+        (CellValue::Term(_), CellValue::Count(_)) => Ordering::Greater,
+        (CellValue::Unbound, CellValue::Unbound) => Ordering::Equal,
+        (CellValue::Unbound, _) => Ordering::Greater,
+        (_, CellValue::Unbound) => Ordering::Less,
     }
 }
 
@@ -435,8 +510,8 @@ pub(crate) fn push_group(
     count: impl Fn(usize) -> u64,
 ) {
     rows.push(plan.group_cols.iter().map(|c| match *c {
-        GroupCol::Key(i) => key(i).map_or(Cell::Unbound, Cell::Term),
-        GroupCol::Count(i) => Cell::Count(count(i)),
+        GroupCol::Key(i) => key(i).map_or(Cell::UNBOUND, Cell::term),
+        GroupCol::Count(i) => Cell::count(count(i)),
     }));
 }
 
@@ -664,8 +739,8 @@ pub(crate) fn project_row<'p>(
     get: impl Fn(usize) -> Option<TermId> + 'p,
 ) -> impl Iterator<Item = Cell> + 'p {
     plan.cols.iter().map(move |c| match c {
-        Col::Var { slot, .. } => get(*slot).map_or(Cell::Unbound, Cell::Term),
-        Col::Count { .. } => Cell::Unbound,
+        Col::Var { slot, .. } => get(*slot).map_or(Cell::UNBOUND, Cell::term),
+        Col::Count { .. } => Cell::UNBOUND,
     })
 }
 
@@ -688,7 +763,7 @@ fn finish_rows<K: KbRead + ?Sized>(plan: &Plan, mut rows: Rows, kb: &K) -> Rows 
         order.sort_by(|&a, &b| {
             let (a, b) = (&rows[a as usize], &rows[b as usize]);
             for &(idx, desc) in &plan.order_by {
-                let ord = cmp_cells(&a[idx], &b[idx], kb);
+                let ord = cmp_cells(a[idx], b[idx], kb);
                 let ord = if desc { ord.reverse() } else { ord };
                 if ord != Ordering::Equal {
                     return ord;
@@ -1328,7 +1403,7 @@ mod tests {
         let s = city_snap();
         let out = solve(&s, "SELECT ?p ?co WHERE { ?p bornIn ?c OPTIONAL { ?p founded ?co } }");
         assert_eq!(out.rows.len(), 2);
-        let unbound = out.rows.iter().filter(|r| r[1] == Cell::Unbound).count();
+        let unbound = out.rows.iter().filter(|r| r[1] == Cell::UNBOUND).count();
         assert_eq!(unbound, 1, "Wozniak founded nothing here: {:?}", out.rows);
     }
 
@@ -1361,7 +1436,81 @@ mod tests {
             "SELECT ?c COUNT(?p) AS ?n WHERE { ?p bornIn ?c } GROUP BY ?c ORDER BY DESC(?n) ?c",
         );
         assert_eq!(out.rows.len(), 2);
-        assert_eq!(out.rows[0][1], Cell::Count(1));
+        assert_eq!(out.rows[0][1], Cell::count(1));
+    }
+
+    #[test]
+    fn a_cell_round_trips_its_value_at_the_edges() {
+        for id in [TermId(0), TermId(1), TermId(u32::MAX)] {
+            assert_eq!(Cell::term(id).value(), CellValue::Term(id));
+        }
+        assert_eq!(Cell::MAX_COUNT, (1 << 63) - 1);
+        for n in [0, 1, u64::from(u32::MAX) + 1, Cell::MAX_COUNT] {
+            assert_eq!(Cell::count(n).value(), CellValue::Count(n));
+        }
+        assert_eq!(Cell::UNBOUND.value(), CellValue::Unbound);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a cell")]
+    fn a_count_past_the_largest_does_not_fit_a_cell() {
+        Cell::count(Cell::MAX_COUNT + 1);
+    }
+
+    /// The three kinds at their zero are three different cells: unequal,
+    /// and kept apart by DISTINCT, which hashes them.
+    #[test]
+    fn term_zero_count_zero_and_unbound_stay_apart() {
+        let kinds = [Cell::term(TermId(0)), Cell::count(0), Cell::UNBOUND];
+        for (i, a) in kinds.iter().enumerate() {
+            for b in &kinds[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        let s = city_snap();
+        let distinct = parse("SELECT DISTINCT ?p WHERE { ?p bornIn ?c }").unwrap();
+        let p = plan(&distinct, &s, &StatsCatalog::build(&s)).unwrap();
+        let mut rows = Rows::new(1);
+        for cell in kinds.iter().chain(&kinds).chain(&kinds) {
+            rows.push([cell]);
+        }
+        let kept = finish_rows(&p, rows, &s);
+        assert_eq!(kept.iter().map(|r| r[0]).collect::<Vec<_>>(), kinds);
+    }
+
+    /// Across kinds the order is counts < terms < unbound, whatever the
+    /// values: the largest count still sorts before term 0.
+    #[test]
+    fn mixed_kinds_order_counts_then_terms_then_unbound() {
+        let s = city_snap();
+        let (count, term) = (Cell::count(Cell::MAX_COUNT), Cell::term(TermId(0)));
+        let ordered = [count, term, Cell::UNBOUND];
+        for (i, &a) in ordered.iter().enumerate() {
+            for (j, &b) in ordered.iter().enumerate() {
+                assert_eq!(cmp_cells(a, b, &s), i.cmp(&j), "{a:?} against {b:?}");
+            }
+        }
+    }
+
+    /// The block an answer leaves `finish_rows` in holds no spare cells:
+    /// a LIMIT over a long scan keeps its window, not the scan.
+    #[test]
+    fn a_windowed_answer_holds_no_spare_capacity() {
+        let mut b = KbBuilder::new();
+        for i in 0..5_000 {
+            b.assert_str(&format!("e{i}"), "p", &format!("o{i}"));
+        }
+        let s = b.freeze();
+        let all = solve(&s, "SELECT ?s ?o WHERE { ?s p ?o }");
+        assert_eq!(all.rows.len(), 5_000);
+        assert_eq!(all.rows.cells.capacity(), 2 * 5_000);
+        let window = solve(&s, "SELECT ?s ?o WHERE { ?s p ?o } LIMIT 10 OFFSET 5");
+        assert_eq!(
+            window.rows.iter().collect::<Vec<_>>(),
+            all.rows.iter().skip(5).take(10).collect::<Vec<_>>()
+        );
+        assert_eq!(window.rows.cells.capacity(), 2 * 10);
+        assert_eq!(window.rows.heap_bytes(), 2 * 10 * 8);
     }
 
     /// Rows of `out` as display text, cell by cell.
@@ -1372,10 +1521,10 @@ mod tests {
     /// The group keys of `out` (its first `width` columns) as raw ids,
     /// unbound as `None` — which `Option`'s order puts first.
     fn key_ids(out: &QueryOutput, width: usize) -> Vec<Vec<Option<TermId>>> {
-        let id = |c: &Cell| match c {
-            Cell::Term(id) => Some(*id),
-            Cell::Unbound => None,
-            Cell::Count(_) => panic!("a count in a key column"),
+        let id = |c: &Cell| match c.value() {
+            CellValue::Term(id) => Some(id),
+            CellValue::Unbound => None,
+            CellValue::Count(_) => panic!("a count in a key column"),
         };
         out.rows.iter().map(|r| r[..width].iter().map(id).collect()).collect()
     }
@@ -1472,7 +1621,7 @@ mod tests {
         let pairs = solve(&s, "SELECT ?y ?x COUNT(*) AS ?n WHERE { ?x rel ?y } GROUP BY ?y ?x");
         assert_eq!(pairs.rows.len(), n + n.div_ceil(3));
         assert_strictly_ascending(&key_ids(&pairs, 2));
-        assert!(pairs.rows.iter().all(|r| r[2] == Cell::Count(1)));
+        assert!(pairs.rows.iter().all(|r| r[2] == Cell::count(1)));
     }
 
     #[test]
@@ -1674,10 +1823,10 @@ mod tests {
 
     /// The rows of `out` as bindings, unbound cells left out.
     fn bindings(out: &QueryOutput) -> Vec<Binding> {
-        let cell = |(col, cell): (&String, &Cell)| match cell {
-            Cell::Term(id) => Some((col.clone(), *id)),
-            Cell::Unbound => None,
-            Cell::Count(_) => panic!("a count in a join answer"),
+        let cell = |(col, cell): (&String, &Cell)| match cell.value() {
+            CellValue::Term(id) => Some((col.clone(), id)),
+            CellValue::Unbound => None,
+            CellValue::Count(_) => panic!("a count in a join answer"),
         };
         out.rows.iter().map(|r| out.cols.iter().zip(r).filter_map(cell).collect()).collect()
     }

@@ -75,7 +75,9 @@ mod view;
 
 pub use ast::{CmpOp, Condition, Group, OrderKey, Pattern, ProjItem, SelectQuery, Term};
 pub use error::QueryError;
-pub use exec::{cell_str, execute, execute_traced, Cell, ExecTrace, ProbeBuild, QueryOutput, Rows};
+pub use exec::{
+    cell_str, execute, execute_traced, Cell, CellValue, ExecTrace, ProbeBuild, QueryOutput, Rows,
+};
 pub use parse::{normalize, parse};
 pub use plan::{plan, routing_decision, Footprint, OpInfo, Plan, RoutingDecision};
 pub use service::{CacheStats, QueryService, DEFAULT_CACHE_CAPACITY};

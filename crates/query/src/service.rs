@@ -35,7 +35,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use kb_obs::{Clock, Counter, Histogram, Registry, SpanTimer};
+use kb_obs::{Clock, Counter, Gauge, Histogram, Registry, SpanTimer};
 use kb_store::{DeltaSegment, KbSnapshot, SegmentedSnapshot};
 
 use crate::ast::SelectQuery;
@@ -108,6 +108,10 @@ struct ServiceMetrics {
     delta_installs: Arc<Counter>,
     result_retained: Arc<Counter>,
     result_invalidated: Arc<Counter>,
+    /// Bytes of the answer blocks the result cache holds. Shared, not
+    /// owned: the services of one registry (a router's partitions) sum
+    /// their caches on it.
+    cache_bytes: Arc<Gauge>,
     parse_us: Arc<Histogram>,
     plan_us: Arc<Histogram>,
     exec_us: Arc<Histogram>,
@@ -141,6 +145,7 @@ impl ServiceMetrics {
             delta_installs: counter("query.service.delta_installs"),
             result_retained: counter("query.cache.result_retained"),
             result_invalidated: counter("query.cache.result_invalidated"),
+            cache_bytes: registry.gauge("query.cache.bytes"),
             parse_us: histogram("query.parse_us"),
             plan_us: histogram("query.plan_us"),
             exec_us: histogram("query.exec_us"),
@@ -242,13 +247,19 @@ impl QueryService {
         capacity: usize,
         registry: &Registry,
     ) -> Self {
+        let metrics = ServiceMetrics::publish(registry);
+        let answer_bytes = |out: &Arc<QueryOutput>| out.rows.heap_bytes();
         QueryService {
             current: Mutex::new(Served { view: Arc::new(view), stats, epoch: 0 }),
             plans: StampedCache::new(capacity),
-            results: StampedCache::new(capacity),
+            results: StampedCache::weighed(
+                capacity,
+                Arc::clone(&metrics.cache_bytes),
+                answer_bytes,
+            ),
             aliases: StampedCache::new(capacity * 4),
             views: Mutex::new(ViewRegistry::new(registry)),
-            metrics: ServiceMetrics::publish(registry),
+            metrics,
         }
     }
 
@@ -808,6 +819,33 @@ mod tests {
         // The metrics are visible in the registry the service published
         // into.
         assert!(reg.render_json().contains("\"query.cache.plan_evictions\":1"));
+    }
+
+    /// `query.cache.bytes` is what the cached answer blocks hold: raised
+    /// by an insert, lowered by an eviction and a delta sweep, summed
+    /// over the services of one registry while each lives.
+    #[test]
+    fn cache_bytes_gauge_follows_the_answers_held() {
+        let reg = Registry::new();
+        let bytes = || reg.gauge("query.cache.bytes").get();
+        let svc = QueryService::with_instrumentation(snapshot(), 1, &reg);
+        let born = svc.query("?p bornIn ?c").unwrap().rows.heap_bytes() as i64;
+        assert!(born > 0);
+        assert_eq!(bytes(), born);
+        let located = svc.query("?c locatedIn ?s").unwrap().rows.heap_bytes() as i64;
+        assert_eq!(bytes(), located, "the first answer was evicted");
+
+        let other = QueryService::with_instrumentation(snapshot(), 1, &reg);
+        other.query("?p bornIn ?c").unwrap();
+        assert_eq!(bytes(), located + born, "two services sum on one gauge");
+        drop(other);
+        assert_eq!(bytes(), located, "a service takes its share along");
+
+        let view = svc.snapshot();
+        let mut b = KbBuilder::new();
+        b.assert_str("Cupertino", "locatedIn", "California");
+        svc.apply_delta(Arc::new(b.freeze_delta(&view)));
+        assert_eq!(bytes(), 0, "the delta swept the locatedIn answer");
     }
 
     /// Timing histograms record one sample per timed step, with

@@ -52,8 +52,8 @@ use kb_store::{DeltaSegment, Fact, FactKind, KbRead, TermId};
 use crate::ast::SelectQuery;
 use crate::error::QueryError;
 use crate::exec::{
-    cmp_cells, delta_join, eval_cond_with, execute, project_row, push_group, Cell, QueryOutput,
-    Rows,
+    cmp_cells, delta_join, eval_cond_with, execute, project_row, push_group, Cell, CellValue,
+    QueryOutput, Rows,
 };
 use crate::parse::parse;
 use crate::plan::{plan as compile, Col, CondC, CondOperand, PhysOp, Plan, Step};
@@ -159,17 +159,17 @@ pub fn maintainability(plan: &Plan) -> Maintainability {
 /// ([`cmp_cells`]) refined by raw-id tiebreaks, so distinct cells never
 /// compare equal (two different terms can compare value-equal, e.g.
 /// `1969` vs `01969` both parsing to the same integer).
-fn cmp_cell_total<K: KbRead + ?Sized>(a: &Cell, b: &Cell, kb: &K) -> std::cmp::Ordering {
-    cmp_cells(a, b, kb).then_with(|| match (a, b) {
-        (Cell::Term(x), Cell::Term(y)) => x.cmp(y),
-        (Cell::Count(x), Cell::Count(y)) => x.cmp(y),
+fn cmp_cell_total<K: KbRead + ?Sized>(a: Cell, b: Cell, kb: &K) -> std::cmp::Ordering {
+    cmp_cells(a, b, kb).then_with(|| match (a.value(), b.value()) {
+        (CellValue::Term(x), CellValue::Term(y)) => x.cmp(&y),
+        (CellValue::Count(x), CellValue::Count(y)) => x.cmp(&y),
         _ => std::cmp::Ordering::Equal,
     })
 }
 
 fn cmp_row_total<K: KbRead + ?Sized>(a: &[Cell], b: &[Cell], kb: &K) -> std::cmp::Ordering {
     for (x, y) in a.iter().zip(b) {
-        let ord = cmp_cell_total(x, y, kb);
+        let ord = cmp_cell_total(*x, *y, kb);
         if ord != std::cmp::Ordering::Equal {
             return ord;
         }
@@ -189,7 +189,7 @@ fn cmp_canonical<K: KbRead + ?Sized>(
     kb: &K,
 ) -> std::cmp::Ordering {
     for &(idx, desc) in &plan.order_by {
-        let ord = cmp_cell_total(&a[idx], &b[idx], kb);
+        let ord = cmp_cell_total(a[idx], b[idx], kb);
         let ord = if desc { ord.reverse() } else { ord };
         if ord != std::cmp::Ordering::Equal {
             return ord;
@@ -625,8 +625,8 @@ fn initial_state<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> ViewState {
     let raw = execute(&feed, kb);
     for row in raw.rows.iter() {
         let get = |s: usize| -> Option<TermId> {
-            slots.iter().position(|&x| x == s).and_then(|i| match row[i] {
-                Cell::Term(id) => Some(id),
+            slots.iter().position(|&x| x == s).and_then(|i| match row[i].value() {
+                CellValue::Term(id) => Some(id),
                 _ => None,
             })
         };
@@ -1245,15 +1245,15 @@ mod tests {
             for (s, o) in [("1969", "01969"), ("a", "b")] {
                 kb.assert_str(s, "p", o);
             }
-            let term = |t: &str| Cell::Term(kb.term(t).unwrap());
+            let term = |t: &str| Cell::term(kb.term(t).unwrap());
             let cells = [
                 term("1969"),
                 term("01969"),
                 term("a"),
                 term("b"),
-                Cell::Count(2),
-                Cell::Count(10),
-                Cell::Unbound,
+                Cell::count(2),
+                Cell::count(10),
+                Cell::UNBOUND,
             ];
             let stats = StatsCatalog::build(&kb);
             let plan = compile(&parse(ROUND_TRIP_PLANS[shape]).unwrap(), &kb, &stats).unwrap();

@@ -430,9 +430,11 @@ impl ColEncoder {
         self.metas.push(FrameMeta { base: min, enc: ENC_PACKED, width, end: bytes.len() as u32 });
     }
 
-    /// The encoded column.
+    /// The encoded column, its payload in a buffer exactly its size:
+    /// what [`ColFrames::compressed_bytes`] reports is what it holds.
     pub(crate) fn finish(mut self) -> ColFrames {
         self.bytes.extend_from_slice(&[0u8; PAD]);
+        self.bytes.shrink_to_fit();
         ColFrames { len: self.len, metas: self.metas, bytes: self.bytes }
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! * **freeze** sorts one permutation at a time: one 16-byte entries
 //!   buffer beside the frames it keeps, encoded frame by frame — not
-//!   three sorted arrays and four column copies;
+//!   three sorted arrays and four column copies — and keeps the frames
+//!   at their compressed size, not in doubled buffers;
 //! * **write** streams the image region by region: one region in
 //!   flight, not every region plus an assembled copy;
 //! * **open** checks the permutations frame by frame: beyond what it
@@ -134,6 +135,13 @@ fn freeze_write_and_open_hold_no_second_copy_of_the_kb() {
     let bound = kept + n * 16 + (terms + 1) * 4 + SLACK;
     if peak > bound {
         over.push(format!("freeze: peak {peak} B > bound {bound} B (kept {kept} B, {n} facts)"));
+    }
+    // What the freeze keeps is the compressed columns — payloads and
+    // frame descriptors, both counted by `compressed_bytes` — with no
+    // spare capacity beside them.
+    let columns = snap.index_stats().compressed_bytes;
+    if kept > columns + SLACK {
+        over.push(format!("freeze: kept {kept} B > compressed columns {columns} B + {SLACK} B"));
     }
 
     // Write: nothing kept; one region in flight, in a buffer at most the

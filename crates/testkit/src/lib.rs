@@ -50,7 +50,9 @@ pub mod stack;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
-use kb_query::{Cell, CmpOp, Condition, Group, Pattern, ProjItem, QueryOutput, SelectQuery, Term};
+use kb_query::{
+    Cell, CellValue, CmpOp, Condition, Group, Pattern, ProjItem, QueryOutput, SelectQuery, Term,
+};
 use kb_store::{KbRead, TimePoint, TimeSpan};
 
 /// A triple of term strings: subject, predicate, object.
@@ -390,12 +392,12 @@ pub fn assert_conforms(query: &SelectQuery, got: &QueryOutput, view: &dyn KbRead
     let open = SelectQuery { limit: None, offset: 0, ..query.clone() };
     let full = eval(&open, kb).unwrap_or_else(|e| panic!("the reference rejects `{query}`: {e}"));
     assert_eq!(got.cols, full.cols, "columns of `{query}`");
-    let cell = |cell: &Cell| match cell {
-        Cell::Term(id) => RefCell::Term(
-            view.resolve(*id).unwrap_or_else(|| panic!("`{query}` answered unknown {id:?}")).into(),
+    let cell = |cell: &Cell| match cell.value() {
+        CellValue::Term(id) => RefCell::Term(
+            view.resolve(id).unwrap_or_else(|| panic!("`{query}` answered unknown {id:?}")).into(),
         ),
-        Cell::Count(n) => RefCell::Count(*n),
-        Cell::Unbound => RefCell::Unbound,
+        CellValue::Count(n) => RefCell::Count(n),
+        CellValue::Unbound => RefCell::Unbound,
     };
     let rows: Vec<Vec<RefCell>> = got.rows.iter().map(|r| r.iter().map(cell).collect()).collect();
     let keys = order_keys(query, &full.cols).expect("eval resolved the same keys");
@@ -656,9 +658,9 @@ mod tests {
             let row: Vec<Cell> = row
                 .iter()
                 .map(|c| match c.strip_prefix('#') {
-                    Some(n) => Cell::Count(n.parse().unwrap()),
-                    None if *c == "_" => Cell::Unbound,
-                    None => Cell::Term(view.term(c).unwrap()),
+                    Some(n) => Cell::count(n.parse().unwrap()),
+                    None if *c == "_" => Cell::UNBOUND,
+                    None => Cell::term(view.term(c).unwrap()),
                 })
                 .collect();
             rows.push(&row);

@@ -38,6 +38,7 @@ const EXPECTED_FAMILIES: &[&str] = &[
     // kb-query serving layer
     "query.cache.result_hits",
     "query.cache.result_misses",
+    "query.cache.bytes",
     "query.parse_us",
 ];
 
@@ -80,6 +81,8 @@ fn one_pipeline_run_populates_all_three_layers() {
     // round trip logged and replayed at least one WAL record.
     assert!(registry.counter("query.cache.result_hits").get() >= 1);
     assert!(registry.counter("query.cache.result_misses").get() >= 1);
+    // The service still holds the answer it cached.
+    assert!(registry.gauge("query.cache.bytes").get() > 0, "query.cache.bytes after a query");
     assert!(registry.counter("harvest.facts.accepted").get() >= 1);
     assert!(registry.counter("store.wal.appends").get() >= 1);
     assert!(registry.counter("store.wal.replayed").get() >= 1);
