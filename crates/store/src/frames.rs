@@ -34,6 +34,15 @@ const ENC_VARINT: u8 = 2;
 /// always issue one unaligned 8-byte load.
 const PAD: usize = 8;
 
+/// A zeroed buffer for `len` bytes of read payload, with room for the
+/// `PAD` bytes [`ColFrames::from_raw`] appends, so the column it becomes
+/// keeps exactly its bytes and never reallocates.
+pub(crate) fn payload_buf(len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(len + PAD);
+    buf.resize(len, 0);
+    buf
+}
+
 /// Per-frame descriptor. `end` is the *cumulative* exclusive payload
 /// offset: frame `f`'s payload spans `metas[f-1].end .. metas[f].end`
 /// (frame 0 starts at offset 0).

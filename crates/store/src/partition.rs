@@ -41,7 +41,7 @@ use crate::ids::FactId;
 use crate::labels::LabelStore;
 use crate::read::{Groups, KbRead};
 use crate::sameas::SameAsStore;
-use crate::segment::{DeltaSegment, SegmentedSnapshot};
+use crate::segment::{triple_ids, DeltaSegment, SegmentedSnapshot};
 use crate::snapshot::{FrozenIndexes, KbSnapshot};
 use crate::taxonomy::Taxonomy;
 
@@ -123,16 +123,13 @@ pub fn partition_delta<K: KbRead + ?Sized>(
     partitions: usize,
 ) -> Vec<DeltaSegment> {
     assert!(partitions > 0, "partition count must be positive");
-    let first = delta.first_term as usize;
     let mut facts: Vec<Vec<Fact>> = vec![Vec::new(); partitions];
     let mut kinds: Vec<Vec<crate::segment::FactKind>> = vec![Vec::new(); partitions];
     for (f, k) in delta.facts.iter().zip(&delta.kinds) {
-        let s = f.triple.s.index();
-        let subject: &str = if s >= first {
-            &delta.ext_terms[s - first]
-        } else {
-            view.resolve(f.triple.s).expect("delta subject is interned in the view")
-        };
+        let subject = delta
+            .resolve_local(f.triple.s)
+            .or_else(|| view.resolve(f.triple.s))
+            .expect("delta subject is interned in the view or the delta");
         let p = subject_partition(subject, partitions);
         facts[p].push(f.clone());
         kinds[p].push(*k);
@@ -142,6 +139,7 @@ pub fn partition_delta<K: KbRead + ?Sized>(
         .zip(kinds)
         .map(|(facts, kinds)| {
             let indexes = FrozenIndexes::build_with_tombstones(&facts);
+            let by_triple = triple_ids(&facts);
             DeltaSegment::from_parts(
                 delta.ext_terms.clone(),
                 delta.first_term,
@@ -149,6 +147,7 @@ pub fn partition_delta<K: KbRead + ?Sized>(
                 delta.first_source,
                 facts,
                 kinds,
+                by_triple,
                 indexes,
             )
         })

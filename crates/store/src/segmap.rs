@@ -17,8 +17,8 @@
 //!   and walks the column layout (O(1) memory). The layout walk, the
 //!   descriptor read and the frame load (`walk_layout`, `read_metas`,
 //!   `load_frames`) are the only parser of the frames region: the eager
-//!   reader runs them over the region it fetched, a whole column at a
-//!   time.
+//!   reader runs them straight over the file, a whole column at a time,
+//!   checksumming the region as it goes (`load_col`).
 //! * `PagedCol` — one lazily materialized column. The unit that is
 //!   faulted, charged, given a second chance and spilled is a **page**:
 //!   a run of `PAGE_FRAMES` whole frames, read with one positioned read
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use crate::error::{SegmentRegion, StoreError};
-use crate::frames::{ColFrames, FrameMeta, FRAME_ROWS};
+use crate::frames::{payload_buf, ColFrames, FrameMeta, FRAME_ROWS};
 use crate::segment_io::{Crc32, FRAME_META_LEN};
 
 /// Columns in the frames region, in serialization order: SPO, POS, OSP
@@ -397,7 +397,13 @@ fn read_metas(
     let l = &layout[i];
     let mut meta_bytes = vec![0u8; l.n_frames * FRAME_META_LEN];
     source.read_exact_at(l.metas_at, &mut meta_bytes)?;
-    let metas: Vec<FrameMeta> = meta_bytes
+    parse_metas(&meta_bytes, l, i)
+}
+
+/// Parses column `i`'s serialized frame descriptors and validates them
+/// against its row count and payload length.
+fn parse_metas(bytes: &[u8], l: &ColLayout, i: usize) -> Result<Vec<FrameMeta>, StoreError> {
+    let metas: Vec<FrameMeta> = bytes
         .chunks_exact(FRAME_META_LEN)
         .map(|m| FrameMeta {
             base: u32::from_le_bytes(m[0..4].try_into().unwrap()),
@@ -427,7 +433,7 @@ fn load_frames(
     let end_of = |f: usize| f.checked_sub(1).map_or(0, |last| metas[last].end);
     let (start, end) = (end_of(frames.start), end_of(frames.end));
     let rows = l.len.min(frames.end * FRAME_ROWS) - frames.start * FRAME_ROWS;
-    let mut payload = vec![0u8; (end - start) as usize];
+    let mut payload = payload_buf((end - start) as usize);
     source.read_exact_at(l.payload_at + u64::from(start), &mut payload)?;
     let rebased = metas[frames].iter().map(|m| FrameMeta { end: m.end - start, ..*m }).collect();
     ColFrames::from_raw(rows, rebased, payload)
@@ -435,15 +441,28 @@ fn load_frames(
 }
 
 /// Reads and decodes the whole of column `i` of a walked layout (two
-/// positioned reads: descriptors, then payload), validating its
-/// structural invariants.
+/// positioned reads: counts and descriptors, then payload), validating
+/// its structural invariants, and advances `crc` over the column's
+/// stretch of the region in file order — so a reader that loads the
+/// fifteen columns in turn has checksummed the whole region without
+/// holding more than one column's bytes beside the columns it keeps.
 pub(crate) fn load_col(
     source: &SegmentSource<'_>,
     layout: &[ColLayout; FRAME_COLS],
     i: usize,
+    crc: &mut Crc32,
 ) -> Result<ColFrames, StoreError> {
-    let metas = read_metas(source, layout, i)?;
-    load_frames(source, layout, i, &metas, 0..metas.len())
+    let l = &layout[i];
+    // Row and frame counts, descriptors and payload length, as they lie
+    // in the region between the previous column's payload and this one's.
+    let head_at = l.metas_at - 8;
+    let mut head = vec![0u8; (l.payload_at - head_at) as usize];
+    source.read_exact_at(head_at, &mut head)?;
+    crc.update(&head);
+    let metas = parse_metas(&head[8..head.len() - 4], l, i)?;
+    let col = load_frames(source, layout, i, &metas, 0..metas.len())?;
+    crc.update(col.payload());
+    Ok(col)
 }
 
 /// The frames region of one lazily opened segment: a checksummed byte

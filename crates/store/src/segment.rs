@@ -29,6 +29,7 @@
 use std::sync::Arc;
 
 use crate::builder::{KbBuilder, KbCore};
+use crate::dict::Dictionary;
 use crate::fact::{Fact, Triple};
 use crate::fx::FxHashMap;
 use crate::ids::{FactId, TermId};
@@ -53,6 +54,12 @@ pub enum FactKind {
     Tombstone,
 }
 
+/// Maps each fact's triple to its row; the triples must be distinct
+/// (a loader checks its input with `segment_io`'s own pass instead).
+pub(crate) fn triple_ids(facts: &[Fact]) -> FxHashMap<Triple, FactId> {
+    facts.iter().enumerate().map(|(i, f)| (f.triple, FactId(i as u32))).collect()
+}
+
 /// One immutable increment of a segmented view: facts over *global*
 /// term/source ids, the extension of the dictionary and source table
 /// those facts needed, and the delta's own frozen permutation indexes
@@ -62,10 +69,9 @@ pub enum FactKind {
 /// installed by [`SegmentedSnapshot::with_delta`].
 #[derive(Debug)]
 pub struct DeltaSegment {
-    /// Terms unknown to the underlying view, in allocation order; term
-    /// id `first_term + i` resolves to `ext_terms[i]`.
-    pub(crate) ext_terms: Vec<Arc<str>>,
-    pub(crate) ext_lookup: FxHashMap<Arc<str>, TermId>,
+    /// Terms unknown to the underlying view, in allocation order: global
+    /// term id `first_term + i` is this table's id `i`.
+    pub(crate) ext_terms: Dictionary,
     /// First term id this segment allocates (== the view's term count
     /// at freeze time — the sequential-stacking contract).
     pub(crate) first_term: u32,
@@ -100,15 +106,12 @@ impl DeltaSegment {
         // Re-intern the builder's dictionary against the view; unknown
         // terms continue the view's dense id space in first-seen order.
         let first_term = view.term_count() as u32;
-        let mut ext_terms: Vec<Arc<str>> = Vec::new();
+        let mut ext_terms = Dictionary::new();
         let remap: Vec<TermId> = core
             .dict
             .iter()
             .map(|(_, term)| {
-                view.term(term).unwrap_or_else(|| {
-                    ext_terms.push(Arc::from(term));
-                    TermId(first_term + ext_terms.len() as u32 - 1)
-                })
+                view.term(term).unwrap_or_else(|| TermId(first_term + ext_terms.intern(term).0))
             })
             .collect();
 
@@ -150,8 +153,9 @@ impl DeltaSegment {
         }
 
         // The builder's triples are distinct and the remap is injective,
-        // so `from_parts` derives the lookup maps and counters exactly.
+        // so `from_parts` derives the counters exactly.
         let indexes = FrozenIndexes::build_with_tombstones(&facts);
+        let by_triple = triple_ids(&facts);
         let delta = Self::from_parts(
             ext_terms,
             first_term,
@@ -159,6 +163,7 @@ impl DeltaSegment {
             first_source,
             facts,
             kinds,
+            by_triple,
             indexes,
         );
         span.stop();
@@ -166,29 +171,26 @@ impl DeltaSegment {
         delta
     }
 
-    /// Rebuilds a delta segment from its serialized parts (see
+    /// Rebuilds a delta segment from its parts (see
     /// [`segment_io`](crate::segment_io)): extension tables, the fact
-    /// table with its parallel kind column, and the frozen permutation
-    /// indexes. Every derived structure — lookup maps, touched
-    /// predicates, entry counters — is recomputed here, so the on-disk
-    /// format never stores anything a reader could disagree with.
+    /// table with its parallel kind column and its triple map (built by
+    /// the caller, who also checks it for duplicates), and the frozen
+    /// permutation indexes. The touched predicates and entry counters
+    /// are recomputed here, so the on-disk format never stores anything
+    /// a reader could disagree with.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        ext_terms: Vec<Arc<str>>,
+        ext_terms: Dictionary,
         first_term: u32,
         ext_sources: Vec<String>,
         first_source: u32,
         facts: Vec<Fact>,
         kinds: Vec<FactKind>,
+        by_triple: FxHashMap<Triple, FactId>,
         indexes: FrozenIndexes,
     ) -> Self {
         debug_assert_eq!(facts.len(), kinds.len());
-        let ext_lookup = ext_terms
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (Arc::clone(t), TermId(first_term + i as u32)))
-            .collect();
-        let by_triple =
-            facts.iter().enumerate().map(|(i, f)| (f.triple, FactId(i as u32))).collect();
+        debug_assert_eq!(facts.len(), by_triple.len());
         let (mut new_facts, mut shadowed, mut tombstones) = (0usize, 0usize, 0usize);
         for k in &kinds {
             match k {
@@ -203,7 +205,6 @@ impl DeltaSegment {
         touched.dedup();
         Self {
             ext_terms,
-            ext_lookup,
             first_term,
             ext_sources,
             first_source,
@@ -301,13 +302,13 @@ impl DeltaSegment {
 
     /// A term this delta added to the id space.
     pub(crate) fn term_local(&self, term: &str) -> Option<TermId> {
-        self.ext_lookup.get(term).copied()
+        self.ext_terms.get(term).map(|id| TermId(self.first_term + id.0))
     }
 
     /// Resolves an id this delta allocated.
     #[inline]
     pub(crate) fn resolve_local(&self, id: TermId) -> Option<&str> {
-        self.ext_terms.get(id.index().checked_sub(self.first_term as usize)?).map(|t| &**t)
+        self.ext_terms.resolve(TermId(id.0.checked_sub(self.first_term)?))
     }
 
     /// Resolves a source id this delta allocated.
@@ -465,7 +466,7 @@ impl SegmentedSnapshot {
         let span = obs.span("store.compact_us");
         let mut core: KbCore = self.base.core().clone();
         for d in &self.deltas {
-            for term in &d.ext_terms {
+            for (_, term) in d.ext_terms.iter() {
                 let id = core.dict.intern(term);
                 debug_assert_eq!(id.index() + 1, core.dict.len());
             }
@@ -743,7 +744,7 @@ mod tests {
         let touched = delta.touched_predicates();
         assert_eq!(touched.len(), 3);
         for p in ["worksAt", "founded", "bornIn"] {
-            let id = view.term(p).or_else(|| delta.ext_lookup.get(p).copied()).unwrap();
+            let id = view.term(p).or_else(|| delta.term_local(p)).unwrap();
             assert!(touched.contains(&id), "{p} missing from touched set");
         }
         assert!(touched.windows(2).all(|w| w[0] < w[1]), "sorted + distinct");

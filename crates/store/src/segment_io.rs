@@ -487,15 +487,27 @@ fn encode_labels(labels: &LabelStore) -> Result<Vec<u8>, StoreError> {
 // ---------------------------------------------------------------------
 // Region decoders.
 
-fn decode_terms(buf: &[u8]) -> Result<Vec<Arc<str>>, StoreError> {
-    let mut cur = Cur::new(buf, SegmentRegion::Dictionary);
+/// Decodes a dictionary region straight into a [`Dictionary`]'s arena:
+/// one pass appends each term's text (checked UTF-8) behind the last and
+/// records where it ends, then [`Dictionary::from_arena`] builds the id
+/// table in a second pass that refuses a repeated term with `duplicate`.
+fn decode_terms(buf: &[u8], duplicate: &str) -> Result<Dictionary, StoreError> {
+    let region = SegmentRegion::Dictionary;
+    let mut cur = Cur::new(buf, region);
     let n = cur.count(4)?;
-    let mut terms = Vec::with_capacity(n);
-    for _ in 0..n {
-        terms.push(Arc::<str>::from(cur.str_u32()?));
+    // What is left after the length fields is exactly the text of a
+    // well-formed region.
+    let mut text = String::with_capacity(buf.len() - cur.pos - 4 * n);
+    let mut ends = Vec::with_capacity(n);
+    for i in 0..n {
+        text.push_str(cur.str_u32()?);
+        let end = u32::try_from(text.len()).ok().filter(|&e| e as usize <= len_limit());
+        ends.push(end.ok_or_else(|| {
+            corrupt(region, format!("term {i}: text runs past the u32 offset range"))
+        })?);
     }
     cur.finish()?;
-    Ok(terms)
+    Dictionary::from_arena(text, ends).ok_or_else(|| corrupt(region, duplicate))
 }
 
 fn decode_sources(buf: &[u8]) -> Result<Vec<String>, StoreError> {
@@ -547,6 +559,18 @@ fn decode_facts(buf: &[u8]) -> Result<Vec<Fact>, StoreError> {
     }
     cur.finish()?;
     Ok(facts)
+}
+
+/// Maps each fact's triple to its row, refusing a triple that an
+/// earlier row already holds.
+fn checked_triple_ids(facts: &[Fact]) -> Result<FxHashMap<Triple, FactId>, StoreError> {
+    let mut by_triple = FxHashMap::with_capacity_and_hasher(facts.len(), Default::default());
+    for (i, f) in facts.iter().enumerate() {
+        if by_triple.insert(f.triple, FactId(i as u32)).is_some() {
+            return Err(corrupt(SegmentRegion::Facts, format!("fact {i}: duplicate triple")));
+        }
+    }
+    Ok(by_triple)
 }
 
 /// Range-checks every fact's term and source ids against the caller's
@@ -861,9 +885,10 @@ pub(crate) fn decode_base(
     let facts = decode_facts(&fetch_region(source, entries, SegmentRegion::Facts)?)?;
     let live = facts.iter().filter(|f| !f.is_retracted()).count();
 
-    let terms = decode_terms(&fetch_region(source, entries, SegmentRegion::Dictionary)?)?;
-    let dict = Dictionary::from_terms(terms)
-        .ok_or_else(|| corrupt(SegmentRegion::Dictionary, "duplicate term in dictionary"))?;
+    let dict = decode_terms(
+        &fetch_region(source, entries, SegmentRegion::Dictionary)?,
+        "duplicate term in dictionary",
+    )?;
     let sources = decode_sources(&fetch_region(source, entries, SegmentRegion::Sources)?)?;
     let mut source_lookup = FxHashMap::with_capacity_and_hasher(sources.len(), Default::default());
     for (i, name) in sources.iter().enumerate() {
@@ -871,12 +896,7 @@ pub(crate) fn decode_base(
             return Err(corrupt(SegmentRegion::Sources, format!("duplicate source {name:?}")));
         }
     }
-    let mut by_triple = FxHashMap::with_capacity_and_hasher(facts.len(), Default::default());
-    for (i, f) in facts.iter().enumerate() {
-        if by_triple.insert(f.triple, FactId(i as u32)).is_some() {
-            return Err(corrupt(SegmentRegion::Facts, format!("fact {i}: duplicate triple")));
-        }
-    }
+    let by_triple = checked_triple_ids(&facts)?;
     check_fact_ids(&facts, dict.len(), sources.len())?;
 
     let taxonomy =
@@ -890,10 +910,11 @@ pub(crate) fn decode_base(
 
 /// Decodes the frames region into resident indexes and cross-checks
 /// them against the fact table ([`FrozenIndexes::from_frames`]). The
-/// region is fetched and CRC-verified whole, then parsed by the same
-/// layout walk and column load a lazy open runs against the file.
-/// `expected_len` / `is_base` carry the segment-kind invariants down to
-/// the validators.
+/// columns are loaded one at a time straight from the source, by the
+/// same layout walk and column load a lazy open runs, and the region's
+/// CRC is advanced over them as they are read; it is checked before
+/// the cross-check runs. `expected_len` / `is_base` carry the
+/// segment-kind invariants down to the validators.
 fn decode_indexes(
     source: &SegmentSource<'_>,
     entries: &[RegionEntry],
@@ -901,19 +922,18 @@ fn decode_indexes(
     expected_len: usize,
     is_base: bool,
 ) -> Result<FrozenIndexes, StoreError> {
-    // The region buffer is dropped once its columns are installed,
-    // before they are checked.
-    let (perms, starts) = {
-        let region = fetch_region(source, entries, SegmentRegion::Frames)?;
-        let image = SegmentSource::image(&region);
-        let layout = walk_layout(&image, 0..region.len())?;
-        let mut cols = (0..FRAME_COLS).map(|i| load_col(&image, &layout, i));
-        let mut col = || cols.next().expect("fifteen columns");
-        let mut perm = || -> Result<PermFrames, StoreError> {
-            Ok(PermFrames::from_cols(col()?, col()?, col()?, col()?))
-        };
-        ([perm()?, perm()?, perm()?], [col()?, col()?, col()?])
+    let e = locate(entries, SegmentRegion::Frames)?;
+    let layout = walk_layout(source, e.range.clone())?;
+    let mut crc = Crc32::new();
+    let mut col = |i: usize| load_col(source, &layout, i, &mut crc);
+    let mut perm = |at: usize| -> Result<PermFrames, StoreError> {
+        Ok(PermFrames::from_cols(col(at)?, col(at + 1)?, col(at + 2)?, col(at + 3)?))
     };
+    let perms = [perm(0)?, perm(4)?, perm(8)?];
+    let starts = [col(12)?, col(13)?, col(14)?];
+    if crc.finish() != e.crc {
+        return Err(corrupt(SegmentRegion::Frames, "checksum mismatch"));
+    }
     FrozenIndexes::from_frames(facts, expected_len, is_base, perms, starts)
 }
 
@@ -1026,7 +1046,11 @@ fn write_delta<W: Write + Seek>(delta: &DeltaSegment, out: W) -> Result<(W, u64)
     w.region(SegmentRegion::DeltaMeta, meta)?;
     w.region(
         SegmentRegion::Dictionary,
-        encode_terms(delta.ext_terms.iter(), delta.ext_terms.len(), SegmentRegion::Dictionary)?,
+        encode_terms(
+            delta.ext_terms.iter().map(|(_, t)| t),
+            delta.ext_terms.len(),
+            SegmentRegion::Dictionary,
+        )?,
     )?;
     w.region(
         SegmentRegion::Sources,
@@ -1074,29 +1098,17 @@ fn decode_delta(
     let first_source = cur.u32()?;
     cur.finish()?;
 
-    let ext_terms = decode_terms(&fetch_region(source, entries, SegmentRegion::Dictionary)?)?;
-    {
-        let mut seen = std::collections::HashSet::with_capacity(ext_terms.len());
-        for t in &ext_terms {
-            if !seen.insert(t.as_ref()) {
-                return Err(corrupt(SegmentRegion::Dictionary, "duplicate extension term"));
-            }
-        }
-    }
+    let ext_terms = decode_terms(
+        &fetch_region(source, entries, SegmentRegion::Dictionary)?,
+        "duplicate extension term",
+    )?;
     let ext_sources = decode_sources(&fetch_region(source, entries, SegmentRegion::Sources)?)?;
 
     let term_count = first_term as usize + ext_terms.len();
     let source_count = first_source as usize + ext_sources.len();
     let facts = decode_facts(&fetch_region(source, entries, SegmentRegion::Facts)?)?;
     check_fact_ids(&facts, term_count, source_count)?;
-    {
-        let mut seen = std::collections::HashSet::with_capacity(facts.len());
-        for (i, f) in facts.iter().enumerate() {
-            if !seen.insert(f.triple) {
-                return Err(corrupt(SegmentRegion::Facts, format!("fact {i}: duplicate triple")));
-            }
-        }
-    }
+    let by_triple = checked_triple_ids(&facts)?;
 
     let kinds_buf = fetch_region(source, entries, SegmentRegion::Kinds)?;
     let mut cur = Cur::new(&kinds_buf, SegmentRegion::Kinds);
@@ -1134,6 +1146,7 @@ fn decode_delta(
         first_source,
         facts,
         kinds,
+        by_triple,
         indexes,
     ))
 }
@@ -1418,6 +1431,77 @@ mod tests {
             crate::ntriples::to_string(&b).unwrap()
         );
         assert_eq!(bytes, delta_to_bytes(&b.deltas()[0]).unwrap());
+    }
+
+    /// `image` with `want`'s payload replaced by `payload`: the other
+    /// regions copied as they are, every offset and checksum rewritten,
+    /// so the new payload is all that can be wrong with it.
+    fn with_region(image: &[u8], want: SegmentRegion, payload: &[u8]) -> Vec<u8> {
+        let regions = region_map(image).unwrap();
+        let mut w = ImageWriter::new(Cursor::new(Vec::new()), regions.len() - 1).unwrap();
+        for (region, range) in &regions[1..] {
+            let bytes = if *region == want { payload } else { &image[range.clone()] };
+            w.region(*region, bytes.to_vec()).unwrap();
+        }
+        w.finish(image[..4].try_into().unwrap()).unwrap().0.into_inner()
+    }
+
+    fn refusal<T>(result: Result<T, StoreError>) -> (SegmentRegion, String) {
+        match result {
+            Err(StoreError::Corrupt { region, detail }) => (region, detail),
+            Err(other) => panic!("untyped error {other}"),
+            Ok(_) => panic!("accepted"),
+        }
+    }
+
+    #[test]
+    fn a_dictionary_region_is_refused_for_a_repeat_bad_utf8_or_a_short_length() {
+        let dict = SegmentRegion::Dictionary;
+        let terms = |ts: &[&str]| encode_terms(ts.iter(), ts.len(), dict).unwrap();
+        let snap = sample_snapshot();
+        let image = snapshot_to_bytes(&snap).unwrap();
+        let mut base: Vec<&str> = snap.dictionary().iter().map(|(_, t)| t).collect();
+        assert!(snapshot_from_image(&with_region(&image, dict, &terms(&base))).is_ok());
+
+        // The last term repeats the first.
+        let last = base.len() - 1;
+        base[last] = base[0];
+        let (region, detail) =
+            refusal(snapshot_from_image(&with_region(&image, dict, &terms(&base))));
+        assert_eq!((region, detail.as_str()), (dict, "duplicate term in dictionary"));
+
+        // The last term is one byte that is not UTF-8.
+        let mut bad = terms(&base[..last]);
+        bad[..4].copy_from_slice(&(base.len() as u32).to_le_bytes());
+        bad.extend_from_slice(&1u32.to_le_bytes());
+        bad.push(0xFF);
+        let (region, detail) = refusal(snapshot_from_image(&with_region(&image, dict, &bad)));
+        assert_eq!((region, detail.as_str()), (dict, "invalid UTF-8 string"));
+
+        // The last term's length runs past the region's end.
+        bad.truncate(bad.len() - 5);
+        bad.extend_from_slice(&2u32.to_le_bytes());
+        bad.push(b'x');
+        let (region, detail) = refusal(snapshot_from_image(&with_region(&image, dict, &bad)));
+        assert_eq!(region, dict);
+        assert!(detail.starts_with("truncated"), "{detail}");
+
+        // Term text past the offset range (lowered here from u32::MAX).
+        let (region, detail) = refusal(with_len_limit(12, || snapshot_from_image(&image)));
+        assert_eq!(region, dict);
+        assert!(detail.contains("past the u32 offset range"), "{detail}");
+
+        // A delta's extension table repeats a term.
+        let view = SegmentedSnapshot::from_base(snap.into_shared());
+        let mut d = KbBuilder::new();
+        d.assert_str("Tim_Cook", "worksAt", "Apple_Inc");
+        let image = delta_to_bytes(&d.freeze_delta(&view)).unwrap();
+        assert!(
+            delta_from_bytes(&with_region(&image, dict, &terms(&["Tim_Cook", "worksAt"]))).is_ok()
+        );
+        let twice = with_region(&image, dict, &terms(&["Tim_Cook", "Tim_Cook"]));
+        let (region, detail) = refusal(delta_from_bytes(&twice));
+        assert_eq!((region, detail.as_str()), (dict, "duplicate extension term"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The bulk paths of the store hold no second copy of what they build.
 //!
-//! A counting global allocator tracks the bytes live in this process;
-//! each bulk step — freeze, segment write, eager segment open — runs on
-//! a seeded ≈ 100k-fact KB and must stay within a bound derived from
-//! what it keeps plus the one transient buffer its design allows:
+//! A counting global allocator tracks the bytes live in this process
+//! and the allocations made; each bulk step — freeze, segment write,
+//! eager segment open — runs on a seeded ≈ 100k-fact KB and must stay
+//! within a bound derived from what it keeps plus the one transient
+//! buffer its design allows:
 //!
 //! * **freeze** sorts one permutation at a time: one 16-byte entries
 //!   buffer beside the frames it keeps, encoded frame by frame — not
@@ -11,8 +12,11 @@
 //!   at their compressed size, not in doubled buffers;
 //! * **write** streams the image region by region: one region in
 //!   flight, not every region plus an assembled copy;
-//! * **open** checks the permutations frame by frame: beyond what it
-//!   keeps, only the frames region read off disk, not decoded columns.
+//! * **open** loads the index one column at a time straight from the
+//!   file and checks the permutations frame by frame: beyond what it
+//!   keeps, only the decoded frame windows of that check — not the
+//!   frames region, not decoded columns. It decodes the dictionary into
+//!   one arena, so its allocations do not grow with the term count.
 //!
 //! This file holds a single test so that nothing else in its process
 //! allocates while a step is measured.
@@ -21,12 +25,18 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use kb_store::segment_io::region_map;
-use kb_store::{KbBuilder, KbRead, KbSnapshot, SegmentRegion};
+use kb_store::{KbBuilder, KbRead, KbSnapshot, FRAME_ROWS};
 
 struct Counting;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+fn allocated(n: usize) {
+    ALLOCS.fetch_add(1, Ordering::SeqCst);
+    grow(n);
+}
 
 fn grow(n: usize) {
     let now = LIVE.fetch_add(n, Ordering::SeqCst) + n;
@@ -43,7 +53,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            grow(layout.size());
+            allocated(layout.size());
         }
         p
     }
@@ -51,7 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            grow(layout.size());
+            allocated(layout.size());
         }
         p
     }
@@ -77,15 +87,26 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Runs `f`; returns its result, the bytes it left live (`kept`) and
-/// the most bytes live at once during it, both beyond those live when
-/// it began.
-fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+/// What one step did to the heap.
+struct Step<T> {
+    out: T,
+    /// Bytes it left live, beyond those live when it began.
+    kept: usize,
+    /// The most bytes live at once during it, beyond the same.
+    peak: usize,
+    /// Allocations it made (reallocations not counted).
+    allocs: usize,
+}
+
+/// Runs `f` and measures it.
+fn measure<T>(f: impl FnOnce() -> T) -> Step<T> {
     let base = LIVE.load(Ordering::SeqCst);
     PEAK.store(base, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
     let out = f();
     let kept = LIVE.load(Ordering::SeqCst).saturating_sub(base);
-    (out, kept, PEAK.load(Ordering::SeqCst) - base)
+    let peak = PEAK.load(Ordering::SeqCst) - base;
+    Step { out, kept, peak, allocs: ALLOCS.load(Ordering::SeqCst) - allocs }
 }
 
 /// Metric registrations, thread bookkeeping and small headers: what a
@@ -93,6 +114,10 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 const SLACK: usize = 64 << 10;
 
 const FACTS: u64 = 100_000;
+
+/// Allocations an eager open may make: a few per region and per column,
+/// none per term or per fact.
+const OPEN_ALLOCS: usize = 1_000;
 
 /// A seeded KB of ≈ `FACTS` facts over 25k subjects, 50 predicates and
 /// 40k objects (a duplicate draw would merge).
@@ -131,7 +156,7 @@ fn freeze_write_and_open_hold_no_second_copy_of_the_kb() {
 
     // Freeze: the frames it keeps, one (key, fact id) entry a fact and
     // one bucket slot a term.
-    let (snap, kept, peak) = measure(|| builder.freeze());
+    let Step { out: snap, kept, peak, .. } = measure(|| builder.freeze());
     let bound = kept + n * 16 + (terms + 1) * 4 + SLACK;
     if peak > bound {
         over.push(format!("freeze: peak {peak} B > bound {bound} B (kept {kept} B, {n} facts)"));
@@ -146,7 +171,7 @@ fn freeze_write_and_open_hold_no_second_copy_of_the_kb() {
 
     // Write: nothing kept; one region in flight, in a buffer at most the
     // next power of two of its length (a doubling `Vec`).
-    let (written, _, peak) = measure(|| snap.write_segment(&path).unwrap());
+    let Step { out: written, peak, .. } = measure(|| snap.write_segment(&path).unwrap());
     let image = std::fs::read(&path).unwrap();
     assert_eq!(written, image.len() as u64);
     let regions = region_map(&image).unwrap();
@@ -159,15 +184,17 @@ fn freeze_write_and_open_hold_no_second_copy_of_the_kb() {
         ));
     }
 
-    // Open: what it keeps, plus the frames region read whole before its
-    // columns are installed.
-    let frames = regions.iter().find(|(r, _)| *r == SegmentRegion::Frames).unwrap().1.len();
-    let (reopened, kept, peak) = measure(|| KbSnapshot::open_segment(&path).unwrap());
-    let bound = kept + frames + SLACK;
+    // Open: what it keeps, plus one decoded frame window (four columns
+    // of `FRAME_ROWS` values) per permutation, the three checked at once.
+    let window = 3 * 4 * FRAME_ROWS * 4;
+    let Step { out: reopened, kept, peak, allocs } =
+        measure(|| KbSnapshot::open_segment(&path).unwrap());
+    let bound = kept + window + SLACK;
     if peak > bound {
-        over.push(format!(
-            "open: peak {peak} B > bound {bound} B (kept {kept} B, frames region {frames} B)"
-        ));
+        over.push(format!("open: peak {peak} B > bound {bound} B (kept {kept} B)"));
+    }
+    if allocs > OPEN_ALLOCS {
+        over.push(format!("open: {allocs} allocations > {OPEN_ALLOCS} ({terms} terms)"));
     }
     assert_eq!(reopened.len(), snap.len());
 

@@ -21,6 +21,19 @@ fn term_strategy() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Term `n` of a pool of 160: runs of one letter that are prefixes of
+/// each other (the empty string first), non-ASCII text, and numbered
+/// terms enough to grow the id table several times.
+fn pool_term(n: u32) -> String {
+    match n {
+        0..=5 => "a".repeat(n as usize),
+        6 => "Zürich".to_string(),
+        7 => "Zür".to_string(),
+        8 => "東京".to_string(),
+        _ => format!("t{n}"),
+    }
+}
+
 proptest! {
     /// Interning any sequence of strings round-trips exactly, and equal
     /// strings always get equal ids.
@@ -35,6 +48,56 @@ proptest! {
         for (i, a) in words.iter().enumerate() {
             for (j, b) in words.iter().enumerate() {
                 prop_assert_eq!(a == b, ids[i] == ids[j]);
+            }
+        }
+    }
+
+    /// The flat dictionary behaves like a `HashMap` model under any
+    /// interleaving of `intern`, `get` and `resolve`, across several
+    /// growths of its id table: terms that are prefixes of each other
+    /// (neighbours in the arena), the empty string and non-ASCII text
+    /// included. A clone taken midway keeps answering for the terms it
+    /// had, whatever the original interns afterwards.
+    #[test]
+    fn dictionary_matches_a_map_model(
+        ops in prop::collection::vec((0u8..3, 0u32..160), 0..400),
+        clone_at in 0usize..400,
+    ) {
+        let mut d = kb_store::Dictionary::new();
+        let mut ids: std::collections::HashMap<String, kb_store::TermId> = Default::default();
+        let mut terms: Vec<String> = Vec::new();
+        let mut cloned = None;
+        for (i, &(op, n)) in ops.iter().enumerate() {
+            let term = &pool_term(n);
+            if i == clone_at {
+                cloned = Some((d.clone(), terms.clone()));
+            }
+            match op {
+                0 => {
+                    let id = d.intern(term);
+                    let want = *ids.entry(term.clone()).or_insert_with(|| {
+                        terms.push(term.clone());
+                        kb_store::TermId(terms.len() as u32 - 1)
+                    });
+                    prop_assert_eq!(id, want);
+                }
+                1 => prop_assert_eq!(d.get(term), ids.get(term).copied()),
+                _ => {
+                    let id = kb_store::TermId(n);
+                    prop_assert_eq!(d.resolve(id), terms.get(id.index()).map(String::as_str));
+                }
+            }
+            prop_assert_eq!(d.len(), terms.len());
+        }
+        prop_assert!(d.iter().map(|(_, t)| t).eq(terms.iter().map(String::as_str)));
+        if let Some((c, had)) = cloned {
+            prop_assert_eq!(c.len(), had.len());
+            for (i, t) in had.iter().enumerate() {
+                prop_assert_eq!(c.get(t), Some(kb_store::TermId(i as u32)));
+                prop_assert_eq!(c.resolve(kb_store::TermId(i as u32)), Some(t.as_str()));
+            }
+            for t in &terms[had.len()..] {
+                prop_assert_eq!(c.get(t), None);
             }
         }
     }
