@@ -16,10 +16,14 @@
 //!
 //! COUNT…GROUP BY is one more batch operator, the sink (`Aggregator`):
 //! it reads the root's batches column by column, keeps group keys as
-//! fixed-width `u32` rows in one flat vector and counters in another,
-//! and finds a group through an open-addressing index of group ids — or
-//! not at all when a row repeats the key of the row before it, as the
-//! rows of an index scan grouped by the scan's leading column do.
+//! fixed-width `u32` rows in one flat vector and counters in another.
+//! A row that repeats the key of the row before it takes that row's
+//! group. A new key above the last group's is appended with no hash and
+//! no probe: it cannot name an older group, so while keys ascend — as
+//! an index scan grouped by its leading column delivers them — there is
+//! no index at all. The first key below the last group's builds an
+//! open-addressing index of group ids once, from the flat keys, and
+//! every later key finds its group through it.
 //! Groups leave in ascending key order, an unbound component before
 //! every term: the second half of the order contract, with the same
 //! dependants. Group ids are sorted by key once at the end, unless
@@ -65,7 +69,6 @@
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
-use std::fmt::Write as _;
 use std::hash::{BuildHasherDefault, Hasher as _};
 
 use kb_store::FxHasher;
@@ -293,23 +296,43 @@ impl QueryOutput {
             out.push('=');
             match v.value() {
                 CellValue::Term(id) => out.push_str(kb.resolve(id).unwrap_or("?")),
-                CellValue::Count(n) => {
-                    let _ = write!(out, "{n}");
-                }
+                CellValue::Count(n) => push_count(out, n),
                 CellValue::Unbound => out.push('_'),
             }
         }
     }
 
-    /// Renders the whole result deterministically, one row per line.
+    /// Renders the whole result deterministically, one row per line,
+    /// into a string sized once from the row and column counts.
     pub fn render<K: KbRead + ?Sized>(&self, kb: &K) -> String {
-        let mut out = String::new();
+        // A row is `?name=value` a column, two spaces between, a
+        // newline after; the values are guessed at `VALUE_BYTES`.
+        const VALUE_BYTES: usize = 8;
+        let cells: usize = self.cols.iter().map(|c| c.len() + 2 + VALUE_BYTES).sum();
+        let row_bytes = cells + 2 * self.cols.len().saturating_sub(1) + 1;
+        let mut out = String::with_capacity(self.rows.len() * row_bytes);
         for row in self.rows.iter() {
             self.render_row_into(row, kb, &mut out);
             out.push('\n');
         }
         out
     }
+}
+
+/// Appends `n` in decimal, as `write!(out, "{n}")` would: the digits
+/// are written last first into a stack buffer, then copied out.
+fn push_count(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// Resolves a cell to display text.
@@ -458,6 +481,10 @@ pub struct ExecTrace {
     /// Groups those rows aggregated into (before DISTINCT/ORDER/LIMIT);
     /// 0 for a plan that does not aggregate.
     pub groups: u64,
+    /// Whether the aggregate built an index of its groups, which it
+    /// does at the first key below the group before it; false for keys
+    /// that only ascend and for a plan that does not aggregate.
+    pub group_index: bool,
     /// The probe tables scan steps built, in the order they did.
     pub probe_tables: Vec<ProbeBuild>,
 }
@@ -533,7 +560,10 @@ struct KeyTable {
     /// Open addressing over key numbers: a power of two of buckets, at
     /// most half of them taken, bucket from the high bits of
     /// [`hash_key`], linear probing. Term ids are minted by the store,
-    /// so nobody outside picks keys to collide.
+    /// so nobody outside picks keys to collide. Empty while the table
+    /// has no index: keys are then appended by [`push`](Self::push),
+    /// and the first [`find_or_insert`](Self::find_or_insert) files
+    /// them all.
     index: Vec<u32>,
     len: usize,
 }
@@ -548,6 +578,11 @@ fn hash_key(key: &[u32]) -> u64 {
 }
 
 impl KeyTable {
+    /// A table with no index yet.
+    fn new(width: usize) -> Self {
+        KeyTable { width, keys: Vec::new(), index: Vec::new(), len: 0 }
+    }
+
     /// A table that takes `keys` keys before its index first grows.
     fn with_capacity(width: usize, keys: usize) -> Self {
         let buckets = (keys * 2).next_power_of_two().max(FIRST_BUCKETS);
@@ -574,9 +609,16 @@ impl KeyTable {
         (hash >> (u64::BITS - self.index.len().trailing_zeros())) as usize
     }
 
-    /// Doubles the index and files every key again, from the flat keys.
+    /// Whether the table has an index.
+    fn indexed(&self) -> bool {
+        !self.index.is_empty()
+    }
+
+    /// Files every key again, from the flat keys, into twice the
+    /// buckets the keys and one more need: doubles a full index, and
+    /// builds an absent one sized for the keys it finds.
     fn grow(&mut self) {
-        let buckets = self.index.len() * 2;
+        let buckets = ((self.len + 1) * 2).next_power_of_two().max(FIRST_BUCKETS);
         self.index.clear();
         self.index.resize(buckets, NO_KEY);
         for k in 0..self.len {
@@ -616,11 +658,17 @@ impl KeyTable {
             self.grow();
         }
         let at = self.bucket_of(key);
-        if self.index[at] != NO_KEY {
-            return self.index[at] as usize;
+        if self.index[at] == NO_KEY {
+            self.index[at] = self.push(key) as u32;
         }
+        self.index[at] as usize
+    }
+
+    /// Appends `key` as a new key and returns its number, filing it in
+    /// no index: a caller that has an index files the key itself, one
+    /// that has none knows `key` is new.
+    fn push(&mut self, key: &[u32]) -> usize {
         assert!(self.len < NO_KEY as usize, "more keys than a u32 key number can name");
-        self.index[at] = self.len as u32;
         self.keys.extend_from_slice(key);
         self.len += 1;
         self.len - 1
@@ -633,8 +681,12 @@ impl KeyTable {
 ///
 /// Group ids are handed out in arrival order. A row whose key equals
 /// the previous row's takes that row's group without touching the
-/// index, so the sorted runs an index scan delivers cost one probe a
-/// run.
+/// index. While every new key arrives above the last group's, no key
+/// can name an older group, so the table has no index and a new key
+/// is only appended: an index scan grouped by its leading column files
+/// nothing. The first key that falls below the last group's builds the
+/// index, once, from the flat keys; from then on every key that is not
+/// the previous row's is looked up in it.
 struct Aggregator<'p> {
     /// Its `group_by` slots are the key; their number is the key width.
     plan: &'p Plan,
@@ -670,7 +722,7 @@ impl<'p> Aggregator<'p> {
         Aggregator {
             plan,
             count_args: count_args.collect(),
-            keys: KeyTable::with_capacity(plan.group_by.len(), 0),
+            keys: KeyTable::new(plan.group_by.len()),
             counts: Vec::new(),
             row_key: vec![UNBOUND; plan.group_by.len()],
             last: 0,
@@ -684,7 +736,14 @@ impl<'p> Aggregator<'p> {
         if groups > 0 && self.keys.key_is(self.last, &self.row_key) {
             return self.last;
         }
-        let group = self.keys.find_or_insert(&self.row_key);
+        let group = if !self.keys.indexed()
+            && (groups == 0
+                || key_order(self.keys.key(groups - 1), &self.row_key) == Ordering::Less)
+        {
+            self.keys.push(&self.row_key)
+        } else {
+            self.keys.find_or_insert(&self.row_key)
+        };
         if group == groups {
             if group > 0 && key_order(self.keys.key(group - 1), &self.row_key) != Ordering::Less {
                 self.ascending = false;
@@ -800,6 +859,7 @@ pub fn execute_traced<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> (QueryOutput, 
             groups.push_batch(b);
         });
         cx.trace.groups = groups.keys.len as u64;
+        cx.trace.group_index = groups.keys.indexed();
         groups.into_rows()
     } else {
         let mut rows = Rows::new(plan.cols.len());
@@ -2135,5 +2195,196 @@ mod tests {
             assert_eq!(trace.probe_tables.len(), building);
             assert_eq!(counting.asked.get(), 1 + lookups + 1 + building, "run {run}");
         }
+    }
+
+    /// The counts 0, 9, 10, 2^32, every power of ten a cell holds and
+    /// one below it, and the largest a cell holds render as `format!`
+    /// writes them; the digit loop itself reaches `u64::MAX`.
+    #[test]
+    fn a_count_renders_as_format_writes_it() {
+        let s = city_snap();
+        let tens = (1..19).flat_map(|e| [10u64.pow(e) - 1, 10u64.pow(e)]);
+        let counts: Vec<u64> =
+            [0, 9, 10, 1 << 32, Cell::MAX_COUNT].into_iter().chain(tens).collect();
+        let mut rows = Rows::new(2);
+        for &n in &counts {
+            rows.push([Cell::count(n), Cell::term(TermId(0))]);
+        }
+        let out = QueryOutput { cols: vec!["n".into(), "t".into()], rows };
+        let t = cell_str(&Cell::term(TermId(0)), &s);
+        let want: Vec<String> = counts.iter().map(|n| format!("?n={n}  ?t={t}")).collect();
+        let rendered: Vec<String> = out.rows.iter().map(|r| out.render_row(r, &s)).collect();
+        assert_eq!(rendered, want);
+        assert_eq!(out.render(&s), want.iter().map(|l| format!("{l}\n")).collect::<String>());
+        let mut max = String::new();
+        push_count(&mut max, u64::MAX);
+        assert_eq!(max, u64::MAX.to_string());
+    }
+
+    // -----------------------------------------------------------------
+    // Group keys that ascend, fall below the last group and ascend again
+    // -----------------------------------------------------------------
+
+    /// A stream of group keys, one a row: a GROUP BY list's values,
+    /// `None` for unbound.
+    type KeyStream = Vec<Vec<Option<u32>>>;
+
+    /// Groups as they leave: key and COUNT(*).
+    type Groups = Vec<(Vec<Option<TermId>>, u64)>;
+
+    /// What the aggregator makes of `stream` fed in batches of `batch`
+    /// rows: whether it built its group index, and its groups.
+    fn aggregate(stream: &KeyStream, batch: usize) -> (bool, Groups) {
+        let width = stream[0].len();
+        let mut b = KbBuilder::new();
+        b.assert_str("a", "rel", "b");
+        let s = b.freeze();
+        let text = match width {
+            1 => "SELECT ?x COUNT(*) AS ?n WHERE { ?x rel ?y } GROUP BY ?x",
+            _ => "SELECT ?x ?y COUNT(*) AS ?n WHERE { ?x rel ?y } GROUP BY ?x ?y",
+        };
+        let p = plan(&parse(text).unwrap(), &s, &StatsCatalog::build(&s)).unwrap();
+        let mut groups = Aggregator::new(&p);
+        for rows in stream.chunks(batch) {
+            let mut b = Batch { cols: vec![vec![UNBOUND; rows.len()]; p.nvars], len: rows.len() };
+            for (r, key) in rows.iter().enumerate() {
+                for (&slot, v) in p.group_by.iter().zip(key) {
+                    b.cols[slot][r] = v.unwrap_or(UNBOUND);
+                }
+            }
+            groups.push_batch(&b);
+        }
+        let indexed = groups.keys.indexed();
+        let rows = groups.into_rows();
+        let out = QueryOutput { cols: vec![String::new(); width + 1], rows };
+        let counts = out.rows.iter().map(|r| match r[width].value() {
+            CellValue::Count(n) => n,
+            other => panic!("{other:?} in the count column"),
+        });
+        (indexed, key_ids(&out, width).into_iter().zip(counts).collect())
+    }
+
+    /// The groups of `stream` as the reference has them: a key's rows
+    /// counted in a `BTreeMap`, whose order is the output order.
+    fn model(stream: &KeyStream) -> Groups {
+        let mut groups: BTreeMap<Vec<Option<TermId>>, u64> = BTreeMap::new();
+        for key in stream {
+            *groups.entry(key.iter().map(|v| v.map(TermId)).collect()).or_default() += 1;
+        }
+        groups.into_iter().collect()
+    }
+
+    /// One-component keys.
+    fn keys(ids: impl IntoIterator<Item = u32>) -> KeyStream {
+        ids.into_iter().map(|k| vec![Some(k)]).collect()
+    }
+
+    #[test]
+    fn a_falling_key_builds_the_index_and_joins_its_group_or_opens_one() {
+        // Even keys, two rows each: the first row past two batches and
+        // the 101st row of the third are the falls.
+        let rising = keys((0..BATCH_ROWS as u32 + 100).flat_map(|k| [2 * k, 2 * k]));
+        for rows in [2 * BATCH_ROWS, 2 * BATCH_ROWS + 200] {
+            let before = rising[..rows].to_vec();
+            assert_eq!(aggregate(&before, BATCH_ROWS), (false, model(&before)));
+            // 10 is a group already, 11 is not; the keys after the fall
+            // ascend through old and new groups and past every one.
+            for fall in [10, 11] {
+                let last = 2 * rows as u32;
+                let mut stream = before.clone();
+                stream.extend(keys((fall..fall + 40).chain(last..last + 50)));
+                let (indexed, groups) = aggregate(&stream, BATCH_ROWS);
+                assert!(indexed, "fall to {fall} after {rows} rows");
+                assert_eq!(groups, model(&stream), "fall to {fall} after {rows} rows");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pair_whose_second_component_falls_finds_its_group() {
+        for fall in [4, 5] {
+            let mut stream = KeyStream::new();
+            for x in 0..3 {
+                stream.extend((0..BATCH_ROWS as u32).step_by(2).map(|y| vec![Some(x), Some(y)]));
+                if x == 1 {
+                    stream.extend((fall..fall + 20).map(|y| vec![Some(1), Some(y)]));
+                }
+            }
+            let (indexed, groups) = aggregate(&stream, BATCH_ROWS);
+            assert!(indexed, "fall to (1, {fall})");
+            assert_eq!(groups, model(&stream), "fall to (1, {fall})");
+        }
+    }
+
+    #[test]
+    fn an_unbound_key_that_arrives_last_leaves_first() {
+        // Alone it opens the unbound group; after an unbound key that
+        // arrived first it joins that one.
+        let rising = keys(0..BATCH_ROWS as u32 + 10);
+        for (first, count) in [(KeyStream::new(), 1), (vec![vec![None]], 2)] {
+            let mut stream = first;
+            stream.extend(rising.iter().cloned());
+            stream.push(vec![None]);
+            let (indexed, groups) = aggregate(&stream, BATCH_ROWS);
+            assert!(indexed);
+            assert_eq!(groups, model(&stream));
+            assert_eq!(groups[0], (vec![None], count));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Streams of long ascending stretches of one- or two-part keys,
+        /// each stretch starting anywhere (below the last key onto an
+        /// old group or a new one, or above it), a few keys unbound,
+        /// cut into batches of any size, group as the model does. The
+        /// index is built exactly when a key falls below the row
+        /// before it.
+        #[test]
+        fn ascending_stretches_with_falls_group_as_the_model_does(
+            width in 1usize..3,
+            stretches in proptest::prop::collection::vec((0u32..4_000, 1u32..1_500, 1u32..4), 1..5),
+            repeats in 1usize..3,
+            holes in proptest::prop::collection::vec(0usize..1_000_000, 0..3),
+            batch in 1usize..2 * BATCH_ROWS,
+        ) {
+            let mut stream = KeyStream::new();
+            for (start, len, step) in stretches {
+                for v in (start..).step_by(step as usize).take(len as usize) {
+                    let key = match width {
+                        1 => vec![Some(v)],
+                        _ => vec![Some(v / 64), Some(v % 64)],
+                    };
+                    stream.extend(std::iter::repeat_n(key, repeats));
+                }
+            }
+            for h in holes {
+                let at = h % stream.len();
+                stream[at][at % width] = None;
+            }
+            let falls = stream.windows(2).any(|w| w[1] < w[0]);
+            proptest::prop_assert_eq!(aggregate(&stream, batch), (falls, model(&stream)));
+        }
+    }
+
+    #[test]
+    fn grouping_by_the_scan_order_builds_no_group_index() {
+        // The POS scan streams by (object, subject): objects ascend,
+        // subjects, interned last first, do not.
+        let mut b = KbBuilder::new();
+        for i in (0..2 * BATCH_ROWS).rev() {
+            b.assert_str(&format!("s{i}"), "p", &format!("o{}", i % 50));
+        }
+        let s = b.freeze();
+        let traced = |text: &str| {
+            let p = plan(&parse(text).unwrap(), &s, &StatsCatalog::build(&s)).unwrap();
+            execute_traced(&p, &s).1
+        };
+        let by_object = traced("SELECT ?o COUNT(?s) AS ?n WHERE { ?s p ?o } GROUP BY ?o");
+        assert_eq!((by_object.groups, by_object.group_index), (50, false));
+        let by_subject = traced("SELECT ?s COUNT(?o) AS ?n WHERE { ?s p ?o } GROUP BY ?s");
+        assert_eq!((by_subject.groups, by_subject.group_index), (2 * BATCH_ROWS as u64, true));
+        assert!(!traced("?s p ?o").group_index, "a plan that does not aggregate");
     }
 }

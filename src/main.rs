@@ -368,6 +368,11 @@ fn print_explain<K: KbRead + ?Sized>(plan: &Plan, trace: &ExecTrace, stats: &Ind
     }
     if plan.is_aggregate() {
         eprintln!("aggregate: {} rows → {} groups", trace.rows, trace.groups);
+        if trace.group_index {
+            eprintln!("group index: built at the first key below the group before it");
+        } else {
+            eprintln!("group index: none, every new key arrived above the group before it");
+        }
     }
     eprintln!(
         "execution: {} rows emitted in {} batches; index: {} entries in {} frames, {} B compressed / {} B raw ({:.0}% saved)",

@@ -73,6 +73,8 @@ fn harvest_stats_query_rules_ned_round_trip() {
             .and_then(|(rows, groups)| Some((rows.parse().ok()?, groups.parse().ok()?)))
             .unwrap_or_else(|| panic!("no aggregate line in {stderr}"));
         assert!(rows >= groups && groups > 0, "{stderr}");
+        // Whether the aggregate built its group index, on a line of its own.
+        assert_eq!(stderr.lines().filter(|l| l.starts_with("group index: ")).count(), 1);
         assert!(stderr.contains(&format!("execution: {rows} rows emitted")), "{stderr}");
         assert_eq!(solutions, limit.map_or(groups, |n| groups.min(n)), "{stderr}\n{stdout}");
     }
