@@ -302,15 +302,9 @@ impl QueryOutput {
         }
     }
 
-    /// Renders the whole result deterministically, one row per line,
-    /// into a string sized once from the row and column counts.
+    /// Renders the whole result deterministically, one row per line.
     pub fn render<K: KbRead + ?Sized>(&self, kb: &K) -> String {
-        // A row is `?name=value` a column, two spaces between, a
-        // newline after; the values are guessed at `VALUE_BYTES`.
-        const VALUE_BYTES: usize = 8;
-        let cells: usize = self.cols.iter().map(|c| c.len() + 2 + VALUE_BYTES).sum();
-        let row_bytes = cells + 2 * self.cols.len().saturating_sub(1) + 1;
-        let mut out = String::with_capacity(self.rows.len() * row_bytes);
+        let mut out = String::new();
         for row in self.rows.iter() {
             self.render_row_into(row, kb, &mut out);
             out.push('\n');
@@ -736,16 +730,17 @@ impl<'p> Aggregator<'p> {
         if groups > 0 && self.keys.key_is(self.last, &self.row_key) {
             return self.last;
         }
-        let group = if !self.keys.indexed()
+        // Once a new group has fallen, no key is compared again.
+        let above = self.ascending
             && (groups == 0
-                || key_order(self.keys.key(groups - 1), &self.row_key) == Ordering::Less)
-        {
+                || key_order(self.keys.key(groups - 1), &self.row_key) == Ordering::Less);
+        let group = if above && !self.keys.indexed() {
             self.keys.push(&self.row_key)
         } else {
             self.keys.find_or_insert(&self.row_key)
         };
         if group == groups {
-            if group > 0 && key_order(self.keys.key(group - 1), &self.row_key) != Ordering::Less {
+            if !above {
                 self.ascending = false;
             }
             self.counts.resize(self.counts.len() + self.count_args.len(), 0);
