@@ -471,6 +471,9 @@ pub struct ExecTrace {
     /// Columnar batches flushed through BGP pipeline steps.
     pub batches: u64,
     /// Rows emitted by the root operator (before DISTINCT/ORDER/LIMIT).
+    /// A LIMIT with no aggregate, DISTINCT or ORDER BY stops the plan
+    /// once `offset + limit` rows are in, so it counts at most one batch
+    /// past them, and so do the operators' `op_rows`.
     pub rows: u64,
     /// Groups those rows aggregated into (before DISTINCT/ORDER/LIMIT);
     /// 0 for a plan that does not aggregate.
@@ -493,6 +496,9 @@ struct ExecCtx {
     /// length of a call and puts it back: the tree has no cycle, so no
     /// slot is entered again while its operator runs.
     ops: Vec<OpState>,
+    /// Set by a sink that has every row it will keep: the operators
+    /// stop at their next batch or row.
+    stop: bool,
 }
 
 impl ExecCtx {
@@ -500,6 +506,7 @@ impl ExecCtx {
         ExecCtx {
             trace: ExecTrace { op_rows: vec![0; slots], ..ExecTrace::default() },
             ops: std::iter::repeat_with(OpState::default).take(slots).collect(),
+            stop: false,
         }
     }
 }
@@ -857,13 +864,23 @@ pub fn execute_traced<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> (QueryOutput, 
         cx.trace.group_index = groups.keys.indexed();
         groups.into_rows()
     } else {
+        // Rows leave in executor order, so with no DISTINCT or ORDER BY
+        // the answer is the first `offset + limit` of them: stop there.
+        let keep = match plan.limit {
+            Some(limit) if !plan.distinct && plan.order_by.is_empty() => {
+                plan.offset.saturating_add(limit)
+            }
+            _ => usize::MAX,
+        };
         let mut rows = Rows::new(plan.cols.len());
+        cx.stop = keep == 0;
         run_batch(&plan.root, 0, kb, &mut input, &mut cx, &mut |cx, b| {
             cx.trace.rows += b.len() as u64;
             rows.cells.reserve(b.len() * rows.width);
             for row in 0..b.len() {
                 rows.push(project_row(plan, |s| b.get(row, s)));
             }
+            cx.stop = rows.len() >= keep;
         });
         rows
     };
@@ -885,7 +902,7 @@ fn run_batch<K: KbRead + ?Sized>(
     cx: &mut ExecCtx,
     sink: Sink<'_>,
 ) {
-    if input.len() == 0 {
+    if input.len() == 0 || cx.stop {
         return;
     }
     match op {
@@ -905,6 +922,9 @@ fn run_batch<K: KbRead + ?Sized>(
             run_batch(l, lbase, kb, input, cx, &mut |cx, lb| {
                 let mut one = std::mem::take(&mut cx.ops[base].batch);
                 for row in 0..lb.len() {
+                    if cx.stop {
+                        break;
+                    }
                     let mut any = false;
                     one.set_row_from(lb, row);
                     run_batch(r, rbase, kb, &mut one, cx, &mut |cx, b| {
@@ -932,6 +952,9 @@ fn run_batch<K: KbRead + ?Sized>(
             // before anything of the next — the same depth-first order.
             let mut one = std::mem::take(&mut cx.ops[base].batch);
             for row in 0..input.len() {
+                if cx.stop {
+                    break;
+                }
                 one.set_row_from(input, row);
                 run_batch(l, lbase, kb, &mut one, cx, &mut count);
                 one.set_row_from(input, row);
@@ -1245,6 +1268,9 @@ fn run_steps_batch<K: KbRead + ?Sized>(
     let mut targets: Vec<(usize, u8)> = Vec::new();
     let mut dups: Vec<(u8, u8)> = Vec::new();
     for row in 0..input.len() {
+        if cx.stop {
+            break;
+        }
         let pat = lookup(step, input, row, &mut targets, &mut dups);
         let values =
             if probed { probe.values(kb, &pat, base + i, tb, &mut cx.trace) } else { None };
@@ -1258,6 +1284,9 @@ fn run_steps_batch<K: KbRead + ?Sized>(
                 });
                 if out.len() >= BATCH_ROWS {
                     flush_steps(steps, i, base, kb, out, cx, sink);
+                    if cx.stop {
+                        break;
+                    }
                 }
             }
             continue;
@@ -1269,6 +1298,9 @@ fn run_steps_batch<K: KbRead + ?Sized>(
                     append_triple(out, input, row, &targets, &dups, f.triple);
                     if out.len() >= BATCH_ROWS {
                         flush_steps(steps, i, base, kb, out, cx, sink);
+                        if cx.stop {
+                            break;
+                        }
                     }
                 }
             }
@@ -1278,6 +1310,9 @@ fn run_steps_batch<K: KbRead + ?Sized>(
                     append_matches(out, input, row, &targets, &dups, tb);
                     if out.len() >= BATCH_ROWS {
                         flush_steps(steps, i, base, kb, out, cx, sink);
+                        if cx.stop {
+                            break;
+                        }
                     }
                 }
             }
@@ -1439,10 +1474,14 @@ mod tests {
     }
 
     fn solve(snap: &KbSnapshot, text: &str) -> QueryOutput {
+        solve_traced(snap, text).0
+    }
+
+    fn solve_traced(snap: &KbSnapshot, text: &str) -> (QueryOutput, ExecTrace) {
         let q = parse(text).unwrap();
         let stats = StatsCatalog::build(snap);
         let p = plan(&q, snap, &stats).unwrap();
-        execute(&p, snap)
+        execute_traced(&p, snap)
     }
 
     #[test]
@@ -1566,6 +1605,65 @@ mod tests {
         );
         assert_eq!(window.rows.cells.capacity(), 2 * 10);
         assert_eq!(window.rows.heap_bytes(), 2 * 10 * 8);
+    }
+
+    /// A LIMIT with no DISTINCT or ORDER BY stops the scan once its
+    /// window is in: the root sees at most one batch past `offset +
+    /// limit` rows, and the answer is the window of the full answer.
+    #[test]
+    fn a_limit_stops_the_scan_at_its_window() {
+        let mut b = KbBuilder::new();
+        for i in 0..5_000 {
+            b.assert_str(&format!("e{i}"), "p", &format!("o{i}"));
+        }
+        let s = b.freeze();
+        let (window, trace) = solve_traced(&s, "SELECT ?s ?o WHERE { ?s p ?o } LIMIT 10 OFFSET 5");
+        assert_eq!(window.rows.len(), 10);
+        assert!(trace.rows <= (5 + 10 + BATCH_ROWS) as u64, "{} rows reached the root", trace.rows);
+        let (none, trace) = solve_traced(&s, "SELECT ?s WHERE { ?s p ?o } LIMIT 0");
+        assert_eq!((none.rows.len(), trace.rows), (0, 0));
+        // DISTINCT and ORDER BY need every row.
+        let (_, trace) = solve_traced(&s, "SELECT ?s WHERE { ?s p ?o } ORDER BY ?s LIMIT 3");
+        assert_eq!(trace.rows, 5_000);
+    }
+
+    /// Stopping keeps the answer a prefix through every operator that
+    /// loops — a join, a LEFT JOIN's rows, a UNION's rows, a FILTER —
+    /// whether the window ends inside a batch, on its edge or past the
+    /// last row. A step flushes its batch once it holds `BATCH_ROWS`
+    /// rows, after a store batch of up to as many, so the root sees
+    /// under two batches' rows past the window.
+    #[test]
+    fn a_stopped_plan_answers_the_window_of_the_full_answer() {
+        let mut b = KbBuilder::new();
+        for i in 0..3_000 {
+            b.assert_str(&format!("e{i}"), "p", &format!("o{}", i % 7));
+            if i % 3 == 0 {
+                b.assert_str(&format!("e{i}"), "q", &format!("x{i}"));
+            }
+        }
+        for k in 0..7 {
+            b.assert_str(&format!("o{k}"), "r", &format!("c{}", k % 2));
+        }
+        let s = b.freeze();
+        let bodies = [
+            "{ ?s p ?o . ?o r ?c }",
+            "{ ?s p ?o OPTIONAL { ?s q ?x } }",
+            "{ { ?s p o3 } UNION { ?s q ?x } }",
+            "{ ?s p ?o . FILTER(?o != o2) }",
+        ];
+        for body in bodies {
+            let all = solve(&s, &format!("SELECT * WHERE {body}"));
+            assert!(all.rows.len() > 1_000, "{body}");
+            for (offset, limit) in [(0, 1), (5, 10), (1_000, 24), (0, BATCH_ROWS), (0, 4_000)] {
+                let text = format!("SELECT * WHERE {body} LIMIT {limit} OFFSET {offset}");
+                let (window, trace) = solve_traced(&s, &text);
+                let want: Vec<_> = all.rows.iter().skip(offset).take(limit).collect();
+                assert_eq!(window.rows.iter().collect::<Vec<_>>(), want, "{text}");
+                let keep = (offset + limit + 2 * BATCH_ROWS).min(all.rows.len());
+                assert!(trace.rows <= keep as u64, "{text}: {} rows", trace.rows);
+            }
+        }
     }
 
     /// Rows of `out` as display text, cell by cell.

@@ -542,15 +542,19 @@ impl FrameRegion {
 // ---------------------------------------------------------------------
 
 /// Frames per page. Measured on kbbench's `restart_paged` (400 k facts,
-/// budget = half a 7.2 MB frames region, seed 11, three runs each;
-/// scan-phase M rows/s · faults a cycle): 2 frames 130–150 · 1 763,
-/// **4 frames 153–159 · 920**, 8 frames 134–144 · 499, 16 frames
-/// 79–104 · 356, 32 frames 73–78 · 281. Smaller pages pay a read, an
-/// allocation and a clock step more often for the same bytes; larger
-/// ones drag cold frames in beside a three-row probe, and the rows the
-/// scans keep coming back to stop fitting under the budget. Four frames
-/// are 4 096 rows — 2 to 10 KB of payload at the widths the permutation
-/// columns pack to.
+/// budget = half a 7.2 MB frames region, seed 11, 2 cores; scan-phase
+/// M rows/s over four runs · faults a cycle · spills a cycle): 2 frames
+/// 181–217 · 1 146 · 0, **4 frames 188–210 · 610 · 0.3**, 8 frames
+/// 189–197 · 343 · 43. In ten alternating pairs 2 frames read the same
+/// throughput as 4 (medians 201 and 203 M rows/s, ahead in 6 of 10) and
+/// a slower first answer (`op_p50_us` +5 %, ahead in 4 of 10). When
+/// scans still paged in fact ids they never read, 16 and 32 frames read
+/// 79–104 and 73–78 M rows/s. Smaller pages pay a read, an allocation
+/// and a clock step more often for the same bytes; larger ones drag
+/// cold frames in beside a three-row probe, and the rows the scans keep
+/// coming back to stop fitting under the budget. Four frames are 4 096
+/// rows — 2 to 10 KB of payload at the widths the permutation columns
+/// pack to.
 const PAGE_FRAMES: usize = 4;
 /// Rows per page (the last page of a column may be short).
 const PAGE_ROWS: usize = PAGE_FRAMES * FRAME_ROWS;

@@ -12,8 +12,14 @@
 //! searches whose probes go through the *bitpacked* fact-id column
 //! (constant-time random access) into the fact table, so point lookups
 //! never pay a sequential frame decode. Scans then stream the bucket
-//! through a `SegCursor`, which decodes one frame-sized window at a
-//! time (or takes a constant-time fid path for small ranges).
+//! through a `SegCursor`, which reads one frame-sized window at a time
+//! (or takes a constant-time fid path for small ranges) and decodes
+//! only the columns its rows are asked for: a key component the range
+//! fixes — the bucket's leading term, and a narrowed second (and
+//! third) term — is filled, not decoded, and the fact-id window is
+//! decoded only when a row's fact is popped. The columnar batch path
+//! never pops, so on a paged segment it faults no fact-id page and no
+//! page of a fixed key column.
 //!
 //! One body builds every index — freeze, `snapshot`, compaction, the
 //! delta freeze and the partition split: it fills one `(key, fact id)`
@@ -65,9 +71,12 @@ pub(crate) type Key = (TermId, TermId, TermId);
 /// fast path can splice whole decoded windows.
 pub const BATCH_ROWS: usize = 1024;
 
-/// Ranges at or below this size fill their cursor window through the
-/// `O(1)` bitpacked fact-id column instead of decoding key frames —
-/// point lookups and narrow joins never pay a varint prefix decode.
+/// Ranges at or below this size fill their cursor window — all three
+/// keys and the fact ids — through the `O(1)` bitpacked fact-id column
+/// and the fact table instead of decoding key frames: point lookups and
+/// narrow joins never pay a varint prefix decode. Larger ranges decode
+/// only the key columns the range does not fix, and fact ids on demand
+/// (see `SegCursor`).
 const SMALL_SCAN: usize = 64;
 
 /// Permutes a triple into one index's key order.
@@ -474,15 +483,17 @@ fn narrow(
     }
 }
 
-/// Opens a cursor over the rows of the leading term's bucket `range`
+/// Opens a cursor over the rows of leading term `a`'s bucket `range`
 /// that answer `pattern` ([`narrow`]ed by `bc`; a key is probed through
 /// the `O(1)` fact-id column and the fact table, never the possibly
 /// varint key columns), plus the post-filter kept for the `s?o` shape
 /// (its range is already exact; the filter only preserves the
-/// conservative size hint).
+/// conservative size hint). Every row of the range holds `a`, `b`, and
+/// `c` when `b` is bound, so the cursor fills those instead of
+/// decoding them.
 fn locate<'a>(
     mut perm: PermRef<'a>,
-    range: (usize, usize),
+    (a, range): (Option<TermId>, (usize, usize)),
     bc: (Option<TermId>, Option<TermId>),
     pattern: &TriplePattern,
     facts: &'a [Fact],
@@ -490,11 +501,12 @@ fn locate<'a>(
 ) -> (SegCursor<'a>, Option<TriplePattern>) {
     let filter = (pattern.bound_count() == 2 && pattern.p.is_none()).then_some(*pattern);
     let key_of = |id: u32| permute(choice, &facts[id as usize].triple);
-    let (lo, hi) = match &mut perm {
+    let rows = match &mut perm {
         PermRef::Borrowed(p) => narrow(range, bc, |i| key_of(p.fid.get(i))),
         PermRef::Paged(cols) => narrow(range, bc, |i| key_of(cols[3].get(i))),
     };
-    (SegCursor::new(perm, facts, choice, lo, hi), filter)
+    let fixed = [a, bc.0, bc.0.and(bc.1)];
+    (SegCursor::new(perm, facts, choice, rows, fixed), filter)
 }
 
 /// The three permutation columns of a lazily opened segment: fifteen
@@ -620,7 +632,9 @@ impl FrozenIndexes {
     /// over it (see [`bucket`] and [`locate`]). On lazy indexes nothing
     /// is pinned that is not read: the bucket lookup touches one page
     /// of the starts column, narrowing the fid pages it probes, and the
-    /// cursor pins key pages as it scans.
+    /// cursor pins the pages of the columns it decodes as it scans —
+    /// never a key column the range fixes, and fact-id pages only for a
+    /// scan that asks for facts.
     pub(crate) fn cursor<'a>(
         &'a self,
         pattern: &TriplePattern,
@@ -656,15 +670,20 @@ impl FrozenIndexes {
                 (perm, range)
             }
         };
-        locate(perm, range, bc, pattern, facts, choice)
+        locate(perm, (a, range), bc, pattern, facts, choice)
     }
 }
 
 /// One segment's contribution to a merged scan: a row range of one
-/// permutation plus the segment's fact table. Decodes one frame-sized
-/// window at a time; ranges at or below [`SMALL_SCAN`] rows fill
-/// through the `O(1)` fid column instead, so point lookups never pay a
-/// frame decode.
+/// permutation plus the segment's fact table. A range above
+/// [`SMALL_SCAN`] rows is read one frame-sized window at a time, and a
+/// window decodes only the columns its rows are asked for: a key
+/// component the whole range holds (the bucket's leading term, and the
+/// terms [`narrow`] bound) is filled with that term, the other key
+/// columns are decoded, and the fact-id column is decoded on the
+/// window's first [`pop`](Self::pop) — a batch or key scan never reads
+/// it. A smaller range fills its keys and fact ids through the `O(1)`
+/// fact-id column instead, so point lookups never pay a frame decode.
 #[derive(Debug, Clone)]
 pub(crate) struct SegCursor<'a> {
     perm: PermRef<'a>,
@@ -674,11 +693,13 @@ pub(crate) struct SegCursor<'a> {
     pos: usize,
     /// Exclusive end of the selected range (absolute).
     end: usize,
-    /// Absolute row of the decoded window's first element.
+    /// The key components every row of the range holds, in key order.
+    fixed: [Option<TermId>; 3],
+    /// Absolute row of the window's first element.
     win_start: usize,
-    k0: Vec<u32>,
-    k1: Vec<u32>,
-    k2: Vec<u32>,
+    /// The window's key columns in key order, each the window's length.
+    keys: [Vec<u32>; 3],
+    /// The window's fact ids; empty until the window's first `pop`.
     fid: Vec<u32>,
 }
 
@@ -687,8 +708,8 @@ impl<'a> SegCursor<'a> {
         perm: PermRef<'a>,
         facts: &'a [Fact],
         choice: IndexChoice,
-        pos: usize,
-        end: usize,
+        (pos, end): (usize, usize),
+        fixed: [Option<TermId>; 3],
     ) -> Self {
         Self {
             perm,
@@ -696,10 +717,9 @@ impl<'a> SegCursor<'a> {
             choice,
             pos,
             end,
+            fixed,
             win_start: pos,
-            k0: Vec::new(),
-            k1: Vec::new(),
-            k2: Vec::new(),
+            keys: Default::default(),
             fid: Vec::new(),
         }
     }
@@ -709,19 +729,18 @@ impl<'a> SegCursor<'a> {
     }
 
     fn fill(&mut self) {
-        self.k0.clear();
-        self.k1.clear();
-        self.k2.clear();
+        self.keys.iter_mut().for_each(Vec::clear);
         self.fid.clear();
         self.win_start = self.pos;
         if self.pos >= self.end {
             return;
         }
-        let Self { perm, facts, choice, pos, end, k0, k1, k2, fid, .. } = self;
+        let Self { perm, facts, choice, pos, end, fixed, keys, fid, .. } = self;
         let rows = *pos..*end;
         if rows.len() <= SMALL_SCAN {
             // Small range: O(1) fid probes + fact-table derefs beat
             // decoding (possibly varint) key frames.
+            let [k0, k1, k2] = keys;
             let mut push = |id: u32| {
                 let (a, b, c) = permute(*choice, &facts[id as usize].triple);
                 k0.push(a.0);
@@ -740,22 +759,36 @@ impl<'a> SegCursor<'a> {
         let (from, stop) = (rows.start, rows.end.min((rows.start / FRAME_ROWS + 1) * FRAME_ROWS));
         match perm {
             PermRef::Borrowed(p) => {
-                p.k0.decode_range(from, stop, k0);
-                p.k1.decode_range(from, stop, k1);
-                p.k2.decode_range(from, stop, k2);
-                p.fid.decode_range(from, stop, fid);
+                for ((out, col), term) in keys.iter_mut().zip([&p.k0, &p.k1, &p.k2]).zip(*fixed) {
+                    match term {
+                        Some(t) => out.resize(stop - from, t.0),
+                        None => col.decode_range(from, stop, out),
+                    }
+                }
             }
             PermRef::Paged(cols) => {
-                for (col, out) in cols.iter_mut().zip([k0, k1, k2, fid]) {
-                    col.decode_range(from, stop, out);
+                for ((out, col), term) in keys.iter_mut().zip(cols.iter_mut()).zip(*fixed) {
+                    match term {
+                        Some(t) => out.resize(stop - from, t.0),
+                        None => col.decode_range(from, stop, out),
+                    }
                 }
             }
         }
     }
 
+    /// Decodes the fact ids of a frame-decoded window.
+    fn fill_fids(&mut self) {
+        let (from, stop) = (self.win_start, self.win_start + self.keys[0].len());
+        match &mut self.perm {
+            PermRef::Borrowed(p) => p.fid.decode_range(from, stop, &mut self.fid),
+            PermRef::Paged(cols) => cols[3].decode_range(from, stop, &mut self.fid),
+        }
+    }
+
     #[inline]
     fn ensure(&mut self) {
-        if self.pos >= self.win_start + self.fid.len() {
+        if self.pos >= self.win_start + self.keys[0].len() {
             self.fill();
         }
     }
@@ -771,11 +804,15 @@ impl<'a> SegCursor<'a> {
         }
         self.ensure();
         let i = self.idx();
-        Some((TermId(self.k0[i]), TermId(self.k1[i]), TermId(self.k2[i])))
+        let [k0, k1, k2] = &self.keys;
+        Some((TermId(k0[i]), TermId(k1[i]), TermId(k2[i])))
     }
 
     pub(crate) fn pop(&mut self) -> Option<(Key, &'a Fact)> {
         let key = self.peek_key()?;
+        if self.fid.is_empty() {
+            self.fill_fids();
+        }
         let facts: &'a [Fact] = self.facts;
         let fact = &facts[self.fid[self.idx()] as usize];
         self.pos += 1;
@@ -788,16 +825,17 @@ impl<'a> SegCursor<'a> {
         Some(key)
     }
 
-    /// The decoded key/fid windows at the cursor head (all four the
+    /// The key windows at the cursor head, in key order (all three the
     /// same length; empty iff exhausted). Consume with
     /// [`skip`](Self::skip).
-    pub(crate) fn windows(&mut self) -> (&[u32], &[u32], &[u32], &[u32]) {
+    pub(crate) fn windows(&mut self) -> [&[u32]; 3] {
         if self.pos >= self.end {
-            return (&[], &[], &[], &[]);
+            return [&[]; 3];
         }
         self.ensure();
         let i = self.idx();
-        (&self.k0[i..], &self.k1[i..], &self.k2[i..], &self.fid[i..])
+        let [k0, k1, k2] = &self.keys;
+        [&k0[i..], &k1[i..], &k2[i..]]
     }
 
     pub(crate) fn skip(&mut self, n: usize) {
@@ -1052,7 +1090,7 @@ impl<'a> MatchBatches<'a> {
             let choice = it.head.choice;
             while out.len() < BATCH_ROWS {
                 let take = {
-                    let (k0, k1, k2, _) = it.head.windows();
+                    let [k0, k1, k2] = it.head.windows();
                     if k0.is_empty() {
                         break;
                     }

@@ -10,8 +10,9 @@ use std::sync::Arc;
 
 use kbkit::kb_query::QueryService;
 use kbkit::kb_store::{
-    ntriples, segment_io, Fact, KbBuilder, KbRead, KbReadBatch, KbSnapshot, SegmentRegion,
-    SegmentStore, StoreOptions, TermId, TimeSpan, Triple, TripleBatch, TriplePattern,
+    ntriples, segment_io, DeltaSegment, Fact, KbBuilder, KbRead, KbReadBatch, KbSnapshot,
+    SegmentRegion, SegmentStore, SegmentedSnapshot, StoreOptions, TermId, TimeSpan, Triple,
+    TripleBatch, TriplePattern,
 };
 
 const NO_FSYNC: StoreOptions = StoreOptions { fsync: false, seal_every: 0, memory_budget: None };
@@ -66,7 +67,7 @@ const QUERIES: &[&str] = &[
     "SELECT ?c COUNT(?p) AS ?n WHERE { ?p bornIn ?c } GROUP BY ?c",
 ];
 
-fn answers(service: &QueryService, view: &kbkit::kb_store::SegmentedSnapshot) -> Vec<String> {
+fn answers(service: &QueryService, view: &SegmentedSnapshot) -> Vec<String> {
     QUERIES.iter().map(|q| service.query(q).unwrap().render(view)).collect()
 }
 
@@ -239,9 +240,12 @@ fn seam_base() -> (Arc<KbSnapshot>, [Vec<TermId>; 3]) {
     (snap.into(), leads)
 }
 
+/// The tuple scan, the batch scan and the count of one pattern.
+type ScanRows = (Vec<Triple>, Vec<Triple>, usize);
+
 /// Everything a pattern answers: the tuple scan, the batch scan and
 /// the count.
-fn scan<K: KbRead>(view: &K, pattern: &TriplePattern) -> (Vec<Triple>, Vec<Triple>, usize) {
+fn scan<K: KbRead>(view: &K, pattern: &TriplePattern) -> ScanRows {
     let mut rows = Vec::new();
     let mut batch = TripleBatch::new();
     let mut batches = view.matching_batches(pattern);
@@ -251,34 +255,22 @@ fn scan<K: KbRead>(view: &K, pattern: &TriplePattern) -> (Vec<Triple>, Vec<Tripl
     (view.matching_triples(pattern), rows, view.count_matching(pattern))
 }
 
-/// Differential at every seam: a store whose columns hold a hundred
-/// frames, opened under a budget nothing fits in, a budget of about one
-/// page, half the frames region and no budget, answers patterns whose
-/// ranges start and end exactly on, one row before and one row after
-/// every frame boundary — in all three permutations, narrowed by a
-/// second bound term, post-filtered (`s?o`), over the last partial
-/// frame, and past the end of the bucket array — and dumps N-Triples,
-/// all byte-identically to the eager open of the same file. Resident
-/// bytes end every call under the limit (under what one paged unit may
-/// take, for the two limits a unit does not fit in).
-#[test]
-fn every_seam_answers_like_the_eager_open_under_every_budget() {
-    let dir = scratch("seams");
-    let (base, leads) = seam_base();
-    drop(SegmentStore::create(&dir, base, NO_FSYNC).unwrap());
-    let region = frames_bytes(&dir);
-    let oracle = KbSnapshot::open_segment(dir.join("base-0.seg")).unwrap();
-    assert!(oracle.index_stats().frames >= 12 * (SEAM_FRAMES + 35));
+/// [`scan`] plus the facts of the `matching_iter` scan, confidence,
+/// source and span included: the one scan that reads fact ids.
+fn scan_facts<K: KbRead>(view: &K, pattern: &TriplePattern) -> (ScanRows, Vec<Fact>) {
+    (scan(view, pattern), view.matching_iter(pattern).cloned().collect())
+}
 
-    // The seam buckets are where the construction says: degrees 1, 1022,
-    // 1 down every role, on the lowest ids of the role.
+/// Patterns at every seam of [`seam_base`]: ranges that start and end
+/// exactly on, one row before and one row after every frame boundary —
+/// in all three permutations, narrowed by a second bound term,
+/// post-filtered (`s?o`), over the last partial frame, and past the end
+/// of the bucket array.
+fn seam_patterns<K: KbRead>(oracle: &K, leads: &[Vec<TermId>; 3]) -> Vec<TriplePattern> {
     let by_role = [TriplePattern::with_s, TriplePattern::with_p, TriplePattern::with_o];
     let mut patterns = vec![TriplePattern::any()];
     for (terms, with) in leads.iter().zip(by_role) {
-        for (i, &t) in terms.iter().enumerate() {
-            assert_eq!(oracle.count_matching(&with(t)), [1, 1022, 1][i % 3]);
-            patterns.push(with(t));
-        }
+        patterns.extend(terms.iter().map(|&t| with(t)));
     }
     // Two bound terms: a binary search inside a seam bucket, and the
     // post-filtered `s?o` shape.
@@ -311,20 +303,29 @@ fn every_seam_answers_like_the_eager_open_under_every_budget() {
         TriplePattern::with_s(TermId(last.0 + 7)),
         TriplePattern::with_o(TermId(u32::MAX - 1)),
     ]);
-    let want: Vec<_> = patterns.iter().map(|p| scan(&oracle, p)).collect();
-    assert_eq!(want[0].0.len(), SEAM_FRAMES * FRAME + BULK);
-    let want_dump = ntriples::to_string(&oracle).unwrap();
+    patterns
+}
 
+/// Opens the store at `dir` under a budget nothing fits in, a budget of
+/// about one page, half the frames region and no budget, and checks
+/// that every pattern's batch, tuple and `matching_iter` scans, its
+/// count and the N-Triples dump equal `oracle`'s. Resident bytes end
+/// every call under the limit (under what one paged unit may take, for
+/// the two limits a unit does not fit in).
+fn answers_like_under_every_budget<K: KbRead>(dir: &Path, oracle: &K, patterns: &[TriplePattern]) {
+    let region = frames_bytes(dir);
+    let want: Vec<_> = patterns.iter().map(|p| scan_facts(oracle, p)).collect();
+    let want_dump = ntriples::to_string(oracle).unwrap();
     for budget in [Some(1), Some(32 << 10), Some(region / 2), None] {
         let store =
-            SegmentStore::open_with(&dir, StoreOptions { memory_budget: budget, ..NO_FSYNC })
+            SegmentStore::open_with(dir, StoreOptions { memory_budget: budget, ..NO_FSYNC })
                 .unwrap();
         let view = store.view();
         let meter = store.memory_budget();
         // One paged unit may stay resident however small the limit.
         let ceiling = budget.map_or(usize::MAX, |limit| limit.max(region / 4));
         for (pattern, want_one) in patterns.iter().zip(&want) {
-            assert_eq!(&scan(&view, pattern), want_one, "{pattern:?} under {budget:?}");
+            assert_eq!(&scan_facts(&view, pattern), want_one, "{pattern:?} under {budget:?}");
             assert!(
                 meter.resident_bytes() <= ceiling,
                 "resident {} B after {pattern:?} under {budget:?}",
@@ -335,6 +336,98 @@ fn every_seam_answers_like_the_eager_open_under_every_budget() {
         assert!(meter.resident_bytes() <= ceiling, "resident after the dump under {budget:?}");
         assert_eq!(meter.spills() > 0, budget.is_some(), "spills under {budget:?}");
     }
+}
+
+/// Differential at every seam: a store whose columns hold a hundred
+/// frames answers every [`seam_patterns`] pattern under every budget
+/// byte-identically to the eager open of the same file.
+#[test]
+fn every_seam_answers_like_the_eager_open_under_every_budget() {
+    let dir = scratch("seams");
+    let (base, leads) = seam_base();
+    drop(SegmentStore::create(&dir, base, NO_FSYNC).unwrap());
+    let oracle = KbSnapshot::open_segment(dir.join("base-0.seg")).unwrap();
+    assert!(oracle.index_stats().frames >= 12 * (SEAM_FRAMES + 35));
+
+    // The seam buckets are where the construction says: degrees 1, 1022,
+    // 1 down every role, on the lowest ids of the role.
+    let by_role = [TriplePattern::with_s, TriplePattern::with_p, TriplePattern::with_o];
+    for (terms, with) in leads.iter().zip(by_role) {
+        for (i, &t) in terms.iter().enumerate() {
+            assert_eq!(oracle.count_matching(&with(t)), [1, 1022, 1][i % 3]);
+        }
+    }
+    let patterns = seam_patterns(&oracle, &leads);
+    assert_eq!(oracle.matching_triples(&patterns[0]).len(), SEAM_FRAMES * FRAME + BULK);
+    answers_like_under_every_budget(&dir, &oracle, &patterns);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The seam differential over a stacked view: a sealed delta shadows
+/// (with its own confidence and source) and tombstones rows on both
+/// sides of frame boundaries and inside the seam buckets, of the bulk
+/// and of its last partial frame, and adds facts inside seam buckets.
+/// The k-way merge pops every cursor it advances, so this walks the
+/// fact ids decoded on demand at every seam, under every budget,
+/// against the eager open of the base and delta files.
+#[test]
+fn every_seam_of_a_stacked_view_answers_like_the_eager_open_under_every_budget() {
+    let dir = scratch("stacked-seams");
+    let (base, leads) = seam_base();
+    let mut store = SegmentStore::create(&dir, base, NO_FSYNC).unwrap();
+    let view = store.view();
+    let spo = view.matching_triples(&TriplePattern::any());
+    let name = |t: TermId| view.resolve(t).unwrap().to_owned();
+    let mut b = KbBuilder::new();
+    let src = b.register_source("delta-source");
+    let fact = |triple, confidence| Fact { triple, confidence, source: src, span: None };
+    let shadow = |b: &mut KbBuilder, t: Triple, confidence: f64| {
+        let [s, p, o] = [t.s, t.p, t.o].map(|x| b.intern(&name(x)));
+        b.add_fact(fact(Triple::new(s, p, o), confidence));
+    };
+    let mut tombstones = 0;
+    for k in 1..SEAM_FRAMES {
+        let seam = k * FRAME;
+        // Around the boundary: the last row of a frame, the first of the
+        // next, and rows inside the 1 022-row bucket that follows.
+        shadow(&mut b, spo[seam - 1], 0.25);
+        shadow(&mut b, spo[seam + 1 + k % 3], 0.5);
+        for n in [seam, seam + 2 + 5 * k] {
+            let t = spo[n];
+            b.retract_str(&name(t.s), &name(t.p), &name(t.o));
+            tombstones += 1;
+        }
+        // A new fact in the seam bucket of `s`, between its rows.
+        let s = b.intern(&name(spo[seam + 1].s));
+        let (p, o) = (b.intern(&name(leads[1][3 * k % 192])), b.intern(&format!("o_new{k}")));
+        b.add_fact(fact(Triple::new(s, p, o), 0.75));
+    }
+    // The bulk: every 997th person, its last partial frame, its last row.
+    for i in (0..BULK).step_by(997).chain([BULK - 2]) {
+        shadow(&mut b, spo[SEAM_FRAMES * FRAME + i], 0.125);
+    }
+    for i in (500..BULK).step_by(1013).chain([BULK - 1]) {
+        let city = if i % 29 == 0 { "city_small" } else { "city_big" };
+        b.retract_str(&format!("person_{i}"), "bornIn", city);
+        tombstones += 1;
+    }
+    let delta = b.freeze_delta(&view);
+    assert_eq!(delta.tombstones(), tombstones);
+    assert!(delta.shadowed() > 2 * SEAM_FRAMES && delta.new_facts() == SEAM_FRAMES - 1);
+    store.install_delta(Arc::new(delta)).unwrap();
+    store.seal().unwrap();
+    drop(store);
+
+    let base = KbSnapshot::open_segment(dir.join("base-0.seg")).unwrap();
+    let delta_file = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("delta-"))
+        .expect("the sealed delta");
+    let delta = DeltaSegment::open_segment(delta_file).unwrap();
+    let oracle = SegmentedSnapshot::from_base(base.into()).with_delta(delta.into());
+    let patterns = seam_patterns(&oracle, &leads);
+    answers_like_under_every_budget(&dir, &oracle, &patterns);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -364,6 +457,54 @@ fn a_subject_probe_faults_kilobytes_not_columns() {
     assert!(read * 20 < region, "one probe read {read} B of a {region} B region");
     assert!(resident * 20 < region, "one probe left {resident} B of a {region} B region resident");
     assert!(meter.page_faults() <= 4, "{} faults for one probe", meter.page_faults());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rows of a batch scan: the columnar path every query scan takes.
+fn batch_rows<K: KbRead>(view: &K, pattern: &TriplePattern) -> usize {
+    let (mut rows, mut batch) = (0, TripleBatch::new());
+    let mut batches = view.matching_batches(pattern);
+    while batches.next_batch(&mut batch) {
+        rows += batch.len();
+    }
+    rows
+}
+
+/// A scan reads only the columns it returns. On fresh budgeted opens of
+/// the hundred-frame store, a batch scan of the `bornIn` bucket (35 POS
+/// frames and a partial one) reads fewer bytes than a `matching_iter`
+/// scan of it, by at least the fact-id pages of its range: 35 frames of
+/// 1 024 distinct fact ids pack to at least 10 bits a row. And a batch
+/// scan of a 1 022-row seam bucket, whose rows sit on one page of each
+/// column, faults the directory and that page of its two unbound key
+/// columns and nothing more: no page of its leading column, which the
+/// bucket fixes, and none of its fact ids.
+#[test]
+fn a_batch_scan_faults_neither_fact_ids_nor_its_fixed_leading_column() {
+    let dir = scratch("batch-columns");
+    let (base, leads) = seam_base();
+    drop(SegmentStore::create(&dir, base, NO_FSYNC).unwrap());
+    let options = StoreOptions { memory_budget: Some(frames_bytes(&dir) / 2), ..NO_FSYNC };
+    let read_by_born_scan = |facts: bool| {
+        let store = SegmentStore::open_with(&dir, options).unwrap();
+        let view = store.view();
+        let born = TriplePattern::with_p(view.term("bornIn").unwrap());
+        let rows = if facts { view.matching_iter(&born).count() } else { batch_rows(&view, &born) };
+        assert_eq!(rows, BULK);
+        store.memory_budget().fault_bytes()
+    };
+    let (batch, tuple) = (read_by_born_scan(false), read_by_born_scan(true));
+    let fid_pages = 35 * FRAME * 10 / 8;
+    assert!(batch + fid_pages <= tuple, "batch scan read {batch} B, matching_iter {tuple} B");
+
+    let store = SegmentStore::open_with(&dir, options).unwrap();
+    let (view, meter) = (store.view(), store.memory_budget());
+    // A one-row bucket on the same page: the bucket slots and the fact
+    // ids, through the small-range path.
+    assert_eq!(view.matching_triples(&TriplePattern::with_p(leads[1][0])).len(), 1);
+    let before = meter.page_faults();
+    assert_eq!(batch_rows(&view, &TriplePattern::with_p(leads[1][1])), 1022);
+    assert_eq!(meter.page_faults() - before, 2 * 2, "two key columns: a directory and a page each");
     std::fs::remove_dir_all(&dir).ok();
 }
 
