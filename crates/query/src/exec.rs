@@ -1,10 +1,13 @@
 //! Vectorized push-based executor for physical [`Plan`]s.
 //!
 //! Execution walks the operator tree batch-at-a-time: operators consume
-//! and produce columnar `Batch`es of up to [`BATCH_ROWS`] bindings
-//! (one `u32` column per variable slot, a sentinel marking unbound
-//! slots), and scans splice the store's own [`TripleBatch`] columns
-//! straight into the output — no per-row iterator step on the hot path.
+//! and produce columnar `Batch`es (one `u32` column per variable slot, a
+//! sentinel marking unbound slots), and scans splice the store's own
+//! [`TripleBatch`] columns straight into the output — no per-row
+//! iterator step on the hot path. A scan step flushes its batch once it
+//! holds [`BATCH_ROWS`] bindings, checked after each store batch of up
+//! to as many is appended, so a batch holds at most `2 · BATCH_ROWS −
+//! 1` bindings.
 //! Filters evaluate into a bitmap and compact the batch in place.
 //! Emission order is depth-first — everything one input row produces
 //! comes out before anything the next one does — whatever the batch
@@ -1915,6 +1918,31 @@ mod tests {
             .flat_map(|o| (o..n).step_by(50).map(move |i| format!("?x=s{i}  ?y=o{o}")))
             .collect();
         assert_eq!(out.render(&s).lines().collect::<Vec<_>>(), expect);
+    }
+
+    /// A step checks its batch against `BATCH_ROWS` after appending a
+    /// whole store batch: a row whose matches top up a batch just under
+    /// the mark flushes more than `BATCH_ROWS` rows, never `2 ·
+    /// BATCH_ROWS` or more.
+    #[test]
+    fn a_step_flushes_under_two_batches_of_rows() {
+        let mut b = KbBuilder::new();
+        for i in 0..BATCH_ROWS - 24 {
+            b.assert_str("a", "p", &format!("o{i}"));
+        }
+        for i in 0..3 * BATCH_ROWS {
+            b.assert_str("b", "p", &format!("o{i}"));
+        }
+        let s = b.freeze();
+        let id = |term| s.term(term).unwrap();
+        let steps = [Step { s: Slot::Var(0), p: Slot::Const(id("p")), o: Slot::Var(1), at: None }];
+        let mut input = Batch { cols: vec![vec![id("a").0, id("b").0], vec![UNBOUND; 2]], len: 2 };
+        let mut cx = ExecCtx::new(steps.len());
+        let mut lens = Vec::new();
+        run_steps_batch(&steps, 0, 0, &s, &mut input, &mut cx, &mut |_, b| lens.push(b.len()));
+        assert_eq!(lens.iter().sum::<usize>(), 4 * BATCH_ROWS - 24);
+        assert!(lens.iter().all(|&n| n < 2 * BATCH_ROWS), "batches of {lens:?}");
+        assert!(lens[0] > BATCH_ROWS, "batches of {lens:?}");
     }
 
     // -- joins against the plain nested loop ----------------------------

@@ -18,6 +18,7 @@ use std::sync::OnceLock;
 use crate::fact::{Fact, Triple};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::ids::{FactId, TermId};
+use crate::idtable::TripleIds;
 use crate::labels::LabelStore;
 use crate::read::{Groups, KbRead};
 use crate::sameas::SameAsStore;
@@ -27,14 +28,16 @@ use crate::Dictionary;
 use crate::SourceId;
 
 /// The mutable heart shared by every write-side type: term dictionary,
-/// append-only fact table, triple→fact dedup map and provenance
-/// sources. Holds *no* permutation indexes — those belong to the read
-/// side ([`FrozenIndexes`]) and are built by freezing.
+/// append-only fact table, the triple table that files its rows by
+/// triple, and provenance sources. Holds *no* permutation indexes —
+/// those belong to the read side ([`FrozenIndexes`]) and are built by
+/// freezing.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct KbCore {
     pub(crate) dict: Dictionary,
     pub(crate) facts: Vec<Fact>,
-    pub(crate) by_triple: FxHashMap<Triple, FactId>,
+    /// Every row of `facts`, filed by its triple.
+    pub(crate) by_triple: TripleIds,
     pub(crate) sources: Vec<String>,
     pub(crate) source_lookup: FxHashMap<String, SourceId>,
     /// Number of live (non-retracted) facts, maintained incrementally
@@ -77,18 +80,24 @@ impl KbCore {
         if fact.is_retracted() {
             return self.retract(fact.triple);
         }
-        if let Some(&id) = self.by_triple.get(&fact.triple) {
+        if let Some(id) = self.by_triple.get(&self.facts, &fact.triple) {
             let existing = &mut self.facts[id.index()];
             let revived = existing.is_retracted();
             *existing = existing.merged(fact);
             self.live += usize::from(revived);
             return (id, revived);
         }
-        let id = FactId(self.facts.len() as u32);
-        self.by_triple.insert(fact.triple, id);
         self.live += 1;
+        (self.push(fact), true)
+    }
+
+    /// Appends a row for a triple no row holds yet and files it in the
+    /// triple table. Leaves `live` to the caller.
+    pub(crate) fn push(&mut self, fact: Fact) -> FactId {
+        let id = FactId(self.facts.len() as u32);
         self.facts.push(fact);
-        (id, true)
+        self.by_triple.file_last(&self.facts);
+        id
     }
 
     /// Retracts a triple: its entry's confidence drops to zero, and an
@@ -96,10 +105,10 @@ impl KbCore {
     /// counted live), which in a delta build shadows an older segment's
     /// copy. Returns the entry's id and whether the triple was live.
     pub(crate) fn retract(&mut self, t: Triple) -> (FactId, bool) {
-        let id = *self.by_triple.entry(t).or_insert_with(|| {
-            self.facts.push(Fact { confidence: 0.0, ..Fact::asserted(t) });
-            FactId(self.facts.len() as u32 - 1)
-        });
+        let id = match self.by_triple.get(&self.facts, &t) {
+            Some(id) => id,
+            None => self.push(Fact { confidence: 0.0, ..Fact::asserted(t) }),
+        };
         self.reset.insert(id);
         let fact = &mut self.facts[id.index()];
         let was_live = !fact.is_retracted();
@@ -111,7 +120,7 @@ impl KbCore {
     /// This run's entry for a triple, retracted or not.
     #[inline]
     pub(crate) fn entry(&self, t: &Triple) -> Option<&Fact> {
-        self.by_triple.get(t).map(|id| &self.facts[id.index()])
+        self.by_triple.get(&self.facts, t).map(|id| &self.facts[id.index()])
     }
 }
 

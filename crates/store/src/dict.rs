@@ -4,18 +4,17 @@
 //! The dictionary is one flat table, the HDT-style dictionary block
 //! held in memory: every term's text back to back in one arena, one
 //! end offset per id, and an open-addressed table of ids hashed by
-//! text. A term costs its bytes plus about three `u32`s, with no
-//! allocation of its own, and a segment's dictionary region decodes
-//! straight into the arena. The base of a view and each delta's
-//! extension table are both a `Dictionary`.
+//! text (an `IdTable`, the type the triple table is made of too). A
+//! term costs its bytes plus about three `u32`s, with no allocation of
+//! its own, and a segment's dictionary region decodes straight into the
+//! arena. The base of a view and each delta's extension table are both
+//! a `Dictionary`.
 
 use std::hash::Hasher;
 
 use crate::fx::FxHasher;
+use crate::idtable::IdTable;
 use crate::TermId;
-
-/// Fewest slots the id table grows to from empty.
-const MIN_SLOTS: usize = 16;
 
 /// A bidirectional string ↔ [`TermId`] map.
 ///
@@ -28,10 +27,8 @@ pub struct Dictionary {
     /// `ends[i]` is where term `i` ends in `text`; it starts where term
     /// `i - 1` ends (term 0 at 0).
     ends: Vec<u32>,
-    /// Open-addressed, linearly probed table of `id + 1` (0 = empty),
-    /// indexed by the high bits of the term's hash. Its length is zero or
-    /// a power of two, and it is at most half full.
-    slots: Vec<u32>,
+    /// Every id, filed by the hash of its text.
+    ids: IdTable,
 }
 
 fn hash(term: &str) -> u64 {
@@ -40,9 +37,12 @@ fn hash(term: &str) -> u64 {
     h.finish()
 }
 
-/// Slots for `n` terms at a load of at most one half.
-fn slots_for(n: usize) -> usize {
-    (2 * n).next_power_of_two().max(MIN_SLOTS)
+/// The text of issued id `id` in an arena of `text` and `ends`.
+#[inline]
+fn term_at<'a>(text: &'a str, ends: &[u32], id: u32) -> &'a str {
+    let i = id as usize;
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &text[start..ends[i] as usize]
 }
 
 impl Dictionary {
@@ -53,7 +53,7 @@ impl Dictionary {
 
     /// Creates a dictionary sized for roughly `n` distinct terms.
     pub fn with_capacity(n: usize) -> Self {
-        Self { text: String::new(), ends: Vec::with_capacity(n), slots: vec![0; slots_for(n)] }
+        Self { text: String::new(), ends: Vec::with_capacity(n), ids: IdTable::with_capacity(n) }
     }
 
     /// Adopts an arena filled by a loader: `text` holds the terms back to
@@ -64,64 +64,15 @@ impl Dictionary {
     /// contain one.
     pub(crate) fn from_arena(text: String, ends: Vec<u32>) -> Option<Self> {
         debug_assert_eq!(ends.last().map_or(0, |&e| e as usize), text.len());
-        let mut dict = Self { text, slots: vec![0; slots_for(ends.len())], ends };
-        for id in 0..dict.ends.len() as u32 {
-            let slot = dict.find(dict.term_at(id)).err()?;
-            dict.slots[slot] = id + 1;
-        }
-        Some(dict)
+        let at = |id| term_at(&text, &ends, id);
+        let ids = IdTable::checked(ends.len(), |id| hash(at(id)), |a, b| at(a) == at(b)).ok()?;
+        Some(Self { text, ends, ids })
     }
 
     /// The text of an issued id.
     #[inline]
     fn term_at(&self, id: u32) -> &str {
-        let i = id as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.text[start..self.ends[i] as usize]
-    }
-
-    /// Where `term`'s probe sequence starts.
-    #[inline]
-    fn home(&self, term: &str) -> usize {
-        // `slots.len()` is a power of two of at least `MIN_SLOTS`, so the
-        // shift is in 1..64.
-        (hash(term) >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// The id holding `term`, or the empty slot where it would go. The
-    /// table must be non-empty.
-    #[inline]
-    fn find(&self, term: &str) -> Result<TermId, usize> {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(term);
-        loop {
-            match self.slots[i] {
-                0 => return Err(i),
-                s if self.term_at(s - 1) == term => return Ok(TermId(s - 1)),
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    /// The first empty slot of `term`'s probe sequence. The table must be
-    /// non-empty.
-    fn vacant(&self, term: &str) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(term);
-        while self.slots[i] != 0 {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// Rebuilds the id table at `slots` slots. Every term is distinct, so
-    /// each id goes in the first empty slot of its probe sequence.
-    fn rehash(&mut self, slots: usize) {
-        self.slots = vec![0; slots];
-        for id in 0..self.ends.len() as u32 {
-            let slot = self.vacant(self.term_at(id));
-            self.slots[slot] = id + 1;
-        }
+        term_at(&self.text, &self.ends, id)
     }
 
     /// Interns `term`, returning its id. Idempotent: the same string
@@ -141,23 +92,17 @@ impl Dictionary {
         let id = u32::try_from(self.ends.len()).expect("dictionary overflow: >u32::MAX terms");
         let end = u32::try_from(self.text.len() + term.len())
             .expect("dictionary overflow: >u32::MAX bytes of term text");
-        if 2 * (self.ends.len() + 1) > self.slots.len() {
-            self.rehash(slots_for(self.ends.len() + 1));
-        }
-        let slot = self.vacant(term);
         self.text.push_str(term);
         self.ends.push(end);
-        self.slots[slot] = id + 1;
+        let (text, ends) = (&self.text, &self.ends);
+        self.ids.file(ends.len(), |id| hash(term_at(text, ends, id)));
         TermId(id)
     }
 
     /// Looks up an already-interned term without inserting.
     #[inline]
     pub fn get(&self, term: &str) -> Option<TermId> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.find(term).ok()
+        self.ids.get(|| hash(term), |id| self.term_at(id) == term).map(TermId)
     }
 
     /// Resolves an id back to its string, or `None` if the id was never
@@ -179,7 +124,7 @@ impl Dictionary {
 
     /// Heap bytes of the three buffers, from their capacities.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.text.capacity() + 4 * (self.ends.capacity() + self.slots.capacity())
+        self.text.capacity() + 4 * self.ends.capacity() + self.ids.heap_bytes()
     }
 
     /// Iterates over all `(id, term)` pairs in id order.
@@ -248,10 +193,11 @@ mod tests {
     #[test]
     fn the_id_table_stays_at_most_half_full() {
         let mut d = Dictionary::with_capacity(3);
-        assert_eq!(d.slots.len(), MIN_SLOTS);
+        assert_eq!(d.ids.slot_count(), 16);
         for i in 0..1_000 {
             d.intern(&format!("t{i}"));
-            assert!(2 * d.len() <= d.slots.len(), "{} terms in {} slots", d.len(), d.slots.len());
+            let slots = d.ids.slot_count();
+            assert!(2 * d.len() <= slots, "{} terms in {} slots", d.len(), slots);
         }
     }
 }

@@ -1,10 +1,10 @@
-//! A fast, non-cryptographic hasher for the store's hot lookup maps.
+//! A fast, non-cryptographic hasher for the store's hot lookup tables.
 //!
 //! The default `std` hasher (SipHash-1-3) is keyed and DoS-resistant,
-//! which none of our internal maps need: they are keyed by dense ids we
-//! mint ourselves (`Triple`, `TermId`) or by interned strings. On the
-//! cold-start path the `by_triple` map alone re-inserts every fact in
-//! the segment, and SipHash was the single largest line item in that
+//! which none of our internal tables need: they are keyed by dense ids
+//! we mint ourselves (`Triple`, `FactId`) or by interned strings. On
+//! the cold-start path the triple table alone hashes every fact in the
+//! segment, and SipHash was the single largest line item in that
 //! profile. This is the word-at-a-time multiply-rotate scheme used by
 //! rustc ("FxHash"), reimplemented here because the container image
 //! carries no external hashing crate.
@@ -19,13 +19,6 @@ pub(crate) type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 /// Zero-sized builder for [`FxHasher`].
 pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
-/// Heap bytes of a map's table, from its capacity: one `(K, V)` slot
-/// plus one control byte per entry it can hold (a floor — the table
-/// rounds its slot count up to a power of two).
-pub(crate) fn map_bytes<K, V>(map: &FxHashMap<K, V>) -> usize {
-    map.capacity() * (std::mem::size_of::<(K, V)>() + 1)
-}
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

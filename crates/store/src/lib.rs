@@ -98,6 +98,7 @@ mod frames;
 mod fuse;
 mod fx;
 mod ids;
+mod idtable;
 mod labels;
 mod manifest;
 pub mod ntriples;

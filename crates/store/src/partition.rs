@@ -37,11 +37,11 @@ use std::sync::Arc;
 
 use crate::builder::KbCore;
 use crate::fact::Fact;
-use crate::ids::FactId;
+use crate::idtable::TripleIds;
 use crate::labels::LabelStore;
 use crate::read::{Groups, KbRead};
 use crate::sameas::SameAsStore;
-use crate::segment::{triple_ids, DeltaSegment, SegmentedSnapshot};
+use crate::segment::{DeltaSegment, SegmentedSnapshot};
 use crate::snapshot::{FrozenIndexes, KbSnapshot};
 use crate::taxonomy::Taxonomy;
 
@@ -84,12 +84,10 @@ pub fn partition_snapshot(base: &KbSnapshot, partitions: usize) -> Vec<KbSnapsho
     for f in &base.core().facts {
         let subject = base.core().dict.resolve(f.triple.s).expect("fact subject is interned");
         let core = &mut cores[subject_partition(subject, partitions)];
-        let id = FactId(core.facts.len() as u32);
-        core.by_triple.insert(f.triple, id);
         if !f.is_retracted() {
             core.live += 1;
         }
-        core.facts.push(f.clone());
+        core.push(f.clone());
     }
     cores
         .into_iter()
@@ -139,7 +137,7 @@ pub fn partition_delta<K: KbRead + ?Sized>(
         .zip(kinds)
         .map(|(facts, kinds)| {
             let indexes = FrozenIndexes::build_with_tombstones(&facts);
-            let by_triple = triple_ids(&facts);
+            let by_triple = TripleIds::of(&facts);
             DeltaSegment::from_parts(
                 delta.ext_terms.clone(),
                 delta.first_term,

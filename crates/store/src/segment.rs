@@ -31,8 +31,8 @@ use std::sync::Arc;
 use crate::builder::{KbBuilder, KbCore};
 use crate::dict::Dictionary;
 use crate::fact::{Fact, Triple};
-use crate::fx::FxHashMap;
 use crate::ids::{FactId, TermId};
+use crate::idtable::TripleIds;
 use crate::labels::LabelStore;
 use crate::read::{Group, Groups, KbRead};
 use crate::sameas::SameAsStore;
@@ -52,12 +52,6 @@ pub enum FactKind {
     Shadow,
     /// Retraction of a view-visible triple (confidence zero).
     Tombstone,
-}
-
-/// Maps each fact's triple to its row; the triples must be distinct
-/// (a loader checks its input with `segment_io`'s own pass instead).
-pub(crate) fn triple_ids(facts: &[Fact]) -> FxHashMap<Triple, FactId> {
-    facts.iter().enumerate().map(|(i, f)| (f.triple, FactId(i as u32))).collect()
 }
 
 /// One immutable increment of a segmented view: facts over *global*
@@ -83,7 +77,8 @@ pub struct DeltaSegment {
     pub(crate) facts: Vec<Fact>,
     /// Parallel to `facts`.
     pub(crate) kinds: Vec<FactKind>,
-    pub(crate) by_triple: FxHashMap<Triple, FactId>,
+    /// Every row of `facts`, filed by its triple.
+    pub(crate) by_triple: TripleIds,
     /// Frozen permutation arrays over `facts`, tombstones included.
     pub(crate) indexes: FrozenIndexes,
     /// Distinct predicates this delta touches (including tombstones),
@@ -155,7 +150,7 @@ impl DeltaSegment {
         // The builder's triples are distinct and the remap is injective,
         // so `from_parts` derives the counters exactly.
         let indexes = FrozenIndexes::build_with_tombstones(&facts);
-        let by_triple = triple_ids(&facts);
+        let by_triple = TripleIds::of(&facts);
         let delta = Self::from_parts(
             ext_terms,
             first_term,
@@ -173,7 +168,7 @@ impl DeltaSegment {
 
     /// Rebuilds a delta segment from its parts (see
     /// [`segment_io`](crate::segment_io)): extension tables, the fact
-    /// table with its parallel kind column and its triple map (built by
+    /// table with its parallel kind column and its triple table (built by
     /// the caller, who also checks it for duplicates), and the frozen
     /// permutation indexes. The touched predicates and entry counters
     /// are recomputed here, so the on-disk format never stores anything
@@ -186,11 +181,10 @@ impl DeltaSegment {
         first_source: u32,
         facts: Vec<Fact>,
         kinds: Vec<FactKind>,
-        by_triple: FxHashMap<Triple, FactId>,
+        by_triple: TripleIds,
         indexes: FrozenIndexes,
     ) -> Self {
         debug_assert_eq!(facts.len(), kinds.len());
-        debug_assert_eq!(facts.len(), by_triple.len());
         let (mut new_facts, mut shadowed, mut tombstones) = (0usize, 0usize, 0usize);
         for k in &kinds {
             match k {
@@ -291,13 +285,13 @@ impl DeltaSegment {
 
     /// Whether this delta has an entry (of any kind) for the triple.
     pub(crate) fn contains_triple(&self, t: &Triple) -> bool {
-        self.by_triple.contains_key(t)
+        self.by_triple.get(&self.facts, t).is_some()
     }
 
     /// The delta's entry for a triple, tombstones included.
     #[inline]
     pub(crate) fn fact_local(&self, t: &Triple) -> Option<&Fact> {
-        self.by_triple.get(t).map(|id| &self.facts[id.index()])
+        self.by_triple.get(&self.facts, t).map(|id| &self.facts[id.index()])
     }
 
     /// A term this delta added to the id space.
@@ -477,12 +471,10 @@ impl SegmentedSnapshot {
                 // Shadow entries already carry the view-merged
                 // confidence/span and tombstones carry zero, so the
                 // replay *overwrites* rather than re-merges.
-                match core.by_triple.get(&f.triple) {
-                    Some(&id) => core.facts[id.index()] = f.clone(),
+                match core.by_triple.get(&core.facts, &f.triple) {
+                    Some(id) => core.facts[id.index()] = f.clone(),
                     None => {
-                        let id = FactId(core.facts.len() as u32);
-                        core.by_triple.insert(f.triple, id);
-                        core.facts.push(f.clone());
+                        core.push(f.clone());
                     }
                 }
             }

@@ -64,7 +64,8 @@ use crate::error::SegmentRegion;
 use crate::fact::{Fact, Triple};
 use crate::frames::ColFrames;
 use crate::fx::FxHashMap;
-use crate::ids::{FactId, TermId};
+use crate::ids::TermId;
+use crate::idtable::TripleIds;
 use crate::labels::LabelStore;
 use crate::read::KbRead;
 use crate::sameas::SameAsStore;
@@ -561,16 +562,11 @@ fn decode_facts(buf: &[u8]) -> Result<Vec<Fact>, StoreError> {
     Ok(facts)
 }
 
-/// Maps each fact's triple to its row, refusing a triple that an
+/// Files each fact's row by its triple, refusing a triple that an
 /// earlier row already holds.
-fn checked_triple_ids(facts: &[Fact]) -> Result<FxHashMap<Triple, FactId>, StoreError> {
-    let mut by_triple = FxHashMap::with_capacity_and_hasher(facts.len(), Default::default());
-    for (i, f) in facts.iter().enumerate() {
-        if by_triple.insert(f.triple, FactId(i as u32)).is_some() {
-            return Err(corrupt(SegmentRegion::Facts, format!("fact {i}: duplicate triple")));
-        }
-    }
-    Ok(by_triple)
+fn checked_triple_ids(facts: &[Fact]) -> Result<TripleIds, StoreError> {
+    TripleIds::checked(facts)
+        .map_err(|i| corrupt(SegmentRegion::Facts, format!("fact {i}: duplicate triple")))
 }
 
 /// Range-checks every fact's term and source ids against the caller's
@@ -1263,7 +1259,7 @@ impl DeltaSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KbBuilder, SegmentedSnapshot, TimePoint, TriplePattern};
+    use crate::{FactId, KbBuilder, SegmentedSnapshot, TimePoint, TriplePattern};
 
     /// The eager door over an in-memory image.
     fn snapshot_from_image(bytes: &[u8]) -> Result<KbSnapshot, StoreError> {

@@ -50,7 +50,6 @@ use crate::builder::KbCore;
 use crate::error::StoreError;
 use crate::fact::{Fact, Triple};
 use crate::frames::{ColEncoder, ColFrames, FRAME_ROWS};
-use crate::fx::map_bytes;
 use crate::ids::{FactId, TermId};
 use crate::labels::LabelStore;
 use crate::pattern::{IndexChoice, TriplePattern};
@@ -1285,7 +1284,7 @@ impl KbSnapshot {
         // capacities.
         let fact_bytes = core.facts.capacity() * std::mem::size_of::<Fact>();
         obs.gauge("store.bytes.facts").set(fact_bytes as i64);
-        obs.gauge("store.bytes.by_triple").set(map_bytes(&core.by_triple) as i64);
+        obs.gauge("store.bytes.by_triple").set(core.by_triple.heap_bytes() as i64);
         obs.gauge("store.bytes.dict").set(core.dict.heap_bytes() as i64);
         obs.gauge("store.bytes.frames").set(st.compressed_bytes as i64);
         Self {

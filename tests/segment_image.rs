@@ -4,8 +4,9 @@
 //! replay all decode an image with the same code, so they must give the
 //! same verdict on the same bytes — the same damaged region for a base,
 //! the same refusal for a delta, the same entries from a WAL payload and
-//! from the sealed file, and a corrupt header for any version but the
-//! one the writer writes.
+//! from the sealed file, a corrupt header for any version but the one
+//! the writer writes, and a corrupt facts region for a fact table that
+//! holds one triple twice.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -349,6 +350,70 @@ fn any_other_format_version_is_a_corrupt_header_through_every_door() {
         let store = SegmentStore::open_with(&dir, NO_FSYNC).unwrap();
         assert!(store.recovery_report().quarantined.iter().any(|f| f.starts_with(DELTA)));
     }
+    for dir in [template, dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// Makes fact 1 of a segment image repeat fact 0's triple and reseals
+/// it. The facts region opens with its row count; a row is `s u32 · p
+/// u32 · o u32 · confidence u64 · source u32 · span flag u8`, then, if
+/// the flag is 1, `len u16` and the span's text.
+fn repeat_first_triple(image: &mut [u8]) {
+    let (_, facts) = segment_io::region_map(image)
+        .unwrap()
+        .into_iter()
+        .find(|(region, _)| *region == SegmentRegion::Facts)
+        .unwrap();
+    let first = facts.start + 4;
+    let flag_at = first + 24;
+    let second = match image[flag_at] {
+        0 => flag_at + 1,
+        _ => flag_at + 3 + u16::from_le_bytes([image[flag_at + 1], image[flag_at + 2]]) as usize,
+    };
+    let triple: [u8; 12] = image[first..first + 12].try_into().unwrap();
+    assert_ne!(image[second..second + 12], triple, "facts 0 and 1 already share a triple");
+    image[second..second + 12].copy_from_slice(&triple);
+    reseal(image);
+}
+
+/// A fact table that holds one triple twice, under valid checksums, is
+/// a corrupt facts region through every door: the eager open and the
+/// lazy open's first fault of a base, the eager open of a delta and the
+/// replay of the same delta as a WAL payload, which sets it aside.
+#[test]
+fn a_repeated_triple_under_valid_checksums_is_a_corrupt_facts_region_through_every_door() {
+    let template = scratch("repeat-template");
+    sealed_store(&template);
+    let dir = scratch("repeat");
+
+    let mut base = std::fs::read(template.join(BASE)).unwrap();
+    repeat_first_triple(&mut base);
+    copy_dir(&template, &dir);
+    std::fs::write(dir.join(BASE), &base).unwrap();
+    let eager = corrupt_region("base", KbSnapshot::open_segment(dir.join(BASE)));
+    assert_eq!(eager, SegmentRegion::Facts);
+    for budget in BUDGETS {
+        let lazy = corrupt_region("base", lazy_verdict(&dir, budget));
+        assert_eq!(lazy, SegmentRegion::Facts, "budget {budget:?}");
+    }
+
+    let mut delta = std::fs::read(template.join(DELTA)).unwrap();
+    repeat_first_triple(&mut delta);
+    copy_dir(&template, &dir);
+    std::fs::write(dir.join(DELTA), &delta).unwrap();
+    let eager = corrupt_region("delta", DeltaSegment::open_segment(dir.join(DELTA)));
+    assert_eq!(eager, SegmentRegion::Facts);
+    std::fs::remove_dir_all(&dir).ok();
+    drop(SegmentStore::create(&dir, rich_base(), NO_FSYNC).unwrap());
+    Wal::create(dir.join(WAL), 0, false).unwrap().append(1, &delta).unwrap();
+    let store = SegmentStore::open_with(&dir, NO_FSYNC).unwrap();
+    assert_eq!(store.recovery_report().wal_replayed, 0, "the repeated triple was replayed");
+    assert!(store.recovery_report().degraded());
+    assert_eq!(
+        ntriples::to_string(&store.view()).unwrap(),
+        ntriples::to_string(&*rich_base()).unwrap()
+    );
     for dir in [template, dir] {
         std::fs::remove_dir_all(dir).ok();
     }
