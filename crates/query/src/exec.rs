@@ -454,7 +454,8 @@ impl Batch {
 /// A probe table a scan step built in the course of one execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeBuild {
-    /// The step's operator slot, an index into [`Plan::ops`].
+    /// The step's operator slot, an index into [`Plan::describe`]'s
+    /// labels.
     pub op: usize,
     /// Rows of the predicate's run scanned into the table.
     pub rows: u64,
@@ -464,12 +465,12 @@ pub struct ProbeBuild {
 
 /// Per-run execution statistics collected by [`execute_traced`]:
 /// actual rows out of every operator (aligned index-for-index with
-/// [`Plan::ops`]), total batches flushed through BGP steps, rows
+/// [`Plan::est_rows`] and [`Plan::describe`]), total batches flushed through BGP steps, rows
 /// reaching the root, the groups they made and the probe tables built
 /// on the way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecTrace {
-    /// Actual output rows per operator slot, in [`Plan::ops`] order.
+    /// Actual output rows per operator slot, in [`Plan::est_rows`] order.
     pub op_rows: Vec<u64>,
     /// Columnar batches flushed through BGP pipeline steps.
     pub batches: u64,
@@ -721,7 +722,7 @@ impl<'p> Aggregator<'p> {
     fn new(plan: &'p Plan) -> Self {
         let count_args = plan.cols.iter().filter_map(|c| match c {
             Col::Count { arg, .. } => Some(*arg),
-            Col::Var { .. } => None,
+            Col::Var(_) => None,
         });
         Aggregator {
             plan,
@@ -803,7 +804,7 @@ pub(crate) fn project_row<'p>(
     get: impl Fn(usize) -> Option<TermId> + 'p,
 ) -> impl Iterator<Item = Cell> + 'p {
     plan.cols.iter().map(move |c| match c {
-        Col::Var { slot, .. } => get(*slot).map_or(Cell::UNBOUND, Cell::term),
+        Col::Var(slot) => get(*slot).map_or(Cell::UNBOUND, Cell::term),
         Col::Count { .. } => Cell::UNBOUND,
     })
 }
@@ -853,9 +854,9 @@ pub fn execute<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> QueryOutput {
 /// Executes a compiled plan, also returning per-operator actual row
 /// counts and batch statistics for `--explain`.
 pub fn execute_traced<K: KbRead + ?Sized>(plan: &Plan, kb: &K) -> (QueryOutput, ExecTrace) {
-    let cols: Vec<String> = plan.cols.iter().map(|c| c.name().to_string()).collect();
+    let cols: Vec<String> = plan.cols.iter().map(|c| c.name(&plan.names).to_string()).collect();
     let mut cx = ExecCtx::new(op_slots(&plan.root));
-    let mut input = Batch::unit(plan.nvars);
+    let mut input = Batch::unit(plan.names.len());
 
     let rows = if plan.aggregate {
         let mut groups = Aggregator::new(plan);
@@ -1889,12 +1890,14 @@ mod tests {
         let stats = StatsCatalog::build(&s);
         let p = plan(&q, &s, &stats).unwrap();
         let (out, trace) = execute_traced(&p, &s);
-        assert_eq!(p.ops().len(), trace.op_rows.len());
+        let labels = p.describe(&s);
+        assert_eq!(labels.len(), trace.op_rows.len());
+        assert_eq!(p.est_rows().len(), trace.op_rows.len());
         assert!(trace.batches > 0);
         assert_eq!(trace.rows as usize, out.rows.len());
         // The root FILTER sits at slot 0; its output is the emitted
         // total.
-        assert!(p.ops()[0].label.starts_with("filter"), "{:?}", p.ops());
+        assert!(labels[0].starts_with("filter"), "{labels:?}");
         assert_eq!(trace.op_rows[0], trace.rows);
     }
 
@@ -2249,7 +2252,8 @@ mod tests {
     fn tables_built(s: &KbSnapshot, text: &str) -> Vec<(String, ProbeBuild)> {
         let p = plan(&parse(text).unwrap(), s, &StatsCatalog::build(s)).unwrap();
         let (_, trace) = execute_traced(&p, s);
-        trace.probe_tables.iter().map(|t| (p.ops()[t.op].label.clone(), *t)).collect()
+        let labels = p.describe(s);
+        trace.probe_tables.iter().map(|t| (labels[t.op].clone(), *t)).collect()
     }
 
     #[test]
@@ -2367,7 +2371,8 @@ mod tests {
         let p = plan(&parse(text).unwrap(), &s, &StatsCatalog::build(&s)).unwrap();
         let mut groups = Aggregator::new(&p);
         for rows in stream.chunks(batch) {
-            let mut b = Batch { cols: vec![vec![UNBOUND; rows.len()]; p.nvars], len: rows.len() };
+            let mut b =
+                Batch { cols: vec![vec![UNBOUND; rows.len()]; p.names.len()], len: rows.len() };
             for (r, key) in rows.iter().enumerate() {
                 for (&slot, v) in p.group_by.iter().zip(key) {
                     b.cols[slot][r] = v.unwrap_or(UNBOUND);

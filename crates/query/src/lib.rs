@@ -79,7 +79,7 @@ pub use exec::{
     cell_str, execute, execute_traced, Cell, CellValue, ExecTrace, ProbeBuild, QueryOutput, Rows,
 };
 pub use parse::{normalize, parse};
-pub use plan::{plan, routing_decision, Footprint, OpInfo, Plan, RoutingDecision};
+pub use plan::{plan, routing_decision, Footprint, Plan, RoutingDecision};
 pub use service::{CacheStats, QueryService, DEFAULT_CACHE_CAPACITY};
 pub use stats::{PredStat, StatsCatalog};
 pub use view::{

@@ -28,8 +28,6 @@
 //! sharing an object variable (`?a bornIn ?c . ?b diedIn ?c`) are two
 //! such steps, the second keyed by the object the first binds.
 
-use std::collections::HashMap;
-
 use kb_store::{KbRead, TermId, TimePoint};
 
 use crate::ast::{CmpOp, Condition, Group, ProjItem, SelectQuery, Term};
@@ -125,8 +123,8 @@ pub(crate) enum PhysOp {
 /// One output column of a plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Col {
-    /// A projected variable.
-    Var { name: String, slot: usize },
+    /// A projected variable, by slot.
+    Var(usize),
     /// A `COUNT` aggregate (`arg` is the counted slot; `None` = `*`).
     Count { name: String, arg: Option<usize> },
 }
@@ -141,33 +139,22 @@ pub(crate) enum GroupCol {
 }
 
 impl Col {
-    pub(crate) fn name(&self) -> &str {
+    /// The column's name: its variable's, read from the plan's slot
+    /// `names`, or the aggregate's alias.
+    pub(crate) fn name<'a>(&'a self, names: &'a [String]) -> &'a str {
         match self {
-            Col::Var { name, .. } | Col::Count { name, .. } => name,
+            Col::Var(slot) => &names[*slot],
+            Col::Count { name, .. } => name,
         }
     }
 }
 
-/// Planner-side description of one physical operator instance: a human
-/// label plus the cost model's output-row estimate. The list in
-/// [`Plan::ops`] is aligned index-for-index with the actual row counts
-/// the executor collects in
-/// [`ExecTrace::op_rows`](crate::exec::ExecTrace::op_rows), which is
-/// what lets `--explain` print estimated vs actual rows per operator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpInfo {
-    /// Short operator description (resolved constants, `?var` slots).
-    pub label: String,
-    /// Estimated output rows under the planner's cost model.
-    pub est_rows: f64,
-}
-
-/// Number of [`OpInfo`]/trace slots an operator tree occupies. The
-/// annotator ([`Ctx::annotate`]) and the batch executor walk the tree
-/// in the same order with the same slot layout: every BGP step gets a
-/// slot, `Join` is pure composition (no slot of its own), and
-/// `Union`/`LeftJoin`/`Filter` each claim one slot before their
-/// children.
+/// Number of trace slots an operator tree occupies. The annotator
+/// ([`Ctx::annotate`]), the renderer ([`Plan::describe`]) and the batch
+/// executor walk the tree in the same order with the same slot layout:
+/// every BGP step gets a slot, `Join` is pure composition (no slot of
+/// its own), and `Union`/`LeftJoin`/`Filter` each claim one slot before
+/// their children.
 pub(crate) fn op_slots(op: &PhysOp) -> usize {
     match op {
         PhysOp::Steps(steps) => steps.len(),
@@ -331,8 +318,8 @@ pub fn routing_decision(query: &SelectQuery) -> RoutingDecision {
 /// cache and share across threads for a given view.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
-    /// Number of variable slots in the binding array.
-    pub(crate) nvars: usize,
+    /// Variable names, indexed by slot; the binding array is this wide.
+    pub(crate) names: Vec<String>,
     /// Root operator.
     pub(crate) root: PhysOp,
     /// Output columns, in projection order.
@@ -354,10 +341,8 @@ pub struct Plan {
     pub(crate) offset: usize,
     /// Total estimated cost (index probes) of the chosen join orders.
     pub(crate) est_cost: f64,
-    /// Human-readable description of the chosen physical operators.
-    pub(crate) explain: Vec<String>,
-    /// Per-operator labels + row estimates, in executor slot order.
-    pub(crate) ops: Vec<OpInfo>,
+    /// Estimated output rows per operator, in executor slot order.
+    pub(crate) est_rows: Vec<f64>,
     /// Predicates the answer depends on (partial-invalidation key).
     pub(crate) footprint: Footprint,
 }
@@ -365,7 +350,7 @@ pub struct Plan {
 impl Plan {
     /// Output column names, in projection order.
     pub fn columns(&self) -> Vec<&str> {
-        self.cols.iter().map(Col::name).collect()
+        self.cols.iter().map(|c| c.name(&self.names)).collect()
     }
 
     /// Whether the plan aggregates (COUNT, GROUP BY or both): its rows
@@ -385,60 +370,103 @@ impl Plan {
         self.est_cost
     }
 
-    /// One line per physical operator, in execution order.
-    pub fn explain(&self) -> &[String] {
-        &self.explain
+    /// Estimated output rows per operator under the cost model,
+    /// aligned index-for-index with
+    /// [`ExecTrace::op_rows`](crate::exec::ExecTrace::op_rows).
+    pub fn est_rows(&self) -> &[f64] {
+        &self.est_rows
     }
 
-    /// Per-operator labels and row estimates, aligned index-for-index
-    /// with [`ExecTrace::op_rows`](crate::exec::ExecTrace::op_rows).
-    pub fn ops(&self) -> &[OpInfo] {
-        &self.ops
+    /// Describes the plan's operators on demand, one label per trace
+    /// slot, aligned index-for-index with [`Plan::est_rows`] and
+    /// [`ExecTrace::op_rows`](crate::exec::ExecTrace::op_rows). `kb` is
+    /// the view the plan was made for: its dictionary spells the
+    /// constants. The operators under a `union`, `optional` or `filter`
+    /// label are indented one level below it. A plan that a constant
+    /// missing from the dictionary empties has no operator and no label.
+    pub fn describe<K: KbRead + ?Sized>(&self, kb: &K) -> Vec<String> {
+        let mut labels = Vec::with_capacity(self.est_rows.len());
+        describe_op(&self.root, &self.names, kb, 0, &mut labels);
+        labels
     }
 }
 
-/// Variable-slot interner.
-struct Slots {
-    names: Vec<String>,
-    index: HashMap<String, usize>,
-}
-
-impl Slots {
-    fn new() -> Self {
-        Slots { names: Vec::new(), index: HashMap::new() }
-    }
-
-    fn slot(&mut self, name: &str) -> usize {
-        if let Some(&i) = self.index.get(name) {
-            return i;
+/// Appends one label per trace slot of `op`, in [`op_slots`] order,
+/// `depth` levels in.
+fn describe_op<K: KbRead + ?Sized>(
+    op: &PhysOp,
+    names: &[String],
+    kb: &K,
+    depth: usize,
+    out: &mut Vec<String>,
+) {
+    let pad = "  ".repeat(depth);
+    let term = |sl: Slot| match sl {
+        Slot::Const(id) => kb.resolve(id).unwrap_or("?").to_string(),
+        Slot::Var(v) => format!("?{}", names[v]),
+    };
+    match op {
+        PhysOp::Steps(steps) => {
+            for step in steps {
+                let at = if step.at.is_some() { " @t" } else { "" };
+                let (s, p, o) = (term(step.s), term(step.p), term(step.o));
+                out.push(format!("{pad}scan `{s} {p} {o}`{at}"));
+            }
         }
-        let i = self.names.len();
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), i);
-        i
+        PhysOp::Join(l, r) => {
+            describe_op(l, names, kb, depth, out);
+            describe_op(r, names, kb, depth, out);
+        }
+        PhysOp::Union(l, r) | PhysOp::LeftJoin(l, r) => {
+            let name = if matches!(op, PhysOp::Union(..)) { "union" } else { "optional" };
+            out.push(format!("{pad}{name}"));
+            describe_op(l, names, kb, depth + 1, out);
+            describe_op(r, names, kb, depth + 1, out);
+        }
+        PhysOp::Filter(inner, conds) => {
+            let operand = |o: &CondOperand| match o {
+                CondOperand::Slot(v) => format!("?{}", names[*v]),
+                CondOperand::Const { text, .. } => text.clone(),
+            };
+            let conds: Vec<String> = conds
+                .iter()
+                .map(|c| format!("{} {} {}", operand(&c.lhs), c.op.symbol(), operand(&c.rhs)))
+                .collect();
+            out.push(format!("{pad}filter {}", conds.join(" ∧ ")));
+            describe_op(inner, names, kb, depth + 1, out);
+        }
+        PhysOp::Empty => {}
     }
 }
 
-/// Compiles and cost-orders one BGP, returning the operator, its
-/// estimated cost and output rows, and explain lines.
+/// A cost-ordered operator with its estimated cost and output rows.
 struct BgpPlan {
     op: PhysOp,
     cost: f64,
     rows: f64,
-    explain: Vec<String>,
 }
 
 /// Internal planning context.
 struct Ctx<'a, K: KbRead + ?Sized> {
     kb: &'a K,
     stats: &'a StatsCatalog,
-    slots: Slots,
+    /// Variable names by slot; a query has a handful, so a name is
+    /// found by scanning.
+    names: Vec<String>,
 }
 
 impl<K: KbRead + ?Sized> Ctx<'_, K> {
+    /// The slot of variable `name`, interned on first sight.
+    fn slot(&mut self, name: &str) -> usize {
+        self.names.iter().position(|n| n == name).unwrap_or_else(|| {
+            self.names.push(name.to_string());
+            self.names.len() - 1
+        })
+    }
+
     fn resolve_term(&mut self, t: &Term) -> Option<Slot> {
         match t {
-            Term::Var(v) => Some(Slot::Var(self.slots.slot(v))),
+            Term::Var(v) => Some(Slot::Var(self.slot(v))),
             Term::Const(c) => self.kb.term(c).map(Slot::Const),
         }
     }
@@ -455,18 +483,13 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
                 Some(Step { s: s?, p: p?, o: o?, at: pat.at })
             })
             .collect();
-        if let Some(k) = resolved.iter().position(Option::is_none) {
-            return BgpPlan {
-                op: PhysOp::Empty,
-                cost: 0.0,
-                rows: 0.0,
-                explain: vec![format!("empty (unknown constant in `{}`)", patterns[k])],
-            };
+        if resolved.iter().any(Option::is_none) {
+            return BgpPlan { op: PhysOp::Empty, cost: 0.0, rows: 0.0 };
         }
         let rp: Vec<Step> = resolved.into_iter().flatten().collect();
         // `resolve_term` may have grown the slot table; re-pad `bound`.
         let mut bound = bound.to_vec();
-        bound.resize(self.slots.names.len(), false);
+        bound.resize(self.names.len(), false);
 
         let order = if rp.len() <= DP_CUTOFF {
             self.dp_order(&rp, &bound)
@@ -474,9 +497,7 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
             self.greedy_order(&rp, &bound)
         };
         let (cost, rows) = self.sequence_cost(&rp, &order, &bound);
-        let explain =
-            order.iter().map(|&i| format!("index-nested-loop scan `{}`", patterns[i])).collect();
-        BgpPlan { op: PhysOp::Steps(order.iter().map(|&i| rp[i]).collect()), cost, rows, explain }
+        BgpPlan { op: PhysOp::Steps(order.iter().map(|&i| rp[i]).collect()), cost, rows }
     }
 
     /// Exact left-deep join ordering by DP over pattern subsets.
@@ -570,11 +591,11 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
     fn lower_group(&mut self, g: &Group, bound: &[bool]) -> BgpPlan {
         let mut plan = self.plan_bgp(&g.patterns, bound);
         let mut bound = bound.to_vec();
-        bound.resize(self.slots.names.len(), false);
+        bound.resize(self.names.len(), false);
         for p in &g.patterns {
             for t in [&p.s, &p.p, &p.o] {
                 if let Term::Var(v) = t {
-                    let s = self.slots.slot(v);
+                    let s = self.slot(v);
                     if s < bound.len() {
                         bound[s] = true;
                     }
@@ -584,12 +605,7 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
         for (a, b) in &g.unions {
             let pa = self.lower_group(a, &bound);
             let pb = self.lower_group(b, &bound);
-            bound.resize(self.slots.names.len(), false);
-            plan.explain.push("union {".into());
-            plan.explain.extend(pa.explain.iter().map(|l| format!("  {l}")));
-            plan.explain.push("} ∪ {".into());
-            plan.explain.extend(pb.explain.iter().map(|l| format!("  {l}")));
-            plan.explain.push("}".into());
+            bound.resize(self.names.len(), false);
             let cost = plan.cost + plan.rows.max(1.0) * (pa.cost + pb.cost);
             let rows = plan.rows * (pa.rows + pb.rows);
             plan = BgpPlan {
@@ -599,35 +615,21 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
                 ),
                 cost,
                 rows,
-                explain: plan.explain,
             };
         }
         for opt in &g.optionals {
             let po = self.lower_group(opt, &bound);
-            bound.resize(self.slots.names.len(), false);
-            plan.explain.push("optional {".into());
-            plan.explain.extend(po.explain.iter().map(|l| format!("  {l}")));
-            plan.explain.push("}".into());
+            bound.resize(self.names.len(), false);
             let cost = plan.cost + plan.rows.max(1.0) * po.cost;
             let rows = plan.rows * po.rows.max(1.0);
-            plan = BgpPlan {
-                op: PhysOp::LeftJoin(Box::new(plan.op), Box::new(po.op)),
-                cost,
-                rows,
-                explain: plan.explain,
-            };
+            plan = BgpPlan { op: PhysOp::LeftJoin(Box::new(plan.op), Box::new(po.op)), cost, rows };
         }
         if !g.filters.is_empty() {
             let conds: Vec<CondC> = g.filters.iter().map(|c| self.compile_cond(c)).collect();
-            plan.explain.push(format!(
-                "filter {}",
-                g.filters.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(" ∧ ")
-            ));
             plan = BgpPlan {
                 op: PhysOp::Filter(Box::new(plan.op), conds),
                 cost: plan.cost,
                 rows: plan.rows * 0.5f64.powi(g.filters.len() as i32),
-                explain: plan.explain,
             };
         }
         plan
@@ -635,45 +637,29 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
 
     fn compile_cond(&mut self, c: &Condition) -> CondC {
         let mut operand = |t: &Term| match t {
-            Term::Var(v) => CondOperand::Slot(self.slots.slot(v)),
+            Term::Var(v) => CondOperand::Slot(self.slot(v)),
             Term::Const(s) => CondOperand::Const { id: self.kb.term(s), text: s.clone() },
         };
         CondC { lhs: operand(&c.lhs), op: c.op, rhs: operand(&c.rhs) }
     }
 
-    fn slot_label(&self, sl: Slot) -> String {
-        match sl {
-            Slot::Const(id) => self.kb.resolve(id).unwrap_or("?").to_string(),
-            Slot::Var(v) => format!("?{}", self.slots.names[v]),
-        }
-    }
-
-    /// Walks the finished operator tree producing one [`OpInfo`] per
+    /// Walks the finished operator tree producing one row estimate per
     /// executor trace slot (same layout as [`op_slots`]), re-deriving
-    /// row estimates with the bound-variable state each operator sees
-    /// at runtime. Returns the estimated rows flowing out of `op`.
+    /// them with the bound-variable state each operator sees at
+    /// runtime. Returns the estimated rows flowing out of `op`.
     fn annotate(
         &self,
         op: &PhysOp,
         bound: &mut Vec<bool>,
         rows_in: f64,
-        out: &mut Vec<OpInfo>,
+        out: &mut Vec<f64>,
     ) -> f64 {
         match op {
             PhysOp::Steps(steps) => {
                 let mut rows = rows_in;
                 for step in steps {
                     rows *= step.estimate(bound, self.stats);
-                    let mut label = format!(
-                        "scan `{} {} {}`",
-                        self.slot_label(step.s),
-                        self.slot_label(step.p),
-                        self.slot_label(step.o)
-                    );
-                    if step.at.is_some() {
-                        label.push_str(" @t");
-                    }
-                    out.push(OpInfo { label, est_rows: rows });
+                    out.push(rows);
                     for sl in [step.s, step.o] {
                         if let Slot::Var(v) = sl {
                             bound[v] = true;
@@ -688,7 +674,7 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
             }
             PhysOp::Union(l, r) => {
                 let idx = out.len();
-                out.push(OpInfo { label: "union".into(), est_rows: 0.0 });
+                out.push(0.0);
                 let old = bound.clone();
                 let mut bl = old.clone();
                 let lo = self.annotate(l, &mut bl, rows_in, out);
@@ -700,33 +686,26 @@ impl<K: KbRead + ?Sized> Ctx<'_, K> {
                     *b = old[i] || (bl[i] && br[i]);
                 }
                 let est = lo + ro;
-                out[idx].est_rows = est;
+                out[idx] = est;
                 est
             }
             PhysOp::LeftJoin(l, r) => {
                 let idx = out.len();
-                out.push(OpInfo { label: "optional".into(), est_rows: 0.0 });
+                out.push(0.0);
                 let lo = self.annotate(l, bound, rows_in, out);
                 // Optional bindings don't survive as bound downstream.
                 let mut br = bound.clone();
                 let ro = self.annotate(r, &mut br, lo, out);
                 let est = ro.max(lo);
-                out[idx].est_rows = est;
+                out[idx] = est;
                 est
             }
             PhysOp::Filter(inner, conds) => {
                 let idx = out.len();
-                out.push(OpInfo {
-                    label: format!(
-                        "filter ({} cond{})",
-                        conds.len(),
-                        if conds.len() == 1 { "" } else { "s" }
-                    ),
-                    est_rows: 0.0,
-                });
+                out.push(0.0);
                 let io = self.annotate(inner, bound, rows_in, out);
                 let est = io * 0.5f64.powi(conds.len() as i32);
-                out[idx].est_rows = est;
+                out[idx] = est;
                 est
             }
             PhysOp::Empty => 0.0,
@@ -740,13 +719,13 @@ pub fn plan<K: KbRead + ?Sized>(
     kb: &K,
     stats: &StatsCatalog,
 ) -> Result<Plan, QueryError> {
-    let mut ctx = Ctx { kb, stats, slots: Slots::new() };
+    let mut ctx = Ctx { kb, stats, names: Vec::new() };
     // Intern the group's variables first, in sorted order, so `SELECT *`
     // column order is independent of pattern order.
     for v in query.group.variables() {
-        ctx.slots.slot(v);
+        ctx.slot(v);
     }
-    let lowered = ctx.lower_group(&query.group, &vec![false; ctx.slots.names.len()]);
+    let lowered = ctx.lower_group(&query.group, &vec![false; ctx.names.len()]);
 
     // Projection.
     let aggregate = query.is_aggregate();
@@ -755,23 +734,19 @@ pub fn plan<K: KbRead + ?Sized>(
             if aggregate {
                 return Err(QueryError::Plan("GROUP BY requires an explicit projection".into()));
             }
-            query
-                .group
-                .variables()
-                .into_iter()
-                .map(|v| Col::Var { name: v.to_string(), slot: ctx.slots.slot(v) })
-                .collect()
+            query.group.variables().into_iter().map(|v| Col::Var(ctx.slot(v))).collect()
         }
         Some(items) => items
             .iter()
             .map(|item| match item {
-                ProjItem::Var(v) => Col::Var { name: v.clone(), slot: ctx.slots.slot(v) },
+                ProjItem::Var(v) => Col::Var(ctx.slot(v)),
                 ProjItem::Count { arg, alias } => {
-                    Col::Count { name: alias.clone(), arg: arg.as_ref().map(|v| ctx.slots.slot(v)) }
+                    Col::Count { name: alias.clone(), arg: arg.as_ref().map(|v| ctx.slot(v)) }
                 }
             })
             .collect(),
     };
+    let group_by: Vec<usize> = query.group_by.iter().map(|v| ctx.slot(v)).collect();
     // An aggregate's output cell is a GROUP BY key component or a count,
     // so a group needs to remember nothing else.
     let mut group_cols = Vec::new();
@@ -779,11 +754,12 @@ pub fn plan<K: KbRead + ?Sized>(
         let mut counts = 0;
         for col in &cols {
             group_cols.push(match col {
-                Col::Var { name, .. } => match query.group_by.iter().position(|g| g == name) {
+                Col::Var(slot) => match group_by.iter().position(|g| g == slot) {
                     Some(at) => GroupCol::Key(at),
                     None => {
                         return Err(QueryError::Plan(format!(
-                            "projected variable ?{name} must appear in GROUP BY"
+                            "projected variable ?{} must appear in GROUP BY",
+                            ctx.names[*slot]
                         )))
                     }
                 },
@@ -794,34 +770,23 @@ pub fn plan<K: KbRead + ?Sized>(
             });
         }
     }
-    let group_by: Vec<usize> = query.group_by.iter().map(|v| ctx.slots.slot(v)).collect();
 
     // ORDER BY keys must reference projected columns.
     let mut order_by = Vec::with_capacity(query.order_by.len());
     for key in &query.order_by {
-        let idx = cols.iter().position(|c| c.name() == key.var).ok_or_else(|| {
+        let idx = cols.iter().position(|c| c.name(&ctx.names) == key.var).ok_or_else(|| {
             QueryError::Plan(format!("ORDER BY key ?{} is not a projected column", key.var))
         })?;
         order_by.push((idx, key.desc));
     }
 
-    let mut explain = lowered.explain;
-    if aggregate {
-        explain.push(format!(
-            "aggregate ({} group key{})",
-            group_by.len(),
-            if group_by.len() == 1 { "" } else { "s" }
-        ));
-    }
     let mut footprint = Footprint::default();
     collect_footprint(&query.group, kb, &mut footprint);
     footprint.preds.sort_unstable();
     footprint.preds.dedup();
-    let mut ops = Vec::new();
-    let mut annotate_bound = vec![false; ctx.slots.names.len()];
-    ctx.annotate(&lowered.op, &mut annotate_bound, 1.0, &mut ops);
+    let mut est_rows = Vec::new();
+    ctx.annotate(&lowered.op, &mut vec![false; ctx.names.len()], 1.0, &mut est_rows);
     Ok(Plan {
-        nvars: ctx.slots.names.len(),
         root: lowered.op,
         cols,
         distinct: query.distinct,
@@ -832,9 +797,9 @@ pub fn plan<K: KbRead + ?Sized>(
         limit: query.limit,
         offset: query.offset,
         est_cost: lowered.cost,
-        explain,
-        ops,
+        est_rows,
         footprint,
+        names: ctx.names,
     })
 }
 
@@ -879,6 +844,43 @@ mod tests {
         let p = plan(&q, &snap, &stats).unwrap();
         assert_eq!(p.root, PhysOp::Empty);
         assert_eq!(p.estimated_cost(), 0.0);
+    }
+
+    #[test]
+    fn the_renderer_labels_every_trace_slot_from_the_dictionary() {
+        let snap = skewed_snap();
+        let stats = StatsCatalog::build(&snap);
+        let q = parse(
+            "SELECT ?x COUNT(?y) AS ?n WHERE { ?x rel_rare ?y \
+             { ?x rel_big o1 } UNION { ?y rel_big ?z } OPTIONAL { ?y rel_rare ?w } \
+             FILTER(?x != s2) FILTER(?y != ?x) } GROUP BY ?x",
+        )
+        .unwrap();
+        let p = plan(&q, &snap, &stats).unwrap();
+        let labels = p.describe(&snap);
+        assert_eq!(
+            labels,
+            [
+                "filter ?x != s2 ∧ ?y != ?x",
+                "  optional",
+                "    scan `?x rel_rare ?y`",
+                "    union",
+                "      scan `?x rel_big o1`",
+                "      scan `?y rel_big ?z`",
+                "    scan `?y rel_rare ?w`",
+            ]
+        );
+        assert_eq!(labels.len(), op_slots(&p.root));
+        assert_eq!(p.est_rows().len(), labels.len());
+        let (_, trace) = crate::exec::execute_traced(&p, &snap);
+        assert_eq!(trace.op_rows.len(), labels.len());
+
+        // A constant the dictionary lacks empties the plan: no operator
+        // runs, so there is no trace slot, estimate or label.
+        let q = parse("?x rel_big Atlantis").unwrap();
+        let p = plan(&q, &snap, &stats).unwrap();
+        assert_eq!(p.root, PhysOp::Empty);
+        assert!(p.describe(&snap).is_empty() && p.est_rows().is_empty());
     }
 
     #[test]

@@ -421,7 +421,8 @@ impl QueryService {
     }
 
     /// Looks up or compiles the plan for `text`. Public so callers can
-    /// inspect [`Plan::explain`] (the CLI's `--explain` does).
+    /// inspect it: [`Plan::describe`] labels its operators (the CLI's
+    /// `--explain` prints them).
     pub fn plan_for(&self, text: &str) -> Result<Arc<Plan>, QueryError> {
         let at = lock(&self.current).clone();
         let (key, parsed) = self.normalized_key(text)?;

@@ -365,7 +365,7 @@ impl IncSpec {
                     .iter()
                     .filter(|c| c.sign == sign && at_matches(step, &c.fact))
                     .map(|c| c.fact.triple);
-                delta_join(&self.steps, i, plan.nvars, facts, old, new, |get| {
+                delta_join(&self.steps, i, plan.names.len(), facts, old, new, |get| {
                     // Filters resolve against the new view: its
                     // dictionary is a superset (term ids are
                     // append-only), so rows mixing old- and new-view
@@ -578,22 +578,21 @@ fn feed_plan(plan: &Plan) -> (Plan, Vec<usize>) {
         }
         for c in &plan.cols {
             match c {
-                Col::Var { slot, .. } => want(*slot),
+                Col::Var(slot) => want(*slot),
                 Col::Count { arg: Some(slot), .. } => want(*slot),
                 Col::Count { arg: None, .. } => {}
             }
         }
     } else {
         for c in &plan.cols {
-            if let Col::Var { slot, .. } = c {
+            if let Col::Var(slot) = c {
                 want(*slot);
             }
         }
     }
-    let cols =
-        slots.iter().map(|&s| Col::Var { name: format!("s{s}"), slot: s }).collect::<Vec<_>>();
+    let cols = slots.iter().map(|&s| Col::Var(s)).collect();
     let feed = Plan {
-        nvars: plan.nvars,
+        names: plan.names.clone(),
         root: plan.root.clone(),
         cols,
         distinct: false,
@@ -604,8 +603,7 @@ fn feed_plan(plan: &Plan) -> (Plan, Vec<usize>) {
         limit: None,
         offset: 0,
         est_cost: plan.est_cost,
-        explain: Vec::new(),
-        ops: plan.ops.clone(),
+        est_rows: plan.est_rows.clone(),
         footprint: plan.footprint.clone(),
     };
     (feed, slots)

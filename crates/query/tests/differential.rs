@@ -185,7 +185,8 @@ proptest! {
                 .unwrap_or_else(|e| panic!("generated query failed to plan: {text:?}: {e}"));
             let (out, trace) = kb_query::execute_traced(&plan, view);
             assert_conforms(&parsed, &out, view, &reference);
-            prop_assert_eq!(plan.ops().len(), trace.op_rows.len());
+            prop_assert_eq!(plan.describe(view).len(), trace.op_rows.len());
+            prop_assert_eq!(plan.est_rows().len(), trace.op_rows.len());
         }
     }
 }
@@ -359,8 +360,7 @@ fn shared_object_pair_plans_as_two_scan_steps() {
     let text = "?a bornIn ?c . ?b diedIn ?c";
     let parsed = kb_query::parse(text).unwrap();
     let plan = kb_query::plan(&parsed, &snap, &kb_query::StatsCatalog::build(&snap)).unwrap();
-    let labels: Vec<&str> = plan.ops().iter().map(|op| op.label.as_str()).collect();
-    assert_eq!(labels, ["scan `?a bornIn ?c`", "scan `?b diedIn ?c`"]);
+    assert_eq!(plan.describe(&snap), ["scan `?a bornIn ?c`", "scan `?b diedIn ?c`"]);
 
     let (out, trace) = kb_query::execute_traced(&plan, &snap);
     assert_eq!(trace.probe_tables, [kb_query::ProbeBuild { op: 1, rows: 50, lookups: 0 }]);

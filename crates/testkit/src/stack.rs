@@ -372,7 +372,8 @@ impl Stack {
             if let Some(query) = &query {
                 let compiled = plan(query, view, &StatsCatalog::build(view)).unwrap();
                 let (out, trace) = execute_traced(&compiled, view);
-                assert_eq!(compiled.ops().len(), trace.op_rows.len(), "operators traced");
+                assert_eq!(compiled.describe(view).len(), trace.op_rows.len(), "operators traced");
+                assert_eq!(compiled.est_rows().len(), trace.op_rows.len(), "operators estimated");
                 assert_conforms(query, &out, view, reference);
             }
         }

@@ -53,8 +53,8 @@ fn main() {
         match service.plan_for(q) {
             Ok(plan) => {
                 println!("  plan (estimated cost {:.1}):", plan.estimated_cost());
-                for line in plan.explain() {
-                    println!("    {line}");
+                for label in plan.describe(snap.as_ref()) {
+                    println!("    {label}");
                 }
             }
             Err(e) => {

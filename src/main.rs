@@ -337,15 +337,13 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints the `--explain` report: plan shape, predicate footprint and
-/// view-maintenance verdict, per-operator estimated vs actual rows, the
-/// probe tables scan steps built, what the aggregate made of the rows,
-/// batch counts and the compressed-index footprint.
+/// Prints the `--explain` report: estimated cost, predicate footprint
+/// and view-maintenance verdict, the operator tree with estimated vs
+/// actual rows per operator, the probe tables scan steps built, what
+/// the aggregate made of the rows, batch counts and the
+/// compressed-index footprint.
 fn print_explain<K: KbRead + ?Sized>(plan: &Plan, trace: &ExecTrace, stats: &IndexStats, kb: &K) {
-    eprintln!("plan (estimated cost {:.1}):", plan.estimated_cost());
-    for line in plan.explain() {
-        eprintln!("  {line}");
-    }
+    eprintln!("plan: estimated cost {:.1} index probes", plan.estimated_cost());
     let fp = plan.footprint();
     if fp.is_wildcard() {
         eprintln!("footprint: wildcard (every delta install can change this answer)");
@@ -359,11 +357,15 @@ fn print_explain<K: KbRead + ?Sized>(plan: &Plan, trace: &ExecTrace, stats: &Ind
     }
     eprintln!("maintenance: {}", maintainability(plan).describe());
     eprintln!("operators (estimated vs actual rows):");
-    for (op, &actual) in plan.ops().iter().zip(&trace.op_rows) {
-        eprintln!("  est {:>12.1}  actual {:>10}  {}", op.est_rows, actual, op.label);
+    let labels = plan.describe(kb);
+    if labels.is_empty() {
+        eprintln!("  none: a constant of the query is not in the dictionary");
+    }
+    for ((label, est), actual) in labels.iter().zip(plan.est_rows()).zip(&trace.op_rows) {
+        eprintln!("  est {est:>12.1}  actual {actual:>10}  {label}");
     }
     for table in &trace.probe_tables {
-        let label = &plan.ops()[table.op].label;
+        let label = labels[table.op].trim_start();
         eprintln!("probe table: {label} — {} rows after {} lookups", table.rows, table.lookups);
     }
     if plan.is_aggregate() {
