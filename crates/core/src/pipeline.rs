@@ -759,7 +759,7 @@ mod tests {
         );
         // The stack compacts back to a monolithic snapshot with the
         // same answers.
-        let compacted = view.compact();
+        let compacted = view.compact().unwrap();
         assert_eq!(compacted.len(), view.len());
     }
 

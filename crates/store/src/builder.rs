@@ -16,7 +16,7 @@
 use std::sync::OnceLock;
 
 use crate::fact::{Fact, Triple};
-use crate::fx::{FxHashMap, FxHashSet};
+use crate::fx::FxHashSet;
 use crate::ids::{FactId, TermId};
 use crate::idtable::TripleIds;
 use crate::labels::LabelStore;
@@ -38,8 +38,8 @@ pub(crate) struct KbCore {
     pub(crate) facts: Vec<Fact>,
     /// Every row of `facts`, filed by its triple.
     pub(crate) by_triple: TripleIds,
-    pub(crate) sources: Vec<String>,
-    pub(crate) source_lookup: FxHashMap<String, SourceId>,
+    /// Provenance source names, interned like terms.
+    pub(crate) sources: Dictionary,
     /// Number of live (non-retracted) facts, maintained incrementally
     /// so `len()` stays O(1) without any index.
     pub(crate) live: usize,
@@ -59,17 +59,11 @@ impl KbCore {
     }
 
     pub(crate) fn register_source(&mut self, name: &str) -> SourceId {
-        if let Some(&id) = self.source_lookup.get(name) {
-            return id;
-        }
-        let id = SourceId(self.sources.len() as u32);
-        self.sources.push(name.to_string());
-        self.source_lookup.insert(name.to_string(), id);
-        id
+        SourceId(self.sources.intern(name).0)
     }
 
     pub(crate) fn source_name(&self, id: SourceId) -> Option<&str> {
-        self.sources.get(id.0 as usize).map(|s| s.as_str())
+        self.sources.resolve(TermId(id.0))
     }
 
     /// Adds or merges a fact under the write contract of
@@ -193,7 +187,7 @@ impl KbBuilder {
 
     /// All registered sources in id order.
     pub fn sources(&self) -> impl Iterator<Item = (SourceId, &str)> {
-        self.core.sources.iter().enumerate().map(|(i, s)| (SourceId(i as u32), s.as_str()))
+        self.core.sources.iter().map(|(id, s)| (SourceId(id.0), s))
     }
 
     /// Adds a fully-confident fact with default provenance.

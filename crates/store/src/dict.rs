@@ -2,19 +2,82 @@
 //! [`TermId`] exactly once.
 //!
 //! The dictionary is one flat table, the HDT-style dictionary block
-//! held in memory: every term's text back to back in one arena, one
-//! end offset per id, and an open-addressed table of ids hashed by
+//! held in memory: a [`TermArena`] (every term's text back to back,
+//! one end offset per id) and an open-addressed table of ids hashed by
 //! text (an `IdTable`, the type the triple table is made of too). A
 //! term costs its bytes plus about three `u32`s, with no allocation of
 //! its own, and a segment's dictionary region decodes straight into the
-//! arena. The base of a view and each delta's extension table are both
-//! a `Dictionary`.
+//! arena. A delta holds only the arena of the terms it added, which its
+//! view's stack table files.
 
 use std::hash::Hasher;
 
 use crate::fx::FxHasher;
-use crate::idtable::IdTable;
+use crate::idtable::{distinct, IdTable};
 use crate::TermId;
+
+/// The hash a term is filed under, in the dictionary and in the delta
+/// stack's table alike.
+#[inline]
+pub(crate) fn term_hash(term: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(term.as_bytes());
+    h.finish()
+}
+
+/// Terms' text back to back in id order, one end offset per id.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct TermArena {
+    /// Every term's text, back to back in id order.
+    text: String,
+    /// `ends[i]` is where term `i` ends in `text`; it starts where term
+    /// `i - 1` ends (term 0 at 0).
+    ends: Vec<u32>,
+}
+
+impl TermArena {
+    /// The text of issued id `id`.
+    #[inline]
+    pub(crate) fn at(&self, id: u32) -> &str {
+        let i = id as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
+    }
+
+    /// The text of `id`, or `None` past the last id.
+    #[inline]
+    pub(crate) fn resolve(&self, id: u32) -> Option<&str> {
+        ((id as usize) < self.ends.len()).then(|| self.at(id))
+    }
+
+    /// Number of terms.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Appends `term` and returns its id.
+    ///
+    /// # Panics
+    /// Past `u32::MAX` terms or `u32::MAX` bytes of term text.
+    #[expect(
+        clippy::expect_used,
+        reason = "ids and text offsets are u32 by the segment format; a KB past 4 G terms or \
+                  4 GiB of term text cannot be written either"
+    )]
+    pub(crate) fn push(&mut self, term: &str) -> u32 {
+        let id = u32::try_from(self.ends.len()).expect("dictionary overflow: >u32::MAX terms");
+        let end = u32::try_from(self.text.len() + term.len())
+            .expect("dictionary overflow: >u32::MAX bytes of term text");
+        self.text.push_str(term);
+        self.ends.push(end);
+        id
+    }
+
+    /// Every term in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &str> {
+        (0..self.ends.len() as u32).map(|id| self.at(id))
+    }
+}
 
 /// A bidirectional string ↔ [`TermId`] map.
 ///
@@ -22,38 +85,15 @@ use crate::TermId;
 /// them usable as vector indexes in downstream per-term tables.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    /// Every term's text, back to back in id order.
-    text: String,
-    /// `ends[i]` is where term `i` ends in `text`; it starts where term
-    /// `i - 1` ends (term 0 at 0).
-    ends: Vec<u32>,
+    terms: TermArena,
     /// Every id, filed by the hash of its text.
     ids: IdTable,
-}
-
-fn hash(term: &str) -> u64 {
-    let mut h = FxHasher::default();
-    h.write(term.as_bytes());
-    h.finish()
-}
-
-/// The text of issued id `id` in an arena of `text` and `ends`.
-#[inline]
-fn term_at<'a>(text: &'a str, ends: &[u32], id: u32) -> &'a str {
-    let i = id as usize;
-    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
-    &text[start..ends[i] as usize]
 }
 
 impl Dictionary {
     /// Creates an empty dictionary.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a dictionary sized for roughly `n` distinct terms.
-    pub fn with_capacity(n: usize) -> Self {
-        Self { text: String::new(), ends: Vec::with_capacity(n), ids: IdTable::with_capacity(n) }
     }
 
     /// Adopts an arena filled by a loader: `text` holds the terms back to
@@ -64,15 +104,17 @@ impl Dictionary {
     /// contain one.
     pub(crate) fn from_arena(text: String, ends: Vec<u32>) -> Option<Self> {
         debug_assert_eq!(ends.last().map_or(0, |&e| e as usize), text.len());
-        let at = |id| term_at(&text, &ends, id);
-        let ids = IdTable::checked(ends.len(), |id| hash(at(id)), |a, b| at(a) == at(b)).ok()?;
-        Some(Self { text, ends, ids })
+        let terms = TermArena { text, ends };
+        let same = |a: u32, b: u32| terms.at(a) == terms.at(b);
+        let mut ids = IdTable::default();
+        ids.file(0, terms.len(), |id| term_hash(terms.at(id)), same).ok()?;
+        Some(Self { terms, ids })
     }
 
-    /// The text of an issued id.
-    #[inline]
-    fn term_at(&self, id: u32) -> &str {
-        term_at(&self.text, &self.ends, id)
+    /// The arena alone, its id table dropped: a delta's extension terms,
+    /// which the view's stack table files.
+    pub(crate) fn into_arena(self) -> TermArena {
+        self.terms
     }
 
     /// Interns `term`, returning its id. Idempotent: the same string
@@ -80,56 +122,46 @@ impl Dictionary {
     ///
     /// # Panics
     /// Past `u32::MAX` terms or `u32::MAX` bytes of term text.
-    #[expect(
-        clippy::expect_used,
-        reason = "ids and text offsets are u32 by the segment format; a KB past 4 G terms or \
-                  4 GiB of term text cannot be written either"
-    )]
     pub fn intern(&mut self, term: &str) -> TermId {
         if let Some(id) = self.get(term) {
             return id;
         }
-        let id = u32::try_from(self.ends.len()).expect("dictionary overflow: >u32::MAX terms");
-        let end = u32::try_from(self.text.len() + term.len())
-            .expect("dictionary overflow: >u32::MAX bytes of term text");
-        self.text.push_str(term);
-        self.ends.push(end);
-        let (text, ends) = (&self.text, &self.ends);
-        self.ids.file(ends.len(), |id| hash(term_at(text, ends, id)));
+        let (id, terms) = (self.terms.push(term), &self.terms);
+        let _ = self.ids.file(id as usize, terms.len(), |id| term_hash(terms.at(id)), distinct);
         TermId(id)
     }
 
     /// Looks up an already-interned term without inserting.
     #[inline]
     pub fn get(&self, term: &str) -> Option<TermId> {
-        self.ids.get(|| hash(term), |id| self.term_at(id) == term).map(TermId)
+        self.ids.get(|| term_hash(term), |id| self.terms.at(id) == term).map(TermId)
     }
 
     /// Resolves an id back to its string, or `None` if the id was never
     /// issued by this dictionary.
     #[inline]
     pub fn resolve(&self, id: TermId) -> Option<&str> {
-        (id.index() < self.ends.len()).then(|| self.term_at(id.0))
+        self.terms.resolve(id.0)
     }
 
     /// Number of distinct terms interned so far.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.terms.len()
     }
 
     /// Whether no terms have been interned.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.terms.len() == 0
     }
 
     /// Heap bytes of the three buffers, from their capacities.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.text.capacity() + 4 * self.ends.capacity() + self.ids.heap_bytes()
+        self.terms.text.capacity() + 4 * self.terms.ends.capacity() + self.ids.heap_bytes()
     }
 
     /// Iterates over all `(id, term)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &str)> {
-        (0..self.ends.len() as u32).map(|id| (TermId(id), self.term_at(id)))
+        self.terms.iter().enumerate().map(|(id, term)| (TermId(id as u32), term))
     }
 }
 
@@ -192,8 +224,8 @@ mod tests {
 
     #[test]
     fn the_id_table_stays_at_most_half_full() {
-        let mut d = Dictionary::with_capacity(3);
-        assert_eq!(d.ids.slot_count(), 16);
+        let mut d = Dictionary::new();
+        assert_eq!(d.ids.slot_count(), 0);
         for i in 0..1_000 {
             d.intern(&format!("t{i}"));
             let slots = d.ids.slot_count();

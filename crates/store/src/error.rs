@@ -134,6 +134,11 @@ impl fmt::Display for StoreError {
 
 impl Error for StoreError {}
 
+/// A [`StoreError::Corrupt`] in `region`.
+pub(crate) fn corrupt(region: SegmentRegion, detail: impl Into<String>) -> StoreError {
+    StoreError::Corrupt { region, detail: detail.into() }
+}
+
 impl From<std::io::Error> for StoreError {
     fn from(e: std::io::Error) -> Self {
         StoreError::Io(e.to_string())

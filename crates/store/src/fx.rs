@@ -11,9 +11,6 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// `HashMap` keyed with [`FxHasher`].
-pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
 /// `HashSet` keyed with [`FxHasher`].
 pub(crate) type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
@@ -80,6 +77,8 @@ impl Hasher for FxHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
     #[test]
     fn maps_behave_like_std_maps() {

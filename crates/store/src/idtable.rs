@@ -19,6 +19,11 @@ use crate::ids::FactId;
 /// Fewest slots a table grows to from empty.
 const MIN_SLOTS: usize = 16;
 
+/// The key test of ids whose keys are known to be distinct.
+pub(crate) fn distinct(_: u32, _: u32) -> bool {
+    false
+}
+
 /// Slots for `n` ids at a load of at most one half.
 fn slots_for(n: usize) -> usize {
     (2 * n).next_power_of_two().max(MIN_SLOTS)
@@ -34,34 +39,40 @@ pub(crate) struct IdTable {
     slots: Vec<u32>,
 }
 
+/// A table of no ids: the stack table of a view with no deltas.
+pub(crate) static EMPTY: IdTable = IdTable { slots: Vec::new() };
+
 impl IdTable {
-    /// An empty table with room for `n` ids.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        Self { slots: vec![0; slots_for(n)] }
-    }
-
-    /// The table of ids `0..n`, whose keys must be distinct; `hash_of(id)`
-    /// hashes id's key.
-    pub(crate) fn of(n: usize, hash_of: impl Fn(u32) -> u64) -> Self {
-        let mut table = Self::default();
-        table.rehash(slots_for(n), n, hash_of);
-        table
-    }
-
-    /// The table of ids `0..n`, filed in order, or the first id whose key
-    /// `same(earlier, id)` finds at an earlier id — a loader-side check,
-    /// since a live table never files a key twice.
-    pub(crate) fn checked(
+    /// Files ids `from..n` in order over ids `0..from`, or stops at the
+    /// first of them whose key `same(earlier, id)` finds at an earlier
+    /// id: the probe that finds its slot meets any earlier holder of its
+    /// key. A table that would be more than half full is first rebuilt
+    /// from ids `0..from`, each in the first empty slot of its probe
+    /// sequence. A live table, which never files a key twice, passes
+    /// [`distinct`]; a loader checks an image's rows from 0.
+    pub(crate) fn file(
+        &mut self,
+        from: usize,
         n: usize,
         hash_of: impl Fn(u32) -> u64,
         same: impl Fn(u32, u32) -> bool,
-    ) -> Result<Self, u32> {
-        let mut table = Self::with_capacity(n);
-        for id in 0..n as u32 {
-            let slot = table.find(hash_of(id), |earlier| same(earlier, id)).err().ok_or(id)?;
-            table.slots[slot] = id + 1;
+    ) -> Result<(), u32> {
+        let from = from as u32;
+        let start = if 2 * n > self.slots.len() {
+            // The keys live in the indexed rows, so the old slots are
+            // freed before the new ones are allocated.
+            self.slots = Vec::new();
+            self.slots = vec![0; slots_for(n)];
+            0
+        } else {
+            from
+        };
+        for id in start..n as u32 {
+            let is = |earlier| id >= from && same(earlier, id);
+            let slot = self.find(hash_of(id), is).err().ok_or(id)?;
+            self.slots[slot] = id + 1;
         }
-        Ok(table)
+        Ok(())
     }
 
     /// Where the probe sequence of a key of hash `hash` starts.
@@ -73,8 +84,8 @@ impl IdTable {
     }
 
     /// The id filed under the key's hash whose key `is` accepts. An
-    /// empty table answers without hashing: a delta's term table most
-    /// often is one, and a term lookup asks every delta's.
+    /// empty table answers without hashing: the delta stack's term table
+    /// is one until a delta adds a term, and every base miss asks it.
     #[inline]
     pub(crate) fn get(
         &self,
@@ -99,43 +110,6 @@ impl IdTable {
                 s if is(s - 1) => return Ok(s - 1),
                 _ => i = (i + 1) & mask,
             }
-        }
-    }
-
-    /// The first empty slot of the probe sequence of `hash`. The table
-    /// must be non-empty.
-    fn vacant(&self, hash: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(hash);
-        while self.slots[i] != 0 {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// Rebuilds the table at `slots` slots from ids `0..n`, in id order.
-    /// Their keys are distinct, so each id goes in the first empty slot
-    /// of its probe sequence. The keys live in the indexed rows, so the
-    /// old slots are freed before the new ones are allocated.
-    fn rehash(&mut self, slots: usize, n: usize, hash_of: impl Fn(u32) -> u64) {
-        self.slots = Vec::new();
-        self.slots = vec![0; slots];
-        for id in 0..n as u32 {
-            let slot = self.vacant(hash_of(id));
-            self.slots[slot] = id + 1;
-        }
-    }
-
-    /// Files id `n - 1`, whose row was just pushed as the `n`th and whose
-    /// key no earlier id holds. A table that would be more than half full
-    /// is rebuilt at twice the size from ids `0..n`.
-    pub(crate) fn file(&mut self, n: usize, hash_of: impl Fn(u32) -> u64) {
-        if 2 * n > self.slots.len() {
-            self.rehash(slots_for(n), n, hash_of);
-        } else {
-            let id = n as u32 - 1;
-            let slot = self.vacant(hash_of(id));
-            self.slots[slot] = id + 1;
         }
     }
 
@@ -174,14 +148,18 @@ fn row_hash(facts: &[Fact]) -> impl Fn(u32) -> u64 + '_ {
 impl TripleIds {
     /// The table of `facts`, whose triples must be distinct.
     pub(crate) fn of(facts: &[Fact]) -> Self {
-        Self(IdTable::of(facts.len(), row_hash(facts)))
+        let mut table = IdTable::default();
+        let _ = table.file(0, facts.len(), row_hash(facts), distinct);
+        Self(table)
     }
 
     /// The table of `facts`, or the first row whose triple an earlier
     /// row already holds.
     pub(crate) fn checked(facts: &[Fact]) -> Result<Self, usize> {
         let same = |a: u32, b: u32| facts[a as usize].triple == facts[b as usize].triple;
-        IdTable::checked(facts.len(), row_hash(facts), same).map(Self).map_err(|id| id as usize)
+        let mut table = IdTable::default();
+        table.file(0, facts.len(), row_hash(facts), same).map_err(|id| id as usize)?;
+        Ok(Self(table))
     }
 
     /// The row of `facts` that holds `t`.
@@ -193,7 +171,7 @@ impl TripleIds {
     /// Files the last row of `facts`, just pushed, whose triple no
     /// earlier row holds.
     pub(crate) fn file_last(&mut self, facts: &[Fact]) {
-        self.0.file(facts.len(), row_hash(facts));
+        let _ = self.0.file(facts.len() - 1, facts.len(), row_hash(facts), distinct);
     }
 
     /// Heap bytes of the slots, from their capacity.
@@ -332,7 +310,7 @@ mod tests {
                 let id = delta.by_triple.get(&delta.facts, &f.triple);
                 prop_assert_eq!(id, Some(FactId(i as u32)));
             }
-            let compacted = view.with_delta(Arc::new(delta)).compact();
+            let compacted = view.with_delta(Arc::new(delta)).compact().unwrap();
             assert_filed(compacted.core());
             let split = partition_snapshot(&compacted, parts);
             for part in &split {

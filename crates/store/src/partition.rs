@@ -77,7 +77,6 @@ pub fn partition_snapshot(base: &KbSnapshot, partitions: usize) -> Vec<KbSnapsho
     let template = KbCore {
         dict: base.core().dict.clone(),
         sources: base.core().sources.clone(),
-        source_lookup: base.core().source_lookup.clone(),
         ..KbCore::default()
     };
     let mut cores: Vec<KbCore> = (0..partitions).map(|_| template.clone()).collect();
@@ -124,8 +123,9 @@ pub fn partition_delta<K: KbRead + ?Sized>(
     let mut facts: Vec<Vec<Fact>> = vec![Vec::new(); partitions];
     let mut kinds: Vec<Vec<crate::segment::FactKind>> = vec![Vec::new(); partitions];
     for (f, k) in delta.facts.iter().zip(&delta.kinds) {
-        let subject = delta
-            .resolve_local(f.triple.s)
+        let local = f.triple.s.0.checked_sub(delta.first_term);
+        let subject = local
+            .and_then(|i| delta.ext_terms.resolve(i))
             .or_else(|| view.resolve(f.triple.s))
             .expect("delta subject is interned in the view or the delta");
         let p = subject_partition(subject, partitions);

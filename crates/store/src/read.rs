@@ -32,10 +32,11 @@ use std::sync::Arc;
 use crate::builder::{KbBuilder, KbCore};
 use crate::fact::{Fact, Triple};
 use crate::ids::{FactId, TermId};
+use crate::idtable::{IdTable, EMPTY};
 use crate::labels::LabelStore;
 use crate::pattern::TriplePattern;
 use crate::sameas::SameAsStore;
-use crate::segment::{DeltaSegment, SegmentedSnapshot};
+use crate::segment::{stack_get, stack_name, DeltaSegment, SegmentedSnapshot};
 use crate::snapshot::{
     FrozenIndexes, LiveFactsIter, MatchBatches, MatchIter, MatchingAtIter, SegCursor, TriplesIter,
 };
@@ -59,6 +60,8 @@ pub struct Group<'a> {
     pub(crate) core: &'a KbCore,
     indexes: BaseIndexes<'a>,
     pub(crate) deltas: &'a [Arc<DeltaSegment>],
+    /// The deltas' stack table of extension terms.
+    terms: &'a IdTable,
 }
 
 impl<'a> Group<'a> {
@@ -66,8 +69,9 @@ impl<'a> Group<'a> {
         core: &'a KbCore,
         indexes: &'a FrozenIndexes,
         deltas: &'a [Arc<DeltaSegment>],
+        terms: &'a IdTable,
     ) -> Self {
-        Self { core, indexes: BaseIndexes::Frozen(indexes), deltas }
+        Self { core, indexes: BaseIndexes::Frozen(indexes), deltas, terms }
     }
 
     /// The group's fact tables in fact-id order: base, then each delta.
@@ -118,7 +122,7 @@ impl<'a> Groups<'a> {
     /// A builder's single run, whose indexes the first scan freezes.
     pub(crate) fn unfrozen(builder: &'a KbBuilder) -> Self {
         let indexes = BaseIndexes::OnFirstScan(builder);
-        Self::one(Group { core: &builder.core, indexes, deltas: &[] })
+        Self::one(Group { core: &builder.core, indexes, deltas: &[], terms: &EMPTY })
     }
 
     /// One group per partition (at least one).
@@ -153,10 +157,12 @@ impl<'a> Iterator for Groups<'a> {
 ///
 /// Term access is exposed as [`term`](Self::term) /
 /// [`resolve`](Self::resolve) / [`term_count`](Self::term_count) rather
-/// than a concrete dictionary handle, so layered views (a
-/// [`SegmentedSnapshot`] whose terms span a
-/// base dictionary plus per-delta extensions) answer without
-/// materializing one merged dictionary.
+/// than a concrete dictionary handle, so a layered view (a
+/// [`SegmentedSnapshot`], whose terms are the base dictionary's and
+/// then its deltas', filed in one stack table) answers without
+/// materializing one merged dictionary: a lookup asks the base and
+/// then at most that table, a resolve the base and then the one delta
+/// whose id range holds the id.
 ///
 /// Object-safe: `&dyn KbRead` supports the full pattern-query surface.
 /// Joins are `kb-query`'s job.
@@ -192,23 +198,27 @@ pub trait KbRead {
 
     // -- provided: the merge over groups and runs -----------------------
 
-    /// Looks up an already-interned term: the base dictionary, then
-    /// each delta's extension table.
+    /// Looks up an already-interned term: the base dictionary, then the
+    /// stack table of the deltas' extension terms.
     fn term(&self, term: &str) -> Option<TermId> {
         let g = self.groups().first();
-        g.core.dict.get(term).or_else(|| g.deltas.iter().find_map(|d| d.term_local(term)))
+        g.core.dict.get(term).or_else(|| stack_get(g.terms, g.deltas, term))
     }
 
-    /// Resolves a term id back to its string.
+    /// Resolves a term id back to its string: the base dictionary, then
+    /// the delta whose id range holds it.
     fn resolve(&self, id: TermId) -> Option<&str> {
         let g = self.groups().first();
-        g.core.dict.resolve(id).or_else(|| g.deltas.iter().find_map(|d| d.resolve_local(id)))
+        let terms = || stack_name(g.deltas, id.0, |d| (d.first_term, &d.ext_terms));
+        g.core.dict.resolve(id).or_else(terms)
     }
 
-    /// Resolves a provenance source id back to its name.
+    /// Resolves a provenance source id back to its name: the base's
+    /// sources, then the delta whose id range holds it.
     fn source_name(&self, id: SourceId) -> Option<&str> {
         let g = self.groups().first();
-        g.core.source_name(id).or_else(|| g.deltas.iter().find_map(|d| d.source_name_local(id)))
+        let sources = || stack_name(g.deltas, id.0, |d| (d.first_source, &d.ext_sources));
+        g.core.source_name(id).or_else(sources)
     }
 
     /// Looks up a fact by id (retracted facts remain addressable). Ids

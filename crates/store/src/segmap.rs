@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-use crate::error::{SegmentRegion, StoreError};
+use crate::error::{corrupt, SegmentRegion, StoreError};
 use crate::frames::{payload_buf, ColFrames, FrameMeta, FRAME_ROWS};
 use crate::segment_io::{Crc32, FRAME_META_LEN};
 
@@ -59,10 +59,6 @@ pub(crate) const FRAME_COLS: usize = 15;
 
 /// Chunk size for the streaming CRC pass over the frames region.
 const VERIFY_CHUNK: usize = 1 << 20;
-
-fn corrupt(region: SegmentRegion, detail: impl Into<String>) -> StoreError {
-    StoreError::Corrupt { region, detail: detail.into() }
-}
 
 // ---------------------------------------------------------------------
 // SegmentSource

@@ -15,7 +15,9 @@
 //!   ([`KbBuilder::freeze_delta`](crate::KbBuilder::freeze_delta)), so
 //!   unknown terms continue the view's dense id space and every segment
 //!   speaks the same [`TermId`] language. `with_delta` enforces the
-//!   sequential-stacking contract.
+//!   sequential-stacking contract and files the delta's new terms in the
+//!   view's one stack table, so a term lookup costs two probes (base,
+//!   stack) at any depth.
 //! * Queries k-way merge the per-segment index slices (see
 //!   [`MatchIter`](crate::MatchIter)): at each key the *newest* holding
 //!   segment wins, which implements both evidence shadowing (a delta's
@@ -29,16 +31,17 @@
 use std::sync::Arc;
 
 use crate::builder::{KbBuilder, KbCore};
-use crate::dict::Dictionary;
+use crate::dict::{term_hash, TermArena};
+use crate::error::{corrupt, SegmentRegion};
 use crate::fact::{Fact, Triple};
 use crate::ids::{FactId, TermId};
-use crate::idtable::TripleIds;
+use crate::idtable::{IdTable, TripleIds};
 use crate::labels::LabelStore;
 use crate::read::{Group, Groups, KbRead};
 use crate::sameas::SameAsStore;
 use crate::snapshot::{FrozenIndexes, IndexStats, KbSnapshot};
 use crate::taxonomy::Taxonomy;
-use crate::SourceId;
+use crate::{SourceId, StoreError};
 
 /// How a delta fact relates to the view it was frozen against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,13 +67,15 @@ pub enum FactKind {
 #[derive(Debug)]
 pub struct DeltaSegment {
     /// Terms unknown to the underlying view, in allocation order: global
-    /// term id `first_term + i` is this table's id `i`.
-    pub(crate) ext_terms: Dictionary,
+    /// term id `first_term + i` is this arena's id `i`. The view's stack
+    /// table files them.
+    pub(crate) ext_terms: TermArena,
     /// First term id this segment allocates (== the view's term count
     /// at freeze time — the sequential-stacking contract).
     pub(crate) first_term: u32,
-    /// Provenance sources unknown to the underlying view.
-    pub(crate) ext_sources: Vec<String>,
+    /// Provenance sources unknown to the underlying view, in the same
+    /// layout from `first_source`.
+    pub(crate) ext_sources: TermArena,
     pub(crate) first_source: u32,
     /// The delta's facts (new, shadow and tombstone entries alike),
     /// over global ids.
@@ -84,11 +89,8 @@ pub struct DeltaSegment {
     /// Distinct predicates this delta touches (including tombstones),
     /// sorted — the unit of cache invalidation upstream.
     touched: Vec<TermId>,
-    new_facts: usize,
-    shadowed: usize,
-    tombstones: usize,
-    /// Net change to the view's live-fact count (`new - tombstoned`).
-    net_live: isize,
+    /// Entries of each kind, indexed by [`FactKind`] as `usize`.
+    counts: [usize; 3],
 }
 
 impl DeltaSegment {
@@ -101,26 +103,23 @@ impl DeltaSegment {
         // Re-intern the builder's dictionary against the view; unknown
         // terms continue the view's dense id space in first-seen order.
         let first_term = view.term_count() as u32;
-        let mut ext_terms = Dictionary::new();
+        let mut ext_terms = TermArena::default();
         let remap: Vec<TermId> = core
             .dict
             .iter()
             .map(|(_, term)| {
-                view.term(term).unwrap_or_else(|| TermId(first_term + ext_terms.intern(term).0))
+                view.term(term).unwrap_or_else(|| TermId(first_term + ext_terms.push(term)))
             })
             .collect();
 
         let first_source = view.source_count() as u32;
-        let mut ext_sources: Vec<String> = Vec::new();
+        let mut ext_sources = TermArena::default();
         let source_remap: Vec<SourceId> = core
             .sources
             .iter()
-            .map(|name| {
-                view.source_id(name).unwrap_or_else(|| {
-                    let id = SourceId(first_source + ext_sources.len() as u32);
-                    ext_sources.push(name.clone());
-                    id
-                })
+            .map(|(_, name)| {
+                view.source_id(name)
+                    .unwrap_or_else(|| SourceId(first_source + ext_sources.push(name)))
             })
             .collect();
 
@@ -175,9 +174,9 @@ impl DeltaSegment {
     /// a reader could disagree with.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        ext_terms: Dictionary,
+        ext_terms: TermArena,
         first_term: u32,
-        ext_sources: Vec<String>,
+        ext_sources: TermArena,
         first_source: u32,
         facts: Vec<Fact>,
         kinds: Vec<FactKind>,
@@ -185,15 +184,10 @@ impl DeltaSegment {
         indexes: FrozenIndexes,
     ) -> Self {
         debug_assert_eq!(facts.len(), kinds.len());
-        let (mut new_facts, mut shadowed, mut tombstones) = (0usize, 0usize, 0usize);
-        for k in &kinds {
-            match k {
-                FactKind::New => new_facts += 1,
-                FactKind::Shadow => shadowed += 1,
-                FactKind::Tombstone => tombstones += 1,
-            }
+        let mut counts = [0; 3];
+        for &k in &kinds {
+            counts[k as usize] += 1;
         }
-        let net_live = new_facts as isize - tombstones as isize;
         let mut touched: Vec<TermId> = facts.iter().map(|f| f.triple.p).collect();
         touched.sort_unstable();
         touched.dedup();
@@ -207,10 +201,7 @@ impl DeltaSegment {
             by_triple,
             indexes,
             touched,
-            new_facts,
-            shadowed,
-            tombstones,
-            net_live,
+            counts,
         }
     }
 
@@ -226,22 +217,22 @@ impl DeltaSegment {
 
     /// Net-new facts (triples invisible in the underlying view).
     pub fn new_facts(&self) -> usize {
-        self.new_facts
+        self.counts[FactKind::New as usize]
     }
 
     /// Evidence-merge entries shadowing an older segment's fact.
     pub fn shadowed(&self) -> usize {
-        self.shadowed
+        self.counts[FactKind::Shadow as usize]
     }
 
     /// Retractions of view-visible triples.
     pub fn tombstones(&self) -> usize {
-        self.tombstones
+        self.counts[FactKind::Tombstone as usize]
     }
 
     /// Net change to the live-fact count when this delta is installed.
     pub fn net_live(&self) -> isize {
-        self.net_live
+        self.new_facts() as isize - self.tombstones() as isize
     }
 
     /// Distinct predicates this delta touches (sorted) — shadow and
@@ -283,31 +274,10 @@ impl DeltaSegment {
         TermId(self.first_term)
     }
 
-    /// Whether this delta has an entry (of any kind) for the triple.
-    pub(crate) fn contains_triple(&self, t: &Triple) -> bool {
-        self.by_triple.get(&self.facts, t).is_some()
-    }
-
     /// The delta's entry for a triple, tombstones included.
     #[inline]
     pub(crate) fn fact_local(&self, t: &Triple) -> Option<&Fact> {
         self.by_triple.get(&self.facts, t).map(|id| &self.facts[id.index()])
-    }
-
-    /// A term this delta added to the id space.
-    pub(crate) fn term_local(&self, term: &str) -> Option<TermId> {
-        self.ext_terms.get(term).map(|id| TermId(self.first_term + id.0))
-    }
-
-    /// Resolves an id this delta allocated.
-    #[inline]
-    pub(crate) fn resolve_local(&self, id: TermId) -> Option<&str> {
-        self.ext_terms.resolve(TermId(id.0.checked_sub(self.first_term)?))
-    }
-
-    /// Resolves a source id this delta allocated.
-    pub(crate) fn source_name_local(&self, id: SourceId) -> Option<&str> {
-        self.ext_sources.get(id.0.checked_sub(self.first_source)? as usize).map(String::as_str)
     }
 
     /// Size and compression accounting for this delta's permutation
@@ -317,15 +287,50 @@ impl DeltaSegment {
     }
 }
 
+/// The name of global id `id` in a stack whose delta `d` holds ids from
+/// `range(d).0` on in arena `range(d).1`: one binary search finds the
+/// newest delta whose range starts at or below `id`.
+#[inline]
+pub(crate) fn stack_name(
+    deltas: &[Arc<DeltaSegment>],
+    id: u32,
+    range: impl Fn(&DeltaSegment) -> (u32, &TermArena),
+) -> Option<&str> {
+    let (first, arena) =
+        range(&deltas[deltas.partition_point(|d| range(d).0 <= id).checked_sub(1)?]);
+    arena.resolve(id - first)
+}
+
+/// The text of id `i` of a stack table: global term id `i` past the
+/// oldest delta's first term.
+#[inline]
+fn stack_term(deltas: &[Arc<DeltaSegment>], i: u32) -> &str {
+    let id = deltas[0].first_term + i;
+    stack_name(deltas, id, |d| (d.first_term, &d.ext_terms)).unwrap_or("")
+}
+
+/// Looks `term` up among the extension terms of `deltas`, which `terms`
+/// files as their stack table.
+#[inline]
+pub(crate) fn stack_get(
+    terms: &IdTable,
+    deltas: &[Arc<DeltaSegment>],
+    term: &str,
+) -> Option<TermId> {
+    let i = terms.get(|| term_hash(term), |i| stack_term(deltas, i) == term)?;
+    Some(TermId(deltas[0].first_term + i))
+}
+
 /// A layered, immutable view: one base [`KbSnapshot`] plus zero or more
 /// [`DeltaSegment`]s, served through [`KbRead`] exactly like a
 /// monolithic snapshot — consumers (NED, linkage, analytics, rules, the
 /// query engine) cannot tell the difference.
 ///
-/// Installing a delta is `O(1)` sharing: [`with_delta`] clones the
-/// `Arc` stack and pushes one more segment. With an empty stack every
-/// query takes the monolithic fast path, so wrapping a snapshot via
-/// [`from_base`] costs nothing on the read path.
+/// Installing a delta shares every segment: [`with_delta`] clones the
+/// `Arc` stack and the stack table's slots (4 B each, at most four per
+/// term the stack added) and files the new delta's terms. With an empty
+/// stack every query takes the monolithic fast path, so wrapping a
+/// snapshot via [`from_base`] costs nothing on the read path.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -351,6 +356,9 @@ pub struct SegmentedSnapshot {
     base: Arc<KbSnapshot>,
     /// Delta stack, oldest → newest.
     deltas: Vec<Arc<DeltaSegment>>,
+    /// The stack table: every delta's extension terms, id `i` being
+    /// global term id `i` past the oldest delta's first term.
+    terms: IdTable,
 }
 
 impl SegmentedSnapshot {
@@ -359,13 +367,15 @@ impl SegmentedSnapshot {
     /// rather than stored, so wrapping a lazily opened base touches
     /// nothing on disk.
     pub fn from_base(base: Arc<KbSnapshot>) -> Self {
-        Self { base, deltas: Vec::new() }
+        Self { base, deltas: Vec::new(), terms: IdTable::default() }
     }
 
-    /// Total provenance sources across the base and every delta. Cheap
-    /// on a lazy base (count-prefix read, no core fault).
+    /// Total provenance sources: where the newest delta's end. Cheap on
+    /// a lazy base (count-prefix read, no core fault).
     pub(crate) fn source_count(&self) -> usize {
-        self.base.source_count() + self.deltas.iter().map(|d| d.ext_sources.len()).sum::<usize>()
+        self.deltas
+            .last()
+            .map_or(self.base.source_count(), |d| d.first_source as usize + d.ext_sources.len())
     }
 
     /// Returns a new view with `delta` stacked on top (the receiver is
@@ -381,29 +391,32 @@ impl SegmentedSnapshot {
     }
 
     /// Non-panicking [`with_delta`](Self::with_delta): a delta that
-    /// violates the sequential-stacking contract is rejected as a typed
-    /// [`StoreError::Corrupt`](crate::StoreError::Corrupt) instead of a panic. This is the install
+    /// violates the sequential-stacking contract, or adds a term an
+    /// older delta already added, is rejected as a typed
+    /// [`StoreError::Corrupt`] instead of a panic. This is the install
     /// path recovery uses — a damaged or out-of-order on-disk delta must
     /// degrade gracefully, never crash the reopening process.
-    pub(crate) fn try_with_delta(
-        &self,
-        delta: Arc<DeltaSegment>,
-    ) -> Result<Self, crate::StoreError> {
-        use crate::error::SegmentRegion;
+    pub(crate) fn try_with_delta(&self, delta: Arc<DeltaSegment>) -> Result<Self, StoreError> {
         let term_total = self.term_count();
         let source_total = self.source_count();
         if delta.first_term as usize != term_total || delta.first_source as usize != source_total {
-            return Err(crate::StoreError::Corrupt {
-                region: SegmentRegion::DeltaMeta,
-                detail: format!(
+            return Err(corrupt(
+                SegmentRegion::DeltaMeta,
+                format!(
                     "delta stacks at term {}/source {} but the view has {} terms/{} sources",
                     delta.first_term, delta.first_source, term_total, source_total
                 ),
-            });
+            ));
         }
+        let fresh = delta.ext_terms.len();
         let mut deltas = self.deltas.clone();
         deltas.push(delta);
-        Ok(Self { base: Arc::clone(&self.base), deltas })
+        let from = term_total - deltas[0].first_term as usize;
+        let (mut terms, at) = (self.terms.clone(), |i| stack_term(&deltas, i));
+        terms.file(from, from + fresh, |i| term_hash(at(i)), |a, b| at(a) == at(b)).map_err(
+            |i| corrupt(SegmentRegion::Dictionary, format!("extension term {:?} repeats", at(i))),
+        )?;
+        Ok(Self { base: Arc::clone(&self.base), deltas, terms })
     }
 
     /// The base segment.
@@ -424,7 +437,7 @@ impl SegmentedSnapshot {
     /// The view as a run group (faults a lazily opened base).
     #[inline]
     pub(crate) fn group(&self) -> Group<'_> {
-        Group::new(self.base.core(), &self.base.indexes, &self.deltas)
+        Group::new(self.base.core(), &self.base.indexes, &self.deltas, &self.terms)
     }
 
     /// Size and compression accounting for every segment's permutation
@@ -439,15 +452,9 @@ impl SegmentedSnapshot {
 
     /// Looks up a provenance source by name across all segments.
     pub(crate) fn source_id(&self, name: &str) -> Option<SourceId> {
-        if let Some(&id) = self.base.core().source_lookup.get(name) {
-            return Some(id);
-        }
-        for d in &self.deltas {
-            if let Some(pos) = d.ext_sources.iter().position(|s| s == name) {
-                return Some(SourceId(d.first_source + pos as u32));
-            }
-        }
-        None
+        let mut ids = self.deltas.iter().flat_map(|d| (d.first_source..).zip(d.ext_sources.iter()));
+        let id = self.base.core().sources.get(name).map(|id| id.0);
+        id.or_else(|| ids.find_map(|(id, s)| (s == name).then_some(id))).map(SourceId)
     }
 
     /// Folds the delta stack into a fresh monolithic [`KbSnapshot`]
@@ -455,17 +462,26 @@ impl SegmentedSnapshot {
     /// rebuilding the permutation indexes once). Runs off the serving
     /// path — readers keep using the layered view until the compacted
     /// snapshot is installed.
-    pub fn compact(&self) -> KbSnapshot {
+    ///
+    /// An extension term or source the base already holds, which would
+    /// shift every later id, is refused as [`StoreError::Corrupt`] here:
+    /// install reads only a lazy base's counts.
+    pub fn compact(&self) -> Result<KbSnapshot, StoreError> {
         let obs = kb_obs::global();
         let span = obs.span("store.compact_us");
         let mut core: KbCore = self.base.core().clone();
         for d in &self.deltas {
-            for (_, term) in d.ext_terms.iter() {
-                let id = core.dict.intern(term);
-                debug_assert_eq!(id.index() + 1, core.dict.len());
-            }
-            for name in &d.ext_sources {
-                core.register_source(name);
+            let (terms, sources) = (&mut core.dict, &mut core.sources);
+            for (table, names, region, what) in [
+                (terms, &d.ext_terms, SegmentRegion::Dictionary, "term"),
+                (sources, &d.ext_sources, SegmentRegion::Sources, "source"),
+            ] {
+                for name in names.iter() {
+                    if table.intern(name).index() + 1 != table.len() {
+                        let detail = format!("extension {what} {name:?} is already a base {what}");
+                        return Err(corrupt(region, detail));
+                    }
+                }
             }
             for f in &d.facts {
                 // Shadow entries already carry the view-merged
@@ -473,9 +489,7 @@ impl SegmentedSnapshot {
                 // replay *overwrites* rather than re-merges.
                 match core.by_triple.get(&core.facts, &f.triple) {
                     Some(id) => core.facts[id.index()] = f.clone(),
-                    None => {
-                        core.push(f.clone());
-                    }
+                    None => _ = core.push(f.clone()),
                 }
             }
         }
@@ -484,13 +498,13 @@ impl SegmentedSnapshot {
         let indexes = FrozenIndexes::build(&core.facts);
         span.stop();
         obs.counter("store.compactions").inc();
-        KbSnapshot::from_parts(
+        Ok(KbSnapshot::from_parts(
             core,
             self.base.taxonomy().clone(),
             self.base.sameas().clone(),
             self.base.labels().clone(),
             indexes,
-        )
+        ))
     }
 }
 
@@ -501,11 +515,13 @@ impl KbRead for SegmentedSnapshot {
         Groups::one(self.group())
     }
 
-    /// Total terms across the base and every delta's extension table.
-    /// Cheap on a lazy base (count-prefix read, no core fault), which
-    /// is what keeps delta stacking checks off the open path's cost.
+    /// Total terms: where the newest delta's end. Cheap on a lazy base
+    /// (count-prefix read, no core fault), which is what keeps delta
+    /// stacking checks off the open path's cost.
     fn term_count(&self) -> usize {
-        self.base.term_count() + self.deltas.iter().map(|d| d.ext_terms.len()).sum::<usize>()
+        self.deltas
+            .last()
+            .map_or(self.base.term_count(), |d| d.first_term as usize + d.ext_terms.len())
     }
 
     // Taxonomy, sameAs and labels are served from the base segment:
@@ -568,12 +584,6 @@ impl Compactor {
         }
         let delta_entries: usize = view.deltas().iter().map(|d| d.len()).sum();
         delta_entries as f64 > self.max_ratio * view.base().len().max(1) as f64
-    }
-
-    /// Folds the stack into a fresh monolithic snapshot (see
-    /// [`SegmentedSnapshot::compact`]).
-    pub fn compact(&self, view: &SegmentedSnapshot) -> KbSnapshot {
-        view.compact()
     }
 }
 
@@ -732,11 +742,12 @@ mod tests {
         d.assert_str("Tim_Cook", "worksAt", "Apple_Inc"); // new
         d.assert_str("Steve_Jobs", "founded", "Apple_Inc"); // shadow
         d.retract_str("Steve_Jobs", "bornIn", "San_Francisco"); // tombstone
-        let delta = d.freeze_delta(&view);
+        let delta = Arc::new(d.freeze_delta(&view));
+        let stacked = view.with_delta(Arc::clone(&delta));
         let touched = delta.touched_predicates();
         assert_eq!(touched.len(), 3);
         for p in ["worksAt", "founded", "bornIn"] {
-            let id = view.term(p).or_else(|| delta.term_local(p)).unwrap();
+            let id = stacked.term(p).unwrap();
             assert!(touched.contains(&id), "{p} missing from touched set");
         }
         assert!(touched.windows(2).all(|w| w[0] < w[1]), "sorted + distinct");
@@ -767,7 +778,7 @@ mod tests {
         d2.assert_str("Tim_Cook", "bornIn", "Mobile_Alabama");
         let view = view.with_delta(Arc::new(d2.freeze_delta(&view)));
 
-        let compacted = view.compact();
+        let compacted = view.compact().unwrap();
         assert_eq!(compacted.len(), view.len());
         assert_eq!(compacted.term_count(), view.term_count());
         // Identical answers, shape by shape.

@@ -60,10 +60,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::builder::KbCore;
-use crate::error::SegmentRegion;
+use crate::error::{corrupt, SegmentRegion};
 use crate::fact::{Fact, Triple};
 use crate::frames::ColFrames;
-use crate::fx::FxHashMap;
 use crate::ids::TermId;
 use crate::idtable::TripleIds;
 use crate::labels::LabelStore;
@@ -224,10 +223,6 @@ fn region_of_tag(tag: u8) -> Option<SegmentRegion> {
         11 => SegmentRegion::Frames,
         _ => return None,
     })
-}
-
-fn corrupt(region: SegmentRegion, detail: impl Into<String>) -> StoreError {
-    StoreError::Corrupt { region, detail: detail.into() }
 }
 
 // ---------------------------------------------------------------------
@@ -488,13 +483,19 @@ fn encode_labels(labels: &LabelStore) -> Result<Vec<u8>, StoreError> {
 // ---------------------------------------------------------------------
 // Region decoders.
 
-/// Decodes a dictionary region straight into a [`Dictionary`]'s arena:
-/// one pass appends each term's text (checked UTF-8) behind the last and
-/// records where it ends, then [`Dictionary::from_arena`] builds the id
-/// table in a second pass that refuses a repeated term with `duplicate`.
-fn decode_terms(buf: &[u8], duplicate: &str) -> Result<Dictionary, StoreError> {
-    let region = SegmentRegion::Dictionary;
-    let mut cur = Cur::new(buf, region);
+/// Decodes a dictionary or sources region straight into a
+/// [`Dictionary`]'s arena: one pass appends each name's text (checked
+/// UTF-8) behind the last and records where it ends, then
+/// [`Dictionary::from_arena`] builds the id table in a second pass that
+/// refuses a repeated name with `duplicate`.
+fn decode_terms(
+    source: &SegmentSource<'_>,
+    entries: &[RegionEntry],
+    region: SegmentRegion,
+    duplicate: &str,
+) -> Result<Dictionary, StoreError> {
+    let buf = fetch_region(source, entries, region)?;
+    let mut cur = Cur::new(&buf, region);
     let n = cur.count(4)?;
     // What is left after the length fields is exactly the text of a
     // well-formed region.
@@ -509,17 +510,6 @@ fn decode_terms(buf: &[u8], duplicate: &str) -> Result<Dictionary, StoreError> {
     }
     cur.finish()?;
     Dictionary::from_arena(text, ends).ok_or_else(|| corrupt(region, duplicate))
-}
-
-fn decode_sources(buf: &[u8]) -> Result<Vec<String>, StoreError> {
-    let mut cur = Cur::new(buf, SegmentRegion::Sources);
-    let n = cur.count(4)?;
-    let mut sources = Vec::with_capacity(n);
-    for _ in 0..n {
-        sources.push(cur.str_u32()?.to_string());
-    }
-    cur.finish()?;
-    Ok(sources)
 }
 
 /// Decodes the fact table, rejecting non-finite or out-of-range
@@ -850,7 +840,11 @@ fn write_snapshot<W: Write + Seek>(snap: &KbSnapshot, out: W) -> Result<(W, u64)
     )?;
     w.region(
         SegmentRegion::Sources,
-        encode_terms(core.sources.iter(), core.sources.len(), SegmentRegion::Sources)?,
+        encode_terms(
+            core.sources.iter().map(|(_, s)| s),
+            core.sources.len(),
+            SegmentRegion::Sources,
+        )?,
     )?;
     w.region(SegmentRegion::Facts, encode_facts(&core.facts)?)?;
     w.region(SegmentRegion::Frames, encode_frames(snap.indexes.frame_cols())?)?;
@@ -881,17 +875,9 @@ pub(crate) fn decode_base(
     let facts = decode_facts(&fetch_region(source, entries, SegmentRegion::Facts)?)?;
     let live = facts.iter().filter(|f| !f.is_retracted()).count();
 
-    let dict = decode_terms(
-        &fetch_region(source, entries, SegmentRegion::Dictionary)?,
-        "duplicate term in dictionary",
-    )?;
-    let sources = decode_sources(&fetch_region(source, entries, SegmentRegion::Sources)?)?;
-    let mut source_lookup = FxHashMap::with_capacity_and_hasher(sources.len(), Default::default());
-    for (i, name) in sources.iter().enumerate() {
-        if source_lookup.insert(name.clone(), SourceId(i as u32)).is_some() {
-            return Err(corrupt(SegmentRegion::Sources, format!("duplicate source {name:?}")));
-        }
-    }
+    let dict =
+        decode_terms(source, entries, SegmentRegion::Dictionary, "duplicate term in dictionary")?;
+    let sources = decode_terms(source, entries, SegmentRegion::Sources, "duplicate source")?;
     let by_triple = checked_triple_ids(&facts)?;
     check_fact_ids(&facts, dict.len(), sources.len())?;
 
@@ -900,7 +886,7 @@ pub(crate) fn decode_base(
     let sameas = decode_sameas(&fetch_region(source, entries, SegmentRegion::SameAs)?, dict.len())?;
     let labels = decode_labels(&fetch_region(source, entries, SegmentRegion::Labels)?, dict.len())?;
 
-    let core = KbCore { dict, facts, by_triple, sources, source_lookup, live, ..KbCore::default() };
+    let core = KbCore { dict, facts, by_triple, sources, live, ..KbCore::default() };
     Ok(EagerBase { core, taxonomy, sameas, labels })
 }
 
@@ -1042,11 +1028,7 @@ fn write_delta<W: Write + Seek>(delta: &DeltaSegment, out: W) -> Result<(W, u64)
     w.region(SegmentRegion::DeltaMeta, meta)?;
     w.region(
         SegmentRegion::Dictionary,
-        encode_terms(
-            delta.ext_terms.iter().map(|(_, t)| t),
-            delta.ext_terms.len(),
-            SegmentRegion::Dictionary,
-        )?,
+        encode_terms(delta.ext_terms.iter(), delta.ext_terms.len(), SegmentRegion::Dictionary)?,
     )?;
     w.region(
         SegmentRegion::Sources,
@@ -1094,11 +1076,12 @@ fn decode_delta(
     let first_source = cur.u32()?;
     cur.finish()?;
 
-    let ext_terms = decode_terms(
-        &fetch_region(source, entries, SegmentRegion::Dictionary)?,
-        "duplicate extension term",
-    )?;
-    let ext_sources = decode_sources(&fetch_region(source, entries, SegmentRegion::Sources)?)?;
+    let ext_terms =
+        decode_terms(source, entries, SegmentRegion::Dictionary, "duplicate extension term")?
+            .into_arena();
+    let ext_sources =
+        decode_terms(source, entries, SegmentRegion::Sources, "duplicate extension source")?
+            .into_arena();
 
     let term_count = first_term as usize + ext_terms.len();
     let source_count = first_source as usize + ext_sources.len();
@@ -1615,7 +1598,7 @@ mod tests {
         assert!(reopened.fact(FactId(1)).unwrap().is_retracted());
         // What compaction's live-count invariant relies on.
         let view = SegmentedSnapshot::from_base(reopened.into_shared());
-        assert_eq!(view.compact().len(), 1);
+        assert_eq!(view.compact().unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

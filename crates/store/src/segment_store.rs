@@ -461,7 +461,7 @@ impl SegmentStore {
         let old_files: Vec<String> =
             self.manifest.referenced_files().into_iter().map(String::from).collect();
         let generation = self.manifest.generation + 1;
-        let base = Arc::new(self.view.compact());
+        let base = Arc::new(self.view.compact()?);
         let new_manifest = Manifest {
             generation,
             applied_seq: 0,

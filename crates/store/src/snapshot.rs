@@ -51,6 +51,7 @@ use crate::error::StoreError;
 use crate::fact::{Fact, Triple};
 use crate::frames::{ColEncoder, ColFrames, FRAME_ROWS};
 use crate::ids::{FactId, TermId};
+use crate::idtable::EMPTY;
 use crate::labels::LabelStore;
 use crate::pattern::{IndexChoice, TriplePattern};
 use crate::read::{Group, Groups, KbRead};
@@ -256,7 +257,7 @@ pub(crate) struct EagerIndexes {
 impl EagerIndexes {
     /// The one index build (see the module docs): one entries buffer,
     /// sorted and encoded frame by frame for each permutation in turn.
-    fn build_impl(facts: &[Fact], include_retracted: bool) -> Self {
+    fn build(facts: &[Fact], include_retracted: bool) -> Self {
         let mut entries: Vec<(Key, FactId)> = Vec::with_capacity(facts.len());
         entries.extend(
             facts
@@ -271,33 +272,6 @@ impl EagerIndexes {
         rotate_keys(&mut entries);
         let (osp, osp_starts) = PermFrames::build(&mut entries);
         Self { spo, pos, osp, spo_starts, pos_starts, osp_starts }
-    }
-
-    /// Indexes every live fact in `facts` (retracted entries are
-    /// skipped, so they never appear in query results).
-    pub(crate) fn build(facts: &[Fact]) -> Self {
-        let obs = kb_obs::global();
-        let span = obs.span("store.snapshot.freeze_us");
-        let built = Self::build_impl(facts, false);
-        span.stop();
-        obs.counter("store.snapshot.freezes").inc();
-        // Three permutation arrays plus their offset buckets.
-        obs.gauge("store.index.entries").set((3 * built.spo.len()) as i64);
-        obs.gauge("store.index.bucket_slots").set((3 * built.spo_starts.len()) as i64);
-        built
-    }
-
-    /// Indexes every fact *including* retracted ones — the delta-segment
-    /// build. A delta's tombstones must be present in its permutation
-    /// arrays so the k-way merge sees their keys and lets them shadow
-    /// (suppress) the base segment's assertions.
-    pub(crate) fn build_with_tombstones(facts: &[Fact]) -> Self {
-        let obs = kb_obs::global();
-        let span = obs.span("store.delta.freeze_us");
-        let built = Self::build_impl(facts, true);
-        span.stop();
-        obs.counter("store.delta.freezes").inc();
-        built
     }
 
     /// The fifteen compressed columns in serialization order: for each
@@ -553,14 +527,31 @@ impl Default for FrozenIndexes {
 }
 
 impl FrozenIndexes {
-    /// See [`EagerIndexes::build`].
+    /// Indexes every live fact in `facts` (retracted entries are
+    /// skipped, so they never appear in query results).
     pub(crate) fn build(facts: &[Fact]) -> Self {
-        FrozenIndexes::Eager(EagerIndexes::build(facts))
+        let obs = kb_obs::global();
+        let span = obs.span("store.snapshot.freeze_us");
+        let built = EagerIndexes::build(facts, false);
+        span.stop();
+        obs.counter("store.snapshot.freezes").inc();
+        // Three permutation arrays plus their offset buckets.
+        obs.gauge("store.index.entries").set((3 * built.spo.len()) as i64);
+        obs.gauge("store.index.bucket_slots").set((3 * built.spo_starts.len()) as i64);
+        FrozenIndexes::Eager(built)
     }
 
-    /// See [`EagerIndexes::build_with_tombstones`].
+    /// Indexes every fact *including* retracted ones — the delta-segment
+    /// build. A delta's tombstones must be present in its permutation
+    /// arrays so the k-way merge sees their keys and lets them shadow
+    /// (suppress) the base segment's assertions.
     pub(crate) fn build_with_tombstones(facts: &[Fact]) -> Self {
-        FrozenIndexes::Eager(EagerIndexes::build_with_tombstones(facts))
+        let obs = kb_obs::global();
+        let span = obs.span("store.delta.freeze_us");
+        let built = EagerIndexes::build(facts, true);
+        span.stop();
+        obs.counter("store.delta.freezes").inc();
+        FrozenIndexes::Eager(built)
     }
 
     /// See [`EagerIndexes::from_frames`].
@@ -1178,7 +1169,7 @@ impl<'a> Iterator for LiveFactsIter<'a> {
                 if f.is_retracted() {
                     continue;
                 }
-                if self.overlay.iter().any(|d| d.contains_triple(&f.triple)) {
+                if self.overlay.iter().any(|d| d.fact_local(&f.triple).is_some()) {
                     continue;
                 }
                 return Some(f);
@@ -1338,7 +1329,7 @@ impl KbSnapshot {
 
     /// All registered sources in id order.
     pub fn sources(&self) -> impl Iterator<Item = (SourceId, &str)> {
-        self.core().sources.iter().enumerate().map(|(i, s)| (SourceId(i as u32), s.as_str()))
+        self.core().sources.iter().map(|(id, s)| (SourceId(id.0), s))
     }
 
     /// Number of registered provenance sources. Cheap on a lazy
@@ -1376,7 +1367,7 @@ impl KbSnapshot {
 impl KbRead for KbSnapshot {
     #[inline]
     fn groups(&self) -> Groups<'_> {
-        Groups::one(Group::new(self.core(), &self.indexes, &[]))
+        Groups::one(Group::new(self.core(), &self.indexes, &[], &EMPTY))
     }
 
     /// Cheap on a lazy snapshot: served from the dictionary region's

@@ -26,7 +26,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::error::SegmentRegion;
+use crate::error::{corrupt, SegmentRegion};
 use crate::segment_io::{crc32, sync_file};
 use crate::StoreError;
 
@@ -38,10 +38,6 @@ pub(crate) const WAL_VERSION: u32 = 1;
 /// Size of the WAL file header in bytes.
 pub const WAL_HEADER_LEN: u64 = 20;
 const FRAME_LEN: usize = 4 + 8 + 4;
-
-fn corrupt(region: SegmentRegion, detail: impl Into<String>) -> StoreError {
-    StoreError::Corrupt { region, detail: detail.into() }
-}
 
 /// What one durable append actually cost, split into the write itself
 /// and the fsync barrier — the number `kbkit harvest --incremental`

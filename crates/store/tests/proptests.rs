@@ -2,11 +2,12 @@
 
 use proptest::prelude::*;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use kb_store::{
-    Fact, IndexChoice, KbBuilder, KbRead, SameAsStore, SourceId, TermId, TimePoint, TimeSpan,
-    Triple, TriplePattern,
+    Fact, IndexChoice, KbBuilder, KbRead, SameAsStore, SegmentedSnapshot, SourceId, TermId,
+    TimePoint, TimeSpan, Triple, TriplePattern,
 };
 use kb_testkit::{assert_facts_conform, RefFact, RefKb, StrTriple};
 
@@ -525,6 +526,104 @@ proptest! {
                 b.contains(&Triple::new(ts, tp, to)),
                 "lost fact e{s} r{p} e{o} after canonicalization"
             );
+        }
+    }
+}
+
+/// What a view's ids stand for: every term and source name filed by
+/// its id, and every term by its text.
+#[derive(Clone, Default)]
+struct IdModel {
+    terms: Vec<String>,
+    ids: BTreeMap<String, TermId>,
+    sources: Vec<String>,
+}
+
+impl IdModel {
+    /// Files the builder's terms and sources that the model lacks, in
+    /// the builder's id order: the ids a delta frozen from it allocates.
+    fn extend(&mut self, b: &KbBuilder) {
+        for (_, term) in b.dictionary().iter() {
+            if !self.ids.contains_key(term) {
+                self.ids.insert(term.to_string(), TermId(self.terms.len() as u32));
+                self.terms.push(term.to_string());
+            }
+        }
+        for (_, name) in b.sources() {
+            if !self.sources.iter().any(|s| s == name) {
+                self.sources.push(name.to_string());
+            }
+        }
+    }
+}
+
+/// Checks a view's id space against its model: `term` of every pool
+/// text (base, delta and absent ones), `resolve` and `source_name` of
+/// every id up to two past the end, and the two counts.
+fn check_ids(view: &SegmentedSnapshot, model: &IdModel) -> Result<(), TestCaseError> {
+    prop_assert_eq!(view.term_count(), model.terms.len());
+    for n in 0..160 {
+        let text = pool_term(n);
+        prop_assert_eq!(view.term(&text), model.ids.get(&text).copied(), "term {:?}", text);
+    }
+    for id in 0..model.terms.len() as u32 + 2 {
+        let want = model.terms.get(id as usize).map(String::as_str);
+        prop_assert_eq!(view.resolve(TermId(id)), want, "term id {}", id);
+    }
+    // The first id past the sources resolves to nothing, so this pins
+    // the source count too.
+    for id in 0..model.sources.len() as u32 + 2 {
+        let want = model.sources.get(id as usize).map(String::as_str);
+        prop_assert_eq!(view.source_name(SourceId(id)), want, "source id {}", id);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A delta stack's id space behaves like a map model at any depth
+    /// up to 64: each delta files the pool terms and sources its view
+    /// lacks after the view's ids, and `term`, `resolve`, `source_name`
+    /// and `term_count` answer from the base and then the stack's one
+    /// term table. Some deltas add no term, some add sources, and some
+    /// stack on the newest view's parent, so that two deltas share one
+    /// parent; the parent keeps answering as it did.
+    #[test]
+    fn the_stack_term_table_matches_a_map_model(
+        deltas in prop::collection::vec(
+            (0u8..6, prop::collection::vec(0u32..160, 0..6), prop::collection::vec(0u32..6, 0..3)),
+            1..=64,
+        ),
+    ) {
+        let mut b = KbBuilder::new();
+        b.assert_str(&pool_term(0), &pool_term(9), &pool_term(10));
+        b.register_source("src0");
+        let mut model = IdModel::default();
+        model.extend(&b);
+        // Every view with its model and the index of its parent.
+        let mut views = vec![(SegmentedSnapshot::from_base(Arc::new(b.freeze())), model, 0)];
+        for (branch, terms, sources) in &deltas {
+            let newest = views.len() - 1;
+            let parent = if *branch == 0 { views[newest].2 } else { newest };
+            let (view, model, _) = &views[parent];
+            let mut b = KbBuilder::new();
+            let ids: Vec<TermId> = terms.iter().map(|&n| b.intern(&pool_term(n))).collect();
+            let source = sources.iter().fold(SourceId::DEFAULT, |_, k| {
+                b.register_source(&format!("src{k}"))
+            });
+            if let [s, p, o, ..] = ids[..] {
+                let triple = Triple::new(s, p, o);
+                b.add_fact(Fact { triple, confidence: 0.5, source, span: None });
+            }
+            let mut model = model.clone();
+            model.extend(&b);
+            let stacked = view.with_delta(Arc::new(b.freeze_delta(view)));
+            check_ids(&stacked, &model)?;
+            views.push((stacked, model, parent));
+        }
+        for (view, model, _) in &views {
+            check_ids(view, model)?;
         }
     }
 }

@@ -137,7 +137,7 @@ fn every_configuration_gives_the_write_contract_answer() {
         segmented = segmented.with_delta(Arc::clone(&delta));
         deltas.push(delta);
     }
-    let compacted = segmented.compact();
+    let compacted = segmented.compact().unwrap();
 
     let dir = std::env::temp_dir().join(format!("kbkit-write-contract-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();

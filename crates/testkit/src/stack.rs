@@ -214,7 +214,7 @@ impl Stack {
             Step::Compact => {
                 self.store.as_mut().unwrap().compact(&Compactor::default(), true).unwrap();
                 self.durable = self.installs.len();
-                self.chain = SegmentedSnapshot::from_base(Arc::new(self.chain.compact()));
+                self.chain = SegmentedSnapshot::from_base(Arc::new(self.chain.compact().unwrap()));
             }
             Step::Crash { wal_byte } => {
                 let budget = self.store().memory_budget().limit();

@@ -73,6 +73,6 @@ fn main() {
         view.len(),
         1 + view.delta_count()
     );
-    let compacted = view.compact();
+    let compacted = view.compact().expect("compaction");
     println!("compacted: {} facts in one segment", compacted.len());
 }

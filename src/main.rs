@@ -307,7 +307,7 @@ fn harvest_incremental(
         stats.delta_installs,
         view.len()
     );
-    let compacted = view.compact();
+    let compacted = view.compact().map_err(|e| format!("compaction failed: {e}"))?;
     let dump = ntriples::to_string(&compacted).map_err(|e| e.to_string())?;
     fs::write(out_path, &dump).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     eprintln!("wrote {} bytes to {out_path}", dump.len());

@@ -6,13 +6,15 @@
 //! the same refusal for a delta, the same entries from a WAL payload and
 //! from the sealed file, a corrupt header for any version but the one
 //! the writer writes, and a corrupt facts region for a fact table that
-//! holds one triple twice.
+//! holds one triple twice. An extension term that repeats one already
+//! in the id space is refused by the stack: an older delta's at
+//! install, the base's at compaction.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use kbkit::kb_store::{
-    ntriples, segment_io, DeltaSegment, Fact, FactKind, KbBuilder, KbRead, KbSnapshot,
+    ntriples, segment_io, Compactor, DeltaSegment, Fact, FactKind, KbBuilder, KbRead, KbSnapshot,
     SegmentRegion, SegmentStore, SegmentedSnapshot, StoreError, StoreOptions, TimeSpan, Triple,
     Wal,
 };
@@ -414,6 +416,104 @@ fn a_repeated_triple_under_valid_checksums_is_a_corrupt_facts_region_through_eve
         ntriples::to_string(&store.view()).unwrap(),
         ntriples::to_string(&*rich_base()).unwrap()
     );
+    for dir in [template, dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// A store over `rich_base` with two sealed deltas, the first adding
+/// term `first`, the second `second`; returns the second's file name.
+fn two_delta_store(dir: &Path, first: &str, second: &str) -> &'static str {
+    let mut store = SegmentStore::create(dir, rich_base(), NO_FSYNC).unwrap();
+    for term in [first, second] {
+        let mut b = KbBuilder::new();
+        b.assert_str("person_0", "visited", term);
+        store.install_delta(Arc::new(b.freeze_delta(&store.view()))).unwrap();
+    }
+    store.seal().unwrap();
+    "delta-0-2.seg"
+}
+
+/// Rewrites the one occurrence of `from` inside the dictionary region
+/// of the delta file `name` as `to` (the same length) and reseals it.
+fn rename_extension_term(dir: &Path, name: &str, from: &str, to: &str) {
+    assert_eq!(from.len(), to.len());
+    let mut image = std::fs::read(dir.join(name)).unwrap();
+    let (_, dict) = segment_io::region_map(&image)
+        .unwrap()
+        .into_iter()
+        .find(|(region, _)| *region == SegmentRegion::Dictionary)
+        .unwrap();
+    let at = image[dict.clone()].windows(from.len()).position(|w| w == from.as_bytes());
+    let at = dict.start + at.expect("the term is in the extension table");
+    image[at..at + to.len()].copy_from_slice(to.as_bytes());
+    reseal(&mut image);
+    std::fs::write(dir.join(name), &image).unwrap();
+}
+
+/// A delta whose extension table repeats a term an older delta added,
+/// under valid checksums, decodes (the image alone holds no repeat),
+/// but the stack refuses it at install: the store sets it aside and
+/// serves the base and the older delta, under either budget.
+#[test]
+fn a_term_an_older_delta_added_is_refused_at_install_and_set_aside() {
+    let template = scratch("repeat-delta-term-template");
+    let second = two_delta_store(&template, "prize_a", "prize_b");
+    let first_only = {
+        let view = SegmentedSnapshot::from_base(rich_base());
+        let mut b = KbBuilder::new();
+        b.assert_str("person_0", "visited", "prize_a");
+        ntriples::to_string(&view.with_delta(Arc::new(b.freeze_delta(&view)))).unwrap()
+    };
+    rename_extension_term(&template, second, "prize_b", "prize_a");
+    DeltaSegment::open_segment(template.join(second)).expect("the image alone is sound");
+
+    let dir = scratch("repeat-delta-term");
+    for budget in BUDGETS {
+        copy_dir(&template, &dir);
+        let store =
+            SegmentStore::open_with(&dir, StoreOptions { memory_budget: budget, ..NO_FSYNC })
+                .unwrap();
+        let report = store.recovery_report();
+        assert_eq!(report.sealed_deltas, 1, "budget {budget:?}");
+        assert!(report.quarantined.iter().any(|f| f.starts_with(second)), "{report:?}");
+        let view = store.view();
+        assert_eq!(ntriples::to_string(&view).unwrap(), first_only, "budget {budget:?}");
+        let id = view.term("prize_a").unwrap();
+        assert_eq!((view.resolve(id), view.term_count()), (Some("prize_a"), id.index() + 1));
+    }
+    for dir in [template, dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// A delta whose extension table repeats a base term, under valid
+/// checksums, installs: stacking reads only a lazy base's counts. Its
+/// compaction is refused as a corrupt dictionary instead of folding a
+/// snapshot one term short, and the store keeps serving the stack it
+/// had, under either budget.
+#[test]
+fn a_term_the_base_holds_is_refused_at_compaction() {
+    let template = scratch("repeat-base-term-template");
+    let second = two_delta_store(&template, "prize_a", "city_9");
+    rename_extension_term(&template, second, "city_9", "city_1");
+
+    let dir = scratch("repeat-base-term");
+    for budget in BUDGETS {
+        copy_dir(&template, &dir);
+        let options = StoreOptions { memory_budget: budget, ..NO_FSYNC };
+        let mut store = SegmentStore::open_with(&dir, options).unwrap();
+        assert!(!store.recovery_report().degraded(), "budget {budget:?}");
+        assert_eq!(store.view().delta_count(), 2);
+        let dump = ntriples::to_string(&store.view()).unwrap();
+        let err = store.compact(&Compactor::default(), true);
+        assert_eq!(corrupt_region("compaction", err), SegmentRegion::Dictionary);
+        assert_eq!(store.view().delta_count(), 2, "budget {budget:?}");
+        assert_eq!(ntriples::to_string(&store.view()).unwrap(), dump, "budget {budget:?}");
+        drop(store);
+        let store = SegmentStore::open_with(&dir, options).unwrap();
+        assert_eq!(store.view().delta_count(), 2, "the failed compaction changed the store");
+    }
     for dir in [template, dir] {
         std::fs::remove_dir_all(dir).ok();
     }
