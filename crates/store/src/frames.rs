@@ -43,6 +43,12 @@ pub(crate) fn payload_buf(len: usize) -> Vec<u8> {
     buf
 }
 
+/// What a column of `frames` frames and `payload` payload bytes keeps
+/// in memory once loaded: its [`ColFrames::compressed_bytes`].
+pub(crate) fn resident_bytes(frames: usize, payload: usize) -> usize {
+    payload + PAD + frames * std::mem::size_of::<FrameMeta>()
+}
+
 /// Per-frame descriptor. `end` is the *cumulative* exclusive payload
 /// offset: frame `f`'s payload spans `metas[f-1].end .. metas[f].end`
 /// (frame 0 starts at offset 0).

@@ -16,9 +16,11 @@
 //!   range. The first touch streams the region once to check its CRC
 //!   and walks the column layout (O(1) memory). The layout walk, the
 //!   descriptor read and the frame load (`walk_layout`, `read_metas`,
-//!   `load_frames`) are the only parser of the frames region: the eager
-//!   reader runs them straight over the file, a whole column at a time,
-//!   checksumming the region as it goes (`load_col`).
+//!   `load_frames`) are the only parser of the frames region. A whole
+//!   column is one run of them (`load_col`): the eager reader loads the
+//!   fifteen columns straight from the file, checksumming the region as
+//!   it goes, and a write of a paged column loads it over its verified
+//!   region.
 //! * `PagedCol` — one lazily materialized column. The unit that is
 //!   faulted, charged, given a second chance and spilled is a **page**:
 //!   a run of `PAGE_FRAMES` whole frames, read with one positioned read
@@ -514,23 +516,6 @@ impl FrameRegion {
         }
         Ok(())
     }
-
-    /// Row count of column `i` from the layout alone (no column load).
-    pub(crate) fn col_len(&self, i: usize) -> Result<usize, StoreError> {
-        Ok(self.layout()?[i].len)
-    }
-
-    /// Frame count of column `i` from the layout alone.
-    pub(crate) fn col_frames(&self, i: usize) -> Result<usize, StoreError> {
-        Ok(self.layout()?[i].n_frames)
-    }
-
-    /// Compressed footprint the column would occupy if resident
-    /// (payload + pad + metas), from the layout alone.
-    pub(crate) fn col_bytes(&self, i: usize) -> Result<usize, StoreError> {
-        let l = self.layout()?[i];
-        Ok(l.payload_len + 8 + l.n_frames * std::mem::size_of::<FrameMeta>())
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -622,6 +607,21 @@ impl PagedCol {
     /// first touch is a page's payload.
     pub(crate) fn prefault(&self) -> Result<(), StoreError> {
         self.dir().map(|_| ())
+    }
+
+    /// Rows, frames and payload bytes of the column, from the region's
+    /// layout: no directory or page is read.
+    pub(crate) fn shape(&self) -> Result<(usize, usize, usize), StoreError> {
+        let l = self.region.layout()?[self.col];
+        Ok((l.len, l.n_frames, l.payload_len))
+    }
+
+    /// The whole column, read by [`load_col`] and charged to no budget:
+    /// the caller holds it as long as it needs it. The region's CRC was
+    /// verified with its layout, so the one `load_col` runs is dropped.
+    pub(crate) fn load(&self) -> Result<ColFrames, StoreError> {
+        let layout = self.region.layout()?;
+        load_col(&self.region.source, layout, self.col, &mut Crc32::new())
     }
 
     /// The slot of `page`, if the directory is loaded and has one.

@@ -66,13 +66,12 @@ use crate::frames::ColFrames;
 use crate::ids::TermId;
 use crate::idtable::TripleIds;
 use crate::labels::LabelStore;
-use crate::read::KbRead;
 use crate::sameas::SameAsStore;
 use crate::segmap::{
     load_col, walk_layout, FrameRegion, MemoryBudget, PagedCol, SegmentSource, FRAME_COLS,
 };
 use crate::segment::{DeltaSegment, FactKind};
-use crate::snapshot::{EagerBase, FrozenIndexes, KbSnapshot, LazyBase, LazyIndexes, PermFrames};
+use crate::snapshot::{Col, EagerBase, FrozenIndexes, KbSnapshot, LazyBase};
 use crate::taxonomy::Taxonomy;
 use crate::time::TimeSpan;
 use crate::SourceId;
@@ -410,12 +409,18 @@ pub(crate) const FRAME_META_LEN: usize = 4 + 1 + 1 + 4;
 /// Serializes the fifteen compressed index columns (the frames region).
 /// Per column: row count, frame descriptors, then the raw payload —
 /// exactly the in-memory representation, so a reader installs it
-/// without re-encoding.
-fn encode_frames(cols: [&ColFrames; 15]) -> Result<Vec<u8>, StoreError> {
+/// without re-encoding. A paged column is read whole for its turn and
+/// dropped after it, so beside the region at most one column is loaded.
+fn encode_frames(cols: &[Col; FRAME_COLS]) -> Result<Vec<u8>, StoreError> {
     let region = SegmentRegion::Frames;
-    let size = cols.iter().map(|c| 12 + c.n_frames() * FRAME_META_LEN + c.payload().len()).sum();
+    let mut size = 0;
+    for col in cols {
+        let (_, frames, payload) = col.shape()?;
+        size += 12 + frames * FRAME_META_LEN + payload;
+    }
     let mut out = Vec::with_capacity(size);
     for col in cols {
+        let col = col.frames()?;
         put_len(&mut out, col.len(), region)?;
         put_len(&mut out, col.n_frames(), region)?;
         for m in col.metas() {
@@ -832,7 +837,7 @@ pub(crate) fn fetch_region<'s>(
 /// frames region carries the indexes verbatim); returns the sink and
 /// the image length.
 fn write_snapshot<W: Write + Seek>(snap: &KbSnapshot, out: W) -> Result<(W, u64), StoreError> {
-    let core = snap.core();
+    let EagerBase { core, taxonomy, sameas, labels } = snap.try_base()?;
     let mut w = ImageWriter::new(out, 7)?;
     w.region(
         SegmentRegion::Dictionary,
@@ -847,10 +852,10 @@ fn write_snapshot<W: Write + Seek>(snap: &KbSnapshot, out: W) -> Result<(W, u64)
         )?,
     )?;
     w.region(SegmentRegion::Facts, encode_facts(&core.facts)?)?;
-    w.region(SegmentRegion::Frames, encode_frames(snap.indexes.frame_cols())?)?;
-    w.region(SegmentRegion::Taxonomy, encode_taxonomy(snap.taxonomy())?)?;
-    w.region(SegmentRegion::SameAs, encode_sameas(snap.sameas())?)?;
-    w.region(SegmentRegion::Labels, encode_labels(snap.labels())?)?;
+    w.region(SegmentRegion::Frames, encode_frames(&snap.indexes.cols)?)?;
+    w.region(SegmentRegion::Taxonomy, encode_taxonomy(taxonomy)?)?;
+    w.region(SegmentRegion::SameAs, encode_sameas(sameas)?)?;
+    w.region(SegmentRegion::Labels, encode_labels(labels)?)?;
     w.finish(MAGIC_BASE)
 }
 
@@ -907,16 +912,14 @@ fn decode_indexes(
     let e = locate(entries, SegmentRegion::Frames)?;
     let layout = walk_layout(source, e.range.clone())?;
     let mut crc = Crc32::new();
-    let mut col = |i: usize| load_col(source, &layout, i, &mut crc);
-    let mut perm = |at: usize| -> Result<PermFrames, StoreError> {
-        Ok(PermFrames::from_cols(col(at)?, col(at + 1)?, col(at + 2)?, col(at + 3)?))
-    };
-    let perms = [perm(0)?, perm(4)?, perm(8)?];
-    let starts = [col(12)?, col(13)?, col(14)?];
+    let mut cols: [ColFrames; FRAME_COLS] = Default::default();
+    for (i, col) in cols.iter_mut().enumerate() {
+        *col = load_col(source, &layout, i, &mut crc)?;
+    }
     if crc.finish() != e.crc {
         return Err(corrupt(SegmentRegion::Frames, "checksum mismatch"));
     }
-    FrozenIndexes::from_frames(facts, expected_len, is_base, perms, starts)
+    FrozenIndexes::from_frames(facts, expected_len, is_base, cols)
 }
 
 /// Decodes and fully validates a base snapshot image: header, the six
@@ -951,9 +954,10 @@ fn region_count_prefix(
     Ok(u32::from_le_bytes(buf) as usize)
 }
 
-/// Builds a [`FrozenIndexes::Lazy`] over a file's frames region: one
-/// [`PagedCol`] per column, whose pages are charged to `budget` as they
-/// fault in. Nothing is read yet beyond what the caller already parsed.
+/// Builds [`FrozenIndexes`] of paged columns over a file's frames
+/// region: one [`PagedCol`] per column, whose pages are charged to
+/// `budget` as they fault in. Nothing is read yet beyond what the
+/// caller already parsed.
 fn lazy_indexes(
     source: &Arc<SegmentSource<'static>>,
     entries: &[RegionEntry],
@@ -961,9 +965,9 @@ fn lazy_indexes(
 ) -> Result<FrozenIndexes, StoreError> {
     let e = locate(entries, SegmentRegion::Frames)?;
     let region = Arc::new(FrameRegion::new(Arc::clone(source), e.range.clone(), e.crc));
-    let cols: [Arc<PagedCol>; FRAME_COLS] =
-        std::array::from_fn(|i| PagedCol::new(Arc::clone(&region), i, budget.clone()));
-    Ok(FrozenIndexes::Lazy(LazyIndexes::new(region, cols)))
+    let cols =
+        std::array::from_fn(|i| Col::Paged(PagedCol::new(Arc::clone(&region), i, budget.clone())));
+    Ok(FrozenIndexes { cols })
 }
 
 /// Opens a base segment lazily: reads and validates only the preamble
@@ -998,10 +1002,10 @@ pub(crate) fn snapshot_open_lazy(
 /// Opens a sealed delta segment with pageable index columns: the image
 /// is read and *fully validated* eagerly (deltas are small relative to
 /// the base, and the quarantine/recovery story depends on open-time
-/// validation), then — only under a bounded budget — the decoded index
-/// columns are swapped for lazy slots so they can spill. Under an
-/// unbounded budget the eager indexes are kept as-is: re-reading what
-/// was just decoded would double the open cost for nothing.
+/// validation), then — only under a bounded budget — each decoded
+/// index column is swapped for a paged one so it can spill. Under an
+/// unbounded budget the columns stay resident: re-reading what was
+/// just decoded would double the open cost for nothing.
 pub(crate) fn delta_open_lazy(
     path: &Path,
     budget: &MemoryBudget,
@@ -1043,7 +1047,7 @@ fn write_delta<W: Write + Seek>(delta: &DeltaSegment, out: W) -> Result<(W, u64)
         FactKind::Tombstone => 2,
     }));
     w.region(SegmentRegion::Kinds, kinds)?;
-    w.region(SegmentRegion::Frames, encode_frames(delta.indexes.frame_cols())?)?;
+    w.region(SegmentRegion::Frames, encode_frames(&delta.indexes.cols)?)?;
     w.finish(MAGIC_DELTA)
 }
 
@@ -1242,7 +1246,7 @@ impl DeltaSegment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FactId, KbBuilder, SegmentedSnapshot, TimePoint, TriplePattern};
+    use crate::{FactId, KbBuilder, KbRead, SegmentedSnapshot, TimePoint, TriplePattern};
 
     /// The eager door over an in-memory image.
     fn snapshot_from_image(bytes: &[u8]) -> Result<KbSnapshot, StoreError> {

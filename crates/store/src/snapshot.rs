@@ -3,10 +3,14 @@
 //! range scans), the zero-alloc query iterators, the columnar batch
 //! cursors, and the immutable, `Arc`-shareable [`KbSnapshot`].
 //!
-//! Index layout: each permutation stores four compressed
-//! [`ColFrames`] columns — the three key components in permuted order
-//! plus the fact id — alongside a per-leading-term offset column
-//! (`starts`). A [`TriplePattern`] with a bound leading term jumps
+//! Index layout: fifteen compressed [`ColFrames`] columns in
+//! serialization order — for each of SPO, POS and OSP the three key
+//! components in permuted order plus the fact id, then one
+//! per-leading-term offset column (`starts`) per permutation. Each
+//! column is a `Col`, resident or paged in from a segment file under a
+//! memory budget, and every read goes through one `ColCursor`, so the
+//! code below asks where a column lives only where it loops over rows.
+//! A [`TriplePattern`] with a bound leading term jumps
 //! straight to its bucket — `starts[t] .. starts[t + 1]` — in `O(1)`;
 //! any remaining bound components narrow the bucket with binary
 //! searches whose probes go through the *bitpacked* fact-id column
@@ -18,7 +22,7 @@
 //! fixes — the bucket's leading term, and a narrowed second (and
 //! third) term — is filled, not decoded, and the fact-id window is
 //! decoded only when a row's fact is popped. The columnar batch path
-//! never pops, so on a paged segment it faults no fact-id page and no
+//! never pops, so on a paged column it faults no fact-id page and no
 //! page of a fixed key column.
 //!
 //! One body builds every index — freeze, `snapshot`, compaction, the
@@ -44,19 +48,21 @@
 //! monolithic unfiltered path (no per-row iterator step, no fact-table
 //! deref).
 
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::builder::KbCore;
 use crate::error::StoreError;
 use crate::fact::{Fact, Triple};
-use crate::frames::{ColEncoder, ColFrames, FRAME_ROWS};
+use crate::frames::{resident_bytes, ColEncoder, ColFrames, FRAME_ROWS};
 use crate::ids::{FactId, TermId};
 use crate::idtable::EMPTY;
 use crate::labels::LabelStore;
 use crate::pattern::{IndexChoice, TriplePattern};
 use crate::read::{Group, Groups, KbRead};
 use crate::sameas::SameAsStore;
-use crate::segmap::{FrameRegion, PageCursor, PagedCol, SegmentSource, FRAME_COLS};
+use crate::segmap::{PageCursor, PagedCol, SegmentSource, FRAME_COLS};
 use crate::segment::DeltaSegment;
 use crate::segment_io::RegionEntry;
 use crate::taxonomy::Taxonomy;
@@ -97,73 +103,134 @@ fn unpermute(choice: IndexChoice, k: Key) -> Triple {
     }
 }
 
-/// One compressed permutation: the three key columns in permuted order
-/// plus the fact-id column. Key columns may use any frame encoding;
-/// the fact-id column is always bitpacked so random probes are `O(1)`.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct PermFrames {
-    k0: ColFrames,
-    k1: ColFrames,
-    k2: ColFrames,
-    fid: ColFrames,
+/// Sorts `entries` and encodes them as one permutation — its `k0, k1,
+/// k2, fid` columns — plus its offset column, each column in turn one
+/// [`FRAME_ROWS`]-row frame at a time through one small buffer: no
+/// column is ever materialized, and one column's payload grows at a
+/// time. Key columns may use any frame encoding; the fact-id column is
+/// always bitpacked so random probes are `O(1)`.
+fn encode_perm(entries: &mut [(Key, FactId)]) -> ([ColFrames; 4], ColFrames) {
+    entries.sort_unstable();
+    let starts = starts_from_leading(entries.iter().map(|e| e.0 .0 .0));
+    let starts = ColFrames::from_values_packed(&starts);
+    let mut frame = Vec::with_capacity(FRAME_ROWS);
+    let mut encode = |allow_varint: bool, field: fn(&(Key, FactId)) -> u32| {
+        let mut col = ColEncoder::new(entries.len(), allow_varint);
+        for chunk in entries.chunks(FRAME_ROWS) {
+            frame.clear();
+            frame.extend(chunk.iter().map(field));
+            col.push(&frame);
+        }
+        col.finish()
+    };
+    let k0 = encode(true, |e| e.0 .0 .0);
+    let k1 = encode(true, |e| e.0 .1 .0);
+    let k2 = encode(true, |e| e.0 .2 .0);
+    // The fact-id column backs `O(1)` probes: no varint frames.
+    let fid = encode(false, |e| e.1 .0);
+    ([k0, k1, k2, fid], starts)
 }
 
-impl PermFrames {
-    /// Sorts `entries` and encodes them as one permutation plus its
-    /// offset column, each column in turn one [`FRAME_ROWS`]-row frame
-    /// at a time through one small buffer: no column is ever
-    /// materialized, and one column's payload grows at a time.
-    fn build(entries: &mut [(Key, FactId)]) -> (Self, ColFrames) {
-        entries.sort_unstable();
-        let starts = starts_from_leading(entries.iter().map(|e| e.0 .0 .0));
-        let starts = ColFrames::from_values_packed(&starts);
-        let mut frame = Vec::with_capacity(FRAME_ROWS);
-        let mut encode = |allow_varint: bool, field: fn(&(Key, FactId)) -> u32| {
-            let mut col = ColEncoder::new(entries.len(), allow_varint);
-            for chunk in entries.chunks(FRAME_ROWS) {
-                frame.clear();
-                frame.extend(chunk.iter().map(field));
-                col.push(&frame);
-            }
-            col.finish()
-        };
-        let k0 = encode(true, |e| e.0 .0 .0);
-        let k1 = encode(true, |e| e.0 .1 .0);
-        let k2 = encode(true, |e| e.0 .2 .0);
-        // The fact-id column backs `O(1)` probes: no varint frames.
-        let fid = encode(false, |e| e.1 .0);
-        (Self { k0, k1, k2, fid }, starts)
-    }
+/// The fact-id column's place among a permutation's four columns.
+const FID: usize = 3;
 
-    pub(crate) fn from_cols(k0: ColFrames, k1: ColFrames, k2: ColFrames, fid: ColFrames) -> Self {
-        Self { k0, k1, k2, fid }
-    }
+/// The first of the three offset columns, which follow the twelve
+/// permutation columns.
+const STARTS: usize = 12;
 
-    pub(crate) fn len(&self) -> usize {
-        self.fid.len()
-    }
-
-    pub(crate) fn cols(&self) -> [&ColFrames; 4] {
-        [&self.k0, &self.k1, &self.k2, &self.fid]
-    }
+/// Where permutation `choice`'s columns sit among the fifteen: its `k0,
+/// k1, k2, fid` columns, then its offset column.
+fn perm_cols(choice: IndexChoice) -> (Range<usize>, usize) {
+    let p = match choice {
+        IndexChoice::Spo => 0,
+        IndexChoice::Pos => 1,
+        IndexChoice::Osp => 2,
+    };
+    (4 * p..4 * p + 4, STARTS + p)
 }
 
-/// A cursor's handle on one permutation's four columns (`k0, k1, k2,
-/// fid`): either borrowed from resident [`EagerIndexes`] (zero cost) or
-/// one [`PageCursor`] per column of a lazily opened segment, each
-/// pinning the page it reads when it reads it — a probe that only asks
-/// the fact-id column faults nothing of the key columns.
+/// One compressed column of the frozen indexes, and the one place that
+/// knows where it lives: resident (built, or loaded by an eager open)
+/// or paged in from a segment file under a
+/// [`MemoryBudget`](crate::MemoryBudget).
 #[derive(Debug, Clone)]
-pub(crate) enum PermRef<'a> {
-    Borrowed(&'a PermFrames),
-    Paged([PageCursor<'a>; 4]),
+pub(crate) enum Col {
+    Resident(ColFrames),
+    Paged(Arc<PagedCol>),
 }
 
-impl PermRef<'_> {
+impl Col {
+    /// A scan's reader of the column.
+    #[inline]
+    fn cursor(&self) -> ColCursor<'_> {
+        match self {
+            Col::Resident(c) => ColCursor::Resident(c),
+            Col::Paged(c) => ColCursor::Paged(PageCursor::new(c)),
+        }
+    }
+
+    /// Rows, frames and payload bytes. A paged column reads them from
+    /// its region's layout, not from a page.
+    pub(crate) fn shape(&self) -> Result<(usize, usize, usize), StoreError> {
+        match self {
+            Col::Resident(c) => Ok((c.len(), c.n_frames(), c.payload().len())),
+            Col::Paged(c) => c.shape(),
+        }
+    }
+
+    /// The column's frames: borrowed when resident, read whole from its
+    /// region when paged.
+    pub(crate) fn frames(&self) -> Result<Cow<'_, ColFrames>, StoreError> {
+        match self {
+            Col::Resident(c) => Ok(Cow::Borrowed(c)),
+            Col::Paged(c) => c.load().map(Cow::Owned),
+        }
+    }
+
+    /// Verifies what a paged column can verify before its pages are
+    /// read (see [`PagedCol::prefault`]); a resident column was checked
+    /// when it was built or loaded.
+    fn prefault(&self) -> Result<(), StoreError> {
+        match self {
+            Col::Resident(_) => Ok(()),
+            Col::Paged(c) => c.prefault(),
+        }
+    }
+}
+
+/// A scan's reader of one [`Col`]: the resident frames, or a
+/// [`PageCursor`] that pins the page it reads when it reads it, so a
+/// probe that asks only the fact-id column faults nothing of the key
+/// columns. A loop over rows matches the kind once, outside the loop
+/// ([`locate`], [`SegCursor`]'s small-range fill): with the match
+/// inside, the paged arm's inlined pin slows the resident probe.
+#[derive(Debug, Clone)]
+enum ColCursor<'a> {
+    Resident(&'a ColFrames),
+    Paged(PageCursor<'a>),
+}
+
+impl ColCursor<'_> {
+    #[inline]
     fn len(&self) -> usize {
         match self {
-            PermRef::Borrowed(p) => p.len(),
-            PermRef::Paged(cols) => cols[3].len(),
+            ColCursor::Resident(c) => c.len(),
+            ColCursor::Paged(c) => c.len(),
+        }
+    }
+
+    #[inline]
+    fn get(&mut self, i: usize) -> u32 {
+        match self {
+            ColCursor::Resident(c) => c.get(i),
+            ColCursor::Paged(c) => c.get(i),
+        }
+    }
+
+    fn decode_range(&mut self, from: usize, to: usize, out: &mut Vec<u32>) {
+        match self {
+            ColCursor::Resident(c) => c.decode_range(from, to, out),
+            ColCursor::Paged(c) => c.decode_range(from, to, out),
         }
     }
 }
@@ -241,176 +308,6 @@ impl IndexStats {
     }
 }
 
-/// The three compressed permutation indexes of a frozen store, fully
-/// resident in memory — the build-side and small-segment form of
-/// [`FrozenIndexes`].
-#[derive(Debug, Default, Clone)]
-pub(crate) struct EagerIndexes {
-    spo: PermFrames,
-    pos: PermFrames,
-    osp: PermFrames,
-    spo_starts: ColFrames,
-    pos_starts: ColFrames,
-    osp_starts: ColFrames,
-}
-
-impl EagerIndexes {
-    /// The one index build (see the module docs): one entries buffer,
-    /// sorted and encoded frame by frame for each permutation in turn.
-    fn build(facts: &[Fact], include_retracted: bool) -> Self {
-        let mut entries: Vec<(Key, FactId)> = Vec::with_capacity(facts.len());
-        entries.extend(
-            facts
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| include_retracted || !f.is_retracted())
-                .map(|(i, f)| (f.triple.spo_key(), FactId(i as u32))),
-        );
-        let (spo, spo_starts) = PermFrames::build(&mut entries);
-        rotate_keys(&mut entries);
-        let (pos, pos_starts) = PermFrames::build(&mut entries);
-        rotate_keys(&mut entries);
-        let (osp, osp_starts) = PermFrames::build(&mut entries);
-        Self { spo, pos, osp, spo_starts, pos_starts, osp_starts }
-    }
-
-    /// The fifteen compressed columns in serialization order: for each
-    /// of SPO/POS/OSP the `k0,k1,k2,fid` columns, then the three starts
-    /// columns.
-    pub(crate) fn frame_cols(&self) -> [&ColFrames; 15] {
-        let [s0, s1, s2, s3] = self.spo.cols();
-        let [p0, p1, p2, p3] = self.pos.cols();
-        let [o0, o1, o2, o3] = self.osp.cols();
-        [
-            s0,
-            s1,
-            s2,
-            s3,
-            p0,
-            p1,
-            p2,
-            p3,
-            o0,
-            o1,
-            o2,
-            o3,
-            &self.spo_starts,
-            &self.pos_starts,
-            &self.osp_starts,
-        ]
-    }
-
-    /// Size and compression accounting across every column.
-    pub(crate) fn stats(&self) -> IndexStats {
-        let mut st = IndexStats {
-            entries: 3 * self.spo.len(),
-            bucket_slots: self.spo_starts.len() + self.pos_starts.len() + self.osp_starts.len(),
-            ..IndexStats::default()
-        };
-        for col in self.frame_cols() {
-            st.frames += col.n_frames();
-            st.compressed_bytes += col.compressed_bytes();
-        }
-        // A raw entry is a 12-byte key plus a 4-byte fact id; a raw
-        // bucket slot is one u32.
-        st.raw_bytes = st.entries * 16 + st.bucket_slots * 4;
-        st
-    }
-
-    /// Reassembles frozen indexes straight from deserialized compressed
-    /// columns — the frames are validated against the fact table but
-    /// *not* re-encoded, which is what keeps the eager cold open linear.
-    /// Each permutation is walked one decoded frame window at a time, so
-    /// the check holds four [`FRAME_ROWS`]-row buffers, never a column.
-    ///
-    /// `expected_len` is the entry count every permutation must have
-    /// (live facts for a base segment, all facts for a delta);
-    /// `is_base` additionally forbids retracted facts in the index.
-    pub(crate) fn from_frames(
-        facts: &[Fact],
-        expected_len: usize,
-        is_base: bool,
-        perms: [PermFrames; 3],
-        starts: [ColFrames; 3],
-    ) -> Result<Self, crate::StoreError> {
-        use crate::error::SegmentRegion;
-        let corrupt =
-            |detail: String| crate::StoreError::Corrupt { region: SegmentRegion::Frames, detail };
-        let validate = |perm: &PermFrames,
-                        starts: &ColFrames,
-                        key_of: fn(&Triple) -> Key|
-         -> Result<(), crate::StoreError> {
-            for col in perm.cols() {
-                if col.len() != expected_len {
-                    return Err(corrupt(format!(
-                        "permutation column has {} rows, expected {expected_len}",
-                        col.len()
-                    )));
-                }
-            }
-            if perm.fid.has_varint() || starts.has_varint() {
-                return Err(corrupt("sequential-only encoding in a random-access column".into()));
-            }
-            // One decoded frame window of each column at a time; the
-            // buckets are checked against the running prefix of `k0`:
-            // every slot up to a row's leading term must equal that
-            // row's index, and the slot past the last term the row count.
-            let mut window: [Vec<u32>; 4] = Default::default();
-            let mut prev: Option<Key> = None;
-            let mut slot = 0usize;
-            let bucket_err =
-                || corrupt("offset buckets disagree with the permutation entries".into());
-            for from in (0..expected_len).step_by(FRAME_ROWS) {
-                let to = expected_len.min(from + FRAME_ROWS);
-                for (buf, col) in window.iter_mut().zip(perm.cols()) {
-                    buf.clear();
-                    col.decode_range(from, to, buf);
-                }
-                let [k0, k1, k2, fids] = &window;
-                for (j, &id) in fids.iter().enumerate() {
-                    let fact = facts.get(id as usize).ok_or_else(|| {
-                        corrupt(format!("fact id {id} out of range ({} facts)", facts.len()))
-                    })?;
-                    if is_base && fact.is_retracted() {
-                        return Err(corrupt("retracted fact indexed in a base segment".into()));
-                    }
-                    let key = key_of(&fact.triple);
-                    if (key.0 .0, key.1 .0, key.2 .0) != (k0[j], k1[j], k2[j]) {
-                        return Err(corrupt("key columns disagree with the fact table".into()));
-                    }
-                    if prev.is_some_and(|p| p > key) {
-                        return Err(corrupt("permutation column is not sorted".into()));
-                    }
-                    prev = Some(key);
-                    let row = (from + j) as u32;
-                    while slot <= key.0.index() {
-                        if slot >= starts.len() || starts.get(slot) != row {
-                            return Err(bucket_err());
-                        }
-                        slot += 1;
-                    }
-                }
-            }
-            if starts.len() != slot + 1 || starts.get(slot) != expected_len as u32 {
-                return Err(bucket_err());
-            }
-            Ok(())
-        };
-        let [spo, pos, osp] = perms;
-        let [spo_starts, pos_starts, osp_starts] = starts;
-        let (r_spo, r_pos, r_osp) = std::thread::scope(|s| {
-            let rp = s.spawn(|| validate(&pos, &pos_starts, |t| t.pos_key()));
-            let ro = s.spawn(|| validate(&osp, &osp_starts, |t| t.osp_key()));
-            let rs = validate(&spo, &spo_starts, |t| t.spo_key());
-            (rs, rp.join().expect("pos validate"), ro.join().expect("osp validate"))
-        });
-        r_spo?;
-        r_pos?;
-        r_osp?;
-        Ok(Self { spo, pos, osp, spo_starts, pos_starts, osp_starts })
-    }
-}
-
 /// The bucket of leading term `a` — `starts[a] .. starts[a + 1]`, an
 /// `O(1)` lookup in the offset column (`starts`, `slots` long) — or the
 /// whole permutation when `a` is unbound, which `choose_index` only
@@ -465,7 +362,7 @@ fn narrow(
 /// `c` when `b` is bound, so the cursor fills those instead of
 /// decoding them.
 fn locate<'a>(
-    mut perm: PermRef<'a>,
+    mut cols: [ColCursor<'a>; 4],
     (a, range): (Option<TermId>, (usize, usize)),
     bc: (Option<TermId>, Option<TermId>),
     pattern: &TriplePattern,
@@ -474,71 +371,60 @@ fn locate<'a>(
 ) -> (SegCursor<'a>, Option<TriplePattern>) {
     let filter = (pattern.bound_count() == 2 && pattern.p.is_none()).then_some(*pattern);
     let key_of = |id: u32| permute(choice, &facts[id as usize].triple);
-    let rows = match &mut perm {
-        PermRef::Borrowed(p) => narrow(range, bc, |i| key_of(p.fid.get(i))),
-        PermRef::Paged(cols) => narrow(range, bc, |i| key_of(cols[3].get(i))),
+    let rows = match &mut cols[FID] {
+        ColCursor::Resident(c) => narrow(range, bc, |i| key_of(c.get(i))),
+        ColCursor::Paged(c) => narrow(range, bc, |i| key_of(c.get(i))),
     };
     let fixed = [a, bc.0, bc.0.and(bc.1)];
-    (SegCursor::new(perm, facts, choice, rows, fixed), filter)
-}
-
-/// The three permutation columns of a lazily opened segment: fifteen
-/// budget-managed [`PagedCol`]s over one checksummed [`FrameRegion`], in
-/// serialization order (SPO/POS/OSP × `k0,k1,k2,fid`, then the three
-/// starts columns). Pages of a column materialize on first touch and
-/// may be spilled back to disk by the budget's clock sweep.
-#[derive(Debug, Clone)]
-pub(crate) struct LazyIndexes {
-    region: Arc<FrameRegion>,
-    cols: [Arc<PagedCol>; FRAME_COLS],
-}
-
-impl LazyIndexes {
-    pub(crate) fn new(region: Arc<FrameRegion>, cols: [Arc<PagedCol>; FRAME_COLS]) -> Self {
-        Self { region, cols }
-    }
+    (SegCursor::new(cols, facts, choice, rows, fixed), filter)
 }
 
 /// The three compressed permutation indexes of a frozen store, each
-/// paired with a per-leading-term offset column.
+/// paired with a per-leading-term offset column: fifteen [`Col`]s in
+/// serialization order — SPO, POS, OSP × `k0, k1, k2, fid`, then the
+/// three offset (`starts`) columns.
 ///
 /// Built once from the fact table in `O(n log n)`; answering a pattern
 /// with a bound leading term is an `O(1)` bucket lookup plus
 /// `O(log b)` fid-probe narrowing for a bucket of size `b`, with an
 /// exact count in the same bounds for every shape.
-///
-/// `Eager` indexes are fully resident (the build side and every write
-/// path); `Lazy` indexes page their columns in from a segment file on
-/// demand under a [`MemoryBudget`](crate::MemoryBudget).
-// The size skew is deliberate: there is one `FrozenIndexes` per open
-// segment (not per row), and boxing the eager side would cost an
-// indirection on every cursor dispatch.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub(crate) enum FrozenIndexes {
-    Eager(EagerIndexes),
-    Lazy(LazyIndexes),
-}
-
-impl Default for FrozenIndexes {
-    fn default() -> Self {
-        FrozenIndexes::Eager(EagerIndexes::default())
-    }
+pub(crate) struct FrozenIndexes {
+    pub(crate) cols: [Col; FRAME_COLS],
 }
 
 impl FrozenIndexes {
+    /// The one index build (see the module docs): one entries buffer,
+    /// sorted and encoded frame by frame for each permutation in turn.
+    fn encode(facts: &[Fact], include_retracted: bool) -> [ColFrames; FRAME_COLS] {
+        let mut entries: Vec<(Key, FactId)> = Vec::with_capacity(facts.len());
+        entries.extend(
+            facts
+                .iter()
+                .enumerate()
+                .filter(|(_, f)| include_retracted || !f.is_retracted())
+                .map(|(i, f)| (f.triple.spo_key(), FactId(i as u32))),
+        );
+        let ([s0, s1, s2, s3], spo_starts) = encode_perm(&mut entries);
+        rotate_keys(&mut entries);
+        let ([p0, p1, p2, p3], pos_starts) = encode_perm(&mut entries);
+        rotate_keys(&mut entries);
+        let ([o0, o1, o2, o3], osp_starts) = encode_perm(&mut entries);
+        [s0, s1, s2, s3, p0, p1, p2, p3, o0, o1, o2, o3, spo_starts, pos_starts, osp_starts]
+    }
+
     /// Indexes every live fact in `facts` (retracted entries are
     /// skipped, so they never appear in query results).
     pub(crate) fn build(facts: &[Fact]) -> Self {
         let obs = kb_obs::global();
         let span = obs.span("store.snapshot.freeze_us");
-        let built = EagerIndexes::build(facts, false);
+        let cols = Self::encode(facts, false);
         span.stop();
         obs.counter("store.snapshot.freezes").inc();
         // Three permutation arrays plus their offset buckets.
-        obs.gauge("store.index.entries").set((3 * built.spo.len()) as i64);
-        obs.gauge("store.index.bucket_slots").set((3 * built.spo_starts.len()) as i64);
-        FrozenIndexes::Eager(built)
+        obs.gauge("store.index.entries").set((3 * cols[FID].len()) as i64);
+        obs.gauge("store.index.bucket_slots").set((3 * cols[STARTS].len()) as i64);
+        Self { cols: cols.map(Col::Resident) }
     }
 
     /// Indexes every fact *including* retracted ones — the delta-segment
@@ -548,78 +434,134 @@ impl FrozenIndexes {
     pub(crate) fn build_with_tombstones(facts: &[Fact]) -> Self {
         let obs = kb_obs::global();
         let span = obs.span("store.delta.freeze_us");
-        let built = EagerIndexes::build(facts, true);
+        let cols = Self::encode(facts, true);
         span.stop();
         obs.counter("store.delta.freezes").inc();
-        FrozenIndexes::Eager(built)
+        Self { cols: cols.map(Col::Resident) }
     }
 
-    /// See [`EagerIndexes::from_frames`].
+    /// Reassembles frozen indexes straight from deserialized compressed
+    /// columns, in serialization order — the frames are validated
+    /// against the fact table but *not* re-encoded, which is what keeps
+    /// the eager cold open linear. Each permutation is walked one
+    /// decoded frame window at a time, so the check holds four
+    /// [`FRAME_ROWS`]-row buffers, never a column.
+    ///
+    /// `expected_len` is the entry count every permutation must have
+    /// (live facts for a base segment, all facts for a delta);
+    /// `is_base` additionally forbids retracted facts in the index.
     pub(crate) fn from_frames(
         facts: &[Fact],
         expected_len: usize,
         is_base: bool,
-        perms: [PermFrames; 3],
-        starts: [ColFrames; 3],
-    ) -> Result<Self, crate::StoreError> {
-        EagerIndexes::from_frames(facts, expected_len, is_base, perms, starts)
-            .map(FrozenIndexes::Eager)
-    }
-
-    fn eager(&self) -> &EagerIndexes {
-        match self {
-            FrozenIndexes::Eager(ix) => ix,
-            FrozenIndexes::Lazy(_) => panic!(
-                "operation requires fully resident indexes, but this snapshot was opened \
-                 lazily (write paths always construct eager snapshots)"
-            ),
-        }
-    }
-
-    /// The fifteen compressed columns in serialization order. Panics on
-    /// lazily opened indexes.
-    pub(crate) fn frame_cols(&self) -> [&ColFrames; 15] {
-        self.eager().frame_cols()
-    }
-
-    /// Size and compression accounting. For lazy indexes this comes
-    /// from the on-disk layout (no column is faulted in); a damaged
-    /// region reports zeros rather than failing a diagnostics call.
-    pub(crate) fn stats(&self) -> IndexStats {
-        match self {
-            FrozenIndexes::Eager(ix) => ix.stats(),
-            FrozenIndexes::Lazy(ix) => {
-                let mut st = IndexStats::default();
-                let Ok(entries) = ix.region.col_len(3) else { return st };
-                st.entries = 3 * entries;
-                for i in 12..FRAME_COLS {
-                    st.bucket_slots += ix.region.col_len(i).unwrap_or(0);
+        cols: [ColFrames; FRAME_COLS],
+    ) -> Result<Self, StoreError> {
+        use crate::error::SegmentRegion;
+        let corrupt =
+            |detail: String| StoreError::Corrupt { region: SegmentRegion::Frames, detail };
+        let validate = |choice: IndexChoice| -> Result<(), StoreError> {
+            let (keys, starts) = perm_cols(choice);
+            let (perm, starts) = (&cols[keys], &cols[starts]);
+            for col in perm {
+                if col.len() != expected_len {
+                    return Err(corrupt(format!(
+                        "permutation column has {} rows, expected {expected_len}",
+                        col.len()
+                    )));
                 }
-                for i in 0..FRAME_COLS {
-                    st.frames += ix.region.col_frames(i).unwrap_or(0);
-                    st.compressed_bytes += ix.region.col_bytes(i).unwrap_or(0);
-                }
-                st.raw_bytes = st.entries * 16 + st.bucket_slots * 4;
-                st
             }
+            if perm[FID].has_varint() || starts.has_varint() {
+                return Err(corrupt("sequential-only encoding in a random-access column".into()));
+            }
+            // One decoded frame window of each column at a time; the
+            // buckets are checked against the running prefix of `k0`:
+            // every slot up to a row's leading term must equal that
+            // row's index, and the slot past the last term the row count.
+            let mut window: [Vec<u32>; 4] = Default::default();
+            let mut prev: Option<Key> = None;
+            let mut slot = 0usize;
+            let bucket_err =
+                || corrupt("offset buckets disagree with the permutation entries".into());
+            for from in (0..expected_len).step_by(FRAME_ROWS) {
+                let to = expected_len.min(from + FRAME_ROWS);
+                for (buf, col) in window.iter_mut().zip(perm) {
+                    buf.clear();
+                    col.decode_range(from, to, buf);
+                }
+                let [k0, k1, k2, fids] = &window;
+                for (j, &id) in fids.iter().enumerate() {
+                    let fact = facts.get(id as usize).ok_or_else(|| {
+                        corrupt(format!("fact id {id} out of range ({} facts)", facts.len()))
+                    })?;
+                    if is_base && fact.is_retracted() {
+                        return Err(corrupt("retracted fact indexed in a base segment".into()));
+                    }
+                    let key = permute(choice, &fact.triple);
+                    if (key.0 .0, key.1 .0, key.2 .0) != (k0[j], k1[j], k2[j]) {
+                        return Err(corrupt("key columns disagree with the fact table".into()));
+                    }
+                    if prev.is_some_and(|p| p > key) {
+                        return Err(corrupt("permutation column is not sorted".into()));
+                    }
+                    prev = Some(key);
+                    let row = (from + j) as u32;
+                    while slot <= key.0.index() {
+                        if slot >= starts.len() || starts.get(slot) != row {
+                            return Err(bucket_err());
+                        }
+                        slot += 1;
+                    }
+                }
+            }
+            if starts.len() != slot + 1 || starts.get(slot) != expected_len as u32 {
+                return Err(bucket_err());
+            }
+            Ok(())
+        };
+        let (r_spo, r_pos, r_osp) = std::thread::scope(|s| {
+            let rp = s.spawn(|| validate(IndexChoice::Pos));
+            let ro = s.spawn(|| validate(IndexChoice::Osp));
+            let rs = validate(IndexChoice::Spo);
+            (rs, rp.join().expect("pos validate"), ro.join().expect("osp validate"))
+        });
+        r_spo?;
+        r_pos?;
+        r_osp?;
+        Ok(Self { cols: cols.map(Col::Resident) })
+    }
+
+    /// Size and compression accounting, summed over the columns: a
+    /// resident column counts its frames, a paged one its region's
+    /// layout (no page is read). A damaged region reports zeros rather
+    /// than failing a diagnostics call.
+    pub(crate) fn stats(&self) -> IndexStats {
+        let mut st = IndexStats::default();
+        for (i, col) in self.cols.iter().enumerate() {
+            let Ok((rows, frames, payload)) = col.shape() else { return IndexStats::default() };
+            match i {
+                FID => st.entries = 3 * rows,
+                STARTS.. => st.bucket_slots += rows,
+                _ => {}
+            }
+            st.frames += frames;
+            st.compressed_bytes += resident_bytes(frames, payload);
         }
+        // A raw entry is a 12-byte key plus a 4-byte fact id; a raw
+        // bucket slot is one u32.
+        st.raw_bytes = st.entries * 16 + st.bucket_slots * 4;
+        st
     }
 
     /// Verifies what can be verified without reading the columns,
-    /// surfacing cold corruption as a typed error. Eager indexes were
-    /// validated at construction; lazy indexes verify the frames region
-    /// CRC, walk its layout and validate all fifteen columns' frame
-    /// descriptors (which stay resident). A page's payload is still
-    /// checked when it is first touched.
+    /// surfacing cold corruption as a typed error: a paged column's
+    /// region CRC, layout and frame descriptors (which stay resident).
+    /// A page's payload is still checked when it is first touched.
     pub(crate) fn prefault(&self) -> Result<(), StoreError> {
-        match self {
-            FrozenIndexes::Eager(_) => Ok(()),
-            FrozenIndexes::Lazy(ix) => ix.cols.iter().try_for_each(|col| col.prefault()),
-        }
+        self.cols.iter().try_for_each(Col::prefault)
     }
 
     /// Locates the row range answering `pattern` and opens a cursor
-    /// over it (see [`bucket`] and [`locate`]). On lazy indexes nothing
+    /// over it (see [`bucket`] and [`locate`]). On paged columns nothing
     /// is pinned that is not read: the bucket lookup touches one page
     /// of the starts column, narrowing the fid pages it probes, and the
     /// cursor pins the pages of the columns it decodes as it scans —
@@ -637,30 +579,11 @@ impl FrozenIndexes {
             IndexChoice::Pos => (pattern.p, (pattern.o, pattern.s)),
             IndexChoice::Osp => (pattern.o, (pattern.s, pattern.p)),
         };
-        let (perm, range) = match self {
-            FrozenIndexes::Eager(ix) => {
-                let (perm, starts) = match choice {
-                    IndexChoice::Spo => (&ix.spo, &ix.spo_starts),
-                    IndexChoice::Pos => (&ix.pos, &ix.pos_starts),
-                    IndexChoice::Osp => (&ix.osp, &ix.osp_starts),
-                };
-                let range = bucket(a, perm.len(), starts.len(), |i| starts.get(i));
-                (PermRef::Borrowed(perm), range)
-            }
-            FrozenIndexes::Lazy(ix) => {
-                let (first, starts_col) = match choice {
-                    IndexChoice::Spo => (0, 12),
-                    IndexChoice::Pos => (4, 13),
-                    IndexChoice::Osp => (8, 14),
-                };
-                let perm =
-                    PermRef::Paged(std::array::from_fn(|c| PageCursor::new(&ix.cols[first + c])));
-                let mut starts = PageCursor::new(&ix.cols[starts_col]);
-                let range = bucket(a, perm.len(), starts.len(), |i| starts.get(i));
-                (perm, range)
-            }
-        };
-        locate(perm, (a, range), bc, pattern, facts, choice)
+        let (keys, starts) = perm_cols(choice);
+        let cols: [ColCursor<'a>; 4] = std::array::from_fn(|c| self.cols[keys.start + c].cursor());
+        let mut starts = self.cols[starts].cursor();
+        let range = bucket(a, cols[FID].len(), starts.len(), |i| starts.get(i));
+        locate(cols, (a, range), bc, pattern, facts, choice)
     }
 }
 
@@ -676,7 +599,8 @@ impl FrozenIndexes {
 /// fact-id column instead, so point lookups never pay a frame decode.
 #[derive(Debug, Clone)]
 pub(crate) struct SegCursor<'a> {
-    perm: PermRef<'a>,
+    /// The permutation's `k0, k1, k2, fid` columns.
+    cols: [ColCursor<'a>; 4],
     facts: &'a [Fact],
     choice: IndexChoice,
     /// Next row to yield (absolute).
@@ -695,14 +619,14 @@ pub(crate) struct SegCursor<'a> {
 
 impl<'a> SegCursor<'a> {
     fn new(
-        perm: PermRef<'a>,
+        cols: [ColCursor<'a>; 4],
         facts: &'a [Fact],
         choice: IndexChoice,
         (pos, end): (usize, usize),
         fixed: [Option<TermId>; 3],
     ) -> Self {
         Self {
-            perm,
+            cols,
             facts,
             choice,
             pos,
@@ -725,7 +649,7 @@ impl<'a> SegCursor<'a> {
         if self.pos >= self.end {
             return;
         }
-        let Self { perm, facts, choice, pos, end, fixed, keys, fid, .. } = self;
+        let Self { cols, facts, choice, pos, end, fixed, keys, fid, .. } = self;
         let rows = *pos..*end;
         if rows.len() <= SMALL_SCAN {
             // Small range: O(1) fid probes + fact-table derefs beat
@@ -738,31 +662,19 @@ impl<'a> SegCursor<'a> {
                 k2.push(c.0);
                 fid.push(id);
             };
-            match perm {
-                PermRef::Borrowed(p) => rows.for_each(|i| push(p.fid.get(i))),
-                PermRef::Paged(cols) => rows.for_each(|i| push(cols[3].get(i))),
+            match &mut cols[FID] {
+                ColCursor::Resident(c) => rows.for_each(|i| push(c.get(i))),
+                ColCursor::Paged(c) => rows.for_each(|i| push(c.get(i))),
             }
             return;
         }
         // Decode to the end of the current frame (keeps every later
         // fill frame-aligned, so varint frames decode exactly once).
         let (from, stop) = (rows.start, rows.end.min((rows.start / FRAME_ROWS + 1) * FRAME_ROWS));
-        match perm {
-            PermRef::Borrowed(p) => {
-                for ((out, col), term) in keys.iter_mut().zip([&p.k0, &p.k1, &p.k2]).zip(*fixed) {
-                    match term {
-                        Some(t) => out.resize(stop - from, t.0),
-                        None => col.decode_range(from, stop, out),
-                    }
-                }
-            }
-            PermRef::Paged(cols) => {
-                for ((out, col), term) in keys.iter_mut().zip(cols.iter_mut()).zip(*fixed) {
-                    match term {
-                        Some(t) => out.resize(stop - from, t.0),
-                        None => col.decode_range(from, stop, out),
-                    }
-                }
+        for ((out, col), term) in keys.iter_mut().zip(cols.iter_mut()).zip(*fixed) {
+            match term {
+                Some(t) => out.resize(stop - from, t.0),
+                None => col.decode_range(from, stop, out),
             }
         }
     }
@@ -770,10 +682,7 @@ impl<'a> SegCursor<'a> {
     /// Decodes the fact ids of a frame-decoded window.
     fn fill_fids(&mut self) {
         let (from, stop) = (self.win_start, self.win_start + self.keys[0].len());
-        match &mut self.perm {
-            PermRef::Borrowed(p) => p.fid.decode_range(from, stop, &mut self.fid),
-            PermRef::Paged(cols) => cols[3].decode_range(from, stop, &mut self.fid),
-        }
+        self.cols[FID].decode_range(from, stop, &mut self.fid);
     }
 
     #[inline]

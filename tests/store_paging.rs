@@ -541,3 +541,83 @@ fn a_mix_that_fits_the_budget_faults_nothing_on_its_second_pass() {
     assert_eq!((meter.page_faults(), meter.fault_bytes(), meter.spills()), (faults, read, 0));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Seals one delta onto a `sized_base(people)` store in `dir`: `new`
+/// newcomers born in a city, a shadow of every tenth base person and a
+/// tombstone of every twentieth, offset by five. Returns the sealed
+/// delta's file.
+fn store_with_sealed_delta(dir: &Path, people: usize, new: usize) -> PathBuf {
+    let mut store = SegmentStore::create(dir, sized_base(people), NO_FSYNC).unwrap();
+    let mut b = KbBuilder::new();
+    for i in 0..new {
+        b.assert_str(&format!("newcomer_{i}"), "bornIn", &format!("city_{}", i % 50));
+    }
+    for i in (0..people).step_by(10) {
+        b.assert_str(&format!("person_{i}"), "bornIn", &format!("city_{}", i % 50));
+    }
+    for i in (5..people).step_by(20) {
+        b.retract_str(&format!("person_{i}"), "bornIn", &format!("city_{}", i % 50));
+    }
+    let delta = b.freeze_delta(&store.view());
+    assert_eq!((delta.new_facts(), delta.tombstones()), (new, people.div_ceil(20)));
+    store.install_delta(Arc::new(delta)).unwrap();
+    store.seal().unwrap();
+    drop(store);
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.file_name().unwrap().to_string_lossy().starts_with("delta-"))
+        .expect("the sealed delta")
+}
+
+/// The index stats of paged columns come from the region's layout and
+/// equal what the resident open of the same file counts, for a lazily
+/// opened base and for a delta paged under a bounded budget; reading
+/// them faults no page.
+#[test]
+fn paged_index_stats_equal_the_resident_open_of_the_same_file() {
+    let dir = scratch("paged-stats");
+    let delta_file = store_with_sealed_delta(&dir, 5000, 2400);
+    let options = StoreOptions { memory_budget: Some(64 << 10), ..NO_FSYNC };
+    let store = SegmentStore::open_with(&dir, options).unwrap();
+    let view = store.view();
+    let resident_base = KbSnapshot::open_segment(dir.join("base-0.seg")).unwrap();
+    let resident_delta = DeltaSegment::open_segment(&delta_file).unwrap();
+    let (base, delta) = (view.base().index_stats(), view.deltas()[0].index_stats());
+    assert_eq!(base, resident_base.index_stats());
+    assert_eq!(delta, resident_delta.index_stats());
+    assert_eq!(base.entries, 3 * resident_base.len());
+    assert_eq!(delta.entries, 3 * resident_delta.len());
+    assert!(base.frames > 3 * 4 && base.compressed_bytes > 0);
+    assert_eq!(store.memory_budget().page_faults(), 0, "stats read the layout, not a page");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Writing a file-backed segment reads each paged column whole: a
+/// lazily opened base and a delta paged under a 64 KiB budget write
+/// files that reopen resident to the store's own view — the same
+/// N-Triples dump and index stats — and that are byte for byte the
+/// files the store wrote.
+#[test]
+fn a_paged_base_and_delta_write_segments_that_reopen_like_the_store() {
+    let dir = scratch("rewrite");
+    let delta_file = store_with_sealed_delta(&dir, 1500, 600);
+    let options = StoreOptions { memory_budget: Some(64 << 10), ..NO_FSYNC };
+    let store = SegmentStore::open_with(&dir, options).unwrap();
+    let view = store.view();
+    let out = dir.join("rewritten");
+    std::fs::create_dir_all(&out).unwrap();
+    view.base().write_segment(out.join("base.seg")).unwrap();
+    view.deltas()[0].write_segment(out.join("delta.seg")).unwrap();
+
+    let reopened = SegmentedSnapshot::from_base(
+        KbSnapshot::open_segment(out.join("base.seg")).unwrap().into(),
+    )
+    .with_delta(DeltaSegment::open_segment(out.join("delta.seg")).unwrap().into());
+    assert_eq!(ntriples::to_string(&reopened).unwrap(), ntriples::to_string(&view).unwrap());
+    assert_eq!(reopened.index_stats(), view.index_stats());
+    let bytes = |path: PathBuf| std::fs::read(path).unwrap();
+    assert!(bytes(out.join("base.seg")) == bytes(dir.join("base-0.seg")), "base differs");
+    assert!(bytes(out.join("delta.seg")) == bytes(delta_file), "delta differs");
+    std::fs::remove_dir_all(&dir).ok();
+}
